@@ -53,10 +53,29 @@ _KNOWN_KEYS = {
 
 
 def _eval_node(node: ast.AST, names: dict):
+    """Evaluate one node; every value, intermediate or final, must be a
+    finite real number or array of them."""
+    try:
+        val = _eval_op(node, names)
+        if np.iscomplexobj(val):
+            raise TypeError("complex value")
+        finite = np.all(np.isfinite(np.asarray(val, dtype=float)))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"arithmetic error in expression: {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"expression does not give a real number: {exc}") from exc
+    if not finite:
+        raise ValueError("expression gives a non-finite value")
+    return val
+
+
+def _eval_op(node: ast.AST, names: dict):
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, names)
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return node.value
+        # as a float, so that a power like 9**9**9 overflows instead of
+        # running as an exact integer power
+        return float(node.value)
     if isinstance(node, ast.Name):
         if node.id in names:
             return names[node.id]
@@ -167,6 +186,8 @@ class RunConfig:
             raise ValueError("yosida_n must be >= 1")
         if self.dt <= 0 or self.T <= 0:
             raise ValueError("dt and T must be positive")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError(f"step count T/dt = {self.T}/{self.dt} is not finite")
         if self.monitor_stride < 1:
             raise ValueError("monitor_stride must be >= 1")
         if self.c0 is not None and not self.c0 > 0:

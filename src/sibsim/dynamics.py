@@ -38,8 +38,10 @@ import numpy as np
 from .grids import (
     Field,
     Grid2D,
+    coef_product,
     coef_to_values,
     field_from_coef,
+    intensity_coef,
     values_to_coef,
 )
 
@@ -191,10 +193,7 @@ class _Kernels:
     # -- quadratic terms ----------------------------------------------------
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        va = coef_to_values(grid, a, self.prod_shape)
-        vb = coef_to_values(grid, b, self.prod_shape)
-        return values_to_coef(grid, va * vb)
+        return coef_product(self.grid, a, b, self.prod_shape)
 
     def wave_source(self, u: np.ndarray) -> np.ndarray:
         """|u|^2, Yosida-wrapped when configured: J |J u|^2.
@@ -207,11 +206,8 @@ class _Kernels:
         if not self.params.coupling:
             return np.zeros(self.grid.shape)
         if self.jsym is None:
-            vals = coef_to_values(self.grid, u)
-            return values_to_coef(self.grid, (vals * vals.conj()).real)
-        ju = self.jsym * u
-        vals = coef_to_values(self.grid, ju, self.prod_shape)
-        return self.jsym * values_to_coef(self.grid, (vals * vals.conj()).real)
+            return intensity_coef(self.grid, u)
+        return self.jsym * intensity_coef(self.grid, self.jsym * u, self.prod_shape)
 
     def coupled_product(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
         """P(v, u): J(Jv * Ju) when regularized, else the plain product."""

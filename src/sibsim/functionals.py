@@ -32,14 +32,14 @@ from .grids import (
     Field,
     Grid2D,
     analyze,
-    coef_to_values,
+    coef_product,
     field_from_coef,
     h1_norm,
     h2_norm,
+    intensity_coef,
     lp_norm,
     make_grid,
     sobolev_norm,
-    values_to_coef,
 )
 
 __all__ = [
@@ -142,16 +142,6 @@ class EnvelopeConstants:
 # pointwise functionals
 
 
-def _intensity_coef(u: Field) -> np.ndarray:
-    """Coefficients of |u|^2 sampled on the collocation nodes.
-
-    The stepper's own quadrature; pairing v against a padded product here
-    would decouple the reported energy from the conserved one.
-    """
-    vals = coef_to_values(u.grid, u.coef)
-    return values_to_coef(u.grid, (vals * vals.conj()).real)
-
-
 def charge(state: State) -> float:
     """||u||_2^2."""
     return float(np.sum(np.abs(state.u.coef) ** 2))
@@ -169,7 +159,9 @@ def energy(state: State, eps: float) -> float:
     quad = 0.5 * (
         np.sum(vcoef**2) + np.sum(vtcoef**2 / lam) + eps * np.sum(vtcoef**2)
     )
-    coupling = np.sum(vcoef * _intensity_coef(state.u))
+    # |u|^2 on the collocation nodes, the stepper's own quadrature; a padded
+    # product here would decouple the reported energy from the conserved one
+    coupling = np.sum(vcoef * intensity_coef(state.grid, ucoef))
     return float(grad_u + quad + coupling)
 
 
@@ -260,8 +252,7 @@ def estimate_gn_constant(grid: Grid2D, max_iter: int = 400, tol: float = 1e-11) 
         return gn_quotient(field_from_coef(grid, c))
 
     def cube(c: np.ndarray) -> np.ndarray:
-        sq = _coef_product(grid, c, c)
-        return _coef_product(grid, sq, c)
+        return coef_product(grid, coef_product(grid, c, c), c)
 
     j = quotient(u)
     converged = False
@@ -297,12 +288,6 @@ def estimate_gn_constant(grid: Grid2D, max_iter: int = 400, tol: float = 1e-11) 
             RuntimeWarning,
         )
     return j
-
-
-def _coef_product(grid: Grid2D, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    va = coef_to_values(grid, a, grid.pad_shape)
-    vb = coef_to_values(grid, b, grid.pad_shape)
-    return values_to_coef(grid, va * vb)
 
 
 @lru_cache(maxsize=1)

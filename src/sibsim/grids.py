@@ -7,9 +7,20 @@ coefficients against the L2-orthonormal eigenbasis of the Dirichlet Laplacian,
 
 with eigenvalues lam(k, l) = (k pi / Lx)^2 + (l pi / Ly)^2, k = 1..Nx,
 l = 1..Ny.  Transforms between interior-node samples and coefficients are
-DST-I (scipy.fft, orthonormal scaling), which makes Parseval exact:  the
-l2 norm of the coefficient array equals the L2(Omega) norm of the
-represented function.
+DST-I with orthonormal scaling, which makes Parseval exact:  the l2 norm of
+the coefficient array equals the L2(Omega) norm of the represented function.
+
+Up to DENSE_MAX_EDGE nodes per axis the transforms are applied as two dense
+matrix products (the matrix form of spectral collocation): synthesis on an
+M-node grid is A_x @ c @ A_y.T with A[j-1, k-1] = e_k(x_j) the M x N block
+of the sine basis at the nodes, so zero-padding is implicit, and analysis
+computes only the N retained rows.  The matrices are built once per
+(M, N, L) and the products run as real BLAS gemm; complex arrays are split
+into stacked real and imaginary parts.  Small grids are where this pays:
+at the 3/2-padded sizes used here the FFT length 2(M+1) has a large prime
+factor (2*97 at 96 nodes).  Above the cutoff the O(M N^2) products lose to
+the FFT, and scipy's dstn on the zero-padded array is used instead.  Both
+paths agree to round-off.
 
 Quadratic terms are evaluated pseudospectrally on a zero-padded grid with
 at least ceil(3N/2) modes per axis, which prevents representable sine
@@ -23,6 +34,7 @@ vanishes algebraically with resolution and is quantified in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from math import ceil, sqrt
 
 import numpy as np
@@ -42,6 +54,15 @@ __all__ = [
 
 #: Sobolev exponents for which coefficient-space norms are defined here.
 SOBOLEV_EXPONENTS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+
+#: Largest node count per axis transformed by dense matrix products; larger
+#: transforms use the FFT.  Complex square transforms between a band of N
+#: modes and M = 3N/2 nodes, one OpenBLAS thread, 2-core Xeon: the products
+#: took 0.07 to 0.2 of dstn's time at M = 192, 256 and 400 (2(M+1) has the
+#: prime factor 193, 257 or 401), 0.4 to 0.7 at M = 300 and 450, 0.85 to 1
+#: at M = 383 (2(M+1) = 768), and lost the analysis at M = 511 (1024
+#: points), 19 ms against 12 ms.
+DENSE_MAX_EDGE = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,13 +182,60 @@ def _scale(Lx: float, Ly: float, shape: tuple[int, int]) -> float:
     return sqrt(Lx * Ly / ((shape[0] + 1) * (shape[1] + 1)))
 
 
+def _sines(M: int, N: int) -> np.ndarray:
+    """sin(pi j k / (M+1)) for nodes j = 1..M (rows) and modes k = 1..N."""
+    # reduce j*k modulo the period 2(M+1) exactly before scaling to radians
+    jk = np.outer(np.arange(1, M + 1), np.arange(1, N + 1)) % (2 * (M + 1))
+    return np.sin((np.pi / (M + 1)) * jk)
+
+
+@lru_cache(maxsize=64)
+def _synthesis_matrix(M: int, N: int, L: float) -> np.ndarray:
+    """M x N matrix A[j-1, k-1] = e_k(x_j) = sqrt(2/L) sin(pi j k / (M+1)):
+    the first N orthonormal sine modes on (0, L) at M interior nodes."""
+    A = sqrt(2.0 / L) * _sines(M, N)
+    A.setflags(write=False)
+    return A
+
+
+@lru_cache(maxsize=64)
+def _analysis_matrix(M: int, N: int, L: float) -> np.ndarray:
+    """N x M matrix A.T * L/(M+1): the first N rows of the inverse of the
+    M-node synthesis (the discrete sine basis is orthogonal under the node
+    sum)."""
+    B = (sqrt(2.0 * L) / (M + 1)) * _sines(M, N).T
+    B.setflags(write=False)
+    return B
+
+
+def _dense(left: np.ndarray, arr: np.ndarray, right_t: np.ndarray) -> np.ndarray:
+    """left @ arr @ right_t by real gemm; a complex arr goes through as
+    its stacked real and imaginary parts."""
+    if not np.iscomplexobj(arr):
+        return left @ (np.ascontiguousarray(arr) @ right_t)
+    n0, n1 = arr.shape
+    parts = np.empty((2, n0, n1))
+    parts[0] = arr.real
+    parts[1] = arr.imag
+    parts = left @ (parts.reshape(2 * n0, n1) @ right_t).reshape(2, n0, -1)
+    out = np.empty(parts.shape[1:], dtype=np.complex128)
+    out.real = parts[0]
+    out.imag = parts[1]
+    return out
+
+
 def coef_to_values(grid: Grid2D, coef: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Evaluate a coefficient array at the interior nodes of an (optionally
-    refined) grid with `shape` modes per axis.  Zero-pads as needed."""
+    refined) grid with `shape` modes per axis; modes beyond the band count
+    as zero."""
     if shape is None:
         shape = grid.shape
     if shape[0] < coef.shape[0] or shape[1] < coef.shape[1]:
         raise ValueError("synthesis grid must be at least as fine as the band")
+    if max(shape) <= DENSE_MAX_EDGE:
+        ax = _synthesis_matrix(shape[0], coef.shape[0], grid.Lx)
+        ay = _synthesis_matrix(shape[1], coef.shape[1], grid.Ly)
+        return _dense(ax, coef, ay.T)
     if shape != coef.shape:
         padded = np.zeros(shape, dtype=coef.dtype)
         padded[: coef.shape[0], : coef.shape[1]] = coef
@@ -177,10 +245,33 @@ def coef_to_values(grid: Grid2D, coef: np.ndarray, shape: tuple[int, int] | None
 
 def values_to_coef(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     """Transform interior-node samples (on a grid of any shape) to sine
-    coefficients and truncate to the retained band."""
+    coefficients of the retained band."""
     shape = values.shape
+    if max(shape) <= DENSE_MAX_EDGE:
+        bx = _analysis_matrix(shape[0], min(grid.Nx, shape[0]), grid.Lx)
+        by = _analysis_matrix(shape[1], min(grid.Ny, shape[1]), grid.Ly)
+        return _dense(bx, values, by.T)
     coef = dstn(values, type=1, norm="ortho") * _scale(grid.Lx, grid.Ly, shape)
     return coef[: grid.Nx, : grid.Ny]
+
+
+def coef_product(
+    grid: Grid2D, a: np.ndarray, b: np.ndarray, shape: tuple[int, int] | None = None
+) -> np.ndarray:
+    """Band coefficients of a*b from samples at the nodes of a grid with
+    `shape` modes per axis (default: the 3/2-padded grid)."""
+    if shape is None:
+        shape = grid.pad_shape
+    va = coef_to_values(grid, a, shape)
+    vb = coef_to_values(grid, b, shape)
+    return values_to_coef(grid, va * vb)
+
+
+def intensity_coef(grid: Grid2D, u: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Band coefficients of |u|^2 from samples at the nodes of a grid with
+    `shape` modes per axis (default: the collocation nodes)."""
+    vals = coef_to_values(grid, u, shape)
+    return values_to_coef(grid, (vals * vals.conj()).real)
 
 
 def analyze(grid: Grid2D, samples: np.ndarray) -> Field:
@@ -216,11 +307,7 @@ def product_dealiased(a: Field, b: Field) -> Field:
     can excite (up to 2N per axis) then never alias onto the retained band.
     """
     _check_same_grid(a, b)
-    grid = a.grid
-    shape = grid.pad_shape
-    va = coef_to_values(grid, a.coef, shape)
-    vb = coef_to_values(grid, b.coef, shape)
-    return field_from_coef(grid, values_to_coef(grid, va * vb))
+    return field_from_coef(a.grid, coef_product(a.grid, a.coef, b.coef))
 
 
 def sobolev_norm(f: Field, s: float) -> float:

@@ -1,3 +1,6 @@
+# sibsim sizes the BLAS thread pool on import, before numpy is loaded
+import sibsim  # noqa: F401  isort: skip
+
 import numpy as np
 import pytest
 

@@ -1,10 +1,14 @@
 """End-to-end command tests: exit codes, artifacts, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sibsim
 from sibsim.cli import main
 from sibsim.functionals import SERIES_COLUMNS
 from sibsim.output import load_checkpoint
@@ -76,6 +80,41 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "[run]\neps = 3\n")
     assert main(["--config", cfg, "run"]) == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[grid]\nlx = 10.0**400\n",
+        "[grid]\nlx = 9**9**9\n",
+        "[run]\nt = 1e300\ndt = 1e-300\n",
+    ],
+    ids=["float-overflow", "huge-int-power", "infinite-step-count"],
+)
+def test_overflowing_config_exits_2(tmp_path, capsys, text):
+    cfg = write(tmp_path, text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "run"]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, "1"), ({"OMP_NUM_THREADS": "3"}, None)],
+    ids=["unset", "set-by-user"],
+)
+def test_import_pins_blas_threads_unless_set(preset, expected):
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    env.update(preset, PYTHONPATH=os.path.dirname(os.path.dirname(sibsim.__file__)))
+    code = "import os, sibsim; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(expected)
 
 
 def test_missing_smallness_hypothesis_exits_2(tmp_path, capsys):

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import random_field
+from sibsim import grids
 from sibsim.grids import (
     analyze,
+    coef_to_values,
     field_from_coef,
     h1_norm,
     h2_norm,
@@ -19,6 +21,7 @@ from sibsim.grids import (
     product_dealiased,
     sobolev_norm,
     synthesize,
+    values_to_coef,
 )
 
 
@@ -89,6 +92,42 @@ def test_field_arithmetic_and_grid_guard(unit_square_grid, coarse_grid):
         a + c
     with pytest.raises(ValueError):
         product_dealiased(a, c)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize(
+    "band, nodes, path",
+    [
+        ((13, 7), (13, 7), "dense"),
+        ((13, 7), (20, 11), "dense"),
+        ((13, 7), (26, 14), "dense"),
+        ((6, 300), (9, 450), "fft"),
+    ],
+    ids=["band", "padded", "refined", "above-cutoff"],
+)
+def test_dense_transforms_match_fft_path(monkeypatch, band, nodes, path, kind):
+    # The same transforms once through the cached sine matrices and once
+    # through dstn on the zero-padded array, on a rectangle with Lx != Ly.
+    assert (max(nodes) <= grids.DENSE_MAX_EDGE) == (path == "dense")
+    g = make_grid(np.pi, 2.5, *band)
+    rng = np.random.default_rng(17)
+
+    def draw(shape):
+        arr = rng.standard_normal(shape)
+        return arr + 1j * rng.standard_normal(shape) if kind == "complex" else arr
+
+    coef, vals = draw(band), draw(nodes)
+    default = (coef_to_values(g, coef, nodes), values_to_coef(g, vals))
+    results = {}
+    for forced, cutoff in (("dense", 10**6), ("fft", 0)):
+        monkeypatch.setattr(grids, "DENSE_MAX_EDGE", cutoff)
+        results[forced] = (coef_to_values(g, coef, nodes), values_to_coef(g, vals))
+    for dense, fft, chosen, got in zip(
+        results["dense"], results["fft"], results[path], default
+    ):
+        assert dense.shape == fft.shape and dense.dtype == fft.dtype
+        assert np.max(np.abs(dense - fft)) < 1e-13 * np.max(np.abs(fft))
+        assert np.array_equal(got, chosen)
 
 
 def test_analyze_rejects_wrong_shape(unit_square_grid):
