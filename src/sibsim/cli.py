@@ -59,7 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n-list", nargs="+", type=int, metavar="N", help="override [sweep] n_list"
     )
 
-    p = sub.add_parser("check", help="operator identity and inequality suite")
+    p = sub.add_parser(
+        "check", help="certify the stepper's spectral symbols (identities, inequalities)"
+    )
     p.add_argument(
         "--inject-fault",
         choices=("yosida",),

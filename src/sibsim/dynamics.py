@@ -30,7 +30,7 @@ energy drift and a slow leak in the charge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -41,7 +41,9 @@ from .grids import (
     coef_product,
     coef_to_values,
     field_from_coef,
+    h1_norm,
     intensity_coef,
+    sobolev_norm,
     values_to_coef,
 )
 
@@ -142,6 +144,12 @@ def make_state(u: Field, v: Field, vt: Field, t: float = 0.0) -> State:
     return State(u, v, vt, float(t))
 
 
+def _state_from_coef(grid: Grid2D, u, v, vt, t: float) -> State:
+    return State(
+        field_from_coef(grid, u), field_from_coef(grid, v), field_from_coef(grid, vt), t
+    )
+
+
 @dataclass
 class TrajectoryRecord:
     """Diagnostics sampled along an integrate() run.
@@ -167,14 +175,28 @@ class TrajectoryRecord:
 
 
 class _Kernels:
-    """Per-(grid, params, dt) precomputed symbols and product closures."""
+    """Per-(grid, params, dt) precomputed symbols and product closures.
+
+    The one place the stepping symbols are written; each is a function of
+    -Laplacian, diagonal on sine coefficients, and `sibsim check` asserts
+    its identities and inequalities on these arrays:
+
+        jsym       Yosida J_n = (1 - Laplacian/n)^(-1), symbol 1/(1 + lam/n),
+                   None when params.yosida_n is unset; exactly 0 < J <= 1,
+                   sqrt(lam) J <= sqrt(n) and sqrt(lam) J <= sqrt(lam)
+        w2, w      omega_eps^2 = lam/(1 + eps*lam) and omega_eps; -w2 is
+                   the wave forcing symbol of the Duhamel form
+        cos_half, sinc_half, wsin_half
+                   cos, sin/omega and omega*sin of (dt/2) omega: the exact
+                   half-step flow of v'' = -omega^2 v
+        phase_half exp(i dt/2 Laplacian), symbol exp(-i dt/2 lam)
+    """
 
     def __init__(self, grid: Grid2D, params: SystemParams, dt: float):
         self.grid = grid
         self.params = params
         self.dt = dt
         lam = grid.lam
-        self.lam = lam
         n = params.yosida_n
         self.jsym = 1.0 / (1.0 + lam / n) if n is not None else None
         w2 = lam / (1.0 + params.eps * lam)
@@ -272,13 +294,9 @@ def prepare_initial_state(state: State, params: SystemParams) -> State:
     is set and regularize_data is on, untouched otherwise."""
     if params.yosida_n is None or not params.regularize_data:
         return state
-    j = 1.0 / (1.0 + state.grid.lam / params.yosida_n)
-    g = state.grid
-    return State(
-        field_from_coef(g, j * state.u.coef),
-        field_from_coef(g, j * state.v.coef),
-        field_from_coef(g, j * state.vt.coef),
-        state.t,
+    j = _Kernels(state.grid, params, params.dt).jsym
+    return _state_from_coef(
+        state.grid, j * state.u.coef, j * state.v.coef, j * state.vt.coef, state.t
     )
 
 
@@ -294,19 +312,15 @@ def dudt(state: State, params: SystemParams) -> Field:
 
 
 def wave_substep(v: Field, vt: Field, f: Field, dt: float, eps: float) -> tuple[Field, Field]:
-    """Exact variation-of-constants update of v'' = -omega_eps^2 (v + f).
+    """Exact variation-of-constants update of v'' = -omega_eps^2 (v + f):
+    the stepper's wave half step, taken over dt.
 
     The per-mode energy omega^2 |v + f|^2 + |vt|^2 is invariant.
     """
     if not (v.grid.compatible(vt.grid) and v.grid.compatible(f.grid)):
         raise ValueError("fields live on different grids")
-    lam = v.grid.lam
-    w = np.sqrt(lam / (1.0 + eps * lam))
-    cw = np.cos(dt * w)
-    sw = np.sin(dt * w)
-    z = v.coef + f.coef
-    v1 = cw * z + (sw / w) * vt.coef - f.coef
-    vt1 = -(w * sw) * z + cw * vt.coef
+    ker = _Kernels(v.grid, SystemParams(eps=eps), 2 * dt)
+    v1, vt1 = ker.wave_half(v.coef, vt.coef, f.coef)
     return field_from_coef(v.grid, v1), field_from_coef(v.grid, vt1)
 
 
@@ -335,13 +349,7 @@ def strang_step(state: State, params: SystemParams) -> State:
     the updated u)."""
     ker = _Kernels(state.grid, params, params.dt)
     u, v, vt = ker.step(state.u.coef.astype(np.complex128), state.v.coef, state.vt.coef)
-    g = state.grid
-    return State(
-        field_from_coef(g, u),
-        field_from_coef(g, v),
-        field_from_coef(g, vt),
-        state.t + params.dt,
-    )
+    return _state_from_coef(state.grid, u, v, vt, state.t + params.dt)
 
 
 def integrate(
@@ -386,13 +394,7 @@ def integrate(
     pending = sorted(checkpoint_times)
 
     def snapshot(t: float) -> State:
-        g = state.grid
-        return State(
-            field_from_coef(g, u.copy()),
-            field_from_coef(g, v.copy()),
-            field_from_coef(g, vt.copy()),
-            t,
-        )
+        return _state_from_coef(state.grid, u.copy(), v.copy(), vt.copy(), t)
 
     def record(t: float) -> None:
         snap = snapshot(t)
@@ -513,12 +515,6 @@ def picard_duhamel(
     ps1 = state.vt.coef.copy()
     t_now = state.t
 
-    def h1(d):
-        return float(np.sqrt(np.sum((1.0 + lam) * np.abs(d) ** 2)))
-
-    def l2(d):
-        return float(np.sqrt(np.sum(np.abs(d) ** 2)))
-
     for _ in range(n_panels):
         us = [phi.copy() for _ in range(quad_nodes)]
         vs = [ps0.copy() for _ in range(quad_nodes)]
@@ -535,7 +531,9 @@ def picard_duhamel(
                 Ib = sum(Wmat[i, j] * Bsin[j] for j in range(quad_nodes))
                 un = np.conj(exp_m[i]) * (phi - 1j * Iu)
                 vn = cos_s[i] * ps0 + (sin_s[i] / w) * ps1 + (sin_s[i] / w) * Ia - cos_s[i] * Ib
-                residual = max(residual, h1(un - us[i]) + l2(vn - vs[i]))
+                du = field_from_coef(grid, un - us[i])
+                dv = field_from_coef(grid, vn - vs[i])
+                residual = max(residual, h1_norm(du) + sobolev_norm(dv, 0.0))
                 us[i] = un
                 vs[i] = vn
             if residual_log is not None:
@@ -557,9 +555,4 @@ def picard_duhamel(
         ps0 = new_v
         t_now += h
 
-    return State(
-        field_from_coef(grid, phi),
-        field_from_coef(grid, ps0),
-        field_from_coef(grid, ps1),
-        t_now,
-    )
+    return _state_from_coef(grid, phi, ps0, ps1, t_now)

@@ -1,5 +1,5 @@
 """Experiment suites: single runs with asserted invariants, the eps and
-Yosida-n sweeps, the operator identity check suite, sharp-constant
+Yosida-n sweeps, the check suite for the stepper's spectral symbols, sharp-constant
 estimation, and the integrator order test.
 
 Every command takes a RunConfig, writes its artifacts into the configured
@@ -25,27 +25,20 @@ from .dynamics import (
     BlowupError,
     State,
     SystemParams,
+    _Kernels,
     integrate,
     prepare_initial_state,
 )
 from .functionals import (
     RunMonitor,
+    cauchy_metric,
     default_gn_constant,
     difference_metric,
     estimate_gn_constant,
+    h1_envelope_lhs,
+    small_envelope_lhs,
 )
 from .grids import Field, field_from_coef, h1_norm, h2_norm, sobolev_norm
-from .operators import (
-    DiagonalOperator,
-    apply,
-    compose,
-    omega_op,
-    power_op,
-    schrodinger_propagator,
-    source_op,
-    wave_propagator,
-    yosida_op,
-)
 from .output import (
     checkpoint_name,
     file_checksums,
@@ -180,8 +173,7 @@ def _series_assertions(series: dict, eps: float, ec) -> list[Assertion]:
         )
     ]
 
-    grad_u_sq = series["h1_u"] ** 2 - charge
-    lhs_h1 = grad_u_sq + series["l2_v"] ** 2 + series["l2_vt"] ** 2 + series["hm_half_vt"] ** 2
+    lhs_h1 = h1_envelope_lhs(series)
     env = series["envelope_h1"]
     slack = 1e-12 * max(1.0, float(np.max(env)))
     gap = float(np.min(env - lhs_h1))
@@ -195,10 +187,7 @@ def _series_assertions(series: dict, eps: float, ec) -> list[Assertion]:
     )
 
     if ec.c6 is not None:
-        lhs_small = grad_u_sq + 0.5 * (
-            series["l2_v"] ** 2 + series["hm_half_vt"] ** 2 + eps * series["l2_vt"] ** 2
-        )
-        gap6 = float(ec.c6 - np.max(lhs_small))
+        gap6 = float(ec.c6 - np.max(small_envelope_lhs(series, eps)))
         out.append(
             Assertion(
                 "small-data-envelope",
@@ -405,13 +394,6 @@ def cmd_sweep_n(config: RunConfig, n_list=None, quiet: bool = False) -> int:
         )
         return rec.final_state, bound
 
-    def cauchy_metric(a: State, b: State) -> float:
-        return (
-            h1_norm(field_from_coef(a.grid, a.u.coef - b.u.coef))
-            + sobolev_norm(field_from_coef(a.grid, a.v.coef - b.v.coef), 0.0)
-            + sobolev_norm(field_from_coef(a.grid, a.vt.coef - b.vt.coef), 0.0)
-        )
-
     reference, ref_bound = run_member(None)
     finals, bounds = [], []
     for n in n_values:
@@ -480,10 +462,13 @@ def _random_field(grid, rng, kind="real") -> Field:
 
 
 def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None = None) -> int:
-    """Exactness and inequality suite for the diagonal operator calculus.
+    """Exactness and inequality suite for the stepper's spectral symbols.
 
-    inject_fault deliberately corrupts one Yosida symbol value; the suite
-    must then fail (self-test of the harness).
+    Every symbol checked is an attribute of the stepping kernel
+    (dynamics._Kernels) built on the configured grid, so the suite
+    certifies the arrays the integrator multiplies by.  inject_fault
+    deliberately corrupts one Yosida symbol value; the suite must then
+    fail (self-test of the harness).
     """
     os.makedirs(config.out_dir, exist_ok=True)
     grid = build_grid(config)
@@ -494,11 +479,15 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
     n_powers = tuple(2**j for j in range(11))
     assertions: list[Assertion] = []
 
+    def kernel(eps: float = 1.0, n: int | None = None, dt: float = 0.0) -> _Kernels:
+        # the half-step symbols of a kernel built with 2t are the flows over t
+        return _Kernels(grid, SystemParams(eps=eps, yosida_n=n), dt)
+
     # per-mode symbol inequalities, exact comparisons
     worst = {"contraction": math.inf, "sqrt-gain": math.inf, "sqrt-bound": math.inf, "full-bound": math.inf}
     ok = {key: True for key in worst}
     for n in n_powers:
-        sym = yosida_op(grid, n).symbol.copy()
+        sym = kernel(n=n).jsym.copy()
         if inject_fault == "yosida":
             sym[0, 0] = 1.0 + 1.0 / n
         root = np.sqrt(lam) * sym
@@ -526,7 +515,7 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
     probe_nrm = sobolev_norm(probe, 0.0)
     errs = [
         sobolev_norm(
-            field_from_coef(grid, probe.coef - apply(yosida_op(grid, n), probe).coef),
+            field_from_coef(grid, probe.coef - kernel(n=n).jsym * probe.coef),
             0.0,
         )
         for n in n_powers
@@ -554,9 +543,7 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
     )
     n_small = 2 ** max(12, int(math.ceil(math.log2(float(lam[0, 0]) / 5e-4))))
     tail = sobolev_norm(
-        field_from_coef(
-            grid, probe.coef - apply(yosida_op(grid, n_small), probe).coef
-        ),
+        field_from_coef(grid, probe.coef - kernel(n=n_small).jsym * probe.coef),
         0.0,
     )
     assertions.append(
@@ -571,12 +558,12 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
     # propagator unitarity across Sobolev scales
     worst_unitary = math.inf
     for t in t_samples:
-        U = schrodinger_propagator(grid, t)
+        U = kernel(dt=2 * t).phase_half
         for _ in range(5):
             f = _random_field(grid, rng, "complex")
             for s in (-0.5, 0.0, 1.0):
                 before = sobolev_norm(f, s)
-                after = sobolev_norm(apply(U, f), s)
+                after = sobolev_norm(field_from_coef(grid, U * f.coef), s)
                 worst_unitary = min(
                     worst_unitary, 1e-12 - abs(after - before) / before
                 )
@@ -592,7 +579,7 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
     # group property U(t) U(-t) = 1
     worst_group = math.inf
     for t in t_samples:
-        sym = compose(schrodinger_propagator(grid, t), schrodinger_propagator(grid, -t)).symbol
+        sym = kernel(dt=2 * t).phase_half * kernel(dt=-2 * t).phase_half
         worst_group = min(worst_group, 1e-14 - float(np.max(np.abs(sym - 1.0))))
     assertions.append(
         Assertion("propagator-group-identity", worst_group >= 0.0, worst_group)
@@ -601,31 +588,29 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
     # wave kernel first integral cos^2 + omega^2 sinc^2 = 1
     worst_wave = math.inf
     for eps in eps_samples:
-        w = omega_op(grid, eps).symbol
         for t in t_samples:
-            cos_part, sinc_part = wave_propagator(grid, t, eps)
-            resid = np.abs(cos_part.symbol**2 + w**2 * sinc_part.symbol**2 - 1.0)
+            ker = kernel(eps=eps, dt=2 * t)
+            resid = np.abs(ker.cos_half**2 + ker.w**2 * ker.sinc_half**2 - 1.0)
             worst_wave = min(worst_wave, 1e-14 - float(np.max(resid)))
     assertions.append(
         Assertion("wave-kernel-first-integral", worst_wave >= 0.0, worst_wave)
     )
 
-    # source symbol is -omega^2 (relative: both scale with lam)
+    # the oracle's forcing symbol -w2 is -omega^2 (relative: both scale with lam)
     worst_src = math.inf
     for eps in eps_samples:
-        src = source_op(grid, eps).symbol
-        resid = np.abs((src + omega_op(grid, eps).symbol ** 2) / src)
+        ker = kernel(eps=eps)
+        src = -ker.w2
+        resid = np.abs((src + ker.w**2) / src)
         worst_src = min(worst_src, 1e-14 - float(np.max(resid)))
     assertions.append(Assertion("source-symbol-consistency", worst_src >= 0.0, worst_src))
 
     # norm identity ||(1 - Lap)^{1/2} (-Lap)^{-1/2} f||^2 = ||f||^2 + ||(-Lap)^{-1/2} f||^2
-    lift = DiagonalOperator(grid, np.sqrt(1.0 + lam), tag="(1 - lap)^(1/2)")
-    inv_half = power_op(grid, -0.5)
     worst_ident = math.inf
     for _ in range(100):
         f = _random_field(grid, rng, "real")
-        lhs = sobolev_norm(apply(compose(lift, inv_half), f), 0.0) ** 2
-        rhs = sobolev_norm(f, 0.0) ** 2 + sobolev_norm(apply(inv_half, f), 0.0) ** 2
+        lhs = h1_norm(field_from_coef(grid, f.coef / np.sqrt(lam))) ** 2
+        rhs = sobolev_norm(f, 0.0) ** 2 + sobolev_norm(f, -1.0) ** 2
         worst_ident = min(worst_ident, 1e-10 - abs(lhs - rhs) / rhs)
     assertions.append(
         Assertion(

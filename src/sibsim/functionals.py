@@ -51,6 +51,7 @@ __all__ = [
     "energy",
     "modified_energy",
     "difference_metric",
+    "cauchy_metric",
     "gn_quotient",
     "estimate_gn_constant",
     "default_gn_constant",
@@ -191,17 +192,21 @@ def modified_energy(
     ) + shift
 
 
-def difference_metric(state_a: State, state_b: State) -> float:
-    """||u_a - u_b||_{H1} + ||v_a - v_b||_2 + ||(-Lap)^{-1/2}(vt_a - vt_b)||_2.
-
-    The states must live on one grid and carry (numerically) the same time.
-    """
+def _check_comparable(state_a: State, state_b: State) -> None:
     if not state_a.grid.compatible(state_b.grid):
         raise ValueError("states live on different grids")
     if abs(state_a.t - state_b.t) > 1e-9 * max(1.0, abs(state_a.t)):
         raise ValueError(
             f"states are at different times: {state_a.t} vs {state_b.t}"
         )
+
+
+def difference_metric(state_a: State, state_b: State) -> float:
+    """||u_a - u_b||_{H1} + ||v_a - v_b||_2 + ||(-Lap)^{-1/2}(vt_a - vt_b)||_2.
+
+    The states must live on one grid and carry (numerically) the same time.
+    """
+    _check_comparable(state_a, state_b)
     lam = state_a.grid.lam
     du = state_a.u.coef - state_b.u.coef
     dv = state_a.v.coef - state_b.v.coef
@@ -210,6 +215,21 @@ def difference_metric(state_a: State, state_b: State) -> float:
         np.sqrt(np.sum((1.0 + lam) * np.abs(du) ** 2))
         + np.sqrt(np.sum(dv**2))
         + np.sqrt(np.sum(dvt**2 / lam))
+    )
+
+
+def cauchy_metric(state_a: State, state_b: State) -> float:
+    """||u_a - u_b||_{H1} + ||v_a - v_b||_2 + ||vt_a - vt_b||_2, the distance
+    in which Yosida-regularized runs approach each other as n grows.
+
+    Same grid and time requirements as difference_metric.
+    """
+    _check_comparable(state_a, state_b)
+    g = state_a.grid
+    return (
+        h1_norm(field_from_coef(g, state_a.u.coef - state_b.u.coef))
+        + sobolev_norm(field_from_coef(g, state_a.v.coef - state_b.v.coef), 0.0)
+        + sobolev_norm(field_from_coef(g, state_a.vt.coef - state_b.vt.coef), 0.0)
     )
 
 
@@ -355,30 +375,20 @@ def envelope_small(ec: EnvelopeConstants) -> float:
     return ec.c6
 
 
-def h1_envelope_lhs(state: State) -> float:
-    """Quantity dominated by envelope_h1:
+def h1_envelope_lhs(series) -> np.ndarray:
+    """Quantity dominated by envelope_h1, from the monitor columns (a
+    TrajectoryRecord.series, a series.csv read into arrays, or one row):
     ||grad u||^2 + ||v||^2 + ||vt||^2 + ||(-Lap)^{-1/2} vt||^2."""
-    lam = state.grid.lam
-    return float(
-        np.sum(lam * np.abs(state.u.coef) ** 2)
-        + np.sum(state.v.coef**2)
-        + np.sum(state.vt.coef**2)
-        + np.sum(state.vt.coef**2 / lam)
-    )
+    grad_u_sq = series["h1_u"] ** 2 - series["charge"]
+    return grad_u_sq + series["l2_v"] ** 2 + series["l2_vt"] ** 2 + series["hm_half_vt"] ** 2
 
 
-def small_envelope_lhs(state: State, eps: float) -> float:
-    """Quantity dominated by C6:
+def small_envelope_lhs(series, eps: float) -> np.ndarray:
+    """Quantity dominated by C6, from the monitor columns:
     ||grad u||^2 + (||v||^2 + ||(-Lap)^{-1/2} vt||^2 + eps ||vt||^2)/2."""
-    lam = state.grid.lam
-    return float(
-        np.sum(lam * np.abs(state.u.coef) ** 2)
-        + 0.5
-        * (
-            np.sum(state.v.coef**2)
-            + np.sum(state.vt.coef**2 / lam)
-            + eps * np.sum(state.vt.coef**2)
-        )
+    grad_u_sq = series["h1_u"] ** 2 - series["charge"]
+    return grad_u_sq + 0.5 * (
+        series["l2_v"] ** 2 + series["hm_half_vt"] ** 2 + eps * series["l2_vt"] ** 2
     )
 
 

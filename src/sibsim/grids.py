@@ -47,7 +47,6 @@ __all__ = [
     "field_from_coef",
     "analyze",
     "synthesize",
-    "product_dealiased",
     "sobolev_norm",
     "lp_norm",
 ]
@@ -296,18 +295,6 @@ def analyze(grid: Grid2D, samples: np.ndarray) -> Field:
 def synthesize(f: Field) -> np.ndarray:
     """Values of the field at the grid's interior nodes.  Inverse of analyze."""
     return coef_to_values(f.grid, f.coef)
-
-
-def product_dealiased(a: Field, b: Field) -> Field:
-    """Pointwise product a*b evaluated without quadratic wraparound.
-
-    Both factors are zero-padded to ceil(3N/2) modes per axis, multiplied at
-    the padded interior nodes, transformed back, and truncated to the
-    original band.  Sine modes that a product of two band-limited factors
-    can excite (up to 2N per axis) then never alias onto the retained band.
-    """
-    _check_same_grid(a, b)
-    return field_from_coef(a.grid, coef_product(a.grid, a.coef, b.coef))
 
 
 def sobolev_norm(f: Field, s: float) -> float:

@@ -16,10 +16,15 @@ import numpy as np
 import pytest
 
 from sibsim.config import RunConfig, build_initial_state, build_params
-from sibsim.dynamics import integrate, picard_duhamel
-from sibsim.functionals import difference_metric, estimate_gn_constant
+from sibsim.dynamics import SystemParams, _Kernels, integrate, picard_duhamel
+from sibsim.functionals import (
+    cauchy_metric,
+    difference_metric,
+    estimate_gn_constant,
+    h1_envelope_lhs,
+    small_envelope_lhs,
+)
 from sibsim.grids import field_from_coef, h1_norm, make_grid, sobolev_norm
-from sibsim.operators import DiagonalOperator, apply, compose, power_op, yosida_op
 
 
 def _verdict(ok: bool, name: str, detail: str) -> bool:
@@ -31,15 +36,6 @@ def _final_state(cfg: RunConfig, **overrides):
     params = build_params(cfg, **overrides)
     rec = integrate(build_initial_state(cfg), cfg.T, params, monitor_stride=10**6)
     return rec.final_state
-
-
-def _cauchy_distance(a, b) -> float:
-    """H1 + L2 + L2 distance between two states on one grid."""
-    return (
-        h1_norm(field_from_coef(a.grid, a.u.coef - b.u.coef))
-        + sobolev_norm(field_from_coef(a.grid, a.v.coef - b.v.coef), 0.0)
-        + sobolev_norm(field_from_coef(a.grid, a.vt.coef - b.vt.coef), 0.0)
-    )
 
 
 def test_charge_is_conserved_for_each_dispersion_weight():
@@ -80,13 +76,7 @@ def test_energy_drift_is_second_order_in_dt():
 def test_growth_envelope_dominates_h1_quantity_on_long_run():
     cfg = RunConfig(T=5.0)
     rec = integrate(build_initial_state(cfg), cfg.T, build_params(cfg))
-    grad_sq = rec.column("h1_u") ** 2 - rec.column("charge")
-    lhs = (
-        grad_sq
-        + rec.column("l2_v") ** 2
-        + rec.column("l2_vt") ** 2
-        + rec.column("hm_half_vt") ** 2
-    )
+    lhs = h1_envelope_lhs(rec.series)
     env = rec.column("envelope_h1")
     gap = float(np.min(env - lhs))
     slack = 1e-12 * max(1.0, float(np.max(env)))
@@ -102,12 +92,7 @@ def test_uniform_bound_holds_for_small_eps_family():
     for eps in (0.1, 0.05, 0.025, 0.0125):
         cfg = RunConfig(T=5.0, eps=eps)
         rec = integrate(build_initial_state(cfg), cfg.T, build_params(cfg))
-        grad_sq = rec.column("h1_u") ** 2 - rec.column("charge")
-        lhs = grad_sq + 0.5 * (
-            rec.column("l2_v") ** 2
-            + rec.column("hm_half_vt") ** 2
-            + eps * rec.column("l2_vt") ** 2
-        )
+        lhs = small_envelope_lhs(rec.series, eps)
         c6 = float(rec.column("envelope_small")[0])
         results.append((eps, float(np.max(lhs)), c6))
     ok = all(sup <= c6 + 1e-12 * max(1.0, c6) for _, sup, c6 in results)
@@ -150,7 +135,7 @@ def test_distance_to_limit_system_decreases_with_eps():
 def test_regularized_runs_form_cauchy_sequence_in_n():
     cfg = RunConfig(T=0.5)
     finals = [_final_state(cfg, yosida_n=n) for n in (8, 16, 32, 64)]
-    diffs = [_cauchy_distance(a, b) for a, b in zip(finals, finals[1:])]
+    diffs = [cauchy_metric(a, b) for a, b in zip(finals, finals[1:])]
     decreasing = all(a > b for a, b in zip(diffs, diffs[1:]))
     detail = (
         "consecutive distances "
@@ -173,7 +158,7 @@ def test_heavily_regularized_run_matches_plain_run():
     cfg = RunConfig(T=0.5)
     plain = _final_state(cfg)
     heavy = _final_state(cfg, yosida_n=2**20)
-    dist = _cauchy_distance(heavy, plain)
+    dist = cauchy_metric(heavy, plain)
     _verdict(
         dist < 1e-8,
         "large-n-agreement",
@@ -193,7 +178,7 @@ def test_symbol_inequalities_exact_for_every_n_and_mode():
         "full-bound": math.inf,
     }
     for n in range(1, 2**10 + 1):
-        sym = yosida_op(grid, n).symbol
+        sym = _Kernels(grid, SystemParams(yosida_n=n), 0.0).jsym
         root = sqrt_lam * sym
         gaps = {
             "contraction": 1.0 - sym,
@@ -213,14 +198,12 @@ def test_symbol_inequalities_exact_for_every_n_and_mode():
 def test_lifted_inverse_norm_identity_on_random_fields():
     grid = make_grid(math.pi, math.pi, 64, 64)
     rng = np.random.default_rng(2026)
-    lift = DiagonalOperator(grid, np.sqrt(1.0 + grid.lam), tag="(1 - lap)^(1/2)")
-    inv_half = power_op(grid, -0.5)
     worst = 0.0
     for _ in range(100):
         coef = rng.standard_normal(grid.lam.shape) * np.exp(-0.05 * np.sqrt(grid.lam))
         f = field_from_coef(grid, coef)
-        lhs = sobolev_norm(apply(compose(lift, inv_half), f), 0.0) ** 2
-        rhs = sobolev_norm(f, 0.0) ** 2 + sobolev_norm(apply(inv_half, f), 0.0) ** 2
+        lhs = h1_norm(field_from_coef(grid, coef / np.sqrt(grid.lam))) ** 2
+        rhs = sobolev_norm(f, 0.0) ** 2 + sobolev_norm(f, -1.0) ** 2
         worst = max(worst, abs(lhs - rhs) / rhs)
     assert _verdict(
         worst < 1e-10,

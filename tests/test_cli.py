@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sibsim
+from sibsim import dynamics
 from sibsim.cli import main
 from sibsim.functionals import SERIES_COLUMNS
 from sibsim.output import load_checkpoint
@@ -174,6 +175,25 @@ def test_check_suite_passes_and_fault_injection_fails(tmp_path):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["status"] == "assertion-failure"
     assert any(not a["passed"] for a in manifest["assertions"])
+
+
+def test_check_certifies_the_stepping_kernel(tmp_path, monkeypatch):
+    # a Yosida symbol above 1 in the kernel the stepper builds must fail the
+    # suite: check evaluates that kernel, not a copy of its formulas
+    original = dynamics._Kernels.__init__
+
+    def corrupted(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        if self.jsym is not None:
+            self.jsym = self.jsym.copy()
+            self.jsym[0, 0] = 1.5
+
+    monkeypatch.setattr(dynamics._Kernels, "__init__", corrupted)
+    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "check"]) == 1
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    verdicts = {a["name"]: a["passed"] for a in manifest["assertions"]}
+    assert verdicts["yosida-symbol-contraction"] is False
 
 
 def test_estimate_c0_writes_artifact(tmp_path):

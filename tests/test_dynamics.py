@@ -20,10 +20,9 @@ from sibsim.dynamics import (
 from sibsim.functionals import charge, difference_metric
 from sibsim.grids import (
     analyze,
-    coef_to_values,
     field_from_coef,
+    intensity_coef,
     make_grid,
-    values_to_coef,
     zero_field,
 )
 
@@ -48,13 +47,6 @@ def mode_state(N: int, u_amp=0.0, v_amp=0.0, vt_amp=0.0):
         c[0, 0] = amp
         return field_from_coef(g, c)
     return make_state(one(u_amp, complex), one(v_amp), one(vt_amp))
-
-
-def intensity(u):
-    """|u|^2 sampled on the collocation nodes, as the stepper builds it."""
-    g = u.grid
-    vals = coef_to_values(g, u.coef)
-    return field_from_coef(g, values_to_coef(g, (vals * vals.conj()).real))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +91,9 @@ def test_prepare_initial_state():
 
 def test_wave_substep_zero_dt_is_identity():
     st = standard_state(8)
-    v1, vt1 = wave_substep(st.v, st.vt, intensity(st.u), 0.0, 1.0)
+    g = st.grid
+    f = field_from_coef(g, intensity_coef(g, st.u.coef))
+    v1, vt1 = wave_substep(st.v, st.vt, f, 0.0, 1.0)
     # v passes through (v + f) - f, so identity holds to round-off only
     assert np.max(np.abs(v1.coef - st.v.coef)) < 1e-15
     assert np.array_equal(vt1.coef, st.vt.coef)
@@ -204,11 +198,12 @@ def test_taylor_potential_flow_matches_unregularized_for_large_n():
 
 def test_strang_step_equals_manual_substep_composition():
     st = standard_state(16)
+    g = st.grid
     eps, dt = 0.5, 1e-2
-    f0 = intensity(st.u)
+    f0 = field_from_coef(g, intensity_coef(g, st.u.coef))
     v1, vt1 = wave_substep(st.v, st.vt, f0, dt / 2, eps)
     u1 = schrodinger_substep(st.u, v1, dt)
-    f1 = intensity(u1)
+    f1 = field_from_coef(g, intensity_coef(g, u1.coef))
     v2, vt2 = wave_substep(v1, vt1, f1, dt / 2, eps)
     via = strang_step(st, SystemParams(eps=eps, dt=dt))
     assert np.array_equal(u1.coef, via.u.coef)
@@ -221,16 +216,17 @@ def test_substep_composition_is_reversible():
     # every substep is an exact flow (rotation, free phase, unimodular
     # multiply), so the backward pass undoes the forward one to round-off
     st = standard_state(16)
+    g = st.grid
     eps, dt = 0.5, 1e-2
-    f0 = intensity(st.u)
+    f0 = field_from_coef(g, intensity_coef(g, st.u.coef))
     v1, vt1 = wave_substep(st.v, st.vt, f0, dt / 2, eps)
     u1 = schrodinger_substep(st.u, v1, dt)
-    f1 = intensity(u1)
+    f1 = field_from_coef(g, intensity_coef(g, u1.coef))
     v2, vt2 = wave_substep(v1, vt1, f1, dt / 2, eps)
 
-    vb1, vtb1 = wave_substep(v2, vt2, intensity(u1), -dt / 2, eps)
+    vb1, vtb1 = wave_substep(v2, vt2, f1, -dt / 2, eps)
     ub = schrodinger_substep(u1, vb1, -dt)
-    fb0 = intensity(ub)
+    fb0 = field_from_coef(g, intensity_coef(g, ub.coef))
     vb0, vtb0 = wave_substep(vb1, vtb1, fb0, -dt / 2, eps)
     assert np.max(np.abs(ub.coef - st.u.coef)) < 1e-13
     assert np.max(np.abs(vb0.coef - st.v.coef)) < 1e-13

@@ -263,13 +263,15 @@ def test_envelope_h1_saturates_instead_of_raising():
 
 
 def test_envelope_lhs_values():
-    st = mode_state(u=2.0, v=3.0, vt=1.0)
-    lam = 2.0
-    expected_h1 = lam * 4.0 + 9.0 + 1.0 + 1.0 / lam
-    assert h1_envelope_lhs(st) == pytest.approx(expected_h1, rel=1e-14)
+    # monitor columns: ||grad u||^2 = 8, ||v||^2 = 9, ||vt||^2 = 1 and
+    # ||(-Lap)^{-1/2} vt||^2 = 1/2, for one sample and for a series
+    row = {"h1_u": 3.0, "charge": 1.0, "l2_v": 3.0, "l2_vt": 1.0, "hm_half_vt": 0.5**0.5}
+    assert h1_envelope_lhs(row) == pytest.approx(8.0 + 9.0 + 1.0 + 0.5, rel=1e-14)
     eps = 0.5
-    expected_small = lam * 4.0 + 0.5 * (9.0 + 1.0 / lam + eps * 1.0)
-    assert small_envelope_lhs(st, eps) == pytest.approx(expected_small, rel=1e-14)
+    expected_small = 8.0 + 0.5 * (9.0 + 0.5 + eps * 1.0)
+    assert small_envelope_lhs(row, eps) == pytest.approx(expected_small, rel=1e-14)
+    series = {key: np.array([val, 0.0]) for key, val in row.items()}
+    assert h1_envelope_lhs(series) == pytest.approx([18.5, 0.0], rel=1e-14)
 
 
 def test_envelope_constants_validation():
