@@ -10,6 +10,10 @@ Conventions:
   stepper itself uses for the potential phase and the wave source, so the
   reported drift reflects the splitting error and not a quadrature
   mismatch.
+* The series column hm_half_vt holds ||(-Lap)^{-1/2} vt||_2, which is
+  sobolev_norm(vt, -1.0): the negative-order norm of the energy, of
+  difference_metric and of the envelope left-hand sides.
+  DataNorms.neg_half_psi1 is the same norm of psi1.
 * The envelope constants C3 (H1-level growth) and C6 (small-data uniform
   bound) are explicit polynomials in the data norms and the sharp
   Gagliardo-Nirenberg constant C0.  C0 = sqrt(2)/||Q||_2 with Q the ground
@@ -109,7 +113,7 @@ class DataNorms:
             grad_psi0=sobolev_norm(psi0, 1.0),
             l2_psi1=sobolev_norm(psi1, 0.0),
             grad_psi1=sobolev_norm(psi1, 1.0),
-            neg_half_psi1=sobolev_norm(psi1, -0.5),
+            neg_half_psi1=sobolev_norm(psi1, -1.0),
         )
 
     @classmethod
@@ -428,7 +432,7 @@ class RunMonitor:
             "l2_v": sobolev_norm(state.v, 0.0),
             "h1_v": h1_norm(state.v),
             "l2_vt": sobolev_norm(state.vt, 0.0),
-            "hm_half_vt": sobolev_norm(state.vt, -0.5),
+            "hm_half_vt": sobolev_norm(state.vt, -1.0),
             "gn_quotient": quotient,
             "envelope_h1": envelope_h1(state.t - self.t0, self.ec, self.dn),
             "envelope_small": self.ec.c6 if self.ec.c6 is not None else math.nan,

@@ -274,6 +274,25 @@ def test_envelope_lhs_values():
     assert h1_envelope_lhs(series) == pytest.approx([18.5, 0.0], rel=1e-14)
 
 
+def test_negative_order_norms_of_mode_state():
+    # (1, 1) mode, lam = 2: ||(-Lap)^{-1/2} c e_11|| = |c| / sqrt(lam)
+    st = mode_state(vt=-3.0)
+    lam = 2.0
+    assert DataNorms.from_state(st).neg_half_psi1 == pytest.approx(3.0 / np.sqrt(lam), rel=1e-14)
+    row = RunMonitor.from_state(st, c0=0.4).row(st, SystemParams(eps=1.0))
+    assert row["hm_half_vt"] == pytest.approx(3.0 / np.sqrt(lam), rel=1e-14)
+
+
+def test_envelope_lhs_of_monitor_row_uses_inverse_gradient_norm():
+    st = mode_state(u=2.0, v=3.0, vt=1.0)
+    lam = 2.0
+    row = RunMonitor.from_state(st, c0=0.4).row(st, SystemParams(eps=1.0))
+    assert h1_envelope_lhs(row) == pytest.approx(lam * 4.0 + 9.0 + 1.0 + 1.0 / lam, rel=1e-13)
+    eps = 0.5
+    expected_small = lam * 4.0 + 0.5 * (9.0 + 1.0 / lam + eps * 1.0)
+    assert small_envelope_lhs(row, eps) == pytest.approx(expected_small, rel=1e-13)
+
+
 def test_envelope_constants_validation():
     with pytest.raises(ValueError):
         EnvelopeConstants(c0=0.0, c3=1.0, c6=None)
