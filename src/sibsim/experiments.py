@@ -1,6 +1,6 @@
 """Experiment suites: single runs with asserted invariants, the eps and
-Yosida-n sweeps, the check suite for the stepper's spectral symbols, sharp-constant
-estimation, and the integrator order test.
+Yosida-n sweeps, the check suite for the stepper's spectral symbols,
+sharp-constant estimation, and the integrator order test.
 
 Every command takes a RunConfig, writes its artifacts into the configured
 output directory, prints one line per assertion, and returns a process
@@ -450,7 +450,7 @@ def cmd_sweep_n(config: RunConfig, n_list=None, quiet: bool = False) -> int:
 
 
 # ---------------------------------------------------------------------------
-# operator check suite
+# spectral-symbol check suite
 
 
 def _random_field(grid, rng, kind="real") -> Field:
