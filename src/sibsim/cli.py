@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid
-configuration or violated hypothesis, 3 numerical abort (non-finite values
-or a non-contracting fixed-point iteration).
+configuration or violated hypothesis, 3 numerical abort (non-finite values,
+a non-contracting fixed-point iteration, or a Yosida potential flow whose
+Taylor series does not converge).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import replace
 
 from . import experiments
 from .config import load_config
-from .dynamics import BlowupError, PicardDivergenceError
+from .dynamics import BlowupError, PicardDivergenceError, PotentialFlowError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,7 +112,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except (BlowupError, PicardDivergenceError) as exc:
+    except (BlowupError, PicardDivergenceError, PotentialFlowError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
 

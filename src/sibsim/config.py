@@ -105,10 +105,11 @@ def _eval_op(node: ast.AST, names: dict):
 
 def _safe_eval(expr: str, names: dict):
     try:
-        tree = ast.parse(expr, mode="eval")
+        return _eval_node(ast.parse(expr, mode="eval"), names)
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression {expr!r}: {exc}") from exc
-    return _eval_node(tree, names)
+    except RecursionError as exc:
+        raise ValueError(f"expression is nested too deeply: {expr[:40]!r}...") from exc
 
 
 def _scalar(expr: str) -> float:
@@ -138,6 +139,8 @@ def _parse_modes(text: str, what: str) -> tuple[tuple[int, int, float], ...]:
             amp = float(parts[2])
         except ValueError as exc:
             raise ValueError(f"{what}: bad mode row {line!r}: {exc}") from exc
+        if not math.isfinite(amp):
+            raise ValueError(f"{what}: mode amplitude must be finite, got {line!r}")
         if k < 1 or l < 1:
             raise ValueError(f"{what}: mode indices start at 1, got ({k}, {l})")
         rows.append((k, l, amp))
@@ -204,11 +207,16 @@ class RunConfig:
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse and validate INI-format configuration text."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read literally: '%' has no meaning in this schema
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ValueError(f"cannot parse config: {exc}") from exc
+    if parser.defaults():
+        raise ValueError(f"unknown config section [{parser.default_section}]")
 
     for section in parser.sections():
         if section not in _KNOWN_KEYS:

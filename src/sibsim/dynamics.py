@@ -41,9 +41,7 @@ from .grids import (
     coef_product,
     coef_to_values,
     field_from_coef,
-    h1_norm,
     intensity_coef,
-    sobolev_norm,
     values_to_coef,
 )
 
@@ -53,6 +51,7 @@ __all__ = [
     "TrajectoryRecord",
     "BlowupError",
     "PicardDivergenceError",
+    "PotentialFlowError",
     "make_state",
     "prepare_initial_state",
     "dudt",
@@ -73,15 +72,30 @@ class BlowupError(RuntimeError):
 
 
 class PicardDivergenceError(RuntimeError):
-    """The Duhamel fixed-point iteration did not reach tolerance."""
+    """The Duhamel fixed-point iteration did not reach tolerance on a panel."""
 
-    def __init__(self, residual: float, iterations: int):
+    def __init__(self, residual: float, iterations: int, panel: int, t_start: float):
         super().__init__(
-            f"Picard iteration did not converge: residual {residual:.3e} "
+            f"Picard iteration did not converge on panel {panel} "
+            f"(starting at t = {t_start}): residual {residual:.3e} "
             f"after {iterations} iterations"
         )
         self.residual = residual
         self.iterations = iterations
+        self.panel = panel
+        self.t_start = t_start
+
+
+class PotentialFlowError(RuntimeError):
+    """The Taylor series of the Yosida potential flow did not converge."""
+
+    def __init__(self, terms: int, rel_term: float):
+        super().__init__(
+            f"Yosida potential flow did not converge: after {terms} Taylor "
+            f"terms the last term's relative size is {rel_term:.3e}"
+        )
+        self.terms = terms
+        self.rel_term = rel_term
 
 
 @dataclass(frozen=True)
@@ -174,6 +188,11 @@ class TrajectoryRecord:
 # built only at monitor samples.
 
 
+# Most terms of the regularized potential flow's Taylor series; a step whose
+# series has not fallen to round-off by then is too long for its potential.
+_TAYLOR_TERMS = 39
+
+
 class _Kernels:
     """Per-(grid, params, dt) precomputed symbols and product closures.
 
@@ -259,6 +278,10 @@ class _Kernels:
         nodal multiplier; its exponential is summed as a Taylor series until
         the term norm falls below round-off, and is unitary because the
         generator is self-adjoint on the band.
+
+        Raises:
+            PotentialFlowError: if the series has not reached round-off
+                after _TAYLOR_TERMS terms.
         """
         if not self.params.coupling:
             return u
@@ -271,12 +294,14 @@ class _Kernels:
         out = u.copy()
         term = u
         norm0 = np.linalg.norm(u)
-        for k in range(1, 40):
+        for k in range(1, _TAYLOR_TERMS + 1):
             term = (-1j * dt / k) * self.jsym * self.product(jv, self.jsym * term)
             out += term
-            if np.linalg.norm(term) <= 1e-17 * norm0:
-                break
-        return out
+            tnorm = np.linalg.norm(term)
+            # a non-finite state is left to the callers' blow-up checks
+            if tnorm <= 1e-17 * norm0 or not np.isfinite(tnorm):
+                return out
+        raise PotentialFlowError(_TAYLOR_TERMS, float(tnorm / norm0))
 
     def step(self, u, v, vt):
         f = self.wave_source(u)
@@ -435,18 +460,39 @@ def integrate(
 # Duhamel-Picard oracle
 
 
+# Node iterates are (P, Nx, Ny) stacks; the quadrature sums and the new
+# iterates are formed this many nodes at a time, which keeps the
+# temporaries of a sweep small next to the stacks themselves.
+_ROW_BLOCK = 16
+
+
 def _integration_weights(nodes: np.ndarray) -> np.ndarray:
     """W[i, j] = integral over (0, nodes[i]) of the j-th Lagrange polynomial
-    on `nodes`.  Built from a Legendre-series interpolant for stability."""
+    on `nodes`.  Built from Legendre-series interpolants for stability: one
+    least-squares solve with the unit vectors as right-hand sides gives the
+    series of every Lagrange polynomial on [0, nodes[-1]] at once."""
+    leg = np.polynomial.legendre
     P = len(nodes)
-    W = np.empty((P, P))
-    for j in range(P):
-        e = np.zeros(P)
-        e[j] = 1.0
-        series = np.polynomial.legendre.Legendre.fit(nodes, e, deg=P - 1, domain=[0.0, nodes[-1]])
-        anti = series.integ()
-        W[:, j] = anti(nodes) - anti(0.0)
-    return W
+    half = 0.5 * nodes[-1]
+    x = nodes / half - 1.0
+    coef = np.linalg.lstsq(leg.legvander(x, P - 1), np.eye(P), rcond=None)[0]
+    anti = leg.legint(coef, lbnd=-1.0, scl=half)
+    return leg.legval(x, anti).T
+
+
+def _real_view(stack: np.ndarray) -> np.ndarray:
+    """(P, Nx, Ny) stack as a real (P, m) matrix, so that a real weight
+    matrix applies to it with one real matrix product."""
+    flat = stack.reshape(len(stack), -1)
+    return flat.view(np.float64) if np.iscomplexobj(flat) else flat
+
+
+def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_j weights[..., j] * stack[j] as one matrix product."""
+    out = weights @ _real_view(stack)
+    if np.iscomplexobj(stack):
+        out = out.view(np.complex128)
+    return out.reshape(weights.shape[:-1] + stack.shape[1:])
 
 
 def picard_duhamel(
@@ -505,50 +551,68 @@ def picard_duhamel(
     full_w = wg * 0.5 * h
     Wmat = _integration_weights(nodes)
 
-    exp_m = [np.exp(1j * lam * s) for s in nodes]      # U(-s) symbols
-    cos_s = [np.cos(w * s) for s in nodes]
-    sin_s = [np.sin(w * s) for s in nodes]
+    s = nodes[:, None, None]
+    exp_m = np.exp(1j * lam * s)      # U(-s) symbols, one row per node
+    cos_s = np.cos(w * s)
+    sinc_s = np.sin(w * s) / w
     cos_h, sin_h = np.cos(w * h), np.sin(w * h)
 
     phi = state.u.coef.astype(np.complex128)
     ps0 = state.v.coef.copy()
     ps1 = state.vt.coef.copy()
     t_now = state.t
+    stack = (quad_nodes,) + grid.shape
+    us = np.empty(stack, dtype=np.complex128)
+    vs = np.empty(stack)
+    # right-hand sides of the three integrals at every node
+    Ftw = np.empty(stack, dtype=np.complex128)
+    Acos = np.empty(stack)
+    Bsin = np.empty(stack)
+    h1_weight = 1.0 + lam
 
-    for _ in range(n_panels):
-        us = [phi.copy() for _ in range(quad_nodes)]
-        vs = [ps0.copy() for _ in range(quad_nodes)]
+    def fill_integrands() -> None:
+        for i in range(quad_nodes):
+            Ftw[i] = exp_m[i] * ker.coupled_product(vs[i], us[i])
+            g = -w2 * ker.wave_source(us[i])
+            Acos[i] = cos_s[i] * g
+            Bsin[i] = sinc_s[i] * g
+
+    for panel in range(n_panels):
+        us[:] = phi
+        vs[:] = ps0
         residual = np.inf
         for _sweep in range(max_iter):
-            Ftw = [exp_m[i] * ker.coupled_product(vs[i], us[i]) for i in range(quad_nodes)]
-            gs = [-w2 * ker.wave_source(us[i]) for i in range(quad_nodes)]
-            Acos = [cos_s[i] * gs[i] for i in range(quad_nodes)]
-            Bsin = [(sin_s[i] / w) * gs[i] for i in range(quad_nodes)]
+            # Jacobi sweep: every integrand comes from the previous sweep,
+            # so the blocks below may overwrite us / vs in place
+            fill_integrands()
             residual = 0.0
-            for i in range(quad_nodes):
-                Iu = sum(Wmat[i, j] * Ftw[j] for j in range(quad_nodes))
-                Ia = sum(Wmat[i, j] * Acos[j] for j in range(quad_nodes))
-                Ib = sum(Wmat[i, j] * Bsin[j] for j in range(quad_nodes))
-                un = np.conj(exp_m[i]) * (phi - 1j * Iu)
-                vn = cos_s[i] * ps0 + (sin_s[i] / w) * ps1 + (sin_s[i] / w) * Ia - cos_s[i] * Ib
-                du = field_from_coef(grid, un - us[i])
-                dv = field_from_coef(grid, vn - vs[i])
-                residual = max(residual, h1_norm(du) + sobolev_norm(dv, 0.0))
-                us[i] = un
-                vs[i] = vn
+            for lo in range(0, quad_nodes, _ROW_BLOCK):
+                rows = slice(lo, lo + _ROW_BLOCK)
+                Wb = Wmat[rows]
+                Iu = _weighted_sum(Wb, Ftw)
+                Ia = _weighted_sum(Wb, Acos)
+                Ib = _weighted_sum(Wb, Bsin)
+                un = np.conj(exp_m[rows]) * (phi - 1j * Iu)
+                c, sc = cos_s[rows], sinc_s[rows]
+                vn = c * ps0 + sc * ps1 + sc * Ia - c * Ib
+                # H1 of du plus L2 of dv, per node
+                du2 = np.sum(h1_weight * np.abs(un - us[rows]) ** 2, axis=(1, 2))
+                dv2 = np.sum((vn - vs[rows]) ** 2, axis=(1, 2))
+                residual = max(residual, float(np.max(np.sqrt(du2) + np.sqrt(dv2))))
+                us[rows] = un
+                vs[rows] = vn
             if residual_log is not None:
                 residual_log.append(residual)
             if residual < tol:
                 break
         else:
-            raise PicardDivergenceError(residual, max_iter)
+            raise PicardDivergenceError(residual, max_iter, panel, t_now)
 
         # advance the panel data to its right edge with full-panel quadrature
-        Ftw = [exp_m[i] * ker.coupled_product(vs[i], us[i]) for i in range(quad_nodes)]
-        gs = [-w2 * ker.wave_source(us[i]) for i in range(quad_nodes)]
-        Iu = sum(full_w[j] * Ftw[j] for j in range(quad_nodes))
-        Ia = sum(full_w[j] * cos_s[j] * gs[j] for j in range(quad_nodes))
-        Ib = sum(full_w[j] * (sin_s[j] / w) * gs[j] for j in range(quad_nodes))
+        fill_integrands()
+        Iu = _weighted_sum(full_w, Ftw)
+        Ia = _weighted_sum(full_w, Acos)
+        Ib = _weighted_sum(full_w, Bsin)
         phi = np.exp(-1j * lam * h) * (phi - 1j * Iu)
         new_v = cos_h * ps0 + (sin_h / w) * ps1 + (sin_h / w) * Ia - cos_h * Ib
         ps1 = -(w * sin_h) * ps0 + cos_h * ps1 + cos_h * Ia + (w * sin_h) * Ib

@@ -164,6 +164,23 @@ def test_blowup_exits_3(tmp_path, capsys):
     assert manifest["last_finite_t"] == 0.0
 
 
+def test_divergent_yosida_potential_flow_exits_3(tmp_path, capsys):
+    # a step far too long for this potential: the flow's Taylor series
+    # cannot converge, and the run stops instead of stepping on to a state
+    # with a norm of about 3e11
+    cfg = write(
+        tmp_path,
+        "[grid]\nnx = 16\nny = 16\n"
+        "[data]\npsi0 = 2000*sin(x)*sin(y)\n"
+        "[run]\nyosida_n = 8\ndt = 0.05\nt = 0.1\n",
+    )
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "run"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical abort" in err
+    assert "potential flow" in err and "39 Taylor terms" in err
+
+
 def test_check_suite_passes_and_fault_injection_fails(tmp_path):
     cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n")
     out = str(tmp_path / "o")

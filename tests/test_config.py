@@ -225,3 +225,20 @@ def test_load_config_file(tmp_path):
 def test_malformed_ini_rejected():
     with pytest.raises(ValueError):
         parse_config_text("not an ini file at all\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[run]\neps = 50%\n",  # was an InterpolationSyntaxError
+        "[grid]\nlx = %(ly)s\nly = 2\n",  # was read as ly's value
+        "[run]\neps = " + "-" * 5000 + "1\n",  # was a RecursionError
+        "[run]\neps = " + "+".join(["1"] * 600) + "\n",  # ditto, in evaluation
+        "[DEFAULT]\nnx = 8\n",  # was silently ignored
+        "[data]\nphi_modes = 1 1 nan\n",  # was accepted
+    ],
+    ids=["percent", "interpolation", "deep-unary", "long-sum", "default-section", "nan-mode"],
+)
+def test_malformed_values_rejected_with_value_error(text):
+    with pytest.raises(ValueError):
+        parse_config_text(text)

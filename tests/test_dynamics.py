@@ -1,12 +1,16 @@
 """Stepping kernels: exactness of the substeps, conservation, convergence
 order, reversibility, blow-up detection, and the Picard-Duhamel oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sibsim import dynamics
 from sibsim.dynamics import (
     BlowupError,
     PicardDivergenceError,
+    PotentialFlowError,
     SystemParams,
     dudt,
     integrate,
@@ -196,6 +200,20 @@ def test_taylor_potential_flow_matches_unregularized_for_large_n():
         assert np.max(np.abs(plain.coef - smoothed.coef)) < bound
 
 
+def test_yosida_potential_flow_fails_loudly_when_too_long():
+    # |J v| dt ~ 1e2 on this data: the Taylor series of the flow cannot
+    # reach round-off within its term limit, and summing the terms it has
+    # would take the norm of u from 1.57 to about 2e15
+    st = standard_state(16)
+    st = replace(st, v=field_from_coef(st.grid, 2000.0 * st.v.coef))
+    params = SystemParams(eps=1.0, dt=0.05, yosida_n=8.0)
+    with pytest.raises(PotentialFlowError) as err:
+        schrodinger_substep(st.u, st.v, 0.05, params)
+    assert err.value.terms == dynamics._TAYLOR_TERMS
+    assert err.value.rel_term > 1.0
+    assert "potential flow" in str(err.value)
+
+
 def test_strang_step_equals_manual_substep_composition():
     st = standard_state(16)
     g = st.grid
@@ -338,11 +356,15 @@ def test_picard_residuals_contract():
 
 
 def test_picard_divergence_error():
-    st = standard_state(8)
+    st = replace(standard_state(8), t=0.3)
     with pytest.raises(PicardDivergenceError) as err:
         picard_duhamel(st, 0.02, SystemParams(eps=1.0, dt=1.0), tol=1e-30, max_iter=3)
     assert err.value.iterations == 3
     assert err.value.residual > 0
+    # the first panel fails, and it starts at the state's time
+    assert err.value.panel == 0
+    assert err.value.t_start == 0.3
+    assert "panel 0" in str(err.value) and "t = 0.3" in str(err.value)
 
 
 def test_picard_matches_splitting_on_small_case():
@@ -350,13 +372,48 @@ def test_picard_matches_splitting_on_small_case():
     # projected nonlinearity, so the distance is pure time-discretization
     # error (measured 4.3e-11); the unregularized cross-check at production
     # resolution lives in the acceptance suite
+    # 17 nodes leave a last row block that is not full
     st = standard_state(8)
     params = SystemParams(eps=1.0, dt=2e-5, yosida_n=16.0)
     fine = integrate(st, 0.05, params, monitor_stride=10**9).final_state
-    pic = picard_duhamel(
-        st, 0.05, SystemParams(eps=1.0, dt=1.0, yosida_n=16.0), quad_nodes=12
-    )
-    assert difference_metric(pic, fine) < 1e-9
+    assert 17 % dynamics._ROW_BLOCK != 0
+    for quad_nodes in (12, 17):
+        pic = picard_duhamel(
+            st, 0.05, SystemParams(eps=1.0, dt=1.0, yosida_n=16.0), quad_nodes=quad_nodes
+        )
+        assert difference_metric(pic, fine) < 1e-9
+
+
+@pytest.mark.parametrize("P", [8, 17, 128])
+def test_integration_weights_integrate_monomials_exactly(P):
+    # W integrates every polynomial of degree < P exactly from 0 to each
+    # node; on a panel (0, h), t^k for k < P against h t^(k+1) / (k+1)
+    # in units of h
+    h = 0.025
+    xg, _ = np.polynomial.legendre.leggauss(P)
+    nodes = (xg + 1.0) * 0.5 * h
+    W = dynamics._integration_weights(nodes)
+    x = nodes / h
+    for k in range(P):
+        exact = h * x ** (k + 1) / (k + 1)
+        err = np.max(np.abs(W @ x**k - exact))
+        assert err <= 1e-12 * np.max(np.abs(exact)), (k, err)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_weighted_node_sums_match_the_node_loop(dtype):
+    # the stacked quadrature sums against the per-node loop they replace;
+    # only the summation order differs
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((17, 6, 5)).astype(dtype)
+    if dtype is complex:
+        stack += 1j * rng.standard_normal(stack.shape)
+    W = rng.standard_normal((5, 17))
+    got = dynamics._weighted_sum(W, stack)
+    loop = np.array([sum(W[i, j] * stack[j] for j in range(17)) for i in range(5)])
+    assert got.dtype == stack.dtype and got.shape == (5, 6, 5)
+    assert np.max(np.abs(got - loop)) < 1e-13
+    assert np.allclose(dynamics._weighted_sum(W[0], stack), loop[0], rtol=0, atol=1e-13)
 
 
 def test_picard_exact_without_coupling():
