@@ -480,18 +480,12 @@ def _integration_weights(nodes: np.ndarray) -> np.ndarray:
     return leg.legval(x, anti).T
 
 
-def _real_view(stack: np.ndarray) -> np.ndarray:
-    """(P, Nx, Ny) stack as a real (P, m) matrix, so that a real weight
-    matrix applies to it with one real matrix product."""
-    flat = stack.reshape(len(stack), -1)
-    return flat.view(np.float64) if np.iscomplexobj(flat) else flat
-
-
 def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_j weights[..., j] * stack[j] as one matrix product."""
-    out = weights @ _real_view(stack)
-    if np.iscomplexobj(stack):
-        out = out.view(np.complex128)
+    """sum_j weights[..., j] * stack[j] for a (P, Nx, Ny) stack, as one real
+    matrix product: a complex stack enters as interleaved real and
+    imaginary parts, which the real weights never mix."""
+    flat = stack.reshape(len(stack), -1).view(np.float64)
+    out = (weights @ flat).view(stack.dtype)
     return out.reshape(weights.shape[:-1] + stack.shape[1:])
 
 

@@ -416,6 +416,29 @@ def test_weighted_node_sums_match_the_node_loop(dtype):
     assert np.allclose(dynamics._weighted_sum(W[0], stack), loop[0], rtol=0, atol=1e-13)
 
 
+def test_picard_residual_is_the_worst_node_of_every_row_block():
+    # Without coupling the first sweep lands on the free flow at each node,
+    # so its residual is known in closed form: H1 of du plus L2 of dv,
+    # largest over all 17 nodes (the last one sits alone in a partial row
+    # block); the second sweep changes nothing.
+    st = standard_state(8)
+    params = SystemParams(eps=0.5, dt=1.0, coupling=False)
+    log = []
+    picard_duhamel(st, 0.02, params, quad_nodes=17, residual_log=log)
+    g = st.grid
+    w = np.sqrt(g.lam / (1.0 + 0.5 * g.lam))
+    xg, _ = np.polynomial.legendre.leggauss(17)
+    expected = 0.0
+    for s in (xg + 1.0) * 0.5 * 0.02:
+        du = (np.exp(-1j * g.lam * s) - 1.0) * st.u.coef
+        dv = np.cos(w * s) * st.v.coef + np.sin(w * s) / w * st.vt.coef - st.v.coef
+        res = np.sqrt(np.sum((1.0 + g.lam) * np.abs(du) ** 2)) + np.sqrt(np.sum(dv**2))
+        expected = max(expected, res)
+    assert len(log) == 2
+    assert log[0] == pytest.approx(expected, rel=1e-12)
+    assert log[1] < 1e-15 * expected
+
+
 def test_picard_exact_without_coupling():
     st = standard_state(8)
     params = SystemParams(eps=0.5, dt=1.0, coupling=False)
