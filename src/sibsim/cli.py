@@ -3,7 +3,7 @@
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid
 configuration or violated hypothesis, 3 numerical abort (non-finite values,
 a non-contracting fixed-point iteration, or a Yosida potential flow whose
-Taylor series does not converge).
+Taylor series does not converge; any dynamics.NumericalAbort).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import experiments
 from .config import load_config
-from .dynamics import BlowupError, PicardDivergenceError, PotentialFlowError
+from .dynamics import NumericalAbort
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,7 +32,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="INI configuration file; omitted means the standard preset",
     )
     parser.add_argument(
-        "--out", metavar="DIR", help="output directory (overrides [output] dir)"
+        "--out",
+        dest="out_dir",
+        metavar="DIR",
+        help="output directory (overrides [output] dir)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress and verdict lines"
@@ -86,33 +89,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # flag values replace file values, so RunConfig validates both alike
+    overrides = {
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in vars(args).items()
+        if name in ("out_dir", "eps_list", "n_list", "dt_list") and value
+    }
     try:
-        config = load_config(args.config)
-        if args.out:
-            config = replace(config, out_dir=args.out)
-        if args.command == "run":
-            return experiments.cmd_run(config, quiet=args.quiet)
-        if args.command == "sweep-eps":
-            return experiments.cmd_sweep_eps(
-                config, eps_list=args.eps_list, quiet=args.quiet
-            )
-        if args.command == "sweep-n":
-            return experiments.cmd_sweep_n(config, n_list=args.n_list, quiet=args.quiet)
+        config = replace(load_config(args.config), **overrides)
         if args.command == "check":
             return experiments.cmd_check(
                 config, quiet=args.quiet, inject_fault=args.inject_fault
             )
-        if args.command == "estimate-c0":
-            return experiments.cmd_estimate_c0(config, quiet=args.quiet)
-        if args.command == "order-test":
-            return experiments.cmd_order_test(
-                config, dt_list=args.dt_list, quiet=args.quiet
-            )
-        raise AssertionError(f"unhandled command {args.command}")
+        command = {
+            "run": experiments.cmd_run,
+            "sweep-eps": experiments.cmd_sweep_eps,
+            "sweep-n": experiments.cmd_sweep_n,
+            "estimate-c0": experiments.cmd_estimate_c0,
+            "order-test": experiments.cmd_order_test,
+        }[args.command]
+        return command(config, quiet=args.quiet)
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except (BlowupError, PicardDivergenceError, PotentialFlowError) as exc:
+    except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
 

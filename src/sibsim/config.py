@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,22 +35,6 @@ _FIELD_FUNCS = {
     for name in ("sin", "cos", "tan", "exp", "sqrt", "sinh", "cosh", "tanh", "abs")
 }
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-
-_KNOWN_KEYS = {
-    "grid": {"lx", "ly", "nx", "ny"},
-    "data": {
-        "preset",
-        "phi", "phi_imag", "psi0", "psi1",
-        "phi_modes", "phi_imag_modes", "psi0_modes", "psi1_modes",
-    },
-    "run": {
-        "eps", "yosida_n", "dt", "t", "monitor_stride", "seed", "c0",
-        "coupling", "dealias", "regularize_data", "checkpoint_times",
-    },
-    "output": {"dir"},
-    "sweep": {"eps_list", "n_list", "dt_list"},
-}
-
 
 def _eval_node(node: ast.AST, names: dict):
     """Evaluate one node; every value, intermediate or final, must be a
@@ -114,6 +98,56 @@ def _safe_eval(expr: str, names: dict):
 
 def _scalar(expr: str) -> float:
     return float(_safe_eval(expr, dict(_SCALAR_NAMES)))
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not a boolean: {text!r}")
+    return states[text.lower()]
+
+
+def _scalar_list(text: str) -> tuple[float, ...]:
+    return tuple(_scalar(tok) for tok in text.split())
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(_scalar(tok)) for tok in text.split())
+
+
+# section -> key -> (RunConfig field, converter); [data] has its own reader
+_KEYS = {
+    "grid": {
+        "lx": ("lx", _scalar),
+        "ly": ("ly", _scalar),
+        "nx": ("nx", int),
+        "ny": ("ny", int),
+    },
+    "run": {
+        "eps": ("eps", _scalar),
+        "yosida_n": ("yosida_n", _scalar),
+        "dt": ("dt", _scalar),
+        "t": ("T", _scalar),
+        "monitor_stride": ("monitor_stride", int),
+        "seed": ("seed", int),
+        "c0": ("c0", _scalar),
+        "coupling": ("coupling", _boolean),
+        "dealias": ("dealias", _boolean),
+        "regularize_data": ("regularize_data", _boolean),
+        "checkpoint_times": ("checkpoint_times", _scalar_list),
+    },
+    "output": {"dir": ("out_dir", str)},
+    "sweep": {
+        "eps_list": ("eps_list", _scalar_list),
+        "n_list": ("n_list", _int_list),
+        "dt_list": ("dt_list", _scalar_list),
+    },
+}
+_DATA_COMPONENTS = ("phi", "phi_imag", "psi0", "psi1")
+_KNOWN_KEYS = {section: set(keys) for section, keys in _KEYS.items()}
+_KNOWN_KEYS["data"] = {
+    "preset", *_DATA_COMPONENTS, *(f"{comp}_modes" for comp in _DATA_COMPONENTS)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +217,9 @@ class RunConfig:
             raise ValueError("domain lengths must be positive")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("mode counts must be >= 1")
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
-        if self.yosida_n is not None and self.yosida_n < 1:
-            raise ValueError("yosida_n must be >= 1")
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+        build_params(self)  # SystemParams checks eps, yosida_n and dt
+        if not self.T > 0:
+            raise ValueError(f"T must be positive, got {self.T}")
         if not math.isfinite(self.T / self.dt):
             raise ValueError(f"step count T/dt = {self.T}/{self.dt} is not finite")
         if self.monitor_stride < 1:
@@ -197,12 +228,12 @@ class RunConfig:
             raise ValueError("c0 override must be positive")
         if any(t < 0 for t in self.checkpoint_times):
             raise ValueError("checkpoint times must be nonnegative")
-        for name in ("n_list", "dt_list"):
-            vals = getattr(self, name)
-            if any(v <= 0 for v in vals):
-                raise ValueError(f"{name} entries must be positive")
         if any(not 0.0 <= e <= 1.0 for e in self.eps_list):
             raise ValueError("eps_list entries must lie in [0, 1]")
+        if any(not (isinstance(n, int) and n >= 1) for n in self.n_list):
+            raise ValueError("n_list entries must be integers >= 1")
+        if any(not 0.0 < dt < math.inf for dt in self.dt_list):
+            raise ValueError("dt_list entries must be positive and finite")
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -218,27 +249,16 @@ def parse_config_text(text: str) -> RunConfig:
     if parser.defaults():
         raise ValueError(f"unknown config section [{parser.default_section}]")
 
+    kw: dict = {"raw": {s: dict(parser[s]) for s in parser.sections()}}
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             raise ValueError(f"unknown config section [{section}]")
-        for key in parser[section]:
+        for key, value in parser[section].items():
             if key not in _KNOWN_KEYS[section]:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
-
-    kw: dict = {}
-    raw = {s: dict(parser[s]) for s in parser.sections()}
-    kw["raw"] = raw
-
-    if parser.has_section("grid"):
-        sec = parser["grid"]
-        if "lx" in sec:
-            kw["lx"] = _scalar(sec["lx"])
-        if "ly" in sec:
-            kw["ly"] = _scalar(sec["ly"])
-        if "nx" in sec:
-            kw["nx"] = sec.getint("nx")
-        if "ny" in sec:
-            kw["ny"] = sec.getint("ny")
+            if section in _KEYS:
+                name, convert = _KEYS[section][key]
+                kw[name] = convert(value)
 
     specs: dict = {}
     if parser.has_section("data"):
@@ -251,7 +271,7 @@ def parse_config_text(text: str) -> RunConfig:
                 )
             for comp, expr in _PRESETS[preset].items():
                 specs[comp] = ("expr", expr)
-        for comp in ("phi", "phi_imag", "psi0", "psi1"):
+        for comp in _DATA_COMPONENTS:
             if comp in sec:
                 specs[comp] = ("expr", sec[comp])
             if f"{comp}_modes" in sec:
@@ -260,53 +280,8 @@ def parse_config_text(text: str) -> RunConfig:
                         f"give either {comp} or {comp}_modes, not both"
                     )
                 specs[comp] = ("modes", _parse_modes(sec[f"{comp}_modes"], comp))
-    if "phi" in specs:
-        kw["phi_spec"] = specs["phi"]
-    if "phi_imag" in specs:
-        kw["phi_imag_spec"] = specs["phi_imag"]
-    if "psi0" in specs:
-        kw["psi0_spec"] = specs["psi0"]
-    if "psi1" in specs:
-        kw["psi1_spec"] = specs["psi1"]
-
-    if parser.has_section("run"):
-        sec = parser["run"]
-        if "eps" in sec:
-            kw["eps"] = _scalar(sec["eps"])
-        if "yosida_n" in sec:
-            kw["yosida_n"] = _scalar(sec["yosida_n"])
-        if "dt" in sec:
-            kw["dt"] = _scalar(sec["dt"])
-        if "t" in sec:
-            kw["T"] = _scalar(sec["t"])
-        if "monitor_stride" in sec:
-            kw["monitor_stride"] = sec.getint("monitor_stride")
-        if "seed" in sec:
-            kw["seed"] = sec.getint("seed")
-        if "c0" in sec:
-            kw["c0"] = _scalar(sec["c0"])
-        if "coupling" in sec:
-            kw["coupling"] = sec.getboolean("coupling")
-        if "dealias" in sec:
-            kw["dealias"] = sec.getboolean("dealias")
-        if "regularize_data" in sec:
-            kw["regularize_data"] = sec.getboolean("regularize_data")
-        if "checkpoint_times" in sec:
-            kw["checkpoint_times"] = tuple(
-                _scalar(tok) for tok in sec["checkpoint_times"].split()
-            )
-
-    if parser.has_section("output") and "dir" in parser["output"]:
-        kw["out_dir"] = parser["output"]["dir"]
-
-    if parser.has_section("sweep"):
-        sec = parser["sweep"]
-        if "eps_list" in sec:
-            kw["eps_list"] = tuple(_scalar(tok) for tok in sec["eps_list"].split())
-        if "n_list" in sec:
-            kw["n_list"] = tuple(int(_scalar(tok)) for tok in sec["n_list"].split())
-        if "dt_list" in sec:
-            kw["dt_list"] = tuple(_scalar(tok) for tok in sec["dt_list"].split())
+    for comp, spec in specs.items():
+        kw[f"{comp}_spec"] = spec
 
     return RunConfig(**kw)
 
@@ -367,13 +342,5 @@ def build_initial_state(config: RunConfig, grid: Grid2D | None = None) -> State:
 def build_params(config: RunConfig, **overrides) -> SystemParams:
     """SystemParams from the config; keyword overrides (eps, yosida_n, dt)
     support sweep members sharing one base config."""
-    kw = dict(
-        eps=config.eps,
-        dt=config.dt,
-        yosida_n=config.yosida_n,
-        regularize_data=config.regularize_data,
-        dealias=config.dealias,
-        coupling=config.coupling,
-    )
-    kw.update(overrides)
-    return SystemParams(**kw)
+    kw = {f.name: getattr(config, f.name) for f in fields(SystemParams)}
+    return SystemParams(**{**kw, **overrides})

@@ -49,6 +49,7 @@ __all__ = [
     "SystemParams",
     "State",
     "TrajectoryRecord",
+    "NumericalAbort",
     "BlowupError",
     "PicardDivergenceError",
     "PotentialFlowError",
@@ -63,7 +64,11 @@ __all__ = [
 ]
 
 
-class BlowupError(RuntimeError):
+class NumericalAbort(RuntimeError):
+    """Base of the errors that stop a solver on a numerical failure."""
+
+
+class BlowupError(NumericalAbort):
     """A monitored quantity became non-finite during integration."""
 
     def __init__(self, t_last: float):
@@ -71,7 +76,7 @@ class BlowupError(RuntimeError):
         self.t_last = t_last
 
 
-class PicardDivergenceError(RuntimeError):
+class PicardDivergenceError(NumericalAbort):
     """The Duhamel fixed-point iteration did not reach tolerance on a panel."""
 
     def __init__(self, residual: float, iterations: int, panel: int, t_start: float):
@@ -86,7 +91,7 @@ class PicardDivergenceError(RuntimeError):
         self.t_start = t_start
 
 
-class PotentialFlowError(RuntimeError):
+class PotentialFlowError(NumericalAbort):
     """The Taylor series of the Yosida potential flow did not converge."""
 
     def __init__(self, terms: int, rel_term: float):

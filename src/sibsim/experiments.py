@@ -4,9 +4,11 @@ sharp-constant estimation, and the integrator order test.
 
 Every command takes a RunConfig, writes its artifacts into the configured
 output directory, prints one line per assertion, and returns a process
-exit code: 0 all assertions pass, 1 an assertion failed, 2 is reserved for
-invalid configuration (raised as ValueError and mapped by the CLI), 3 a
-numerical abort (non-finite values).
+exit code: 0 all assertions pass, 1 an assertion failed.  The other two
+exit codes come from exceptions that the CLI maps in one place: 2 for
+invalid configuration (ValueError), 3 for a numerical abort
+(dynamics.NumericalAbort; cmd_run first writes its manifest with status
+numerical-abort).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from . import __version__
 from .config import RunConfig, build_grid, build_initial_state, build_params
 from .dynamics import (
     BlowupError,
+    NumericalAbort,
     State,
     SystemParams,
     _Kernels,
@@ -251,13 +254,13 @@ def cmd_run(config: RunConfig, quiet: bool = False) -> int:
             monitor=monitor,
             checkpoint_times=config.checkpoint_times,
         )
-    except BlowupError as exc:
+    except NumericalAbort as exc:
         manifest["status"] = "numerical-abort"
-        manifest["last_finite_t"] = exc.t_last
+        if isinstance(exc, BlowupError):
+            manifest["last_finite_t"] = exc.t_last
         manifest["files"] = {}
         write_manifest(os.path.join(config.out_dir, "manifest.json"), manifest)
-        _emit(quiet, f"numerical abort: {exc}")
-        return 3
+        raise
 
     artifacts = ["series.csv"]
     write_series(os.path.join(config.out_dir, "series.csv"), record)
@@ -275,19 +278,14 @@ def cmd_run(config: RunConfig, quiet: bool = False) -> int:
 # eps sweep
 
 
-def cmd_sweep_eps(
-    config: RunConfig, eps_list=None, quiet: bool = False
-) -> int:
+def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
     """Compare eps > 0 runs against the eps = 0 reference; the sup over
     sampled times of the difference metric must decrease strictly as eps
     decreases.  Requires the small-data hypothesis (the limit system's
     global theory needs it)."""
-    eps_values = tuple(eps_list) if eps_list is not None else config.eps_list
-    if not eps_values:
+    if not config.eps_list:
         raise ValueError("eps sweep needs a nonempty eps_list")
-    if any(not 0.0 <= e <= 1.0 for e in eps_values):
-        raise ValueError("eps_list entries must lie in [0, 1]")
-    eps_values = tuple(sorted(set(eps_values), reverse=True))
+    eps_values = tuple(sorted(set(config.eps_list), reverse=True))
 
     os.makedirs(config.out_dir, exist_ok=True)
     state0 = build_initial_state(config)
@@ -359,17 +357,14 @@ def cmd_sweep_eps(
 # yosida-n sweep
 
 
-def cmd_sweep_n(config: RunConfig, n_list=None, quiet: bool = False) -> int:
+def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
     """Run the regularized system for each n, plus the unregularized
     reference; consecutive solutions (at t = T, in H1 + L2 + L2) must
     approach each other as n doubles.  Also reports the time-sup of the
     H2 + H1 + H1 norms per run (boundedness of the approximating family)."""
-    n_values = tuple(n_list) if n_list is not None else config.n_list
-    if not n_values:
+    if not config.n_list:
         raise ValueError("n sweep needs a nonempty n_list")
-    if any(n < 1 for n in n_values):
-        raise ValueError("n_list entries must be >= 1")
-    n_values = tuple(sorted(set(int(n) for n in n_values)))
+    n_values = tuple(sorted(set(config.n_list)))
 
     os.makedirs(config.out_dir, exist_ok=True)
     state0 = build_initial_state(config)
@@ -659,14 +654,14 @@ def cmd_estimate_c0(config: RunConfig, quiet: bool = False) -> int:
 # order test
 
 
-def cmd_order_test(config: RunConfig, dt_list=None, quiet: bool = False) -> int:
+def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:
     """Self-refinement order measurement for the splitting integrator.
 
     Errors are taken against a reference run at dt_min / 8; the mean
     observed order must reach 1.9.  When the coupling is switched off the
     integrator is exact and the test is skipped with a notice.
     """
-    dts = tuple(dt_list) if dt_list is not None else config.dt_list
+    dts = config.dt_list
     if len(dts) < 3:
         raise ValueError("order test needs at least 3 dt values")
     for a, b in zip(dts, dts[1:]):

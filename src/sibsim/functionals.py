@@ -124,15 +124,11 @@ class DataNorms:
 @dataclass(frozen=True)
 class EnvelopeConstants:
     """C0 (sharp Gagliardo-Nirenberg constant), C3 (H1-level envelope), and
-    C6 (small-data uniform bound; None whenever C0*||phi||_2 >= sqrt(2)).
-    c1 and c2 are optional user-supplied figures used only in reported,
-    never asserted, monitors."""
+    C6 (small-data uniform bound; None whenever C0*||phi||_2 >= sqrt(2))."""
 
     c0: float
     c3: float
     c6: float | None
-    c1: float | None = None
-    c2: float | None = None
 
     def __post_init__(self):
         if not self.c0 > 0:
@@ -175,21 +171,14 @@ def modified_energy(
     eps: float,
     params: SystemParams,
     dn: DataNorms | None = None,
-    fn_form: bool = False,
 ) -> float:
     """F_eps = ||du/dt||^2 + (||grad v||^2 + ||vt||^2 + eps ||grad vt||^2)/2
-    + ||phi||_2^2 (shift taken from dn when provided).
-
-    fn_form selects the regularized-run variant: unit weights on both
-    gradient terms and no additive shift.
-    """
+    + ||phi||_2^2 (shift taken from dn when provided)."""
     lam = state.grid.lam
     ut = dudt(state, params)
     base = float(np.sum(np.abs(ut.coef) ** 2))
     v2 = state.v.coef**2
     vt2 = state.vt.coef**2
-    if fn_form:
-        return base + 0.5 * float(np.sum(lam * v2) + np.sum(vt2) + np.sum(lam * vt2))
     shift = dn.l2_phi**2 if dn is not None else 0.0
     return base + 0.5 * float(
         np.sum(lam * v2) + np.sum(vt2) + eps * np.sum(lam * vt2)

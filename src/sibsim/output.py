@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -58,21 +59,12 @@ def write_series(path: str, record: TrajectoryRecord) -> None:
 
 
 def write_table(path: str, columns, rows) -> None:
-    out = []
-    writer_target = _StringCollector(out)
-    writer = csv.writer(writer_target, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
-    _atomic_write(path, "".join(out).encode())
-
-
-class _StringCollector:
-    def __init__(self, sink: list):
-        self.sink = sink
-
-    def write(self, text: str) -> None:
-        self.sink.append(text)
+    _atomic_write(path, buf.getvalue().encode())
 
 
 def write_manifest(path: str, payload: dict) -> None:

@@ -146,6 +146,34 @@ def test_order_test_rejects_bad_dt_list(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sweep-eps", "--eps-list", "1.5"], "eps_list"),
+        (["sweep-n", "--n-list", "0"], "n_list"),
+        (["order-test", "--dt-list", "-0.01", "-0.005", "-0.0025"], "dt_list"),
+    ],
+    ids=["eps", "n", "dt"],
+)
+def test_bad_list_override_exits_2_before_the_command_runs(tmp_path, capsys, argv, field):
+    # flag values are checked by RunConfig, as file values are, so no
+    # command starts and no output directory is made
+    cfg = write(tmp_path, SMALL_RUN)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and f"{field} entries" in err
+    assert not out.exists()
+
+
+def test_list_override_reaches_the_manifest(tmp_path):
+    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n[run]\ndt = 1e-2\nt = 0.02\n[sweep]\nn_list = 4 8\n")
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "--quiet", "sweep-n", "--n-list", "2"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["reports"]["n"] == [2]
+
+
 def test_blowup_exits_3(tmp_path, capsys):
     cfg = write(
         tmp_path,
@@ -156,9 +184,9 @@ def test_blowup_exits_3(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["--config", cfg, "--out", str(tmp_path / "o"), "run"])
     assert code == 3
-    # the run command reports the abort itself (stdout) and still writes
-    # the manifest; the CLI stderr path is for aborts outside a command
-    assert "numerical abort" in capsys.readouterr().out
+    # the CLI prints the abort on stderr for every command; run also
+    # records it in its manifest
+    assert "numerical abort" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["status"] == "numerical-abort"
     assert manifest["last_finite_t"] == 0.0
@@ -176,9 +204,14 @@ def test_divergent_yosida_potential_flow_exits_3(tmp_path, capsys):
     )
     code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "run"])
     assert code == 3
-    err = capsys.readouterr().err
-    assert "numerical abort" in err
-    assert "potential flow" in err and "39 Taylor terms" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("numerical abort") == 1
+    assert "potential flow" in captured.err and "39 Taylor terms" in captured.err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["status"] == "numerical-abort"
+    assert manifest["files"] == {}
+    assert "last_finite_t" not in manifest
 
 
 def test_check_suite_passes_and_fault_injection_fails(tmp_path):

@@ -39,11 +39,15 @@ def test_parse_full_document():
 
         [run]
         eps = 0.5
+        yosida_n = 2**4
         dt = 5e-4
         t = 0.25
         monitor_stride = 5
         seed = 7
+        c0 = 0.4
         coupling = false
+        dealias = off
+        regularize_data = no
         checkpoint_times = 0.1 0.25
 
         [output]
@@ -61,11 +65,15 @@ def test_parse_full_document():
     assert cfg.phi_spec == ("expr", "sin(x)*sin(y)")
     assert cfg.psi1_spec == ("expr", "0.25*sin(2*x)*sin(y)")
     assert cfg.eps == 0.5
+    assert cfg.yosida_n == 16.0
     assert cfg.dt == 5e-4
     assert cfg.T == 0.25
     assert cfg.monitor_stride == 5
     assert cfg.seed == 7
+    assert cfg.c0 == 0.4
     assert cfg.coupling is False
+    assert cfg.dealias is False
+    assert cfg.regularize_data is False
     assert cfg.checkpoint_times == (0.1, 0.25)
     assert cfg.out_dir == "results"
     assert cfg.eps_list == (0.5, 0.25, 0.0)

@@ -90,8 +90,6 @@ def test_modified_energy_weights():
     # v and vt: eps = 1/2 halves the grad-vt weight
     st2 = mode_state(v=1.0, vt=1.0)
     assert modified_energy(st2, 0.5, params) == pytest.approx(2.0, rel=1e-14)
-    # the regularized-run variant keeps unit weights and no shift
-    assert modified_energy(st2, 0.5, params, fn_form=True) == pytest.approx(2.5, rel=1e-14)
 
 
 def test_modified_energy_shift_from_data_norms():
