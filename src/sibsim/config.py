@@ -112,7 +112,10 @@ def _scalar_list(text: str) -> tuple[float, ...]:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(_scalar(tok)) for tok in text.split())
+    values = _scalar_list(text)
+    if not all(value.is_integer() for value in values):
+        raise ValueError(f"not a list of integers: {text!r}")
+    return tuple(int(value) for value in values)
 
 
 # section -> key -> (RunConfig field, converter); [data] has its own reader

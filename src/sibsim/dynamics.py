@@ -214,9 +214,12 @@ class _Kernels:
                    cos, sin/omega and omega*sin of (dt/2) omega: the exact
                    half-step flow of v'' = -omega^2 v
         phase_half exp(i dt/2 Laplacian), symbol exp(-i dt/2 lam)
+
+    dt = None builds no half-step tables: callers that take no step (dudt,
+    the Picard oracle, data smoothing) then skip their cos, sin and exp.
     """
 
-    def __init__(self, grid: Grid2D, params: SystemParams, dt: float):
+    def __init__(self, grid: Grid2D, params: SystemParams, dt: float | None):
         self.grid = grid
         self.params = params
         self.dt = dt
@@ -227,6 +230,9 @@ class _Kernels:
         w = np.sqrt(w2)
         self.w = w
         self.w2 = w2
+        self.prod_shape = grid.pad_shape if params.dealias else grid.shape
+        if dt is None:
+            return
         # half-step wave rotation
         self.cos_half = np.cos(0.5 * dt * w)
         sin_half = np.sin(0.5 * dt * w)
@@ -234,7 +240,6 @@ class _Kernels:
         self.wsin_half = w * sin_half
         # half-step free Schrodinger phase
         self.phase_half = np.exp(-0.5j * dt * lam)
-        self.prod_shape = grid.pad_shape if params.dealias else grid.shape
 
     # -- quadratic terms ----------------------------------------------------
 
@@ -282,7 +287,8 @@ class _Kernels:
         Regularized, the generator is I -> J(Jv * J .), which is no longer a
         nodal multiplier; its exponential is summed as a Taylor series until
         the term norm falls below round-off, and is unitary because the
-        generator is self-adjoint on the band.
+        generator is self-adjoint on the band.  Jv is synthesized on the
+        product grid once per call, so k terms take 2k + 1 transforms.
 
         Raises:
             PotentialFlowError: if the series has not reached round-off
@@ -295,12 +301,14 @@ class _Kernels:
             vv = coef_to_values(self.grid, v)
             uu = coef_to_values(self.grid, u)
             return values_to_coef(self.grid, np.exp(-1j * dt * vv) * uu)
-        jv = self.jsym * v
+        grid, shape = self.grid, self.prod_shape
+        jv = coef_to_values(grid, self.jsym * v, shape)
         out = u.copy()
         term = u
         norm0 = np.linalg.norm(u)
         for k in range(1, _TAYLOR_TERMS + 1):
-            term = (-1j * dt / k) * self.jsym * self.product(jv, self.jsym * term)
+            jterm = coef_to_values(grid, self.jsym * term, shape)
+            term = (-1j * dt / k) * self.jsym * values_to_coef(grid, jv * jterm)
             out += term
             tnorm = np.linalg.norm(term)
             # a non-finite state is left to the callers' blow-up checks
@@ -324,7 +332,7 @@ def prepare_initial_state(state: State, params: SystemParams) -> State:
     is set and regularize_data is on, untouched otherwise."""
     if params.yosida_n is None or not params.regularize_data:
         return state
-    j = _Kernels(state.grid, params, params.dt).jsym
+    j = _Kernels(state.grid, params, None).jsym
     return _state_from_coef(
         state.grid, j * state.u.coef, j * state.v.coef, j * state.vt.coef, state.t
     )
@@ -336,7 +344,7 @@ def prepare_initial_state(state: State, params: SystemParams) -> State:
 
 def dudt(state: State, params: SystemParams) -> Field:
     """Time derivative of u:  i (Laplacian u - P(v, u))."""
-    ker = _Kernels(state.grid, params, 0.0)
+    ker = _Kernels(state.grid, params, None)
     p = ker.coupled_product(state.v.coef, state.u.coef.astype(np.complex128))
     return field_from_coef(state.grid, 1j * (-state.grid.lam * state.u.coef - p))
 
@@ -534,7 +542,7 @@ def picard_duhamel(
     state = prepare_initial_state(state0, params)
     grid = state.grid
     lam = grid.lam
-    ker = _Kernels(grid, params, 0.0)
+    ker = _Kernels(grid, params, None)
     w = ker.w
     w2 = ker.w2
 

@@ -19,8 +19,9 @@ computes only the N retained rows.  The matrices are built once per
 into stacked real and imaginary parts.  Small grids are where this pays:
 at the 3/2-padded sizes used here the FFT length 2(M+1) has a large prime
 factor (2*97 at 96 nodes).  Above the cutoff the O(M N^2) products lose to
-the FFT, and scipy's dstn on the zero-padded array is used instead.  Both
-paths agree to round-off.
+the FFT, and scipy's dstn on the zero-padded array is used instead; scipy.fft
+is imported only then, because loading it would otherwise be the largest
+part of importing sibsim.  Both paths agree to round-off.
 
 Quadratic terms are evaluated pseudospectrally on a zero-padded grid with
 at least ceil(3N/2) modes per axis, which prevents representable sine
@@ -38,7 +39,6 @@ from functools import lru_cache
 from math import ceil, sqrt
 
 import numpy as np
-from scipy.fft import dstn
 
 __all__ = [
     "Grid2D",
@@ -235,6 +235,8 @@ def coef_to_values(grid: Grid2D, coef: np.ndarray, shape: tuple[int, int] | None
         ax = _synthesis_matrix(shape[0], coef.shape[0], grid.Lx)
         ay = _synthesis_matrix(shape[1], coef.shape[1], grid.Ly)
         return _dense(ax, coef, ay.T)
+    from scipy.fft import dstn  # loaded only above the cutoff
+
     if shape != coef.shape:
         padded = np.zeros(shape, dtype=coef.dtype)
         padded[: coef.shape[0], : coef.shape[1]] = coef
@@ -250,6 +252,8 @@ def values_to_coef(grid: Grid2D, values: np.ndarray) -> np.ndarray:
         bx = _analysis_matrix(shape[0], min(grid.Nx, shape[0]), grid.Lx)
         by = _analysis_matrix(shape[1], min(grid.Ny, shape[1]), grid.Ly)
         return _dense(bx, values, by.T)
+    from scipy.fft import dstn  # loaded only above the cutoff
+
     coef = dstn(values, type=1, norm="ortho") * _scale(grid.Lx, grid.Ly, shape)
     return coef[: grid.Nx, : grid.Ny]
 

@@ -1,6 +1,8 @@
 # sibsim sizes the BLAS thread pool on import, before numpy is loaded
 import sibsim  # noqa: F401  isort: skip
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,32 @@ def unit_square_grid():
 @pytest.fixture
 def coarse_grid():
     return make_grid(np.pi, np.pi, 8, 8)
+
+
+def count_transforms(monkeypatch) -> Counter:
+    """Count every coef_to_values / values_to_coef call by its node shape
+    (output of a synthesis, input of an analysis), patching each sibsim
+    module that holds the functions, as the benchmark tracer does."""
+    import sibsim.dynamics
+    import sibsim.functionals
+    import sibsim.grids
+
+    counts = Counter()
+    modules = (sibsim.grids, sibsim.dynamics, sibsim.functionals)
+    synth, analysis = sibsim.grids.coef_to_values, sibsim.grids.values_to_coef
+
+    def counted_synth(grid, coef, shape=None):
+        out = synth(grid, coef, shape)
+        counts[out.shape] += 1
+        return out
+
+    def counted_analysis(grid, values):
+        counts[values.shape] += 1
+        return analysis(grid, values)
+
+    wrappers = {"coef_to_values": counted_synth, "values_to_coef": counted_analysis}
+    for module in modules:
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return counts

@@ -118,6 +118,17 @@ def test_import_pins_blas_threads_unless_set(preset, expected):
     assert proc.stdout.strip() == str(expected)
 
 
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # dstn serves only grids above grids.DENSE_MAX_EDGE nodes per axis
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sibsim.__file__)))
+    code = "import sys, sibsim.cli; print([m for m in sys.modules if m.startswith('scipy.fft')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_missing_smallness_hypothesis_exits_2(tmp_path, capsys):
     # ||phi||_2 = 4 lies above the sqrt(2)/C0 threshold
     cfg = write(

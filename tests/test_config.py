@@ -244,8 +244,12 @@ def test_malformed_ini_rejected():
         "[run]\neps = " + "+".join(["1"] * 600) + "\n",  # ditto, in evaluation
         "[DEFAULT]\nnx = 8\n",  # was silently ignored
         "[data]\nphi_modes = 1 1 nan\n",  # was accepted
+        "[sweep]\nn_list = 4.5 8.9\n",  # was truncated to (4, 8)
     ],
-    ids=["percent", "interpolation", "deep-unary", "long-sum", "default-section", "nan-mode"],
+    ids=[
+        "percent", "interpolation", "deep-unary", "long-sum", "default-section", "nan-mode",
+        "fractional-n",
+    ],
 )
 def test_malformed_values_rejected_with_value_error(text):
     with pytest.raises(ValueError):

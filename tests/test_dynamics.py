@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import count_transforms, random_field
 from sibsim import dynamics
 from sibsim.dynamics import (
     BlowupError,
@@ -24,6 +25,7 @@ from sibsim.dynamics import (
 from sibsim.functionals import charge, difference_metric
 from sibsim.grids import (
     analyze,
+    coef_product,
     field_from_coef,
     intensity_coef,
     make_grid,
@@ -212,6 +214,53 @@ def test_yosida_potential_flow_fails_loudly_when_too_long():
     assert err.value.terms == dynamics._TAYLOR_TERMS
     assert err.value.rel_term > 1.0
     assert "potential flow" in str(err.value)
+
+
+def _taylor_reference(ker, u, v):
+    """The regularized potential flow as a Taylor sum of padded products,
+    each re-synthesizing J v; returns the sum and its term count."""
+    jv = ker.jsym * v
+    out = u.copy()
+    term = u
+    norm0 = np.linalg.norm(u)
+    for k in range(1, dynamics._TAYLOR_TERMS + 1):
+        term = (-1j * ker.dt / k) * ker.jsym * coef_product(
+            ker.grid, jv, ker.jsym * term, ker.prod_shape
+        )
+        out += term
+        if np.linalg.norm(term) <= 1e-17 * norm0:
+            return out, k
+    raise AssertionError("reference Taylor sum did not converge")
+
+
+def yosida_case(dealias: bool):
+    g = make_grid(np.pi, np.pi, 16, 16)
+    rng = np.random.default_rng(5)
+    st = make_state(
+        random_field(g, rng, kind="complex"), random_field(g, rng), random_field(g, rng)
+    )
+    params = SystemParams(eps=1.0, dt=0.02, yosida_n=8.0, dealias=dealias)
+    return st, dynamics._Kernels(g, params, params.dt)
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["padded", "nodal"])
+def test_yosida_potential_flow_is_the_padded_product_taylor_sum(dealias):
+    st, ker = yosida_case(dealias)
+    ref, terms = _taylor_reference(ker, st.u.coef, st.v.coef)
+    assert terms >= 4
+    assert np.array_equal(ker.potential_flow(st.u.coef, st.v.coef), ref)
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["padded", "nodal"])
+def test_yosida_step_makes_2k_plus_5_transforms(monkeypatch, dealias):
+    # two wave sources of 2 transforms each, J v once, 2 per Taylor term
+    st, ker = yosida_case(dealias)
+    u, v, vt = st.u.coef, st.v.coef, st.vt.coef
+    v1, _ = ker.wave_half(v, vt, ker.wave_source(u))
+    _, terms = _taylor_reference(ker, ker.phase_half * u, v1)
+    counts = count_transforms(monkeypatch)
+    ker.step(u, v, vt)
+    assert counts == {ker.prod_shape: 2 * terms + 5}
 
 
 def test_strang_step_equals_manual_substep_composition():

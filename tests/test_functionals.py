@@ -7,9 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import count_transforms, random_field
+from sibsim import functionals
 from sibsim.dynamics import State, SystemParams, make_state
 from sibsim.functionals import (
     SERIES_COLUMNS,
+    _cube,
     DataNorms,
     EnvelopeConstants,
     RunMonitor,
@@ -26,7 +29,7 @@ from sibsim.functionals import (
     modified_energy,
     small_envelope_lhs,
 )
-from sibsim.grids import analyze, field_from_coef, make_grid, zero_field
+from sibsim.grids import analyze, coef_product, field_from_coef, make_grid, zero_field
 
 
 def sine_state(N: int = 32, with_v: bool = True) -> State:
@@ -182,6 +185,33 @@ def test_estimator_validation():
     g = make_grid(np.pi, np.pi, 8, 8)
     with pytest.raises(ValueError):
         estimate_gn_constant(g, max_iter=0)
+
+
+@pytest.mark.parametrize("shape, lx, ly", [((16, 16), np.pi, np.pi), ((12, 9), 2 * np.pi, 3.0)])
+def test_cube_is_the_nested_padded_product_bit_for_bit(shape, lx, ly):
+    g = make_grid(lx, ly, *shape)
+    c = random_field(g, np.random.default_rng(3)).coef
+    assert np.array_equal(_cube(g, c), coef_product(g, coef_product(g, c, c), c))
+
+
+def test_estimator_iteration_makes_4_padded_and_1_refined_transform(monkeypatch):
+    # on the reference grid of default_gn_constant: one band analysis of the
+    # starting bump, its quotient at 2N, then per iteration the cube's 4
+    # transforms at the 3/2 padding and the new quotient's 1 at 2N
+    g = make_grid(2 * np.pi, 2 * np.pi, 128, 128)
+    iterations = []
+    cube = functionals._cube
+
+    def counted_cube(grid, c):
+        iterations.append(None)
+        return cube(grid, c)
+
+    monkeypatch.setattr(functionals, "_cube", counted_cube)
+    counts = count_transforms(monkeypatch)
+    estimate_gn_constant(g)
+    it = len(iterations)
+    assert counts == {(128, 128): 1, (256, 256): 1 + it, (192, 192): 4 * it}
+    assert sum(counts.values()) == 97
 
 
 def test_default_gn_constant_value_and_cache():

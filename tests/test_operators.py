@@ -109,3 +109,12 @@ def test_lifted_inverse_norm_identity(grid):
         lhs = h1_norm(field_from_coef(grid, f.coef / np.sqrt(grid.lam))) ** 2
         rhs = sobolev_norm(f, 0.0) ** 2 + sobolev_norm(f, -1.0) ** 2
         assert abs(lhs - rhs) / rhs < 1e-10
+
+
+@pytest.mark.parametrize("n", [None, 8.0])
+def test_stepless_kernel_shares_the_symbols_and_skips_the_step_tables(grid, n):
+    stepless, stepping = kernel(grid, eps=0.5, n=n, dt=None), kernel(grid, eps=0.5, n=n)
+    for name in ("w", "w2", "prod_shape") + (("jsym",) if n else ()):
+        assert np.array_equal(getattr(stepless, name), getattr(stepping, name))
+    for name in ("cos_half", "sinc_half", "wsin_half", "phase_half"):
+        assert not hasattr(stepless, name)

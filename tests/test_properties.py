@@ -1,13 +1,20 @@
 """Property tests: the config parser turns every bad input into ValueError,
-and analysis and synthesis invert each other on any grid."""
+analysis and synthesis invert each other on any grid, and checkpoints
+round-trip bit for bit."""
+
+import os
+import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sibsim.config import _KNOWN_KEYS, parse_config_text
+from sibsim.dynamics import make_state
 from sibsim.grids import analyze, field_from_coef, make_grid, synthesize
+from sibsim.output import load_checkpoint, save_checkpoint
 
 # bounded so that tier-1 stays fast; deadline off because the first call of
 # a grid size builds its transform matrices
@@ -28,7 +35,7 @@ _values = st.one_of(
     st.integers(min_value=1, max_value=3000).map(lambda n: "-" * n + "1"),
     st.integers(min_value=1, max_value=3000).map(lambda n: "+".join(["1"] * n)),
 )
-_sections = ("grid", "data", "run")
+_sections = ("grid", "data", "run", "sweep")
 _entries = st.lists(
     st.sampled_from(_sections).flatmap(
         lambda sec: st.tuples(
@@ -37,6 +44,24 @@ _entries = st.lists(
     ),
     max_size=6,
 )
+
+
+# any finite float, and often one above 1 with a fraction, which a
+# truncating reader would accept
+_n_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(min_value=1.0, max_value=1e3)
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(_n_values, min_size=1, max_size=4))
+def test_n_list_is_read_exactly_or_rejected(values):
+    text = "[sweep]\nn_list = " + " ".join(repr(x) for x in values) + "\n"
+    if all(x.is_integer() and x >= 1 for x in values):
+        assert parse_config_text(text).n_list == tuple(int(x) for x in values)
+    else:
+        with pytest.raises(ValueError):
+            parse_config_text(text)
 
 
 def _parse_or_reject(text: str) -> None:
@@ -87,3 +112,26 @@ def test_analyze_synthesize_round_trip(data, shape, lx, ly, complex_kind):
     coef = data.draw(_samples(shape, complex_kind))
     again = analyze(grid, synthesize(field_from_coef(grid, coef))).coef
     assert np.max(np.abs(again - coef)) <= 1e-12 * max(1.0, float(np.max(np.abs(coef))))
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), _shapes, _lengths, _lengths, st.floats(allow_nan=False), st.booleans())
+def test_checkpoint_round_trip_is_bit_exact(data, shape, lx, ly, t, complex_kind):
+    # any float64 payload, NaN and infinities included, on any rectangle
+    grid = make_grid(lx, ly, *shape)
+    real = arrays(np.float64, shape)
+    u = data.draw(real)
+    if complex_kind:
+        u = u.astype(np.complex128)
+        u.imag = data.draw(real)
+    v, vt = data.draw(real), data.draw(real)
+    state = make_state(*(field_from_coef(grid, c) for c in (u, v, vt)), t)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.bin")
+        save_checkpoint(path, state)
+        back = load_checkpoint(path)
+    assert (back.grid.Lx, back.grid.Ly, back.grid.shape) == (grid.Lx, grid.Ly, grid.shape)
+    assert back.t == state.t and np.copysign(1.0, back.t) == np.copysign(1.0, state.t)
+    for name in ("u", "v", "vt"):
+        old, new = getattr(state, name).coef, getattr(back, name).coef
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
