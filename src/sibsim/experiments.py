@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, functionals
 from .config import RunConfig, build_grid, build_initial_state, build_params
 from .dynamics import (
     BlowupError,
@@ -41,7 +41,7 @@ from .functionals import (
     h1_envelope_lhs,
     small_envelope_lhs,
 )
-from .grids import Field, field_from_coef, h1_norm, h2_norm, sobolev_norm
+from .grids import Field, field_from_coef, h1_norm, h2_norm, make_grid, sobolev_norm
 from .output import (
     checkpoint_name,
     file_checksums,
@@ -457,11 +457,14 @@ def _random_field(grid, rng, kind="real") -> Field:
 
 
 def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None = None) -> int:
-    """Exactness and inequality suite for the stepper's spectral symbols.
+    """Exactness and inequality suite for the stepper's spectral symbols,
+    plus the certification of the stored default C0.
 
     Every symbol checked is an attribute of the stepping kernel
     (dynamics._Kernels) built on the configured grid, so the suite
-    certifies the arrays the integrator multiplies by.  inject_fault
+    certifies the arrays the integrator multiplies by.  The stored C0
+    (functionals.REFERENCE_C0) is re-derived on its own 128^2 reference
+    grid, whatever the configured one.  inject_fault
     deliberately corrupts one Yosida symbol value; the suite must then
     fail (self-test of the harness).
     """
@@ -613,6 +616,19 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
             worst_ident >= 0.0,
             worst_ident,
             "100 random fields, 1e-10 relative",
+        )
+    )
+
+    # the stored default C0 is certified only while it does not exceed a
+    # fresh estimate on the grid it was derived on (read at call time)
+    fresh_c0 = estimate_gn_constant(make_grid(2 * math.pi, 2 * math.pi, 128, 128))
+    c0_slack = fresh_c0 * (1.0 + 1e-12) - functionals.REFERENCE_C0
+    assertions.append(
+        Assertion(
+            "stored-c0-certified",
+            c0_slack >= 0.0,
+            c0_slack,
+            f"REFERENCE_C0 <= fresh 128^2 estimate {fresh_c0:.16g}, 1e-12 relative slack",
         )
     )
 

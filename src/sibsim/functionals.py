@@ -19,7 +19,9 @@ Conventions:
   Gagliardo-Nirenberg constant C0.  C0 = sqrt(2)/||Q||_2 with Q the ground
   state of Lap Q - Q + Q^3 = 0; `estimate_gn_constant` approaches it from
   below on a given grid, so every asserted inequality uses a certified lower
-  bound of the true constant.
+  bound of the true constant.  The default C0 is such a bound, stored as
+  REFERENCE_C0 rather than estimated in every process; `sibsim check`
+  re-derives it and fails if the stored value exceeds the fresh estimate.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .grids import (
     h2_norm,
     intensity_coef,
     lp_norm,
-    make_grid,
     sobolev_norm,
     values_to_coef,
 )
@@ -310,16 +311,21 @@ def estimate_gn_constant(grid: Grid2D, max_iter: int = 400, tol: float = 1e-11) 
     return j
 
 
+# estimate_gn_constant(make_grid(2 * pi, 2 * pi, 128, 128)), stored so that
+# no process pays the estimate (about 80 ms).  It matches sqrt(2)/||Q||_2
+# (||Q||_2^2 = 11.7009) to six digits while staying below it.  The check
+# suite's stored-c0-certified assertion re-derives it on that grid.
+REFERENCE_C0 = 0.4134332756889266
+
+
+# still a cached function: the benchmark's cold set-up calls cache_clear()
 @lru_cache(maxsize=1)
 def default_gn_constant() -> float:
-    """C0 from the estimator on a fixed internal reference grid.
-
-    128 modes per direction on (0, 2pi)^2 gives 0.413433, matching
-    sqrt(2)/||Q||_2 (||Q||_2^2 = 11.7009) to six digits while staying below
-    it, as required for asserted inequalities.  Overridable per run through
-    the config c0 option.
+    """The stored, certified C0 (REFERENCE_C0): the estimator's lower bound
+    on 128 modes per direction over (0, 2pi)^2, re-derived by `sibsim
+    check`.  Overridable per run through the config c0 option.
     """
-    return estimate_gn_constant(make_grid(2 * np.pi, 2 * np.pi, 128, 128))
+    return REFERENCE_C0
 
 
 # ---------------------------------------------------------------------------

@@ -87,11 +87,20 @@ def test_growth_envelope_dominates_h1_quantity_on_long_run():
     )
 
 
-def test_uniform_bound_holds_for_small_eps_family():
-    results = []
+@pytest.fixture(scope="module")
+def small_eps_family():
+    """Default-data records over T = 5 for eps 0.1 down to 0.0125, keyed by
+    eps, shared by the small-data and the H1 envelope tests."""
+    records = {}
     for eps in (0.1, 0.05, 0.025, 0.0125):
         cfg = RunConfig(T=5.0, eps=eps)
-        rec = integrate(build_initial_state(cfg), cfg.T, build_params(cfg))
+        records[eps] = integrate(build_initial_state(cfg), cfg.T, build_params(cfg))
+    return records
+
+
+def test_uniform_bound_holds_for_small_eps_family(small_eps_family):
+    results = []
+    for eps, rec in small_eps_family.items():
         lhs = small_envelope_lhs(rec.series, eps)
         c6 = float(rec.column("envelope_small")[0])
         results.append((eps, float(np.max(lhs)), c6))
@@ -100,6 +109,26 @@ def test_uniform_bound_holds_for_small_eps_family():
         f"eps={eps:g}: sup {sup:.3f} vs C6 {c6:.3f}" for eps, sup, c6 in results
     )
     assert _verdict(ok, "uniform-small-data-bound", detail + " over T=5")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the H1 envelope C3*exp(C0^2 ||phi||^2 t) holds at eps=0.1 (min "
+    "gap +0.844 at t=1.13) but not below it: -1.398 at eps=0.05 (t=1.10), "
+    "-2.668 at eps=0.025 (t=1.08), -3.336 at eps=0.0125 (t=1.07), samples "
+    "every 0.01; the same margins at finer dt and other N say it is not a "
+    "resolution effect, and the unweighted ||vt||^2 in the left-hand side is "
+    "the suspect, so the check is kept until a derivation settles it",
+)
+def test_h1_envelope_dominates_for_small_eps_family(small_eps_family):
+    gaps = {}
+    for eps, rec in small_eps_family.items():
+        env = rec.column("envelope_h1")
+        gap = float(np.min(env - h1_envelope_lhs(rec.series)))
+        gaps[eps] = (gap, 1e-12 * max(1.0, float(np.max(env))))
+    ok = all(gap >= -slack for gap, slack in gaps.values())
+    detail = "; ".join(f"eps={eps:g}: min gap {gap:.3f}" for eps, (gap, _) in gaps.items())
+    assert _verdict(ok, "h1-envelope-small-eps", detail + " over T=5")
 
 
 def test_distance_to_limit_system_decreases_with_eps():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import sibsim
-from sibsim import dynamics
+from sibsim import dynamics, functionals
 from sibsim.cli import main
 from sibsim.functionals import SERIES_COLUMNS
 from sibsim.output import load_checkpoint
@@ -116,6 +117,48 @@ def test_import_pins_blas_threads_unless_set(preset, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(expected)
+
+
+# a default run, warmed up, then timed in minor page faults: with the import's
+# allocator thresholds the temporaries of each step and monitor row are
+# reused in place; glibc's own thresholds unmap and fault them in every time
+_FAULT_PROBE = """
+import resource
+import sibsim
+from sibsim.config import RunConfig, build_initial_state, build_params
+from sibsim.functionals import REFERENCE_C0, RunMonitor
+cfg = RunConfig()
+state, params = build_initial_state(cfg), build_params(cfg)
+monitor = RunMonitor.from_state(state, c0=REFERENCE_C0)
+sibsim.integrate(state, 0.02, params, monitor=monitor)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+sibsim.integrate(state, 0.2, params, monitor=monitor)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+@pytest.mark.parametrize(
+    "preset, many_faults",
+    [({}, False), ({"MALLOC_TRIM_THRESHOLD_": "131072"}, True)],
+    ids=["unset", "set-by-user"],
+)
+def test_import_keeps_step_temporaries_mapped_unless_malloc_tuned(preset, many_faults):
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+    }
+    env.update(preset, PYTHONPATH=os.path.dirname(os.path.dirname(sibsim.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout)
+    if many_faults:
+        assert faults >= 1000
+    else:
+        assert faults < 200
 
 
 def test_cli_import_leaves_scipy_fft_unloaded():
@@ -255,6 +298,30 @@ def test_check_certifies_the_stepping_kernel(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     verdicts = {a["name"]: a["passed"] for a in manifest["assertions"]}
     assert verdicts["yosida-symbol-contraction"] is False
+
+
+def test_check_certifies_the_stored_c0(tmp_path, monkeypatch):
+    # a stored C0 above the fresh reference-grid estimate must fail its
+    # assertion, and only that one
+    monkeypatch.setattr(functionals, "REFERENCE_C0", 0.42)
+    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "check"]) == 1
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    failed = [a["name"] for a in manifest["assertions"] if not a["passed"]]
+    assert failed == ["stored-c0-certified"]
+    assert len(manifest["assertions"]) == 13
+
+
+def test_run_uses_the_stored_c0_without_estimating(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a run must not estimate C0")
+
+    functionals.default_gn_constant.cache_clear()
+    monkeypatch.setattr(functionals, "estimate_gn_constant", refuse)
+    cfg = write(tmp_path, SMALL_RUN)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "run"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["envelope_constants"]["c0"] == functionals.REFERENCE_C0
 
 
 def test_estimate_c0_writes_artifact(tmp_path):

@@ -195,7 +195,7 @@ def test_cube_is_the_nested_padded_product_bit_for_bit(shape, lx, ly):
 
 
 def test_estimator_iteration_makes_4_padded_and_1_refined_transform(monkeypatch):
-    # on the reference grid of default_gn_constant: one band analysis of the
+    # on the reference grid of REFERENCE_C0: one band analysis of the
     # starting bump, its quotient at 2N, then per iteration the cube's 4
     # transforms at the 3/2 padding and the new quotient's 1 at 2N
     g = make_grid(2 * np.pi, 2 * np.pi, 128, 128)
@@ -219,6 +219,14 @@ def test_default_gn_constant_value_and_cache():
     assert c0 == pytest.approx(0.4134332757, rel=1e-6)
     assert 0.412 < c0 < 0.413434
     assert default_gn_constant() == c0
+
+
+def test_stored_c0_is_the_reference_grid_estimate():
+    # REFERENCE_C0 re-derived from scratch: the estimator's lower bound on
+    # the 128^2 reference grid, below the sharp constant 0.41343...
+    fresh = estimate_gn_constant(make_grid(2 * np.pi, 2 * np.pi, 128, 128))
+    assert functionals.REFERENCE_C0 == pytest.approx(fresh, rel=1e-12, abs=0.0)
+    assert functionals.REFERENCE_C0 < 0.413434
 
 
 # ---------------------------------------------------------------------------
