@@ -2,8 +2,9 @@
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid
 configuration or violated hypothesis, 3 numerical abort (non-finite values,
-a non-contracting fixed-point iteration, or a Yosida potential flow whose
-Taylor series does not converge; any dynamics.NumericalAbort).
+a non-contracting fixed-point iteration, or a Yosida potential flow step
+that would need more substeps than its budget; any
+dynamics.NumericalAbort).
 """
 
 from __future__ import annotations

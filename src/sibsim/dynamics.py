@@ -92,15 +92,22 @@ class PicardDivergenceError(NumericalAbort):
 
 
 class PotentialFlowError(NumericalAbort):
-    """The Taylor series of the Yosida potential flow did not converge."""
+    """A Yosida potential flow step is too long for its potential.
 
-    def __init__(self, terms: int, rel_term: float):
+    The flow is summed in substeps of length h with h * max|J v| <= 1, so
+    beta = |dt| * max|J v| asks for ceil(beta) of them; a step that would
+    need more than _MAX_SUBSTEPS is refused instead of being summed at up
+    to 36 padded transforms per substep.
+    """
+
+    def __init__(self, beta: float, substeps: int):
         super().__init__(
-            f"Yosida potential flow did not converge: after {terms} Taylor "
-            f"terms the last term's relative size is {rel_term:.3e}"
+            f"Yosida potential flow step too long for its potential: "
+            f"beta = dt * max|J v| = {beta:.3e} would need {substeps} "
+            f"substeps, more than the budget of {_MAX_SUBSTEPS}"
         )
-        self.terms = terms
-        self.rel_term = rel_term
+        self.beta = beta
+        self.substeps = substeps
 
 
 @dataclass(frozen=True)
@@ -193,9 +200,10 @@ class TrajectoryRecord:
 # built only at monitor samples.
 
 
-# Most terms of the regularized potential flow's Taylor series; a step whose
-# series has not fallen to round-off by then is too long for its potential.
-_TAYLOR_TERMS = 39
+# Most substeps of the regularized potential flow in one call.  A substep
+# with h * max|J v| <= 1 stops after at most 18 Taylor terms (1/(18! * 18) <
+# 1e-17), so this caps one call at about 36,000 padded transforms.
+_MAX_SUBSTEPS = 1000
 
 
 class _Kernels:
@@ -273,8 +281,16 @@ class _Kernels:
     def wave_half(self, v, vt, f):
         """Exact flow over dt/2 of v'' = -omega^2 (v + f), f frozen."""
         z = v + f
-        v1 = self.cos_half * z + self.sinc_half * vt - f
-        vt1 = -self.wsin_half * z + self.cos_half * vt
+        # in place, and bit for bit equal to
+        #   v1 = cos_half*z + sinc_half*vt - f,  vt1 = -wsin_half*z + cos_half*vt
+        # (x - y is x + (-y) exactly, and addition commutes)
+        v1 = self.cos_half * z
+        tmp = self.sinc_half * vt
+        v1 += tmp
+        v1 -= f
+        z *= self.wsin_half
+        vt1 = np.multiply(self.cos_half, vt, out=tmp)
+        vt1 -= z
         return v1, vt1
 
     def potential_flow(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -284,37 +300,83 @@ class _Kernels:
         collocation nodes; the orthonormal transform then makes the substep
         exactly unitary, so it must not go through the padded product grid
         (truncating from there would leak mass out of the band).
-        Regularized, the generator is I -> J(Jv * J .), which is no longer a
-        nodal multiplier; its exponential is summed as a Taylor series until
-        the term norm falls below round-off, and is unitary because the
-        generator is self-adjoint on the band.  Jv is synthesized on the
-        product grid once per call, so k terms take 2k + 1 transforms.
+
+        Regularized, the generator H = J (Jv * J .) is no longer a nodal
+        multiplier, and exp(-i dt H) u is summed as a Taylor series.  The
+        series is certified by a cheap exact bound,
+
+            ||H||_2 <= max over the product nodes of |J v|:
+
+        scaled synthesis on the product grid is an isometry from the band
+        (the discrete sines are orthogonal under the node sum), analysis
+        truncated to the band is its adjoint and so a contraction, and
+        0 < J <= 1.  H is self-adjoint on the band for the same reason, so
+        the flow is unitary.  With beta = |dt| max|J v| the step is split
+        into s = ceil(beta) substeps of length h, so h ||H|| <= 1, and
+        within a substep the sum stops after term k as soon as
+
+            ||term_k|| r / (1 - r) <= 1e-17 ||u||,   r = |h| max|J v| / (k+1),
+
+        which bounds the whole remaining tail (each later term shrinks by
+        at least r), so no term that is already proven negligible is
+        computed.  This is the bound that Al-Mohy and Higham (SIAM J. Sci.
+        Comput. 33 (2011), section 3) use to pick the substeps and the
+        truncation of a Taylor sum.  Jv is frozen, so it is synthesized on
+        the product grid once per call: k terms in all take 2k + 1
+        transforms.  A non-finite bound is left to the callers' blow-up
+        checks, as are non-finite terms.
 
         Raises:
-            PotentialFlowError: if the series has not reached round-off
-                after _TAYLOR_TERMS terms.
+            PotentialFlowError: if the step needs more than _MAX_SUBSTEPS
+                substeps.
         """
         if not self.params.coupling:
             return u
         dt = self.dt
+        grid = self.grid
         if self.jsym is None:
-            vv = coef_to_values(self.grid, v)
-            uu = coef_to_values(self.grid, u)
-            return values_to_coef(self.grid, np.exp(-1j * dt * vv) * uu)
-        grid, shape = self.grid, self.prod_shape
+            # exp(-i dt vv) * uu, with the phase written as cos + i sin
+            # (what cexp gives bit for bit) into one preallocated array
+            vv = coef_to_values(grid, v)
+            uu = coef_to_values(grid, u)
+            y = -dt * vv
+            phase = np.empty(y.shape, dtype=np.complex128)
+            np.cos(y, out=phase.real)
+            np.sin(y, out=phase.imag)
+            phase *= uu
+            return values_to_coef(grid, phase)
+        shape = self.prod_shape
         jv = coef_to_values(grid, self.jsym * v, shape)
-        out = u.copy()
-        term = u
+        jv_max = max(jv.max(), -jv.min())
+        beta = abs(dt) * jv_max
+        substeps = 1
+        if np.isfinite(beta):
+            substeps = max(1, ceil(beta))
+            if substeps > _MAX_SUBSTEPS:
+                raise PotentialFlowError(float(beta), substeps)
+        h = dt / substeps
+        hb = abs(h) * jv_max
+        # the flow is unitary, so every substep starts from norm ||u||
         norm0 = np.linalg.norm(u)
-        for k in range(1, _TAYLOR_TERMS + 1):
-            jterm = coef_to_values(grid, self.jsym * term, shape)
-            term = (-1j * dt / k) * self.jsym * values_to_coef(grid, jv * jterm)
-            out += term
-            tnorm = np.linalg.norm(term)
-            # a non-finite state is left to the callers' blow-up checks
-            if tnorm <= 1e-17 * norm0 or not np.isfinite(tnorm):
-                return out
-        raise PotentialFlowError(_TAYLOR_TERMS, float(tnorm / norm0))
+        tol = 1e-17 * norm0
+        out = u
+        for _ in range(substeps):
+            term = out
+            out = out.copy()
+            tnorm = norm0
+            k = 0
+            while np.isfinite(tnorm):
+                r = hb / (k + 1)
+                # tail <= tnorm r/(1 - r) <= tol, written without dividing
+                # so that r >= 1 (nothing proven yet) reads false
+                if tnorm * r <= tol * (1.0 - r):
+                    break
+                k += 1
+                jterm = coef_to_values(grid, self.jsym * term, shape)
+                term = (-1j * h / k) * self.jsym * values_to_coef(grid, jv * jterm)
+                out += term
+                tnorm = np.linalg.norm(term)
+        return out
 
     def step(self, u, v, vt):
         f = self.wave_source(u)

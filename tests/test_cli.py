@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, artifacts, and determinism."""
 
+import csv
 import json
 import os
 import platform
@@ -246,22 +247,38 @@ def test_blowup_exits_3(tmp_path, capsys):
     assert manifest["last_finite_t"] == 0.0
 
 
+YOSIDA_LONG_STEP = (
+    "[grid]\nnx = 16\nny = 16\n"
+    "[data]\npsi0 = {amp}*sin(x)*sin(y)\n"
+    "[run]\nyosida_n = 8\ndt = 0.05\nt = 0.1\n"
+)
+
+
+def test_long_yosida_potential_flow_step_is_substepped(tmp_path):
+    # dt * max|J v| is about 64 here: the flow is summed in that many
+    # substeps and stays unitary, so the run reaches T with its charge
+    cfg = write(tmp_path, YOSIDA_LONG_STEP.format(amp=2000))
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "run"])
+    assert code == 0
+    with open(tmp_path / "o" / "series.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert float(rows[-1]["t"]) == pytest.approx(0.1)
+    charge = np.array([float(row["charge"]) for row in rows])
+    assert np.max(np.abs(charge - charge[0])) / charge[0] <= 1e-10
+
+
 def test_divergent_yosida_potential_flow_exits_3(tmp_path, capsys):
-    # a step far too long for this potential: the flow's Taylor series
-    # cannot converge, and the run stops instead of stepping on to a state
-    # with a norm of about 3e11
-    cfg = write(
-        tmp_path,
-        "[grid]\nnx = 16\nny = 16\n"
-        "[data]\npsi0 = 2000*sin(x)*sin(y)\n"
-        "[run]\nyosida_n = 8\ndt = 0.05\nt = 0.1\n",
-    )
+    # a step far too long for this potential: dt * max|J v| is about 6e3,
+    # beyond the flow's substep budget, and the run stops instead of
+    # spending that many substeps on one step
+    cfg = write(tmp_path, YOSIDA_LONG_STEP.format(amp="2e5"))
     code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "run"])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("numerical abort") == 1
-    assert "potential flow" in captured.err and "39 Taylor terms" in captured.err
+    assert "potential flow" in captured.err and "beta = " in captured.err
+    assert f"budget of {dynamics._MAX_SUBSTEPS}" in captured.err
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["status"] == "numerical-abort"
     assert manifest["files"] == {}

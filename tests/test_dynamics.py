@@ -2,12 +2,14 @@
 order, reversibility, blow-up detection, and the Picard-Duhamel oracle."""
 
 from dataclasses import replace
+from math import ceil
 
 import numpy as np
 import pytest
 
 from conftest import count_transforms, random_field
 from sibsim import dynamics
+from sibsim.config import RunConfig, build_initial_state, build_params
 from sibsim.dynamics import (
     BlowupError,
     PicardDivergenceError,
@@ -26,9 +28,11 @@ from sibsim.functionals import charge, difference_metric
 from sibsim.grids import (
     analyze,
     coef_product,
+    coef_to_values,
     field_from_coef,
     intensity_coef,
     make_grid,
+    values_to_coef,
     zero_field,
 )
 
@@ -203,34 +207,45 @@ def test_taylor_potential_flow_matches_unregularized_for_large_n():
 
 
 def test_yosida_potential_flow_fails_loudly_when_too_long():
-    # |J v| dt ~ 1e2 on this data: the Taylor series of the flow cannot
-    # reach round-off within its term limit, and summing the terms it has
-    # would take the norm of u from 1.57 to about 2e15
+    # |J v| dt ~ 8e3 on this data: the flow would need that many substeps
+    # of h |J v| <= 1, more than its budget, so it refuses the step and
+    # names the bound
     st = standard_state(16)
-    st = replace(st, v=field_from_coef(st.grid, 2000.0 * st.v.coef))
+    st = replace(st, v=field_from_coef(st.grid, 2e5 * st.v.coef))
     params = SystemParams(eps=1.0, dt=0.05, yosida_n=8.0)
     with pytest.raises(PotentialFlowError) as err:
         schrodinger_substep(st.u, st.v, 0.05, params)
-    assert err.value.terms == dynamics._TAYLOR_TERMS
-    assert err.value.rel_term > 1.0
-    assert "potential flow" in str(err.value)
+    assert err.value.substeps > dynamics._MAX_SUBSTEPS
+    assert err.value.substeps == ceil(err.value.beta)
+    assert "potential flow" in str(err.value) and "beta" in str(err.value)
 
 
 def _taylor_reference(ker, u, v):
-    """The regularized potential flow as a Taylor sum of padded products,
-    each re-synthesizing J v; returns the sum and its term count."""
+    """The regularized potential flow as Taylor sums of padded products,
+    each re-synthesizing J v, over ceil(beta) substeps, beta = |dt| max|J v|;
+    a substep stops after term k once ||term_k|| r / (1 - r) <= 1e-17 ||u||,
+    r = |h| max|J v| / (k + 1).  Returns the flow and its term count."""
     jv = ker.jsym * v
-    out = u.copy()
-    term = u
+    jv_max = np.max(np.abs(coef_to_values(ker.grid, jv, ker.prod_shape)))
+    substeps = max(1, ceil(abs(ker.dt) * jv_max))
+    h = ker.dt / substeps
     norm0 = np.linalg.norm(u)
-    for k in range(1, dynamics._TAYLOR_TERMS + 1):
-        term = (-1j * ker.dt / k) * ker.jsym * coef_product(
-            ker.grid, jv, ker.jsym * term, ker.prod_shape
-        )
-        out += term
-        if np.linalg.norm(term) <= 1e-17 * norm0:
-            return out, k
-    raise AssertionError("reference Taylor sum did not converge")
+    out, terms = u, 0
+    for _ in range(substeps):
+        term, out = out, out.copy()
+        tnorm, k = norm0, 0
+        while True:
+            r = abs(h) * jv_max / (k + 1)
+            if r < 1 and tnorm * r / (1 - r) <= 1e-17 * norm0:
+                break
+            k += 1
+            term = (-1j * h / k) * ker.jsym * coef_product(
+                ker.grid, jv, ker.jsym * term, ker.prod_shape
+            )
+            out += term
+            tnorm = np.linalg.norm(term)
+        terms += k
+    return out, terms
 
 
 def yosida_case(dealias: bool):
@@ -261,6 +276,86 @@ def test_yosida_step_makes_2k_plus_5_transforms(monkeypatch, dealias):
     counts = count_transforms(monkeypatch)
     ker.step(u, v, vt)
     assert counts == {ker.prod_shape: 2 * terms + 5}
+
+
+def test_default_yosida_step_makes_13_padded_transforms(monkeypatch):
+    # the default preset at n = 8 (64^2, dt = 1e-3): the bound proves the
+    # tail negligible after 4 Taylor terms, so 2*4 + 5 padded transforms
+    cfg = RunConfig()
+    params = build_params(cfg, yosida_n=8)
+    st = prepare_initial_state(build_initial_state(cfg), params)
+    ker = dynamics._Kernels(st.grid, params, params.dt)
+    counts = count_transforms(monkeypatch)
+    ker.step(st.u.coef, st.v.coef, st.vt.coef)
+    assert counts == {ker.prod_shape: 2 * 4 + 5}
+
+
+def _dense_generator(ker, v):
+    """H = J (Jv * J .) as a dense real matrix on the flattened band, and
+    max |J v| over the product nodes."""
+    grid = ker.grid
+    jv = coef_to_values(grid, ker.jsym * v, ker.prod_shape)
+    cols = []
+    for e in np.eye(grid.Nx * grid.Ny):
+        je = coef_to_values(grid, ker.jsym * e.reshape(grid.shape), ker.prod_shape)
+        cols.append((ker.jsym * values_to_coef(grid, jv * je)).ravel())
+    return np.array(cols).T, float(np.max(np.abs(jv)))
+
+
+def generator_case(dealias: bool):
+    g = make_grid(np.pi, 2.0, 8, 6)
+    rng = np.random.default_rng(11)
+    u = random_field(g, rng, kind="complex").coef
+    v = 40.0 * random_field(g, rng).coef
+    params = SystemParams(dt=1.0, yosida_n=4.0, dealias=dealias)
+    return u, v, dynamics._Kernels(g, params, params.dt)
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["padded", "nodal"])
+def test_yosida_generator_is_symmetric_and_bounded_by_max_jv(dealias):
+    # scaled synthesis is an isometry from the band, truncated analysis its
+    # adjoint, 0 < J <= 1: H is symmetric and ||H||_2 <= max |J v|
+    _, v, ker = generator_case(dealias)
+    H, jv_max = _dense_generator(ker, v)
+    assert np.max(np.abs(H - H.T)) <= 1e-15
+    assert np.linalg.norm(H, 2) <= jv_max
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["padded", "nodal"])
+def test_substepped_yosida_flow_matches_the_dense_exponential(dealias):
+    from scipy.linalg import expm
+
+    u, v, ker = generator_case(dealias)
+    H, jv_max = _dense_generator(ker, v)
+    dt = 2.9 / jv_max  # beta = 2.9: three substeps
+    ker = dynamics._Kernels(ker.grid, replace(ker.params, dt=dt), dt)
+    assert ceil(dt * jv_max) == 3
+    exact = (expm(-1j * dt * H) @ u.ravel()).reshape(u.shape)
+    flowed = ker.potential_flow(u, v)
+    norm0 = np.linalg.norm(u)
+    assert np.linalg.norm(flowed - exact) <= 1e-13 * norm0
+    assert abs(np.linalg.norm(flowed) - norm0) <= 1e-14 * norm0
+
+
+def test_nodal_step_kernels_equal_their_written_out_formulas():
+    # wave_half accumulates in place and the nodal phase is written as
+    # cos + i sin; both must equal the plain expressions bit for bit and
+    # leave their inputs alone
+    g = make_grid(np.pi, 2.0, 12, 10)
+    rng = np.random.default_rng(9)
+    u = random_field(g, rng, kind="complex").coef
+    v, vt, f = (random_field(g, rng).coef for _ in range(3))
+    inputs = [a.copy() for a in (u, v, vt, f)]
+    ker = dynamics._Kernels(g, SystemParams(eps=0.5, dt=3e-2), 3e-2)
+    v1, vt1 = ker.wave_half(v, vt, f)
+    z = v + f
+    assert np.array_equal(v1, ker.cos_half * z + ker.sinc_half * vt - f)
+    assert np.array_equal(vt1, -ker.wsin_half * z + ker.cos_half * vt)
+    vv, uu = coef_to_values(g, v), coef_to_values(g, u)
+    phase = values_to_coef(g, np.exp(-1j * ker.dt * vv) * uu)
+    assert np.array_equal(ker.potential_flow(u, v), phase)
+    for before, after in zip(inputs, (u, v, vt, f)):
+        assert np.array_equal(before, after)
 
 
 def test_strang_step_equals_manual_substep_composition():
