@@ -34,14 +34,13 @@ if not any(var in os.environ for var in _MALLOC_VARS):
     except (OSError, AttributeError, TypeError):
         pass
 
-from .grids import Field, Grid2D, analyze, make_grid, synthesize
+from .grids import Field, Grid2D, analyze, make_grid
 from .dynamics import (
     State,
     SystemParams,
     integrate,
     make_state,
     picard_duhamel,
-    strang_step,
 )
 from .functionals import (
     DataNorms,
@@ -60,13 +59,11 @@ __all__ = [
     "Grid2D",
     "analyze",
     "make_grid",
-    "synthesize",
     "State",
     "SystemParams",
     "integrate",
     "make_state",
     "picard_duhamel",
-    "strang_step",
     "DataNorms",
     "EnvelopeConstants",
     "charge",

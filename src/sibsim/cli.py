@@ -1,9 +1,10 @@
 """Command line entry point.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid
-configuration or violated hypothesis, 3 numerical abort (non-finite values,
-a non-contracting fixed-point iteration, or a Yosida potential flow step
-that would need more substeps than its budget; any
+configuration or violated hypothesis (ValueError), or a config file or
+output directory the OS refuses (OSError), 3 numerical abort (non-finite
+values, a non-contracting fixed-point iteration, or a Yosida potential
+flow step that would need more substeps than its budget; any
 dynamics.NumericalAbort).
 """
 
@@ -110,7 +111,7 @@ def main(argv=None) -> int:
             "order-test": experiments.cmd_order_test,
         }[args.command]
         return command(config, quiet=args.quiet)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except NumericalAbort as exc:

@@ -12,8 +12,8 @@ frequencies are handled spectrally.
 
 Two solvers:
 
-* `strang_step` / `integrate`: second-order symmetric splitting
-  (half wave, full Schrodinger, half wave), the production path.
+* `integrate`: second-order symmetric splitting (half wave, full
+  Schrodinger, half wave; one step is `_Kernels.step`), the production path.
 * `picard_duhamel`: fixed-point iteration on the variation-of-constants
   form of the system, used as a cross-validation oracle.
 
@@ -56,9 +56,6 @@ __all__ = [
     "make_state",
     "prepare_initial_state",
     "dudt",
-    "wave_substep",
-    "schrodinger_substep",
-    "strang_step",
     "integrate",
     "picard_duhamel",
 ]
@@ -117,7 +114,7 @@ class SystemParams:
     Attributes:
         eps: wave-regularization strength in [0, 1]; 1 recovers the
             improved-Boussinesq system, 0 the Zakharov system.
-        dt: time step used by strang_step and integrate.
+        dt: time step used by integrate.
         yosida_n: optional Yosida index n; when set, every nonlinearity is
             evaluated as J_n(J_n v * J_n u) (and J_n |J_n u|^2 in the wave
             source), mirroring the regularized system.
@@ -188,9 +185,6 @@ class TrajectoryRecord:
     series: dict[str, np.ndarray]
     final_state: State
     checkpoints: dict[float, State]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.series[name]
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +373,9 @@ class _Kernels:
         return out
 
     def step(self, u, v, vt):
+        """One symmetric splitting step of length dt: half wave, full
+        Schrodinger with v at the half step, half wave (sources refreshed
+        from the updated u)."""
         f = self.wave_source(u)
         v, vt = self.wave_half(v, vt, f)
         u = self.phase_half * u
@@ -409,47 +406,6 @@ def dudt(state: State, params: SystemParams) -> Field:
     ker = _Kernels(state.grid, params, None)
     p = ker.coupled_product(state.v.coef, state.u.coef.astype(np.complex128))
     return field_from_coef(state.grid, 1j * (-state.grid.lam * state.u.coef - p))
-
-
-def wave_substep(v: Field, vt: Field, f: Field, dt: float, eps: float) -> tuple[Field, Field]:
-    """Exact variation-of-constants update of v'' = -omega_eps^2 (v + f):
-    the stepper's wave half step, taken over dt.
-
-    The per-mode energy omega^2 |v + f|^2 + |vt|^2 is invariant.
-    """
-    if not (v.grid.compatible(vt.grid) and v.grid.compatible(f.grid)):
-        raise ValueError("fields live on different grids")
-    ker = _Kernels(v.grid, SystemParams(eps=eps), 2 * dt)
-    v1, vt1 = ker.wave_half(v.coef, vt.coef, f.coef)
-    return field_from_coef(v.grid, v1), field_from_coef(v.grid, vt1)
-
-
-def schrodinger_substep(
-    u: Field, v_frozen: Field, dt: float, params: SystemParams | None = None
-) -> Field:
-    """Kinetic-potential-kinetic update over dt with the potential frozen:
-    exp(i dt/2 Laplacian) Phi exp(i dt/2 Laplacian), Phi the potential flow.
-
-    params controls dealiasing and Yosida wrapping of the potential; omitted
-    means dealiased and unregularized.
-    """
-    if not u.grid.compatible(v_frozen.grid):
-        raise ValueError("fields live on different grids")
-    if params is None:
-        params = SystemParams()
-    ker = _Kernels(u.grid, params, dt)
-    w = ker.phase_half * u.coef.astype(np.complex128)
-    w = ker.potential_flow(w, v_frozen.coef)
-    return field_from_coef(u.grid, ker.phase_half * w)
-
-
-def strang_step(state: State, params: SystemParams) -> State:
-    """One symmetric splitting step of length params.dt: half wave, full
-    Schrodinger with v at the half step, half wave (sources refreshed from
-    the updated u)."""
-    ker = _Kernels(state.grid, params, params.dt)
-    u, v, vt = ker.step(state.u.coef.astype(np.complex128), state.v.coef, state.vt.coef)
-    return _state_from_coef(state.grid, u, v, vt, state.t + params.dt)
 
 
 def integrate(

@@ -6,9 +6,9 @@ Every command takes a RunConfig, writes its artifacts into the configured
 output directory, prints one line per assertion, and returns a process
 exit code: 0 all assertions pass, 1 an assertion failed.  The other two
 exit codes come from exceptions that the CLI maps in one place: 2 for
-invalid configuration (ValueError), 3 for a numerical abort
-(dynamics.NumericalAbort; cmd_run first writes its manifest with status
-numerical-abort).
+invalid configuration (ValueError, or an OSError from the file system), 3
+for a numerical abort (dynamics.NumericalAbort; cmd_run first writes its
+manifest with status numerical-abort).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .dynamics import (
     NumericalAbort,
     State,
     SystemParams,
+    TrajectoryRecord,
     _Kernels,
     integrate,
     prepare_initial_state,
@@ -41,7 +42,7 @@ from .functionals import (
     h1_envelope_lhs,
     small_envelope_lhs,
 )
-from .grids import Field, field_from_coef, h1_norm, h2_norm, make_grid, sobolev_norm
+from .grids import field_from_coef, h1_norm, h2_norm, make_grid, sobolev_norm
 from .output import (
     checkpoint_name,
     file_checksums,
@@ -105,8 +106,10 @@ def _resolved(config: RunConfig) -> dict:
     }
 
 
-def _manifest_base(command: str, config: RunConfig) -> dict:
-    return {
+def _manifest_base(command: str, config: RunConfig, monitor: RunMonitor | None = None) -> dict:
+    """The manifest fields every command writes, plus the data norms and
+    envelope constants of `monitor` when given."""
+    manifest = {
         "command": command,
         "config": config.raw,
         "resolved": _resolved(config),
@@ -116,15 +119,11 @@ def _manifest_base(command: str, config: RunConfig) -> dict:
             "scipy": scipy.__version__,
         },
     }
-
-
-def _monitor_payload(monitor: RunMonitor) -> dict:
-    dn = monitor.dn
-    ec = monitor.ec
-    return {
-        "data_norms": {name: getattr(dn, name) for name in vars(dn)},
-        "envelope_constants": {"c0": ec.c0, "c3": ec.c3, "c6": ec.c6},
-    }
+    if monitor is not None:
+        dn, ec = monitor.dn, monitor.ec
+        manifest["data_norms"] = {name: getattr(dn, name) for name in vars(dn)}
+        manifest["envelope_constants"] = {"c0": ec.c0, "c3": ec.c3, "c6": ec.c6}
+    return manifest
 
 
 def _finish(
@@ -144,9 +143,33 @@ def _finish(
     return 0 if ok else 1
 
 
-def _run_monitor(state0: State, params: SystemParams, config: RunConfig) -> RunMonitor:
+def _start(config: RunConfig, params: SystemParams) -> tuple[State, RunMonitor]:
+    """Create the output directory, build the initial data, and the monitor
+    of the data as `params` prepares them."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    state0 = build_initial_state(config)
     c0 = config.c0 if config.c0 is not None else default_gn_constant()
-    return RunMonitor.from_state(prepare_initial_state(state0, params), c0=c0)
+    return state0, RunMonitor.from_state(prepare_initial_state(state0, params), c0=c0)
+
+
+def _evolve(
+    state0: State,
+    config: RunConfig,
+    params: SystemParams,
+    monitor: RunMonitor,
+    checkpoint_times: tuple[float, ...] = (),
+    monitor_stride: int | None = None,
+) -> TrajectoryRecord:
+    """integrate() from state0 over config.T, sampled every monitor_stride
+    steps (default: the configured stride)."""
+    return integrate(
+        state0,
+        config.T,
+        params,
+        monitor_stride=monitor_stride or config.monitor_stride,
+        monitor=monitor,
+        checkpoint_times=checkpoint_times,
+    )
 
 
 def _sample_times(config: RunConfig) -> tuple[float, ...]:
@@ -238,22 +261,12 @@ def _growth_report(series: dict) -> dict:
 
 def cmd_run(config: RunConfig, quiet: bool = False) -> int:
     """Integrate one configuration; assert conservation and envelopes."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    state0 = build_initial_state(config)
     params = build_params(config)
-    monitor = _run_monitor(state0, params, config)
-    manifest = _manifest_base("run", config)
-    manifest.update(_monitor_payload(monitor))
+    state0, monitor = _start(config, params)
+    manifest = _manifest_base("run", config, monitor)
 
     try:
-        record = integrate(
-            state0,
-            config.T,
-            params,
-            monitor_stride=config.monitor_stride,
-            monitor=monitor,
-            checkpoint_times=config.checkpoint_times,
-        )
+        record = _evolve(state0, config, params, monitor, config.checkpoint_times)
     except NumericalAbort as exc:
         manifest["status"] = "numerical-abort"
         if isinstance(exc, BlowupError):
@@ -287,10 +300,7 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
         raise ValueError("eps sweep needs a nonempty eps_list")
     eps_values = tuple(sorted(set(config.eps_list), reverse=True))
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    state0 = build_initial_state(config)
-    base_params = build_params(config, eps=0.0)
-    monitor = _run_monitor(state0, base_params, config)
+    state0, monitor = _start(config, build_params(config, eps=0.0))
     if monitor.ec.c0 * monitor.dn.l2_phi >= math.sqrt(2.0):
         raise ValueError(
             "small-data hypothesis violated: C0*||phi||_2 = "
@@ -302,15 +312,7 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
 
     def states_at_samples(eps: float) -> dict:
         params = build_params(config, eps=eps)
-        rec = integrate(
-            state0,
-            config.T,
-            params,
-            monitor_stride=config.monitor_stride,
-            monitor=monitor,
-            checkpoint_times=samples,
-        )
-        return rec.checkpoints
+        return _evolve(state0, config, params, monitor, samples).checkpoints
 
     reference = states_at_samples(0.0)
     sups = []
@@ -342,8 +344,7 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
             "sup metric strictly decreasing as eps decreases",
         )
     ]
-    manifest = _manifest_base("sweep-eps", config)
-    manifest.update(_monitor_payload(monitor))
+    manifest = _manifest_base("sweep-eps", config, monitor)
     manifest["reports"] = {
         "eps": list(eps_values),
         "sup_metric": [float(s) for s in sups],
@@ -366,21 +367,12 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
         raise ValueError("n sweep needs a nonempty n_list")
     n_values = tuple(sorted(set(config.n_list)))
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    state0 = build_initial_state(config)
-    monitor = _run_monitor(state0, build_params(config, yosida_n=None), config)
+    state0, monitor = _start(config, build_params(config, yosida_n=None))
     samples = _sample_times(config)
 
     def run_member(n: int | None):
         params = build_params(config, yosida_n=n)
-        rec = integrate(
-            state0,
-            config.T,
-            params,
-            monitor_stride=config.monitor_stride,
-            monitor=monitor,
-            checkpoint_times=samples,
-        )
+        rec = _evolve(state0, config, params, monitor, samples)
         bound = max(
             math.sqrt(
                 h2_norm(s.u) ** 2 + h1_norm(s.v) ** 2 + h1_norm(s.vt) ** 2
@@ -432,8 +424,7 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
             "Cauchy trend along doubling n",
         ),
     ]
-    manifest = _manifest_base("sweep-n", config)
-    manifest.update(_monitor_payload(monitor))
+    manifest = _manifest_base("sweep-n", config, monitor)
     manifest["reports"] = {
         "n": list(n_values),
         "diff_consecutive": [float(d) for d in diffs],
@@ -448,12 +439,12 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
 # spectral-symbol check suite
 
 
-def _random_field(grid, rng, kind="real") -> Field:
+def _random_coef(grid, rng, kind="real") -> np.ndarray:
     decay = np.exp(-0.005 * grid.lam)
     coef = rng.standard_normal(grid.shape) * decay
     if kind == "complex":
         coef = coef + 1j * rng.standard_normal(grid.shape) * decay
-    return field_from_coef(grid, coef)
+    return coef
 
 
 def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None = None) -> int:
@@ -480,6 +471,9 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
     def kernel(eps: float = 1.0, n: int | None = None, dt: float = 0.0) -> _Kernels:
         # the half-step symbols of a kernel built with 2t are the flows over t
         return _Kernels(grid, SystemParams(eps=eps, yosida_n=n), dt)
+
+    def norm(coef: np.ndarray, s: float = 0.0) -> float:
+        return sobolev_norm(field_from_coef(grid, coef), s)
 
     # per-mode symbol inequalities, exact comparisons
     worst = {"contraction": math.inf, "sqrt-gain": math.inf, "sqrt-bound": math.inf, "full-bound": math.inf}
@@ -509,15 +503,9 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
         )
 
     # convergence of the regularization on a fixed smooth field
-    probe = field_from_coef(grid, np.exp(-0.5 * lam / float(lam[0, 0])))
-    probe_nrm = sobolev_norm(probe, 0.0)
-    errs = [
-        sobolev_norm(
-            field_from_coef(grid, probe.coef - kernel(n=n).jsym * probe.coef),
-            0.0,
-        )
-        for n in n_powers
-    ]
+    probe = np.exp(-0.5 * lam / float(lam[0, 0]))
+    probe_nrm = norm(probe)
+    errs = [norm(probe - kernel(n=n).jsym * probe) for n in n_powers]
     monotone_gap = min(a - b for a, b in zip(errs, errs[1:]))
     assertions.append(
         Assertion(
@@ -540,10 +528,7 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
         )
     )
     n_small = 2 ** max(12, int(math.ceil(math.log2(float(lam[0, 0]) / 5e-4))))
-    tail = sobolev_norm(
-        field_from_coef(grid, probe.coef - kernel(n=n_small).jsym * probe.coef),
-        0.0,
-    )
+    tail = norm(probe - kernel(n=n_small).jsym * probe)
     assertions.append(
         Assertion(
             "yosida-convergence-small",
@@ -558,10 +543,10 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
     for t in t_samples:
         U = kernel(dt=2 * t).phase_half
         for _ in range(5):
-            f = _random_field(grid, rng, "complex")
+            f = _random_coef(grid, rng, "complex")
             for s in (-0.5, 0.0, 1.0):
-                before = sobolev_norm(f, s)
-                after = sobolev_norm(field_from_coef(grid, U * f.coef), s)
+                before = norm(f, s)
+                after = norm(U * f, s)
                 worst_unitary = min(
                     worst_unitary, 1e-12 - abs(after - before) / before
                 )
@@ -606,9 +591,9 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
     # norm identity ||(1 - Lap)^{1/2} (-Lap)^{-1/2} f||^2 = ||f||^2 + ||(-Lap)^{-1/2} f||^2
     worst_ident = math.inf
     for _ in range(100):
-        f = _random_field(grid, rng, "real")
-        lhs = h1_norm(field_from_coef(grid, f.coef / np.sqrt(lam))) ** 2
-        rhs = sobolev_norm(f, 0.0) ** 2 + sobolev_norm(f, -1.0) ** 2
+        f = _random_coef(grid, rng, "real")
+        lhs = h1_norm(field_from_coef(grid, f / np.sqrt(lam))) ** 2
+        rhs = norm(f) ** 2 + norm(f, -1.0) ** 2
         worst_ident = min(worst_ident, 1e-10 - abs(lhs - rhs) / rhs)
     assertions.append(
         Assertion(
@@ -684,20 +669,12 @@ def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:
         if abs(a / b - 2.0) > 1e-9:
             raise ValueError("dt_list must halve from entry to entry")
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    state0 = build_initial_state(config)
-    monitor = _run_monitor(state0, build_params(config), config)
+    state0, monitor = _start(config, build_params(config))
 
     def final_state(dt: float) -> State:
         params = build_params(config, dt=dt)
-        rec = integrate(
-            state0,
-            config.T,
-            params,
-            monitor_stride=max(1, round(config.T / dt)),
-            monitor=monitor,
-        )
-        return rec.final_state
+        stride = max(1, round(config.T / dt))
+        return _evolve(state0, config, params, monitor, monitor_stride=stride).final_state
 
     reference = final_state(dts[-1] / 8.0)
     errors = [difference_metric(final_state(dt), reference) for dt in dts]

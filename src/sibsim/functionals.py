@@ -63,7 +63,6 @@ __all__ = [
     "default_gn_constant",
     "envelope_constants",
     "envelope_h1",
-    "envelope_small",
     "h1_envelope_lhs",
     "small_envelope_lhs",
 ]
@@ -106,7 +105,9 @@ class DataNorms:
                 raise ValueError(f"data norm {name} must be finite and nonnegative")
 
     @classmethod
-    def from_data(cls, phi: Field, psi0: Field, psi1: Field) -> "DataNorms":
+    def from_state(cls, state: State) -> "DataNorms":
+        """Norms of the data (phi, psi0, psi1) = (u, v, vt) of a state."""
+        phi, psi0, psi1 = state.u, state.v, state.vt
         return cls(
             l2_phi=sobolev_norm(phi, 0.0),
             grad_phi=sobolev_norm(phi, 1.0),
@@ -117,10 +118,6 @@ class DataNorms:
             grad_psi1=sobolev_norm(psi1, 1.0),
             neg_half_psi1=sobolev_norm(psi1, -1.0),
         )
-
-    @classmethod
-    def from_state(cls, state: State) -> "DataNorms":
-        return cls.from_data(state.u, state.v, state.vt)
 
 
 @dataclass(frozen=True)
@@ -135,10 +132,6 @@ class EnvelopeConstants:
     def __post_init__(self):
         if not self.c0 > 0:
             raise ValueError(f"C0 must be positive, got {self.c0}")
-
-    @property
-    def small_data(self) -> bool:
-        return self.c6 is not None
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +180,21 @@ def modified_energy(
     ) + shift
 
 
-def _check_comparable(state_a: State, state_b: State) -> None:
+def _differences(state_a: State, state_b: State):
+    """lam and the coefficient differences of u, v and vt of two states on
+    one grid at (numerically) one time."""
     if not state_a.grid.compatible(state_b.grid):
         raise ValueError("states live on different grids")
     if abs(state_a.t - state_b.t) > 1e-9 * max(1.0, abs(state_a.t)):
         raise ValueError(
             f"states are at different times: {state_a.t} vs {state_b.t}"
         )
+    return (
+        state_a.grid.lam,
+        state_a.u.coef - state_b.u.coef,
+        state_a.v.coef - state_b.v.coef,
+        state_a.vt.coef - state_b.vt.coef,
+    )
 
 
 def difference_metric(state_a: State, state_b: State) -> float:
@@ -201,11 +202,7 @@ def difference_metric(state_a: State, state_b: State) -> float:
 
     The states must live on one grid and carry (numerically) the same time.
     """
-    _check_comparable(state_a, state_b)
-    lam = state_a.grid.lam
-    du = state_a.u.coef - state_b.u.coef
-    dv = state_a.v.coef - state_b.v.coef
-    dvt = state_a.vt.coef - state_b.vt.coef
+    lam, du, dv, dvt = _differences(state_a, state_b)
     return float(
         np.sqrt(np.sum((1.0 + lam) * np.abs(du) ** 2))
         + np.sqrt(np.sum(dv**2))
@@ -219,12 +216,11 @@ def cauchy_metric(state_a: State, state_b: State) -> float:
 
     Same grid and time requirements as difference_metric.
     """
-    _check_comparable(state_a, state_b)
-    g = state_a.grid
-    return (
-        h1_norm(field_from_coef(g, state_a.u.coef - state_b.u.coef))
-        + sobolev_norm(field_from_coef(g, state_a.v.coef - state_b.v.coef), 0.0)
-        + sobolev_norm(field_from_coef(g, state_a.vt.coef - state_b.vt.coef), 0.0)
+    lam, du, dv, dvt = _differences(state_a, state_b)
+    return float(
+        np.sqrt(np.sum((1.0 + lam) * np.abs(du) ** 2))
+        + np.sqrt(np.sum(dv**2))
+        + np.sqrt(np.sum(dvt**2))
     )
 
 
@@ -367,18 +363,6 @@ def envelope_h1(t: float, ec: EnvelopeConstants, dn: DataNorms) -> float:
         return ec.c3 * math.exp(ec.c0**2 * dn.l2_phi**2 * t)
     except OverflowError:
         return math.inf
-
-
-def envelope_small(ec: EnvelopeConstants) -> float:
-    """Time-independent small-data bound C6.
-
-    Raises ValueError when the smallness hypothesis failed at construction.
-    """
-    if ec.c6 is None:
-        raise ValueError(
-            "small-data envelope unavailable: C0*||phi||_2 >= sqrt(2)"
-        )
-    return ec.c6
 
 
 def h1_envelope_lhs(series) -> np.ndarray:

@@ -46,7 +46,6 @@ __all__ = [
     "make_grid",
     "field_from_coef",
     "analyze",
-    "synthesize",
     "sobolev_norm",
     "lp_norm",
 ]
@@ -137,22 +136,6 @@ class Field:
     def kind(self) -> str:
         return "complex" if np.iscomplexobj(self.coef) else "real"
 
-    def __add__(self, other: "Field") -> "Field":
-        _check_same_grid(self, other)
-        return Field(self.grid, self.coef + other.coef)
-
-    def __sub__(self, other: "Field") -> "Field":
-        _check_same_grid(self, other)
-        return Field(self.grid, self.coef - other.coef)
-
-    def __mul__(self, scalar) -> "Field":
-        return Field(self.grid, self.coef * scalar)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "Field":
-        return Field(self.grid, np.conj(self.coef))
-
 
 def field_from_coef(grid: Grid2D, coef: np.ndarray) -> Field:
     """Wrap a coefficient array, normalizing dtype to float64/complex128."""
@@ -163,16 +146,6 @@ def field_from_coef(grid: Grid2D, coef: np.ndarray) -> Field:
         )
     dtype = np.complex128 if np.iscomplexobj(coef) else np.float64
     return Field(grid, coef.astype(dtype, copy=False))
-
-
-def zero_field(grid: Grid2D, kind: str = "real") -> Field:
-    dtype = np.complex128 if kind == "complex" else np.float64
-    return Field(grid, np.zeros(grid.shape, dtype=dtype))
-
-
-def _check_same_grid(a: Field, b: Field) -> None:
-    if not a.grid.compatible(b.grid):
-        raise ValueError("fields live on different grids")
 
 
 def _scale(Lx: float, Ly: float, shape: tuple[int, int]) -> float:
@@ -294,11 +267,6 @@ def analyze(grid: Grid2D, samples: np.ndarray) -> Field:
             f"sample shape {samples.shape} does not match grid {grid.shape}"
         )
     return field_from_coef(grid, values_to_coef(grid, samples))
-
-
-def synthesize(f: Field) -> np.ndarray:
-    """Values of the field at the grid's interior nodes.  Inverse of analyze."""
-    return coef_to_values(f.grid, f.coef)
 
 
 def sobolev_norm(f: Field, s: float) -> float:

@@ -122,6 +122,9 @@ def load_checkpoint(path: str) -> State:
     for line in blob[: head_end].decode().splitlines()[1:]:
         key, _, rest = line.partition(" ")
         fields[key] = rest
+    for key in ("grid", "t"):
+        if key not in fields:
+            raise ValueError(f"{path}: checkpoint header has no {key!r} line")
     lx, ly, nx, ny = fields["grid"].split()
     grid = make_grid(float(lx), float(ly), int(nx), int(ny))
     t = float(fields["t"])

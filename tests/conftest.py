@@ -22,11 +22,6 @@ def unit_square_grid():
     return make_grid(np.pi, np.pi, 16, 16)
 
 
-@pytest.fixture
-def coarse_grid():
-    return make_grid(np.pi, np.pi, 8, 8)
-
-
 def count_transforms(monkeypatch) -> Counter:
     """Count every coef_to_values / values_to_coef call by its node shape
     (output of a synthesis, input of an analysis), patching each sibsim

@@ -44,7 +44,7 @@ def test_charge_is_conserved_for_each_dispersion_weight():
     for eps in eps_values:
         cfg = RunConfig(eps=eps)
         rec = integrate(build_initial_state(cfg), cfg.T, build_params(cfg))
-        charge = rec.column("charge")
+        charge = rec.series["charge"]
         drifts.append(float(np.max(np.abs(charge - charge[0])) / charge[0]))
     detail = ", ".join(
         f"eps={eps:g}: {d:.3e}" for eps, d in zip(eps_values, drifts)
@@ -61,7 +61,7 @@ def test_energy_drift_is_second_order_in_dt():
     for dt in (1e-3, 5e-4):
         cfg = RunConfig(dt=dt)
         rec = integrate(build_initial_state(cfg), cfg.T, build_params(cfg))
-        energy = rec.column("energy_eps")
+        energy = rec.series["energy_eps"]
         drift[dt] = float(np.max(np.abs(energy - energy[0])) / abs(energy[0]))
     ratio = drift[1e-3] / drift[5e-4]
     ok = drift[1e-3] < 1e-5 and 3.5 <= ratio <= 4.5
@@ -77,7 +77,7 @@ def test_growth_envelope_dominates_h1_quantity_on_long_run():
     cfg = RunConfig(T=5.0)
     rec = integrate(build_initial_state(cfg), cfg.T, build_params(cfg))
     lhs = h1_envelope_lhs(rec.series)
-    env = rec.column("envelope_h1")
+    env = rec.series["envelope_h1"]
     gap = float(np.min(env - lhs))
     slack = 1e-12 * max(1.0, float(np.max(env)))
     assert _verdict(
@@ -102,7 +102,7 @@ def test_uniform_bound_holds_for_small_eps_family(small_eps_family):
     results = []
     for eps, rec in small_eps_family.items():
         lhs = small_envelope_lhs(rec.series, eps)
-        c6 = float(rec.column("envelope_small")[0])
+        c6 = float(rec.series["envelope_small"][0])
         results.append((eps, float(np.max(lhs)), c6))
     ok = all(sup <= c6 + 1e-12 * max(1.0, c6) for _, sup, c6 in results)
     detail = "; ".join(
@@ -123,7 +123,7 @@ def test_uniform_bound_holds_for_small_eps_family(small_eps_family):
 def test_h1_envelope_dominates_for_small_eps_family(small_eps_family):
     gaps = {}
     for eps, rec in small_eps_family.items():
-        env = rec.column("envelope_h1")
+        env = rec.series["envelope_h1"]
         gap = float(np.min(env - h1_envelope_lhs(rec.series)))
         gaps[eps] = (gap, 1e-12 * max(1.0, float(np.max(env))))
     ok = all(gap >= -slack for gap, slack in gaps.values())

@@ -86,6 +86,26 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "{tmp}/absent.ini"],
+        ["--config", "{tmp}"],
+        ["--out", "{tmp}/a-file/sub"],
+    ],
+    ids=["missing-config", "config-is-a-directory", "out-under-a-file"],
+)
+def test_os_error_on_config_or_out_exits_2(tmp_path, capsys, argv):
+    # FileNotFoundError, IsADirectoryError and NotADirectoryError are
+    # invalid input, not a failed assertion
+    (tmp_path / "a-file").write_text("")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv + ["--quiet", "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "[grid]\nlx = 10.0**400\n",

@@ -20,9 +20,6 @@ from sibsim.dynamics import (
     make_state,
     picard_duhamel,
     prepare_initial_state,
-    schrodinger_substep,
-    strang_step,
-    wave_substep,
 )
 from sibsim.functionals import charge, difference_metric
 from sibsim.grids import (
@@ -33,7 +30,6 @@ from sibsim.grids import (
     intensity_coef,
     make_grid,
     values_to_coef,
-    zero_field,
 )
 
 
@@ -59,6 +55,22 @@ def mode_state(N: int, u_amp=0.0, v_amp=0.0, vt_amp=0.0):
     return make_state(one(u_amp, complex), one(v_amp), one(vt_amp))
 
 
+def zeros(grid, dtype=float):
+    return field_from_coef(grid, np.zeros(grid.shape, dtype=dtype))
+
+
+def kernel(grid, dt: float, **params) -> dynamics._Kernels:
+    """The stepping kernel for a step of dt; its wave_half is the exact wave
+    flow over dt/2."""
+    return dynamics._Kernels(grid, SystemParams(**params), dt)
+
+
+def schrodinger_flow(ker, u, v):
+    """The Schrodinger part of ker.step, v frozen: free half step, potential
+    flow over dt, free half step."""
+    return ker.phase_half * ker.potential_flow(ker.phase_half * u, v)
+
+
 # ---------------------------------------------------------------------------
 # parameter and state validation
 
@@ -74,13 +86,13 @@ def test_params_validation():
 
 def test_make_state_validation():
     g = make_grid(np.pi, np.pi, 4, 4)
-    u = zero_field(g, "complex")
-    v = zero_field(g)
+    u = zeros(g, complex)
+    v = zeros(g)
     with pytest.raises(ValueError):
-        make_state(u, field_from_coef(g, np.zeros((4, 4), dtype=complex)), v)
+        make_state(u, zeros(g, complex), v)
     other = make_grid(np.pi, np.pi, 6, 6)
     with pytest.raises(ValueError):
-        make_state(u, v, zero_field(other))
+        make_state(u, v, zeros(other))
 
 
 def test_prepare_initial_state():
@@ -96,28 +108,29 @@ def test_prepare_initial_state():
 
 
 # ---------------------------------------------------------------------------
-# wave substep
+# wave substep: the kernel's half step
 
 
 def test_wave_substep_zero_dt_is_identity():
     st = standard_state(8)
     g = st.grid
-    f = field_from_coef(g, intensity_coef(g, st.u.coef))
-    v1, vt1 = wave_substep(st.v, st.vt, f, 0.0, 1.0)
+    f = intensity_coef(g, st.u.coef)
+    v1, vt1 = kernel(g, 0.0, eps=1.0).wave_half(st.v.coef, st.vt.coef, f)
     # v passes through (v + f) - f, so identity holds to round-off only
-    assert np.max(np.abs(v1.coef - st.v.coef)) < 1e-15
-    assert np.array_equal(vt1.coef, st.vt.coef)
+    assert np.max(np.abs(v1 - st.v.coef)) < 1e-15
+    assert np.array_equal(vt1, st.vt.coef)
 
 
 def test_wave_substep_single_mode_cosine():
     # v'' = -omega^2 v with omega = sqrt(2/3) at eps = 1, lam = 2
     st = mode_state(8, v_amp=1.0)
     t = 0.7
-    v1, vt1 = wave_substep(st.v, st.vt, zero_field(st.grid), t, 1.0)
+    ker = kernel(st.grid, 2 * t, eps=1.0)
+    v1, vt1 = ker.wave_half(st.v.coef, st.vt.coef, np.zeros(st.grid.shape))
     w = np.sqrt(2.0 / 3.0)
-    assert v1.coef[0, 0] == pytest.approx(np.cos(w * t), rel=1e-14)
-    assert vt1.coef[0, 0] == pytest.approx(-w * np.sin(w * t), rel=1e-14)
-    rest = np.abs(v1.coef) + np.abs(vt1.coef)
+    assert v1[0, 0] == pytest.approx(np.cos(w * t), rel=1e-14)
+    assert vt1[0, 0] == pytest.approx(-w * np.sin(w * t), rel=1e-14)
+    rest = np.abs(v1) + np.abs(vt1)
     rest[0, 0] = 0.0
     assert np.max(rest) == 0.0
 
@@ -128,19 +141,11 @@ def test_wave_substep_per_mode_invariant():
     g = make_grid(np.pi, np.pi, 12, 12)
     for eps in (0.0, 0.5, 1.0):
         w2 = g.lam / (1.0 + eps * g.lam)
-        v = field_from_coef(g, rng.standard_normal(g.shape))
-        vt = field_from_coef(g, rng.standard_normal(g.shape))
-        f = field_from_coef(g, rng.standard_normal(g.shape))
-        before = w2 * (v.coef + f.coef) ** 2 + vt.coef**2
-        v1, vt1 = wave_substep(v, vt, f, 0.31, eps)
-        after = w2 * (v1.coef + f.coef) ** 2 + vt1.coef**2
+        v, vt, f = (rng.standard_normal(g.shape) for _ in range(3))
+        before = w2 * (v + f) ** 2 + vt**2
+        v1, vt1 = kernel(g, 2 * 0.31, eps=eps).wave_half(v, vt, f)
+        after = w2 * (v1 + f) ** 2 + vt1**2
         assert np.max(np.abs(after - before) / before) < 1e-12
-
-
-def test_wave_substep_grid_guard():
-    st = standard_state(8)
-    with pytest.raises(ValueError):
-        wave_substep(st.v, st.vt, zero_field(make_grid(np.pi, np.pi, 6, 6)), 0.1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +191,11 @@ def test_charge_conserved_per_step():
         (SystemParams(eps=1.0, dt=1e-3, yosida_n=16.0), 1e-13),
     )
     for params, bound in cases:
-        state = st
+        ker = dynamics._Kernels(st.grid, params, params.dt)
+        u, v, vt = st.u.coef, st.v.coef, st.vt.coef
         for _ in range(20):
-            state = strang_step(state, params)
-            assert abs(charge(state) - c0) / c0 < bound
+            u, v, vt = ker.step(u, v, vt)
+            assert abs(np.sum(np.abs(u) ** 2) - c0) / c0 < bound
 
 
 def test_taylor_potential_flow_matches_unregularized_for_large_n():
@@ -198,12 +204,11 @@ def test_taylor_potential_flow_matches_unregularized_for_large_n():
     # band-projected multiplier; it scales with dt (measured 2.11e-5 at
     # dt = 1e-2 on N = 8 and 2.11e-6 at dt = 1e-3)
     st = standard_state(8)
+    u, v = st.u.coef, st.v.coef
     for dt, bound in ((1e-2, 1e-4), (1e-3, 1e-5)):
-        plain = schrodinger_substep(st.u, st.v, dt)
-        smoothed = schrodinger_substep(
-            st.u, st.v, dt, SystemParams(dt=1.0, yosida_n=1e12)
-        )
-        assert np.max(np.abs(plain.coef - smoothed.coef)) < bound
+        plain = schrodinger_flow(kernel(st.grid, dt), u, v)
+        smoothed = schrodinger_flow(kernel(st.grid, dt, yosida_n=1e12), u, v)
+        assert np.max(np.abs(plain - smoothed)) < bound
 
 
 def test_yosida_potential_flow_fails_loudly_when_too_long():
@@ -212,9 +217,9 @@ def test_yosida_potential_flow_fails_loudly_when_too_long():
     # names the bound
     st = standard_state(16)
     st = replace(st, v=field_from_coef(st.grid, 2e5 * st.v.coef))
-    params = SystemParams(eps=1.0, dt=0.05, yosida_n=8.0)
+    ker = kernel(st.grid, 0.05, eps=1.0, yosida_n=8.0)
     with pytest.raises(PotentialFlowError) as err:
-        schrodinger_substep(st.u, st.v, 0.05, params)
+        schrodinger_flow(ker, st.u.coef, st.v.coef)
     assert err.value.substeps > dynamics._MAX_SUBSTEPS
     assert err.value.substeps == ceil(err.value.beta)
     assert "potential flow" in str(err.value) and "beta" in str(err.value)
@@ -359,40 +364,33 @@ def test_nodal_step_kernels_equal_their_written_out_formulas():
 
 
 def test_strang_step_equals_manual_substep_composition():
+    # _Kernels.step is half wave, Schrodinger with v at the half step, half
+    # wave with the source refreshed from the new u
     st = standard_state(16)
     g = st.grid
-    eps, dt = 0.5, 1e-2
-    f0 = field_from_coef(g, intensity_coef(g, st.u.coef))
-    v1, vt1 = wave_substep(st.v, st.vt, f0, dt / 2, eps)
-    u1 = schrodinger_substep(st.u, v1, dt)
-    f1 = field_from_coef(g, intensity_coef(g, u1.coef))
-    v2, vt2 = wave_substep(v1, vt1, f1, dt / 2, eps)
-    via = strang_step(st, SystemParams(eps=eps, dt=dt))
-    assert np.array_equal(u1.coef, via.u.coef)
-    assert np.array_equal(v2.coef, via.v.coef)
-    assert np.array_equal(vt2.coef, via.vt.coef)
-    assert via.t == pytest.approx(dt)
+    ker = kernel(g, 1e-2, eps=0.5)
+    u, v, vt = st.u.coef, st.v.coef, st.vt.coef
+    v1, vt1 = ker.wave_half(v, vt, intensity_coef(g, u))
+    u1 = schrodinger_flow(ker, u, v1)
+    v2, vt2 = ker.wave_half(v1, vt1, intensity_coef(g, u1))
+    via = ker.step(u, v, vt)
+    assert np.array_equal(u1, via[0])
+    assert np.array_equal(v2, via[1])
+    assert np.array_equal(vt2, via[2])
 
 
 def test_substep_composition_is_reversible():
     # every substep is an exact flow (rotation, free phase, unimodular
-    # multiply), so the backward pass undoes the forward one to round-off
+    # multiply), and a step is symmetric, so a step of -dt undoes a step of
+    # dt to round-off
     st = standard_state(16)
     g = st.grid
     eps, dt = 0.5, 1e-2
-    f0 = field_from_coef(g, intensity_coef(g, st.u.coef))
-    v1, vt1 = wave_substep(st.v, st.vt, f0, dt / 2, eps)
-    u1 = schrodinger_substep(st.u, v1, dt)
-    f1 = field_from_coef(g, intensity_coef(g, u1.coef))
-    v2, vt2 = wave_substep(v1, vt1, f1, dt / 2, eps)
-
-    vb1, vtb1 = wave_substep(v2, vt2, f1, -dt / 2, eps)
-    ub = schrodinger_substep(u1, vb1, -dt)
-    fb0 = field_from_coef(g, intensity_coef(g, ub.coef))
-    vb0, vtb0 = wave_substep(vb1, vtb1, fb0, -dt / 2, eps)
-    assert np.max(np.abs(ub.coef - st.u.coef)) < 1e-13
-    assert np.max(np.abs(vb0.coef - st.v.coef)) < 1e-13
-    assert np.max(np.abs(vtb0.coef - st.vt.coef)) < 1e-14
+    forward = kernel(g, dt, eps=eps).step(st.u.coef, st.v.coef, st.vt.coef)
+    ub, vb0, vtb0 = kernel(g, -dt, eps=eps).step(*forward)
+    assert np.max(np.abs(ub - st.u.coef)) < 1e-13
+    assert np.max(np.abs(vb0 - st.v.coef)) < 1e-13
+    assert np.max(np.abs(vtb0 - st.vt.coef)) < 1e-14
 
 
 def test_self_convergence_is_second_order():
@@ -425,12 +423,12 @@ def test_decoupled_flow_is_exact():
 
 def test_zero_data_stays_zero():
     g = make_grid(np.pi, np.pi, 8, 8)
-    st = make_state(zero_field(g, "complex"), zero_field(g), zero_field(g))
+    st = make_state(zeros(g, complex), zeros(g), zeros(g))
     rec = integrate(st, 0.1, SystemParams(eps=1.0, dt=1e-2))
     assert np.max(np.abs(rec.final_state.u.coef)) == 0.0
     assert np.max(np.abs(rec.final_state.v.coef)) == 0.0
-    assert np.all(rec.column("charge") == 0.0)
-    assert np.all(rec.column("gn_quotient") == 0.0)
+    assert np.all(rec.series["charge"] == 0.0)
+    assert np.all(rec.series["gn_quotient"] == 0.0)
 
 
 # ---------------------------------------------------------------------------

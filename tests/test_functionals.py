@@ -22,14 +22,13 @@ from sibsim.functionals import (
     energy,
     envelope_constants,
     envelope_h1,
-    envelope_small,
     estimate_gn_constant,
     gn_quotient,
     h1_envelope_lhs,
     modified_energy,
     small_envelope_lhs,
 )
-from sibsim.grids import analyze, coef_product, field_from_coef, make_grid, zero_field
+from sibsim.grids import analyze, coef_product, field_from_coef, make_grid
 
 
 def sine_state(N: int = 32, with_v: bool = True) -> State:
@@ -143,13 +142,13 @@ def test_gn_quotient_of_sine_mode():
 def test_gn_quotient_scale_invariant():
     st = sine_state(16)
     q = gn_quotient(st.u)
-    assert gn_quotient(17.3 * st.u) == pytest.approx(q, rel=1e-12)
+    assert gn_quotient(field_from_coef(st.grid, 17.3 * st.u.coef)) == pytest.approx(q, rel=1e-12)
 
 
 def test_gn_quotient_zero_field():
     g = make_grid(np.pi, np.pi, 8, 8)
     with pytest.raises(ValueError):
-        gn_quotient(zero_field(g, "complex"))
+        gn_quotient(field_from_coef(g, np.zeros(g.shape, dtype=complex)))
 
 
 def test_gn_quotient_below_sharp_constant():
@@ -263,7 +262,6 @@ def test_envelope_constants_frozen_values():
     ec = envelope_constants(dn, 0.4)
     assert ec.c3 == pytest.approx(15.503571261700355, rel=1e-12)
     assert ec.c6 == pytest.approx(15.045530816852439, rel=1e-12)
-    assert ec.small_data
 
 
 def test_envelope_constants_zero_data():
@@ -277,9 +275,6 @@ def test_smallness_failure_disables_c6():
     dn = DataNorms(4.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     ec = envelope_constants(dn, 0.4135)  # 0.4135 * 4 > sqrt(2)
     assert ec.c6 is None
-    assert not ec.small_data
-    with pytest.raises(ValueError):
-        envelope_small(ec)
 
 
 def test_envelope_h1_growth():
@@ -351,7 +346,11 @@ def test_monitor_row_matches_column_order():
 
 def test_monitor_row_zero_field_and_missing_c6():
     g = make_grid(np.pi, np.pi, 8, 8)
-    zero = make_state(zero_field(g, "complex"), zero_field(g), zero_field(g))
+    zero = make_state(
+        field_from_coef(g, np.zeros(g.shape, dtype=complex)),
+        field_from_coef(g, np.zeros(g.shape)),
+        field_from_coef(g, np.zeros(g.shape)),
+    )
     monitor = RunMonitor.from_state(zero, c0=0.4)
     row = monitor.row(zero, SystemParams(eps=1.0))
     assert row["gn_quotient"] == 0.0

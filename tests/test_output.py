@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,19 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"this is not a checkpoint at all")
     with pytest.raises(ValueError):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("key", ["grid", "t"])
+def test_checkpoint_rejects_header_without_a_key(tmp_path, key):
+    # magic line and end marker present, one header line missing
+    path = tmp_path / "state.bin"
+    save_checkpoint(str(path), random_state())
+    blob = path.read_bytes()
+    start = blob.index(f"\n{key} ".encode()) + 1
+    path.write_bytes(blob[:start] + blob[blob.index(b"\n", start) + 1 :])
+    message = f"{path}: checkpoint header has no '{key}' line"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_checkpoint(str(path))
 
 
