@@ -491,10 +491,10 @@ def integrate(
 # Duhamel-Picard oracle
 
 
-# Node iterates are (P, Nx, Ny) stacks; the quadrature sums and the new
-# iterates are formed this many nodes at a time, which keeps the
-# temporaries of a sweep small next to the stacks themselves.
-_ROW_BLOCK = 16
+# Node values are (P, Nx, Ny) stacks.  The quadrature sums and the new
+# iterates of a sweep are formed this many grid rows (kx) at a time, over
+# all nodes, so the phase products exist only as one block's temporaries.
+_GRID_ROWS = 4
 
 
 def _integration_weights(nodes: np.ndarray) -> np.ndarray:
@@ -512,8 +512,8 @@ def _integration_weights(nodes: np.ndarray) -> np.ndarray:
 
 
 def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_j weights[..., j] * stack[j] for a (P, Nx, Ny) stack, as one real
-    matrix product: a complex stack enters as interleaved real and
+    """sum_j weights[..., j] * stack[j] for a stack of P node values, as
+    one real matrix product: a complex stack enters as interleaved real and
     imaginary parts, which the real weights never mix."""
     flat = stack.reshape(len(stack), -1).view(np.float64)
     out = (weights @ flat).view(stack.dtype)
@@ -543,6 +543,12 @@ def picard_duhamel(
     with g = -omega^2 W(u) the wave forcing, by iterating on trajectory
     values held at the panel's quadrature nodes.  vt uses the
     differentiated kernels directly rather than differencing v.
+
+    Six (P, Nx, Ny) node stacks are kept, 64 B per node-mode entry: the
+    iterates u (complex) and v, the raw right-hand sides P(v, u) (complex)
+    and g, and cos(s w) and sinc(s w).  The phases exp(i lam s) are
+    products of per-axis factors, formed with the integrands that carry
+    them a block of grid rows at a time.
 
     Args:
         residual_log: optional list; per-sweep fixed-point residuals are
@@ -576,31 +582,52 @@ def picard_duhamel(
     full_w = wg * 0.5 * h
     Wmat = _integration_weights(nodes)
 
-    s = nodes[:, None, None]
-    exp_m = np.exp(1j * lam * s)      # U(-s) symbols, one row per node
-    cos_s = np.cos(w * s)
-    sinc_s = np.sin(w * s) / w
+    # exp(i lam s) = exp(i lx s) exp(i ly s), with lam split into its
+    # per-axis parts lam[k, l] = lx[k] + ly[l]
+    half00 = 0.5 * lam[0, 0]
+    s = nodes[:, None]
+    exp_x = np.exp(1j * (lam[:, 0] - half00) * s)    # (P, Nx)
+    exp_y = np.exp(1j * (lam[0, :] - half00) * s)    # (P, Ny)
+    stack = (quad_nodes,) + grid.shape
+    # cos(s w) and sin(s w)/w, in place from the one stack of s w
+    cos_s = np.multiply(w, nodes[:, None, None])
+    sinc_s = np.sin(cos_s)
+    sinc_s /= w
+    np.cos(cos_s, out=cos_s)
     cos_h, sin_h = np.cos(w * h), np.sin(w * h)
 
     phi = state.u.coef.astype(np.complex128)
     ps0 = state.v.coef.copy()
     ps1 = state.vt.coef.copy()
     t_now = state.t
-    stack = (quad_nodes,) + grid.shape
     us = np.empty(stack, dtype=np.complex128)
     vs = np.empty(stack)
-    # right-hand sides of the three integrals at every node
-    Ftw = np.empty(stack, dtype=np.complex128)
-    Acos = np.empty(stack)
-    Bsin = np.empty(stack)
+    # the raw right-hand sides at every node: P(v, u) and g = -w2 W(u)
+    pvu = np.empty(stack, dtype=np.complex128)
+    g = np.empty(stack)
+    neg_w2 = -w2
     h1_weight = 1.0 + lam
 
     def fill_integrands() -> None:
         for i in range(quad_nodes):
-            Ftw[i] = exp_m[i] * ker.coupled_product(vs[i], us[i])
-            g = -w2 * ker.wave_source(us[i])
-            Acos[i] = cos_s[i] * g
-            Bsin[i] = sinc_s[i] * g
+            pvu[i] = ker.coupled_product(vs[i], us[i])
+            np.multiply(ker.wave_source(us[i]), neg_w2, out=g[i])
+
+    def block_sums(weights: np.ndarray):
+        """Per block of grid rows: the rows, the phases exp(i lam s) there,
+        and the weighted node sums of the three integrands
+        exp(i lam s) P(v, u), cos(s w) g and sinc(s w) g."""
+        for lo in range(0, grid.Nx, _GRID_ROWS):
+            rows = slice(lo, lo + _GRID_ROWS)
+            phase = exp_x[:, rows, None] * exp_y[:, None, :]
+            gb = g[:, rows]
+            yield (
+                rows,
+                phase,
+                _weighted_sum(weights, phase * pvu[:, rows]),
+                _weighted_sum(weights, cos_s[:, rows] * gb),
+                _weighted_sum(weights, sinc_s[:, rows] * gb),
+            )
 
     for panel in range(n_panels):
         us[:] = phi
@@ -610,22 +637,19 @@ def picard_duhamel(
             # Jacobi sweep: every integrand comes from the previous sweep,
             # so the blocks below may overwrite us / vs in place
             fill_integrands()
-            residual = 0.0
-            for lo in range(0, quad_nodes, _ROW_BLOCK):
-                rows = slice(lo, lo + _ROW_BLOCK)
-                Wb = Wmat[rows]
-                Iu = _weighted_sum(Wb, Ftw)
-                Ia = _weighted_sum(Wb, Acos)
-                Ib = _weighted_sum(Wb, Bsin)
-                un = np.conj(exp_m[rows]) * (phi - 1j * Iu)
-                c, sc = cos_s[rows], sinc_s[rows]
-                vn = c * ps0 + sc * ps1 + sc * Ia - c * Ib
-                # H1 of du plus L2 of dv, per node
-                du2 = np.sum(h1_weight * np.abs(un - us[rows]) ** 2, axis=(1, 2))
-                dv2 = np.sum((vn - vs[rows]) ** 2, axis=(1, 2))
-                residual = max(residual, float(np.max(np.sqrt(du2) + np.sqrt(dv2))))
-                us[rows] = un
-                vs[rows] = vn
+            # squared H1 of du and L2 of dv, per node
+            du2 = np.zeros(quad_nodes)
+            dv2 = np.zeros(quad_nodes)
+            for rows, phase, Iu, Ia, Ib in block_sums(Wmat):
+                un = np.conj(phase) * (phi[rows] - 1j * Iu)
+                c, sc = cos_s[:, rows], sinc_s[:, rows]
+                vn = c * ps0[rows] + sc * ps1[rows] + sc * Ia - c * Ib
+                du = np.abs(un - us[:, rows]) ** 2
+                du2 += np.sum(h1_weight[rows] * du, axis=(1, 2))
+                dv2 += np.sum((vn - vs[:, rows]) ** 2, axis=(1, 2))
+                us[:, rows] = un
+                vs[:, rows] = vn
+            residual = float(np.max(np.sqrt(du2) + np.sqrt(dv2)))
             if residual_log is not None:
                 residual_log.append(residual)
             if residual < tol:
@@ -635,9 +659,11 @@ def picard_duhamel(
 
         # advance the panel data to its right edge with full-panel quadrature
         fill_integrands()
-        Iu = _weighted_sum(full_w, Ftw)
-        Ia = _weighted_sum(full_w, Acos)
-        Ib = _weighted_sum(full_w, Bsin)
+        Iu = np.empty_like(phi)
+        Ia = np.empty_like(ps0)
+        Ib = np.empty_like(ps0)
+        for rows, _, iu, ia, ib in block_sums(full_w):
+            Iu[rows], Ia[rows], Ib[rows] = iu, ia, ib
         phi = np.exp(-1j * lam * h) * (phi - 1j * Iu)
         new_v = cos_h * ps0 + (sin_h / w) * ps1 + (sin_h / w) * Ia - cos_h * Ib
         ps1 = -(w * sin_h) * ps0 + cos_h * ps1 + cos_h * Ia + (w * sin_h) * Ib

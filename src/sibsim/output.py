@@ -119,15 +119,32 @@ def load_checkpoint(path: str) -> State:
     if not blob.startswith(_MAGIC.encode()) or head_end < 0:
         raise ValueError(f"{path} is not a state checkpoint")
     fields = {}
-    for line in blob[: head_end].decode().splitlines()[1:]:
-        key, _, rest = line.partition(" ")
-        fields[key] = rest
-    for key in ("grid", "t"):
+    for line in blob[:head_end].splitlines()[1:]:
+        key, _, rest = line.partition(b" ")
+        try:
+            fields[key.decode()] = rest.decode()
+        except UnicodeDecodeError:
+            raise ValueError(
+                f"{path}: checkpoint header line {line!r} is not UTF-8"
+            ) from None
+
+    def header_value(key, parse):
         if key not in fields:
             raise ValueError(f"{path}: checkpoint header has no {key!r} line")
-    lx, ly, nx, ny = fields["grid"].split()
-    grid = make_grid(float(lx), float(ly), int(nx), int(ny))
-    t = float(fields["t"])
+        try:
+            return parse(fields[key])
+        except ValueError as err:
+            raise ValueError(
+                f"{path}: checkpoint header line {key!r} is malformed "
+                f"({fields[key]!r}): {err}"
+            ) from None
+
+    def parse_grid(rest):
+        lx, ly, nx, ny = rest.split()
+        return make_grid(float(lx), float(ly), int(nx), int(ny))
+
+    grid = header_value("grid", parse_grid)
+    t = header_value("t", float)
     body = blob[head_end + 4 :]
     count = grid.Nx * grid.Ny
     u_bytes = 16 * count

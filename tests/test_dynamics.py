@@ -1,6 +1,7 @@
 """Stepping kernels: exactness of the substeps, conservation, convergence
 order, reversibility, blow-up detection, and the Picard-Duhamel oracle."""
 
+import tracemalloc
 from dataclasses import replace
 from math import ceil
 
@@ -512,13 +513,13 @@ def test_picard_divergence_error():
 def test_picard_matches_splitting_on_small_case():
     # with the Yosida index set both solvers evaluate the identical
     # projected nonlinearity, so the distance is pure time-discretization
-    # error (measured 4.3e-11); the unregularized cross-check at production
+    # error (measured 4.6e-11); the unregularized cross-check at production
     # resolution lives in the acceptance suite
-    # 17 nodes leave a last row block that is not full
-    st = standard_state(8)
+    # 10 grid rows leave a last grid-row block that is not full
+    st = standard_state(10)
     params = SystemParams(eps=1.0, dt=2e-5, yosida_n=16.0)
     fine = integrate(st, 0.05, params, monitor_stride=10**9).final_state
-    assert 17 % dynamics._ROW_BLOCK != 0
+    assert st.grid.Nx % dynamics._GRID_ROWS != 0
     for quad_nodes in (12, 17):
         pic = picard_duhamel(
             st, 0.05, SystemParams(eps=1.0, dt=1.0, yosida_n=16.0), quad_nodes=quad_nodes
@@ -558,34 +559,86 @@ def test_weighted_node_sums_match_the_node_loop(dtype):
     assert np.allclose(dynamics._weighted_sum(W[0], stack), loop[0], rtol=0, atol=1e-13)
 
 
+def free_flow(st, eps, s):
+    """The uncoupled flow of st over time s: exp(-i lam s) u0 and the exact
+    wave rotation (cos(s w), sin(s w)/w, w sin(s w)) of (v0, vt0)."""
+    lam = st.grid.lam
+    w = np.sqrt(lam / (1.0 + eps * lam))
+    c, sn = np.cos(w * s), np.sin(w * s)
+    u = np.exp(-1j * lam * s) * st.u.coef
+    v = c * st.v.coef + sn / w * st.vt.coef
+    vt = -w * sn * st.v.coef + c * st.vt.coef
+    return u, v, vt
+
+
+def free_flow_first_residual(st, eps, h, P):
+    """The first Picard sweep of an uncoupled panel (0, h) with P nodes
+    lands on the free flow at every node, so its residual is the largest
+    over the nodes s of H1(u(s) - u0) + L2(v(s) - v0)."""
+    xg, _ = np.polynomial.legendre.leggauss(P)
+    worst = 0.0
+    for s in (xg + 1.0) * 0.5 * h:
+        u, v, _ = free_flow(st, eps, s)
+        du, dv = u - st.u.coef, v - st.v.coef
+        h1 = np.sqrt(np.sum((1.0 + st.grid.lam) * np.abs(du) ** 2))
+        worst = max(worst, h1 + np.sqrt(np.sum(dv**2)))
+    return worst
+
+
 def test_picard_residual_is_the_worst_node_of_every_row_block():
-    # Without coupling the first sweep lands on the free flow at each node,
-    # so its residual is known in closed form: H1 of du plus L2 of dv,
-    # largest over all 17 nodes (the last one sits alone in a partial row
-    # block); the second sweep changes nothing.
-    st = standard_state(8)
+    # Without coupling the residual of the first sweep is known in closed
+    # form, largest over all 17 nodes, whose per-node sums run over grid-row
+    # blocks (10 rows leave the last one partial); the second sweep changes
+    # nothing.
+    st = standard_state(10)
+    assert st.grid.Nx % dynamics._GRID_ROWS != 0
     params = SystemParams(eps=0.5, dt=1.0, coupling=False)
     log = []
     picard_duhamel(st, 0.02, params, quad_nodes=17, residual_log=log)
-    g = st.grid
-    w = np.sqrt(g.lam / (1.0 + 0.5 * g.lam))
-    xg, _ = np.polynomial.legendre.leggauss(17)
-    expected = 0.0
-    for s in (xg + 1.0) * 0.5 * 0.02:
-        du = (np.exp(-1j * g.lam * s) - 1.0) * st.u.coef
-        dv = np.cos(w * s) * st.v.coef + np.sin(w * s) / w * st.vt.coef - st.v.coef
-        res = np.sqrt(np.sum((1.0 + g.lam) * np.abs(du) ** 2)) + np.sqrt(np.sum(dv**2))
-        expected = max(expected, res)
+    expected = free_flow_first_residual(st, 0.5, 0.02, 17)
     assert len(log) == 2
     assert log[0] == pytest.approx(expected, rel=1e-12)
     assert log[1] < 1e-15 * expected
 
 
+def test_picard_peak_memory_per_node_mode_entry():
+    # The six (P, Nx, Ny) node stacks take 64 B per node-mode entry: the
+    # complex iterates u and P(v, u), and the real iterates v, g, cos(s w)
+    # and sinc(s w).  On 24 x 20 modes with 64 nodes the traced peak of one
+    # call, block temporaries and products included, measured 91 B;
+    # storing the phases exp(i lam s) and the phase products as stacks too
+    # measured 121 B.
+    g = make_grid(np.pi, np.pi, 24, 20)
+    rng = np.random.default_rng(5)
+    st = make_state(
+        random_field(g, rng, "complex"), random_field(g, rng), random_field(g, rng)
+    )
+    params = SystemParams(eps=1.0, dt=1.0)
+    picard_duhamel(st, 0.005, params, quad_nodes=64)  # fills the transform caches
+    tracemalloc.start()
+    try:
+        picard_duhamel(st, 0.005, params, quad_nodes=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (64 * g.Nx * g.Ny) < 100
+
+
 def test_picard_exact_without_coupling():
-    st = standard_state(8)
+    # Two panels of 0.02, on the standard state and on 9 x 6 modes over
+    # (0, pi) x (0, 2), where the per-axis phase factors differ in length
+    # and in eigenvalues and the 9 grid rows end in a partial block
+    g = make_grid(np.pi, 2.0, 9, 6)
+    assert g.Nx % dynamics._GRID_ROWS != 0
+    rng = np.random.default_rng(11)
+    non_square = make_state(
+        random_field(g, rng, "complex"), random_field(g, rng), random_field(g, rng)
+    )
     params = SystemParams(eps=0.5, dt=1.0, coupling=False)
-    pic = picard_duhamel(st, 0.04, params, quad_nodes=8)
-    g = st.grid
-    T = 0.04
-    u_exact = np.exp(-1j * g.lam * T) * st.u.coef
-    assert np.max(np.abs(pic.u.coef - u_exact)) < 1e-13
+    for st in (standard_state(8), non_square):
+        log = []
+        pic = picard_duhamel(st, 0.04, params, quad_nodes=8, residual_log=log)
+        for got, exact in zip((pic.u, pic.v, pic.vt), free_flow(st, 0.5, 0.04)):
+            assert np.max(np.abs(got.coef - exact)) < 1e-13
+        first = free_flow_first_residual(st, 0.5, 0.02, 8)
+        assert log[0] == pytest.approx(first, rel=1e-12)

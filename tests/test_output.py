@@ -76,6 +76,43 @@ def test_checkpoint_rejects_header_without_a_key(tmp_path, key):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize(
+    "key, line, reason",
+    [
+        ("grid", "grid 1 2 3", "not enough values to unpack"),
+        ("grid", "grid 1 1 4.5 4", "invalid literal for int()"),
+        ("t", "t abc", "could not convert string to float"),
+    ],
+)
+def test_checkpoint_names_the_file_and_the_malformed_header_line(
+    tmp_path, key, line, reason
+):
+    path = tmp_path / "state.bin"
+    save_checkpoint(str(path), random_state())
+    blob = path.read_bytes()
+    start = blob.index(f"\n{key} ".encode()) + 1
+    end = blob.index(b"\n", start)
+    path.write_bytes(blob[:start] + line.encode() + blob[end:])
+    rest = line.partition(" ")[2]
+    message = (
+        f"{path}: checkpoint header line '{key}' is malformed ({rest!r}): {reason}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_names_the_file_and_a_header_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "state.bin"
+    save_checkpoint(str(path), random_state())
+    blob = path.read_bytes()
+    start = blob.index(b"\nt ") + 1
+    end = blob.index(b"\n", start)
+    path.write_bytes(blob[:start] + b"t \xff" + blob[end:])
+    message = f"{path}: checkpoint header line b't \\xff' is not UTF-8"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_rejects_truncated_payload(tmp_path):
     st = random_state()
     path = tmp_path / "state.bin"
