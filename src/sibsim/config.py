@@ -19,6 +19,7 @@ import numpy as np
 
 from .dynamics import State, SystemParams, make_state
 from .grids import Field, Grid2D, analyze, field_from_coef, make_grid
+from .output import checkpoint_name
 
 __all__ = [
     "RunConfig",
@@ -229,14 +230,33 @@ class RunConfig:
             raise ValueError("monitor_stride must be >= 1")
         if self.c0 is not None and not self.c0 > 0:
             raise ValueError("c0 override must be positive")
-        if any(t < 0 for t in self.checkpoint_times):
-            raise ValueError("checkpoint times must be nonnegative")
+        self._check_checkpoint_times()
         if any(not 0.0 <= e <= 1.0 for e in self.eps_list):
             raise ValueError("eps_list entries must lie in [0, 1]")
         if any(not (isinstance(n, int) and n >= 1) for n in self.n_list):
             raise ValueError("n_list entries must be integers >= 1")
         if any(not 0.0 < dt < math.inf for dt in self.dt_list):
             raise ValueError("dt_list entries must be positive and finite")
+
+    def _check_checkpoint_times(self) -> None:
+        """Each time must be reached by the run (integrate keeps times up to
+        T + 1e-12) and must have a file name of its own."""
+        written: dict[str, float] = {}
+        for t in sorted(self.checkpoint_times):
+            if t < 0:
+                raise ValueError(f"checkpoint time {t} must be nonnegative")
+            if not t <= self.T + 1e-12:
+                raise ValueError(
+                    f"checkpoint time {t} lies past the horizon T = {self.T}; "
+                    "the run never reaches it"
+                )
+            name = checkpoint_name(t)
+            if name in written:
+                raise ValueError(
+                    f"checkpoint times {written[name]} and {t} would both be "
+                    f"written to {name}"
+                )
+            written[name] = t
 
 
 def parse_config_text(text: str) -> RunConfig:

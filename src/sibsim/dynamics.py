@@ -425,7 +425,8 @@ def integrate(
     Args:
         monitor: optional functionals.RunMonitor; when omitted it is built
             from state0 (data norms and envelope constants included).
-        checkpoint_times: times whose nearest completed step's state is kept.
+        checkpoint_times: for each time, the state after the first completed
+            step at or after it is kept.
     """
     from . import functionals  # deferred to keep module layering acyclic
 
@@ -500,15 +501,15 @@ _GRID_ROWS = 4
 def _integration_weights(nodes: np.ndarray) -> np.ndarray:
     """W[i, j] = integral over (0, nodes[i]) of the j-th Lagrange polynomial
     on `nodes`.  Built from Legendre-series interpolants for stability: one
-    least-squares solve with the unit vectors as right-hand sides gives the
-    series of every Lagrange polynomial on [0, nodes[-1]] at once."""
+    solve with the unit vectors as right-hand sides gives the series of
+    every Lagrange polynomial on [0, nodes[-1]] at once."""
     leg = np.polynomial.legendre
     P = len(nodes)
     half = 0.5 * nodes[-1]
     x = nodes / half - 1.0
-    coef = np.linalg.lstsq(leg.legvander(x, P - 1), np.eye(P), rcond=None)[0]
+    coef = np.linalg.solve(leg.legvander(x, P - 1), np.eye(P))
     anti = leg.legint(coef, lbnd=-1.0, scl=half)
-    return leg.legval(x, anti).T
+    return leg.legvander(x, P) @ anti
 
 
 def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -544,6 +545,18 @@ def picard_duhamel(
     values held at the panel's quadrature nodes.  vt uses the
     differentiated kernels directly rather than differencing v.
 
+    Each panel starts from the exponential Euler solution (Hochbruck and
+    Ostermann, Acta Numerica 19 (2010)): the same Duhamel form with both
+    integrands frozen at the panel's left edge, in closed form at every
+    node from one evaluation of P(v, u) and W(u).  Jacobi sweeps then
+    refill the integrands at all P nodes.  The quadrature weights are a
+    (P+1, P) matrix, as in a spectral deferred correction integration
+    matrix (Dutt, Greengard and Rokhlin, BIT 40 (2000)): row i integrates
+    up to node i and row P over the whole panel, so each sweep also gives
+    the panel-end sums, and the panel advances with those of the sweep
+    that converged.  A panel that converges in m sweeps costs mP + 1 node
+    evaluations of the two products.
+
     Six (P, Nx, Ny) node stacks are kept, 64 B per node-mode entry: the
     iterates u (complex) and v, the raw right-hand sides P(v, u) (complex)
     and g, and cos(s w) and sinc(s w).  The phases exp(i lam s) are
@@ -552,7 +565,8 @@ def picard_duhamel(
 
     Args:
         residual_log: optional list; per-sweep fixed-point residuals are
-            appended to it (all panels concatenated).
+            appended to it (all panels concatenated).  A panel's first
+            entry is the change of its first sweep from the predictor.
 
     Raises:
         PicardDivergenceError: if a panel fails to reach tol within
@@ -580,7 +594,8 @@ def picard_duhamel(
     xg, wg = np.polynomial.legendre.leggauss(quad_nodes)
     nodes = (xg + 1.0) * 0.5 * h
     full_w = wg * 0.5 * h
-    Wmat = _integration_weights(nodes)
+    # rows 0..P-1 integrate up to each node, row P over the whole panel
+    weights = np.vstack([_integration_weights(nodes), full_w])
 
     # exp(i lam s) = exp(i lx s) exp(i ly s), with lam split into its
     # per-axis parts lam[k, l] = lx[k] + ly[l]
@@ -607,31 +622,42 @@ def picard_duhamel(
     g = np.empty(stack)
     neg_w2 = -w2
     h1_weight = 1.0 + lam
+    # the panel-end quadrature sums, kept from each sweep's last row
+    Iu_end = np.empty_like(phi)
+    Ia_end = np.empty_like(ps0)
+    Ib_end = np.empty_like(ps0)
 
     def fill_integrands() -> None:
         for i in range(quad_nodes):
             pvu[i] = ker.coupled_product(vs[i], us[i])
             np.multiply(ker.wave_source(us[i]), neg_w2, out=g[i])
 
-    def block_sums(weights: np.ndarray):
-        """Per block of grid rows: the rows, the phases exp(i lam s) there,
-        and the weighted node sums of the three integrands
-        exp(i lam s) P(v, u), cos(s w) g and sinc(s w) g."""
+    def predict() -> None:
+        """Exponential Euler: the Duhamel solution with both integrands
+        frozen at the panel's left edge, in closed form at every node,
+            u(s) = exp(-i lam s) (phi + p0/lam) - p0/lam
+            v(s) = cos(s w) (ps0 + W0) + sinc(s w) ps1 - W0
+        with p0 = P(ps0, phi) and W0 = W(phi); lam > 0 on the sine band."""
+        q = ker.coupled_product(ps0, phi) / lam
+        a = phi + q
+        W0 = ker.wave_source(phi)
+        z = ps0 + W0
         for lo in range(0, grid.Nx, _GRID_ROWS):
             rows = slice(lo, lo + _GRID_ROWS)
-            phase = exp_x[:, rows, None] * exp_y[:, None, :]
-            gb = g[:, rows]
-            yield (
-                rows,
-                phase,
-                _weighted_sum(weights, phase * pvu[:, rows]),
-                _weighted_sum(weights, cos_s[:, rows] * gb),
-                _weighted_sum(weights, sinc_s[:, rows] * gb),
+            ub = us[:, rows]
+            # exp(-i lam s), conjugated per axis
+            np.multiply(
+                np.conj(exp_x[:, rows, None]), np.conj(exp_y[:, None, :]), out=ub
             )
+            ub *= a[rows]
+            ub -= q[rows]
+            vb = vs[:, rows]
+            np.multiply(cos_s[:, rows], z[rows], out=vb)
+            vb += sinc_s[:, rows] * ps1[rows]
+            vb -= W0[rows]
 
     for panel in range(n_panels):
-        us[:] = phi
-        vs[:] = ps0
+        predict()
         residual = np.inf
         for _sweep in range(max_iter):
             # Jacobi sweep: every integrand comes from the previous sweep,
@@ -640,7 +666,15 @@ def picard_duhamel(
             # squared H1 of du and L2 of dv, per node
             du2 = np.zeros(quad_nodes)
             dv2 = np.zeros(quad_nodes)
-            for rows, phase, Iu, Ia, Ib in block_sums(Wmat):
+            for lo in range(0, grid.Nx, _GRID_ROWS):
+                rows = slice(lo, lo + _GRID_ROWS)
+                phase = exp_x[:, rows, None] * exp_y[:, None, :]
+                gb = g[:, rows]
+                Iu = _weighted_sum(weights, phase * pvu[:, rows])
+                Ia = _weighted_sum(weights, cos_s[:, rows] * gb)
+                Ib = _weighted_sum(weights, sinc_s[:, rows] * gb)
+                Iu_end[rows], Ia_end[rows], Ib_end[rows] = Iu[-1], Ia[-1], Ib[-1]
+                Iu, Ia, Ib = Iu[:-1], Ia[:-1], Ib[:-1]
                 un = np.conj(phase) * (phi[rows] - 1j * Iu)
                 c, sc = cos_s[:, rows], sinc_s[:, rows]
                 vn = c * ps0[rows] + sc * ps1[rows] + sc * Ia - c * Ib
@@ -657,16 +691,14 @@ def picard_duhamel(
         else:
             raise PicardDivergenceError(residual, max_iter, panel, t_now)
 
-        # advance the panel data to its right edge with full-panel quadrature
-        fill_integrands()
-        Iu = np.empty_like(phi)
-        Ia = np.empty_like(ps0)
-        Ib = np.empty_like(ps0)
-        for rows, _, iu, ia, ib in block_sums(full_w):
-            Iu[rows], Ia[rows], Ib[rows] = iu, ia, ib
-        phi = np.exp(-1j * lam * h) * (phi - 1j * Iu)
-        new_v = cos_h * ps0 + (sin_h / w) * ps1 + (sin_h / w) * Ia - cos_h * Ib
-        ps1 = -(w * sin_h) * ps0 + cos_h * ps1 + cos_h * Ia + (w * sin_h) * Ib
+        # advance the panel data to its right edge with the full-panel sums
+        # of the converged sweep: their integrands come from the iterate
+        # one sweep earlier, which differs from the last by less than tol
+        phi = np.exp(-1j * lam * h) * (phi - 1j * Iu_end)
+        new_v = (
+            cos_h * ps0 + (sin_h / w) * ps1 + (sin_h / w) * Ia_end - cos_h * Ib_end
+        )
+        ps1 = -(w * sin_h) * ps0 + cos_h * ps1 + cos_h * Ia_end + (w * sin_h) * Ib_end
         ps0 = new_v
         t_now += h
 

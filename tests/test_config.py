@@ -131,6 +131,23 @@ def test_validation_errors():
         parse_config_text("[sweep]\nn_list = 0\n")
 
 
+def test_checkpoint_time_past_the_horizon_is_an_error():
+    # integrate never reaches 0.5, so its state would silently be missing
+    with pytest.raises(ValueError, match=r"checkpoint time 0\.5 lies past the horizon T = 0\.05"):
+        parse_config_text("[run]\nt = 0.05\ncheckpoint_times = 0.02 0.5\n")
+    # the last step lands on T up to round-off, as integrate allows
+    cfg = parse_config_text("[run]\nt = 0.05\ncheckpoint_times = 0.05\n")
+    assert cfg.checkpoint_times == (0.05,)
+
+
+def test_checkpoint_times_sharing_a_file_name_are_an_error():
+    # both would be written to state_t0.0100.bin, the second over the first
+    with pytest.raises(
+        ValueError, match=r"0\.01001 and 0\.01004 would both be written to state_t0\.0100\.bin"
+    ):
+        parse_config_text("[run]\ncheckpoint_times = 0.01004 0.01001\n")
+
+
 def test_eps_list_allows_zero():
     cfg = parse_config_text("[sweep]\neps_list = 0\n")
     assert cfg.eps_list == (0.0,)

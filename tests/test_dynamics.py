@@ -571,34 +571,81 @@ def free_flow(st, eps, s):
     return u, v, vt
 
 
-def free_flow_first_residual(st, eps, h, P):
-    """The first Picard sweep of an uncoupled panel (0, h) with P nodes
-    lands on the free flow at every node, so its residual is the largest
-    over the nodes s of H1(u(s) - u0) + L2(v(s) - v0)."""
-    xg, _ = np.polynomial.legendre.leggauss(P)
-    worst = 0.0
-    for s in (xg + 1.0) * 0.5 * h:
-        u, v, _ = free_flow(st, eps, s)
-        du, dv = u - st.u.coef, v - st.v.coef
-        h1 = np.sqrt(np.sum((1.0 + st.grid.lam) * np.abs(du) ** 2))
-        worst = max(worst, h1 + np.sqrt(np.sum(dv**2)))
-    return worst
+def plain_picard_panel(st, params, h, P, tol=1e-11):
+    """One Picard panel (0, h) written out without blocks or per-axis
+    phases: the exponential Euler predictor at every node, then Jacobi
+    sweeps whose quadrature sums run over whole node stacks, and the panel
+    end from the full-panel sums of the last sweep.  Returns the residual
+    log and the end state's (u, v, vt)."""
+    grid = st.grid
+    lam = grid.lam
+    ker = dynamics._Kernels(grid, params, None)
+    w = ker.w
+    xg, wg = np.polynomial.legendre.leggauss(P)
+    nodes = (xg + 1.0) * 0.5 * h
+    W = dynamics._integration_weights(nodes)
+    s = nodes[:, None, None]
+    phase, c, sc = np.exp(1j * lam * s), np.cos(s * w), np.sin(s * w) / w
+    u0, v0, vt0 = st.u.coef.astype(complex), st.v.coef, st.vt.coef
+    p0 = ker.coupled_product(v0, u0)
+    W0 = ker.wave_source(u0)
+    us = np.conj(phase) * (u0 + p0 / lam) - p0 / lam
+    vs = c * (v0 + W0) + sc * vt0 - W0
+    log = []
+    while not log or log[-1] >= tol:
+        pvu = phase * np.array([ker.coupled_product(v, u) for v, u in zip(vs, us)])
+        g = -ker.w2 * np.array([ker.wave_source(u) for u in us])
+        Iu, Ia, Ib = (np.einsum("ij,jkl->ikl", W, f) for f in (pvu, c * g, sc * g))
+        un = np.conj(phase) * (u0 - 1j * Iu)
+        vn = c * v0 + sc * vt0 + sc * Ia - c * Ib
+        du = np.sqrt(np.sum((1.0 + lam) * np.abs(un - us) ** 2, axis=(1, 2)))
+        dv = np.sqrt(np.sum((vn - vs) ** 2, axis=(1, 2)))
+        log.append(float(np.max(du + dv)))
+        us, vs = un, vn
+    Iu, Ia, Ib = (np.einsum("j,jkl->kl", wg * 0.5 * h, f) for f in (pvu, c * g, sc * g))
+    ch, sh = np.cos(w * h), np.sin(w * h)
+    u = np.exp(-1j * lam * h) * (u0 - 1j * Iu)
+    v = ch * v0 + sh / w * vt0 + sh / w * Ia - ch * Ib
+    vt = -w * sh * v0 + ch * vt0 + ch * Ia + w * sh * Ib
+    return log, (u, v, vt)
 
 
 def test_picard_residual_is_the_worst_node_of_every_row_block():
-    # Without coupling the residual of the first sweep is known in closed
-    # form, largest over all 17 nodes, whose per-node sums run over grid-row
-    # blocks (10 rows leave the last one partial); the second sweep changes
-    # nothing.
+    # A coupled panel whose sums run over grid-row blocks (10 rows leave the
+    # last one partial) against the same iteration written without blocks:
+    # the same residual, largest over all 17 nodes, in every sweep, and the
+    # same panel end
     st = standard_state(10)
     assert st.grid.Nx % dynamics._GRID_ROWS != 0
-    params = SystemParams(eps=0.5, dt=1.0, coupling=False)
+    params = SystemParams(eps=0.5, dt=1.0)
     log = []
-    picard_duhamel(st, 0.02, params, quad_nodes=17, residual_log=log)
-    expected = free_flow_first_residual(st, 0.5, 0.02, 17)
-    assert len(log) == 2
-    assert log[0] == pytest.approx(expected, rel=1e-12)
-    assert log[1] < 1e-15 * expected
+    pic = picard_duhamel(st, 0.02, params, quad_nodes=17, residual_log=log)
+    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 17)
+    assert len(log) == len(ref_log) >= 4
+    # rel 1e-12 binds the first sweeps; the last residuals are differences
+    # of iterates of size 1, so round-off leaves them an absolute floor
+    # (measured 7e-19)
+    assert log == pytest.approx(ref_log, rel=1e-12, abs=1e-15)
+    for got, ref in zip((pic.u, pic.v, pic.vt), ref_end):
+        assert np.max(np.abs(got.coef - ref)) < 1e-13
+
+
+def test_picard_panel_makes_m_p_plus_one_node_evaluations(monkeypatch):
+    # An unregularized, dealiased panel: the predictor evaluates the two
+    # products once, at the panel's left edge, and each of the m sweeps at
+    # every node; the panel end takes no fill of its own.  A node
+    # evaluation is 3 transforms on the padded grid (two syntheses and one
+    # analysis of P(v, u)) and 2 on the band (one of each for W(u)).
+    st = standard_state(8)
+    params = SystemParams(eps=1.0, dt=1.0)
+    P = 8
+    counts = count_transforms(monkeypatch)
+    log = []
+    picard_duhamel(st, 0.02, params, quad_nodes=P, residual_log=log)
+    m = len(log)
+    assert m >= 4
+    assert st.grid.pad_shape != st.grid.shape
+    assert counts == {st.grid.pad_shape: 3 * (m * P + 1), st.grid.shape: 2 * (m * P + 1)}
 
 
 def test_picard_peak_memory_per_node_mode_entry():
@@ -640,5 +687,6 @@ def test_picard_exact_without_coupling():
         pic = picard_duhamel(st, 0.04, params, quad_nodes=8, residual_log=log)
         for got, exact in zip((pic.u, pic.v, pic.vt), free_flow(st, 0.5, 0.04)):
             assert np.max(np.abs(got.coef - exact)) < 1e-13
-        first = free_flow_first_residual(st, 0.5, 0.02, 8)
-        assert log[0] == pytest.approx(first, rel=1e-12)
+        # the exponential Euler predictor is the free flow itself, so each
+        # panel's one sweep changes nothing
+        assert log == [0.0, 0.0]
