@@ -17,11 +17,12 @@ if not any(var in os.environ for var in _BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 # glibc serves every block above M_MMAP_THRESHOLD (128 KiB at start) with its
-# own mmap, unmaps it on free, and trims the top of the heap, so the 147 to
-# 256 KiB temporaries of every monitor row (the 96^2 product of `dudt`, the
-# 128^2 `lp_norm`) and of every Yosida Taylor term are faulted in afresh on
-# each call.  Freeing a large mmapped block raises both thresholds on its
-# own, which is why that cost depended on what the process had run before.
+# own mmap, unmaps it on free, and trims the top of the heap, so the 128 to
+# 256 KiB temporaries of every monitor row (the 128^2 synthesis of `lp_norm`)
+# and the 144 KiB 96^2 products of every Yosida Taylor term are faulted in
+# afresh on each call.  Freeing a large mmapped block raises both thresholds
+# on its own, which is why that cost depended on what the process had run
+# before.
 # Unless the environment tunes the allocator itself, fix the thresholds once:
 # blocks up to 32 MiB come from the heap, and the heap top is trimmed only
 # beyond 64 MiB free.  Where there is no glibc `mallopt`, nothing happens.

@@ -55,7 +55,6 @@ __all__ = [
     "PotentialFlowError",
     "make_state",
     "prepare_initial_state",
-    "dudt",
     "integrate",
     "picard_duhamel",
 ]
@@ -217,8 +216,8 @@ class _Kernels:
                    half-step flow of v'' = -omega^2 v
         phase_half exp(i dt/2 Laplacian), symbol exp(-i dt/2 lam)
 
-    dt = None builds no half-step tables: callers that take no step (dudt,
-    the Picard oracle, data smoothing) then skip their cos, sin and exp.
+    dt = None builds no half-step tables: callers that take no step (the
+    Picard oracle, data smoothing) then skip their cos, sin and exp.
     """
 
     def __init__(self, grid: Grid2D, params: SystemParams, dt: float | None):
@@ -401,13 +400,6 @@ def prepare_initial_state(state: State, params: SystemParams) -> State:
 # public operations
 
 
-def dudt(state: State, params: SystemParams) -> Field:
-    """Time derivative of u:  i (Laplacian u - P(v, u))."""
-    ker = _Kernels(state.grid, params, None)
-    p = ker.coupled_product(state.v.coef, state.u.coef.astype(np.complex128))
-    return field_from_coef(state.grid, 1j * (-state.grid.lam * state.u.coef - p))
-
-
 def integrate(
     state0: State,
     T: float,
@@ -456,11 +448,7 @@ def integrate(
     def record(t: float) -> None:
         snap = snapshot(t)
         row = monitor.row(snap, params)
-        # envelope_small is NaN by design when the smallness hypothesis
-        # fails, so it is excluded from the blow-up check
-        if not all(
-            np.isfinite(val) for key, val in row.items() if key != "envelope_small"
-        ):
+        if not all(np.isfinite(val) for val in row.values()):
             raise BlowupError(times[-1] if times else t0)
         times.append(t)
         rows.append(row)

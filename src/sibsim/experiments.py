@@ -237,24 +237,6 @@ def _series_assertions(series: dict, eps: float, ec) -> list[Assertion]:
     return out
 
 
-def _growth_report(series: dict) -> dict:
-    """Report-only fits for bounds whose constants the analysis leaves
-    implicit: exponential growth rate of the modified energy."""
-    t = series["t"]
-    f = series["modified_energy"]
-    report: dict = {
-        "energy_drift_rel": float(
-            np.max(np.abs(series["energy_eps"] - series["energy_eps"][0]))
-            / max(abs(series["energy_eps"][0]), 1e-300)
-        )
-    }
-    if f[0] > 0 and len(t) > 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rates = np.log(np.maximum(f[1:], 1e-300) / f[0]) / t[1:]
-        report["modified_energy_growth_rate"] = float(np.max(rates))
-    return report
-
-
 # ---------------------------------------------------------------------------
 # run
 
@@ -283,7 +265,12 @@ def cmd_run(config: RunConfig, quiet: bool = False) -> int:
         artifacts.append(name)
 
     assertions = _series_assertions(record.series, params.eps, monitor.ec)
-    manifest["reports"] = _growth_report(record.series)
+    energies = record.series["energy_eps"]
+    manifest["reports"] = {
+        "energy_drift_rel": float(
+            np.max(np.abs(energies - energies[0])) / max(abs(energies[0]), 1e-300)
+        )
+    }
     return _finish(config.out_dir, manifest, assertions, artifacts, quiet)
 
 
@@ -322,9 +309,12 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
         sups.append(sup)
         _emit(quiet, f"eps={eps:g}: sup difference {sup:.6e}")
 
-    if len(eps_values) >= 2:
+    # log(0) is undefined, so an eps = 0 member stays out of the log-log fit
+    fit = [(e, s) for e, s in zip(eps_values, sups) if e > 0]
+    if len(fit) >= 2:
+        fit_eps, fit_sups = zip(*fit)
         slope = float(
-            np.polyfit(np.log(eps_values), np.log(np.maximum(sups, 1e-300)), 1)[0]
+            np.polyfit(np.log(fit_eps), np.log(np.maximum(fit_sups, 1e-300)), 1)[0]
         )
     else:
         slope = math.nan

@@ -1,4 +1,4 @@
-"""Scalar functionals of the coupled system: charge, energies, difference
+"""Scalar functionals of the coupled system: charge, energy, difference
 metrics, Gagliardo-Nirenberg machinery, and a-priori envelope bounds.
 
 Conventions:
@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import State, SystemParams, dudt
+from .dynamics import State, SystemParams
 from .grids import (
     Field,
     Grid2D,
@@ -41,7 +41,6 @@ from .grids import (
     coef_to_values,
     field_from_coef,
     h1_norm,
-    h2_norm,
     intensity_coef,
     lp_norm,
     sobolev_norm,
@@ -55,7 +54,6 @@ __all__ = [
     "SERIES_COLUMNS",
     "charge",
     "energy",
-    "modified_energy",
     "difference_metric",
     "cauchy_metric",
     "gn_quotient",
@@ -71,32 +69,25 @@ SERIES_COLUMNS = (
     "t",
     "charge",
     "energy_eps",
-    "modified_energy",
     "h1_u",
-    "h2_u",
     "l2_v",
-    "h1_v",
     "l2_vt",
     "hm_half_vt",
     "gn_quotient",
     "envelope_h1",
-    "envelope_small",
 )
 
 
 @dataclass(frozen=True)
 class DataNorms:
     """Norms of the initial data (phi, psi0, psi1) entering the envelope
-    constants: L2 and gradient norms of each component, ||Lap phi||, and the
+    constants: the L2 norm of each component, ||grad phi||, and the
     negative-order norm ||(-Lap)^{-1/2} psi1||."""
 
     l2_phi: float
     grad_phi: float
-    lap_phi: float
     l2_psi0: float
-    grad_psi0: float
     l2_psi1: float
-    grad_psi1: float
     neg_half_psi1: float
 
     def __post_init__(self):
@@ -111,11 +102,8 @@ class DataNorms:
         return cls(
             l2_phi=sobolev_norm(phi, 0.0),
             grad_phi=sobolev_norm(phi, 1.0),
-            lap_phi=sobolev_norm(phi, 2.0),
             l2_psi0=sobolev_norm(psi0, 0.0),
-            grad_psi0=sobolev_norm(psi0, 1.0),
             l2_psi1=sobolev_norm(psi1, 0.0),
-            grad_psi1=sobolev_norm(psi1, 1.0),
             neg_half_psi1=sobolev_norm(psi1, -1.0),
         )
 
@@ -159,25 +147,6 @@ def energy(state: State, eps: float) -> float:
     # product here would decouple the reported energy from the conserved one
     coupling = np.sum(vcoef * intensity_coef(state.grid, ucoef))
     return float(grad_u + quad + coupling)
-
-
-def modified_energy(
-    state: State,
-    eps: float,
-    params: SystemParams,
-    dn: DataNorms | None = None,
-) -> float:
-    """F_eps = ||du/dt||^2 + (||grad v||^2 + ||vt||^2 + eps ||grad vt||^2)/2
-    + ||phi||_2^2 (shift taken from dn when provided)."""
-    lam = state.grid.lam
-    ut = dudt(state, params)
-    base = float(np.sum(np.abs(ut.coef) ** 2))
-    v2 = state.v.coef**2
-    vt2 = state.vt.coef**2
-    shift = dn.l2_phi**2 if dn is not None else 0.0
-    return base + 0.5 * float(
-        np.sum(lam * v2) + np.sum(vt2) + eps * np.sum(lam * vt2)
-    ) + shift
 
 
 def _differences(state_a: State, state_b: State):
@@ -412,14 +381,10 @@ class RunMonitor:
             "t": state.t,
             "charge": charge(state),
             "energy_eps": energy(state, params.eps),
-            "modified_energy": modified_energy(state, params.eps, params, self.dn),
             "h1_u": h1_norm(state.u),
-            "h2_u": h2_norm(state.u),
             "l2_v": sobolev_norm(state.v, 0.0),
-            "h1_v": h1_norm(state.v),
             "l2_vt": sobolev_norm(state.vt, 0.0),
             "hm_half_vt": sobolev_norm(state.vt, -1.0),
             "gn_quotient": quotient,
             "envelope_h1": envelope_h1(state.t - self.t0, self.ec, self.dn),
-            "envelope_small": self.ec.c6 if self.ec.c6 is not None else math.nan,
         }

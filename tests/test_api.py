@@ -50,10 +50,39 @@ def test_package_exports_are_the_boundary():
     }
 
 
+# the other names benchmarks/spans.py wraps and benchmarks/workloads.py calls
+BENCHMARK_NAMES = (
+    "grids.coef_to_values",
+    "grids.values_to_coef",
+    "grids.field_from_coef",
+    "grids.h1_norm",
+    "dynamics.integrate",
+    "dynamics.picard_duhamel",
+    "dynamics._Kernels.step",
+    "functionals.RunMonitor.row",
+    "functionals.estimate_gn_constant",
+    "functionals.charge",
+    "functionals.default_gn_constant.cache_clear",
+    "output.write_series",
+    "output.write_table",
+    "output.write_manifest",
+    "output.save_checkpoint",
+    "output.file_checksums",
+    "cli.main",
+)
+
+
 def test_traced_module_exports_are_unchanged():
     # benchmarks/spans.py wraps every callable in these two lists to time
     # the config and command layers, so a change here changes the benchmark
     from sibsim import config, experiments
+
+    for dotted in BENCHMARK_NAMES:
+        module, *path = dotted.split(".")
+        obj = importlib.import_module(f"sibsim.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        assert callable(obj), f"the benchmark calls sibsim.{dotted}"
 
     assert config.__all__ == [
         "RunConfig",

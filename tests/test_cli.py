@@ -403,6 +403,19 @@ def test_sweep_eps_self_comparison_is_zero(tmp_path):
     assert float(rows[1].split(",")[1]) == 0.0
 
 
+def test_sweep_eps_fits_the_slope_over_positive_eps_only(tmp_path, capfd):
+    # eps = 0 is a member but not a point of the log-log fit: with one
+    # positive eps left the slope is empty, and nothing reaches stderr
+    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n[run]\nt = 0.02\n")
+    out = tmp_path / "o"
+    argv = ["--config", cfg, "--out", str(out), "--quiet", "sweep-eps", "--eps-list", "0.1", "0"]
+    assert main(argv) == 0
+    rows = (out / "eps_sweep.csv").read_text().splitlines()
+    assert rows[0] == "eps,sup_metric,fitted_slope"
+    assert [r.split(",")[2] for r in rows[1:]] == ["", ""]
+    assert capfd.readouterr().err == ""
+
+
 def test_sweep_n_small_case(tmp_path):
     cfg = write(
         tmp_path,
