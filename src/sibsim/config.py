@@ -135,9 +135,7 @@ _KEYS = {
         "monitor_stride": ("monitor_stride", int),
         "seed": ("seed", int),
         "c0": ("c0", _scalar),
-        "coupling": ("coupling", _boolean),
         "dealias": ("dealias", _boolean),
-        "regularize_data": ("regularize_data", _boolean),
         "checkpoint_times": ("checkpoint_times", _scalar_list),
     },
     "output": {"dir": ("out_dir", str)},
@@ -206,9 +204,7 @@ class RunConfig:
     monitor_stride: int = 10
     seed: int = 0
     c0: float | None = None
-    coupling: bool = True
     dealias: bool = True
-    regularize_data: bool = True
     checkpoint_times: tuple[float, ...] = ()
     out_dir: str = "out"
     eps_list: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)

@@ -14,6 +14,9 @@ Two solvers:
 
 * `integrate`: second-order symmetric splitting (half wave, full
   Schrodinger, half wave; one step is `_Kernels.step`), the production path.
+  It returns the states its caller asks for, and diagnostics rows only
+  from a monitor the caller passes in; this module evaluates no
+  diagnostics of its own.
 * `picard_duhamel`: fixed-point iteration on the variation-of-constants
   form of the system, used as a cross-validation oracle.
 
@@ -116,22 +119,17 @@ class SystemParams:
         dt: time step used by integrate.
         yosida_n: optional Yosida index n; when set, every nonlinearity is
             evaluated as J_n(J_n v * J_n u) (and J_n |J_n u|^2 in the wave
-            source), mirroring the regularized system.
-        regularize_data: when yosida_n is set, also smooth the initial data
-            with J_n before evolving.
+            source), mirroring the regularized system, and the initial
+            data are smoothed with J_n.
         dealias: evaluate band-projecting products (Yosida terms and the
             Duhamel right-hand side) on the 3/2 zero-padded grid; the
             stepper's own nodal nonlinearities are unaffected.
-        coupling: test hook; False drops the nonlinear coupling entirely,
-            making both subflows exact.
     """
 
     eps: float = 1.0
     dt: float = 1e-3
     yosida_n: float | None = None
-    regularize_data: bool = True
     dealias: bool = True
-    coupling: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
@@ -174,13 +172,13 @@ def _state_from_coef(grid: Grid2D, u, v, vt, t: float) -> State:
 
 @dataclass
 class TrajectoryRecord:
-    """Diagnostics sampled along an integrate() run.
+    """What an integrate() run kept.
 
-    series maps column names (same order as the run CSV) to arrays, one
-    entry per sample; checkpoints maps requested times to states.
+    series maps the monitor's column names (same order as the run CSV) to
+    arrays, one entry per sample, and is empty when the run had no
+    monitor; checkpoints maps requested times to states.
     """
 
-    times: np.ndarray
     series: dict[str, np.ndarray]
     final_state: State
     checkpoints: dict[float, State]
@@ -255,16 +253,12 @@ class _Kernels:
         conserves the reported energy to O(dt^2) instead of drifting onto a
         dt-independent quadrature-mismatch floor.
         """
-        if not self.params.coupling:
-            return np.zeros(self.grid.shape)
         if self.jsym is None:
             return intensity_coef(self.grid, u)
         return self.jsym * intensity_coef(self.grid, self.jsym * u, self.prod_shape)
 
     def coupled_product(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
         """P(v, u): J(Jv * Ju) when regularized, else the plain product."""
-        if not self.params.coupling:
-            return np.zeros(self.grid.shape, dtype=u.dtype)
         if self.jsym is None:
             return self.product(v, u)
         return self.jsym * self.product(self.jsym * v, self.jsym * u)
@@ -323,8 +317,6 @@ class _Kernels:
             PotentialFlowError: if the step needs more than _MAX_SUBSTEPS
                 substeps.
         """
-        if not self.params.coupling:
-            return u
         dt = self.dt
         grid = self.grid
         if self.jsym is None:
@@ -387,8 +379,8 @@ class _Kernels:
 
 def prepare_initial_state(state: State, params: SystemParams) -> State:
     """Data as the flow actually sees them: Yosida-smoothed when yosida_n
-    is set and regularize_data is on, untouched otherwise."""
-    if params.yosida_n is None or not params.regularize_data:
+    is set, untouched otherwise."""
+    if params.yosida_n is None:
         return state
     j = _Kernels(state.grid, params, None).jsym
     return _state_from_coef(
@@ -410,18 +402,23 @@ def integrate(
 ) -> TrajectoryRecord:
     """March the splitting from state0.t over a horizon T with dt=params.dt.
 
-    The final step is shortened to land exactly on state0.t + T.
-    Diagnostics are recorded at t0, every monitor_stride steps, and at the
-    end; a non-finite sample aborts with BlowupError.
+    The final step is shortened to land exactly on state0.t + T.  With a
+    monitor, one diagnostics row is recorded at t0, every monitor_stride
+    steps, and at the end; without one, no row is evaluated and the
+    record's series is empty.
+
+    A run aborts with BlowupError when a step leaves u[0, 0] non-finite,
+    when a state it keeps (a checkpoint or the final state) is not finite,
+    or when a monitor row is not finite.  The error's t_last is the last
+    time at which a whole state, and its row if it had one, was seen
+    finite (t0 before the first check).
 
     Args:
-        monitor: optional functionals.RunMonitor; when omitted it is built
-            from state0 (data norms and envelope constants included).
+        monitor: optional object whose row(state, params) returns one
+            diagnostics row as a dict of floats, such as a RunMonitor.
         checkpoint_times: for each time, the state after the first completed
             step at or after it is kept.
     """
-    from . import functionals  # deferred to keep module layering acyclic
-
     dt = params.dt
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
@@ -429,34 +426,35 @@ def integrate(
         raise ValueError("monitor_stride must be >= 1")
 
     state = prepare_initial_state(state0, params)
-    if monitor is None:
-        monitor = functionals.RunMonitor.from_state(state)
-
     ker = _Kernels(state.grid, params, dt)
     n_steps = max(1, ceil(T / dt - 1e-12))
     t0 = state.t
     u, v, vt = state.u.coef.astype(np.complex128), state.v.coef, state.vt.coef
 
     rows: list[dict[str, float]] = []
-    times: list[float] = []
     checkpoints: dict[float, State] = {}
     pending = sorted(checkpoint_times)
+    t_finite = t0
 
-    def snapshot(t: float) -> State:
-        return _state_from_coef(state.grid, u.copy(), v.copy(), vt.copy(), t)
+    def keep(t: float, row: bool = False) -> State:
+        """A copy of the state at t, and its monitor row if asked; both
+        must be finite."""
+        nonlocal t_finite
+        snap = _state_from_coef(state.grid, u.copy(), v.copy(), vt.copy(), t)
+        finite = np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(vt).all()
+        if finite and row:
+            rows.append(monitor.row(snap, params))
+            finite = all(np.isfinite(val) for val in rows[-1].values())
+        if not finite:
+            raise BlowupError(t_finite)
+        t_finite = t
+        return snap
 
-    def record(t: float) -> None:
-        snap = snapshot(t)
-        row = monitor.row(snap, params)
-        if not all(np.isfinite(val) for val in row.values()):
-            raise BlowupError(times[-1] if times else t0)
-        times.append(t)
-        rows.append(row)
-
-    record(t0)
+    if monitor is not None:
+        keep(t0, row=True)
     t = t0
     while pending and pending[0] <= t0 + 1e-12:
-        checkpoints[pending.pop(0)] = snapshot(t0)
+        checkpoints[pending.pop(0)] = keep(t0)
     for i in range(n_steps):
         step_dt = dt
         if i == n_steps - 1:
@@ -466,14 +464,14 @@ def integrate(
         u, v, vt = ker.step(u, v, vt)
         t = t0 + T if i == n_steps - 1 else t + dt
         if not np.isfinite(u[0, 0]):
-            raise BlowupError(times[-1])
-        if (i + 1) % monitor_stride == 0 or i == n_steps - 1:
-            record(t)
+            raise BlowupError(t_finite)
+        if monitor is not None and ((i + 1) % monitor_stride == 0 or i == n_steps - 1):
+            keep(t, row=True)
         while pending and pending[0] <= t + 1e-12:
-            checkpoints[pending.pop(0)] = snapshot(t)
+            checkpoints[pending.pop(0)] = keep(t)
 
-    series = {key: np.array([r[key] for r in rows]) for key in rows[0]}
-    return TrajectoryRecord(np.array(times), series, snapshot(t), checkpoints)
+    series = {key: np.array([r[key] for r in rows]) for key in (rows[0] if rows else ())}
+    return TrajectoryRecord(series, keep(t), checkpoints)
 
 
 # ---------------------------------------------------------------------------

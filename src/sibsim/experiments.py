@@ -28,7 +28,6 @@ from .dynamics import (
     NumericalAbort,
     State,
     SystemParams,
-    TrajectoryRecord,
     _Kernels,
     integrate,
     prepare_initial_state,
@@ -99,9 +98,7 @@ def _resolved(config: RunConfig) -> dict:
         "monitor_stride": config.monitor_stride,
         "seed": config.seed,
         "c0": config.c0,
-        "coupling": config.coupling,
         "dealias": config.dealias,
-        "regularize_data": config.regularize_data,
         "out_dir": config.out_dir,
     }
 
@@ -152,28 +149,8 @@ def _start(config: RunConfig, params: SystemParams) -> tuple[State, RunMonitor]:
     return state0, RunMonitor.from_state(prepare_initial_state(state0, params), c0=c0)
 
 
-def _evolve(
-    state0: State,
-    config: RunConfig,
-    params: SystemParams,
-    monitor: RunMonitor,
-    checkpoint_times: tuple[float, ...] = (),
-    monitor_stride: int | None = None,
-) -> TrajectoryRecord:
-    """integrate() from state0 over config.T, sampled every monitor_stride
-    steps (default: the configured stride)."""
-    return integrate(
-        state0,
-        config.T,
-        params,
-        monitor_stride=monitor_stride or config.monitor_stride,
-        monitor=monitor,
-        checkpoint_times=checkpoint_times,
-    )
-
-
 def _sample_times(config: RunConfig) -> tuple[float, ...]:
-    """The times integrate() samples: every monitor_stride-th step and T."""
+    """The times a run samples: every monitor_stride-th step and T."""
     step = config.monitor_stride * config.dt
     times = []
     t = step
@@ -248,7 +225,9 @@ def cmd_run(config: RunConfig, quiet: bool = False) -> int:
     manifest = _manifest_base("run", config, monitor)
 
     try:
-        record = _evolve(state0, config, params, monitor, config.checkpoint_times)
+        record = integrate(
+            state0, config.T, params, config.monitor_stride, monitor, config.checkpoint_times
+        )
     except NumericalAbort as exc:
         manifest["status"] = "numerical-abort"
         if isinstance(exc, BlowupError):
@@ -283,9 +262,11 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
     sampled times of the difference metric must decrease strictly as eps
     decreases.  Requires the small-data hypothesis (the limit system's
     global theory needs it)."""
-    if not config.eps_list:
-        raise ValueError("eps sweep needs a nonempty eps_list")
     eps_values = tuple(sorted(set(config.eps_list), reverse=True))
+    if len(eps_values) < 2:
+        raise ValueError(
+            f"eps sweep needs at least 2 distinct eps_list values, got {config.eps_list}"
+        )
 
     state0, monitor = _start(config, build_params(config, eps=0.0))
     if monitor.ec.c0 * monitor.dn.l2_phi >= math.sqrt(2.0):
@@ -299,7 +280,7 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
 
     def states_at_samples(eps: float) -> dict:
         params = build_params(config, eps=eps)
-        return _evolve(state0, config, params, monitor, samples).checkpoints
+        return integrate(state0, config.T, params, checkpoint_times=samples).checkpoints
 
     reference = states_at_samples(0.0)
     sups = []
@@ -325,12 +306,11 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
     )
 
     gaps = [a - b for a, b in zip(sups, sups[1:])]
-    margin = min(gaps) if gaps else math.inf
     assertions = [
         Assertion(
             "eps-difference-decreasing",
             all(g > 0 for g in gaps),
-            margin if gaps else 0.0,
+            min(gaps),
             "sup metric strictly decreasing as eps decreases",
         )
     ]
@@ -353,16 +333,18 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
     reference; consecutive solutions (at t = T, in H1 + L2 + L2) must
     approach each other as n doubles.  Also reports the time-sup of the
     H2 + H1 + H1 norms per run (boundedness of the approximating family)."""
-    if not config.n_list:
-        raise ValueError("n sweep needs a nonempty n_list")
     n_values = tuple(sorted(set(config.n_list)))
+    if len(n_values) < 3:
+        raise ValueError(
+            f"n sweep needs at least 3 distinct n_list values, got {config.n_list}"
+        )
 
     state0, monitor = _start(config, build_params(config, yosida_n=None))
     samples = _sample_times(config)
 
     def run_member(n: int | None):
         params = build_params(config, yosida_n=n)
-        rec = _evolve(state0, config, params, monitor, samples)
+        rec = integrate(state0, config.T, params, checkpoint_times=samples)
         bound = max(
             math.sqrt(
                 h2_norm(s.u) ** 2 + h1_norm(s.v) ** 2 + h1_norm(s.vt) ** 2
@@ -378,26 +360,17 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
         finals.append(final)
         bounds.append(bound)
 
+    diffs = [cauchy_metric(a, b) for a, b in zip(finals, finals[1:])]
+    dists = [cauchy_metric(f, reference) for f in finals]
     rows = []
-    diffs = []
     for i, n in enumerate(n_values):
-        diff_prev = cauchy_metric(finals[i - 1], finals[i]) if i > 0 else None
-        if diff_prev is not None:
-            diffs.append(diff_prev)
-        dist_ref = cauchy_metric(finals[i], reference)
-        rows.append(
-            (
-                n,
-                "" if diff_prev is None else diff_prev,
-                dist_ref,
-                bounds[i],
-            )
-        )
+        diff_prev = diffs[i - 1] if i > 0 else None
+        rows.append((n, "" if diff_prev is None else diff_prev, dists[i], bounds[i]))
         _emit(
             quiet,
             f"n={n}: consecutive diff "
             + ("-" if diff_prev is None else f"{diff_prev:.6e}")
-            + f", distance to unregularized {dist_ref:.6e}",
+            + f", distance to unregularized {dists[i]:.6e}",
         )
     write_table(
         os.path.join(config.out_dir, "n_sweep.csv"),
@@ -409,8 +382,8 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
     assertions = [
         Assertion(
             "n-consecutive-differences-decreasing",
-            all(g > 0 for g in gaps) if gaps else True,
-            min(gaps) if gaps else math.inf,
+            all(g > 0 for g in gaps),
+            min(gaps),
             "Cauchy trend along doubling n",
         ),
     ]
@@ -418,7 +391,7 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
     manifest["reports"] = {
         "n": list(n_values),
         "diff_consecutive": [float(d) for d in diffs],
-        "dist_unregularized": [float(cauchy_metric(f, reference)) for f in finals],
+        "dist_unregularized": [float(d) for d in dists],
         "sup_h2_h1_h1": [float(b) for b in bounds],
         "sup_h2_h1_h1_unregularized": float(ref_bound),
     }
@@ -558,13 +531,19 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
         Assertion("propagator-group-identity", worst_group >= 0.0, worst_group)
     )
 
-    # wave kernel first integral cos^2 + omega^2 sinc^2 = 1
+    # wave kernel first integral cos^2 + omega^2 sinc^2 = 1, and the
+    # determinant of the half step cos^2 + wsin * sinc = 1, which reaches
+    # the third symbol wave_half multiplies by
     worst_wave = math.inf
     for eps in eps_samples:
         for t in t_samples:
             ker = kernel(eps=eps, dt=2 * t)
-            resid = np.abs(ker.cos_half**2 + ker.w**2 * ker.sinc_half**2 - 1.0)
-            worst_wave = min(worst_wave, 1e-14 - float(np.max(resid)))
+            cos2 = ker.cos_half**2
+            resid = max(
+                np.max(np.abs(cos2 + ker.w**2 * ker.sinc_half**2 - 1.0)),
+                np.max(np.abs(cos2 + ker.wsin_half * ker.sinc_half - 1.0)),
+            )
+            worst_wave = min(worst_wave, 1e-14 - float(resid))
     assertions.append(
         Assertion("wave-kernel-first-integral", worst_wave >= 0.0, worst_wave)
     )
@@ -649,8 +628,9 @@ def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:
     """Self-refinement order measurement for the splitting integrator.
 
     Errors are taken against a reference run at dt_min / 8; the mean
-    observed order must reach 1.9.  When the coupling is switched off the
-    integrator is exact and the test is skipped with a notice.
+    observed order must reach 1.9.  When the integrator is exact (zero
+    data, say) the errors are at round-off and the test is skipped with a
+    notice.
     """
     dts = config.dt_list
     if len(dts) < 3:
@@ -659,12 +639,11 @@ def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:
         if abs(a / b - 2.0) > 1e-9:
             raise ValueError("dt_list must halve from entry to entry")
 
-    state0, monitor = _start(config, build_params(config))
+    os.makedirs(config.out_dir, exist_ok=True)
+    state0 = build_initial_state(config)
 
     def final_state(dt: float) -> State:
-        params = build_params(config, dt=dt)
-        stride = max(1, round(config.T / dt))
-        return _evolve(state0, config, params, monitor, monitor_stride=stride).final_state
+        return integrate(state0, config.T, build_params(config, dt=dt)).final_state
 
     reference = final_state(dts[-1] / 8.0)
     errors = [difference_metric(final_state(dt), reference) for dt in dts]
@@ -675,7 +654,7 @@ def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:
     if max(errors) < 1e-11:
         _emit(
             quiet,
-            "errors at round-off level (exact integrator, e.g. coupling off); "
+            "errors at round-off level (exact integrator, e.g. zero data); "
             "order measurement skipped",
         )
         manifest["reports"] = {"dt": list(dts), "errors": errors, "skipped": True}

@@ -67,9 +67,21 @@ def write_table(path: str, columns, rows) -> None:
     _atomic_write(path, buf.getvalue().encode())
 
 
+def _json_safe(value):
+    """value with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def write_manifest(path: str, payload: dict) -> None:
-    data = json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n"
-    _atomic_write(path, data)
+    """Strict JSON (RFC 8259): a non-finite float is written as null."""
+    data = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(path, data.encode() + b"\n")
 
 
 def file_checksums(directory: str, names) -> dict:

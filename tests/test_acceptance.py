@@ -35,8 +35,14 @@ def _verdict(ok: bool, name: str, detail: str) -> bool:
 
 def _final_state(cfg: RunConfig, **overrides):
     params = build_params(cfg, **overrides)
-    rec = integrate(build_initial_state(cfg), cfg.T, params, monitor_stride=10**6)
-    return rec.final_state
+    return integrate(build_initial_state(cfg), cfg.T, params).final_state
+
+
+def _monitored_run(cfg: RunConfig):
+    """integrate() with a diagnostics row every monitor_stride steps."""
+    state0 = build_initial_state(cfg)
+    monitor = RunMonitor.from_state(state0)
+    return integrate(state0, cfg.T, build_params(cfg), cfg.monitor_stride, monitor)
 
 
 def test_charge_is_conserved_for_each_dispersion_weight():
@@ -44,7 +50,7 @@ def test_charge_is_conserved_for_each_dispersion_weight():
     drifts = []
     for eps in eps_values:
         cfg = RunConfig(eps=eps)
-        rec = integrate(build_initial_state(cfg), cfg.T, build_params(cfg))
+        rec = _monitored_run(cfg)
         charge = rec.series["charge"]
         drifts.append(float(np.max(np.abs(charge - charge[0])) / charge[0]))
     detail = ", ".join(
@@ -61,7 +67,7 @@ def test_energy_drift_is_second_order_in_dt():
     drift = {}
     for dt in (1e-3, 5e-4):
         cfg = RunConfig(dt=dt)
-        rec = integrate(build_initial_state(cfg), cfg.T, build_params(cfg))
+        rec = _monitored_run(cfg)
         energy = rec.series["energy_eps"]
         drift[dt] = float(np.max(np.abs(energy - energy[0])) / abs(energy[0]))
     ratio = drift[1e-3] / drift[5e-4]
@@ -76,7 +82,7 @@ def test_energy_drift_is_second_order_in_dt():
 
 def test_growth_envelope_dominates_h1_quantity_on_long_run():
     cfg = RunConfig(T=5.0)
-    rec = integrate(build_initial_state(cfg), cfg.T, build_params(cfg))
+    rec = _monitored_run(cfg)
     lhs = h1_envelope_lhs(rec.series)
     env = rec.series["envelope_h1"]
     gap = float(np.min(env - lhs))
@@ -95,7 +101,7 @@ def small_eps_family():
     records = {}
     for eps in (0.1, 0.05, 0.025, 0.0125):
         cfg = RunConfig(T=5.0, eps=eps)
-        records[eps] = integrate(build_initial_state(cfg), cfg.T, build_params(cfg))
+        records[eps] = _monitored_run(cfg)
     return records
 
 
@@ -140,7 +146,6 @@ def test_distance_to_limit_system_decreases_with_eps():
             build_initial_state(cfg),
             cfg.T,
             build_params(cfg),
-            monitor_stride=10**6,
             checkpoint_times=sample_times,
         )
         return rec.checkpoints
@@ -245,7 +250,7 @@ def test_splitting_agrees_with_duhamel_fixed_point():
     cfg = RunConfig(T=0.1)
     params = build_params(cfg)
     state0 = build_initial_state(cfg)
-    stepped = integrate(state0, cfg.T, params, monitor_stride=10**6).final_state
+    stepped = integrate(state0, cfg.T, params).final_state
     fixed_point = picard_duhamel(state0, cfg.T, params, quad_nodes=256)
     dist = h1_norm(
         field_from_coef(stepped.grid, stepped.u.coef - fixed_point.u.coef)
@@ -328,7 +333,7 @@ def refinement_errors():
 
     def final(dt):
         params = build_params(cfg, dt=dt)
-        return integrate(state0, cfg.T, params, monitor_stride=10**6).final_state
+        return integrate(state0, cfg.T, params).final_state
 
     reference = final(dts[-1] / 8.0)
     return dts, [difference_metric(final(dt), reference) for dt in dts]

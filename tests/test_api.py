@@ -2,10 +2,13 @@
 change only on purpose."""
 
 import importlib
+import inspect
+from dataclasses import fields
 
 import pytest
 
 import sibsim
+from sibsim import dynamics
 
 MODULES = (
     "sibsim",
@@ -101,3 +104,13 @@ def test_traced_module_exports_are_unchanged():
         "cmd_estimate_c0",
         "cmd_order_test",
     ]
+
+
+def test_system_params_hold_only_the_model():
+    assert [f.name for f in fields(sibsim.SystemParams)] == ["eps", "dt", "yosida_n", "dealias"]
+
+
+def test_dynamics_imports_nothing_from_functionals():
+    # the solver layer returns states; diagnostics come from a monitor
+    # that the caller passes in, so the module does not even name them
+    assert "functionals" not in inspect.getsource(dynamics)

@@ -244,9 +244,43 @@ def test_bad_list_override_exits_2_before_the_command_runs(tmp_path, capsys, arg
 def test_list_override_reaches_the_manifest(tmp_path):
     cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n[run]\ndt = 1e-2\nt = 0.02\n[sweep]\nn_list = 4 8\n")
     out = tmp_path / "o"
-    assert main(["--config", cfg, "--out", str(out), "--quiet", "sweep-n", "--n-list", "2"]) == 0
+    argv = ["--config", cfg, "--out", str(out), "--quiet", "sweep-n", "--n-list", "2", "4", "8"]
+    assert main(argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["reports"]["n"] == [2]
+    assert manifest["reports"]["n"] == [2, 4, 8]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sweep-n", "--n-list", "4", "8"], "n_list"),
+        (["sweep-n", "--n-list", "4", "8", "8", "4"], "n_list"),
+        (["sweep-eps", "--eps-list", "0.1"], "eps_list"),
+        (["sweep-eps", "--eps-list", "0.1", "0.1"], "eps_list"),
+    ],
+)
+def test_sweep_with_nothing_to_compare_exits_2(tmp_path, capsys, argv, field):
+    # a trend needs two gaps along n (three runs) and one along eps (two)
+    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n[run]\ndt = 1e-2\nt = 0.02\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")] + argv) == 2
+    err = capsys.readouterr().err
+    assert "at least" in err and field in err
+
+
+def test_state_comparisons_evaluate_no_monitor_row(tmp_path, monkeypatch):
+    # the sweeps and the order test compare states; only run reads rows
+    def refuse(*args):
+        raise AssertionError("a monitor row was evaluated")
+
+    monkeypatch.setattr(functionals.RunMonitor, "row", refuse)
+    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n[run]\ndt = 1e-2\nt = 0.02\n")
+    for argv in (
+        ["sweep-n", "--n-list", "2", "4", "8"],
+        ["sweep-eps", "--eps-list", "0.1", "0"],
+        ["order-test"],
+    ):
+        out = str(tmp_path / argv[0])
+        assert main(["--config", cfg, "--out", out, "--quiet"] + argv) == 0
 
 
 def test_blowup_exits_3(tmp_path, capsys):
@@ -337,6 +371,25 @@ def test_check_certifies_the_stepping_kernel(tmp_path, monkeypatch):
     assert verdicts["yosida-symbol-contraction"] is False
 
 
+def test_check_certifies_the_half_step_sine_symbol(tmp_path, monkeypatch):
+    # wave_half also multiplies by wsin_half; a 1e-12 relative error in one
+    # of its entries must fail the wave kernel's identities, and only them
+    original = dynamics._Kernels.__init__
+
+    def corrupted(self, grid, params, dt):
+        original(self, grid, params, dt)
+        if dt:
+            k = np.unravel_index(np.argmax(self.wsin_half * self.sinc_half), grid.shape)
+            self.wsin_half[k] *= 1.0 + 1e-12
+
+    monkeypatch.setattr(dynamics._Kernels, "__init__", corrupted)
+    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "check"]) == 1
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    failed = [a["name"] for a in manifest["assertions"] if not a["passed"]]
+    assert failed == ["wave-kernel-first-integral"]
+
+
 def test_check_certifies_the_stored_c0(tmp_path, monkeypatch):
     # a stored C0 above the fresh reference-grid estimate must fail its
     # assertion, and only that one
@@ -396,11 +449,12 @@ def test_sweep_eps_self_comparison_is_zero(tmp_path):
     )
     out = tmp_path / "o"
     assert (
-        main(["--config", cfg, "--out", str(out), "--quiet", "sweep-eps", "--eps-list", "0"])
+        main(["--config", cfg, "--out", str(out), "--quiet", "sweep-eps", "--eps-list", "0.1", "0"])
         == 0
     )
     rows = (out / "eps_sweep.csv").read_text().splitlines()
-    assert float(rows[1].split(",")[1]) == 0.0
+    assert rows[2].split(",")[0] == "0"
+    assert float(rows[2].split(",")[1]) == 0.0
 
 
 def test_sweep_eps_fits_the_slope_over_positive_eps_only(tmp_path, capfd):
@@ -414,6 +468,13 @@ def test_sweep_eps_fits_the_slope_over_positive_eps_only(tmp_path, capfd):
     assert rows[0] == "eps,sup_metric,fitted_slope"
     assert [r.split(",")[2] for r in rows[1:]] == ["", ""]
     assert capfd.readouterr().err == ""
+
+    # the manifest is strict JSON: the missing slope is null, not NaN
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["reports"]["fitted_slope"] is None
 
 
 def test_sweep_n_small_case(tmp_path):
@@ -449,3 +510,14 @@ def test_order_test_small_case(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["reports"]["mean_order"] > 1.9
+
+
+def test_order_test_skips_an_exact_integrator(tmp_path, capsys):
+    # zero data stay zero, so every error is 0 and no order can be measured
+    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n[data]\npreset = zero\n[run]\nt = 0.02\n")
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "order-test"]) == 0
+    assert "e.g. zero data" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["reports"]["skipped"] is True
+    assert manifest["assertions"] == []

@@ -45,9 +45,7 @@ def test_parse_full_document():
         monitor_stride = 5
         seed = 7
         c0 = 0.4
-        coupling = false
         dealias = off
-        regularize_data = no
         checkpoint_times = 0.1 0.25
 
         [output]
@@ -71,9 +69,7 @@ def test_parse_full_document():
     assert cfg.monitor_stride == 5
     assert cfg.seed == 7
     assert cfg.c0 == 0.4
-    assert cfg.coupling is False
     assert cfg.dealias is False
-    assert cfg.regularize_data is False
     assert cfg.checkpoint_times == (0.1, 0.25)
     assert cfg.out_dir == "results"
     assert cfg.eps_list == (0.5, 0.25, 0.0)
@@ -99,6 +95,9 @@ def test_unknown_section_and_key_rejected():
         parse_config_text("[grids]\nlx = 1\n")
     with pytest.raises(ValueError):
         parse_config_text("[grid]\nlz = 1\n")
+    for removed in ("coupling = false", "regularize_data = no"):
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config_text(f"[run]\n{removed}\n")
     with pytest.raises(ValueError):
         parse_config_text("[data]\npreset = nonsense\n")
 

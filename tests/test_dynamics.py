@@ -21,7 +21,7 @@ from sibsim.dynamics import (
     picard_duhamel,
     prepare_initial_state,
 )
-from sibsim.functionals import charge, difference_metric
+from sibsim.functionals import RunMonitor, charge, difference_metric
 from sibsim.grids import (
     analyze,
     coef_product,
@@ -57,6 +57,21 @@ def mode_state(N: int, u_amp=0.0, v_amp=0.0, vt_amp=0.0):
 
 def zeros(grid, dtype=float):
     return field_from_coef(grid, np.zeros(grid.shape, dtype=dtype))
+
+
+@pytest.fixture
+def decoupled(monkeypatch):
+    """Kernels with the nonlinear coupling removed: both subflows are then
+    the free flows, which the splitting and the oracle must reproduce."""
+    monkeypatch.setattr(
+        dynamics._Kernels, "wave_source", lambda self, u: np.zeros(self.grid.shape)
+    )
+    monkeypatch.setattr(
+        dynamics._Kernels,
+        "coupled_product",
+        lambda self, v, u: np.zeros(self.grid.shape, dtype=u.dtype),
+    )
+    monkeypatch.setattr(dynamics._Kernels, "potential_flow", lambda self, u, v: u)
 
 
 def kernel(grid, dt: float, **params) -> dynamics._Kernels:
@@ -102,8 +117,6 @@ def test_prepare_initial_state():
     j = 1.0 / (1.0 + st.grid.lam / 4.0)
     assert np.allclose(smoothed.u.coef, j * st.u.coef, rtol=0, atol=1e-16)
     assert np.allclose(smoothed.v.coef, j * st.v.coef, rtol=0, atol=1e-16)
-    untouched = prepare_initial_state(st, SystemParams(yosida_n=4.0, regularize_data=False))
-    assert untouched is st
     assert prepare_initial_state(st, SystemParams()) is st
 
 
@@ -393,8 +406,7 @@ def test_self_convergence_is_second_order():
     st = standard_state(16)
 
     def final(dt):
-        rec = integrate(st, 1.0, SystemParams(eps=1.0, dt=dt), monitor_stride=10**9)
-        return rec.final_state
+        return integrate(st, 1.0, SystemParams(eps=1.0, dt=dt)).final_state
 
     ref = final(1.0 / 2048)
     errs = [difference_metric(final(1.0 / n), ref) for n in (64, 128, 256)]
@@ -402,11 +414,10 @@ def test_self_convergence_is_second_order():
         assert 3.5 < a / b < 4.6
 
 
-def test_decoupled_flow_is_exact():
+def test_decoupled_flow_is_exact(decoupled):
     st = standard_state(12)
     eps, T = 0.5, 0.3
-    params = SystemParams(eps=eps, dt=0.05, coupling=False)
-    rec = integrate(st, T, params, monitor_stride=10**9)
+    rec = integrate(st, T, SystemParams(eps=eps, dt=0.05))
     g = st.grid
     u_exact = np.exp(-1j * g.lam * T) * st.u.coef
     w = np.sqrt(g.lam / (1.0 + eps * g.lam))
@@ -420,7 +431,7 @@ def test_decoupled_flow_is_exact():
 def test_zero_data_stays_zero():
     g = make_grid(np.pi, np.pi, 8, 8)
     st = make_state(zeros(g, complex), zeros(g), zeros(g))
-    rec = integrate(st, 0.1, SystemParams(eps=1.0, dt=1e-2))
+    rec = integrate(st, 0.1, SystemParams(eps=1.0, dt=1e-2), monitor=RunMonitor.from_state(st))
     assert np.max(np.abs(rec.final_state.u.coef)) == 0.0
     assert np.max(np.abs(rec.final_state.v.coef)) == 0.0
     assert np.all(rec.series["charge"] == 0.0)
@@ -441,11 +452,13 @@ def test_integrate_validation():
 
 def test_final_step_is_shortened():
     st = standard_state(8)
-    rec = integrate(st, 0.55, SystemParams(eps=1.0, dt=0.1), monitor_stride=1)
-    assert rec.times[-1] == 0.55
+    monitor = RunMonitor.from_state(st)
+    rec = integrate(st, 0.55, SystemParams(eps=1.0, dt=0.1), monitor_stride=1, monitor=monitor)
+    times = rec.series["t"]
+    assert times[-1] == 0.55
     assert rec.final_state.t == 0.55
-    assert len(rec.times) == 7  # t0, five full steps, one short step
-    assert np.allclose(rec.times[:-1], np.arange(6) * 0.1, atol=1e-12)
+    assert len(times) == 7  # t0, five full steps, one short step
+    assert np.allclose(times[:-1], np.arange(6) * 0.1, atol=1e-12)
 
 
 def test_checkpoints_returned_at_requested_times():
@@ -457,17 +470,51 @@ def test_checkpoints_returned_at_requested_times():
         checkpoint_times=(0.0, 0.05, 0.1),
     )
     assert sorted(rec.checkpoints) == [0.0, 0.05, 0.1]
+    # without a monitor no diagnostics row is kept
+    assert rec.series == {}
     assert np.array_equal(rec.checkpoints[0.0].u.coef, st.u.coef)
     for t_req, snap in rec.checkpoints.items():
         assert abs(snap.t - t_req) <= 1e-2 + 1e-12
 
 
 def test_blowup_detected():
+    # the state stays finite; its monitor rows overflow
     st = mode_state(8, u_amp=7e76)
+    monitor = RunMonitor.from_state(st)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowupError) as err:
-            integrate(st, 0.01, SystemParams(eps=1.0, dt=1e-3), monitor_stride=1)
+            integrate(
+                st, 0.01, SystemParams(eps=1.0, dt=1e-3), monitor_stride=1, monitor=monitor
+            )
     assert err.value.t_last == 0.0
+
+
+def test_blowup_detected_on_kept_states(monkeypatch):
+    # the last step leaves u[0, 0] finite and vt non-finite in one mode:
+    # only the check on the final state sees it, and the last state seen
+    # finite is the checkpoint at 0.05
+    original = dynamics._Kernels.step
+    calls = []
+
+    def step(self, u, v, vt):
+        u, v, vt = original(self, u, v, vt)
+        calls.append(1)
+        if len(calls) == 10:
+            vt = vt.copy()
+            vt[-1, -1] = np.nan
+        return u, v, vt
+
+    monkeypatch.setattr(dynamics._Kernels, "step", step)
+    st = standard_state(8)
+    params = SystemParams(eps=1.0, dt=1e-2)
+    with pytest.raises(BlowupError) as err:
+        integrate(st, 0.1, params, checkpoint_times=(0.0, 0.05))
+    assert err.value.t_last == pytest.approx(0.05)
+    # with a row at every step, the last state seen finite is the ninth
+    calls.clear()
+    with pytest.raises(BlowupError) as err:
+        integrate(st, 0.1, params, monitor_stride=1, monitor=RunMonitor.from_state(st))
+    assert err.value.t_last == pytest.approx(0.09)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +560,7 @@ def test_picard_matches_splitting_on_small_case():
     # 10 grid rows leave a last grid-row block that is not full
     st = standard_state(10)
     params = SystemParams(eps=1.0, dt=2e-5, yosida_n=16.0)
-    fine = integrate(st, 0.05, params, monitor_stride=10**9).final_state
+    fine = integrate(st, 0.05, params).final_state
     assert st.grid.Nx % dynamics._GRID_ROWS != 0
     for quad_nodes in (12, 17):
         pic = picard_duhamel(
@@ -666,7 +713,7 @@ def test_picard_peak_memory_per_node_mode_entry():
     assert peak / (64 * g.Nx * g.Ny) < 100
 
 
-def test_picard_exact_without_coupling():
+def test_picard_exact_without_coupling(decoupled):
     # Two panels of 0.02, on the standard state and on 9 x 6 modes over
     # (0, pi) x (0, 2), where the per-axis phase factors differ in length
     # and in eigenvalues and the 9 grid rows end in a partial block
@@ -676,7 +723,7 @@ def test_picard_exact_without_coupling():
     non_square = make_state(
         random_field(g, rng, "complex"), random_field(g, rng), random_field(g, rng)
     )
-    params = SystemParams(eps=0.5, dt=1.0, coupling=False)
+    params = SystemParams(eps=0.5, dt=1.0)
     for st in (standard_state(8), non_square):
         log = []
         pic = picard_duhamel(st, 0.04, params, quad_nodes=8, residual_log=log)

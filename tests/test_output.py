@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_field
 from sibsim.dynamics import SystemParams, integrate, make_state
+from sibsim.functionals import RunMonitor
 from sibsim.grids import analyze, field_from_coef, make_grid
 from sibsim.output import (
     checkpoint_name,
@@ -36,7 +37,8 @@ def small_record():
     X, Y = np.meshgrid(g.x, g.y, indexing="ij")
     s = np.sin(X) * np.sin(Y)
     st = make_state(analyze(g, s.astype(complex)), analyze(g, s), analyze(g, 0 * s))
-    return integrate(st, 0.05, SystemParams(eps=1.0, dt=1e-2), monitor_stride=2)
+    monitor = RunMonitor.from_state(st)
+    return integrate(st, 0.05, SystemParams(eps=1.0, dt=1e-2), monitor_stride=2, monitor=monitor)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -166,6 +168,22 @@ def test_manifest_round_trip(tmp_path):
     assert json.loads(text) == payload
     # keys sorted for reproducible bytes
     assert text.index('"a"') < text.index('"b"')
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_manifest_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "manifest.json"
+    payload = {"a": math.nan, "b": [math.inf, -math.inf, 1.5], "c": {"d": np.float64("nan")}}
+    write_manifest(str(path), payload)
+    assert _strict_json(path.read_text()) == {"a": None, "b": [None, None, 1.5], "c": {"d": None}}
 
 
 def test_file_checksums(tmp_path):
