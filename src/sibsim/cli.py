@@ -3,8 +3,9 @@
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid
 configuration or violated hypothesis (ValueError), or a config file or
 output directory the OS refuses (OSError), 3 numerical abort (non-finite
-values, a non-contracting fixed-point iteration, or a Yosida potential
-flow step that would need more substeps than its budget; any
+values, a non-contracting fixed-point iteration, or a potential flow step
+too long for its potential: a nodal phase argument of 2**53 or more, or a
+Yosida step that would need more substeps than its budget; any
 dynamics.NumericalAbort).
 """
 

@@ -133,8 +133,6 @@ _KEYS = {
         "dt": ("dt", _scalar),
         "t": ("T", _scalar),
         "monitor_stride": ("monitor_stride", int),
-        "seed": ("seed", int),
-        "c0": ("c0", _scalar),
         "dealias": ("dealias", _boolean),
         "checkpoint_times": ("checkpoint_times", _scalar_list),
     },
@@ -202,8 +200,6 @@ class RunConfig:
     dt: float = 1e-3
     T: float = 1.0
     monitor_stride: int = 10
-    seed: int = 0
-    c0: float | None = None
     dealias: bool = True
     checkpoint_times: tuple[float, ...] = ()
     out_dir: str = "out"
@@ -224,8 +220,6 @@ class RunConfig:
             raise ValueError(f"step count T/dt = {self.T}/{self.dt} is not finite")
         if self.monitor_stride < 1:
             raise ValueError("monitor_stride must be >= 1")
-        if self.c0 is not None and not self.c0 > 0:
-            raise ValueError("c0 override must be positive")
         self._check_checkpoint_times()
         if any(not 0.0 <= e <= 1.0 for e in self.eps_list):
             raise ValueError("eps_list entries must lie in [0, 1]")

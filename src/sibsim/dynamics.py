@@ -91,20 +91,29 @@ class PicardDivergenceError(NumericalAbort):
 
 
 class PotentialFlowError(NumericalAbort):
-    """A Yosida potential flow step is too long for its potential.
+    """A potential flow step is too long for its potential.
 
-    The flow is summed in substeps of length h with h * max|J v| <= 1, so
-    beta = |dt| * max|J v| asks for ceil(beta) of them; a step that would
-    need more than _MAX_SUBSTEPS is refused instead of being summed at up
-    to 36 padded transforms per substep.
+    Unregularized, the flow is the nodal phase exp(-i dt v), which keeps no
+    accurate digit once beta = |dt| * max|v| reaches _MAX_PHASE.  With
+    Yosida regularization the flow is summed in substeps of length h with
+    h * max|J v| <= 1, so beta = |dt| * max|J v| asks for ceil(beta) of
+    them (`substeps`, None for the nodal flow); a step that would need
+    more than _MAX_SUBSTEPS is refused instead of being summed at up to 36
+    padded transforms per substep.
     """
 
-    def __init__(self, beta: float, substeps: int):
-        super().__init__(
-            f"Yosida potential flow step too long for its potential: "
-            f"beta = dt * max|J v| = {beta:.3e} would need {substeps} "
-            f"substeps, more than the budget of {_MAX_SUBSTEPS}"
-        )
+    def __init__(self, beta: float, substeps: int | None = None):
+        if substeps is None:
+            why = (
+                f"nodal phase beta = dt * max|v| = {beta:.3e} reaches 2**53, "
+                "where a float64 phase carries up to 1 radian of rounding error"
+            )
+        else:
+            why = (
+                f"Yosida beta = dt * max|J v| = {beta:.3e} would need {substeps:.3e} "
+                f"substeps, more than the budget of {_MAX_SUBSTEPS}"
+            )
+        super().__init__(f"potential flow step too long for its potential: {why}")
         self.beta = beta
         self.substeps = substeps
 
@@ -195,6 +204,11 @@ class TrajectoryRecord:
 # with h * max|J v| <= 1 stops after at most 18 Taylor terms (1/(18! * 18) <
 # 1e-17), so this caps one call at about 36,000 padded transforms.
 _MAX_SUBSTEPS = 1000
+
+# Bound on the nodal phase argument |dt| * max|v|: from 2**53 on, float64
+# numbers are at least 2 apart, so the argument carries up to 1 radian of
+# rounding error.
+_MAX_PHASE = 2.0**53
 
 
 class _Kernels:
@@ -314,8 +328,9 @@ class _Kernels:
         checks, as are non-finite terms.
 
         Raises:
-            PotentialFlowError: if the step needs more than _MAX_SUBSTEPS
-                substeps.
+            PotentialFlowError: unregularized, if the finite phase argument
+                |dt| max|v| reaches _MAX_PHASE; regularized, if the step
+                needs more than _MAX_SUBSTEPS substeps.
         """
         dt = self.dt
         grid = self.grid
@@ -325,6 +340,9 @@ class _Kernels:
             vv = coef_to_values(grid, v)
             uu = coef_to_values(grid, u)
             y = -dt * vv
+            beta = max(y.max(), -y.min())
+            if _MAX_PHASE <= beta < np.inf:
+                raise PotentialFlowError(float(beta))
             phase = np.empty(y.shape, dtype=np.complex128)
             np.cos(y, out=phase.real)
             np.sin(y, out=phase.imag)

@@ -35,13 +35,12 @@ from .dynamics import (
 from .functionals import (
     RunMonitor,
     cauchy_metric,
-    default_gn_constant,
     difference_metric,
     estimate_gn_constant,
     h1_envelope_lhs,
     small_envelope_lhs,
 )
-from .grids import field_from_coef, h1_norm, h2_norm, make_grid, sobolev_norm
+from .grids import field_from_coef, h1_norm, make_grid, sobolev_norm
 from .output import (
     checkpoint_name,
     file_checksums,
@@ -96,8 +95,6 @@ def _resolved(config: RunConfig) -> dict:
         "dt": config.dt,
         "T": config.T,
         "monitor_stride": config.monitor_stride,
-        "seed": config.seed,
-        "c0": config.c0,
         "dealias": config.dealias,
         "out_dir": config.out_dir,
     }
@@ -145,8 +142,7 @@ def _start(config: RunConfig, params: SystemParams) -> tuple[State, RunMonitor]:
     of the data as `params` prepares them."""
     os.makedirs(config.out_dir, exist_ok=True)
     state0 = build_initial_state(config)
-    c0 = config.c0 if config.c0 is not None else default_gn_constant()
-    return state0, RunMonitor.from_state(prepare_initial_state(state0, params), c0=c0)
+    return state0, RunMonitor.from_state(prepare_initial_state(state0, params))
 
 
 def _sample_times(config: RunConfig) -> tuple[float, ...]:
@@ -331,8 +327,7 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
 def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
     """Run the regularized system for each n, plus the unregularized
     reference; consecutive solutions (at t = T, in H1 + L2 + L2) must
-    approach each other as n doubles.  Also reports the time-sup of the
-    H2 + H1 + H1 norms per run (boundedness of the approximating family)."""
+    approach each other as n doubles."""
     n_values = tuple(sorted(set(config.n_list)))
     if len(n_values) < 3:
         raise ValueError(
@@ -340,32 +335,19 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
         )
 
     state0, monitor = _start(config, build_params(config, yosida_n=None))
-    samples = _sample_times(config)
 
-    def run_member(n: int | None):
-        params = build_params(config, yosida_n=n)
-        rec = integrate(state0, config.T, params, checkpoint_times=samples)
-        bound = max(
-            math.sqrt(
-                h2_norm(s.u) ** 2 + h1_norm(s.v) ** 2 + h1_norm(s.vt) ** 2
-            )
-            for s in rec.checkpoints.values()
-        )
-        return rec.final_state, bound
+    def final_state(n: int | None) -> State:
+        return integrate(state0, config.T, build_params(config, yosida_n=n)).final_state
 
-    reference, ref_bound = run_member(None)
-    finals, bounds = [], []
-    for n in n_values:
-        final, bound = run_member(n)
-        finals.append(final)
-        bounds.append(bound)
+    reference = final_state(None)
+    finals = [final_state(n) for n in n_values]
 
     diffs = [cauchy_metric(a, b) for a, b in zip(finals, finals[1:])]
     dists = [cauchy_metric(f, reference) for f in finals]
     rows = []
     for i, n in enumerate(n_values):
         diff_prev = diffs[i - 1] if i > 0 else None
-        rows.append((n, "" if diff_prev is None else diff_prev, dists[i], bounds[i]))
+        rows.append((n, "" if diff_prev is None else diff_prev, dists[i]))
         _emit(
             quiet,
             f"n={n}: consecutive diff "
@@ -374,7 +356,7 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
         )
     write_table(
         os.path.join(config.out_dir, "n_sweep.csv"),
-        ("n", "diff_consecutive", "dist_unregularized", "sup_h2_h1_h1"),
+        ("n", "diff_consecutive", "dist_unregularized"),
         rows,
     )
 
@@ -392,8 +374,6 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
         "n": list(n_values),
         "diff_consecutive": [float(d) for d in diffs],
         "dist_unregularized": [float(d) for d in dists],
-        "sup_h2_h1_h1": [float(b) for b in bounds],
-        "sup_h2_h1_h1_unregularized": float(ref_bound),
     }
     return _finish(config.out_dir, manifest, assertions, ["n_sweep.csv"], quiet)
 
@@ -425,7 +405,7 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
     os.makedirs(config.out_dir, exist_ok=True)
     grid = build_grid(config)
     lam = grid.lam
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     t_samples = (0.0, 0.3, 1.7, math.pi)
     eps_samples = (0.0, 0.5, 1.0)
     n_powers = tuple(2**j for j in range(11))

@@ -288,7 +288,9 @@ REFERENCE_C0 = 0.4134332756889266
 def default_gn_constant() -> float:
     """The stored, certified C0 (REFERENCE_C0): the estimator's lower bound
     on 128 modes per direction over (0, 2pi)^2, re-derived by `sibsim
-    check`.  Overridable per run through the config c0 option.
+    check`.  One value serves every rectangle: the quotient
+    ||u||_4^2 / (||u||_2 ||grad u||_2) is invariant under translation and
+    under u(x) -> u(lambda x) in 2-D, so the sharp constant is too.
     """
     return REFERENCE_C0
 
@@ -365,11 +367,9 @@ class RunMonitor:
     t0: float = 0.0
 
     @classmethod
-    def from_state(cls, state: State, c0: float | None = None) -> "RunMonitor":
+    def from_state(cls, state: State) -> "RunMonitor":
         dn = DataNorms.from_state(state)
-        if c0 is None:
-            c0 = default_gn_constant()
-        return cls(dn=dn, ec=envelope_constants(dn, c0), t0=state.t)
+        return cls(dn=dn, ec=envelope_constants(dn, default_gn_constant()), t0=state.t)
 
     def row(self, state: State, params: SystemParams) -> dict[str, float]:
         # zero fields have no Gagliardo-Nirenberg quotient; logged as 0

@@ -291,11 +291,6 @@ def h1_norm(f: Field) -> float:
     return float(np.sqrt(np.sum((1.0 + f.grid.lam) * np.abs(f.coef) ** 2)))
 
 
-def h2_norm(f: Field) -> float:
-    """(||f||_2^2 + ||Laplacian f||_2^2)^(1/2); equivalent to the usual H2 norm."""
-    return float(np.sqrt(np.sum((1.0 + f.grid.lam**2) * np.abs(f.coef) ** 2)))
-
-
 def lp_norm(f: Field, p: float) -> float:
     """L^p(Omega) norm by composite trapezoid quadrature on a 2x-refined
     synthesis grid.  Boundary values vanish (Dirichlet), so the rule reduces

@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, artifacts, and determinism."""
 
 import csv
+import inspect
 import json
 import os
 import platform
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import sibsim
-from sibsim import dynamics, functionals
+from sibsim import dynamics, experiments, functionals
 from sibsim.cli import main
 from sibsim.functionals import SERIES_COLUMNS
 from sibsim.output import load_checkpoint
@@ -147,10 +148,10 @@ _FAULT_PROBE = """
 import resource
 import sibsim
 from sibsim.config import RunConfig, build_initial_state, build_params
-from sibsim.functionals import REFERENCE_C0, RunMonitor
+from sibsim.functionals import RunMonitor
 cfg = RunConfig()
 state, params = build_initial_state(cfg), build_params(cfg)
-monitor = RunMonitor.from_state(state, c0=REFERENCE_C0)
+monitor = RunMonitor.from_state(state)
 sibsim.integrate(state, 0.02, params, monitor=monitor)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 sibsim.integrate(state, 0.2, params, monitor=monitor)
@@ -287,7 +288,7 @@ def test_blowup_exits_3(tmp_path, capsys):
     cfg = write(
         tmp_path,
         "[grid]\nnx = 8\nny = 8\n"
-        "[data]\nphi_modes = 1 1 7e76\npsi0 = 0\npsi1 = 0\n"
+        "[data]\nphi_modes = 1 1 3000\npsi0 = 0\npsi1 = 0\n"
         "[run]\ndt = 1e-3\nt = 0.01\nmonitor_stride = 1\n",
     )
     with np.errstate(over="ignore", invalid="ignore"):
@@ -299,6 +300,25 @@ def test_blowup_exits_3(tmp_path, capsys):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["status"] == "numerical-abort"
     assert manifest["last_finite_t"] == 0.0
+
+
+def test_meaningless_nodal_phase_exits_3(tmp_path, capsys):
+    # finite throughout, but after the first half wave dt * max|v| is far
+    # beyond 2**53: exp(-i dt v) keeps no accurate digit, so the order
+    # test stops instead of reporting an order from noise
+    cfg = write(
+        tmp_path,
+        "[grid]\nnx = 8\nny = 8\n"
+        "[data]\nphi_modes = 1 1 7e76\npsi0 = 0\npsi1 = 0\n"
+        "[run]\nt = 0.02\n",
+    )
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "order-test"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical abort:")
+    assert "dt * max|v|" in lines[0] and "2**53" in lines[0]
 
 
 YOSIDA_LONG_STEP = (
@@ -477,7 +497,17 @@ def test_sweep_eps_fits_the_slope_over_positive_eps_only(tmp_path, capfd):
     assert manifest["reports"]["fitted_slope"] is None
 
 
-def test_sweep_n_small_case(tmp_path):
+def test_sweep_n_small_case(tmp_path, monkeypatch):
+    # sweep-n compares end states only: no integrate call keeps a state
+    asked = []
+    original = experiments.integrate
+    signature = inspect.signature(original)
+
+    def recording(*args, **kwargs):
+        asked.append(signature.bind(*args, **kwargs).arguments.get("checkpoint_times", ()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", recording)
     cfg = write(
         tmp_path,
         "[grid]\nnx = 8\nny = 8\n[run]\ndt = 1e-2\nt = 0.1\nmonitor_stride = 5\n",
@@ -490,9 +520,11 @@ def test_sweep_n_small_case(tmp_path):
         == 0
     )
     rows = (out / "n_sweep.csv").read_text().splitlines()
-    assert rows[0] == "n,diff_consecutive,dist_unregularized,sup_h2_h1_h1"
+    assert rows[0] == "n,diff_consecutive,dist_unregularized"
     dists = [float(r.split(",")[2]) for r in rows[1:]]
     assert dists[0] > dists[-1] > 0.0
+    # the unregularized reference and three members
+    assert asked == [()] * 4
 
 
 def test_order_test_small_case(tmp_path):

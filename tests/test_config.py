@@ -43,8 +43,6 @@ def test_parse_full_document():
         dt = 5e-4
         t = 0.25
         monitor_stride = 5
-        seed = 7
-        c0 = 0.4
         dealias = off
         checkpoint_times = 0.1 0.25
 
@@ -67,8 +65,6 @@ def test_parse_full_document():
     assert cfg.dt == 5e-4
     assert cfg.T == 0.25
     assert cfg.monitor_stride == 5
-    assert cfg.seed == 7
-    assert cfg.c0 == 0.4
     assert cfg.dealias is False
     assert cfg.checkpoint_times == (0.1, 0.25)
     assert cfg.out_dir == "results"
@@ -95,7 +91,7 @@ def test_unknown_section_and_key_rejected():
         parse_config_text("[grids]\nlx = 1\n")
     with pytest.raises(ValueError):
         parse_config_text("[grid]\nlz = 1\n")
-    for removed in ("coupling = false", "regularize_data = no"):
+    for removed in ("coupling = false", "regularize_data = no", "c0 = 0.4", "seed = 7"):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text(f"[run]\n{removed}\n")
     with pytest.raises(ValueError):

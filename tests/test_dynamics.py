@@ -1,6 +1,7 @@
 """Stepping kernels: exactness of the substeps, conservation, convergence
 order, reversibility, blow-up detection, and the Picard-Duhamel oracle."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 from math import ceil
@@ -221,17 +222,20 @@ def test_taylor_potential_flow_matches_unregularized_for_large_n():
 
 
 def test_yosida_potential_flow_fails_loudly_when_too_long():
-    # |J v| dt ~ 8e3 on this data: the flow would need that many substeps
-    # of h |J v| <= 1, more than its budget, so it refuses the step and
-    # names the bound
+    # |J v| dt ~ 8e3 with v scaled by 2e5: the flow would need that many
+    # substeps of h |J v| <= 1, more than its budget, so it refuses the
+    # step and names the bound.  Scaled by 1e150, the exact count has 150
+    # digits; the message gives it to four digits, as it gives beta
     st = standard_state(16)
-    st = replace(st, v=field_from_coef(st.grid, 2e5 * st.v.coef))
     ker = kernel(st.grid, 0.05, eps=1.0, yosida_n=8.0)
-    with pytest.raises(PotentialFlowError) as err:
-        schrodinger_flow(ker, st.u.coef, st.v.coef)
-    assert err.value.substeps > dynamics._MAX_SUBSTEPS
-    assert err.value.substeps == ceil(err.value.beta)
-    assert "potential flow" in str(err.value) and "beta" in str(err.value)
+    for scale in (2e5, 1e150):
+        with pytest.raises(PotentialFlowError) as err:
+            schrodinger_flow(ker, st.u.coef, scale * st.v.coef)
+        assert err.value.substeps > dynamics._MAX_SUBSTEPS
+        assert err.value.substeps == ceil(err.value.beta)
+        message = str(err.value)
+        assert "potential flow" in message and "beta" in message
+        assert max(len(digits) for digits in re.findall(r"\d+", message)) <= 17
 
 
 def _taylor_reference(ker, u, v):
@@ -478,8 +482,8 @@ def test_checkpoints_returned_at_requested_times():
 
 
 def test_blowup_detected():
-    # the state stays finite; its monitor rows overflow
-    st = mode_state(8, u_amp=7e76)
+    # the state stays finite; the envelope of the row after one step overflows
+    st = mode_state(8, u_amp=3000)
     monitor = RunMonitor.from_state(st)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowupError) as err:

@@ -51,6 +51,12 @@ def mode_state(N: int = 8, u=0.0, v=0.0, vt=0.0, t: float = 0.0) -> State:
     return make_state(one(u, complex), one(v), one(vt), t)
 
 
+def monitor_with_c0(st: State, c0: float) -> RunMonitor:
+    """A monitor of `st` with a given C0 in place of the stored one."""
+    dn = DataNorms.from_state(st)
+    return RunMonitor(dn, envelope_constants(dn, c0), st.t)
+
+
 # ---------------------------------------------------------------------------
 # charge and energies
 
@@ -290,14 +296,14 @@ def test_negative_order_norms_of_mode_state():
     st = mode_state(vt=-3.0)
     lam = 2.0
     assert DataNorms.from_state(st).neg_half_psi1 == pytest.approx(3.0 / np.sqrt(lam), rel=1e-14)
-    row = RunMonitor.from_state(st, c0=0.4).row(st, SystemParams(eps=1.0))
+    row = monitor_with_c0(st, 0.4).row(st, SystemParams(eps=1.0))
     assert row["hm_half_vt"] == pytest.approx(3.0 / np.sqrt(lam), rel=1e-14)
 
 
 def test_envelope_lhs_of_monitor_row_uses_inverse_gradient_norm():
     st = mode_state(u=2.0, v=3.0, vt=1.0)
     lam = 2.0
-    row = RunMonitor.from_state(st, c0=0.4).row(st, SystemParams(eps=1.0))
+    row = monitor_with_c0(st, 0.4).row(st, SystemParams(eps=1.0))
     assert h1_envelope_lhs(row) == pytest.approx(lam * 4.0 + 9.0 + 1.0 + 1.0 / lam, rel=1e-13)
     eps = 0.5
     expected_small = lam * 4.0 + 0.5 * (9.0 + 1.0 / lam + eps * 1.0)
@@ -315,7 +321,7 @@ def test_envelope_constants_validation():
 
 def test_monitor_row_matches_column_order():
     st = sine_state(16)
-    monitor = RunMonitor.from_state(st, c0=0.4)
+    monitor = monitor_with_c0(st, 0.4)
     row = monitor.row(st, SystemParams(eps=1.0))
     assert tuple(row) == SERIES_COLUMNS
     # the columns an assertion reads, and nothing else
@@ -335,12 +341,12 @@ def test_monitor_row_zero_field_and_missing_c6():
         field_from_coef(g, np.zeros(g.shape)),
         field_from_coef(g, np.zeros(g.shape)),
     )
-    monitor = RunMonitor.from_state(zero, c0=0.4)
+    monitor = monitor_with_c0(zero, 0.4)
     row = monitor.row(zero, SystemParams(eps=1.0))
     assert row["gn_quotient"] == 0.0
 
     big = mode_state(u=4.0)
-    monitor_big = RunMonitor.from_state(big, c0=0.4135)
+    monitor_big = monitor_with_c0(big, 0.4135)
     assert monitor_big.ec.c6 is None
     # without C6 the row stays finite: integrate's blow-up check reads every column
     row_big = monitor_big.row(big, SystemParams(eps=1.0))

@@ -16,7 +16,6 @@ from sibsim.grids import (
     coef_to_values,
     field_from_coef,
     h1_norm,
-    h2_norm,
     lp_norm,
     make_grid,
     sobolev_norm,
@@ -207,7 +206,6 @@ def test_sobolev_norms_on_single_mode():
     assert sobolev_norm(f, 1.0) == pytest.approx(np.sqrt(2) * amp, rel=1e-12)
     assert sobolev_norm(f, -0.5) == pytest.approx(2**-0.25 * amp, rel=1e-12)
     assert h1_norm(f) == pytest.approx(np.sqrt(3) * amp, rel=1e-12)
-    assert h2_norm(f) == pytest.approx(np.sqrt(5) * amp, rel=1e-12)
 
 
 def test_sobolev_rejects_unsupported_exponent(unit_square_grid):
