@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import configparser
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -90,8 +91,13 @@ def _eval_op(node: ast.AST, names: dict):
 
 def _safe_eval(expr: str, names: dict):
     try:
-        return _eval_node(ast.parse(expr, mode="eval"), names)
-    except SyntaxError as exc:
+        # a SyntaxWarning (such as "invalid decimal literal" in "1if 2 else
+        # 3") is an error here, not a line of its own on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(expr, mode="eval")
+        return _eval_node(tree, names)
+    except (SyntaxError, SyntaxWarning) as exc:
         raise ValueError(f"cannot parse expression {expr!r}: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"expression is nested too deeply: {expr[:40]!r}...") from exc

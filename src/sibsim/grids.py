@@ -14,9 +14,10 @@ Up to DENSE_MAX_EDGE nodes per axis the transforms are applied as two dense
 matrix products (the matrix form of spectral collocation): synthesis on an
 M-node grid is A_x @ c @ A_y.T with A[j-1, k-1] = e_k(x_j) the M x N block
 of the sine basis at the nodes, so zero-padding is implicit, and analysis
-computes only the N retained rows.  The matrices are built once per
-(M, N, L) and the products run as real BLAS gemm; complex arrays are split
-into stacked real and imaginary parts.  Small grids are where this pays:
+computes only the N retained rows.  The matrices, and the right factors
+as contiguous transposes, are built once per (M, N, L) and the products
+run as real BLAS gemm; complex arrays are split into stacked real and
+imaginary parts.  Small grids are where this pays:
 at the 3/2-padded sizes used here the FFT length 2(M+1) has a large prime
 factor (2*97 at 96 nodes).  Above the cutoff the O(M N^2) products lose to
 the FFT, and scipy's dstn on the zero-padded array is used instead; scipy.fft
@@ -180,6 +181,15 @@ def _analysis_matrix(M: int, N: int, L: float) -> np.ndarray:
     return B
 
 
+@lru_cache(maxsize=128)
+def _transposed(matrix, M: int, N: int, L: float) -> np.ndarray:
+    """matrix(M, N, L).T as a read-only C-contiguous array, the right
+    factor of a transform: gemm on a transposed view is slower."""
+    T = np.ascontiguousarray(matrix(M, N, L).T)
+    T.setflags(write=False)
+    return T
+
+
 def _dense(left: np.ndarray, arr: np.ndarray, right_t: np.ndarray) -> np.ndarray:
     """left @ arr @ right_t by real gemm; a complex arr goes through as
     its stacked real and imaginary parts."""
@@ -206,8 +216,8 @@ def coef_to_values(grid: Grid2D, coef: np.ndarray, shape: tuple[int, int] | None
         raise ValueError("synthesis grid must be at least as fine as the band")
     if max(shape) <= DENSE_MAX_EDGE:
         ax = _synthesis_matrix(shape[0], coef.shape[0], grid.Lx)
-        ay = _synthesis_matrix(shape[1], coef.shape[1], grid.Ly)
-        return _dense(ax, coef, ay.T)
+        ay_t = _transposed(_synthesis_matrix, shape[1], coef.shape[1], grid.Ly)
+        return _dense(ax, coef, ay_t)
     from scipy.fft import dstn  # loaded only above the cutoff
 
     if shape != coef.shape:
@@ -223,8 +233,8 @@ def values_to_coef(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     shape = values.shape
     if max(shape) <= DENSE_MAX_EDGE:
         bx = _analysis_matrix(shape[0], min(grid.Nx, shape[0]), grid.Lx)
-        by = _analysis_matrix(shape[1], min(grid.Ny, shape[1]), grid.Ly)
-        return _dense(bx, values, by.T)
+        by_t = _transposed(_analysis_matrix, shape[1], min(grid.Ny, shape[1]), grid.Ly)
+        return _dense(bx, values, by_t)
     from scipy.fft import dstn  # loaded only above the cutoff
 
     coef = dstn(values, type=1, norm="ortho") * _scale(grid.Lx, grid.Ly, shape)

@@ -121,6 +121,22 @@ def test_overflowing_config_exits_2(tmp_path, capsys, text):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["1if 2 else 3", "0x1for"], ids=["decimal", "hexadecimal"])
+def test_config_syntax_warning_leaves_one_stderr_line(tmp_path, expr):
+    # The compiler writes a SyntaxWarning for such a literal straight to
+    # stderr, past pytest's capture (which only records warnings), so the
+    # command runs in a process of its own.
+    cfg = write(tmp_path, f"[grid]\nlx = {expr}\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sibsim.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sibsim.cli", "--config", cfg, "--out", str(tmp_path / "o"), "run"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid configuration: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "preset, expected",
     [({}, "1"), ({"OMP_NUM_THREADS": "3"}, None)],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,16 @@ def test_expression_safety():
         parse_config_text("[run]\ndt = unknown_name\n")
     with pytest.raises(ValueError):
         parse_config_text("[run]\ndt = (1).__class__\n")
+
+
+@pytest.mark.parametrize("expr", ["1if 2 else 3", "0x1for"], ids=["decimal", "hexadecimal"])
+def test_literal_the_compiler_warns_about_is_an_invalid_value(expr):
+    # refused with a ValueError, and no SyntaxWarning escapes the parser
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="cannot parse expression"):
+            parse_config_text(f"[grid]\nlx = {expr}\n")
+    assert caught == []
 
 
 def test_validation_errors():

@@ -94,8 +94,10 @@ def schrodinger_flow(ker, u, v):
 def test_params_validation():
     with pytest.raises(ValueError):
         SystemParams(eps=1.5)
-    with pytest.raises(ValueError):
-        SystemParams(dt=0.0)
+    # dt = inf used to pass and then abort the first step as a blow-up
+    for dt in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"dt must be positive.*got {dt}"):
+            SystemParams(dt=dt)
     with pytest.raises(ValueError):
         SystemParams(yosida_n=0.5)
 
@@ -448,8 +450,10 @@ def test_zero_data_stays_zero():
 
 def test_integrate_validation():
     st = standard_state(8)
-    with pytest.raises(ValueError):
-        integrate(st, 0.0, SystemParams())
+    # a horizon that is not finite is named, not an integer conversion error
+    for T in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"horizon T must be positive.*got {T}"):
+            integrate(st, T, SystemParams())
     with pytest.raises(ValueError):
         integrate(st, 1.0, SystemParams(), monitor_stride=0)
 
@@ -529,19 +533,44 @@ def test_picard_validation():
     st = standard_state(8)
     with pytest.raises(ValueError):
         picard_duhamel(st, 0.1, SystemParams(), quad_nodes=1)
-    with pytest.raises(ValueError):
-        picard_duhamel(st, -0.1, SystemParams())
+    # each bad argument is named, and none is reported as a numerical abort
+    # (tol = nan read as "residual 0.000e+00" after max_iter sweeps)
+    for T in (-0.1, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"horizon T must be positive.*got {T}"):
+            picard_duhamel(st, T, SystemParams())
+    for tol in (0.0, -1e-11, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"tol must be positive.*got {tol}"):
+            picard_duhamel(st, 0.02, SystemParams(), tol=tol)
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        picard_duhamel(st, 0.02, SystemParams(), max_iter=0)
 
 
 def test_picard_residuals_contract():
+    # at the default tol the panel converges in 3 sweeps; a tighter one
+    # shows the contraction over 5 (measured down to 1.3e-16)
     st = standard_state(8)
     log = []
     picard_duhamel(
-        st, 0.02, SystemParams(eps=1.0, dt=1.0), quad_nodes=12, residual_log=log
+        st, 0.02, SystemParams(eps=1.0, dt=1.0), quad_nodes=12, tol=1e-14, residual_log=log
     )
     assert len(log) >= 4
     for a, b in zip(log, log[1:]):
         assert b < a
+
+
+def test_picard_predictor_is_fourth_order():
+    # A panel's first residual is the distance of the predictor from the
+    # first sweep, so it scales with the predictor's error: h^4 for the
+    # three-point exponential predictor (measured ratio 16.02 on halving
+    # h), where exponential Euler gives h^2 (4.00)
+    st = standard_state(8)
+    params = SystemParams(eps=1.0, dt=1.0)
+    first = []
+    for T in (0.01, 0.02):
+        log = []
+        picard_duhamel(st, T, params, quad_nodes=12, residual_log=log)
+        first.append(log[0])
+    assert 15 < first[1] / first[0] < 17
 
 
 def test_picard_divergence_error():
@@ -619,10 +648,10 @@ def free_flow(st, eps, s):
 
 def plain_picard_panel(st, params, h, P, tol=1e-11):
     """One Picard panel (0, h) written out without blocks or per-axis
-    phases: the exponential Euler predictor at every node, then Jacobi
-    sweeps whose quadrature sums run over whole node stacks, and the panel
-    end from the full-panel sums of the last sweep.  Returns the residual
-    log and the end state's (u, v, vt)."""
+    phases: the three-point exponential predictor at every node, then
+    Jacobi sweeps whose quadrature sums run over whole node stacks, and the
+    panel end from the full-panel sums of the last sweep.  Returns the
+    residual log and the end state's (u, v, vt)."""
     grid = st.grid
     lam = grid.lam
     ker = dynamics._Kernels(grid, params, None)
@@ -633,10 +662,31 @@ def plain_picard_panel(st, params, h, P, tol=1e-11):
     s = nodes[:, None, None]
     phase, c, sc = np.exp(1j * lam * s), np.cos(s * w), np.sin(s * w) / w
     u0, v0, vt0 = st.u.coef.astype(complex), st.v.coef, st.vt.coef
-    p0 = ker.coupled_product(v0, u0)
-    W0 = ker.wave_source(u0)
-    us = np.conj(phase) * (u0 + p0 / lam) - p0 / lam
-    vs = c * (v0 + W0) + sc * vt0 - W0
+
+    def duhamel(t, p, ws):
+        """u and v at times t (a column of shape (k, 1, 1)) of the Duhamel
+        form whose integrands p and ws are the quadratics through the values
+        given at 0, h/2 and h, integrated exactly."""
+        c1, d1 = ((4 * f[1] - 3 * f[0] - f[2]) / h for f in (p, ws))
+        c2, d2 = (2 * (f[2] - 2 * f[1] + f[0]) / h**2 for f in (p, ws))
+        q2 = c2 / lam
+        q1 = c1 / lam + 2j * c2 / lam**2
+        q0 = p[0] / lam + 1j * c1 / lam**2 - 2 * c2 / lam**3
+        Wt = ws[0] - 2 * d2 / ker.w2
+        u = np.exp(-1j * lam * t) * (u0 + q0) - q0 - t * q1 - t**2 * q2
+        v = np.cos(t * w) * (v0 + Wt) + np.sin(t * w) / w * (vt0 + d1) - Wt - t * d1 - t**2 * d2
+        return u, v
+
+    # exponential Euler (integrands frozen at 0) at h/2 and h, then the
+    # quadratic model through its integrands there, twice
+    p = [ker.coupled_product(v0, u0)] * 3
+    ws = [ker.wave_source(u0)] * 3
+    ends = np.array([0.5 * h, h])[:, None, None]
+    for _ in range(2):
+        u, v = duhamel(ends, p, ws)
+        p = p[:1] + [ker.coupled_product(vi, ui) for vi, ui in zip(v, u)]
+        ws = ws[:1] + [ker.wave_source(ui) for ui in u]
+    us, vs = duhamel(s, p, ws)
     log = []
     while not log or log[-1] >= tol:
         pvu = phase * np.array([ker.coupled_product(v, u) for v, u in zip(vs, us)])
@@ -660,13 +710,13 @@ def test_picard_residual_is_the_worst_node_of_every_row_block():
     # A coupled panel whose sums run over grid-row blocks (10 rows leave the
     # last one partial) against the same iteration written without blocks:
     # the same residual, largest over all 17 nodes, in every sweep, and the
-    # same panel end
+    # same panel end; tol = 1e-13 asks for a fourth sweep
     st = standard_state(10)
     assert st.grid.Nx % dynamics._GRID_ROWS != 0
     params = SystemParams(eps=0.5, dt=1.0)
     log = []
-    pic = picard_duhamel(st, 0.02, params, quad_nodes=17, residual_log=log)
-    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 17)
+    pic = picard_duhamel(st, 0.02, params, quad_nodes=17, tol=1e-13, residual_log=log)
+    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 17, tol=1e-13)
     assert len(log) == len(ref_log) >= 4
     # rel 1e-12 binds the first sweeps; the last residuals are differences
     # of iterates of size 1, so round-off leaves them an absolute floor
@@ -676,29 +726,31 @@ def test_picard_residual_is_the_worst_node_of_every_row_block():
         assert np.max(np.abs(got.coef - ref)) < 1e-13
 
 
-def test_picard_panel_makes_m_p_plus_one_node_evaluations(monkeypatch):
+def test_picard_panel_makes_m_p_plus_five_node_evaluations(monkeypatch):
     # An unregularized, dealiased panel: the predictor evaluates the two
-    # products once, at the panel's left edge, and each of the m sweeps at
-    # every node; the panel end takes no fill of its own.  A node
-    # evaluation is 3 transforms on the padded grid (two syntheses and one
-    # analysis of P(v, u)) and 2 on the band (one of each for W(u)).
+    # products 5 times (at the panel's left edge, then twice at h/2 and at
+    # h), and each of the m sweeps at every node; the panel end takes no
+    # fill of its own.  A node evaluation is 3 transforms on the padded
+    # grid (two syntheses and one analysis of P(v, u)) and 2 on the band
+    # (one of each for W(u)).  The default tol is met in 3 sweeps; 1e-13
+    # asks for a fourth.
     st = standard_state(8)
     params = SystemParams(eps=1.0, dt=1.0)
     P = 8
     counts = count_transforms(monkeypatch)
     log = []
-    picard_duhamel(st, 0.02, params, quad_nodes=P, residual_log=log)
+    picard_duhamel(st, 0.02, params, quad_nodes=P, tol=1e-13, residual_log=log)
     m = len(log)
     assert m >= 4
     assert st.grid.pad_shape != st.grid.shape
-    assert counts == {st.grid.pad_shape: 3 * (m * P + 1), st.grid.shape: 2 * (m * P + 1)}
+    assert counts == {st.grid.pad_shape: 3 * (m * P + 5), st.grid.shape: 2 * (m * P + 5)}
 
 
 def test_picard_peak_memory_per_node_mode_entry():
     # The six (P, Nx, Ny) node stacks take 64 B per node-mode entry: the
     # complex iterates u and P(v, u), and the real iterates v, g, cos(s w)
     # and sinc(s w).  On 24 x 20 modes with 64 nodes the traced peak of one
-    # call, block temporaries and products included, measured 91 B;
+    # call, block temporaries and products included, measured 86 B;
     # storing the phases exp(i lam s) and the phase products as stacks too
     # measured 121 B.
     g = make_grid(np.pi, np.pi, 24, 20)
@@ -733,6 +785,6 @@ def test_picard_exact_without_coupling(decoupled):
         pic = picard_duhamel(st, 0.04, params, quad_nodes=8, residual_log=log)
         for got, exact in zip((pic.u, pic.v, pic.vt), free_flow(st, 0.5, 0.04)):
             assert np.max(np.abs(got.coef - exact)) < 1e-13
-        # the exponential Euler predictor is the free flow itself, so each
-        # panel's one sweep changes nothing
+        # the predictor is the free flow itself, so each panel's one sweep
+        # changes nothing
         assert log == [0.0, 0.0]
