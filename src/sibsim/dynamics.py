@@ -21,7 +21,10 @@ Two solvers:
   form of the system, used as a cross-validation oracle.  Each panel
   starts from a three-point exponential predictor (exponential time
   differencing, Cox and Matthews, J. Comput. Phys. 176 (2002)), so a panel
-  that converges in m sweeps makes mP + 5 node evaluations.
+  that converges in m sweeps makes mP + 5 node evaluations.  A panel stops
+  once the distance of its last iterate from the fixed point, estimated
+  from the measured contraction, is below tol (Hairer and Wanner, Solving
+  ODEs II, IV.8).
 
 The splitting evaluates its unregularized nonlinearities pointwise on the
 collocation nodes: the potential phase is then exactly unimodular, so
@@ -79,18 +82,34 @@ class BlowupError(NumericalAbort):
 
 
 class PicardDivergenceError(NumericalAbort):
-    """The Duhamel fixed-point iteration did not reach tolerance on a panel."""
+    """The Duhamel fixed-point iteration did not reach tolerance on a panel.
 
-    def __init__(self, residual: float, iterations: int, panel: int, t_start: float):
+    `contraction` is the panel's measured rate (the largest ratio of
+    consecutive sweep residuals), None when the panel made one sweep."""
+
+    def __init__(
+        self,
+        residual: float,
+        iterations: int,
+        panel: int,
+        t_start: float,
+        contraction: float | None,
+    ):
+        rate = (
+            "no contraction measured after one sweep"
+            if contraction is None
+            else f"measured contraction {contraction:.3e}"
+        )
         super().__init__(
             f"Picard iteration did not converge on panel {panel} "
             f"(starting at t = {t_start}): residual {residual:.3e} "
-            f"after {iterations} iterations"
+            f"after {iterations} iterations, {rate}"
         )
         self.residual = residual
         self.iterations = iterations
         self.panel = panel
         self.t_start = t_start
+        self.contraction = contraction
 
 
 class PotentialFlowError(NumericalAbort):
@@ -528,6 +547,21 @@ def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return out.reshape(weights.shape[:-1] + stack.shape[1:])
 
 
+def _contraction(residuals: list[float]) -> float | None:
+    """The largest ratio r_j / r_(j-1) of consecutive sweep residuals of one
+    panel (over r_(j-1) > 0), or None before its second sweep."""
+    return max((b / a for a, b in zip(residuals, residuals[1:]) if a > 0), default=None)
+
+
+def _panel_converged(residuals: list[float], tol: float) -> bool:
+    """Whether a panel whose sweeps left `residuals` meets the stopping
+    rule of picard_duhamel's `tol`."""
+    r = residuals[-1]
+    theta = _contraction(residuals)
+    # r theta / (1 - theta) < tol, written without dividing
+    return r < tol or (theta is not None and theta < 0.5 and r * theta < tol * (1.0 - theta))
+
+
 def picard_duhamel(
     state0: State,
     T: float,
@@ -577,6 +611,15 @@ def picard_duhamel(
     iterates and their changes in place in that block's sums.
 
     Args:
+        tol: bound on a panel's distance from its fixed point.  With r_k
+            the residual of sweep k (the change it made, in H1 for u and L2
+            for v, vt) and theta the largest ratio r_j / r_(j-1) the panel
+            has shown, a panel stops when r_k < tol, or when theta < 1/2
+            and r_k theta / (1 - theta) < tol: for a contraction theta the
+            last iterate lies within that estimate of the fixed point (the
+            simplified-Newton test of Hairer and Wanner, Solving ODEs II,
+            IV.8).  Where theta >= 1/2 the estimate exceeds r_k, and
+            r_k < tol alone decides.
         residual_log: optional list; per-sweep fixed-point residuals are
             appended to it (all panels concatenated).  A panel's first
             entry is the change of its first sweep from the predictor.
@@ -584,8 +627,9 @@ def picard_duhamel(
     Raises:
         ValueError: if quad_nodes < 2, max_iter < 1, or T or tol is not
             positive and finite.
-        PicardDivergenceError: if a panel fails to reach tol within
-            max_iter sweeps (residual measured in H1 for u and L2 for v, vt).
+        PicardDivergenceError: if a panel meets neither stopping test of
+            `tol` within max_iter sweeps; it carries the last residual and
+            the panel's measured contraction theta (None after one sweep).
     """
     if quad_nodes < 2:
         raise ValueError("quad_nodes must be >= 2")
@@ -708,7 +752,7 @@ def picard_duhamel(
 
     for panel in range(n_panels):
         predict()
-        residual = np.inf
+        panel_log: list[float] = []
         for _sweep in range(max_iter):
             # Jacobi sweep: every integrand comes from the previous sweep,
             # so the blocks below may overwrite us / vs in place
@@ -751,16 +795,20 @@ def picard_duhamel(
                 dv2 += vb.reshape(quad_nodes, -1).sum(axis=1)
                 vb[...] = vn
             residual = float(np.max(np.sqrt(du2) + np.sqrt(dv2)))
+            panel_log.append(residual)
             if residual_log is not None:
                 residual_log.append(residual)
-            if residual < tol:
+            if _panel_converged(panel_log, tol):
                 break
         else:
-            raise PicardDivergenceError(residual, max_iter, panel, t_now)
+            raise PicardDivergenceError(
+                residual, max_iter, panel, t_now, _contraction(panel_log)
+            )
 
         # advance the panel data to its right edge with the full-panel sums
-        # of the converged sweep: their integrands come from the iterate
-        # one sweep earlier, which differs from the last by less than tol
+        # of the converged sweep: like the last iterate, they come from the
+        # integrands of the iterate one sweep earlier, so the panel end is
+        # as close to the fixed point as the last iterate
         phi = np.exp(-1j * lam * h) * (phi - 1j * Iu_end)
         new_v = (
             cos_h * ps0 + (sin_h / w) * ps1 + (sin_h / w) * Ia_end - cos_h * Ib_end

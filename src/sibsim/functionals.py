@@ -99,13 +99,16 @@ class DataNorms:
     def from_state(cls, state: State) -> "DataNorms":
         """Norms of the data (phi, psi0, psi1) = (u, v, vt) of a state."""
         phi, psi0, psi1 = state.u, state.v, state.vt
-        return cls(
-            l2_phi=sobolev_norm(phi, 0.0),
-            grad_phi=sobolev_norm(phi, 1.0),
-            l2_psi0=sobolev_norm(psi0, 0.0),
-            l2_psi1=sobolev_norm(psi1, 0.0),
-            neg_half_psi1=sobolev_norm(psi1, -1.0),
-        )
+        # a norm past the float range reads inf, and the finiteness check
+        # names it, instead of numpy warning first
+        with np.errstate(over="ignore"):
+            return cls(
+                l2_phi=sobolev_norm(phi, 0.0),
+                grad_phi=sobolev_norm(phi, 1.0),
+                l2_psi0=sobolev_norm(psi0, 0.0),
+                l2_psi1=sobolev_norm(psi1, 0.0),
+                neg_half_psi1=sobolev_norm(psi1, -1.0),
+            )
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,19 @@ def test_config_syntax_warning_leaves_one_stderr_line(tmp_path, expr):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_data_norm_past_the_float_range_leaves_one_stderr_line(tmp_path):
+    # |c|^2 = 1e310 overflows; numpy prints its RuntimeWarning straight to
+    # stderr outside pytest, so the command runs in a process of its own
+    cfg = write(tmp_path, "[data]\nphi_modes = 1 1 1e155\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sibsim.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sibsim.cli", "--config", cfg, "--out", str(tmp_path / "o"), "run"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "invalid configuration: data norm l2_phi must be finite and nonnegative\n"
+
+
 @pytest.mark.parametrize(
     "preset, expected",
     [({}, "1"), ({"OMP_NUM_THREADS": "3"}, None)],
@@ -405,6 +418,28 @@ def test_check_certifies_the_stepping_kernel(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     verdicts = {a["name"]: a["passed"] for a in manifest["assertions"]}
     assert verdicts["yosida-symbol-contraction"] is False
+
+
+def test_check_covers_every_n_it_names(tmp_path, monkeypatch):
+    # the symbol inequalities hold "for n in {1..1024}": a Yosida symbol
+    # above 1 at n = 3 alone, which no power of two reaches, fails them
+    original = dynamics._Kernels.__init__
+
+    def corrupted(self, grid, params, dt):
+        original(self, grid, params, dt)
+        if params.yosida_n == 3:
+            self.jsym = self.jsym.copy()
+            self.jsym[0, 0] = 1.5
+
+    monkeypatch.setattr(dynamics._Kernels, "__init__", corrupted)
+    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "check"]) == 1
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    contraction = next(
+        a for a in manifest["assertions"] if a["name"] == "yosida-symbol-contraction"
+    )
+    assert contraction["passed"] is False
+    assert "n in {1..1024}" in contraction["detail"]
 
 
 def test_check_certifies_the_half_step_sine_symbol(tmp_path, monkeypatch):

@@ -546,8 +546,9 @@ def test_picard_validation():
 
 
 def test_picard_residuals_contract():
-    # at the default tol the panel converges in 3 sweeps; a tighter one
-    # shows the contraction over 5 (measured down to 1.3e-16)
+    # at the default tol the panel stops after 2 sweeps, on its contraction
+    # estimate; tol = 1e-14 shows the contraction over 4 (measured down to
+    # 3.5e-14)
     st = standard_state(8)
     log = []
     picard_duhamel(
@@ -575,14 +576,53 @@ def test_picard_predictor_is_fourth_order():
 
 def test_picard_divergence_error():
     st = replace(standard_state(8), t=0.3)
+    params = SystemParams(eps=1.0, dt=1.0)
     with pytest.raises(PicardDivergenceError) as err:
-        picard_duhamel(st, 0.02, SystemParams(eps=1.0, dt=1.0), tol=1e-30, max_iter=3)
+        picard_duhamel(st, 0.02, params, tol=1e-30, max_iter=3)
     assert err.value.iterations == 3
     assert err.value.residual > 0
     # the first panel fails, and it starts at the state's time
     assert err.value.panel == 0
     assert err.value.t_start == 0.3
     assert "panel 0" in str(err.value) and "t = 0.3" in str(err.value)
+    # the panel's measured rate, the largest of its two residual ratios
+    theta = err.value.contraction
+    assert 0 < theta < 0.5
+    assert f"measured contraction {theta:.3e}" in str(err.value)
+    # one sweep measures no rate
+    with pytest.raises(PicardDivergenceError) as err:
+        picard_duhamel(st, 0.02, params, tol=1e-30, max_iter=1)
+    assert err.value.contraction is None
+    assert str(err.value).endswith("after 1 iterations, no contraction measured after one sweep")
+
+
+@pytest.mark.parametrize(
+    "residuals, stops",
+    [
+        ([5e-12], True),
+        ([2e-11], False),
+        # theta = 0.01: the estimate 1e-10 * 0.01 / 0.99 = 1.0e-12
+        ([1e-6, 1e-8, 1e-10], True),
+        # the last ratio 3.3e-5 alone would stop; the first, 0.6, is the
+        # panel's rate, and at theta >= 1/2 only r_k < tol stops
+        ([1e-6, 6e-7, 2e-11], False),
+    ],
+)
+def test_picard_stops_on_the_measured_contraction(residuals, stops):
+    assert dynamics._panel_converged(residuals, 1e-11) is stops
+
+
+def test_picard_contraction_estimate_bounds_the_fixed_point_distance():
+    # The default tol stops the panel on the estimate r_k theta/(1 - theta)
+    # while r_k itself is still above tol, and the end state is within tol
+    # of a run at tol = 1e-14 (measured 6.9e-12)
+    st = standard_state(8)
+    params = SystemParams(eps=1.0, dt=1.0)
+    log = []
+    pic = picard_duhamel(st, 0.02, params, quad_nodes=12, residual_log=log)
+    assert log[-1] >= 1e-11
+    tight = picard_duhamel(st, 0.02, params, quad_nodes=12, tol=1e-14)
+    assert difference_metric(pic, tight) < 1e-11
 
 
 def test_picard_matches_splitting_on_small_case():
@@ -649,9 +689,10 @@ def free_flow(st, eps, s):
 def plain_picard_panel(st, params, h, P, tol=1e-11):
     """One Picard panel (0, h) written out without blocks or per-axis
     phases: the three-point exponential predictor at every node, then
-    Jacobi sweeps whose quadrature sums run over whole node stacks, and the
-    panel end from the full-panel sums of the last sweep.  Returns the
-    residual log and the end state's (u, v, vt)."""
+    Jacobi sweeps whose quadrature sums run over whole node stacks until
+    the oracle's stopping rule holds, and the panel end from the full-panel
+    sums of the last sweep.  Returns the residual log and the end state's
+    (u, v, vt)."""
     grid = st.grid
     lam = grid.lam
     ker = dynamics._Kernels(grid, params, None)
@@ -688,7 +729,7 @@ def plain_picard_panel(st, params, h, P, tol=1e-11):
         ws = ws[:1] + [ker.wave_source(ui) for ui in u]
     us, vs = duhamel(s, p, ws)
     log = []
-    while not log or log[-1] >= tol:
+    while not log or not dynamics._panel_converged(log, tol):
         pvu = phase * np.array([ker.coupled_product(v, u) for v, u in zip(vs, us)])
         g = -ker.w2 * np.array([ker.wave_source(u) for u in us])
         Iu, Ia, Ib = (np.einsum("ij,jkl->ikl", W, f) for f in (pvu, c * g, sc * g))
@@ -710,13 +751,13 @@ def test_picard_residual_is_the_worst_node_of_every_row_block():
     # A coupled panel whose sums run over grid-row blocks (10 rows leave the
     # last one partial) against the same iteration written without blocks:
     # the same residual, largest over all 17 nodes, in every sweep, and the
-    # same panel end; tol = 1e-13 asks for a fourth sweep
+    # same panel end; tol = 1e-14 asks for a fourth sweep
     st = standard_state(10)
     assert st.grid.Nx % dynamics._GRID_ROWS != 0
     params = SystemParams(eps=0.5, dt=1.0)
     log = []
-    pic = picard_duhamel(st, 0.02, params, quad_nodes=17, tol=1e-13, residual_log=log)
-    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 17, tol=1e-13)
+    pic = picard_duhamel(st, 0.02, params, quad_nodes=17, tol=1e-14, residual_log=log)
+    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 17, tol=1e-14)
     assert len(log) == len(ref_log) >= 4
     # rel 1e-12 binds the first sweeps; the last residuals are differences
     # of iterates of size 1, so round-off leaves them an absolute floor
@@ -732,14 +773,14 @@ def test_picard_panel_makes_m_p_plus_five_node_evaluations(monkeypatch):
     # h), and each of the m sweeps at every node; the panel end takes no
     # fill of its own.  A node evaluation is 3 transforms on the padded
     # grid (two syntheses and one analysis of P(v, u)) and 2 on the band
-    # (one of each for W(u)).  The default tol is met in 3 sweeps; 1e-13
+    # (one of each for W(u)).  The default tol is met in 2 sweeps; 1e-14
     # asks for a fourth.
     st = standard_state(8)
     params = SystemParams(eps=1.0, dt=1.0)
     P = 8
     counts = count_transforms(monkeypatch)
     log = []
-    picard_duhamel(st, 0.02, params, quad_nodes=P, tol=1e-13, residual_log=log)
+    picard_duhamel(st, 0.02, params, quad_nodes=P, tol=1e-14, residual_log=log)
     m = len(log)
     assert m >= 4
     assert st.grid.pad_shape != st.grid.shape
