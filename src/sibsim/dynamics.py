@@ -50,7 +50,9 @@ from .grids import (
     coef_product,
     coef_to_values,
     field_from_coef,
+    from_planes,
     intensity_coef,
+    to_planes,
     values_to_coef,
 )
 
@@ -74,11 +76,21 @@ class NumericalAbort(RuntimeError):
 
 
 class BlowupError(NumericalAbort):
-    """A monitored quantity became non-finite during integration."""
+    """A state component or a monitor column became non-finite during
+    integration.
 
-    def __init__(self, t_last: float):
-        super().__init__(f"non-finite state detected; last finite time t = {t_last}")
+    `quantity` names the first non-finite one, in the order u, v, vt and
+    then the monitor's columns; `step` is the number of steps taken when it
+    was seen (0 at the initial state), and `t_last` the last time at which
+    a whole state, and its row if it had one, was seen finite."""
+
+    def __init__(self, t_last: float, step: int, quantity: str):
+        super().__init__(
+            f"non-finite {quantity} at step {step}; last finite time t = {t_last}"
+        )
         self.t_last = t_last
+        self.step = step
+        self.quantity = quantity
 
 
 class PicardDivergenceError(NumericalAbort):
@@ -349,6 +361,13 @@ class _Kernels:
         transforms.  A non-finite bound is left to the callers' blow-up
         checks, as are non-finite terms.
 
+        The sum runs on real and imaginary planes: u is split once per
+        call and the sum merged once at the end.  Every term, its
+        transforms, its product with the real Jv, the factor -i h/k (a
+        signed swap of the planes), the running sum and the norm stay on
+        planes; each rounds as the complex arithmetic it replaces, so the
+        flow is the complex Taylor sum bit for bit.
+
         Raises:
             PotentialFlowError: unregularized, if the finite phase argument
                 |dt| max|v| reaches _MAX_PHASE; regularized, if the step
@@ -371,7 +390,8 @@ class _Kernels:
             phase *= uu
             return values_to_coef(grid, phase)
         shape = self.prod_shape
-        jv = coef_to_values(grid, self.jsym * v, shape)
+        jsym = self.jsym
+        jv = coef_to_values(grid, jsym * v, shape)
         jv_max = max(jv.max(), -jv.min())
         beta = abs(dt) * jv_max
         substeps = 1
@@ -384,7 +404,8 @@ class _Kernels:
         # the flow is unitary, so every substep starts from norm ||u||
         norm0 = np.linalg.norm(u)
         tol = 1e-17 * norm0
-        out = u
+        # u, every term and the sum stay on real and imaginary planes
+        out = to_planes(u)
         for _ in range(substeps):
             term = out
             out = out.copy()
@@ -397,11 +418,16 @@ class _Kernels:
                 if tnorm * r <= tol * (1.0 - r):
                     break
                 k += 1
-                jterm = coef_to_values(grid, self.jsym * term, shape)
-                term = (-1j * h / k) * self.jsym * values_to_coef(grid, jv * jterm)
+                jterm = coef_to_values(grid, jsym * term, shape)
+                jterm *= jv
+                # term = (-i h/k) J prod: with c = (-h/k) J, the real plane
+                # is -c times prod's imaginary plane and the imaginary plane
+                # c times its real plane, rounded as the complex product is
+                term = values_to_coef(grid, jterm)[::-1] * ((-h / k) * jsym)
+                np.negative(term[0], out=term[0])
                 out += term
                 tnorm = np.linalg.norm(term)
-        return out
+        return from_planes(out)
 
     def step(self, u, v, vt):
         """One symmetric splitting step of length dt: half wave, full
@@ -449,9 +475,10 @@ def integrate(
 
     A run aborts with BlowupError when a step leaves u[0, 0] non-finite,
     when a state it keeps (a checkpoint or the final state) is not finite,
-    or when a monitor row is not finite.  The error's t_last is the last
-    time at which a whole state, and its row if it had one, was seen
-    finite (t0 before the first check).
+    or when a monitor row is not finite.  The error names the step and the
+    first non-finite quantity (u, v, vt, then the row's columns in order);
+    its t_last is the last time at which a whole state, and its row if it
+    had one, was seen finite (t0 before the first check).
 
     Args:
         monitor: optional object whose row(state, params) returns one
@@ -476,25 +503,26 @@ def integrate(
     pending = sorted(checkpoint_times)
     t_finite = t0
 
-    def keep(t: float, row: bool = False) -> State:
-        """A copy of the state at t, and its monitor row if asked; both
-        must be finite."""
+    def keep(t: float, step: int, row: bool = False) -> State:
+        """A copy of the state at t after `step` steps, and its monitor row
+        if asked; both must be finite."""
         nonlocal t_finite
         snap = _state_from_coef(state.grid, u.copy(), v.copy(), vt.copy(), t)
-        finite = np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(vt).all()
-        if finite and row:
+        parts = {"u": u, "v": v, "vt": vt}
+        bad = next((name for name, arr in parts.items() if not np.isfinite(arr).all()), None)
+        if bad is None and row:
             rows.append(monitor.row(snap, params))
-            finite = all(np.isfinite(val) for val in rows[-1].values())
-        if not finite:
-            raise BlowupError(t_finite)
+            bad = next((name for name, val in rows[-1].items() if not np.isfinite(val)), None)
+        if bad is not None:
+            raise BlowupError(t_finite, step, bad)
         t_finite = t
         return snap
 
     if monitor is not None:
-        keep(t0, row=True)
+        keep(t0, 0, row=True)
     t = t0
     while pending and pending[0] <= t0 + 1e-12:
-        checkpoints[pending.pop(0)] = keep(t0)
+        checkpoints[pending.pop(0)] = keep(t0, 0)
     for i in range(n_steps):
         step_dt = dt
         if i == n_steps - 1:
@@ -504,14 +532,14 @@ def integrate(
         u, v, vt = ker.step(u, v, vt)
         t = t0 + T if i == n_steps - 1 else t + dt
         if not np.isfinite(u[0, 0]):
-            raise BlowupError(t_finite)
+            raise BlowupError(t_finite, i + 1, "u")
         if monitor is not None and ((i + 1) % monitor_stride == 0 or i == n_steps - 1):
-            keep(t, row=True)
+            keep(t, i + 1, row=True)
         while pending and pending[0] <= t + 1e-12:
-            checkpoints[pending.pop(0)] = keep(t)
+            checkpoints[pending.pop(0)] = keep(t, i + 1)
 
     series = {key: np.array([r[key] for r in rows]) for key in (rows[0] if rows else ())}
-    return TrajectoryRecord(series, keep(t), checkpoints)
+    return TrajectoryRecord(series, keep(t, n_steps), checkpoints)
 
 
 # ---------------------------------------------------------------------------

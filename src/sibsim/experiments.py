@@ -228,6 +228,8 @@ def cmd_run(config: RunConfig, quiet: bool = False) -> int:
         manifest["status"] = "numerical-abort"
         if isinstance(exc, BlowupError):
             manifest["last_finite_t"] = exc.t_last
+            manifest["failed_step"] = exc.step
+            manifest["failed_quantity"] = exc.quantity
         manifest["files"] = {}
         write_manifest(os.path.join(config.out_dir, "manifest.json"), manifest)
         raise

@@ -16,8 +16,9 @@ M-node grid is A_x @ c @ A_y.T with A[j-1, k-1] = e_k(x_j) the M x N block
 of the sine basis at the nodes, so zero-padding is implicit, and analysis
 computes only the N retained rows.  The matrices, and the right factors
 as contiguous transposes, are built once per (M, N, L) and the products
-run as real BLAS gemm; complex arrays are split into stacked real and
-imaginary parts.  Small grids are where this pays:
+run as real BLAS gemm on real arrays or on a (2, ., .) stack of real and
+imaginary planes; a complex array is split into planes on entry and
+merged on exit.  Small grids are where this pays:
 at the 3/2-padded sizes used here the FFT length 2(M+1) has a large prime
 factor (2*97 at 96 nodes).  Above the cutoff the O(M N^2) products lose to
 the FFT, and scipy's dstn on the zero-padded array is used instead; scipy.fft
@@ -31,6 +32,14 @@ the product of two sine polynomials is a cosine polynomial whose sine
 re-expansion is an infinite series, so unlike the periodic case the padded
 product is not the exact L2 projection of the product; the deviation
 vanishes algebraically with resolution and is quantified in the tests.
+
+A padded product with one real factor keeps the other factor's node values
+on planes from its synthesis to its analysis, and the Yosida Taylor sum in
+dynamics keeps its whole sum there: multiplying planes by a real field
+rounds exactly as the complex product does, so the split and the merge of
+each complex transform are saved at no change in the bits.  The nodal
+stepper's intensity |u|^2 and phase exp(-i dt v) u stay complex, because
+numpy's complex arithmetic rounds them differently from a planes formula.
 """
 
 from __future__ import annotations
@@ -190,64 +199,98 @@ def _transposed(matrix, M: int, N: int, L: float) -> np.ndarray:
     return T
 
 
+def to_planes(z: np.ndarray) -> np.ndarray:
+    """A complex array as a real stack of two planes: real part, imaginary part."""
+    planes = np.empty((2,) + z.shape)
+    planes[0] = z.real
+    planes[1] = z.imag
+    return planes
+
+
+def from_planes(planes: np.ndarray) -> np.ndarray:
+    """The complex array of a stack of real and imaginary planes."""
+    z = np.empty(planes.shape[1:], dtype=np.complex128)
+    z.real = planes[0]
+    z.imag = planes[1]
+    return z
+
+
 def _dense(left: np.ndarray, arr: np.ndarray, right_t: np.ndarray) -> np.ndarray:
-    """left @ arr @ right_t by real gemm; a complex arr goes through as
-    its stacked real and imaginary parts."""
-    if not np.iscomplexobj(arr):
+    """left @ arr @ right_t by real gemm; a planes stack goes through as
+    one tall matrix on the right and one stacked product on the left."""
+    if arr.ndim == 2:
         return left @ (np.ascontiguousarray(arr) @ right_t)
-    n0, n1 = arr.shape
-    parts = np.empty((2, n0, n1))
-    parts[0] = arr.real
-    parts[1] = arr.imag
-    parts = left @ (parts.reshape(2 * n0, n1) @ right_t).reshape(2, n0, -1)
-    out = np.empty(parts.shape[1:], dtype=np.complex128)
-    out.real = parts[0]
-    out.imag = parts[1]
-    return out
+    n, n0, n1 = arr.shape
+    return left @ (arr.reshape(n * n0, n1) @ right_t).reshape(n, n0, -1)
 
 
 def coef_to_values(grid: Grid2D, coef: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Evaluate a coefficient array at the interior nodes of an (optionally
     refined) grid with `shape` modes per axis; modes beyond the band count
-    as zero."""
+    as zero.  `coef` is real, complex, or a (2, Nx, Ny) stack of real and
+    imaginary planes, and the values come in the same form.  A complex
+    array is split into planes on entry and merged on exit."""
+    if np.iscomplexobj(coef):
+        return from_planes(_synthesis(grid, to_planes(coef), shape))
+    return _synthesis(grid, coef, shape)
+
+
+def _synthesis(grid: Grid2D, coef: np.ndarray, shape: tuple[int, int] | None) -> np.ndarray:
+    """coef_to_values of a real array or a planes stack."""
+    band = coef.shape[-2:]
     if shape is None:
         shape = grid.shape
-    if shape[0] < coef.shape[0] or shape[1] < coef.shape[1]:
+    if shape[0] < band[0] or shape[1] < band[1]:
         raise ValueError("synthesis grid must be at least as fine as the band")
     if max(shape) <= DENSE_MAX_EDGE:
-        ax = _synthesis_matrix(shape[0], coef.shape[0], grid.Lx)
-        ay_t = _transposed(_synthesis_matrix, shape[1], coef.shape[1], grid.Ly)
+        ax = _synthesis_matrix(shape[0], band[0], grid.Lx)
+        ay_t = _transposed(_synthesis_matrix, shape[1], band[1], grid.Ly)
         return _dense(ax, coef, ay_t)
     from scipy.fft import dstn  # loaded only above the cutoff
 
-    if shape != coef.shape:
-        padded = np.zeros(shape, dtype=coef.dtype)
-        padded[: coef.shape[0], : coef.shape[1]] = coef
+    if shape != band:
+        padded = np.zeros(coef.shape[:-2] + tuple(shape))
+        padded[..., : band[0], : band[1]] = coef
         coef = padded
-    return dstn(coef, type=1, norm="ortho") / _scale(grid.Lx, grid.Ly, shape)
+    return dstn(coef, type=1, norm="ortho", axes=(-2, -1)) / _scale(grid.Lx, grid.Ly, shape)
 
 
 def values_to_coef(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     """Transform interior-node samples (on a grid of any shape) to sine
-    coefficients of the retained band."""
-    shape = values.shape
+    coefficients of the retained band, in the form of the samples: real,
+    complex, or a stack of real and imaginary planes."""
+    if np.iscomplexobj(values):
+        return from_planes(_analysis(grid, to_planes(values)))
+    return _analysis(grid, values)
+
+
+def _analysis(grid: Grid2D, values: np.ndarray) -> np.ndarray:
+    """values_to_coef of a real array or a planes stack."""
+    shape = values.shape[-2:]
     if max(shape) <= DENSE_MAX_EDGE:
         bx = _analysis_matrix(shape[0], min(grid.Nx, shape[0]), grid.Lx)
         by_t = _transposed(_analysis_matrix, shape[1], min(grid.Ny, shape[1]), grid.Ly)
         return _dense(bx, values, by_t)
     from scipy.fft import dstn  # loaded only above the cutoff
 
-    coef = dstn(values, type=1, norm="ortho") * _scale(grid.Lx, grid.Ly, shape)
-    return coef[: grid.Nx, : grid.Ny]
+    coef = dstn(values, type=1, norm="ortho", axes=(-2, -1)) * _scale(grid.Lx, grid.Ly, shape)
+    return coef[..., : grid.Nx, : grid.Ny]
 
 
 def coef_product(
     grid: Grid2D, a: np.ndarray, b: np.ndarray, shape: tuple[int, int] | None = None
 ) -> np.ndarray:
     """Band coefficients of a*b from samples at the nodes of a grid with
-    `shape` modes per axis (default: the 3/2-padded grid)."""
+    `shape` modes per axis (default: the 3/2-padded grid).  When one
+    factor is real, the other's node values stay on planes from its
+    synthesis to the analysis."""
     if shape is None:
         shape = grid.pad_shape
+    if np.iscomplexobj(a) != np.iscomplexobj(b):
+        z, x = (a, b) if np.iscomplexobj(a) else (b, a)
+        vz = coef_to_values(grid, to_planes(z), shape)
+        vz *= coef_to_values(grid, x, shape)
+        return from_planes(values_to_coef(grid, vz))
     va = coef_to_values(grid, a, shape)
     vb = coef_to_values(grid, b, shape)
     return values_to_coef(grid, va * vb)

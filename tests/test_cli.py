@@ -323,12 +323,17 @@ def test_blowup_exits_3(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["--config", cfg, "--out", str(tmp_path / "o"), "run"])
     assert code == 3
-    # the CLI prints the abort on stderr for every command; run also
-    # records it in its manifest
-    assert "numerical abort" in capsys.readouterr().err
+    # the state stays finite and the row's envelope overflows after step
+    # 1; the CLI prints the abort on one stderr line for every command,
+    # and run also records it in its manifest
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "numerical abort: non-finite envelope_h1 at step 1" in err
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["status"] == "numerical-abort"
     assert manifest["last_finite_t"] == 0.0
+    assert manifest["failed_step"] == 1
+    assert manifest["failed_quantity"] == "envelope_h1"
 
 
 def test_meaningless_nodal_phase_exits_3(tmp_path, capsys):
@@ -385,7 +390,7 @@ def test_divergent_yosida_potential_flow_exits_3(tmp_path, capsys):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["status"] == "numerical-abort"
     assert manifest["files"] == {}
-    assert "last_finite_t" not in manifest
+    assert "last_finite_t" not in manifest and "failed_quantity" not in manifest
 
 
 def test_check_suite_passes_and_fault_injection_fails(tmp_path):

@@ -298,6 +298,18 @@ def test_yosida_step_makes_2k_plus_5_transforms(monkeypatch, dealias):
     assert counts == {ker.prod_shape: 2 * terms + 5}
 
 
+def test_nodal_step_makes_7_band_transforms(monkeypatch):
+    # the default preset, unregularized: two wave sources of 2 transforms
+    # each and the nodal potential phase of 3, all on the collocation nodes
+    cfg = RunConfig()
+    params = build_params(cfg)
+    st = build_initial_state(cfg)
+    ker = dynamics._Kernels(st.grid, params, params.dt)
+    counts = count_transforms(monkeypatch)
+    ker.step(st.u.coef, st.v.coef, st.vt.coef)
+    assert counts == {st.grid.shape: 7}
+
+
 def test_default_yosida_step_makes_13_padded_transforms(monkeypatch):
     # the default preset at n = 8 (64^2, dt = 1e-3): the bound proves the
     # tail negligible after 4 Taylor terms, so 2*4 + 5 padded transforms
@@ -495,34 +507,67 @@ def test_blowup_detected():
                 st, 0.01, SystemParams(eps=1.0, dt=1e-3), monitor_stride=1, monitor=monitor
             )
     assert err.value.t_last == 0.0
+    assert (err.value.step, err.value.quantity) == (1, "envelope_h1")
+    assert "non-finite envelope_h1 at step 1" in str(err.value)
+
+
+def _breaking_step(monkeypatch, at_call, names):
+    """Patch the stepper so that its call number `at_call` returns a NaN
+    in the last mode of each component in `names`."""
+    original = dynamics._Kernels.step
+    calls = []
+
+    def step(self, u, v, vt):
+        parts = dict(zip(("u", "v", "vt"), original(self, u, v, vt)))
+        calls.append(1)
+        if len(calls) == at_call:
+            for name in names:
+                parts[name] = parts[name].copy()
+                parts[name][-1, -1] = np.nan
+        return parts["u"], parts["v"], parts["vt"]
+
+    monkeypatch.setattr(dynamics._Kernels, "step", step)
+    return calls
 
 
 def test_blowup_detected_on_kept_states(monkeypatch):
     # the last step leaves u[0, 0] finite and vt non-finite in one mode:
     # only the check on the final state sees it, and the last state seen
     # finite is the checkpoint at 0.05
-    original = dynamics._Kernels.step
-    calls = []
-
-    def step(self, u, v, vt):
-        u, v, vt = original(self, u, v, vt)
-        calls.append(1)
-        if len(calls) == 10:
-            vt = vt.copy()
-            vt[-1, -1] = np.nan
-        return u, v, vt
-
-    monkeypatch.setattr(dynamics._Kernels, "step", step)
+    calls = _breaking_step(monkeypatch, 10, ("vt",))
     st = standard_state(8)
     params = SystemParams(eps=1.0, dt=1e-2)
     with pytest.raises(BlowupError) as err:
         integrate(st, 0.1, params, checkpoint_times=(0.0, 0.05))
     assert err.value.t_last == pytest.approx(0.05)
+    assert (err.value.step, err.value.quantity) == (10, "vt")
     # with a row at every step, the last state seen finite is the ninth
     calls.clear()
     with pytest.raises(BlowupError) as err:
         integrate(st, 0.1, params, monitor_stride=1, monitor=RunMonitor.from_state(st))
     assert err.value.t_last == pytest.approx(0.09)
+    assert (err.value.step, err.value.quantity) == (10, "vt")
+
+
+@pytest.mark.parametrize(
+    "at_call, names, seen",
+    [
+        (5, ("u", "vt"), (5, "u")),
+        (5, ("v", "vt"), (5, "v")),
+        # v drives the next step's potential phase, which leaves every
+        # mode of u NaN; the check after each step sees u[0, 0]
+        (3, ("v",), (4, "u")),
+    ],
+)
+def test_blowup_names_the_step_and_first_non_finite_component(
+    monkeypatch, at_call, names, seen
+):
+    _breaking_step(monkeypatch, at_call, names)
+    st = standard_state(8)
+    with pytest.raises(BlowupError) as err:
+        integrate(st, 0.05, SystemParams(eps=1.0, dt=1e-2))
+    assert (err.value.step, err.value.quantity) == seen
+    assert err.value.t_last == 0.0
 
 
 # ---------------------------------------------------------------------------

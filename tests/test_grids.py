@@ -15,10 +15,12 @@ from sibsim.grids import (
     coef_product,
     coef_to_values,
     field_from_coef,
+    from_planes,
     h1_norm,
     lp_norm,
     make_grid,
     sobolev_norm,
+    to_planes,
     values_to_coef,
 )
 
@@ -79,7 +81,7 @@ def test_single_mode_coefficient():
     assert np.max(np.abs(rest)) < 1e-13
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["real", "complex", "planes"])
 @pytest.mark.parametrize(
     "band, nodes, path",
     [
@@ -93,26 +95,46 @@ def test_single_mode_coefficient():
 def test_dense_transforms_match_fft_path(monkeypatch, band, nodes, path, kind):
     # The same transforms once through the cached sine matrices and once
     # through dstn on the zero-padded array, on a rectangle with Lx != Ly.
+    # A planes stack holds the real and imaginary parts of a complex array
+    # and gives the parts of that array's results.
     assert (max(nodes) <= grids.DENSE_MAX_EDGE) == (path == "dense")
     g = make_grid(np.pi, 2.5, *band)
     rng = np.random.default_rng(17)
 
     def draw(shape):
         arr = rng.standard_normal(shape)
-        return arr + 1j * rng.standard_normal(shape) if kind == "complex" else arr
+        return arr if kind == "real" else arr + 1j * rng.standard_normal(shape)
 
     coef, vals = draw(band), draw(nodes)
+    complex_coef, complex_vals = coef, vals
+    if kind == "planes":
+        coef, vals = to_planes(coef), to_planes(vals)
+    # the band check comes before the path is chosen
+    with pytest.raises(ValueError, match="at least as fine as the band"):
+        coef_to_values(g, coef, (band[0] - 1, band[1]))
     default = (coef_to_values(g, coef, nodes), values_to_coef(g, vals))
     results = {}
+    as_complex = {}
     for forced, cutoff in (("dense", 10**6), ("fft", 0)):
         monkeypatch.setattr(grids, "DENSE_MAX_EDGE", cutoff)
         results[forced] = (coef_to_values(g, coef, nodes), values_to_coef(g, vals))
+        if kind == "planes":
+            as_complex[forced] = (
+                coef_to_values(g, complex_coef, nodes),
+                values_to_coef(g, complex_vals),
+            )
     for dense, fft, chosen, got in zip(
         results["dense"], results["fft"], results[path], default
     ):
         assert dense.shape == fft.shape and dense.dtype == fft.dtype
         assert np.max(np.abs(dense - fft)) < 1e-13 * np.max(np.abs(fft))
         assert np.array_equal(got, chosen)
+    if kind == "planes":
+        for planes, z in zip(results["dense"], as_complex["dense"]):
+            assert planes.shape == (2,) + z.shape
+            assert np.array_equal(planes[0], z.real) and np.array_equal(planes[1], z.imag)
+        for planes, z in zip(results["fft"], as_complex["fft"]):
+            assert np.max(np.abs(from_planes(planes) - z)) < 1e-13 * np.max(np.abs(z))
 
 
 def test_analyze_rejects_wrong_shape(unit_square_grid):
@@ -191,6 +213,11 @@ def test_product_of_complex_factor(unit_square_grid):
     q = coef_product(unit_square_grid, b.coef, a.coef)
     assert np.iscomplexobj(p)
     assert np.max(np.abs(p - q)) < 1e-14
+    # the complex factor's node values stay on planes, and scaling planes
+    # by real values rounds as the complex product does
+    shape = unit_square_grid.pad_shape
+    va, vb = (coef_to_values(unit_square_grid, f.coef, shape) for f in (a, b))
+    assert np.array_equal(p, values_to_coef(unit_square_grid, va * vb))
 
 
 # ---------------------------------------------------------------------------
