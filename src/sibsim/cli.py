@@ -66,13 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n-list", nargs="+", type=int, metavar="N", help="override [sweep] n_list"
     )
 
-    p = sub.add_parser(
+    sub.add_parser(
         "check", help="certify the stepper's spectral symbols (identities, inequalities)"
-    )
-    p.add_argument(
-        "--inject-fault",
-        choices=("yosida",),
-        help="corrupt one symbol value on purpose (harness self-test)",
     )
 
     sub.add_parser(
@@ -100,12 +95,9 @@ def main(argv=None) -> int:
     }
     try:
         config = replace(load_config(args.config), **overrides)
-        if args.command == "check":
-            return experiments.cmd_check(
-                config, quiet=args.quiet, inject_fault=args.inject_fault
-            )
         command = {
             "run": experiments.cmd_run,
+            "check": experiments.cmd_check,
             "sweep-eps": experiments.cmd_sweep_eps,
             "sweep-n": experiments.cmd_sweep_n,
             "estimate-c0": experiments.cmd_estimate_c0,

@@ -9,6 +9,20 @@ exit codes come from exceptions that the CLI maps in one place: 2 for
 invalid configuration (ValueError, or an OSError from the file system), 3
 for a numerical abort (dynamics.NumericalAbort; cmd_run first writes its
 manifest with status numerical-abort).
+
+Each asserted property is computed once, by a private function that returns
+the reported numbers and the Assertions; the commands only run, write and
+print around it, and the tests call the same function:
+
+* _series_assertions (run): charge-conservation, h1-envelope-domination,
+  small-data-envelope and gn-quotient-bound, from a monitored series;
+  _energy_drift is run's reported energy drift.
+* _eps_sweep (sweep-eps): eps-difference-decreasing.
+* _n_sweep (sweep-n): n-consecutive-differences-decreasing.
+* _order_test (order-test): splitting-second-order.
+* _symbol_assertions (check): the twelve spectral-symbol assertions;
+  cmd_check adds stored-c0-certified, which needs the 128^2 estimate.
+* cmd_estimate_c0 itself: estimator-converged.
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ from .functionals import (
     RunMonitor,
     cauchy_metric,
     difference_metric,
+    envelope_h1,
     estimate_gn_constant,
     h1_envelope_lhs,
     small_envelope_lhs,
@@ -138,9 +153,8 @@ def _finish(
 
 
 def _start(config: RunConfig, params: SystemParams) -> tuple[State, RunMonitor]:
-    """Create the output directory, build the initial data, and the monitor
-    of the data as `params` prepares them."""
-    os.makedirs(config.out_dir, exist_ok=True)
+    """The initial data, and the monitor of the data as `params` prepares
+    them."""
     state0 = build_initial_state(config)
     return state0, RunMonitor.from_state(prepare_initial_state(state0, params))
 
@@ -157,7 +171,18 @@ def _sample_times(config: RunConfig) -> tuple[float, ...]:
     return tuple(times)
 
 
-def _series_assertions(series: dict, eps: float, ec) -> list[Assertion]:
+def _envelope_h1(series: dict, monitor: RunMonitor) -> np.ndarray:
+    """The H1 envelope at each sampled time of a monitored series."""
+    return np.array([envelope_h1(t - monitor.t0, monitor.ec, monitor.dn) for t in series["t"]])
+
+
+def _energy_drift(series: dict) -> float:
+    """Largest change of energy_eps from its first sample, relative to it."""
+    energies = series["energy_eps"]
+    return float(np.max(np.abs(energies - energies[0])) / max(abs(energies[0]), 1e-300))
+
+
+def _series_assertions(series: dict, eps: float, monitor: RunMonitor) -> list[Assertion]:
     charge = series["charge"]
     if charge[0] > 0:
         drift = float(np.max(np.abs(charge - charge[0])) / charge[0])
@@ -173,8 +198,10 @@ def _series_assertions(series: dict, eps: float, ec) -> list[Assertion]:
     ]
 
     lhs_h1 = h1_envelope_lhs(series)
-    env = series["envelope_h1"]
-    slack = 1e-12 * max(1.0, float(np.max(env)))
+    env = _envelope_h1(series, monitor)
+    # an overflowing envelope is inf and dominates every finite left-hand
+    # side, so only the finite entries scale the slack
+    slack = 1e-12 * float(np.max(env[np.isfinite(env)], initial=1.0))
     gap = float(np.min(env - lhs_h1))
     out.append(
         Assertion(
@@ -185,6 +212,7 @@ def _series_assertions(series: dict, eps: float, ec) -> list[Assertion]:
         )
     )
 
+    ec = monitor.ec
     if ec.c6 is not None:
         gap6 = float(ec.c6 - np.max(small_envelope_lhs(series, eps)))
         out.append(
@@ -210,12 +238,19 @@ def _series_assertions(series: dict, eps: float, ec) -> list[Assertion]:
     return out
 
 
+def _decreasing(name: str, values: list[float], detail: str) -> Assertion:
+    """values strictly decreasing; the margin is the smallest step down."""
+    gaps = [a - b for a, b in zip(values, values[1:])]
+    return Assertion(name, all(g > 0 for g in gaps), min(gaps), detail)
+
+
 # ---------------------------------------------------------------------------
 # run
 
 
 def cmd_run(config: RunConfig, quiet: bool = False) -> int:
     """Integrate one configuration; assert conservation and envelopes."""
+    os.makedirs(config.out_dir, exist_ok=True)
     params = build_params(config)
     state0, monitor = _start(config, params)
     manifest = _manifest_base("run", config, monitor)
@@ -234,20 +269,15 @@ def cmd_run(config: RunConfig, quiet: bool = False) -> int:
         write_manifest(os.path.join(config.out_dir, "manifest.json"), manifest)
         raise
 
+    assertions = _series_assertions(record.series, params.eps, monitor)
+    manifest["reports"] = {"energy_drift_rel": _energy_drift(record.series)}
+    record.series["envelope_h1"] = _envelope_h1(record.series, monitor)
     artifacts = ["series.csv"]
     write_series(os.path.join(config.out_dir, "series.csv"), record)
     for t, snap in sorted(record.checkpoints.items()):
         name = checkpoint_name(t)
         save_checkpoint(os.path.join(config.out_dir, name), snap)
         artifacts.append(name)
-
-    assertions = _series_assertions(record.series, params.eps, monitor.ec)
-    energies = record.series["energy_eps"]
-    manifest["reports"] = {
-        "energy_drift_rel": float(
-            np.max(np.abs(energies - energies[0])) / max(abs(energies[0]), 1e-300)
-        )
-    }
     return _finish(config.out_dir, manifest, assertions, artifacts, quiet)
 
 
@@ -255,11 +285,10 @@ def cmd_run(config: RunConfig, quiet: bool = False) -> int:
 # eps sweep
 
 
-def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
-    """Compare eps > 0 runs against the eps = 0 reference; the sup over
-    sampled times of the difference metric must decrease strictly as eps
-    decreases.  Requires the small-data hypothesis (the limit system's
-    global theory needs it)."""
+def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
+    """Run the eps = 0 reference and every eps of eps_list, sampled at
+    _sample_times; the monitor of the data, the reports and the
+    eps-difference-decreasing assertion."""
     eps_values = tuple(sorted(set(config.eps_list), reverse=True))
     if len(eps_values) < 2:
         raise ValueError(
@@ -281,13 +310,11 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
         return integrate(state0, config.T, params, checkpoint_times=samples).checkpoints
 
     reference = states_at_samples(0.0)
-    sups = []
-    for eps in eps_values:
-        member = states_at_samples(eps)
-        sup = max(difference_metric(member[t], reference[t]) for t in samples)
-        sups.append(sup)
-        _emit(quiet, f"eps={eps:g}: sup difference {sup:.6e}")
 
+    def sup_difference(member: dict) -> float:
+        return max(difference_metric(member[t], reference[t]) for t in samples)
+
+    sups = [sup_difference(states_at_samples(eps)) for eps in eps_values]
     # log(0) is undefined, so an eps = 0 member stays out of the log-log fit
     fit = [(e, s) for e, s in zip(eps_values, sups) if e > 0]
     if len(fit) >= 2:
@@ -297,27 +324,27 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
         )
     else:
         slope = math.nan
-    write_table(
-        os.path.join(config.out_dir, "eps_sweep.csv"),
-        ("eps", "sup_metric", "fitted_slope"),
-        [(e, s, slope) for e, s in zip(eps_values, sups)],
-    )
+    reports = {"eps": list(eps_values), "sup_metric": sups, "fitted_slope": slope}
+    detail = "sup metric strictly decreasing as eps decreases"
+    return monitor, reports, [_decreasing("eps-difference-decreasing", sups, detail)]
 
-    gaps = [a - b for a, b in zip(sups, sups[1:])]
-    assertions = [
-        Assertion(
-            "eps-difference-decreasing",
-            all(g > 0 for g in gaps),
-            min(gaps),
-            "sup metric strictly decreasing as eps decreases",
-        )
-    ]
+
+def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
+    """Compare eps > 0 runs against the eps = 0 reference; the sup over
+    sampled times of the difference metric must decrease strictly as eps
+    decreases.  Requires the small-data hypothesis (the limit system's
+    global theory needs it)."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    monitor, reports, assertions = _eps_sweep(config)
+    slope = reports["fitted_slope"]
+    rows = [(e, s, slope) for e, s in zip(reports["eps"], reports["sup_metric"])]
+    for eps, sup, _ in rows:
+        _emit(quiet, f"eps={eps:g}: sup difference {sup:.6e}")
+    write_table(
+        os.path.join(config.out_dir, "eps_sweep.csv"), ("eps", "sup_metric", "fitted_slope"), rows
+    )
     manifest = _manifest_base("sweep-eps", config, monitor)
-    manifest["reports"] = {
-        "eps": list(eps_values),
-        "sup_metric": [float(s) for s in sups],
-        "fitted_slope": slope,
-    }
+    manifest["reports"] = reports
     _emit(quiet, f"fitted slope of sup difference vs eps: {slope:.3f}")
     return _finish(config.out_dir, manifest, assertions, ["eps_sweep.csv"], quiet)
 
@@ -326,10 +353,10 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
 # yosida-n sweep
 
 
-def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
-    """Run the regularized system for each n, plus the unregularized
-    reference; consecutive solutions (at t = T, in H1 + L2 + L2) must
-    approach each other as n doubles."""
+def _n_sweep(config: RunConfig) -> tuple[RunMonitor, State, dict, list[Assertion]]:
+    """Run the unregularized reference and every n of n_list to T; the
+    monitor of the data, the reference's final state, the reports and the
+    n-consecutive-differences-decreasing assertion."""
     n_values = tuple(sorted(set(config.n_list)))
     if len(n_values) < 3:
         raise ValueError(
@@ -343,40 +370,38 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
 
     reference = final_state(None)
     finals = [final_state(n) for n in n_values]
-
     diffs = [cauchy_metric(a, b) for a, b in zip(finals, finals[1:])]
     dists = [cauchy_metric(f, reference) for f in finals]
+    reports = {"n": list(n_values), "diff_consecutive": diffs, "dist_unregularized": dists}
+    trend = _decreasing(
+        "n-consecutive-differences-decreasing", diffs, "Cauchy trend along doubling n"
+    )
+    return monitor, reference, reports, [trend]
+
+
+def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
+    """Run the regularized system for each n, plus the unregularized
+    reference; consecutive solutions (at t = T, in H1 + L2 + L2) must
+    approach each other as n doubles."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    monitor, _, reports, assertions = _n_sweep(config)
     rows = []
-    for i, n in enumerate(n_values):
-        diff_prev = diffs[i - 1] if i > 0 else None
-        rows.append((n, "" if diff_prev is None else diff_prev, dists[i]))
+    diffs = [None, *reports["diff_consecutive"]]
+    for n, diff_prev, dist in zip(reports["n"], diffs, reports["dist_unregularized"]):
+        rows.append((n, "" if diff_prev is None else diff_prev, dist))
         _emit(
             quiet,
             f"n={n}: consecutive diff "
             + ("-" if diff_prev is None else f"{diff_prev:.6e}")
-            + f", distance to unregularized {dists[i]:.6e}",
+            + f", distance to unregularized {dist:.6e}",
         )
     write_table(
         os.path.join(config.out_dir, "n_sweep.csv"),
         ("n", "diff_consecutive", "dist_unregularized"),
         rows,
     )
-
-    gaps = [a - b for a, b in zip(diffs, diffs[1:])]
-    assertions = [
-        Assertion(
-            "n-consecutive-differences-decreasing",
-            all(g > 0 for g in gaps),
-            min(gaps),
-            "Cauchy trend along doubling n",
-        ),
-    ]
     manifest = _manifest_base("sweep-n", config, monitor)
-    manifest["reports"] = {
-        "n": list(n_values),
-        "diff_consecutive": [float(d) for d in diffs],
-        "dist_unregularized": [float(d) for d in dists],
-    }
+    manifest["reports"] = reports
     return _finish(config.out_dir, manifest, assertions, ["n_sweep.csv"], quiet)
 
 
@@ -392,20 +417,11 @@ def _random_coef(grid, rng, kind="real") -> np.ndarray:
     return coef
 
 
-def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None = None) -> int:
-    """Exactness and inequality suite for the stepper's spectral symbols,
-    plus the certification of the stored default C0.
-
-    Every symbol checked is an attribute of the stepping kernel
-    (dynamics._Kernels) built on the configured grid, so the suite
-    certifies the arrays the integrator multiplies by.  The stored C0
-    (functionals.REFERENCE_C0) is re-derived on its own 128^2 reference
-    grid, whatever the configured one.  inject_fault
-    deliberately corrupts one Yosida symbol value; the suite must then
-    fail (self-test of the harness).
-    """
-    os.makedirs(config.out_dir, exist_ok=True)
-    grid = build_grid(config)
+def _symbol_assertions(grid) -> list[Assertion]:
+    """Exactness and inequality suite for the spectral symbols.  Every symbol
+    checked is an attribute of a stepping kernel (dynamics._Kernels) built
+    on `grid`, so the suite certifies the arrays the integrator multiplies
+    by."""
     lam = grid.lam
     rng = np.random.default_rng(0)
     t_samples = (0.0, 0.3, 1.7, math.pi)
@@ -426,9 +442,7 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
     worst = {"contraction": math.inf, "sqrt-gain": math.inf, "sqrt-bound": math.inf, "full-bound": math.inf}
     ok = {key: True for key in worst}
     for n in range(1, n_max + 1):
-        sym = kernel(n=n).jsym.copy()
-        if inject_fault == "yosida":
-            sym[0, 0] = 1.0 + 1.0 / n
+        sym = kernel(n=n).jsym
         root = np.sqrt(lam) * sym
         checks = {
             "contraction": 1.0 - sym,
@@ -448,7 +462,6 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
                 f"min slack over modes and n in {{1..{n_max}}}",
             )
         )
-
     # convergence of the regularization on a fixed smooth field
     probe = np.exp(-0.5 * lam / float(lam[0, 0]))
     probe_nrm = norm(probe)
@@ -557,6 +570,16 @@ def cmd_check(config: RunConfig, quiet: bool = False, inject_fault: str | None =
         )
     )
 
+    return assertions
+
+
+def cmd_check(config: RunConfig, quiet: bool = False) -> int:
+    """_symbol_assertions on the configured grid, plus the certification of
+    the stored default C0 (functionals.REFERENCE_C0), re-derived on its own
+    128^2 reference grid whatever the configured one."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    assertions = _symbol_assertions(build_grid(config))
+
     # the stored default C0 is certified only while it does not exceed a
     # fresh estimate on the grid it was derived on (read at call time)
     fresh_c0 = estimate_gn_constant(make_grid(2 * math.pi, 2 * math.pi, 128, 128))
@@ -608,14 +631,11 @@ def cmd_estimate_c0(config: RunConfig, quiet: bool = False) -> int:
 # order test
 
 
-def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:
-    """Self-refinement order measurement for the splitting integrator.
-
-    Errors are taken against a reference run at dt_min / 8; the mean
-    observed order must reach 1.9.  When the integrator is exact (zero
-    data, say) the errors are at round-off and the test is skipped with a
-    notice.
-    """
+def _order_test(config: RunConfig) -> tuple[dict, list[Assertion]]:
+    """Run to T at every dt of dt_list and at dt_min / 8, the reference the
+    errors are taken against; the reports and the splitting-second-order
+    assertion on the mean observed order.  Errors at round-off (an exact
+    integrator, zero data say) skip the measurement and assert nothing."""
     dts = config.dt_list
     if len(dts) < 3:
         raise ValueError("order test needs at least 3 dt values")
@@ -623,7 +643,6 @@ def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:
         if abs(a / b - 2.0) > 1e-9:
             raise ValueError("dt_list must halve from entry to entry")
 
-    os.makedirs(config.out_dir, exist_ok=True)
     state0 = build_initial_state(config)
 
     def final_state(dt: float) -> State:
@@ -631,34 +650,36 @@ def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:
 
     reference = final_state(dts[-1] / 8.0)
     errors = [difference_metric(final_state(dt), reference) for dt in dts]
-    for dt, err in zip(dts, errors):
-        _emit(quiet, f"dt={dt:g}: error {err:.6e}")
-
-    manifest = _manifest_base("order-test", config)
     if max(errors) < 1e-11:
+        return {"dt": list(dts), "errors": errors, "skipped": True}, []
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    mean_order = sum(orders) / len(orders)
+    reports = {"dt": list(dts), "errors": errors, "orders": orders, "mean_order": mean_order}
+    assertion = Assertion(
+        "splitting-second-order",
+        mean_order >= 1.9,
+        mean_order - 1.9,
+        f"mean observed order {mean_order:.3f}",
+    )
+    return reports, [assertion]
+
+
+def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:
+    """Self-refinement order measurement for the splitting integrator
+    (_order_test); a skipped measurement is printed as a notice."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    reports, assertions = _order_test(config)
+    for dt, err in zip(reports["dt"], reports["errors"]):
+        _emit(quiet, f"dt={dt:g}: error {err:.6e}")
+    if reports.get("skipped"):
         _emit(
             quiet,
             "errors at round-off level (exact integrator, e.g. zero data); "
             "order measurement skipped",
         )
-        manifest["reports"] = {"dt": list(dts), "errors": errors, "skipped": True}
-        return _finish(config.out_dir, manifest, [], [], quiet)
-
-    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
-    mean_order = sum(orders) / len(orders)
-    _emit(quiet, f"observed orders: {['%.3f' % o for o in orders]}, mean {mean_order:.3f}")
-    manifest["reports"] = {
-        "dt": list(dts),
-        "errors": errors,
-        "orders": orders,
-        "mean_order": mean_order,
-    }
-    assertions = [
-        Assertion(
-            "splitting-second-order",
-            mean_order >= 1.9,
-            mean_order - 1.9,
-            f"mean observed order {mean_order:.3f}",
-        )
-    ]
+    else:
+        orders, mean_order = reports["orders"], reports["mean_order"]
+        _emit(quiet, f"observed orders: {['%.3f' % o for o in orders]}, mean {mean_order:.3f}")
+    manifest = _manifest_base("order-test", config)
+    manifest["reports"] = reports
     return _finish(config.out_dir, manifest, assertions, [], quiet)

@@ -65,6 +65,8 @@ __all__ = [
     "small_envelope_lhs",
 ]
 
+# the columns of series.csv: a monitor row, then envelope_h1, which depends
+# on t alone and is evaluated from the sampled times
 SERIES_COLUMNS = (
     "t",
     "charge",
@@ -328,8 +330,8 @@ def envelope_constants(dn: DataNorms, c0: float) -> EnvelopeConstants:
 def envelope_h1(t: float, ec: EnvelopeConstants, dn: DataNorms) -> float:
     """H1-level a-priori envelope C3 * exp(C0^2 ||phi||_2^2 t).
 
-    Overflow saturates to inf (flagging the sample as non-finite) rather
-    than raising, so blow-up detection stays in charge of aborting.
+    Overflow saturates to inf rather than raising: an infinite envelope
+    dominates every finite left-hand side.
     """
     if t < 0:
         raise ValueError(f"envelope is asserted for t >= 0 only, got t={t}")
@@ -375,6 +377,8 @@ class RunMonitor:
         return cls(dn=dn, ec=envelope_constants(dn, default_gn_constant()), t0=state.t)
 
     def row(self, state: State, params: SystemParams) -> dict[str, float]:
+        """One diagnostics row.  Every column is derived from the state, so
+        integrate's finiteness check of the row aborts on the state only."""
         # zero fields have no Gagliardo-Nirenberg quotient; logged as 0
         if np.any(state.u.coef):
             quotient = gn_quotient(state.u)
@@ -389,5 +393,4 @@ class RunMonitor:
             "l2_vt": sobolev_norm(state.vt, 0.0),
             "hm_half_vt": sobolev_norm(state.vt, -1.0),
             "gn_quotient": quotient,
-            "envelope_h1": envelope_h1(state.t - self.t0, self.ec, self.dn),
         }

@@ -17,6 +17,27 @@ def random_field(grid: Grid2D, rng: np.random.Generator, kind: str = "real", dec
     return field_from_coef(grid, coef)
 
 
+def breaking_step(monkeypatch, at_call, names):
+    """Patch the stepper so that its call number `at_call` returns a NaN
+    in the last mode of each component in `names`; the list of calls made."""
+    import sibsim.dynamics
+
+    original = sibsim.dynamics._Kernels.step
+    calls = []
+
+    def step(self, u, v, vt):
+        parts = dict(zip(("u", "v", "vt"), original(self, u, v, vt)))
+        calls.append(1)
+        if len(calls) == at_call:
+            for name in names:
+                parts[name] = parts[name].copy()
+                parts[name][-1, -1] = np.nan
+        return parts["u"], parts["v"], parts["vt"]
+
+    monkeypatch.setattr(sibsim.dynamics._Kernels, "step", step)
+    return calls
+
+
 @pytest.fixture
 def unit_square_grid():
     return make_grid(np.pi, np.pi, 16, 16)

@@ -2,7 +2,10 @@
 
 Each test prints one verdict line ("[PASS] name: measurement") in the same
 shape as the CLI assertion output, so `pytest tests/test_acceptance.py -s`
-reads as a checklist.  Expect a few minutes of wall time for the module.
+reads as a checklist.  Where the CLI asserts the property, the test reads
+the verdict from the same function in `sibsim.experiments` whose Assertion
+the CLI prints, at the test's own configuration.  Expect a few minutes of
+wall time for the module.
 
 Two clauses are out of reach for this scheme at the stated parameters; they
 are kept as strict xfails with the measured numbers in the reason string
@@ -16,16 +19,17 @@ import numpy as np
 import pytest
 
 from sibsim.config import RunConfig, build_initial_state, build_params
-from sibsim.dynamics import SystemParams, _Kernels, integrate, picard_duhamel
-from sibsim.functionals import (
-    RunMonitor,
-    cauchy_metric,
-    difference_metric,
-    estimate_gn_constant,
-    h1_envelope_lhs,
-    small_envelope_lhs,
+from sibsim.dynamics import integrate, picard_duhamel
+from sibsim.experiments import (
+    _energy_drift,
+    _eps_sweep,
+    _n_sweep,
+    _order_test,
+    _series_assertions,
+    _start,
 )
-from sibsim.grids import field_from_coef, h1_norm, make_grid, sobolev_norm
+from sibsim.functionals import cauchy_metric, estimate_gn_constant
+from sibsim.grids import field_from_coef, h1_norm, make_grid
 
 
 def _verdict(ok: bool, name: str, detail: str) -> bool:
@@ -33,43 +37,44 @@ def _verdict(ok: bool, name: str, detail: str) -> bool:
     return ok
 
 
-def _final_state(cfg: RunConfig, **overrides):
-    params = build_params(cfg, **overrides)
-    return integrate(build_initial_state(cfg), cfg.T, params).final_state
+def _passed(context: str, *assertions) -> bool:
+    """Print each assertion's CLI line with the run it came from; whether
+    all of them passed."""
+    for a in assertions:
+        print(f"{a.line()} [{context}]")
+    return all(a.passed for a in assertions)
+
+
+def _all_passed(runs: dict, name: str, context: str) -> bool:
+    """_passed for the assertion `name` of every run, keyed by eps."""
+    return all([_passed(f"eps={eps:g}, {context}", runs[eps][name]) for eps in runs])
 
 
 def _monitored_run(cfg: RunConfig):
-    """integrate() with a diagnostics row every monitor_stride steps."""
-    state0 = build_initial_state(cfg)
-    monitor = RunMonitor.from_state(state0)
-    return integrate(state0, cfg.T, build_params(cfg), cfg.monitor_stride, monitor)
+    """integrate() with a diagnostics row every monitor_stride steps, as
+    `sibsim run` does: the series and its assertions by name."""
+    params = build_params(cfg)
+    state0, monitor = _start(cfg, params)
+    series = integrate(state0, cfg.T, params, cfg.monitor_stride, monitor).series
+    return series, {a.name: a for a in _series_assertions(series, params.eps, monitor)}
 
 
-def test_charge_is_conserved_for_each_dispersion_weight():
-    eps_values = (0.0, 0.5, 1.0)
-    drifts = []
-    for eps in eps_values:
-        cfg = RunConfig(eps=eps)
-        rec = _monitored_run(cfg)
-        charge = rec.series["charge"]
-        drifts.append(float(np.max(np.abs(charge - charge[0])) / charge[0]))
-    detail = ", ".join(
-        f"eps={eps:g}: {d:.3e}" for eps, d in zip(eps_values, drifts)
-    )
-    assert _verdict(
-        max(drifts) < 1e-10,
-        "charge-conservation",
-        detail + " relative drift over 1000 steps (tol 1e-10)",
-    )
+@pytest.fixture(scope="module")
+def default_run():
+    """The monitored default run (eps = 1, dt = 1e-3, T = 1), shared by the
+    charge and the energy-drift tests."""
+    return _monitored_run(RunConfig())
 
 
-def test_energy_drift_is_second_order_in_dt():
-    drift = {}
-    for dt in (1e-3, 5e-4):
-        cfg = RunConfig(dt=dt)
-        rec = _monitored_run(cfg)
-        energy = rec.series["energy_eps"]
-        drift[dt] = float(np.max(np.abs(energy - energy[0])) / abs(energy[0]))
+def test_charge_is_conserved_for_each_dispersion_weight(default_run):
+    runs = {eps: _monitored_run(RunConfig(eps=eps))[1] for eps in (0.0, 0.5)}
+    runs[1.0] = default_run[1]
+    assert _all_passed(runs, "charge-conservation", "1000 steps")
+
+
+def test_energy_drift_is_second_order_in_dt(default_run):
+    drift = {1e-3: _energy_drift(default_run[0])}
+    drift[5e-4] = _energy_drift(_monitored_run(RunConfig(dt=5e-4))[0])
     ratio = drift[1e-3] / drift[5e-4]
     ok = drift[1e-3] < 1e-5 and 3.5 <= ratio <= 4.5
     assert _verdict(
@@ -81,40 +86,21 @@ def test_energy_drift_is_second_order_in_dt():
 
 
 def test_growth_envelope_dominates_h1_quantity_on_long_run():
-    cfg = RunConfig(T=5.0)
-    rec = _monitored_run(cfg)
-    lhs = h1_envelope_lhs(rec.series)
-    env = rec.series["envelope_h1"]
-    gap = float(np.min(env - lhs))
-    slack = 1e-12 * max(1.0, float(np.max(env)))
-    assert _verdict(
-        gap >= -slack,
-        "h1-envelope",
-        f"min envelope gap {gap:.3e} over {lhs.size} samples, eps=1, T=5",
-    )
+    _, verdicts = _monitored_run(RunConfig(T=5.0))
+    assert _passed("eps=1, T=5", verdicts["h1-envelope-domination"])
 
 
 @pytest.fixture(scope="module")
 def small_eps_family():
-    """Default-data records over T = 5 for eps 0.1 down to 0.0125, keyed by
-    eps, shared by the small-data and the H1 envelope tests."""
-    records = {}
-    for eps in (0.1, 0.05, 0.025, 0.0125):
-        cfg = RunConfig(T=5.0, eps=eps)
-        records[eps] = _monitored_run(cfg)
-    return records
+    """The assertions of default-data runs over T = 5 for eps 0.1 down to
+    0.0125, keyed by eps, shared by the small-data and the H1 envelope
+    tests."""
+    return {eps: _monitored_run(RunConfig(T=5.0, eps=eps))[1] for eps in (0.1, 0.05, 0.025, 0.0125)}
 
 
 def test_uniform_bound_holds_for_small_eps_family(small_eps_family):
-    # every member starts from the default data, so one C6 serves them all
-    c6 = RunMonitor.from_state(build_initial_state(RunConfig())).ec.c6
-    results = []
-    for eps, rec in small_eps_family.items():
-        lhs = small_envelope_lhs(rec.series, eps)
-        results.append((eps, float(np.max(lhs))))
-    ok = all(sup <= c6 + 1e-12 * max(1.0, c6) for _, sup in results)
-    detail = "; ".join(f"eps={eps:g}: sup {sup:.3f} vs C6 {c6:.3f}" for eps, sup in results)
-    assert _verdict(ok, "uniform-small-data-bound", detail + " over T=5")
+    # every member starts from the default data, so they share one C6
+    assert _all_passed(small_eps_family, "small-data-envelope", "T=5")
 
 
 @pytest.mark.xfail(
@@ -127,56 +113,27 @@ def test_uniform_bound_holds_for_small_eps_family(small_eps_family):
     "the suspect, so the check is kept until a derivation settles it",
 )
 def test_h1_envelope_dominates_for_small_eps_family(small_eps_family):
-    gaps = {}
-    for eps, rec in small_eps_family.items():
-        env = rec.series["envelope_h1"]
-        gap = float(np.min(env - h1_envelope_lhs(rec.series)))
-        gaps[eps] = (gap, 1e-12 * max(1.0, float(np.max(env))))
-    ok = all(gap >= -slack for gap, slack in gaps.values())
-    detail = "; ".join(f"eps={eps:g}: min gap {gap:.3f}" for eps, (gap, _) in gaps.items())
-    assert _verdict(ok, "h1-envelope-small-eps", detail + " over T=5")
+    assert _all_passed(small_eps_family, "h1-envelope-domination", "T=5")
 
 
 def test_distance_to_limit_system_decreases_with_eps():
-    sample_times = tuple(round(k * 0.01, 10) for k in range(1, 101))
-
-    def snapshots(eps):
-        cfg = RunConfig(eps=eps)
-        rec = integrate(
-            build_initial_state(cfg),
-            cfg.T,
-            build_params(cfg),
-            checkpoint_times=sample_times,
-        )
-        return rec.checkpoints
-
-    base = snapshots(0.0)
-    eps_values = (0.1, 0.05, 0.025, 0.0125)
-    sups = []
-    for eps in eps_values:
-        snaps = snapshots(eps)
-        sups.append(max(difference_metric(snaps[t], base[t]) for t in sample_times))
-    decreasing = all(a > b for a, b in zip(sups, sups[1:]))
-    slope = float(np.polyfit(np.log(eps_values), np.log(sups), 1)[0])
-    detail = (
-        "sup distances "
-        + ", ".join(f"{s:.4f}" for s in sups)
-        + f" for eps {eps_values}; fitted slope {slope:.2f}"
-    )
-    assert _verdict(decreasing, "limit-distance-decreasing", detail)
+    _, reports, assertions = _eps_sweep(RunConfig())
+    sups = ", ".join(f"{s:.4f}" for s in reports["sup_metric"])
+    context = f"sups {sups} for eps {tuple(reports['eps'])}; slope {reports['fitted_slope']:.2f}"
+    assert _passed(context, *assertions)
 
 
-def test_regularized_runs_form_cauchy_sequence_in_n():
-    cfg = RunConfig(T=0.5)
-    finals = [_final_state(cfg, yosida_n=n) for n in (8, 16, 32, 64)]
-    diffs = [cauchy_metric(a, b) for a, b in zip(finals, finals[1:])]
-    decreasing = all(a > b for a, b in zip(diffs, diffs[1:]))
-    detail = (
-        "consecutive distances "
-        + ", ".join(f"{d:.3e}" for d in diffs)
-        + " for n pairs (8,16), (16,32), (32,64) at t=0.5"
-    )
-    assert _verdict(decreasing, "regularization-cauchy-trend", detail)
+@pytest.fixture(scope="module")
+def half_time_n_sweep():
+    """_n_sweep at T = 0.5 over n = 8, 16, 32, 64.  Its unregularized run is
+    also the plain run of the heavy regularization test."""
+    return _n_sweep(RunConfig(T=0.5))
+
+
+def test_regularized_runs_form_cauchy_sequence_in_n(half_time_n_sweep):
+    _, _, reports, assertions = half_time_n_sweep
+    diffs = ", ".join(f"{d:.3e}" for d in reports["diff_consecutive"])
+    assert _passed(f"consecutive distances {diffs} for n = 8, 16, 32, 64 at t=0.5", *assertions)
 
 
 @pytest.mark.xfail(
@@ -188,62 +145,17 @@ def test_regularized_runs_form_cauchy_sequence_in_n():
     "J-induced part decays like 9/n and would need n near 2**30 to reach "
     "1e-8, so the stated n is kept rather than loosened",
 )
-def test_heavily_regularized_run_matches_plain_run():
+def test_heavily_regularized_run_matches_plain_run(half_time_n_sweep):
     cfg = RunConfig(T=0.5)
-    plain = _final_state(cfg)
-    heavy = _final_state(cfg, yosida_n=2**20)
-    dist = cauchy_metric(heavy, plain)
+    plain = half_time_n_sweep[1]
+    heavy = integrate(build_initial_state(cfg), cfg.T, build_params(cfg, yosida_n=2**20))
+    dist = cauchy_metric(heavy.final_state, plain)
     _verdict(
         dist < 1e-8,
         "large-n-agreement",
         f"H1+L2+L2 distance {dist:.3e} at t=0.5 for n=2**20 (tol 1e-8)",
     )
     assert dist < 1e-8
-
-
-def test_symbol_inequalities_exact_for_every_n_and_mode():
-    grid = make_grid(math.pi, math.pi, 64, 64)
-    lam = grid.lam
-    sqrt_lam = np.sqrt(lam)
-    worst = {
-        "contraction": math.inf,
-        "sqrt-gain": math.inf,
-        "sqrt-bound": math.inf,
-        "full-bound": math.inf,
-    }
-    for n in range(1, 2**10 + 1):
-        sym = _Kernels(grid, SystemParams(yosida_n=n), 0.0).jsym
-        root = sqrt_lam * sym
-        gaps = {
-            "contraction": 1.0 - sym,
-            "sqrt-gain": math.sqrt(n) - root,
-            "sqrt-bound": sqrt_lam - root,
-            "full-bound": lam - lam * sym,
-        }
-        for key, gap in gaps.items():
-            worst[key] = min(worst[key], float(np.min(gap)))
-    ok = all(w >= 0.0 for w in worst.values())
-    detail = ", ".join(f"{k} slack {v:.3e}" for k, v in worst.items())
-    assert _verdict(
-        ok, "symbol-inequalities", detail + " over n=1..1024 and all 64^2 modes"
-    )
-
-
-def test_lifted_inverse_norm_identity_on_random_fields():
-    grid = make_grid(math.pi, math.pi, 64, 64)
-    rng = np.random.default_rng(2026)
-    worst = 0.0
-    for _ in range(100):
-        coef = rng.standard_normal(grid.lam.shape) * np.exp(-0.05 * np.sqrt(grid.lam))
-        f = field_from_coef(grid, coef)
-        lhs = h1_norm(field_from_coef(grid, coef / np.sqrt(grid.lam))) ** 2
-        rhs = sobolev_norm(f, 0.0) ** 2 + sobolev_norm(f, -1.0) ** 2
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    assert _verdict(
-        worst < 1e-10,
-        "lifted-inverse-identity",
-        f"worst relative residual {worst:.3e} on 100 random fields (tol 1e-10)",
-    )
 
 
 def test_splitting_agrees_with_duhamel_fixed_point():
@@ -326,28 +238,15 @@ def test_quotient_estimator_matches_radial_shooting():
 
 
 @pytest.fixture(scope="module")
-def refinement_errors():
-    cfg = RunConfig()
-    state0 = build_initial_state(cfg)
-    dts = (1e-2, 5e-3, 2.5e-3)
-
-    def final(dt):
-        params = build_params(cfg, dt=dt)
-        return integrate(state0, cfg.T, params).final_state
-
-    reference = final(dts[-1] / 8.0)
-    return dts, [difference_metric(final(dt), reference) for dt in dts]
+def refinement():
+    """_order_test's reports and assertion for the default run and dts."""
+    return _order_test(RunConfig())
 
 
-def test_refinement_reaches_second_order_on_average(refinement_errors):
-    dts, errors = refinement_errors
-    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
-    mean_order = sum(orders) / len(orders)
-    assert _verdict(
-        mean_order >= 1.9,
-        "refinement-mean-order",
-        f"mean observed order {mean_order:.3f} over dt {dts} (want >= 1.9)",
-    )
+def test_refinement_reaches_second_order_on_average(refinement):
+    reports, assertions = refinement
+    [mean_order] = assertions
+    assert _passed(f"dt {tuple(reports['dt'])}", mean_order)
 
 
 @pytest.mark.xfail(
@@ -358,9 +257,8 @@ def test_refinement_reaches_second_order_on_average(refinement_errors):
     "orders overshoot to about [4.3, 2.6] at these dt and only settle at "
     "2.0 for finer steps",
 )
-def test_refinement_orders_sit_in_second_order_window(refinement_errors):
-    dts, errors = refinement_errors
-    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+def test_refinement_orders_sit_in_second_order_window(refinement):
+    orders = refinement[0]["orders"]
     in_window = all(1.9 <= o <= 2.1 for o in orders)
     _verdict(
         in_window,

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import sibsim
+from conftest import breaking_step
 from sibsim import dynamics, experiments, functionals
 from sibsim.cli import main
+from sibsim.config import RunConfig, build_params
+from sibsim.dynamics import integrate
 from sibsim.functionals import SERIES_COLUMNS
 from sibsim.output import load_checkpoint
 
@@ -34,6 +37,17 @@ def write(tmp_path, text, name="case.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+GRID_8 = "[grid]\nnx = 8\nny = 8\n"
+
+
+def run_quietly(tmp_path, text, *argv):
+    """Exit code and manifest of the command `argv` on the INI `text`, with
+    its output in tmp_path / "o"."""
+    cfg = write(tmp_path, text)
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", *argv])
+    return code, json.loads((tmp_path / "o" / "manifest.json").read_text())
 
 
 def test_run_standard_small(tmp_path):
@@ -272,11 +286,9 @@ def test_bad_list_override_exits_2_before_the_command_runs(tmp_path, capsys, arg
 
 
 def test_list_override_reaches_the_manifest(tmp_path):
-    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n[run]\ndt = 1e-2\nt = 0.02\n[sweep]\nn_list = 4 8\n")
-    out = tmp_path / "o"
-    argv = ["--config", cfg, "--out", str(out), "--quiet", "sweep-n", "--n-list", "2", "4", "8"]
-    assert main(argv) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    text = GRID_8 + "[run]\ndt = 1e-2\nt = 0.02\n[sweep]\nn_list = 4 8\n"
+    code, manifest = run_quietly(tmp_path, text, "sweep-n", "--n-list", "2", "4", "8")
+    assert code == 0
     assert manifest["reports"]["n"] == [2, 4, 8]
 
 
@@ -313,27 +325,39 @@ def test_state_comparisons_evaluate_no_monitor_row(tmp_path, monkeypatch):
         assert main(["--config", cfg, "--out", out, "--quiet"] + argv) == 0
 
 
-def test_blowup_exits_3(tmp_path, capsys):
-    cfg = write(
-        tmp_path,
-        "[grid]\nnx = 8\nny = 8\n"
-        "[data]\nphi_modes = 1 1 3000\npsi0 = 0\npsi1 = 0\n"
-        "[run]\ndt = 1e-3\nt = 0.01\nmonitor_stride = 1\n",
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["--config", cfg, "--out", str(tmp_path / "o"), "run"])
-    assert code == 3
-    # the state stays finite and the row's envelope overflows after step
-    # 1; the CLI prints the abort on one stderr line for every command,
-    # and run also records it in its manifest
+ROW_EVERY_STEP = GRID_8 + "{data}[run]\ndt = 1e-3\nt = 0.01\nmonitor_stride = 1\n"
+
+
+def test_blowup_exits_3(tmp_path, capsys, monkeypatch):
+    # the second step leaves vt non-finite in one mode; the CLI prints the
+    # abort on one stderr line for every command, and run also records it
+    # in its manifest
+    breaking_step(monkeypatch, 2, ("vt",))
+    cfg = write(tmp_path, ROW_EVERY_STEP.format(data=""))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "run"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "numerical abort: non-finite envelope_h1 at step 1" in err
+    assert "numerical abort: non-finite vt at step 2" in err
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["status"] == "numerical-abort"
-    assert manifest["last_finite_t"] == 0.0
-    assert manifest["failed_step"] == 1
-    assert manifest["failed_quantity"] == "envelope_h1"
+    assert manifest["last_finite_t"] == pytest.approx(1e-3)
+    assert manifest["failed_step"] == 2
+    assert manifest["failed_quantity"] == "vt"
+
+
+def test_overflowing_envelope_is_no_blowup(tmp_path):
+    # the state stays finite (max|u| 2975) while the H1 envelope
+    # C3 exp(C0^2 ||phi||^2 t) overflows from step 1 on; an infinite
+    # envelope dominates, so the run ends on its assertions
+    data = "[data]\nphi_modes = 1 1 3000\npsi0 = 0\npsi1 = 0\n"
+    code, manifest = run_quietly(tmp_path, ROW_EVERY_STEP.format(data=data), "run")
+    assert code == 0
+    assert [a["name"] for a in manifest["assertions"]] == [
+        "charge-conservation", "h1-envelope-domination", "gn-quotient-bound"
+    ]
+    with open(tmp_path / "o" / "series.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[-1]["envelope_h1"] == "inf"
 
 
 def test_meaningless_nodal_phase_exits_3(tmp_path, capsys):
@@ -365,62 +389,73 @@ YOSIDA_LONG_STEP = (
 def test_long_yosida_potential_flow_step_is_substepped(tmp_path):
     # dt * max|J v| is about 64 here: the flow is summed in that many
     # substeps and stays unitary, so the run reaches T with its charge
+    # (exit 0: charge-conservation passed)
     cfg = write(tmp_path, YOSIDA_LONG_STEP.format(amp=2000))
     code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "run"])
     assert code == 0
     with open(tmp_path / "o" / "series.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[-1]["t"]) == pytest.approx(0.1)
-    charge = np.array([float(row["charge"]) for row in rows])
-    assert np.max(np.abs(charge - charge[0])) / charge[0] <= 1e-10
 
 
 def test_divergent_yosida_potential_flow_exits_3(tmp_path, capsys):
     # a step far too long for this potential: dt * max|J v| is about 6e3,
     # beyond the flow's substep budget, and the run stops instead of
     # spending that many substeps on one step
-    cfg = write(tmp_path, YOSIDA_LONG_STEP.format(amp="2e5"))
-    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "run"])
+    code, manifest = run_quietly(tmp_path, YOSIDA_LONG_STEP.format(amp="2e5"), "run")
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("numerical abort") == 1
     assert "potential flow" in captured.err and "beta = " in captured.err
     assert f"budget of {dynamics._MAX_SUBSTEPS}" in captured.err
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["status"] == "numerical-abort"
     assert manifest["files"] == {}
     assert "last_finite_t" not in manifest and "failed_quantity" not in manifest
 
 
-def test_check_suite_passes_and_fault_injection_fails(tmp_path):
-    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n")
-    out = str(tmp_path / "o")
-    assert main(["--config", cfg, "--out", out, "--quiet", "check"]) == 0
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert all(a["passed"] for a in manifest["assertions"])
+def corrupt_kernels(monkeypatch, corrupt):
+    """Let corrupt(kernels, params, dt) edit every _Kernels after it is built."""
+    original = dynamics._Kernels.__init__
 
-    assert main(["--config", cfg, "--out", out, "--quiet", "check", "--inject-fault", "yosida"]) == 1
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["status"] == "assertion-failure"
-    assert any(not a["passed"] for a in manifest["assertions"])
+    def corrupted(self, grid, params, dt):
+        original(self, grid, params, dt)
+        corrupt(self, params, dt)
+
+    monkeypatch.setattr(dynamics._Kernels, "__init__", corrupted)
+
+
+def table(name, change, n=None):
+    """A patch that replaces the table `name` of every _Kernels that has it,
+    or only of those with Yosida index n, by change(a copy of it)."""
+
+    def corrupt(ker, params, dt):
+        if getattr(ker, name, None) is not None and n in (None, params.yosida_n):
+            setattr(ker, name, change(getattr(ker, name).copy()))
+
+    return lambda monkeypatch: corrupt_kernels(monkeypatch, corrupt)
+
+
+def set_entry(index, value):
+    def change(array):
+        array[index] = value
+        return array
+
+    return change
+
+
+def test_check_suite_passes(tmp_path):
+    code, manifest = run_quietly(tmp_path, GRID_8, "check")
+    assert code == 0 and all(a["passed"] for a in manifest["assertions"])
+    assert {a["name"] for a in manifest["assertions"]} <= {name for name, _ in FAULTS}
 
 
 def test_check_certifies_the_stepping_kernel(tmp_path, monkeypatch):
     # a Yosida symbol above 1 in the kernel the stepper builds must fail the
     # suite: check evaluates that kernel, not a copy of its formulas
-    original = dynamics._Kernels.__init__
-
-    def corrupted(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        if self.jsym is not None:
-            self.jsym = self.jsym.copy()
-            self.jsym[0, 0] = 1.5
-
-    monkeypatch.setattr(dynamics._Kernels, "__init__", corrupted)
-    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n")
-    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "check"]) == 1
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    table("jsym", set_entry((0, 0), 1.5))(monkeypatch)
+    code, manifest = run_quietly(tmp_path, GRID_8, "check")
+    assert code == 1 and manifest["status"] == "assertion-failure"
     verdicts = {a["name"]: a["passed"] for a in manifest["assertions"]}
     assert verdicts["yosida-symbol-contraction"] is False
 
@@ -428,18 +463,9 @@ def test_check_certifies_the_stepping_kernel(tmp_path, monkeypatch):
 def test_check_covers_every_n_it_names(tmp_path, monkeypatch):
     # the symbol inequalities hold "for n in {1..1024}": a Yosida symbol
     # above 1 at n = 3 alone, which no power of two reaches, fails them
-    original = dynamics._Kernels.__init__
-
-    def corrupted(self, grid, params, dt):
-        original(self, grid, params, dt)
-        if params.yosida_n == 3:
-            self.jsym = self.jsym.copy()
-            self.jsym[0, 0] = 1.5
-
-    monkeypatch.setattr(dynamics._Kernels, "__init__", corrupted)
-    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n")
-    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "check"]) == 1
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    table("jsym", set_entry((0, 0), 1.5), n=3)(monkeypatch)
+    code, manifest = run_quietly(tmp_path, GRID_8, "check")
+    assert code == 1
     contraction = next(
         a for a in manifest["assertions"] if a["name"] == "yosida-symbol-contraction"
     )
@@ -450,32 +476,141 @@ def test_check_covers_every_n_it_names(tmp_path, monkeypatch):
 def test_check_certifies_the_half_step_sine_symbol(tmp_path, monkeypatch):
     # wave_half also multiplies by wsin_half; a 1e-12 relative error in one
     # of its entries must fail the wave kernel's identities, and only them
-    original = dynamics._Kernels.__init__
-
-    def corrupted(self, grid, params, dt):
-        original(self, grid, params, dt)
+    def off_in_one_entry(ker, params, dt):
         if dt:
-            k = np.unravel_index(np.argmax(self.wsin_half * self.sinc_half), grid.shape)
-            self.wsin_half[k] *= 1.0 + 1e-12
+            k = np.unravel_index(np.argmax(ker.wsin_half * ker.sinc_half), ker.w.shape)
+            ker.wsin_half[k] *= 1.0 + 1e-12
 
-    monkeypatch.setattr(dynamics._Kernels, "__init__", corrupted)
-    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n")
-    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "check"]) == 1
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    corrupt_kernels(monkeypatch, off_in_one_entry)
+    code, manifest = run_quietly(tmp_path, GRID_8, "check")
     failed = [a["name"] for a in manifest["assertions"] if not a["passed"]]
-    assert failed == ["wave-kernel-first-integral"]
+    assert code == 1 and failed == ["wave-kernel-first-integral"]
 
 
 def test_check_certifies_the_stored_c0(tmp_path, monkeypatch):
     # a stored C0 above the fresh reference-grid estimate must fail its
     # assertion, and only that one
     monkeypatch.setattr(functionals, "REFERENCE_C0", 0.42)
-    cfg = write(tmp_path, "[grid]\nnx = 8\nny = 8\n")
-    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "check"]) == 1
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    code, manifest = run_quietly(tmp_path, GRID_8, "check")
     failed = [a["name"] for a in manifest["assertions"] if not a["passed"]]
-    assert failed == ["stored-c0-certified"]
+    assert code == 1 and failed == ["stored-c0-certified"]
     assert len(manifest["assertions"]) == 13
+
+
+# ---------------------------------------------------------------------------
+# one fault per assertion name: each case corrupts one input of the function
+# that computes the assertion, and the named assertion must then fail
+
+
+def series_fault(corrupt):
+    """_series_assertions of a small default-data run with a row every
+    step, after corrupt(series)."""
+
+    def case(monkeypatch, tmp_path):
+        cfg = RunConfig(nx=8, ny=8, T=0.02, monitor_stride=1)
+        params = build_params(cfg)
+        state0, monitor = experiments._start(cfg, params)
+        series = integrate(state0, cfg.T, params, cfg.monitor_stride, monitor).series
+        corrupt(series)
+        return experiments._series_assertions(series, cfg.eps, monitor)
+
+    return case
+
+
+def edit(column, value):
+    def corrupt(series):
+        series[column][-1] = value
+
+    return corrupt
+
+
+def sweep_fault(sweep, metric):
+    """The assertions of sweep on 8^2 to t = 0.02 with every distance that
+    `metric` measures read as 1.0: a flat trend."""
+
+    def case(monkeypatch, tmp_path):
+        monkeypatch.setattr(experiments, metric, lambda a, b: 1.0)
+        return sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-1]
+
+    return case
+
+
+def symbol_fault(patch):
+    """_symbol_assertions on 8^2 after patch(monkeypatch)."""
+
+    def case(monkeypatch, tmp_path):
+        patch(monkeypatch)
+        return experiments._symbol_assertions(sibsim.make_grid(np.pi, np.pi, 8, 8))
+
+    return case
+
+
+def command_fault(command, patch):
+    """The assertions `command` writes to its manifest after patch(monkeypatch)."""
+
+    def case(monkeypatch, tmp_path):
+        patch(monkeypatch)
+        manifest = run_quietly(tmp_path, GRID_8, command)[1]
+        return [experiments.Assertion(**a) for a in manifest["assertions"]]
+
+    return case
+
+
+def lifted_norm_off(monkeypatch):
+    monkeypatch.setattr(experiments, "h1_norm", lambda f: sibsim.grids.h1_norm(f) * (1 + 1e-9))
+
+
+def unconverged_estimator(monkeypatch):
+    monkeypatch.setattr(
+        experiments, "estimate_gn_constant", lambda grid: functionals.estimate_gn_constant(grid, 1)
+    )
+
+
+FAULTS = [
+    ("charge-conservation", series_fault(edit("charge", np.pi**2 / 4 * (1 + 1e-9)))),
+    ("h1-envelope-domination", series_fault(edit("h1_u", 1e3))),
+    ("small-data-envelope", series_fault(edit("l2_v", 1e3))),
+    ("gn-quotient-bound", series_fault(edit("gn_quotient", 0.5))),
+    ("eps-difference-decreasing", sweep_fault(experiments._eps_sweep, "difference_metric")),
+    ("n-consecutive-differences-decreasing", sweep_fault(experiments._n_sweep, "cauchy_metric")),
+    ("splitting-second-order", sweep_fault(experiments._order_test, "difference_metric")),
+    ("yosida-symbol-contraction", symbol_fault(table("jsym", set_entry((0, 0), 1.5)))),
+    # the top mode unregularized: sqrt(lam_max) = sqrt(128) exceeds sqrt(n) for n < 128
+    ("yosida-symbol-sqrt-gain", symbol_fault(table("jsym", set_entry((-1, -1), 1.0)))),
+    ("yosida-symbol-sqrt-bound", symbol_fault(table("jsym", set_entry((2, 3), 1 + 1e-15), n=7))),
+    ("yosida-symbol-full-bound", symbol_fault(table("jsym", lambda j: j * 1.01, n=1024))),
+    ("yosida-convergence-monotone", symbol_fault(table("jsym", np.zeros_like, n=2))),
+    ("yosida-convergence-band-bound", symbol_fault(table("jsym", np.zeros_like, n=1024))),
+    # 4096 is the suite's "small" n on 8^2
+    ("yosida-convergence-small", symbol_fault(table("jsym", lambda j: j * 0.99, n=4096))),
+    ("schrodinger-unitarity", symbol_fault(table("phase_half", lambda u: u * (1 + 1e-9)))),
+    ("propagator-group-identity", symbol_fault(table("phase_half", lambda u: u * np.exp(1e-9j)))),
+    ("wave-kernel-first-integral", symbol_fault(table("cos_half", lambda c: c * (1 + 1e-12)))),
+    ("source-symbol-consistency", symbol_fault(table("w2", lambda w2: w2 * (1 + 1e-12)))),
+    ("lifted-inverse-norm-identity", symbol_fault(lifted_norm_off)),
+    (
+        "stored-c0-certified",
+        command_fault("check", lambda mp: mp.setattr(functionals, "REFERENCE_C0", 0.42)),
+    ),
+    ("estimator-converged", command_fault("estimate-c0", unconverged_estimator)),
+]
+
+
+@pytest.mark.parametrize("name, fault", FAULTS, ids=[name for name, _ in FAULTS])
+def test_every_assertion_fails_on_its_fault(monkeypatch, tmp_path, name, fault):
+    verdicts = {a.name: a for a in fault(monkeypatch, tmp_path)}
+    assert verdicts[name].passed is False, verdicts[name].line()
+
+
+def test_infinite_envelope_leaves_the_finite_samples_checked(monkeypatch, tmp_path):
+    # t = 1e6 overflows the envelope at the last sample; a finite sample far
+    # above its envelope must still fail, so the slack ignores the inf
+    def violation_next_to_inf(series):
+        series["t"][-1] = 1e6
+        series["h1_u"][1] *= 1e3
+
+    verdicts = {a.name: a for a in series_fault(violation_next_to_inf)(monkeypatch, tmp_path)}
+    assert verdicts["h1-envelope-domination"].passed is False
 
 
 def test_run_uses_the_stored_c0_without_estimating(tmp_path, monkeypatch):
@@ -484,9 +619,8 @@ def test_run_uses_the_stored_c0_without_estimating(tmp_path, monkeypatch):
 
     functionals.default_gn_constant.cache_clear()
     monkeypatch.setattr(functionals, "estimate_gn_constant", refuse)
-    cfg = write(tmp_path, SMALL_RUN)
-    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "run"]) == 0
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    code, manifest = run_quietly(tmp_path, SMALL_RUN, "run")
+    assert code == 0
     assert manifest["envelope_constants"]["c0"] == functionals.REFERENCE_C0
 
 
@@ -501,34 +635,18 @@ def test_estimate_c0_writes_artifact(tmp_path):
 
 
 def test_sweep_eps_small_case(tmp_path):
-    cfg = write(
-        tmp_path,
-        "[grid]\nnx = 8\nny = 8\n[run]\ndt = 1e-2\nt = 0.1\nmonitor_stride = 5\n",
-    )
-    out = tmp_path / "o"
-    assert (
-        main(
-            ["--config", cfg, "--out", str(out), "--quiet", "sweep-eps", "--eps-list", "1", "0.5"]
-        )
-        == 0
-    )
-    rows = (out / "eps_sweep.csv").read_text().splitlines()
+    # exit 0: eps-difference-decreasing passed
+    text = GRID_8 + "[run]\ndt = 1e-2\nt = 0.1\nmonitor_stride = 5\n"
+    assert run_quietly(tmp_path, text, "sweep-eps", "--eps-list", "1", "0.5")[0] == 0
+    rows = (tmp_path / "o" / "eps_sweep.csv").read_text().splitlines()
     assert rows[0] == "eps,sup_metric,fitted_slope"
-    sups = [float(r.split(",")[1]) for r in rows[1:]]
-    assert sups[0] > sups[1] > 0.0
+    assert float(rows[2].split(",")[1]) > 0.0
 
 
 def test_sweep_eps_self_comparison_is_zero(tmp_path):
-    cfg = write(
-        tmp_path,
-        "[grid]\nnx = 8\nny = 8\n[run]\ndt = 1e-2\nt = 0.05\n",
-    )
-    out = tmp_path / "o"
-    assert (
-        main(["--config", cfg, "--out", str(out), "--quiet", "sweep-eps", "--eps-list", "0.1", "0"])
-        == 0
-    )
-    rows = (out / "eps_sweep.csv").read_text().splitlines()
+    text = GRID_8 + "[run]\ndt = 1e-2\nt = 0.05\n"
+    assert run_quietly(tmp_path, text, "sweep-eps", "--eps-list", "0.1", "0")[0] == 0
+    rows = (tmp_path / "o" / "eps_sweep.csv").read_text().splitlines()
     assert rows[2].split(",")[0] == "0"
     assert float(rows[2].split(",")[1]) == 0.0
 
@@ -564,18 +682,9 @@ def test_sweep_n_small_case(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "integrate", recording)
-    cfg = write(
-        tmp_path,
-        "[grid]\nnx = 8\nny = 8\n[run]\ndt = 1e-2\nt = 0.1\nmonitor_stride = 5\n",
-    )
-    out = tmp_path / "o"
-    assert (
-        main(
-            ["--config", cfg, "--out", str(out), "--quiet", "sweep-n", "--n-list", "4", "8", "16"]
-        )
-        == 0
-    )
-    rows = (out / "n_sweep.csv").read_text().splitlines()
+    text = GRID_8 + "[run]\ndt = 1e-2\nt = 0.1\nmonitor_stride = 5\n"
+    assert run_quietly(tmp_path, text, "sweep-n", "--n-list", "4", "8", "16")[0] == 0
+    rows = (tmp_path / "o" / "n_sweep.csv").read_text().splitlines()
     assert rows[0] == "n,diff_consecutive,dist_unregularized"
     dists = [float(r.split(",")[2]) for r in rows[1:]]
     assert dists[0] > dists[-1] > 0.0
@@ -584,20 +693,10 @@ def test_sweep_n_small_case(tmp_path, monkeypatch):
 
 
 def test_order_test_small_case(tmp_path):
-    cfg = write(
-        tmp_path,
-        "[grid]\nnx = 8\nny = 8\n[run]\nt = 0.2\n",
-    )
-    out = tmp_path / "o"
-    code = main(
-        [
-            "--config", cfg, "--out", str(out), "--quiet",
-            "order-test", "--dt-list", "2e-2", "1e-2", "5e-3",
-        ]
-    )
+    text = GRID_8 + "[run]\nt = 0.2\n"
+    code, manifest = run_quietly(tmp_path, text, "order-test", "--dt-list", "2e-2", "1e-2", "5e-3")
     assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["reports"]["mean_order"] > 1.9
+    assert [a["name"] for a in manifest["assertions"]] == ["splitting-second-order"]
 
 
 def test_order_test_skips_an_exact_integrator(tmp_path, capsys):

@@ -9,7 +9,7 @@ from math import ceil
 import numpy as np
 import pytest
 
-from conftest import count_transforms, random_field
+from conftest import breaking_step, count_transforms, random_field
 from sibsim import dynamics
 from sibsim.config import RunConfig, build_initial_state, build_params
 from sibsim.dynamics import (
@@ -22,6 +22,7 @@ from sibsim.dynamics import (
     picard_duhamel,
     prepare_initial_state,
 )
+from sibsim.experiments import _order_test
 from sibsim.functionals import RunMonitor, charge, difference_metric
 from sibsim.grids import (
     analyze,
@@ -421,15 +422,10 @@ def test_substep_composition_is_reversible():
 
 
 def test_self_convergence_is_second_order():
-    st = standard_state(16)
-
-    def final(dt):
-        return integrate(st, 1.0, SystemParams(eps=1.0, dt=dt)).final_state
-
-    ref = final(1.0 / 2048)
-    errs = [difference_metric(final(1.0 / n), ref) for n in (64, 128, 256)]
-    for a, b in zip(errs, errs[1:]):
-        assert 3.5 < a / b < 4.6
+    # order-test's errors against dt_min / 8 = 1/2048, on 16^2 to T = 1:
+    # every halving divides them by 3.5 to 4.6
+    reports, _ = _order_test(RunConfig(nx=16, ny=16, dt_list=(1 / 64, 1 / 128, 1 / 256)))
+    assert all(np.log2(3.5) < order < np.log2(4.6) for order in reports["orders"])
 
 
 def test_decoupled_flow_is_exact(decoupled):
@@ -497,44 +493,24 @@ def test_checkpoints_returned_at_requested_times():
         assert abs(snap.t - t_req) <= 1e-2 + 1e-12
 
 
-def test_blowup_detected():
-    # the state stays finite; the envelope of the row after one step overflows
-    st = mode_state(8, u_amp=3000)
+def test_blowup_detected(monkeypatch):
+    # the first step leaves v non-finite in one mode; with a row at every
+    # step, the check of the kept state names v before a row is evaluated
+    breaking_step(monkeypatch, 1, ("v",))
+    st = standard_state(8)
     monitor = RunMonitor.from_state(st)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(BlowupError) as err:
-            integrate(
-                st, 0.01, SystemParams(eps=1.0, dt=1e-3), monitor_stride=1, monitor=monitor
-            )
+    with pytest.raises(BlowupError) as err:
+        integrate(st, 0.01, SystemParams(eps=1.0, dt=1e-3), monitor_stride=1, monitor=monitor)
     assert err.value.t_last == 0.0
-    assert (err.value.step, err.value.quantity) == (1, "envelope_h1")
-    assert "non-finite envelope_h1 at step 1" in str(err.value)
-
-
-def _breaking_step(monkeypatch, at_call, names):
-    """Patch the stepper so that its call number `at_call` returns a NaN
-    in the last mode of each component in `names`."""
-    original = dynamics._Kernels.step
-    calls = []
-
-    def step(self, u, v, vt):
-        parts = dict(zip(("u", "v", "vt"), original(self, u, v, vt)))
-        calls.append(1)
-        if len(calls) == at_call:
-            for name in names:
-                parts[name] = parts[name].copy()
-                parts[name][-1, -1] = np.nan
-        return parts["u"], parts["v"], parts["vt"]
-
-    monkeypatch.setattr(dynamics._Kernels, "step", step)
-    return calls
+    assert (err.value.step, err.value.quantity) == (1, "v")
+    assert "non-finite v at step 1" in str(err.value)
 
 
 def test_blowup_detected_on_kept_states(monkeypatch):
     # the last step leaves u[0, 0] finite and vt non-finite in one mode:
     # only the check on the final state sees it, and the last state seen
     # finite is the checkpoint at 0.05
-    calls = _breaking_step(monkeypatch, 10, ("vt",))
+    calls = breaking_step(monkeypatch, 10, ("vt",))
     st = standard_state(8)
     params = SystemParams(eps=1.0, dt=1e-2)
     with pytest.raises(BlowupError) as err:
@@ -562,7 +538,7 @@ def test_blowup_detected_on_kept_states(monkeypatch):
 def test_blowup_names_the_step_and_first_non_finite_component(
     monkeypatch, at_call, names, seen
 ):
-    _breaking_step(monkeypatch, at_call, names)
+    breaking_step(monkeypatch, at_call, names)
     st = standard_state(8)
     with pytest.raises(BlowupError) as err:
         integrate(st, 0.05, SystemParams(eps=1.0, dt=1e-2))
