@@ -39,8 +39,10 @@ energy drift and a slow leak in the charge.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import ceil, inf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -551,19 +553,27 @@ def integrate(
 # all nodes, so the phase products exist only as one block's temporaries.
 _GRID_ROWS = 4
 
+# The twisted u-integrand carries phases exp(i lam s), and a panel's
+# Lagrange points resolve about this many radians of lam_max s per node.
+_RADIANS_PER_NODE = 6.5
 
-def _integration_weights(nodes: np.ndarray) -> np.ndarray:
-    """W[i, j] = integral over (0, nodes[i]) of the j-th Lagrange polynomial
-    on `nodes`.  Built from Legendre-series interpolants for stability: one
-    solve with the unit vectors as right-hand sides gives the series of
-    every Lagrange polynomial on [0, nodes[-1]] at once."""
+# picard_duhamel's default node count, and the fewest nodes of its coarse
+# level.
+_MIN_NODES = 16
+
+
+def _integration_weights(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """W[i, j] = integral over (0, targets[i]) of the j-th Lagrange
+    polynomial on `nodes`.  Built from Legendre-series interpolants for
+    stability: one solve with the unit vectors as right-hand sides gives the
+    series of every Lagrange polynomial on [0, b] at once, with b the last
+    node or target, whichever is larger."""
     leg = np.polynomial.legendre
     P = len(nodes)
-    half = 0.5 * nodes[-1]
-    x = nodes / half - 1.0
-    coef = np.linalg.solve(leg.legvander(x, P - 1), np.eye(P))
+    half = 0.5 * max(nodes[-1], targets.max())
+    coef = np.linalg.solve(leg.legvander(nodes / half - 1.0, P - 1), np.eye(P))
     anti = leg.legint(coef, lbnd=-1.0, scl=half)
-    return leg.legvander(x, P) @ anti
+    return leg.legvander(targets / half - 1.0, P) @ anti
 
 
 def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -590,12 +600,34 @@ def _panel_converged(residuals: list[float], tol: float) -> bool:
     return r < tol or (theta is not None and theta < 0.5 and r * theta < tol * (1.0 - theta))
 
 
+class _Level(NamedTuple):
+    """A collocation level of a Picard panel: its n node times s as an
+    (n, 1, 1) column, the per-axis factors of exp(i lam s) there, (n, Nx)
+    and (n, Ny), the (P+1, n) weights that integrate its Lagrange basis up
+    to each of the P fine nodes and over the panel, and trig(rows), which
+    gives cos(s w) and sinc(s w) on a block of grid rows."""
+
+    s: np.ndarray
+    exp_x: np.ndarray
+    exp_y: np.ndarray
+    weights: np.ndarray
+    trig: Callable[[slice], tuple[np.ndarray, np.ndarray]]
+
+
+def _require_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless `value` is an integer, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def picard_duhamel(
     state0: State,
     T: float,
     params: SystemParams,
     *,
-    quad_nodes: int = 16,
+    quad_nodes: int = _MIN_NODES,
     tol: float = 1e-11,
     max_iter: int = 80,
     residual_log: list[float] | None = None,
@@ -619,7 +651,7 @@ def picard_duhamel(
     176 (2002)) and Hochbruck and Ostermann (Acta Numerica 19 (2010)):
     P(v, u) and W(u) are modelled as quadratics in s through s = 0, h/2
     and h, and the Duhamel form with those integrands is integrated
-    exactly, in closed form at every node.  The values at h/2 and h come
+    exactly, in closed form at the nodes.  The values at h/2 and h come
     first from the exponential Euler solution (both integrands frozen at
     the panel's left edge) and once more from the quadratic model, so the
     predictor makes 5 evaluations of P(v, u) and W(u) and is fourth order
@@ -628,45 +660,66 @@ def picard_duhamel(
     correction integration matrix (Dutt, Greengard and Rokhlin, BIT 40
     (2000)): row i integrates up to node i and row P over the whole panel,
     so each sweep also gives the panel-end sums, and the panel advances
-    with those of the sweep that converged.  A panel that converges in m
-    sweeps costs mP + 5 node evaluations of the two products.
+    with those of the sweep that converged.
+
+    Where the panel allows it, the sweeps start on two levels, as in
+    multilevel spectral deferred correction (Speck et al., BIT Numer.
+    Math. 55 (2015)).  With h the panel length, the coarse level has
+    P_c = max(16, ceil(lam_max h / 6.5)) Gauss-Legendre nodes, the count
+    the panel cap below asks for on this panel, and it is used when
+    2 P_c <= P.  The predictor is then evaluated at the P_c coarse nodes
+    only, and one coarse sweep integrates the integrands there through a
+    (P+1, P_c) matrix, the coarse Lagrange basis integrated up to every
+    fine node and over the panel, to give the iterate at all P nodes.  The
+    coarse sweep settles the slowly contracting low modes; the error it
+    leaves sits in high modes, which the Duhamel integrals damp by about
+    1/(lam h), so the fine sweeps contract by about 1e-4 instead of 1e-2.
+    The fine sweeps and their stopping rule are unchanged, and the result
+    is the P-node fixed point.  A panel that converges in m fine sweeps
+    costs mP + P_c + 5 node evaluations of the two products, or mP + 5
+    without the coarse level.
 
     Six (P, Nx, Ny) node stacks are kept, 64 B per node-mode entry: the
     iterates u (complex) and v, the raw right-hand sides P(v, u) (complex)
-    and g, and cos(s w) and sinc(s w).  The phases exp(i lam s) are
-    products of per-axis factors, formed with the integrands that carry
-    them a block of grid rows at a time, and a sweep forms its new
-    iterates and their changes in place in that block's sums.
+    and g, and cos(s w) and sinc(s w) at the fine nodes.  The coarse
+    level's node values use the first P_c slices of the same stacks, and
+    its cos(s w) and sinc(s w) are formed a block at a time.  The phases
+    exp(i lam s) are products of per-axis factors, formed with the
+    integrands that carry them a block of grid rows at a time, and a sweep
+    forms its new iterates and their changes in place in that block's sums.
 
     Args:
+        quad_nodes: P, the number of Gauss-Legendre collocation nodes per
+            panel; the result is the P-node fixed point.
         tol: bound on a panel's distance from its fixed point.  With r_k
-            the residual of sweep k (the change it made, in H1 for u and L2
-            for v, vt) and theta the largest ratio r_j / r_(j-1) the panel
-            has shown, a panel stops when r_k < tol, or when theta < 1/2
-            and r_k theta / (1 - theta) < tol: for a contraction theta the
-            last iterate lies within that estimate of the fixed point (the
-            simplified-Newton test of Hairer and Wanner, Solving ODEs II,
-            IV.8).  Where theta >= 1/2 the estimate exceeds r_k, and
-            r_k < tol alone decides.
-        residual_log: optional list; per-sweep fixed-point residuals are
+            the residual of fine sweep k (the change it made, in H1 for u
+            and L2 for v, vt) and theta the largest ratio r_j / r_(j-1) the
+            panel has shown, a panel stops when r_k < tol, or when
+            theta < 1/2 and r_k theta / (1 - theta) < tol: for a
+            contraction theta the last iterate lies within that estimate of
+            the fixed point (the simplified-Newton test of Hairer and
+            Wanner, Solving ODEs II, IV.8).  Where theta >= 1/2 the
+            estimate exceeds r_k, and r_k < tol alone decides.
+        max_iter: the most fine sweeps a panel may take.
+        residual_log: optional list; the residual of every fine sweep is
             appended to it (all panels concatenated).  A panel's first
-            entry is the change of its first sweep from the predictor.
+            entry is the change of its first fine sweep from the coarse
+            iterate, or from the predictor without the coarse level.
 
     Raises:
-        ValueError: if quad_nodes < 2, max_iter < 1, or T or tol is not
-            positive and finite.
+        ValueError: if quad_nodes or max_iter is not an integer,
+            quad_nodes < 2, max_iter < 1, or T or tol is not positive and
+            finite.
         PicardDivergenceError: if a panel meets neither stopping test of
             `tol` within max_iter sweeps; it carries the last residual and
             the panel's measured contraction theta (None after one sweep).
     """
-    if quad_nodes < 2:
-        raise ValueError("quad_nodes must be >= 2")
+    _require_count("quad_nodes", quad_nodes, 2)
     if not 0 < T < inf:
         raise ValueError(f"horizon T must be positive and finite, got {T}")
     if not 0 < tol < inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _require_count("max_iter", max_iter, 1)
 
     state = prepare_initial_state(state0, params)
     grid = state.grid
@@ -675,32 +728,57 @@ def picard_duhamel(
     w = ker.w
     w2 = ker.w2
 
-    # Panel length: the twisted u-integrand carries phases exp(i lam s), so
-    # a panel must keep lam_max * h within what quad_nodes Lagrange points
-    # resolve (about 6.5 radians per node); 0.025 caps the contraction size.
+    # Panel length: lam_max * h within what quad_nodes Lagrange points
+    # resolve; 0.025 caps the contraction size.
     lam_max = float(lam.max())
-    h_cap = min(0.025, 6.5 * quad_nodes / lam_max)
+    h_cap = min(0.025, _RADIANS_PER_NODE * quad_nodes / lam_max)
     n_panels = max(1, ceil(T / h_cap - 1e-12))
     h = T / n_panels
-    xg, wg = np.polynomial.legendre.leggauss(quad_nodes)
-    nodes = (xg + 1.0) * 0.5 * h
-    full_w = wg * 0.5 * h
-    # rows 0..P-1 integrate up to each node, row P over the whole panel
-    weights = np.vstack([_integration_weights(nodes), full_w])
+    # the coarse level: the node count the cap asks for on this panel; it
+    # starts the sweeps when it is at most half of quad_nodes
+    coarse_nodes = max(_MIN_NODES, ceil(lam_max * h / _RADIANS_PER_NODE))
 
-    # exp(i lam s) = exp(i lx s) exp(i ly s), with lam split into its
-    # per-axis parts lam[k, l] = lx[k] + ly[l]
+    def gauss(n):
+        """The n Gauss-Legendre nodes on (0, h) and their weights."""
+        x, wx = np.polynomial.legendre.leggauss(n)
+        return (x + 1.0) * 0.5 * h, wx * 0.5 * h
+
     half00 = 0.5 * lam[0, 0]
-    s = nodes[:, None]
-    exp_x = np.exp(1j * (lam[:, 0] - half00) * s)    # (P, Nx)
-    exp_y = np.exp(1j * (lam[0, :] - half00) * s)    # (P, Ny)
-    s = nodes[:, None, None]
-    stack = (quad_nodes,) + grid.shape
-    # cos(s w) and sin(s w)/w, in place from the one stack of s w
-    cos_s = np.multiply(w, s)
-    sinc_s = np.sin(cos_s)
-    sinc_s /= w
-    np.cos(cos_s, out=cos_s)
+
+    def level(nodes, weights, trig):
+        # exp(i lam s) = exp(i lx s) exp(i ly s), with lam split into its
+        # per-axis parts lam[k, l] = lx[k] + ly[l]
+        s = nodes[:, None]
+        exp_x = np.exp(1j * (lam[:, 0] - half00) * s)
+        exp_y = np.exp(1j * (lam[0, :] - half00) * s)
+        return _Level(nodes[:, None, None], exp_x, exp_y, weights, trig)
+
+    def wave_kernels(s, rows):
+        """cos(s w) and sin(s w)/w on grid rows `rows`, in place from the
+        one array of s w."""
+        wr = w[rows]
+        c = np.multiply(wr, s)
+        sc = np.sin(c)
+        sc /= wr
+        np.cos(c, out=c)
+        return c, sc
+
+    nodes, full_w = gauss(quad_nodes)
+    cos_s, sinc_s = wave_kernels(nodes[:, None, None], slice(None))
+    # rows 0..P-1 integrate up to each node, row P over the whole panel
+    fine = level(
+        nodes,
+        np.vstack([_integration_weights(nodes, nodes), full_w]),
+        lambda rows: (cos_s[:, rows], sinc_s[:, rows]),
+    )
+    coarse = None
+    if 2 * coarse_nodes <= quad_nodes:
+        nodes_c = gauss(coarse_nodes)[0]
+        coarse = level(
+            nodes_c,
+            _integration_weights(nodes_c, np.append(nodes, h)),
+            lambda rows: wave_kernels(nodes_c[:, None, None], rows),
+        )
     cos_h, sin_h = np.cos(w * h), np.sin(w * h)
     # the predictor's points h/2 and h, with the free flows over them
     points = [
@@ -711,6 +789,7 @@ def picard_duhamel(
     ps0 = state.v.coef.copy()
     ps1 = state.vt.coef.copy()
     t_now = state.t
+    stack = (quad_nodes,) + grid.shape
     us = np.empty(stack, dtype=np.complex128)
     vs = np.empty(stack)
     # the raw right-hand sides at every node: P(v, u) and g = -w2 W(u)
@@ -724,8 +803,9 @@ def picard_duhamel(
     Ia_end = np.empty_like(ps0)
     Ib_end = np.empty_like(ps0)
 
-    def fill_integrands() -> None:
-        for i in range(quad_nodes):
+    def fill_integrands(n) -> None:
+        """P(v, u) and g from the iterates at the first n nodes."""
+        for i in range(n):
             pvu[i] = ker.coupled_product(vs[i], us[i])
             np.multiply(ker.wave_source(us[i]), neg_w2, out=g[i])
 
@@ -758,8 +838,10 @@ def picard_duhamel(
         v = c * (ps0[rows] + Wt) + sc * (ps1[rows] + d1) - (Wt + t * (d1 + t * d2))
         return u, v
 
-    def predict() -> None:
-        """Fill us / vs with the three-point exponential predictor."""
+    def predict(lv) -> None:
+        """Fill us / vs at the nodes of level lv, the first n slices, with
+        the three-point exponential predictor."""
+        n = len(lv.s)
         # exponential Euler: both integrands frozen at their s = 0 values
         p = [ker.coupled_product(ps0, phi)] * 3
         W = [ker.wave_source(phi)] * 3
@@ -773,42 +855,62 @@ def picard_duhamel(
         for lo in range(0, grid.Nx, _GRID_ROWS):
             rows = slice(lo, lo + _GRID_ROWS)
             # exp(-i lam s), conjugated per axis
-            phase = np.conj(exp_x[:, rows, None]) * np.conj(exp_y[:, None, :])
-            us[:, rows], vs[:, rows] = solution(
-                q, r, rows, s, phase, cos_s[:, rows], sinc_s[:, rows]
-            )
+            phase = np.conj(lv.exp_x[:, rows, None]) * np.conj(lv.exp_y[:, None, :])
+            us[:n, rows], vs[:n, rows] = solution(q, r, rows, lv.s, phase, *lv.trig(rows))
+
+    def sweep_block(lv, rows):
+        """The new iterates u and v at all P fine nodes on grid rows `rows`,
+        from the integrands at the nodes of level lv (the first n slices of
+        pvu and g); keeps the panel-end sums."""
+        n = len(lv.s)
+        c, sc = lv.trig(rows)
+        phase = lv.exp_x[:, rows, None] * lv.exp_y[:, None, :]
+        gb = g[:n, rows]
+        Iu = _weighted_sum(lv.weights, phase * pvu[:n, rows])
+        Ia = _weighted_sum(lv.weights, c * gb)
+        Ib = _weighted_sum(lv.weights, sc * gb)
+        Iu_end[rows], Ia_end[rows], Ib_end[rows] = Iu[-1], Ia[-1], Ib[-1]
+        if n < quad_nodes:
+            # the update needs the phases at the fine nodes
+            phase = fine.exp_x[:, rows, None] * fine.exp_y[:, None, :]
+        # un = conj(phase) (phi - i Iu), in Iu's rows
+        un = Iu[:-1]
+        np.conj(phase, out=phase)
+        un *= -1j
+        un += phi[rows]
+        np.multiply(phase, un, out=un)
+        # vn = cos(s w) (ps0 - Ib) + sinc(s w) (ps1 + Ia) at the fine
+        # nodes, in Ia's rows
+        vn, Ib = Ia[:-1], Ib[:-1]
+        np.subtract(ps0[rows], Ib, out=Ib)
+        Ib *= cos_s[:, rows]
+        vn += ps1[rows]
+        vn *= sinc_s[:, rows]
+        vn += Ib
+        return un, vn
 
     for panel in range(n_panels):
-        predict()
+        if coarse is None:
+            predict(fine)
+        else:
+            # the predictor and one Jacobi sweep on the coarse level give
+            # the first iterate at the fine nodes
+            predict(coarse)
+            fill_integrands(coarse_nodes)
+            for lo in range(0, grid.Nx, _GRID_ROWS):
+                rows = slice(lo, lo + _GRID_ROWS)
+                us[:, rows], vs[:, rows] = sweep_block(coarse, rows)
         panel_log: list[float] = []
         for _sweep in range(max_iter):
             # Jacobi sweep: every integrand comes from the previous sweep,
             # so the blocks below may overwrite us / vs in place
-            fill_integrands()
+            fill_integrands(quad_nodes)
             # squared H1 of du and L2 of dv, per node
             du2 = np.zeros(quad_nodes)
             dv2 = np.zeros(quad_nodes)
             for lo in range(0, grid.Nx, _GRID_ROWS):
                 rows = slice(lo, lo + _GRID_ROWS)
-                phase = exp_x[:, rows, None] * exp_y[:, None, :]
-                gb = g[:, rows]
-                Iu = _weighted_sum(weights, phase * pvu[:, rows])
-                Ia = _weighted_sum(weights, cos_s[:, rows] * gb)
-                Ib = _weighted_sum(weights, sinc_s[:, rows] * gb)
-                Iu_end[rows], Ia_end[rows], Ib_end[rows] = Iu[-1], Ia[-1], Ib[-1]
-                # un = conj(phase) (phi - i Iu), in Iu's rows
-                un = Iu[:-1]
-                np.conj(phase, out=phase)
-                un *= -1j
-                un += phi[rows]
-                np.multiply(phase, un, out=un)
-                # vn = c (ps0 - Ib) + sc (ps1 + Ia), in Ia's rows
-                vn, Ib = Ia[:-1], Ib[:-1]
-                np.subtract(ps0[rows], Ib, out=Ib)
-                Ib *= cos_s[:, rows]
-                vn += ps1[rows]
-                vn *= sinc_s[:, rows]
-                vn += Ib
+                un, vn = sweep_block(fine, rows)
                 # each change, squared in place of the old iterate, then
                 # the new iterate
                 ub = us[:, rows]

@@ -552,10 +552,17 @@ def test_blowup_names_the_step_and_first_non_finite_component(
 
 def test_picard_validation():
     st = standard_state(8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quad_nodes must be >= 2, got 1"):
         picard_duhamel(st, 0.1, SystemParams(), quad_nodes=1)
     # each bad argument is named, and none is reported as a numerical abort
-    # (tol = nan read as "residual 0.000e+00" after max_iter sweeps)
+    # (tol = nan read as "residual 0.000e+00" after max_iter sweeps;
+    # max_iter = True as a PicardDivergenceError "after True iterations";
+    # quad_nodes = 16.0 as numpy's "deg must be an integer")
+    for name, bad in [
+        ("quad_nodes", 16.0), ("quad_nodes", True), ("max_iter", True), ("max_iter", 2.0)
+    ]:
+        with pytest.raises(ValueError, match=rf"{name} must be an integer, got {bad!r}"):
+            picard_duhamel(st, 0.02, SystemParams(), **{name: bad})
     for T in (-0.1, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=rf"horizon T must be positive.*got {T}"):
             picard_duhamel(st, T, SystemParams())
@@ -663,20 +670,28 @@ def test_picard_matches_splitting_on_small_case():
         assert difference_metric(pic, fine) < 1e-9
 
 
-@pytest.mark.parametrize("P", [8, 17, 128])
+def gauss_nodes(P: int, h: float) -> np.ndarray:
+    """The P Gauss-Legendre nodes on (0, h)."""
+    return (np.polynomial.legendre.leggauss(P)[0] + 1.0) * 0.5 * h
+
+
+@pytest.mark.parametrize("P", [8, 16, 17, 32, 128])
 def test_integration_weights_integrate_monomials_exactly(P):
-    # W integrates every polynomial of degree < P exactly from 0 to each
-    # node; on a panel (0, h), t^k for k < P against h t^(k+1) / (k+1)
-    # in units of h
+    # W integrates every polynomial of degree < P on P nodes exactly from 0
+    # to each target; on a panel (0, h), t^k for k < P against
+    # h t^(k+1) / (k+1) in units of h.  The targets are the nodes
+    # themselves, and, as for the coarse level of a Picard panel, 128 fine
+    # nodes and the panel end h (measured worst 2.4e-15 relative).
     h = 0.025
-    xg, _ = np.polynomial.legendre.leggauss(P)
-    nodes = (xg + 1.0) * 0.5 * h
-    W = dynamics._integration_weights(nodes)
-    x = nodes / h
-    for k in range(P):
-        exact = h * x ** (k + 1) / (k + 1)
-        err = np.max(np.abs(W @ x**k - exact))
-        assert err <= 1e-12 * np.max(np.abs(exact)), (k, err)
+    nodes = gauss_nodes(P, h)
+    for targets in (nodes, np.append(gauss_nodes(128, h), h)):
+        W = dynamics._integration_weights(nodes, targets)
+        assert W.shape == (len(targets), P)
+        x, y = nodes / h, targets / h
+        for k in range(P):
+            exact = h * y ** (k + 1) / (k + 1)
+            err = np.max(np.abs(W @ x**k - exact))
+            assert err <= 1e-12 * np.max(np.abs(exact)), (len(targets), k, err)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -708,19 +723,19 @@ def free_flow(st, eps, s):
 
 
 def plain_picard_panel(st, params, h, P, tol=1e-11):
-    """One Picard panel (0, h) written out without blocks or per-axis
-    phases: the three-point exponential predictor at every node, then
-    Jacobi sweeps whose quadrature sums run over whole node stacks until
-    the oracle's stopping rule holds, and the panel end from the full-panel
-    sums of the last sweep.  Returns the residual log and the end state's
-    (u, v, vt)."""
+    """One Picard panel (0, h) written out on a single level, without
+    blocks or per-axis phases: the three-point exponential predictor at
+    every node, then Jacobi sweeps whose quadrature sums run over whole node
+    stacks until the oracle's stopping rule holds, and the panel end from
+    the full-panel sums of the last sweep.  Returns the residual log and the
+    end state's (u, v, vt)."""
     grid = st.grid
     lam = grid.lam
     ker = dynamics._Kernels(grid, params, None)
     w = ker.w
     xg, wg = np.polynomial.legendre.leggauss(P)
     nodes = (xg + 1.0) * 0.5 * h
-    W = dynamics._integration_weights(nodes)
+    W = dynamics._integration_weights(nodes, nodes)
     s = nodes[:, None, None]
     phase, c, sc = np.exp(1j * lam * s), np.cos(s * w), np.sin(s * w) / w
     u0, v0, vt0 = st.u.coef.astype(complex), st.v.coef, st.vt.coef
@@ -794,27 +809,64 @@ def test_picard_panel_makes_m_p_plus_five_node_evaluations(monkeypatch):
     # h), and each of the m sweeps at every node; the panel end takes no
     # fill of its own.  A node evaluation is 3 transforms on the padded
     # grid (two syntheses and one analysis of P(v, u)) and 2 on the band
-    # (one of each for W(u)).  The default tol is met in 2 sweeps; 1e-14
-    # asks for a fourth.
+    # (one of each for W(u)).  With P = 8 nodes the default tol is met in
+    # 2 sweeps and 1e-14 asks for a fourth.  P = 32 takes the coarse level
+    # of P_c = 16 nodes (lam_max h = 2.56 asks for fewer than the floor of
+    # 16), which adds one sweep over those nodes, mP + P_c + 5 in all, and
+    # 1e-14 is met in 3 fine sweeps.
     st = standard_state(8)
     params = SystemParams(eps=1.0, dt=1.0)
-    P = 8
-    counts = count_transforms(monkeypatch)
-    log = []
-    picard_duhamel(st, 0.02, params, quad_nodes=P, tol=1e-14, residual_log=log)
-    m = len(log)
-    assert m >= 4
     assert st.grid.pad_shape != st.grid.shape
-    assert counts == {st.grid.pad_shape: 3 * (m * P + 5), st.grid.shape: 2 * (m * P + 5)}
+    counts = count_transforms(monkeypatch)
+    for P, P_c, sweeps in [(8, 0, 4), (32, 16, 3)]:
+        counts.clear()
+        log = []
+        picard_duhamel(st, 0.02, params, quad_nodes=P, tol=1e-14, residual_log=log)
+        m = len(log)
+        assert m >= sweeps
+        n = m * P + P_c + 5
+        assert counts == {st.grid.pad_shape: 3 * n, st.grid.shape: 2 * n}, P
+
+
+def test_picard_two_level_start_keeps_the_fine_fixed_point():
+    # 32 nodes take a coarse sweep on 16 first; the fine sweeps then start
+    # one sweep further on, and the panel converges to the same 32-node
+    # fixed point as the single-level iteration (measured 9e-19 apart)
+    st = standard_state(8)
+    params = SystemParams(eps=1.0, dt=1.0)
+    log = []
+    pic = picard_duhamel(st, 0.02, params, quad_nodes=32, tol=1e-14, residual_log=log)
+    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 32, tol=1e-14)
+    assert len(log) == len(ref_log) - 1
+    for got, ref in zip((pic.u, pic.v, pic.vt), ref_end):
+        assert np.max(np.abs(got.coef - ref)) < 1e-13
+
+
+def test_picard_default_preset_converges_in_two_fine_sweeps():
+    # The default 64^2 data on one panel of 0.025 with 128 nodes, the
+    # benchmark's oracle input: the coarse level of 32 nodes leaves the
+    # fine sweeps contracting by about 1e-4 (residuals 2.8e-6, 3.4e-10),
+    # so the default tol is met after 2 fine sweeps where one level took 3,
+    # and the end state is within tol of a run at tol = 1e-15 (measured
+    # 7.2e-13)
+    cfg = RunConfig(T=0.025)
+    params = build_params(cfg)
+    state0 = build_initial_state(cfg)
+    log = []
+    pic = picard_duhamel(state0, cfg.T, params, quad_nodes=128, residual_log=log)
+    assert len(log) == 2
+    tight = picard_duhamel(state0, cfg.T, params, quad_nodes=128, tol=1e-15)
+    assert difference_metric(pic, tight) < 1e-11
 
 
 def test_picard_peak_memory_per_node_mode_entry():
     # The six (P, Nx, Ny) node stacks take 64 B per node-mode entry: the
     # complex iterates u and P(v, u), and the real iterates v, g, cos(s w)
-    # and sinc(s w).  On 24 x 20 modes with 64 nodes the traced peak of one
-    # call, block temporaries and products included, measured 86 B;
-    # storing the phases exp(i lam s) and the phase products as stacks too
-    # measured 121 B.
+    # and sinc(s w).  On 24 x 20 modes with 64 nodes, which start on a
+    # coarse level of 16 nodes, the traced peak of one call, block
+    # temporaries and products included, measured 85.4 B (86.0 B on a
+    # single level); storing the phases exp(i lam s) and the phase products
+    # as stacks too measured 121 B.
     g = make_grid(np.pi, np.pi, 24, 20)
     rng = np.random.default_rng(5)
     st = make_state(
