@@ -39,7 +39,6 @@ energy drift and a slow leak in the charge.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from math import ceil, inf
 from typing import NamedTuple
@@ -132,10 +131,10 @@ class PotentialFlowError(NumericalAbort):
     Unregularized, the flow is the nodal phase exp(-i dt v), which keeps no
     accurate digit once beta = |dt| * max|v| reaches _MAX_PHASE.  With
     Yosida regularization the flow is summed in substeps of length h with
-    h * max|J v| <= 1, so beta = |dt| * max|J v| asks for ceil(beta) of
-    them (`substeps`, None for the nodal flow); a step that would need
-    more than _MAX_SUBSTEPS is refused instead of being summed at up to 36
-    padded transforms per substep.
+    h * (max J)^2 * max|J v| <= 1, so beta = |dt| * (max J)^2 * max|J v|
+    asks for ceil(beta) of them (`substeps`, None for the nodal flow); a
+    step that would need more than _MAX_SUBSTEPS is refused instead of
+    being summed at up to 36 padded transforms per substep.
     """
 
     def __init__(self, beta: float, substeps: int | None = None):
@@ -146,8 +145,8 @@ class PotentialFlowError(NumericalAbort):
             )
         else:
             why = (
-                f"Yosida beta = dt * max|J v| = {beta:.3e} would need {substeps:.3e} "
-                f"substeps, more than the budget of {_MAX_SUBSTEPS}"
+                f"Yosida beta = dt * (max J)^2 * max|J v| = {beta:.3e} would need "
+                f"{substeps:.3e} substeps, more than the budget of {_MAX_SUBSTEPS}"
             )
         super().__init__(f"potential flow step too long for its potential: {why}")
         self.beta = beta
@@ -237,8 +236,9 @@ class TrajectoryRecord:
 
 
 # Most substeps of the regularized potential flow in one call.  A substep
-# with h * max|J v| <= 1 stops after at most 18 Taylor terms (1/(18! * 18) <
-# 1e-17), so this caps one call at about 36,000 padded transforms.
+# with h * (max J)^2 * max|J v| <= 1 stops after at most 18 Taylor terms
+# (1/(18! * 18) < 1e-17), so this caps one call at about 36,000 padded
+# transforms.
 _MAX_SUBSTEPS = 1000
 
 # Bound on the nodal phase argument |dt| * max|v|: from 2**53 on, float64
@@ -342,17 +342,18 @@ class _Kernels:
         multiplier, and exp(-i dt H) u is summed as a Taylor series.  The
         series is certified by a cheap exact bound,
 
-            ||H||_2 <= max over the product nodes of |J v|:
+            ||H||_2 <= b = (max J)^2 * max over the product nodes of |J v|:
 
-        scaled synthesis on the product grid is an isometry from the band
-        (the discrete sines are orthogonal under the node sum), analysis
-        truncated to the band is its adjoint and so a contraction, and
-        0 < J <= 1.  H is self-adjoint on the band for the same reason, so
-        the flow is unitary.  With beta = |dt| max|J v| the step is split
-        into s = ceil(beta) substeps of length h, so h ||H|| <= 1, and
+        H = J S* diag(Jv) S J with S the scaled synthesis on the product
+        grid, an isometry from the band (the discrete sines are orthogonal
+        under the node sum), so analysis truncated to the band is its
+        adjoint S* and ||S|| = ||S*|| = 1, and ||J||_2 = max J =
+        1/(1 + lam_min/n) < 1.  H is self-adjoint on the band for the same
+        reason, so the flow is unitary.  With beta = |dt| b the step is
+        split into s = ceil(beta) substeps of length h, so h ||H|| <= 1, and
         within a substep the sum stops after term k as soon as
 
-            ||term_k|| r / (1 - r) <= 1e-17 ||u||,   r = |h| max|J v| / (k+1),
+            ||term_k|| r / (1 - r) <= 1e-17 ||u||,   r = |h| b / (k+1),
 
         which bounds the whole remaining tail (each later term shrinks by
         at least r), so no term that is already proven negligible is
@@ -394,15 +395,15 @@ class _Kernels:
         shape = self.prod_shape
         jsym = self.jsym
         jv = coef_to_values(grid, jsym * v, shape)
-        jv_max = max(jv.max(), -jv.min())
-        beta = abs(dt) * jv_max
+        bound = jsym.max() ** 2 * max(jv.max(), -jv.min())
+        beta = abs(dt) * bound
         substeps = 1
         if np.isfinite(beta):
             substeps = max(1, ceil(beta))
             if substeps > _MAX_SUBSTEPS:
                 raise PotentialFlowError(float(beta), substeps)
         h = dt / substeps
-        hb = abs(h) * jv_max
+        hb = abs(h) * bound
         # the flow is unitary, so every substep starts from norm ||u||
         norm0 = np.linalg.norm(u)
         tol = 1e-17 * norm0
@@ -431,18 +432,24 @@ class _Kernels:
                 tnorm = np.linalg.norm(term)
         return from_planes(out)
 
-    def step(self, u, v, vt):
+    def step(self, u, v, vt, f):
         """One symmetric splitting step of length dt: half wave, full
-        Schrodinger with v at the half step, half wave (sources refreshed
-        from the updated u)."""
-        f = self.wave_source(u)
+        Schrodinger with v at the half step, half wave with the source
+        refreshed from the updated u.
+
+        f must be wave_source(u).  The step returns the new (u, v, vt) and
+        the source of the new u, which is the next step's f: a step forms
+        one wave source, not two, as the "first same as last" stage of
+        Dormand and Prince (J. Comput. Appl. Math. 6 (1980)).  wave_source
+        does not depend on dt, so f carries over to a kernel of another
+        dt as well."""
         v, vt = self.wave_half(v, vt, f)
         u = self.phase_half * u
         u = self.potential_flow(u, v)
         u = self.phase_half * u
         f = self.wave_source(u)
         v, vt = self.wave_half(v, vt, f)
-        return u, v, vt
+        return u, v, vt, f
 
 
 def prepare_initial_state(state: State, params: SystemParams) -> State:
@@ -470,10 +477,13 @@ def integrate(
 ) -> TrajectoryRecord:
     """March the splitting from state0.t over a horizon T with dt=params.dt.
 
-    The final step is shortened to land exactly on state0.t + T.  With a
-    monitor, one diagnostics row is recorded at t0, every monitor_stride
-    steps, and at the end; without one, no row is evaluated and the
-    record's series is empty.
+    The final step is shortened to land exactly on state0.t + T.  The wave
+    source of the initial u is formed once, and each step hands the source
+    of its new u to the next one, the shortened step included: a nodal
+    step makes 5 band transforms, and a nodal run of m steps without a
+    monitor 5m + 2.  With a monitor, one diagnostics row is recorded at
+    t0, every monitor_stride steps, and at the end; without one, no row is
+    evaluated and the record's series is empty.
 
     A run aborts with BlowupError when a step leaves u[0, 0] non-finite,
     when a state it keeps (a checkpoint or the final state) is not finite,
@@ -499,6 +509,7 @@ def integrate(
     n_steps = max(1, ceil(T / dt - 1e-12))
     t0 = state.t
     u, v, vt = state.u.coef.astype(np.complex128), state.v.coef, state.vt.coef
+    f = ker.wave_source(u)
 
     rows: list[dict[str, float]] = []
     checkpoints: dict[float, State] = {}
@@ -531,7 +542,7 @@ def integrate(
             step_dt = (t0 + T) - t
             if abs(step_dt - dt) > 1e-12 * dt:
                 ker = _Kernels(state.grid, params, step_dt)
-        u, v, vt = ker.step(u, v, vt)
+        u, v, vt, f = ker.step(u, v, vt, f)
         t = t0 + T if i == n_steps - 1 else t + dt
         if not np.isfinite(u[0, 0]):
             raise BlowupError(t_finite, i + 1, "u")
@@ -604,14 +615,15 @@ class _Level(NamedTuple):
     """A collocation level of a Picard panel: its n node times s as an
     (n, 1, 1) column, the per-axis factors of exp(i lam s) there, (n, Nx)
     and (n, Ny), the (P+1, n) weights that integrate its Lagrange basis up
-    to each of the P fine nodes and over the panel, and trig(rows), which
-    gives cos(s w) and sinc(s w) on a block of grid rows."""
+    to each of the P fine nodes and over the panel, and cos(s w) and
+    sinc(s w) there, (n, Nx, Ny) each."""
 
     s: np.ndarray
     exp_x: np.ndarray
     exp_y: np.ndarray
     weights: np.ndarray
-    trig: Callable[[slice], tuple[np.ndarray, np.ndarray]]
+    cos: np.ndarray
+    sinc: np.ndarray
 
 
 def _require_count(name: str, value, least: int) -> None:
@@ -683,10 +695,12 @@ def picard_duhamel(
     iterates u (complex) and v, the raw right-hand sides P(v, u) (complex)
     and g, and cos(s w) and sinc(s w) at the fine nodes.  The coarse
     level's node values use the first P_c slices of the same stacks, and
-    its cos(s w) and sinc(s w) are formed a block at a time.  The phases
-    exp(i lam s) are products of per-axis factors, formed with the
-    integrands that carry them a block of grid rows at a time, and a sweep
-    forms its new iterates and their changes in place in that block's sums.
+    its cos(s w) and sinc(s w) are formed once per panel into the slices
+    P_c to 2 P_c of the P(v, u) stack, which the coarse stage leaves idle.
+    The phases exp(i lam s) are products of per-axis factors, formed with
+    the integrands that carry them a block of grid rows at a time, and a
+    sweep forms its new iterates and their changes in place in that
+    block's sums.
 
     Args:
         quad_nodes: P, the number of Gauss-Legendre collocation nodes per
@@ -743,48 +757,6 @@ def picard_duhamel(
         x, wx = np.polynomial.legendre.leggauss(n)
         return (x + 1.0) * 0.5 * h, wx * 0.5 * h
 
-    half00 = 0.5 * lam[0, 0]
-
-    def level(nodes, weights, trig):
-        # exp(i lam s) = exp(i lx s) exp(i ly s), with lam split into its
-        # per-axis parts lam[k, l] = lx[k] + ly[l]
-        s = nodes[:, None]
-        exp_x = np.exp(1j * (lam[:, 0] - half00) * s)
-        exp_y = np.exp(1j * (lam[0, :] - half00) * s)
-        return _Level(nodes[:, None, None], exp_x, exp_y, weights, trig)
-
-    def wave_kernels(s, rows):
-        """cos(s w) and sin(s w)/w on grid rows `rows`, in place from the
-        one array of s w."""
-        wr = w[rows]
-        c = np.multiply(wr, s)
-        sc = np.sin(c)
-        sc /= wr
-        np.cos(c, out=c)
-        return c, sc
-
-    nodes, full_w = gauss(quad_nodes)
-    cos_s, sinc_s = wave_kernels(nodes[:, None, None], slice(None))
-    # rows 0..P-1 integrate up to each node, row P over the whole panel
-    fine = level(
-        nodes,
-        np.vstack([_integration_weights(nodes, nodes), full_w]),
-        lambda rows: (cos_s[:, rows], sinc_s[:, rows]),
-    )
-    coarse = None
-    if 2 * coarse_nodes <= quad_nodes:
-        nodes_c = gauss(coarse_nodes)[0]
-        coarse = level(
-            nodes_c,
-            _integration_weights(nodes_c, np.append(nodes, h)),
-            lambda rows: wave_kernels(nodes_c[:, None, None], rows),
-        )
-    cos_h, sin_h = np.cos(w * h), np.sin(w * h)
-    # the predictor's points h/2 and h, with the free flows over them
-    points = [
-        (t, np.exp(-1j * lam * t), np.cos(t * w), np.sin(t * w) / w) for t in (0.5 * h, h)
-    ]
-
     phi = state.u.coef.astype(np.complex128)
     ps0 = state.v.coef.copy()
     ps1 = state.vt.coef.copy()
@@ -802,6 +774,47 @@ def picard_duhamel(
     Iu_end = np.empty_like(phi)
     Ia_end = np.empty_like(ps0)
     Ib_end = np.empty_like(ps0)
+
+    def wave_kernels(s, c, sc) -> None:
+        """cos(s w) into c and sin(s w)/w into sc, in place from s w in c."""
+        np.multiply(w, s, out=c)
+        np.sin(c, out=sc)
+        sc /= w
+        np.cos(c, out=c)
+
+    half00 = 0.5 * lam[0, 0]
+
+    def level(nodes, weights, cos, sinc):
+        # exp(i lam s) = exp(i lx s) exp(i ly s), with lam split into its
+        # per-axis parts lam[k, l] = lx[k] + ly[l]
+        s = nodes[:, None]
+        exp_x = np.exp(1j * (lam[:, 0] - half00) * s)
+        exp_y = np.exp(1j * (lam[0, :] - half00) * s)
+        return _Level(nodes[:, None, None], exp_x, exp_y, weights, cos, sinc)
+
+    nodes, full_w = gauss(quad_nodes)
+    cos_s, sinc_s = np.empty(stack), np.empty(stack)
+    wave_kernels(nodes[:, None, None], cos_s, sinc_s)
+    # rows 0..P-1 integrate up to each node, row P over the whole panel
+    fine = level(nodes, np.vstack([_integration_weights(nodes, nodes), full_w]), cos_s, sinc_s)
+    coarse = None
+    if 2 * coarse_nodes <= quad_nodes:
+        nodes_c = gauss(coarse_nodes)[0]
+        # the coarse cos(s w) and sinc(s w) borrow pvu's slices P_c..2 P_c,
+        # which the coarse stage leaves idle; the fine sweeps overwrite
+        # them, so each panel forms them again
+        coarse = level(
+            nodes_c,
+            _integration_weights(nodes_c, np.append(nodes, h)),
+            *pvu[coarse_nodes : 2 * coarse_nodes].view(np.float64).reshape(
+                (2, coarse_nodes) + grid.shape
+            ),
+        )
+    cos_h, sin_h = np.cos(w * h), np.sin(w * h)
+    # the predictor's points h/2 and h, with the free flows over them
+    points = [
+        (t, np.exp(-1j * lam * t), np.cos(t * w), np.sin(t * w) / w) for t in (0.5 * h, h)
+    ]
 
     def fill_integrands(n) -> None:
         """P(v, u) and g from the iterates at the first n nodes."""
@@ -856,14 +869,16 @@ def picard_duhamel(
             rows = slice(lo, lo + _GRID_ROWS)
             # exp(-i lam s), conjugated per axis
             phase = np.conj(lv.exp_x[:, rows, None]) * np.conj(lv.exp_y[:, None, :])
-            us[:n, rows], vs[:n, rows] = solution(q, r, rows, lv.s, phase, *lv.trig(rows))
+            us[:n, rows], vs[:n, rows] = solution(
+                q, r, rows, lv.s, phase, lv.cos[:, rows], lv.sinc[:, rows]
+            )
 
     def sweep_block(lv, rows):
         """The new iterates u and v at all P fine nodes on grid rows `rows`,
         from the integrands at the nodes of level lv (the first n slices of
         pvu and g); keeps the panel-end sums."""
         n = len(lv.s)
-        c, sc = lv.trig(rows)
+        c, sc = lv.cos[:, rows], lv.sinc[:, rows]
         phase = lv.exp_x[:, rows, None] * lv.exp_y[:, None, :]
         gb = g[:n, rows]
         Iu = _weighted_sum(lv.weights, phase * pvu[:n, rows])
@@ -895,6 +910,7 @@ def picard_duhamel(
         else:
             # the predictor and one Jacobi sweep on the coarse level give
             # the first iterate at the fine nodes
+            wave_kernels(coarse.s, coarse.cos, coarse.sinc)
             predict(coarse)
             fill_integrands(coarse_nodes)
             for lo in range(0, grid.Nx, _GRID_ROWS):

@@ -19,20 +19,27 @@ def random_field(grid: Grid2D, rng: np.random.Generator, kind: str = "real", dec
 
 def breaking_step(monkeypatch, at_call, names):
     """Patch the stepper so that its call number `at_call` returns a NaN
-    in the last mode of each component in `names`; the list of calls made."""
+    in the last mode of each component in `names`; the list of calls made.
+
+    The patch passes its arguments through and returns what the step
+    returns: the state (u, v, vt), then the wave source of the new u, which
+    it forms again from the corrupted u when it corrupts u."""
     import sibsim.dynamics
 
     original = sibsim.dynamics._Kernels.step
     calls = []
 
-    def step(self, u, v, vt):
-        parts = dict(zip(("u", "v", "vt"), original(self, u, v, vt)))
+    def step(self, *args, **kwargs):
+        u, v, vt, *source = original(self, *args, **kwargs)
+        parts = {"u": u, "v": v, "vt": vt}
         calls.append(1)
         if len(calls) == at_call:
             for name in names:
                 parts[name] = parts[name].copy()
                 parts[name][-1, -1] = np.nan
-        return parts["u"], parts["v"], parts["vt"]
+            if "u" in names:
+                source = [self.wave_source(parts["u"]) for _ in source]
+        return (parts["u"], parts["v"], parts["vt"], *source)
 
     monkeypatch.setattr(sibsim.dynamics._Kernels, "step", step)
     return calls

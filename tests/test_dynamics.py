@@ -206,8 +206,9 @@ def test_charge_conserved_per_step():
     for params, bound in cases:
         ker = dynamics._Kernels(st.grid, params, params.dt)
         u, v, vt = st.u.coef, st.v.coef, st.vt.coef
+        f = ker.wave_source(u)
         for _ in range(20):
-            u, v, vt = ker.step(u, v, vt)
+            u, v, vt, f = ker.step(u, v, vt, f)
             assert abs(np.sum(np.abs(u) ** 2) - c0) / c0 < bound
 
 
@@ -234,6 +235,7 @@ def test_yosida_potential_flow_fails_loudly_when_too_long():
     for scale in (2e5, 1e150):
         with pytest.raises(PotentialFlowError) as err:
             schrodinger_flow(ker, st.u.coef, scale * st.v.coef)
+        assert err.value.beta == 0.05 * _flow_bound(ker, scale * st.v.coef)
         assert err.value.substeps > dynamics._MAX_SUBSTEPS
         assert err.value.substeps == ceil(err.value.beta)
         message = str(err.value)
@@ -241,14 +243,23 @@ def test_yosida_potential_flow_fails_loudly_when_too_long():
         assert max(len(digits) for digits in re.findall(r"\d+", message)) <= 17
 
 
-def _taylor_reference(ker, u, v):
+def _flow_bound(ker, v):
+    """b = (max J)^2 max |J v| over the product nodes, the bound on the
+    norm of the generator J (Jv * J .) that the potential flow uses."""
+    jv = coef_to_values(ker.grid, ker.jsym * v, ker.prod_shape)
+    return float(np.max(ker.jsym) ** 2 * np.max(np.abs(jv)))
+
+
+def _taylor_reference(ker, u, v, substeps=None):
     """The regularized potential flow as Taylor sums of padded products,
-    each re-synthesizing J v, over ceil(beta) substeps, beta = |dt| max|J v|;
-    a substep stops after term k once ||term_k|| r / (1 - r) <= 1e-17 ||u||,
-    r = |h| max|J v| / (k + 1).  Returns the flow and its term count."""
+    each re-synthesizing J v, over ceil(beta) substeps (unless given),
+    beta = |dt| b with b = _flow_bound; a substep stops after term k once
+    ||term_k|| r / (1 - r) <= 1e-17 ||u||, r = |h| b / (k + 1).  Returns
+    the flow and its term count."""
     jv = ker.jsym * v
-    jv_max = np.max(np.abs(coef_to_values(ker.grid, jv, ker.prod_shape)))
-    substeps = max(1, ceil(abs(ker.dt) * jv_max))
+    bound = _flow_bound(ker, v)
+    if substeps is None:
+        substeps = max(1, ceil(abs(ker.dt) * bound))
     h = ker.dt / substeps
     norm0 = np.linalg.norm(u)
     out, terms = u, 0
@@ -256,7 +267,7 @@ def _taylor_reference(ker, u, v):
         term, out = out, out.copy()
         tnorm, k = norm0, 0
         while True:
-            r = abs(h) * jv_max / (k + 1)
+            r = abs(h) * bound / (k + 1)
             if r < 1 and tnorm * r / (1 - r) <= 1e-17 * norm0:
                 break
             k += 1
@@ -288,51 +299,67 @@ def test_yosida_potential_flow_is_the_padded_product_taylor_sum(dealias):
 
 
 @pytest.mark.parametrize("dealias", [True, False], ids=["padded", "nodal"])
-def test_yosida_step_makes_2k_plus_5_transforms(monkeypatch, dealias):
-    # two wave sources of 2 transforms each, J v once, 2 per Taylor term
+def test_yosida_step_makes_2k_plus_3_transforms(monkeypatch, dealias):
+    # the source of the new u in 2 transforms, J v once, 2 per Taylor term;
+    # the source of the old u comes in with the step
     st, ker = yosida_case(dealias)
     u, v, vt = st.u.coef, st.v.coef, st.vt.coef
-    v1, _ = ker.wave_half(v, vt, ker.wave_source(u))
+    f = ker.wave_source(u)
+    v1, _ = ker.wave_half(v, vt, f)
     _, terms = _taylor_reference(ker, ker.phase_half * u, v1)
     counts = count_transforms(monkeypatch)
-    ker.step(u, v, vt)
-    assert counts == {ker.prod_shape: 2 * terms + 5}
+    ker.step(u, v, vt, f)
+    assert counts == {ker.prod_shape: 2 * terms + 3}
 
 
-def test_nodal_step_makes_7_band_transforms(monkeypatch):
-    # the default preset, unregularized: two wave sources of 2 transforms
-    # each and the nodal potential phase of 3, all on the collocation nodes
+def test_nodal_step_makes_5_band_transforms(monkeypatch):
+    # the default preset, unregularized: one wave source of 2 transforms
+    # and the nodal potential phase of 3, all on the collocation nodes
     cfg = RunConfig()
     params = build_params(cfg)
     st = build_initial_state(cfg)
     ker = dynamics._Kernels(st.grid, params, params.dt)
+    f = ker.wave_source(st.u.coef)
     counts = count_transforms(monkeypatch)
-    ker.step(st.u.coef, st.v.coef, st.vt.coef)
-    assert counts == {st.grid.shape: 7}
+    ker.step(st.u.coef, st.v.coef, st.vt.coef, f)
+    assert counts == {st.grid.shape: 5}
 
 
-def test_default_yosida_step_makes_13_padded_transforms(monkeypatch):
+def test_nodal_integrate_makes_5m_plus_2_band_transforms(monkeypatch):
+    # the initial source once, then 5 per step: each step hands the source
+    # of its new u to the next, the shortened last step included
+    cfg = RunConfig()
+    params = build_params(cfg)
+    st = build_initial_state(cfg)
+    counts = count_transforms(monkeypatch)
+    for T, m in ((5 * params.dt, 5), (7.5 * params.dt, 8)):
+        counts.clear()
+        integrate(st, T, params)
+        assert counts == {st.grid.shape: 5 * m + 2}
+
+
+def test_default_yosida_step_makes_11_padded_transforms(monkeypatch):
     # the default preset at n = 8 (64^2, dt = 1e-3): the bound proves the
-    # tail negligible after 4 Taylor terms, so 2*4 + 5 padded transforms
+    # tail negligible after 4 Taylor terms, so 2*4 + 3 padded transforms
     cfg = RunConfig()
     params = build_params(cfg, yosida_n=8)
     st = prepare_initial_state(build_initial_state(cfg), params)
     ker = dynamics._Kernels(st.grid, params, params.dt)
+    f = ker.wave_source(st.u.coef)
     counts = count_transforms(monkeypatch)
-    ker.step(st.u.coef, st.v.coef, st.vt.coef)
-    assert counts == {ker.prod_shape: 2 * 4 + 5}
+    ker.step(st.u.coef, st.v.coef, st.vt.coef, f)
+    assert counts == {ker.prod_shape: 2 * 4 + 3}
 
 
 def _dense_generator(ker, v):
-    """H = J (Jv * J .) as a dense real matrix on the flattened band, and
-    max |J v| over the product nodes."""
+    """H = J (Jv * J .) as a dense real matrix on the flattened band."""
     grid = ker.grid
     jv = coef_to_values(grid, ker.jsym * v, ker.prod_shape)
     cols = []
     for e in np.eye(grid.Nx * grid.Ny):
         je = coef_to_values(grid, ker.jsym * e.reshape(grid.shape), ker.prod_shape)
         cols.append((ker.jsym * values_to_coef(grid, jv * je)).ravel())
-    return np.array(cols).T, float(np.max(np.abs(jv)))
+    return np.array(cols).T
 
 
 def generator_case(dealias: bool):
@@ -346,12 +373,13 @@ def generator_case(dealias: bool):
 
 @pytest.mark.parametrize("dealias", [True, False], ids=["padded", "nodal"])
 def test_yosida_generator_is_symmetric_and_bounded_by_max_jv(dealias):
-    # scaled synthesis is an isometry from the band, truncated analysis its
-    # adjoint, 0 < J <= 1: H is symmetric and ||H||_2 <= max |J v|
+    # H = J S* diag(Jv) S J: scaled synthesis S is an isometry from the
+    # band, truncated analysis its adjoint S*, and ||J||_2 = max J < 1, so H
+    # is symmetric and ||H||_2 <= (max J)^2 max |J v|
     _, v, ker = generator_case(dealias)
-    H, jv_max = _dense_generator(ker, v)
+    H = _dense_generator(ker, v)
     assert np.max(np.abs(H - H.T)) <= 1e-15
-    assert np.linalg.norm(H, 2) <= jv_max
+    assert np.linalg.norm(H, 2) <= _flow_bound(ker, v)
 
 
 @pytest.mark.parametrize("dealias", [True, False], ids=["padded", "nodal"])
@@ -359,15 +387,30 @@ def test_substepped_yosida_flow_matches_the_dense_exponential(dealias):
     from scipy.linalg import expm
 
     u, v, ker = generator_case(dealias)
-    H, jv_max = _dense_generator(ker, v)
-    dt = 2.9 / jv_max  # beta = 2.9: three substeps
+    H = _dense_generator(ker, v)
+    dt = 2.9 / _flow_bound(ker, v)  # beta = 2.9: three substeps
     ker = dynamics._Kernels(ker.grid, replace(ker.params, dt=dt), dt)
-    assert ceil(dt * jv_max) == 3
+    assert ceil(dt * _flow_bound(ker, v)) == 3
     exact = (expm(-1j * dt * H) @ u.ravel()).reshape(u.shape)
     flowed = ker.potential_flow(u, v)
     norm0 = np.linalg.norm(u)
     assert np.linalg.norm(flowed - exact) <= 1e-13 * norm0
     assert abs(np.linalg.norm(flowed) - norm0) <= 1e-14 * norm0
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["padded", "nodal"])
+def test_yosida_flow_takes_ceil_beta_substeps(dealias):
+    # beta = |dt| (max J)^2 max |J v| = 2.9: the flow is the Taylor sum over
+    # exactly 3 substeps, where max |J v| alone would ask for more than 3
+    u, v, ker = generator_case(dealias)
+    dt = 2.9 / _flow_bound(ker, v)
+    ker = dynamics._Kernels(ker.grid, replace(ker.params, dt=dt), dt)
+    jv = coef_to_values(ker.grid, ker.jsym * v, ker.prod_shape)
+    assert ceil(dt * _flow_bound(ker, v)) == 3 < ceil(dt * np.max(np.abs(jv)))
+    flowed = ker.potential_flow(u, v)
+    for substeps in (2, 3, 4):
+        ref, _ = _taylor_reference(ker, u, v, substeps)
+        assert np.array_equal(flowed, ref) == (substeps == 3)
 
 
 def test_nodal_step_kernels_equal_their_written_out_formulas():
@@ -392,19 +435,20 @@ def test_nodal_step_kernels_equal_their_written_out_formulas():
 
 
 def test_strang_step_equals_manual_substep_composition():
-    # _Kernels.step is half wave, Schrodinger with v at the half step, half
-    # wave with the source refreshed from the new u
+    # _Kernels.step is half wave with the source it is given, Schrodinger
+    # with v at the half step, half wave with the source refreshed from the
+    # new u; it returns that source too
     st = standard_state(16)
     g = st.grid
     ker = kernel(g, 1e-2, eps=0.5)
     u, v, vt = st.u.coef, st.v.coef, st.vt.coef
     v1, vt1 = ker.wave_half(v, vt, intensity_coef(g, u))
     u1 = schrodinger_flow(ker, u, v1)
-    v2, vt2 = ker.wave_half(v1, vt1, intensity_coef(g, u1))
-    via = ker.step(u, v, vt)
-    assert np.array_equal(u1, via[0])
-    assert np.array_equal(v2, via[1])
-    assert np.array_equal(vt2, via[2])
+    f1 = intensity_coef(g, u1)
+    v2, vt2 = ker.wave_half(v1, vt1, f1)
+    via = ker.step(u, v, vt, intensity_coef(g, u))
+    for manual, stepped in zip((u1, v2, vt2, f1), via, strict=True):
+        assert np.array_equal(manual, stepped)
 
 
 def test_substep_composition_is_reversible():
@@ -414,8 +458,9 @@ def test_substep_composition_is_reversible():
     st = standard_state(16)
     g = st.grid
     eps, dt = 0.5, 1e-2
-    forward = kernel(g, dt, eps=eps).step(st.u.coef, st.v.coef, st.vt.coef)
-    ub, vb0, vtb0 = kernel(g, -dt, eps=eps).step(*forward)
+    ker = kernel(g, dt, eps=eps)
+    forward = ker.step(st.u.coef, st.v.coef, st.vt.coef, ker.wave_source(st.u.coef))
+    ub, vb0, vtb0, _ = kernel(g, -dt, eps=eps).step(*forward)
     assert np.max(np.abs(ub - st.u.coef)) < 1e-13
     assert np.max(np.abs(vb0 - st.v.coef)) < 1e-13
     assert np.max(np.abs(vtb0 - st.vt.coef)) < 1e-14
@@ -491,6 +536,42 @@ def test_checkpoints_returned_at_requested_times():
     assert np.array_equal(rec.checkpoints[0.0].u.coef, st.u.coef)
     for t_req, snap in rec.checkpoints.items():
         assert abs(snap.t - t_req) <= 1e-2 + 1e-12
+
+
+@pytest.mark.parametrize("yosida_n", [None, 8.0], ids=["nodal", "yosida"])
+def test_integrate_equals_a_loop_that_recomputes_the_wave_source(yosida_n):
+    # integrate hands each step the source the previous step closed with,
+    # across the kernel it rebuilds for the shortened last step too; a loop
+    # that forms wave_source(u) afresh at every step start must give the
+    # same final state, checkpoint and monitor rows bit for bit
+    st = standard_state(8)
+    params = SystemParams(eps=1.0, dt=1e-2, yosida_n=yosida_n)
+    T = 0.1037  # ten steps of dt and one of 0.0037
+    monitor = RunMonitor.from_state(st)
+    rec = integrate(st, T, params, monitor_stride=4, monitor=monitor, checkpoint_times=(0.05,))
+
+    start = prepare_initial_state(st, params)
+    u, v, vt = start.u.coef.astype(np.complex128), start.v.coef, start.vt.coef
+    ker, t = dynamics._Kernels(st.grid, params, params.dt), 0.0
+    states = [start]
+    for i in range(11):
+        if i == 10:
+            ker = dynamics._Kernels(st.grid, params, T - t)
+        u, v, vt, _ = ker.step(u, v, vt, ker.wave_source(u))
+        t = T if i == 10 else t + params.dt
+        states.append(dynamics._state_from_coef(st.grid, u, v, vt, t))
+
+    def same(a, b):
+        return a.t == b.t and all(
+            np.array_equal(x.coef, y.coef) for x, y in ((a.u, b.u), (a.v, b.v), (a.vt, b.vt))
+        )
+
+    assert same(rec.final_state, states[11])
+    assert list(rec.checkpoints) == [0.05] and same(rec.checkpoints[0.05], states[5])
+    rows = [monitor.row(states[i], params) for i in (0, 4, 8, 11)]
+    assert list(rec.series) == list(rows[0])
+    for key, column in rec.series.items():
+        assert np.array_equal(column, [row[key] for row in rows])
 
 
 def test_blowup_detected(monkeypatch):
