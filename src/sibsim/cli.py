@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid
-configuration or violated hypothesis (ValueError), or a config file or
-output directory the OS refuses (OSError), 3 numerical abort (non-finite
+configuration or violated hypothesis (ValueError), a config file or
+output directory the OS refuses (OSError), or a configuration too large
+for the host's memory (MemoryError), 3 numerical abort (non-finite
 values, a non-contracting fixed-point iteration, or a potential flow step
 too long for its potential: a nodal phase argument of 2**53 or more, or a
 Yosida step that would need more substeps than its budget; any
@@ -106,6 +107,10 @@ def main(argv=None) -> int:
         return command(config, quiet=args.quiet)
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the allocation: its size, shape and dtype
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return 2
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

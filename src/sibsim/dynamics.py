@@ -26,15 +26,8 @@ Two solvers:
   from the measured contraction, is below tol (Hairer and Wanner, Solving
   ODEs II, IV.8).
 
-The splitting evaluates its unregularized nonlinearities pointwise on the
-collocation nodes: the potential phase is then exactly unimodular, so
-charge is conserved to round-off, and the wave source shares the
-quadrature of the energy's coupling term, which keeps the energy drift a
-clean O(dt^2).  Products whose purpose is a band projection (the
-Yosida-wrapped terms and the Duhamel right-hand side P(v, u)) go through
-the padded grid when dealiasing is on; routing the stepper's own
-nonlinearities through it instead leaves a dt-independent floor in the
-energy drift and a slow leak in the charge.
+Both solvers take every symbol and product from `_Kernels`, which also
+decides where each nonlinear term is sampled.
 """
 
 from __future__ import annotations
@@ -48,11 +41,9 @@ import numpy as np
 from .grids import (
     Field,
     Grid2D,
-    coef_product,
     coef_to_values,
     field_from_coef,
     from_planes,
-    intensity_coef,
     to_planes,
     values_to_coef,
 )
@@ -250,9 +241,11 @@ _MAX_PHASE = 2.0**53
 class _Kernels:
     """Per-(grid, params, dt) precomputed symbols and product closures.
 
-    The one place the stepping symbols are written; each is a function of
-    -Laplacian, diagonal on sine coefficients, and `sibsim check` asserts
-    its identities and inequalities on these arrays:
+    The one place a symbol or a product of the system is written; the
+    stepper, the Picard oracle, the energy and `sibsim check` all read
+    them here.  Each symbol is a function of -Laplacian, diagonal on sine
+    coefficients, and `sibsim check` asserts its identities and
+    inequalities on these arrays:
 
         jsym       Yosida J_n = (1 - Laplacian/n)^(-1), symbol 1/(1 + lam/n),
                    None when params.yosida_n is unset; exactly 0 < J <= 1,
@@ -264,8 +257,36 @@ class _Kernels:
                    half-step flow of v'' = -omega^2 v
         phase_half exp(i dt/2 Laplacian), symbol exp(-i dt/2 lam)
 
-    dt = None builds no half-step tables: callers that take no step (the
-    Picard oracle, data smoothing) then skip their cos, sin and exp.
+    The half-step tables of a kernel built with dt = 2t are the free flows
+    over t, which is how the Picard oracle reads its flows over a panel
+    and half a panel.  dt = None builds none of them, for callers that
+    take no step (the energy, data smoothing).
+
+    The kernel also decides where each nonlinear term is sampled.  The
+    unregularized wave source and potential phase are sampled on the
+    collocation nodes: the phase is then exactly unimodular, so charge is
+    conserved to round-off, and the wave source shares the quadrature of
+    the energy's coupling term, which keeps the energy drift a clean
+    O(dt^2); the padded grid would leave a dt-independent floor in the
+    energy drift and a slow leak in the charge.  Products whose purpose is
+    a band projection (the Yosida-wrapped terms and the Duhamel right-hand
+    side P(v, u)) are sampled on prod_shape: when params.dealias is set, a
+    zero-padded grid with at least ceil(3N/2) modes per axis, which keeps
+    representable sine content of a product from folding back onto the
+    retained band.  The product of two sine polynomials is a cosine
+    polynomial whose sine re-expansion is an infinite series, so unlike
+    the periodic case the padded product is not the exact L2 projection
+    of the product; the deviation vanishes algebraically with resolution
+    and is quantified in the tests.
+
+    A product with a real factor keeps the complex factor's node values on
+    real and imaginary planes from its synthesis to its analysis, and the
+    Yosida Taylor sum keeps its whole sum there: multiplying planes by a
+    real field rounds exactly as the complex product does, so the split
+    and the merge of each complex transform are saved at no change in the
+    bits.  The nodal intensity |u|^2 and phase exp(-i dt v) u stay
+    complex, because numpy's complex arithmetic rounds them differently
+    from a planes formula.
     """
 
     def __init__(self, grid: Grid2D, params: SystemParams, dt: float | None):
@@ -283,35 +304,45 @@ class _Kernels:
         if dt is None:
             return
         # half-step wave rotation
-        self.cos_half = np.cos(0.5 * dt * w)
-        sin_half = np.sin(0.5 * dt * w)
+        self.cos_half, sin_half = self.wave_rotation(0.5 * dt)
         self.sinc_half = sin_half / w
         self.wsin_half = w * sin_half
         # half-step free Schrodinger phase
         self.phase_half = np.exp(-0.5j * dt * lam)
 
+    def wave_rotation(self, s, cos=None, sin=None):
+        """cos(s omega) and sin(s omega), into `cos` and `sin` when given:
+        the free wave flow over s is v(s) = cos(s omega) v + sin(s omega) /
+        omega vt.  s is a time, or an (n, 1, 1) column of times for n
+        tables at once."""
+        cos = np.multiply(self.w, s, out=cos)
+        sin = np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
+        return cos, sin
+
     # -- quadratic terms ----------------------------------------------------
 
-    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return coef_product(self.grid, a, b, self.prod_shape)
-
     def wave_source(self, u: np.ndarray) -> np.ndarray:
-        """|u|^2, Yosida-wrapped when configured: J |J u|^2.
-
-        Unregularized, the intensity is sampled on the collocation nodes,
-        the same quadrature the potential phase uses; the splitting then
-        conserves the reported energy to O(dt^2) instead of drifting onto a
-        dt-independent quadrature-mismatch floor.
-        """
-        if self.jsym is None:
-            return intensity_coef(self.grid, u)
-        return self.jsym * intensity_coef(self.grid, self.jsym * u, self.prod_shape)
+        """W(u) = |u|^2 on the collocation nodes, Yosida-wrapped when
+        configured: J |J u|^2 on prod_shape."""
+        j = self.jsym
+        if j is None:
+            vals = coef_to_values(self.grid, u)
+        else:
+            vals = coef_to_values(self.grid, j * u, self.prod_shape)
+        w = values_to_coef(self.grid, (vals * vals.conj()).real)
+        return w if j is None else j * w
 
     def coupled_product(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """P(v, u): J(Jv * Ju) when regularized, else the plain product."""
-        if self.jsym is None:
-            return self.product(v, u)
-        return self.jsym * self.product(self.jsym * v, self.jsym * u)
+        """P(v, u) for real v and complex u: J(Jv * Ju) when regularized,
+        else v*u, sampled on prod_shape."""
+        j = self.jsym
+        if j is not None:
+            v, u = j * v, j * u
+        vu = coef_to_values(self.grid, to_planes(u), self.prod_shape)
+        vu *= coef_to_values(self.grid, v, self.prod_shape)
+        p = from_planes(values_to_coef(self.grid, vu))
+        return p if j is None else j * p
 
     # -- substeps -----------------------------------------------------------
 
@@ -738,9 +769,6 @@ def picard_duhamel(
     state = prepare_initial_state(state0, params)
     grid = state.grid
     lam = grid.lam
-    ker = _Kernels(grid, params, None)
-    w = ker.w
-    w2 = ker.w2
 
     # Panel length: lam_max * h within what quad_nodes Lagrange points
     # resolve; 0.025 caps the contraction size.
@@ -751,6 +779,11 @@ def picard_duhamel(
     # the coarse level: the node count the cap asks for on this panel; it
     # starts the sweeps when it is at most half of quad_nodes
     coarse_nodes = max(_MIN_NODES, ceil(lam_max * h / _RADIANS_PER_NODE))
+    # the kernel of a step 2h: its half-step tables are the free flows over
+    # the panel
+    ker = _Kernels(grid, params, 2 * h)
+    w = ker.w
+    w2 = ker.w2
 
     def gauss(n):
         """The n Gauss-Legendre nodes on (0, h) and their weights."""
@@ -775,13 +808,6 @@ def picard_duhamel(
     Ia_end = np.empty_like(ps0)
     Ib_end = np.empty_like(ps0)
 
-    def wave_kernels(s, c, sc) -> None:
-        """cos(s w) into c and sin(s w)/w into sc, in place from s w in c."""
-        np.multiply(w, s, out=c)
-        np.sin(c, out=sc)
-        sc /= w
-        np.cos(c, out=c)
-
     half00 = 0.5 * lam[0, 0]
 
     def level(nodes, weights, cos, sinc):
@@ -793,8 +819,8 @@ def picard_duhamel(
         return _Level(nodes[:, None, None], exp_x, exp_y, weights, cos, sinc)
 
     nodes, full_w = gauss(quad_nodes)
-    cos_s, sinc_s = np.empty(stack), np.empty(stack)
-    wave_kernels(nodes[:, None, None], cos_s, sinc_s)
+    cos_s, sinc_s = ker.wave_rotation(nodes[:, None, None])
+    sinc_s /= w
     # rows 0..P-1 integrate up to each node, row P over the whole panel
     fine = level(nodes, np.vstack([_integration_weights(nodes, nodes), full_w]), cos_s, sinc_s)
     coarse = None
@@ -810,11 +836,13 @@ def picard_duhamel(
                 (2, coarse_nodes) + grid.shape
             ),
         )
-    cos_h, sin_h = np.cos(w * h), np.sin(w * h)
-    # the predictor's points h/2 and h, with the free flows over them
+    # the predictor's points h/2 and h, with the free flows over them: the
+    # half-step tables of the kernels of steps h and 2h
     points = [
-        (t, np.exp(-1j * lam * t), np.cos(t * w), np.sin(t * w) / w) for t in (0.5 * h, h)
+        (t, k.phase_half, k.cos_half, k.sinc_half)
+        for t, k in ((0.5 * h, _Kernels(grid, params, h)), (h, ker))
     ]
+    cos_h, sinc_h, wsin_h = ker.cos_half, ker.sinc_half, ker.wsin_half
 
     def fill_integrands(n) -> None:
         """P(v, u) and g from the iterates at the first n nodes."""
@@ -910,7 +938,8 @@ def picard_duhamel(
         else:
             # the predictor and one Jacobi sweep on the coarse level give
             # the first iterate at the fine nodes
-            wave_kernels(coarse.s, coarse.cos, coarse.sinc)
+            ker.wave_rotation(coarse.s, coarse.cos, coarse.sinc)
+            np.divide(coarse.sinc, w, out=coarse.sinc)
             predict(coarse)
             fill_integrands(coarse_nodes)
             for lo in range(0, grid.Nx, _GRID_ROWS):
@@ -955,11 +984,9 @@ def picard_duhamel(
         # of the converged sweep: like the last iterate, they come from the
         # integrands of the iterate one sweep earlier, so the panel end is
         # as close to the fixed point as the last iterate
-        phi = np.exp(-1j * lam * h) * (phi - 1j * Iu_end)
-        new_v = (
-            cos_h * ps0 + (sin_h / w) * ps1 + (sin_h / w) * Ia_end - cos_h * Ib_end
-        )
-        ps1 = -(w * sin_h) * ps0 + cos_h * ps1 + cos_h * Ia_end + (w * sin_h) * Ib_end
+        phi = ker.phase_half * (phi - 1j * Iu_end)
+        new_v = cos_h * ps0 + sinc_h * ps1 + sinc_h * Ia_end - cos_h * Ib_end
+        ps1 = -wsin_h * ps0 + cos_h * ps1 + cos_h * Ia_end + wsin_h * Ib_end
         ps0 = new_v
         t_now += h
 

@@ -21,6 +21,7 @@ print around it, and the tests call the same function:
 * _n_sweep (sweep-n): n-consecutive-differences-decreasing.
 * _order_test (order-test): splitting-second-order.
 * _symbol_assertions (check): the twelve spectral-symbol assertions;
+  _transform_assertions (check): transform-inverse and transform-parseval;
   cmd_check adds stored-c0-certified, which needs the 128^2 estimate.
 * cmd_estimate_c0 itself: estimator-converged.
 """
@@ -55,7 +56,14 @@ from .functionals import (
     h1_envelope_lhs,
     small_envelope_lhs,
 )
-from .grids import field_from_coef, h1_norm, make_grid, sobolev_norm
+from .grids import (
+    coef_to_values,
+    field_from_coef,
+    h1_norm,
+    make_grid,
+    sobolev_norm,
+    values_to_coef,
+)
 from .output import (
     checkpoint_name,
     file_checksums,
@@ -573,12 +581,45 @@ def _symbol_assertions(grid) -> list[Assertion]:
     return assertions
 
 
+def _transform_assertions(grid) -> list[Assertion]:
+    """Exactness of the transforms every product and norm goes through,
+    for random real and complex coefficients: analysis after synthesis is
+    the identity on the band, and the node sum keeps Parseval's identity
+    ||c||^2 = Lx Ly / ((Mx+1)(My+1)) sum |values|^2 over M nodes per axis.
+    Both are checked on the collocation nodes and on the product grid of
+    `grid` and of a fixed rectangle, 2pi x pi with 12 x 8 modes, where an
+    exchange of the axes shows."""
+    rng = np.random.default_rng(0)
+    worst = {"inverse": 0.0, "parseval": 0.0}
+    for g in (grid, make_grid(2 * math.pi, math.pi, 12, 8)):
+        for shape in (g.shape, _Kernels(g, SystemParams(), None).prod_shape):
+            for kind in ("real", "complex"):
+                c = rng.standard_normal(g.shape)
+                if kind == "complex":
+                    c = c + 1j * rng.standard_normal(g.shape)
+                vals = coef_to_values(g, c, shape)
+                sq = float(np.sum(np.abs(c) ** 2))
+                inverse = float(np.sum(np.abs(values_to_coef(g, vals) - c) ** 2))
+                node_sum = float(np.sum(np.abs(vals) ** 2)) * g.Lx * g.Ly
+                node_sum /= (shape[0] + 1) * (shape[1] + 1)
+                worst["inverse"] = max(worst["inverse"], math.sqrt(inverse / sq))
+                worst["parseval"] = max(worst["parseval"], abs(node_sum - sq) / sq)
+    what = {"inverse": "analysis(synthesis(c)) = c", "parseval": "node-sum Parseval identity"}
+    where = "1e-12 relative, on the nodes and product grid of the config grid and of 2pi x pi"
+    return [
+        Assertion(f"transform-{key}", err <= 1e-12, 1e-12 - err, f"{what[key]}, {where}")
+        for key, err in worst.items()
+    ]
+
+
 def cmd_check(config: RunConfig, quiet: bool = False) -> int:
-    """_symbol_assertions on the configured grid, plus the certification of
-    the stored default C0 (functionals.REFERENCE_C0), re-derived on its own
-    128^2 reference grid whatever the configured one."""
+    """_symbol_assertions and _transform_assertions on the configured grid,
+    plus the certification of the stored default C0
+    (functionals.REFERENCE_C0), re-derived on its own 128^2 reference grid
+    whatever the configured one."""
     os.makedirs(config.out_dir, exist_ok=True)
-    assertions = _symbol_assertions(build_grid(config))
+    grid = build_grid(config)
+    assertions = _symbol_assertions(grid) + _transform_assertions(grid)
 
     # the stored default C0 is certified only while it does not exceed a
     # fresh estimate on the grid it was derived on (read at call time)

@@ -25,21 +25,8 @@ the FFT, and scipy's dstn on the zero-padded array is used instead; scipy.fft
 is imported only then, because loading it would otherwise be the largest
 part of importing sibsim.  Both paths agree to round-off.
 
-Quadratic terms are evaluated pseudospectrally on a zero-padded grid with
-at least ceil(3N/2) modes per axis, which prevents representable sine
-content of a product from folding back onto the retained band.  Note that
-the product of two sine polynomials is a cosine polynomial whose sine
-re-expansion is an infinite series, so unlike the periodic case the padded
-product is not the exact L2 projection of the product; the deviation
-vanishes algebraically with resolution and is quantified in the tests.
-
-A padded product with one real factor keeps the other factor's node values
-on planes from its synthesis to its analysis, and the Yosida Taylor sum in
-dynamics keeps its whole sum there: multiplying planes by a real field
-rounds exactly as the complex product does, so the split and the merge of
-each complex transform are saved at no change in the bits.  The nodal
-stepper's intensity |u|^2 and phase exp(-i dt v) u stay complex, because
-numpy's complex arithmetic rounds them differently from a planes formula.
+Products of fields are not formed here: dynamics._Kernels decides where
+each nonlinear term is sampled and forms it from these transforms.
 """
 
 from __future__ import annotations
@@ -275,32 +262,6 @@ def _analysis(grid: Grid2D, values: np.ndarray) -> np.ndarray:
 
     coef = dstn(values, type=1, norm="ortho", axes=(-2, -1)) * _scale(grid.Lx, grid.Ly, shape)
     return coef[..., : grid.Nx, : grid.Ny]
-
-
-def coef_product(
-    grid: Grid2D, a: np.ndarray, b: np.ndarray, shape: tuple[int, int] | None = None
-) -> np.ndarray:
-    """Band coefficients of a*b from samples at the nodes of a grid with
-    `shape` modes per axis (default: the 3/2-padded grid).  When one
-    factor is real, the other's node values stay on planes from its
-    synthesis to the analysis."""
-    if shape is None:
-        shape = grid.pad_shape
-    if np.iscomplexobj(a) != np.iscomplexobj(b):
-        z, x = (a, b) if np.iscomplexobj(a) else (b, a)
-        vz = coef_to_values(grid, to_planes(z), shape)
-        vz *= coef_to_values(grid, x, shape)
-        return from_planes(values_to_coef(grid, vz))
-    va = coef_to_values(grid, a, shape)
-    vb = coef_to_values(grid, b, shape)
-    return values_to_coef(grid, va * vb)
-
-
-def intensity_coef(grid: Grid2D, u: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Band coefficients of |u|^2 from samples at the nodes of a grid with
-    `shape` modes per axis (default: the collocation nodes)."""
-    vals = coef_to_values(grid, u, shape)
-    return values_to_coef(grid, (vals * vals.conj()).real)
 
 
 def analyze(grid: Grid2D, samples: np.ndarray) -> Field:

@@ -3,12 +3,14 @@ change only on purpose."""
 
 import importlib
 import inspect
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 import sibsim
-from sibsim import dynamics
+from sibsim import dynamics, grids
 
 MODULES = (
     "sibsim",
@@ -114,3 +116,28 @@ def test_dynamics_imports_nothing_from_functionals():
     # the solver layer returns states; diagnostics come from a monitor
     # that the caller passes in, so the module does not even name them
     assert "functionals" not in inspect.getsource(dynamics)
+
+
+def test_the_stepping_kernel_owns_every_symbol_and_product():
+    # grids keeps the transforms and norms; only dynamics._Kernels forms a
+    # product of fields or decides where one is sampled (pad_shape), and
+    # the Picard oracle reads its free flows from kernel tables, forming
+    # only the per-axis factors of its phases exp(i lam s)
+    assert [name for name in vars(grids) if "product" in name or "intensity" in name] == []
+    assert not hasattr(dynamics._Kernels, "product")
+    readers = {
+        path.name
+        for path in Path(sibsim.__file__).parent.glob("*.py")
+        if ".pad_shape" in path.read_text()
+    }
+    assert readers == {"dynamics.py"}
+    kernel = inspect.getsource(dynamics._Kernels)
+    assert ".pad_shape" in kernel
+    assert ".pad_shape" not in inspect.getsource(dynamics).replace(kernel, "")
+    oracle = inspect.getsource(dynamics.picard_duhamel)
+    calls = [
+        line.split("=")[0].strip()
+        for line in oracle.splitlines()
+        if re.search(r"np\.(cos|sin|exp)\b", line)
+    ]
+    assert calls == ["exp_x", "exp_y"]

@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,20 @@ def test_os_error_on_config_or_out_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration: ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # a grid too large for the host is invalid input, not a failed
+    # assertion; the allocation is refused by a stand-in, never attempted
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sibsim.config, "make_grid", refuse)
+    cfg = write(tmp_path, "[grid]\nnx = 100000\nny = 100000\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", "run"]) == 2
+    assert capsys.readouterr().err == f"out of memory: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -494,7 +509,20 @@ def test_check_certifies_the_stored_c0(tmp_path, monkeypatch):
     code, manifest = run_quietly(tmp_path, GRID_8, "check")
     failed = [a["name"] for a in manifest["assertions"] if not a["passed"]]
     assert code == 1 and failed == ["stored-c0-certified"]
-    assert len(manifest["assertions"]) == 13
+    assert len(manifest["assertions"]) == 15
+
+
+def test_check_catches_an_axis_swap_in_the_synthesis(tmp_path, monkeypatch, capsys):
+    # the y-axis synthesis built with Lx in place of Ly: the default square
+    # grid cannot see it, the check's fixed rectangle does
+    synthesis = sibsim.grids._synthesis
+    monkeypatch.setattr(
+        sibsim.grids, "_synthesis", lambda g, c, shape: synthesis(replace(g, Ly=g.Lx), c, shape)
+    )
+    assert main(["--out", str(tmp_path / "o"), "--quiet", "check"]) == 1
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    failed = [a["name"] for a in manifest["assertions"] if not a["passed"]]
+    assert failed == ["transform-inverse", "transform-parseval"]
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +584,32 @@ def command_fault(command, patch):
     return case
 
 
+def transform_fault(patch):
+    """_transform_assertions on 8^2 after patch(monkeypatch)."""
+
+    def case(monkeypatch, tmp_path):
+        patch(monkeypatch)
+        return experiments._transform_assertions(sibsim.make_grid(np.pi, np.pi, 8, 8))
+
+    return case
+
+
+def scaled(name, factor):
+    """A patch that scales every result of the grids transform `name`."""
+
+    def patch(monkeypatch):
+        transform = getattr(sibsim.grids, name)
+        monkeypatch.setattr(sibsim.grids, name, lambda *args: transform(*args) * factor)
+
+    return patch
+
+
+def non_isometric(monkeypatch):
+    # synthesis doubled and analysis halved still invert each other
+    scaled("_synthesis", 2.0)(monkeypatch)
+    scaled("_analysis", 0.5)(monkeypatch)
+
+
 def lifted_norm_off(monkeypatch):
     monkeypatch.setattr(experiments, "h1_norm", lambda f: sibsim.grids.h1_norm(f) * (1 + 1e-9))
 
@@ -588,6 +642,8 @@ FAULTS = [
     ("wave-kernel-first-integral", symbol_fault(table("cos_half", lambda c: c * (1 + 1e-12)))),
     ("source-symbol-consistency", symbol_fault(table("w2", lambda w2: w2 * (1 + 1e-12)))),
     ("lifted-inverse-norm-identity", symbol_fault(lifted_norm_off)),
+    ("transform-inverse", transform_fault(scaled("_analysis", 1 + 1e-9))),
+    ("transform-parseval", transform_fault(non_isometric)),
     (
         "stored-c0-certified",
         command_fault("check", lambda mp: mp.setattr(functionals, "REFERENCE_C0", 0.42)),
