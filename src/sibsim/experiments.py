@@ -17,8 +17,10 @@ print around it, and the tests call the same function:
 * _series_assertions (run): charge-conservation, h1-envelope-domination,
   small-data-envelope and gn-quotient-bound, from a monitored series;
   _energy_drift is run's reported energy drift.
-* _eps_sweep (sweep-eps): eps-difference-decreasing.
-* _n_sweep (sweep-n): n-consecutive-differences-decreasing.
+* _eps_sweep (sweep-eps): eps-difference-decreasing and
+  member-charge-conservation.
+* _n_sweep (sweep-n): n-consecutive-differences-decreasing and
+  member-charge-conservation.
 * _order_test (order-test): splitting-second-order.
 * _symbol_assertions (check): the twelve spectral-symbol assertions;
   _transform_assertions (check): transform-inverse and transform-parseval;
@@ -34,7 +36,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__, functionals
 from .config import RunConfig, build_grid, build_initial_state, build_params
@@ -50,6 +51,7 @@ from .dynamics import (
 from .functionals import (
     RunMonitor,
     cauchy_metric,
+    charge,
     difference_metric,
     envelope_h1,
     estimate_gn_constant,
@@ -133,7 +135,6 @@ def _manifest_base(command: str, config: RunConfig, monitor: RunMonitor | None =
         "versions": {
             "sibsim": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     if monitor is not None:
@@ -190,20 +191,35 @@ def _energy_drift(series: dict) -> float:
     return float(np.max(np.abs(energies - energies[0])) / max(abs(energies[0]), 1e-300))
 
 
+def _charge_drift(charges) -> float:
+    """Largest change of the charge from its first value, relative to it
+    (absolute when the first value is 0)."""
+    charges = np.asarray(charges)
+    change = np.max(np.abs(charges - charges[0]))
+    return float(change / charges[0] if charges[0] > 0 else change)
+
+
+def _charge_conserved(name: str, drift: float, detail: str) -> Assertion:
+    """The charge drifts by at most 1e-10, relative."""
+    return Assertion(name, drift <= 1e-10, 1e-10 - drift, detail)
+
+
+def _member_drift(state0: State, final: State, params: SystemParams) -> float:
+    """_charge_drift of one sweep member, from its data as `params` prepares
+    them to its final state."""
+    return _charge_drift([charge(prepare_initial_state(state0, params)), charge(final)])
+
+
+def _members_conserve_charge(drifts: list[float]) -> Assertion:
+    """member-charge-conservation over the drifts of a sweep's members."""
+    worst = max(drifts)
+    detail = f"largest relative drift {worst:.3e} over {len(drifts)} members"
+    return _charge_conserved("member-charge-conservation", worst, detail)
+
+
 def _series_assertions(series: dict, eps: float, monitor: RunMonitor) -> list[Assertion]:
-    charge = series["charge"]
-    if charge[0] > 0:
-        drift = float(np.max(np.abs(charge - charge[0])) / charge[0])
-    else:
-        drift = float(np.max(np.abs(charge)))
-    out = [
-        Assertion(
-            "charge-conservation",
-            drift <= 1e-10,
-            1e-10 - drift,
-            f"relative drift {drift:.3e}",
-        )
-    ]
+    drift = _charge_drift(series["charge"])
+    out = [_charge_conserved("charge-conservation", drift, f"relative drift {drift:.3e}")]
 
     lhs_h1 = h1_envelope_lhs(series)
     env = _envelope_h1(series, monitor)
@@ -295,8 +311,9 @@ def cmd_run(config: RunConfig, quiet: bool = False) -> int:
 
 def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
     """Run the eps = 0 reference and every eps of eps_list, sampled at
-    _sample_times; the monitor of the data, the reports and the
-    eps-difference-decreasing assertion."""
+    _sample_times; the monitor of the data, the reports (with each member's
+    charge drift) and the eps-difference-decreasing and
+    member-charge-conservation assertions."""
     eps_values = tuple(sorted(set(config.eps_list), reverse=True))
     if len(eps_values) < 2:
         raise ValueError(
@@ -313,16 +330,17 @@ def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
 
     samples = _sample_times(config)
 
-    def states_at_samples(eps: float) -> dict:
+    def states_at_samples(eps: float) -> tuple[dict, float]:
         params = build_params(config, eps=eps)
-        return integrate(state0, config.T, params, checkpoint_times=samples).checkpoints
+        record = integrate(state0, config.T, params, checkpoint_times=samples)
+        return record.checkpoints, _member_drift(state0, record.final_state, params)
 
-    reference = states_at_samples(0.0)
-
-    def sup_difference(member: dict) -> float:
-        return max(difference_metric(member[t], reference[t]) for t in samples)
-
-    sups = [sup_difference(states_at_samples(eps)) for eps in eps_values]
+    reference = states_at_samples(0.0)[0]
+    sups, drifts = [], []
+    for eps in eps_values:
+        member, drift = states_at_samples(eps)
+        sups.append(max(difference_metric(member[t], reference[t]) for t in samples))
+        drifts.append(drift)
     # log(0) is undefined, so an eps = 0 member stays out of the log-log fit
     fit = [(e, s) for e, s in zip(eps_values, sups) if e > 0]
     if len(fit) >= 2:
@@ -332,9 +350,15 @@ def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
         )
     else:
         slope = math.nan
-    reports = {"eps": list(eps_values), "sup_metric": sups, "fitted_slope": slope}
+    reports = {
+        "eps": list(eps_values),
+        "sup_metric": sups,
+        "fitted_slope": slope,
+        "charge_drift": drifts,
+    }
     detail = "sup metric strictly decreasing as eps decreases"
-    return monitor, reports, [_decreasing("eps-difference-decreasing", sups, detail)]
+    trend = _decreasing("eps-difference-decreasing", sups, detail)
+    return monitor, reports, [trend, _members_conserve_charge(drifts)]
 
 
 def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
@@ -363,8 +387,9 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
 
 def _n_sweep(config: RunConfig) -> tuple[RunMonitor, State, dict, list[Assertion]]:
     """Run the unregularized reference and every n of n_list to T; the
-    monitor of the data, the reference's final state, the reports and the
-    n-consecutive-differences-decreasing assertion."""
+    monitor of the data, the reference's final state, the reports (with
+    each member's charge drift) and the n-consecutive-differences-decreasing
+    and member-charge-conservation assertions."""
     n_values = tuple(sorted(set(config.n_list)))
     if len(n_values) < 3:
         raise ValueError(
@@ -373,18 +398,24 @@ def _n_sweep(config: RunConfig) -> tuple[RunMonitor, State, dict, list[Assertion
 
     state0, monitor = _start(config, build_params(config, yosida_n=None))
 
-    def final_state(n: int | None) -> State:
-        return integrate(state0, config.T, build_params(config, yosida_n=n)).final_state
-
-    reference = final_state(None)
-    finals = [final_state(n) for n in n_values]
+    reference = integrate(state0, config.T, build_params(config, yosida_n=None)).final_state
+    finals, drifts = [], []
+    for n in n_values:
+        params = build_params(config, yosida_n=n)
+        finals.append(integrate(state0, config.T, params).final_state)
+        drifts.append(_member_drift(state0, finals[-1], params))
     diffs = [cauchy_metric(a, b) for a, b in zip(finals, finals[1:])]
     dists = [cauchy_metric(f, reference) for f in finals]
-    reports = {"n": list(n_values), "diff_consecutive": diffs, "dist_unregularized": dists}
+    reports = {
+        "n": list(n_values),
+        "diff_consecutive": diffs,
+        "dist_unregularized": dists,
+        "charge_drift": drifts,
+    }
     trend = _decreasing(
         "n-consecutive-differences-decreasing", diffs, "Cauchy trend along doubling n"
     )
-    return monitor, reference, reports, [trend]
+    return monitor, reference, reports, [trend, _members_conserve_charge(drifts)]
 
 
 def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
@@ -418,7 +449,8 @@ def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
 
 
 def _random_coef(grid, rng, kind="real") -> np.ndarray:
-    decay = np.exp(-0.005 * grid.lam)
+    # decay on the grid's own scale: the field is nonzero however large lam is
+    decay = np.exp(-0.01 * grid.lam / grid.lam[0, 0])
     coef = rng.standard_normal(grid.shape) * decay
     if kind == "complex":
         coef = coef + 1j * rng.standard_normal(grid.shape) * decay

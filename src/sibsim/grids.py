@@ -10,20 +10,19 @@ l = 1..Ny.  Transforms between interior-node samples and coefficients are
 DST-I with orthonormal scaling, which makes Parseval exact:  the l2 norm of
 the coefficient array equals the L2(Omega) norm of the represented function.
 
-Up to DENSE_MAX_EDGE nodes per axis the transforms are applied as two dense
-matrix products (the matrix form of spectral collocation): synthesis on an
-M-node grid is A_x @ c @ A_y.T with A[j-1, k-1] = e_k(x_j) the M x N block
-of the sine basis at the nodes, so zero-padding is implicit, and analysis
-computes only the N retained rows.  The matrices, and the right factors
-as contiguous transposes, are built once per (M, N, L) and the products
-run as real BLAS gemm on real arrays or on a (2, ., .) stack of real and
-imaginary planes; a complex array is split into planes on entry and
-merged on exit.  Small grids are where this pays:
-at the 3/2-padded sizes used here the FFT length 2(M+1) has a large prime
-factor (2*97 at 96 nodes).  Above the cutoff the O(M N^2) products lose to
-the FFT, and scipy's dstn on the zero-padded array is used instead; scipy.fft
-is imported only then, because loading it would otherwise be the largest
-part of importing sibsim.  Both paths agree to round-off.
+The transforms are applied as two dense matrix products (the matrix form
+of spectral collocation): synthesis on an M-node grid is A_x @ c @ A_y.T
+with A[j-1, k-1] = e_k(x_j) the M x N block of the sine basis at the
+nodes, so zero-padding is implicit, and analysis computes only the N
+retained rows.  The matrices, and the right factors as contiguous
+transposes, are built once per (M, N, L) and the products run as real BLAS
+gemm on real arrays or on a (2, ., .) stack of real and imaginary planes;
+a complex array is split into planes on entry and merged on exit.  At the
+3/2-padded and 2x-refined sizes used here an FFT of length 2(M+1) has a
+large prime factor (2*97 at 96 nodes, 2*577 at 576), and the products beat
+an FFT-based DST-I of the zero-padded array at every such size measured, up
+to 2048 nodes; the FFT wins only on a power-of-two band above 400 modes,
+which nothing here transforms.
 
 Products of fields are not formed here: dynamics._Kernels decides where
 each nonlinear term is sampled and forms it from these transforms.
@@ -49,16 +48,6 @@ __all__ = [
 
 #: Sobolev exponents for which coefficient-space norms are defined here.
 SOBOLEV_EXPONENTS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-
-#: Largest node count per axis transformed by dense matrix products; larger
-#: transforms use the FFT.  Complex square transforms between a band of N
-#: modes and M = 3N/2 nodes, one OpenBLAS thread, 2-core Xeon: the products
-#: took 0.07 to 0.2 of dstn's time at M = 192, 256 and 400 (2(M+1) has the
-#: prime factor 193, 257 or 401), 0.4 to 0.7 at M = 300 and 450, 0.85 to 1
-#: at M = 383 (2(M+1) = 768), and lost the analysis at M = 511 (1024
-#: points), 19 ms against 12 ms.
-DENSE_MAX_EDGE = 400
-
 
 @dataclass(frozen=True, eq=False)
 class Grid2D:
@@ -102,15 +91,23 @@ def make_grid(Lx: float, Ly: float, Nx: int, Ny: int) -> Grid2D:
     """Build the spectral grid, precomputing eigenvalues and nodes.
 
     Raises:
-        ValueError: if a side length or mode count is not positive.
+        ValueError: if a side length or mode count is not positive, or the
+            largest eigenvalue or the inverse of the smallest overflows.
     """
     if not (Lx > 0 and Ly > 0):
         raise ValueError(f"side lengths must be positive, got Lx={Lx}, Ly={Ly}")
     if not (Nx >= 1 and Ny >= 1):
         raise ValueError(f"mode counts must be positive, got Nx={Nx}, Ny={Ny}")
-    kx = np.arange(1, Nx + 1) * np.pi / Lx
-    ky = np.arange(1, Ny + 1) * np.pi / Ly
-    lam = kx[:, None] ** 2 + ky[None, :] ** 2
+    with np.errstate(over="ignore", divide="ignore"):
+        kx = np.arange(1, Nx + 1) * np.pi / Lx
+        ky = np.arange(1, Ny + 1) * np.pi / Ly
+        lam = kx[:, None] ** 2 + ky[None, :] ** 2
+        in_range = np.isfinite(lam[-1, -1]) and np.isfinite(1.0 / lam[0, 0])
+    if not in_range:
+        raise ValueError(
+            f"Laplacian eigenvalues leave the float range on Lx={Lx}, Ly={Ly} "
+            f"with {Nx} x {Ny} modes"
+        )
     x = np.arange(1, Nx + 1) * (Lx / (Nx + 1))
     y = np.arange(1, Ny + 1) * (Ly / (Ny + 1))
     for arr in (lam, x, y):
@@ -143,12 +140,6 @@ def field_from_coef(grid: Grid2D, coef: np.ndarray) -> Field:
         )
     dtype = np.complex128 if np.iscomplexobj(coef) else np.float64
     return Field(grid, coef.astype(dtype, copy=False))
-
-
-def _scale(Lx: float, Ly: float, shape: tuple[int, int]) -> float:
-    # DST-I (ortho) maps samples to sqrt((N+1)/L)-scaled coefficients; this
-    # factor converts to the L2-orthonormal basis.
-    return sqrt(Lx * Ly / ((shape[0] + 1) * (shape[1] + 1)))
 
 
 def _sines(M: int, N: int) -> np.ndarray:
@@ -229,17 +220,9 @@ def _synthesis(grid: Grid2D, coef: np.ndarray, shape: tuple[int, int] | None) ->
         shape = grid.shape
     if shape[0] < band[0] or shape[1] < band[1]:
         raise ValueError("synthesis grid must be at least as fine as the band")
-    if max(shape) <= DENSE_MAX_EDGE:
-        ax = _synthesis_matrix(shape[0], band[0], grid.Lx)
-        ay_t = _transposed(_synthesis_matrix, shape[1], band[1], grid.Ly)
-        return _dense(ax, coef, ay_t)
-    from scipy.fft import dstn  # loaded only above the cutoff
-
-    if shape != band:
-        padded = np.zeros(coef.shape[:-2] + tuple(shape))
-        padded[..., : band[0], : band[1]] = coef
-        coef = padded
-    return dstn(coef, type=1, norm="ortho", axes=(-2, -1)) / _scale(grid.Lx, grid.Ly, shape)
+    ax = _synthesis_matrix(shape[0], band[0], grid.Lx)
+    ay_t = _transposed(_synthesis_matrix, shape[1], band[1], grid.Ly)
+    return _dense(ax, coef, ay_t)
 
 
 def values_to_coef(grid: Grid2D, values: np.ndarray) -> np.ndarray:
@@ -254,14 +237,9 @@ def values_to_coef(grid: Grid2D, values: np.ndarray) -> np.ndarray:
 def _analysis(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     """values_to_coef of a real array or a planes stack."""
     shape = values.shape[-2:]
-    if max(shape) <= DENSE_MAX_EDGE:
-        bx = _analysis_matrix(shape[0], min(grid.Nx, shape[0]), grid.Lx)
-        by_t = _transposed(_analysis_matrix, shape[1], min(grid.Ny, shape[1]), grid.Ly)
-        return _dense(bx, values, by_t)
-    from scipy.fft import dstn  # loaded only above the cutoff
-
-    coef = dstn(values, type=1, norm="ortho", axes=(-2, -1)) * _scale(grid.Lx, grid.Ly, shape)
-    return coef[..., : grid.Nx, : grid.Ny]
+    bx = _analysis_matrix(shape[0], min(grid.Nx, shape[0]), grid.Lx)
+    by_t = _transposed(_analysis_matrix, shape[1], min(grid.Ny, shape[1]), grid.Ly)
+    return _dense(bx, values, by_t)
 
 
 def analyze(grid: Grid2D, samples: np.ndarray) -> Field:

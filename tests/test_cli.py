@@ -42,6 +42,9 @@ def write(tmp_path, text, name="case.ini"):
 
 GRID_8 = "[grid]\nnx = 8\nny = 8\n"
 
+#: The environment of a command run in a process of its own.
+SRC_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sibsim.__file__)))
+
 
 def run_quietly(tmp_path, text, *argv):
     """Exit code and manifest of the command `argv` on the INI `text`, with
@@ -49,6 +52,16 @@ def run_quietly(tmp_path, text, *argv):
     cfg = write(tmp_path, text)
     code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", *argv])
     return code, json.loads((tmp_path / "o" / "manifest.json").read_text())
+
+
+def cli_process(tmp_path, text, *argv):
+    """`python -m sibsim.cli` on the INI `text` in a process of its own,
+    whose stderr pytest does not capture away."""
+    cfg = write(tmp_path, text)
+    return subprocess.run(
+        [sys.executable, "-m", "sibsim.cli", "--config", cfg, "--out", str(tmp_path / "o"), *argv],
+        env=SRC_ENV, capture_output=True, text=True, timeout=60,
+    )
 
 
 def test_run_standard_small(tmp_path):
@@ -155,12 +168,7 @@ def test_config_syntax_warning_leaves_one_stderr_line(tmp_path, expr):
     # The compiler writes a SyntaxWarning for such a literal straight to
     # stderr, past pytest's capture (which only records warnings), so the
     # command runs in a process of its own.
-    cfg = write(tmp_path, f"[grid]\nlx = {expr}\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sibsim.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sibsim.cli", "--config", cfg, "--out", str(tmp_path / "o"), "run"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = cli_process(tmp_path, f"[grid]\nlx = {expr}\n", "run")
     assert proc.returncode == 2
     assert proc.stderr.startswith("invalid configuration: ")
     assert len(proc.stderr.splitlines()) == 1
@@ -169,14 +177,49 @@ def test_config_syntax_warning_leaves_one_stderr_line(tmp_path, expr):
 def test_data_norm_past_the_float_range_leaves_one_stderr_line(tmp_path):
     # |c|^2 = 1e310 overflows; numpy prints its RuntimeWarning straight to
     # stderr outside pytest, so the command runs in a process of its own
-    cfg = write(tmp_path, "[data]\nphi_modes = 1 1 1e155\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sibsim.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sibsim.cli", "--config", cfg, "--out", str(tmp_path / "o"), "run"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = cli_process(tmp_path, "[data]\nphi_modes = 1 1 1e155\n", "run")
     assert proc.returncode == 2
     assert proc.stderr == "invalid configuration: data norm l2_phi must be finite and nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "text, command, code, prefix",
+    [
+        (GRID_8 + "[data]\nphi = 1e200*sin(x)*sin(y)\n", "order-test", 3, "numerical abort: "),
+        (GRID_8 + "lx = 1e-300\n", "run", 2, "invalid configuration: "),
+    ],
+    ids=["overflowing-data", "overflowing-eigenvalues"],
+)
+def test_floating_point_trouble_leaves_one_stderr_line(tmp_path, text, command, code, prefix):
+    # numpy's overflow and invalid-value warnings would print before the
+    # error line; the solvers and make_grid name the failure themselves
+    proc = cli_process(tmp_path, text, command)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(prefix)
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("side", ["1e-300", "1e200"], ids=["overflow", "underflow"])
+@pytest.mark.parametrize(
+    "command", ["run", "check", "sweep-eps", "sweep-n", "estimate-c0", "order-test"]
+)
+def test_every_command_refuses_eigenvalues_out_of_range(tmp_path, capsys, command, side):
+    # (8 pi / 1e-300)^2 is past the float range, and (pi / 1e200)^2 is 0
+    cfg = write(tmp_path, GRID_8 + f"lx = {side}\nly = {side}\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet", command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: Laplacian eigenvalues leave the float range")
+    assert len(err.splitlines()) == 1
+
+
+def test_check_on_a_tiny_domain_reaches_its_verdicts(tmp_path, capsys):
+    # lam is about 1e301 here: fields whose decay is taken against lam
+    # itself would be zero, and their relative errors would divide by zero
+    cfg = write(tmp_path, GRID_8 + "lx = 1e-150\nly = 1e-150\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "check"]) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 15
+    assert all(line.startswith(("[PASS] ", "[FAIL] ")) for line in lines)
 
 
 @pytest.mark.parametrize(
@@ -241,15 +284,20 @@ def test_import_keeps_step_temporaries_mapped_unless_malloc_tuned(preset, many_f
         assert faults < 200
 
 
-def test_cli_import_leaves_scipy_fft_unloaded():
-    # dstn serves only grids above grids.DENSE_MAX_EDGE nodes per axis
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sibsim.__file__)))
-    code = "import sys, sibsim.cli; print([m for m in sys.modules if m.startswith('scipy.fft')])"
+def test_cli_run_loads_no_scipy(tmp_path):
+    # numpy is sibsim's one runtime dependency; scipy serves only the tests
+    cfg = write(tmp_path, GRID_8 + "[run]\nt = 0.01\n")
+    code = (
+        "import sys, sibsim.cli\n"
+        f"code = sibsim.cli.main(['--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}, "
+        "'--quiet', 'run'])\n"
+        "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_missing_smallness_hypothesis_exits_2(tmp_path, capsys):
@@ -563,6 +611,17 @@ def sweep_fault(sweep, metric):
     return case
 
 
+def growing_charge(sweep):
+    """The assertions of sweep on 8^2 to t = 0.02 with a charge that grows
+    like 1 + t."""
+
+    def case(monkeypatch, tmp_path):
+        monkeypatch.setattr(experiments, "charge", lambda st: functionals.charge(st) * (1 + st.t))
+        return sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-1]
+
+    return case
+
+
 def symbol_fault(patch):
     """_symbol_assertions on 8^2 after patch(monkeypatch)."""
 
@@ -627,6 +686,7 @@ FAULTS = [
     ("gn-quotient-bound", series_fault(edit("gn_quotient", 0.5))),
     ("eps-difference-decreasing", sweep_fault(experiments._eps_sweep, "difference_metric")),
     ("n-consecutive-differences-decreasing", sweep_fault(experiments._n_sweep, "cauchy_metric")),
+    ("member-charge-conservation", growing_charge(experiments._n_sweep)),
     ("splitting-second-order", sweep_fault(experiments._order_test, "difference_metric")),
     ("yosida-symbol-contraction", symbol_fault(table("jsym", set_entry((0, 0), 1.5)))),
     # the top mode unregularized: sqrt(lam_max) = sqrt(128) exceeds sqrt(n) for n < 128
@@ -656,6 +716,16 @@ FAULTS = [
 def test_every_assertion_fails_on_its_fault(monkeypatch, tmp_path, name, fault):
     verdicts = {a.name: a for a in fault(monkeypatch, tmp_path)}
     assert verdicts[name].passed is False, verdicts[name].line()
+
+
+@pytest.mark.parametrize("sweep", [experiments._eps_sweep, experiments._n_sweep], ids=["eps", "n"])
+def test_each_sweep_member_checks_its_own_charge(monkeypatch, tmp_path, sweep):
+    reports = sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-2]
+    members = reports["eps"] if sweep is experiments._eps_sweep else reports["n"]
+    assert len(reports["charge_drift"]) == len(members)
+    assert max(reports["charge_drift"]) <= 1e-10
+    verdicts = {a.name: a for a in growing_charge(sweep)(monkeypatch, tmp_path)}
+    assert verdicts["member-charge-conservation"].passed is False
 
 
 def test_infinite_envelope_leaves_the_finite_samples_checked(monkeypatch, tmp_path):
