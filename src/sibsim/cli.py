@@ -16,8 +16,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import experiments
 from .config import load_config
 from .dynamics import NumericalAbort
@@ -97,6 +95,7 @@ def main(argv=None) -> int:
         if name in ("out_dir", "eps_list", "n_list", "dt_list") and value
     }
     try:
+        config = replace(load_config(args.config), **overrides)
         command = {
             "run": experiments.cmd_run,
             "check": experiments.cmd_check,
@@ -105,11 +104,7 @@ def main(argv=None) -> int:
             "estimate-c0": experiments.cmd_estimate_c0,
             "order-test": experiments.cmd_order_test,
         }[args.command]
-        # the solvers name a non-finite value themselves, so numpy's
-        # floating-point warnings would only add lines to stderr
-        with np.errstate(all="ignore"):
-            config = replace(load_config(args.config), **overrides)
-            return command(config, quiet=args.quiet)
+        return command(config, quiet=args.quiet)
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

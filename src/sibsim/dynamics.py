@@ -540,7 +540,8 @@ def integrate(
     n_steps = max(1, ceil(T / dt - 1e-12))
     t0 = state.t
     u, v, vt = state.u.coef.astype(np.complex128), state.v.coef, state.vt.coef
-    f = ker.wave_source(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bad f shows in step 1's u
+        f = ker.wave_source(u)
 
     rows: list[dict[str, float]] = []
     checkpoints: dict[float, State] = {}
@@ -567,20 +568,24 @@ def integrate(
     t = t0
     while pending and pending[0] <= t0 + 1e-12:
         checkpoints[pending.pop(0)] = keep(t0, 0)
-    for i in range(n_steps):
-        step_dt = dt
-        if i == n_steps - 1:
-            step_dt = (t0 + T) - t
-            if abs(step_dt - dt) > 1e-12 * dt:
-                ker = _Kernels(state.grid, params, step_dt)
-        u, v, vt, f = ker.step(u, v, vt, f)
-        t = t0 + T if i == n_steps - 1 else t + dt
-        if not np.isfinite(u[0, 0]):
-            raise BlowupError(t_finite, i + 1, "u")
-        if monitor is not None and ((i + 1) % monitor_stride == 0 or i == n_steps - 1):
-            keep(t, i + 1, row=True)
-        while pending and pending[0] <= t + 1e-12:
-            checkpoints[pending.pop(0)] = keep(t, i + 1)
+    # each step's u, every kept state and every monitor row is checked for
+    # finiteness below, so a divergence names itself; numpy's overflow and
+    # invalid-value warnings on the way there would only add stderr lines
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            step_dt = dt
+            if i == n_steps - 1:
+                step_dt = (t0 + T) - t
+                if abs(step_dt - dt) > 1e-12 * dt:
+                    ker = _Kernels(state.grid, params, step_dt)
+            u, v, vt, f = ker.step(u, v, vt, f)
+            t = t0 + T if i == n_steps - 1 else t + dt
+            if not np.isfinite(u[0, 0]):
+                raise BlowupError(t_finite, i + 1, "u")
+            if monitor is not None and ((i + 1) % monitor_stride == 0 or i == n_steps - 1):
+                keep(t, i + 1, row=True)
+            while pending and pending[0] <= t + 1e-12:
+                checkpoints[pending.pop(0)] = keep(t, i + 1)
 
     series = {key: np.array([r[key] for r in rows]) for key in (rows[0] if rows else ())}
     return TrajectoryRecord(series, keep(t, n_steps), checkpoints)

@@ -22,7 +22,11 @@ a complex array is split into planes on entry and merged on exit.  At the
 large prime factor (2*97 at 96 nodes, 2*577 at 576), and the products beat
 an FFT-based DST-I of the zero-padded array at every such size measured, up
 to 2048 nodes; the FFT wins only on a power-of-two band above 400 modes,
-which nothing here transforms.
+which nothing here transforms.  The price is O(M^2 N) time per M^2-node
+transform and 8 M N bytes per cached matrix, up to four per size and axis;
+past 2048 nodes neither was measured (a 4096^2 grid would cache about
+2 GB), so a larger workload needs a benchmark before an FFT path comes
+back.
 
 Products of fields are not formed here: dynamics._Kernels decides where
 each nonlinear term is sampled and forms it from these transforms.
