@@ -33,7 +33,7 @@ decides where each nonlinear term is sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf
+from math import ceil, factorial, inf
 from typing import NamedTuple
 
 import numpy as np
@@ -237,6 +237,67 @@ _MAX_SUBSTEPS = 1000
 # rounding error.
 _MAX_PHASE = 2.0**53
 
+# Largest nodal phase argument beta = |dt| * max|v| whose cos and sin are
+# summed as Taylor polynomials instead of by libm; up to it the tail rule
+# asks for degree 10 at most.
+_TAYLOR_PHASE = 0.125
+
+# Every Taylor sum here stops once its tail is proven below this bound,
+# relative to the norm of what it flows (1 for the unimodular nodal phase).
+_TAYLOR_TOL = 1e-17
+
+# (-1)^j / (2j)! and (-1)^j / (2j + 1)!: the Taylor coefficients of cos y
+# and of sin(y) / y in y^2, through the degree 10 of exp(i y) that a beta
+# up to _TAYLOR_PHASE asks for
+_COS_TAYLOR = tuple((-1) ** j / factorial(2 * j) for j in range(6))
+_SIN_TAYLOR = tuple((-1) ** j / factorial(2 * j + 1) for j in range(5))
+
+
+def _tail_negligible(tnorm: float, r: float, tol: float) -> bool:
+    """Whether a Taylor sum may stop after a term of norm tnorm when each
+    later term is at most r times the one before: the whole tail, at most
+    tnorm r / (1 - r), is then below tol.  Written without dividing, so
+    that r >= 1 (nothing proven) reads false."""
+    return tnorm * r <= tol * (1.0 - r)
+
+
+def _phase_degree(beta: float) -> int:
+    """The degree after which the Taylor series of exp(i y), |y| <= beta,
+    leaves at most _TAYLOR_TOL: the tail rule of the Yosida sum with the
+    bound beta^k / k! on term k.  At least 1, so that sin y keeps y."""
+    term, k = 1.0, 0
+    while not _tail_negligible(term, beta / (k + 1), _TAYLOR_TOL):
+        k += 1
+        term *= beta / k
+    return max(k, 1)
+
+
+def _horner(z: np.ndarray, coefs) -> np.ndarray:
+    """sum_j coefs[j] z^j by Horner's rule, into a new array."""
+    if len(coefs) == 1:
+        return np.full_like(z, coefs[0])
+    acc = z * coefs[-1]
+    acc += coefs[-2]
+    for c in coefs[-3::-1]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _unit_phase(y: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos y and sin y for beta = max|y|.  Up to _TAYLOR_PHASE they are the
+    Taylor polynomials through degree _phase_degree(beta), by Horner's rule
+    in y^2, within _TAYLOR_TOL of the true values; above it, or for a
+    non-finite beta, they are libm's."""
+    if not beta <= _TAYLOR_PHASE:
+        return np.cos(y), np.sin(y)
+    degree = _phase_degree(beta)
+    z = y * y
+    cos = _horner(z, _COS_TAYLOR[: degree // 2 + 1])
+    sin = _horner(z, _SIN_TAYLOR[: (degree + 1) // 2])
+    sin *= y
+    return cos, sin
+
 
 class _Kernels:
     """Per-(grid, params, dt) precomputed symbols and product closures.
@@ -279,14 +340,15 @@ class _Kernels:
     of the product; the deviation vanishes algebraically with resolution
     and is quantified in the tests.
 
-    A product with a real factor keeps the complex factor's node values on
-    real and imaginary planes from its synthesis to its analysis, and the
-    Yosida Taylor sum keeps its whole sum there: multiplying planes by a
-    real field rounds exactly as the complex product does, so the split
-    and the merge of each complex transform are saved at no change in the
-    bits.  The nodal intensity |u|^2 and phase exp(-i dt v) u stay
-    complex, because numpy's complex arithmetic rounds them differently
-    from a planes formula.
+    Every product keeps the complex factor's node values on real and
+    imaginary planes from its synthesis to its analysis, which saves the
+    split and the merge of each complex transform: the product with a
+    real factor, the Yosida Taylor sum (its whole sum), the intensity
+    |u|^2 = re^2 + im^2 and the nodal phase exp(-i dt v) u, written as
+    (re cos - im sin, re sin + im cos).  Multiplying planes by a real
+    field rounds exactly as the complex product does; the intensity and
+    the phase round differently from numpy's complex arithmetic, by a few
+    units in the last place per node.
     """
 
     def __init__(self, grid: Grid2D, params: SystemParams, dt: float | None):
@@ -327,10 +389,13 @@ class _Kernels:
         configured: J |J u|^2 on prod_shape."""
         j = self.jsym
         if j is None:
-            vals = coef_to_values(self.grid, u)
+            vals = coef_to_values(self.grid, to_planes(u))
         else:
-            vals = coef_to_values(self.grid, j * u, self.prod_shape)
-        w = values_to_coef(self.grid, (vals * vals.conj()).real)
+            vals = coef_to_values(self.grid, to_planes(j * u), self.prod_shape)
+        # re^2 + im^2, in the real plane
+        np.square(vals, out=vals)
+        vals[0] += vals[1]
+        w = values_to_coef(self.grid, vals[0])
         return w if j is None else j * w
 
     def coupled_product(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -367,7 +432,14 @@ class _Kernels:
         Unregularized, this is a pointwise unimodular phase on the
         collocation nodes; the orthonormal transform then makes the substep
         exactly unitary, so it must not go through the padded product grid
-        (truncating from there would leak mass out of the band).
+        (truncating from there would leak mass out of the band).  With
+        y = -dt v on the nodes and beta = max|y|, cos y and sin y come from
+        _unit_phase: while beta <= _TAYLOR_PHASE, Taylor polynomials whose
+        degree the Yosida sum's tail rule below takes from beta (remainder
+        at most 1e-17, since |exp(i y)| = 1), else libm.  u is split into
+        planes once; its node values are multiplied by the phase on planes
+        and merged once after the analysis, so the flow makes 3 band
+        transforms.
 
         Regularized, the generator H = J (Jv * J .) is no longer a nodal
         multiplier, and exp(-i dt H) u is summed as a Taylor series.  The
@@ -410,19 +482,22 @@ class _Kernels:
         dt = self.dt
         grid = self.grid
         if self.jsym is None:
-            # exp(-i dt vv) * uu, with the phase written as cos + i sin
-            # (what cexp gives bit for bit) into one preallocated array
-            vv = coef_to_values(grid, v)
-            uu = coef_to_values(grid, u)
-            y = -dt * vv
+            y = coef_to_values(grid, v)
+            y *= -dt
             beta = max(y.max(), -y.min())
             if _MAX_PHASE <= beta < np.inf:
                 raise PotentialFlowError(float(beta))
-            phase = np.empty(y.shape, dtype=np.complex128)
-            np.cos(y, out=phase.real)
-            np.sin(y, out=phase.imag)
-            phase *= uu
-            return values_to_coef(grid, phase)
+            cos, sin = _unit_phase(y, beta)
+            uu = coef_to_values(grid, to_planes(u))
+            re, im = uu
+            # (re cos - im sin, re sin + im cos), in place in uu
+            tmp = im * sin
+            sin *= re
+            re *= cos
+            re -= tmp
+            im *= cos
+            im += sin
+            return from_planes(values_to_coef(grid, uu))
         shape = self.prod_shape
         jsym = self.jsym
         jv = coef_to_values(grid, jsym * v, shape)
@@ -437,7 +512,7 @@ class _Kernels:
         hb = abs(h) * bound
         # the flow is unitary, so every substep starts from norm ||u||
         norm0 = np.linalg.norm(u)
-        tol = 1e-17 * norm0
+        tol = _TAYLOR_TOL * norm0
         # u, every term and the sum stay on real and imaginary planes
         out = to_planes(u)
         for _ in range(substeps):
@@ -446,10 +521,7 @@ class _Kernels:
             tnorm = norm0
             k = 0
             while np.isfinite(tnorm):
-                r = hb / (k + 1)
-                # tail <= tnorm r/(1 - r) <= tol, written without dividing
-                # so that r >= 1 (nothing proven yet) reads false
-                if tnorm * r <= tol * (1.0 - r):
+                if _tail_negligible(tnorm, hb / (k + 1), tol):
                     break
                 k += 1
                 jterm = coef_to_values(grid, jsym * term, shape)

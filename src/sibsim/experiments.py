@@ -24,7 +24,8 @@ print around it, and the tests call the same function:
 * _order_test (order-test): splitting-second-order.
 * _symbol_assertions (check): the twelve spectral-symbol assertions;
   _transform_assertions (check): transform-inverse and transform-parseval;
-  cmd_check adds stored-c0-certified, which needs the 128^2 estimate.
+  _phase_flow_assertion (check): nodal-phase-flow; cmd_check adds
+  stored-c0-certified, which needs the 128^2 estimate.
 * cmd_estimate_c0 itself: estimator-converged.
 """
 
@@ -40,6 +41,7 @@ import numpy as np
 from . import __version__, functionals
 from .config import RunConfig, build_grid, build_initial_state, build_params
 from .dynamics import (
+    _TAYLOR_PHASE,
     BlowupError,
     NumericalAbort,
     State,
@@ -53,6 +55,7 @@ from .functionals import (
     cauchy_metric,
     charge,
     difference_metric,
+    energy,
     envelope_h1,
     estimate_gn_constant,
     h1_envelope_lhs,
@@ -185,18 +188,17 @@ def _envelope_h1(series: dict, monitor: RunMonitor) -> np.ndarray:
     return np.array([envelope_h1(t - monitor.t0, monitor.ec, monitor.dn) for t in series["t"]])
 
 
+def _drift(values) -> float:
+    """Largest change of a conserved quantity from its first value, relative
+    to that value's magnitude (absolute when the first value is 0)."""
+    values = np.asarray(values)
+    change = np.max(np.abs(values - values[0]))
+    return float(change / abs(values[0]) if values[0] != 0 else change)
+
+
 def _energy_drift(series: dict) -> float:
-    """Largest change of energy_eps from its first sample, relative to it."""
-    energies = series["energy_eps"]
-    return float(np.max(np.abs(energies - energies[0])) / max(abs(energies[0]), 1e-300))
-
-
-def _charge_drift(charges) -> float:
-    """Largest change of the charge from its first value, relative to it
-    (absolute when the first value is 0)."""
-    charges = np.asarray(charges)
-    change = np.max(np.abs(charges - charges[0]))
-    return float(change / charges[0] if charges[0] > 0 else change)
+    """_drift of energy_eps over a monitored series."""
+    return _drift(series["energy_eps"])
 
 
 def _charge_conserved(name: str, drift: float, detail: str) -> Assertion:
@@ -204,10 +206,14 @@ def _charge_conserved(name: str, drift: float, detail: str) -> Assertion:
     return Assertion(name, drift <= 1e-10, 1e-10 - drift, detail)
 
 
-def _member_drift(state0: State, final: State, params: SystemParams) -> float:
-    """_charge_drift of one sweep member, from its data as `params` prepares
-    them to its final state."""
-    return _charge_drift([charge(prepare_initial_state(state0, params)), charge(final)])
+def _member_drifts(state0: State, final: State, params: SystemParams) -> tuple[float, float]:
+    """The charge and the energy _drift of one sweep member, from its data as
+    `params` prepares them to its final state."""
+    start = prepare_initial_state(state0, params)
+    return (
+        _drift([charge(start), charge(final)]),
+        _drift([energy(start, params), energy(final, params)]),
+    )
 
 
 def _members_conserve_charge(reference: float, drifts: list[float]) -> Assertion:
@@ -219,7 +225,7 @@ def _members_conserve_charge(reference: float, drifts: list[float]) -> Assertion
 
 
 def _series_assertions(series: dict, eps: float, monitor: RunMonitor) -> list[Assertion]:
-    drift = _charge_drift(series["charge"])
+    drift = _drift(series["charge"])
     out = [_charge_conserved("charge-conservation", drift, f"relative drift {drift:.3e}")]
 
     lhs_h1 = h1_envelope_lhs(series)
@@ -313,7 +319,7 @@ def cmd_run(config: RunConfig, quiet: bool = False) -> int:
 def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
     """Run the eps = 0 reference and every eps of eps_list, sampled at
     _sample_times; the monitor of the data, the reports (with each member's
-    charge drift) and the eps-difference-decreasing and
+    charge and energy drift) and the eps-difference-decreasing and
     member-charge-conservation assertions."""
     eps_values = tuple(sorted(set(config.eps_list), reverse=True))
     if len(eps_values) < 2:
@@ -331,17 +337,18 @@ def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
 
     samples = _sample_times(config)
 
-    def states_at_samples(eps: float) -> tuple[dict, float]:
+    def states_at_samples(eps: float) -> tuple[dict, tuple[float, float]]:
         params = build_params(config, eps=eps)
         record = integrate(state0, config.T, params, checkpoint_times=samples)
-        return record.checkpoints, _member_drift(state0, record.final_state, params)
+        return record.checkpoints, _member_drifts(state0, record.final_state, params)
 
-    reference, reference_drift = states_at_samples(0.0)
-    sups, drifts = [], []
+    reference, (reference_drift, reference_energy_drift) = states_at_samples(0.0)
+    sups, drifts, energy_drifts = [], [], []
     for eps in eps_values:
-        member, drift = states_at_samples(eps)
+        member, (drift, energy_drift) = states_at_samples(eps)
         sups.append(max(difference_metric(member[t], reference[t]) for t in samples))
         drifts.append(drift)
+        energy_drifts.append(energy_drift)
     # log(0) is undefined, so an eps = 0 member stays out of the log-log fit
     fit = [(e, s) for e, s in zip(eps_values, sups) if e > 0]
     if len(fit) >= 2:
@@ -357,6 +364,8 @@ def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
         "fitted_slope": slope,
         "charge_drift": drifts,
         "reference_charge_drift": reference_drift,
+        "energy_drift": energy_drifts,
+        "reference_energy_drift": reference_energy_drift,
     }
     detail = "sup metric strictly decreasing as eps decreases"
     trend = _decreasing("eps-difference-decreasing", sups, detail)
@@ -390,8 +399,9 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
 def _n_sweep(config: RunConfig) -> tuple[RunMonitor, State, dict, list[Assertion]]:
     """Run the unregularized reference and every n of n_list to T; the
     monitor of the data, the reference's final state, the reports (with
-    each member's charge drift) and the n-consecutive-differences-decreasing
-    and member-charge-conservation assertions."""
+    each member's charge and energy drift) and the
+    n-consecutive-differences-decreasing and member-charge-conservation
+    assertions."""
     n_values = tuple(sorted(set(config.n_list)))
     if len(n_values) < 3:
         raise ValueError(
@@ -402,12 +412,14 @@ def _n_sweep(config: RunConfig) -> tuple[RunMonitor, State, dict, list[Assertion
 
     params = build_params(config, yosida_n=None)
     reference = integrate(state0, config.T, params).final_state
-    reference_drift = _member_drift(state0, reference, params)
-    finals, drifts = [], []
+    reference_drift, reference_energy_drift = _member_drifts(state0, reference, params)
+    finals, drifts, energy_drifts = [], [], []
     for n in n_values:
         params = build_params(config, yosida_n=n)
         finals.append(integrate(state0, config.T, params).final_state)
-        drifts.append(_member_drift(state0, finals[-1], params))
+        drift, energy_drift = _member_drifts(state0, finals[-1], params)
+        drifts.append(drift)
+        energy_drifts.append(energy_drift)
     diffs = [cauchy_metric(a, b) for a, b in zip(finals, finals[1:])]
     dists = [cauchy_metric(f, reference) for f in finals]
     reports = {
@@ -416,6 +428,8 @@ def _n_sweep(config: RunConfig) -> tuple[RunMonitor, State, dict, list[Assertion
         "dist_unregularized": dists,
         "charge_drift": drifts,
         "reference_charge_drift": reference_drift,
+        "energy_drift": energy_drifts,
+        "reference_energy_drift": reference_energy_drift,
     }
     trend = _decreasing(
         "n-consecutive-differences-decreasing", diffs, "Cauchy trend along doubling n"
@@ -532,14 +546,15 @@ def _symbol_assertions(grid) -> list[Assertion]:
             "||(1 - J_n) f|| <= (lam_max / n) ||f||",
         )
     )
-    n_small = 2 ** max(12, int(math.ceil(math.log2(float(lam[0, 0]) / 5e-4))))
-    tail = norm(probe - kernel(n=n_small).jsym * probe)
+    # n = 2**k_small, printed as such: on a tiny domain it has hundreds of digits
+    k_small = max(12, int(math.ceil(math.log2(float(lam[0, 0]) / 5e-4))))
+    tail = norm(probe - kernel(n=2**k_small).jsym * probe)
     assertions.append(
         Assertion(
             "yosida-convergence-small",
             tail < 1e-3 * probe_nrm,
             1e-3 * probe_nrm - tail,
-            f"residual at n = {n_small}",
+            f"residual at n = 2**{k_small}",
         )
     )
 
@@ -649,14 +664,45 @@ def _transform_assertions(grid) -> list[Assertion]:
     ]
 
 
+def _phase_flow_assertion(grid) -> Assertion:
+    """nodal-phase-flow: the unregularized potential flow the stepper takes
+    (dynamics._Kernels.potential_flow) equals values_to_coef(exp(-i dt vv)
+    uu), the complex exponential on the collocation nodes, to 1e-14
+    relative, and keeps the charge ||u||^2 to 1e-14 relative.  u is
+    random; v has node values +-1, so |dt v| = beta on every node, at
+    beta = 1e-3, the default data's, where a Taylor sum one term short
+    would leave 4e-14, and just below and just above _TAYLOR_PHASE, where
+    the Taylor sum is longest and where libm's cos and sin take over."""
+    rng = np.random.default_rng(0)
+    u = _random_coef(grid, rng, "complex")
+    v = values_to_coef(grid, rng.choice((-1.0, 1.0), size=grid.shape))
+    uu, vv = coef_to_values(grid, u), coef_to_values(grid, v)
+    charge0 = float(np.sum(np.abs(u) ** 2))
+    flow_err = charge_err = 0.0
+    for beta in (1e-3, 0.999 * _TAYLOR_PHASE, 1.001 * _TAYLOR_PHASE):
+        dt = beta / float(np.max(np.abs(vv)))
+        flowed = _Kernels(grid, SystemParams(dt=dt), dt).potential_flow(u, v)
+        exact = values_to_coef(grid, np.exp(-1j * dt * vv) * uu)
+        flow_err = max(flow_err, math.sqrt(float(np.sum(np.abs(flowed - exact) ** 2)) / charge0))
+        charge_err = max(charge_err, abs(float(np.sum(np.abs(flowed) ** 2)) - charge0) / charge0)
+    return Assertion(
+        "nodal-phase-flow",
+        max(flow_err, charge_err) <= 1e-14,
+        1e-14 - max(flow_err, charge_err),
+        f"error {flow_err:.1e} against exp(-i dt v) u and charge change {charge_err:.1e}, "
+        "1e-14 relative, at beta = dt max|v| 1e-3, 0.999/8 and 1.001/8",
+    )
+
+
 def cmd_check(config: RunConfig, quiet: bool = False) -> int:
-    """_symbol_assertions and _transform_assertions on the configured grid,
-    plus the certification of the stored default C0
-    (functionals.REFERENCE_C0), re-derived on its own 128^2 reference grid
-    whatever the configured one."""
+    """_symbol_assertions, _transform_assertions and _phase_flow_assertion
+    on the configured grid, plus the certification of the stored default
+    C0 (functionals.REFERENCE_C0), re-derived on its own 128^2 reference
+    grid whatever the configured one."""
     os.makedirs(config.out_dir, exist_ok=True)
     grid = build_grid(config)
     assertions = _symbol_assertions(grid) + _transform_assertions(grid)
+    assertions.append(_phase_flow_assertion(grid))
 
     # the stored default C0 is certified only while it does not exceed a
     # fresh estimate on the grid it was derived on (read at call time)

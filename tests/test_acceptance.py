@@ -62,7 +62,7 @@ def _monitored_run(cfg: RunConfig):
 @pytest.fixture(scope="module")
 def default_run():
     """The monitored default run (eps = 1, dt = 1e-3, T = 1), shared by the
-    charge and the energy-drift tests."""
+    charge, the energy-drift and the final-row tests."""
     return _monitored_run(RunConfig())
 
 
@@ -83,6 +83,28 @@ def test_energy_drift_is_second_order_in_dt(default_run):
         f"relative drift {drift[1e-3]:.3e} at dt=1e-3 (tol 1e-5), "
         f"halving ratio {ratio:.3f} (want [3.5, 4.5])",
     )
+
+
+# The last series.csv row of the default run before the nodal products moved
+# to real and imaginary planes and the nodal phase to Taylor polynomials,
+# which moved the default series.csv by at most 1.6e-14 relative.
+DEFAULT_FINAL_ROW = {
+    "t": 1.0,
+    "charge": 2.4674011002731215,
+    "energy_eps": 7.9462808028287419,
+    "h1_u": 2.7227248227924989,
+    "l2_v": 0.73365121822504054,
+    "l2_vt": 1.6187136445285082,
+    "hm_half_vt": 1.1349793293924957,
+    "gn_quotient": 0.33447658134624275,
+}
+
+
+def test_default_run_final_row_is_unchanged_to_round_off(default_run):
+    final = {name: float(values[-1]) for name, values in default_run[0].items()}
+    assert final.keys() == DEFAULT_FINAL_ROW.keys()
+    worst = max(abs(final[k] - v) / abs(v) for k, v in DEFAULT_FINAL_ROW.items())
+    assert _verdict(worst <= 1e-12, "default-final-row", f"largest relative move {worst:.1e}, tol 1e-12")
 
 
 def test_growth_envelope_dominates_h1_quantity_on_long_run():

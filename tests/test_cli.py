@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -234,12 +235,17 @@ def test_estimate_c0_from_a_bump_that_misses_every_node_fails(tmp_path):
 
 def test_check_on_a_tiny_domain_reaches_its_verdicts(tmp_path, capsys):
     # lam is about 1e301 here: fields whose decay is taken against lam
-    # itself would be zero, and their relative errors would divide by zero
+    # itself would be zero, and their relative errors would divide by zero.
+    # The "small" Yosida index is 2**1012, a 305-digit integer, printed as
+    # the power
     cfg = write(tmp_path, GRID_8 + "lx = 1e-150\nly = 1e-150\n")
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "check"]) in (0, 1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 15
+    assert len(lines) == 16
     assert all(line.startswith(("[PASS] ", "[FAIL] ")) for line in lines)
+    small = next(line for line in lines if "yosida-convergence-small" in line)
+    assert "residual at n = 2**1012" in small
+    assert max(len(digits) for digits in re.findall(r"\d+", small)) <= 4
 
 
 @pytest.mark.parametrize(
@@ -577,7 +583,7 @@ def test_check_certifies_the_stored_c0(tmp_path, monkeypatch):
     code, manifest = run_quietly(tmp_path, GRID_8, "check")
     failed = [a["name"] for a in manifest["assertions"] if not a["passed"]]
     assert code == 1 and failed == ["stored-c0-certified"]
-    assert len(manifest["assertions"]) == 15
+    assert len(manifest["assertions"]) == 16
 
 
 def test_check_catches_an_axis_swap_in_the_synthesis(tmp_path, monkeypatch, capsys):
@@ -693,6 +699,24 @@ def lifted_norm_off(monkeypatch):
     monkeypatch.setattr(experiments, "h1_norm", lambda f: sibsim.grids.h1_norm(f) * (1 + 1e-9))
 
 
+def phase_flow_fault(patch):
+    """_phase_flow_assertion on 8^2 after patch(monkeypatch)."""
+
+    def case(monkeypatch, tmp_path):
+        patch(monkeypatch)
+        return [experiments._phase_flow_assertion(sibsim.make_grid(np.pi, np.pi, 8, 8))]
+
+    return case
+
+
+def short_taylor_phase(monkeypatch):
+    # the Taylor phase one term short of the degree the tail rule asks for:
+    # at beta = 1e-3 (degree 3 for 4) that drops y^4/4!, 4.2e-14 on every
+    # node
+    degree = dynamics._phase_degree
+    monkeypatch.setattr(dynamics, "_phase_degree", lambda beta: degree(beta) - 1)
+
+
 def unconverged_estimator(monkeypatch):
     monkeypatch.setattr(
         experiments, "estimate_gn_constant", lambda grid: functionals.estimate_gn_constant(grid, 1)
@@ -725,6 +749,7 @@ FAULTS = [
     ("lifted-inverse-norm-identity", symbol_fault(lifted_norm_off)),
     ("transform-inverse", transform_fault(scaled("_analysis", 1 + 1e-9))),
     ("transform-parseval", transform_fault(non_isometric)),
+    ("nodal-phase-flow", phase_flow_fault(short_taylor_phase)),
     (
         "stored-c0-certified",
         command_fault("check", lambda mp: mp.setattr(functionals, "REFERENCE_C0", 0.42)),
@@ -745,6 +770,16 @@ def test_each_sweep_reports_every_runs_charge_drift(sweep):
     members = reports["eps"] if sweep is experiments._eps_sweep else reports["n"]
     assert len(reports["charge_drift"]) == len(members)
     assert max(reports["reference_charge_drift"], *reports["charge_drift"]) <= 1e-10
+
+
+@pytest.mark.parametrize("sweep", [experiments._eps_sweep, experiments._n_sweep], ids=["eps", "n"])
+def test_each_sweep_reports_every_runs_energy_drift(sweep):
+    # reported only: nothing asserts a bound on it
+    reports = sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-2]
+    members = reports["eps"] if sweep is experiments._eps_sweep else reports["n"]
+    drifts = [reports["reference_energy_drift"], *reports["energy_drift"]]
+    assert len(drifts) == len(members) + 1
+    assert all(0.0 <= drift < 1e-3 for drift in drifts)
 
 
 def test_infinite_envelope_leaves_the_finite_samples_checked(monkeypatch, tmp_path):

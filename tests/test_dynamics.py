@@ -3,8 +3,10 @@ order, reversibility, blow-up detection, and the Picard-Duhamel oracle."""
 
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
-from math import ceil
+from functools import reduce
+from math import ceil, factorial
 
 import numpy as np
 import pytest
@@ -411,10 +413,41 @@ def test_yosida_flow_takes_ceil_beta_substeps(dealias):
         assert np.array_equal(flowed, ref) == (substeps == 3)
 
 
+def _written_out_nodal_flow(grid, u, v, dt):
+    """exp(-i dt v) u on the collocation nodes, written out: y = -dt v, and
+    for beta = max|y| <= 1/8 cos y and sin y as Taylor polynomials in y^2
+    by Horner's rule through the degree after which the tail of exp(i y)
+    is proven below 1e-17 (at least 1), else libm's; the product on real
+    and imaginary planes."""
+    y = -dt * coef_to_values(grid, v)
+    beta = np.max(np.abs(y))
+    if beta <= 1 / 8:
+        degree, term = 0, 1.0
+        while term * (beta / (degree + 1)) > 1e-17 * (1 - beta / (degree + 1)):
+            degree += 1
+            term *= beta / degree
+        degree = max(degree, 1)
+        z = y * y
+        cos = reduce(
+            lambda acc, j: acc * z + (-1) ** j / factorial(2 * j),
+            range(degree // 2, -1, -1), 0.0,
+        )
+        sin = y * reduce(
+            lambda acc, j: acc * z + (-1) ** j / factorial(2 * j + 1),
+            range((degree + 1) // 2 - 1, -1, -1), 0.0,
+        )
+    else:
+        cos, sin = np.cos(y), np.sin(y)
+    re, im = coef_to_values(grid, np.stack([u.real, u.imag]))
+    flowed = values_to_coef(grid, np.stack([re * cos - im * sin, re * sin + im * cos]))
+    return flowed[0] + 1j * flowed[1]
+
+
 def test_nodal_step_kernels_equal_their_written_out_formulas():
-    # wave_half accumulates in place and the nodal phase is written as
-    # cos + i sin; both must equal the plain expressions bit for bit and
-    # leave their inputs alone
+    # wave_half accumulates in place, and the nodal phase is summed by
+    # Horner's rule (beta below 1/8) or taken from libm (above) and applied
+    # in place on planes; both must equal the plain expressions bit for bit
+    # and leave their inputs alone
     g = make_grid(np.pi, 2.0, 12, 10)
     rng = np.random.default_rng(9)
     u = random_field(g, rng, kind="complex").coef
@@ -425,11 +458,61 @@ def test_nodal_step_kernels_equal_their_written_out_formulas():
     z = v + f
     assert np.array_equal(v1, ker.cos_half * z + ker.sinc_half * vt - f)
     assert np.array_equal(vt1, -ker.wsin_half * z + ker.cos_half * vt)
-    vv, uu = coef_to_values(g, v), coef_to_values(g, u)
-    phase = values_to_coef(g, np.exp(-1j * ker.dt * vv) * uu)
-    assert np.array_equal(ker.potential_flow(u, v), phase)
+    vmax = np.max(np.abs(coef_to_values(g, v)))
+    for beta in (0.0, 1e-3, 0.05, 0.124, 0.126, 0.5):
+        dt = beta / vmax
+        ker = dynamics._Kernels(g, SystemParams(), dt)
+        assert np.array_equal(ker.potential_flow(u, v), _written_out_nodal_flow(g, u, v, dt))
     for before, after in zip(inputs, (u, v, vt, f)):
         assert np.array_equal(before, after)
+
+
+def count_libm_phase(monkeypatch):
+    """Count the np.cos and np.sin calls from now on, by name."""
+    calls = Counter()
+    for name in ("cos", "sin"):
+        libm = getattr(np, name)
+
+        def counted(*args, _libm=libm, _name=name, **kwargs):
+            calls[_name] += 1
+            return _libm(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scale, calls", [(1.0, {}), (200.0, {"cos": 1, "sin": 1})])
+def test_nodal_step_takes_libm_phase_only_above_one_eighth(monkeypatch, scale, calls):
+    # the default data give beta = dt max|v| of about 1e-3, summed as Taylor
+    # polynomials; v scaled by 200 gives beta of about 0.2, past 1/8
+    cfg = RunConfig()
+    params = build_params(cfg)
+    st = build_initial_state(cfg)
+    ker = dynamics._Kernels(st.grid, params, params.dt)
+    v = scale * st.v.coef
+    f = ker.wave_source(st.u.coef)
+    counted = count_libm_phase(monkeypatch)
+    ker.step(st.u.coef, v, st.vt.coef, f)
+    assert counted == calls
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3, 0.999 / 8, 1.001 / 8, 1.0])
+def test_nodal_phase_matches_the_complex_exponential(beta):
+    # within 2 units in the last place of 1 (4e-16) of exp(i y), node by
+    # node (measured at most 1.1e-16), and the flow within 1e-15 of
+    # values_to_coef(exp(-i dt v) u), relative
+    rng = np.random.default_rng(3)
+    y = beta * rng.uniform(-1.0, 1.0, 4096)
+    y[0] = beta
+    cos, sin = dynamics._unit_phase(y, np.max(np.abs(y)))
+    assert np.max(np.abs(cos + 1j * sin - np.exp(1j * y))) <= 4e-16
+    g = make_grid(np.pi, 2.0, 12, 10)
+    u = random_field(g, rng, kind="complex").coef
+    v = random_field(g, rng).coef
+    dt = beta / np.max(np.abs(coef_to_values(g, v)))
+    flowed = dynamics._Kernels(g, SystemParams(), dt).potential_flow(u, v)
+    exact = values_to_coef(g, np.exp(-1j * dt * coef_to_values(g, v)) * coef_to_values(g, u))
+    assert np.linalg.norm(flowed - exact) <= 1e-15 * np.linalg.norm(u)
 
 
 def test_strang_step_equals_manual_substep_composition():
