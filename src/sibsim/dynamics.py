@@ -26,8 +26,8 @@ Two solvers:
   from the measured contraction, is below tol (Hairer and Wanner, Solving
   ODEs II, IV.8).
 
-Both solvers take every symbol and product from `_Kernels`, which also
-decides where each nonlinear term is sampled.
+Both solvers take every symbol, free flow and product from `_Kernels`,
+which also decides where each nonlinear term is sampled.
 """
 
 from __future__ import annotations
@@ -313,15 +313,13 @@ class _Kernels:
                    sqrt(lam) J <= sqrt(n) and sqrt(lam) J <= sqrt(lam)
         w2, w      omega_eps^2 = lam/(1 + eps*lam) and omega_eps; -w2 is
                    the wave forcing symbol of the Duhamel form
-        cos_half, sinc_half, wsin_half
-                   cos, sin/omega and omega*sin of (dt/2) omega: the exact
-                   half-step flow of v'' = -omega^2 v
-        phase_half exp(i dt/2 Laplacian), symbol exp(-i dt/2 lam)
+        phase_half, cos_half, sinc_half, wsin_half
+                   free_flow(dt/2), the exact half-step flows
 
-    The half-step tables of a kernel built with dt = 2t are the free flows
-    over t, which is how the Picard oracle reads its flows over a panel
-    and half a panel.  dt = None builds none of them, for callers that
-    take no step (the energy, data smoothing).
+    free_flow(t) writes the free flows over any time t for the stepper's
+    tables, the Picard oracle's panels and `sibsim check`.  dt = None
+    builds no half-step tables, for callers that take no step (the energy,
+    data smoothing, the Picard oracle).
 
     The kernel also decides where each nonlinear term is sampled.  The
     unregularized wave source and potential phase are sampled on the
@@ -331,10 +329,10 @@ class _Kernels:
     O(dt^2); the padded grid would leave a dt-independent floor in the
     energy drift and a slow leak in the charge.  Products whose purpose is
     a band projection (the Yosida-wrapped terms and the Duhamel right-hand
-    side P(v, u)) are sampled on prod_shape: when params.dealias is set, a
-    zero-padded grid with at least ceil(3N/2) modes per axis, which keeps
-    representable sine content of a product from folding back onto the
-    retained band.  The product of two sine polynomials is a cosine
+    side P(v, u)) are sampled on prod_shape: when params.dealias is set,
+    the zero-padded grid of the 3/2 rule, ceil(3N/2) modes per axis, which
+    keeps representable sine content of a product from folding back onto
+    the retained band.  The product of two sine polynomials is a cosine
     polynomial whose sine re-expansion is an infinite series, so unlike
     the periodic case the padded product is not the exact L2 projection
     of the product; the deviation vanishes algebraically with resolution
@@ -358,19 +356,22 @@ class _Kernels:
         lam = grid.lam
         n = params.yosida_n
         self.jsym = 1.0 / (1.0 + lam / n) if n is not None else None
-        w2 = lam / (1.0 + params.eps * lam)
-        w = np.sqrt(w2)
-        self.w = w
-        self.w2 = w2
-        self.prod_shape = grid.pad_shape if params.dealias else grid.shape
-        if dt is None:
-            return
-        # half-step wave rotation
-        self.cos_half, sin_half = self.wave_rotation(0.5 * dt)
-        self.sinc_half = sin_half / w
-        self.wsin_half = w * sin_half
-        # half-step free Schrodinger phase
-        self.phase_half = np.exp(-0.5j * dt * lam)
+        self.w2 = lam / (1.0 + params.eps * lam)
+        self.w = np.sqrt(self.w2)
+        # the 3/2 rule, when dealiased
+        pad = (ceil(3 * grid.Nx / 2), ceil(3 * grid.Ny / 2))
+        self.prod_shape = pad if params.dealias else grid.shape
+        if dt is not None:
+            flows = self.free_flow(0.5 * dt)
+            self.phase_half, self.cos_half, self.sinc_half, self.wsin_half = flows
+
+    def free_flow(self, t):
+        """The free flows over a time t: exp(-i t lam), the symbol of
+        exp(i t Laplacian), and cos, sin/omega and omega*sin of t omega,
+        which take (v, vt) to (cos v + sin/omega vt, -omega sin v + cos vt)
+        under v'' = -omega^2 v."""
+        cos, sin = self.wave_rotation(t)
+        return np.exp(-1j * t * self.grid.lam), cos, sin / self.w, self.w * sin
 
     def wave_rotation(self, s, cos=None, sin=None):
         """cos(s omega) and sin(s omega), into `cos` and `sin` when given:
@@ -756,7 +757,9 @@ def picard_duhamel(
     variation-of-constants form, marching over Gauss-Legendre panels.
 
     Writing the free flows as U(t) = exp(i t Laplacian) for u and
-    (cos t omega, sin(t omega)/omega) for the wave pair, each panel solves
+    (cos t omega, sin(t omega)/omega) for the wave pair, all of them read
+    from `_Kernels.free_flow` of one kernel built with no step, each panel
+    solves
 
         u(t)  = U(t) u0 - i integral_0^t U(t - s) P(v, u)(s) ds
         v(t)  = cos(t w) v0 + sinc ... + integral_0^t sin((t-s)w)/w g(s) ds
@@ -808,18 +811,20 @@ def picard_duhamel(
     The phases exp(i lam s) are products of per-axis factors, formed with
     the integrands that carry them a block of grid rows at a time, and a
     sweep forms its new iterates and their changes in place in that
-    block's sums.
+    block's sums.  No node's change is ever held whole, so the residual
+    (its H1 + L2 size at every node) is summed block by block over all
+    nodes at once, not by the norms of `grids`, which take whole fields.
 
     Args:
         quad_nodes: P, the number of Gauss-Legendre collocation nodes per
             panel; the result is the P-node fixed point.
         tol: bound on a panel's distance from its fixed point.  With r_k
-            the residual of fine sweep k (the change it made, in H1 for u
-            and L2 for v, vt) and theta the largest ratio r_j / r_(j-1) the
-            panel has shown, a panel stops when r_k < tol, or when
-            theta < 1/2 and r_k theta / (1 - theta) < tol: for a
-            contraction theta the last iterate lies within that estimate of
-            the fixed point (the simplified-Newton test of Hairer and
+            the residual of fine sweep k (the largest change it made at a
+            node, in H1 for u plus L2 for v) and theta the largest ratio
+            r_j / r_(j-1) the panel has shown, a panel stops when r_k < tol,
+            or when theta < 1/2 and r_k theta / (1 - theta) < tol: for a
+            contraction theta the last iterate lies within that estimate
+            of the fixed point (the simplified-Newton test of Hairer and
             Wanner, Solving ODEs II, IV.8).  Where theta >= 1/2 the
             estimate exceeds r_k, and r_k < tol alone decides.
         max_iter: the most fine sweeps a panel may take.
@@ -856,9 +861,7 @@ def picard_duhamel(
     # the coarse level: the node count the cap asks for on this panel; it
     # starts the sweeps when it is at most half of quad_nodes
     coarse_nodes = max(_MIN_NODES, ceil(lam_max * h / _RADIANS_PER_NODE))
-    # the kernel of a step 2h: its half-step tables are the free flows over
-    # the panel
-    ker = _Kernels(grid, params, 2 * h)
+    ker = _Kernels(grid, params, None)
     w = ker.w
     w2 = ker.w2
 
@@ -913,13 +916,9 @@ def picard_duhamel(
                 (2, coarse_nodes) + grid.shape
             ),
         )
-    # the predictor's points h/2 and h, with the free flows over them: the
-    # half-step tables of the kernels of steps h and 2h
-    points = [
-        (t, k.phase_half, k.cos_half, k.sinc_half)
-        for t, k in ((0.5 * h, _Kernels(grid, params, h)), (h, ker))
-    ]
-    cos_h, sinc_h, wsin_h = ker.cos_half, ker.sinc_half, ker.wsin_half
+    # the predictor's points h/2 and h, with the free flows over them
+    phase_h, cos_h, sinc_h, wsin_h = ker.free_flow(h)
+    points = [(0.5 * h, *ker.free_flow(0.5 * h)[:3]), (h, phase_h, cos_h, sinc_h)]
 
     def fill_integrands(n) -> None:
         """P(v, u) and g from the iterates at the first n nodes."""
@@ -1061,7 +1060,7 @@ def picard_duhamel(
         # of the converged sweep: like the last iterate, they come from the
         # integrands of the iterate one sweep earlier, so the panel end is
         # as close to the fixed point as the last iterate
-        phi = ker.phase_half * (phi - 1j * Iu_end)
+        phi = phase_h * (phi - 1j * Iu_end)
         new_v = cos_h * ps0 + sinc_h * ps1 + sinc_h * Ia_end - cos_h * Ib_end
         ps1 = -wsin_h * ps0 + cos_h * ps1 + cos_h * Ia_end + wsin_h * Ib_end
         ps0 = new_v

@@ -29,14 +29,15 @@ past 2048 nodes neither was measured (a 4096^2 grid would cache about
 back.
 
 Products of fields are not formed here: dynamics._Kernels decides where
-each nonlinear term is sampled and forms it from these transforms.
+each nonlinear term is sampled, with the 3/2 rule of the padded grid, and
+forms it from these transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from math import ceil, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -76,11 +77,6 @@ class Grid2D:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.Nx, self.Ny)
-
-    @property
-    def pad_shape(self) -> tuple[int, int]:
-        """Mode counts used for dealiased quadratic products (3/2 rule)."""
-        return (ceil(3 * self.Nx / 2), ceil(3 * self.Ny / 2))
 
     def compatible(self, other: "Grid2D") -> bool:
         return (self.Lx, self.Ly, self.Nx, self.Ny) == (

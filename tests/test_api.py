@@ -7,10 +7,11 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sibsim
-from sibsim import dynamics, grids
+from sibsim import dynamics, functionals, grids
 
 MODULES = (
     "sibsim",
@@ -118,22 +119,20 @@ def test_dynamics_imports_nothing_from_functionals():
     assert "functionals" not in inspect.getsource(dynamics)
 
 
-def test_the_stepping_kernel_owns_every_symbol_and_product():
+def test_the_stepping_kernel_owns_every_symbol_and_product(monkeypatch):
     # grids keeps the transforms and norms; only dynamics._Kernels forms a
-    # product of fields or decides where one is sampled (pad_shape), and
-    # the Picard oracle reads its free flows from kernel tables, forming
-    # only the per-axis factors of its phases exp(i lam s)
+    # product of fields or decides where one is sampled (the 3/2 rule of
+    # prod_shape), and the Picard oracle reads its free flows from the one
+    # kernel it builds, forming only the per-axis factors of its phases
+    # exp(i lam s)
     assert [name for name in vars(grids) if "product" in name or "intensity" in name] == []
     assert not hasattr(dynamics._Kernels, "product")
-    readers = {
-        path.name
-        for path in Path(sibsim.__file__).parent.glob("*.py")
-        if ".pad_shape" in path.read_text()
-    }
-    assert readers == {"dynamics.py"}
+    assert not hasattr(grids.Grid2D, "pad_shape")
+    sources = {path.name: path.read_text() for path in Path(sibsim.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "pad_shape" in text] == []
+    assert [name for name, text in sources.items() if "ceil(3 *" in text] == ["dynamics.py"]
     kernel = inspect.getsource(dynamics._Kernels)
-    assert ".pad_shape" in kernel
-    assert ".pad_shape" not in inspect.getsource(dynamics).replace(kernel, "")
+    assert "ceil(3 *" not in inspect.getsource(dynamics).replace(kernel, "")
     oracle = inspect.getsource(dynamics.picard_duhamel)
     calls = [
         line.split("=")[0].strip()
@@ -141,3 +140,26 @@ def test_the_stepping_kernel_owns_every_symbol_and_product():
         if re.search(r"np\.(cos|sin|exp)\b", line)
     ]
     assert calls == ["exp_x", "exp_y"]
+    built = []
+    original = dynamics._Kernels.__init__
+
+    def counted(self, *args):
+        built.append(args[-1])
+        original(self, *args)
+
+    monkeypatch.setattr(dynamics._Kernels, "__init__", counted)
+    grid = sibsim.make_grid(3.0, 3.0, 4, 4)
+    zero = grids.field_from_coef(grid, np.zeros(grid.shape))
+    state = dynamics.make_state(grids.field_from_coef(grid, np.ones(grid.shape) + 0j), zero, zero)
+    dynamics.picard_duhamel(state, 0.01, dynamics.SystemParams())
+    # one kernel, and it takes no step: the flows come from free_flow
+    assert built == [None]
+    # difference_metric and cauchy_metric differ only in the order of the
+    # vt norm, and their one body takes every weight from grids' norms
+    body = inspect.getsource(functionals._distance)
+    assert ".lam" not in body
+    assert "h1_norm(" in body and "sobolev_norm(" in body
+    for metric, s in ((functionals.difference_metric, "-1.0"), (functionals.cauchy_metric, "0.0")):
+        lines = inspect.getsource(metric).splitlines()
+        assert lines[-1].strip() == f"return _distance(state_a, state_b, {s})"
+        assert sum("return" in line for line in lines) == 1

@@ -223,7 +223,7 @@ def test_product_of_complex_factor(unit_square_grid):
     assert np.iscomplexobj(p)
     # the complex factor's node values stay on planes, and scaling planes
     # by real values rounds as the complex product does, in either order
-    shape = unit_square_grid.pad_shape
+    shape = _Kernels(unit_square_grid, SystemParams(), None).prod_shape
     va, vb = (coef_to_values(unit_square_grid, f.coef, shape) for f in (a, b))
     assert np.array_equal(p, values_to_coef(unit_square_grid, va * vb))
     assert np.array_equal(p, values_to_coef(unit_square_grid, vb * va))
