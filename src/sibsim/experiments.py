@@ -22,6 +22,8 @@ print around it, and the tests call the same function:
 * _n_sweep (sweep-n): n-consecutive-differences-decreasing and
   member-charge-conservation.
 * _order_test (order-test): splitting-second-order.
+  The three are ladders of runs: _ladder is their one runner, and
+  _drift_reports turns its drifts into reports and member-charge-conservation.
 * _symbol_assertions (check): the twelve spectral-symbol assertions;
   _transform_assertions (check): transform-inverse and transform-parseval;
   _phase_flow_assertion (check): nodal-phase-flow; cmd_check adds
@@ -206,22 +208,46 @@ def _charge_conserved(name: str, drift: float, detail: str) -> Assertion:
     return Assertion(name, drift <= 1e-10, 1e-10 - drift, detail)
 
 
-def _member_drifts(state0: State, final: State, params: SystemParams) -> tuple[float, float]:
-    """The charge and the energy _drift of one sweep member, from its data as
-    `params` prepares them to its final state."""
-    start = prepare_initial_state(state0, params)
-    return (
-        _drift([charge(start), charge(final)]),
-        _drift([energy(start, params), energy(final, params)]),
-    )
+@dataclass
+class _Run:
+    """One run of a ladder: its states at the sample times, its final state,
+    and its charge and energy _drift from its data as its params prepare them."""
+
+    samples: dict
+    final: State
+    charge_drift: float
+    energy_drift: float
 
 
-def _members_conserve_charge(reference: float, drifts: list[float]) -> Assertion:
-    """member-charge-conservation over the drifts of a sweep's reference
-    run and of its members."""
-    worst = max(reference, *drifts)
-    detail = f"largest relative drift {worst:.3e} over the reference and {len(drifts)} members"
-    return _charge_conserved("member-charge-conservation", worst, detail)
+def _ladder(config: RunConfig, state0: State, overrides, samples=()) -> list[_Run]:
+    """The one runner of sweep-eps, sweep-n and order-test: for each dict
+    of build_params keywords in `overrides`, in order, one integrate of
+    state0 to config.T that keeps its states at `samples`."""
+    runs = []
+    for keywords in overrides:
+        params = build_params(config, **keywords)
+        record = integrate(state0, config.T, params, checkpoint_times=samples)
+        start, final = prepare_initial_state(state0, params), record.final_state
+        charges = [charge(start), charge(final)]
+        energies = [energy(start, params), energy(final, params)]
+        runs.append(_Run(record.checkpoints, final, _drift(charges), _drift(energies)))
+    return runs
+
+
+def _drift_reports(runs: list[_Run]) -> tuple[dict, Assertion]:
+    """The drift reports of a ladder whose first run is the reference the
+    others are compared against, and member-charge-conservation over all
+    of its runs."""
+    reference, *members = runs
+    reports = {
+        "charge_drift": [run.charge_drift for run in members],
+        "reference_charge_drift": reference.charge_drift,
+        "energy_drift": [run.energy_drift for run in members],
+        "reference_energy_drift": reference.energy_drift,
+    }
+    worst = max(run.charge_drift for run in runs)
+    detail = f"largest relative drift {worst:.3e} over the reference and {len(members)} members"
+    return reports, _charge_conserved("member-charge-conservation", worst, detail)
 
 
 def _series_assertions(series: dict, eps: float, monitor: RunMonitor) -> list[Assertion]:
@@ -336,40 +362,26 @@ def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
         )
 
     samples = _sample_times(config)
-
-    def states_at_samples(eps: float) -> tuple[dict, tuple[float, float]]:
-        params = build_params(config, eps=eps)
-        record = integrate(state0, config.T, params, checkpoint_times=samples)
-        return record.checkpoints, _member_drifts(state0, record.final_state, params)
-
-    reference, (reference_drift, reference_energy_drift) = states_at_samples(0.0)
-    sups, drifts, energy_drifts = [], [], []
-    for eps in eps_values:
-        member, (drift, energy_drift) = states_at_samples(eps)
-        sups.append(max(difference_metric(member[t], reference[t]) for t in samples))
-        drifts.append(drift)
-        energy_drifts.append(energy_drift)
+    runs = _ladder(config, state0, [{"eps": eps} for eps in (0.0, *eps_values)], samples)
+    reference, *members = (run.samples for run in runs)
+    sups = [max(difference_metric(m[t], reference[t]) for t in samples) for m in members]
+    drift_reports, conserved = _drift_reports(runs)
     # log(0) is undefined, so an eps = 0 member stays out of the log-log fit
     fit = [(e, s) for e, s in zip(eps_values, sups) if e > 0]
     if len(fit) >= 2:
         fit_eps, fit_sups = zip(*fit)
-        slope = float(
-            np.polyfit(np.log(fit_eps), np.log(np.maximum(fit_sups, 1e-300)), 1)[0]
-        )
+        slope = float(np.polyfit(np.log(fit_eps), np.log(np.maximum(fit_sups, 1e-300)), 1)[0])
     else:
         slope = math.nan
     reports = {
         "eps": list(eps_values),
         "sup_metric": sups,
         "fitted_slope": slope,
-        "charge_drift": drifts,
-        "reference_charge_drift": reference_drift,
-        "energy_drift": energy_drifts,
-        "reference_energy_drift": reference_energy_drift,
+        **drift_reports,
     }
     detail = "sup metric strictly decreasing as eps decreases"
     trend = _decreasing("eps-difference-decreasing", sups, detail)
-    return monitor, reports, [trend, _members_conserve_charge(reference_drift, drifts)]
+    return monitor, reports, [trend, conserved]
 
 
 def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
@@ -409,32 +421,20 @@ def _n_sweep(config: RunConfig) -> tuple[RunMonitor, State, dict, list[Assertion
         )
 
     state0, monitor = _start(config, build_params(config, yosida_n=None))
-
-    params = build_params(config, yosida_n=None)
-    reference = integrate(state0, config.T, params).final_state
-    reference_drift, reference_energy_drift = _member_drifts(state0, reference, params)
-    finals, drifts, energy_drifts = [], [], []
-    for n in n_values:
-        params = build_params(config, yosida_n=n)
-        finals.append(integrate(state0, config.T, params).final_state)
-        drift, energy_drift = _member_drifts(state0, finals[-1], params)
-        drifts.append(drift)
-        energy_drifts.append(energy_drift)
+    runs = _ladder(config, state0, [{"yosida_n": n} for n in (None, *n_values)])
+    reference, *finals = (run.final for run in runs)
+    drift_reports, conserved = _drift_reports(runs)
     diffs = [cauchy_metric(a, b) for a, b in zip(finals, finals[1:])]
-    dists = [cauchy_metric(f, reference) for f in finals]
     reports = {
         "n": list(n_values),
         "diff_consecutive": diffs,
-        "dist_unregularized": dists,
-        "charge_drift": drifts,
-        "reference_charge_drift": reference_drift,
-        "energy_drift": energy_drifts,
-        "reference_energy_drift": reference_energy_drift,
+        "dist_unregularized": [cauchy_metric(f, reference) for f in finals],
+        **drift_reports,
     }
     trend = _decreasing(
         "n-consecutive-differences-decreasing", diffs, "Cauchy trend along doubling n"
     )
-    return monitor, reference, reports, [trend, _members_conserve_charge(reference_drift, drifts)]
+    return monitor, reference, reports, [trend, conserved]
 
 
 def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
@@ -761,7 +761,8 @@ def cmd_estimate_c0(config: RunConfig, quiet: bool = False) -> int:
 
 def _order_test(config: RunConfig) -> tuple[dict, list[Assertion]]:
     """Run to T at every dt of dt_list and at dt_min / 8, the reference the
-    errors are taken against; the reports and the splitting-second-order
+    errors are taken against; the reports (with each run's charge and
+    energy drift, not asserted) and the splitting-second-order
     assertion on the mean observed order.  Errors at round-off, at most
     1e-11 of the reference's own size in their metric, skip the
     measurement only when u = 0 (zero data, a free wave), where both
@@ -775,13 +776,10 @@ def _order_test(config: RunConfig) -> tuple[dict, list[Assertion]]:
             raise ValueError("dt_list must halve from entry to entry")
 
     state0 = build_initial_state(config)
-
-    def final_state(dt: float) -> State:
-        return integrate(state0, config.T, build_params(config, dt=dt)).final_state
-
-    reference = final_state(dts[-1] / 8.0)
-    errors = [difference_metric(final_state(dt), reference) for dt in dts]
-    reports = {"dt": list(dts), "errors": errors}
+    runs = _ladder(config, state0, [{"dt": dt} for dt in (dts[-1] / 8.0, *dts)])
+    reference, *finals = (run.final for run in runs)
+    errors = [difference_metric(final, reference) for final in finals]
+    reports = {"dt": list(dts), "errors": errors, **_drift_reports(runs)[0]}
     parts = (reference.u, reference.v, reference.vt)
     zero = State(*(field_from_coef(f.grid, np.zeros_like(f.coef)) for f in parts), reference.t)
     if max(errors) <= 1e-11 * difference_metric(reference, zero):

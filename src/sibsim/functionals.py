@@ -5,8 +5,9 @@ Conventions:
 
 * charge = ||u||_2^2, conserved exactly by the flow.
 * energy = ||grad u||^2 + (||v||^2 + ||(-Lap)^{-1/2} vt||^2 + eps ||vt||^2)/2
-  + <v, W(u)>, with W(u) the stepping kernel's own wave source
-  (dynamics._Kernels.wave_source), paired in coefficient space: |u|^2
+  + <v, W(u)>.  The quadratic part is the norms of grids (sobolev_norm at
+  s = 1, 0, -1 and 0) squared; W(u) is the stepping kernel's own wave
+  source (dynamics._Kernels.wave_source), paired in coefficient space: |u|^2
   sampled on the collocation nodes, or J|Ju|^2 when the run is Yosida
   regularized.  The energy is then the one the stepper conserves, and the
   reported drift reflects the splitting error and not a quadrature or
@@ -139,18 +140,16 @@ def charge(state: State) -> float:
 def energy(state: State, params: SystemParams) -> float:
     """Conserved energy of the system that `params` steps (eps, and the
     Yosida wrapping of the coupling term)."""
-    lam = state.grid.lam
-    ucoef = state.u.coef
-    vcoef = state.v.coef
-    vtcoef = state.vt.coef
-    grad_u = np.sum(lam * np.abs(ucoef) ** 2)
-    quad = 0.5 * (
-        np.sum(vcoef**2) + np.sum(vtcoef**2 / lam) + params.eps * np.sum(vtcoef**2)
+    u, v, vt = state.u, state.v, state.vt
+    quad = sobolev_norm(u, 1.0) ** 2 + 0.5 * (
+        sobolev_norm(v, 0.0) ** 2
+        + sobolev_norm(vt, -1.0) ** 2
+        + params.eps * sobolev_norm(vt, 0.0) ** 2
     )
     # the stepper's own wave source; any other quadrature or model here
     # would decouple the reported energy from the conserved one
-    coupling = np.sum(vcoef * _Kernels(state.grid, params, None).wave_source(ucoef))
-    return float(grad_u + quad + coupling)
+    coupling = np.sum(v.coef * _Kernels(state.grid, params, None).wave_source(u.coef))
+    return float(quad + coupling)
 
 
 def _distance(state_a: State, state_b: State, s: float) -> float:

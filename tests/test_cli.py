@@ -802,19 +802,23 @@ def test_every_assertion_fails_on_its_fault(monkeypatch, tmp_path, name, fault):
     assert verdicts[name].passed is False, verdicts[name].line()
 
 
-@pytest.mark.parametrize("sweep", [experiments._eps_sweep, experiments._n_sweep], ids=["eps", "n"])
+# each ladder, and the report key that lists its members
+LADDERS = {experiments._eps_sweep: "eps", experiments._n_sweep: "n", experiments._order_test: "dt"}
+
+
+@pytest.mark.parametrize("sweep", list(LADDERS), ids=list(LADDERS.values()))
 def test_each_sweep_reports_every_runs_charge_drift(sweep):
     reports = sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-2]
-    members = reports["eps"] if sweep is experiments._eps_sweep else reports["n"]
+    members = reports[LADDERS[sweep]]
     assert len(reports["charge_drift"]) == len(members)
     assert max(reports["reference_charge_drift"], *reports["charge_drift"]) <= 1e-10
 
 
-@pytest.mark.parametrize("sweep", [experiments._eps_sweep, experiments._n_sweep], ids=["eps", "n"])
+@pytest.mark.parametrize("sweep", list(LADDERS), ids=list(LADDERS.values()))
 def test_each_sweep_reports_every_runs_energy_drift(sweep):
     # reported only: nothing asserts a bound on it
     reports = sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-2]
-    members = reports["eps"] if sweep is experiments._eps_sweep else reports["n"]
+    members = reports[LADDERS[sweep]]
     drifts = [reports["reference_energy_drift"], *reports["energy_drift"]]
     assert len(drifts) == len(members) + 1
     assert all(0.0 <= drift < 1e-3 for drift in drifts)

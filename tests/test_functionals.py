@@ -28,7 +28,14 @@ from sibsim.functionals import (
     h1_envelope_lhs,
     small_envelope_lhs,
 )
-from sibsim.grids import analyze, coef_to_values, field_from_coef, make_grid, values_to_coef
+from sibsim.grids import (
+    analyze,
+    coef_to_values,
+    field_from_coef,
+    make_grid,
+    sobolev_norm,
+    values_to_coef,
+)
 
 
 def sine_state(N: int = 32, with_v: bool = True) -> State:
@@ -95,20 +102,26 @@ def test_energy_eps_weighting():
 
 def test_energy_of_a_plain_state_is_the_nodal_formula():
     # unregularized, the coupling is <v, |u|^2> with the intensity sampled
-    # on the collocation nodes, the stepper's quadrature, bit for bit
+    # on the collocation nodes, the stepper's quadrature, bit for bit; the
+    # quadratic part is the grid norms squared
     g = make_grid(2 * np.pi, np.pi, 12, 8)
     rng = np.random.default_rng(4)
     st = make_state(
         random_field(g, rng, "complex"), random_field(g, rng), random_field(g, rng)
     )
-    u, v, vt, lam = st.u.coef, st.v.coef, st.vt.coef, g.lam
-    vals = coef_to_values(g, u)
+    u, v, vt = st.u, st.v, st.vt
+    vals = coef_to_values(g, u.coef)
     intensity = values_to_coef(g, (vals * vals.conj()).real)
     for eps in (0.0, 0.5):
         written_out = float(
-            np.sum(lam * np.abs(u) ** 2)
-            + 0.5 * (np.sum(v**2) + np.sum(vt**2 / lam) + eps * np.sum(vt**2))
-            + np.sum(v * intensity)
+            sobolev_norm(u, 1.0) ** 2
+            + 0.5
+            * (
+                sobolev_norm(v, 0.0) ** 2
+                + sobolev_norm(vt, -1.0) ** 2
+                + eps * sobolev_norm(vt, 0.0) ** 2
+            )
+            + np.sum(v.coef * intensity)
         )
         assert energy(st, SystemParams(eps=eps)) == written_out
 
