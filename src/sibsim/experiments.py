@@ -29,6 +29,11 @@ print around it, and the tests call the same function:
   _phase_flow_assertion (check): nodal-phase-flow; cmd_check adds
   stored-c0-certified, which needs the 128^2 estimate.
 * cmd_estimate_c0 itself: estimator-converged.
+
+Every verdict follows one rule, _holds: an assertion passes exactly when
+its margin is >= 0, and each worst case is one numpy reduction over a
+list, so a NaN anywhere in what is checked makes the margin NaN and the
+verdict FAIL (Assertion lists the four strict or slackened exceptions).
 """
 
 from __future__ import annotations
@@ -94,7 +99,11 @@ __all__ = [
 @dataclass
 class Assertion:
     """One checked inequality: margin > 0 means it held with room to spare
-    (margin is in the units of the quantity being compared)."""
+    (margin is in the units of the quantity being compared).  _holds builds
+    every assertion but four, and passes it exactly when margin >= 0, so a
+    NaN margin fails.  _decreasing and yosida-convergence-small are strict
+    (a margin of 0 fails them); h1-envelope-domination and
+    small-data-envelope accept a round-off slack below 0."""
 
     name: str
     passed: bool
@@ -107,6 +116,11 @@ class Assertion:
         if self.detail:
             out += f" ({self.detail})"
         return out
+
+
+def _holds(name: str, margin: float, detail: str = "") -> Assertion:
+    """The assertion that margin >= 0, which a NaN margin fails."""
+    return Assertion(name, bool(margin >= 0.0), float(margin), detail)
 
 
 def _emit(quiet: bool, text: str) -> None:
@@ -205,7 +219,7 @@ def _energy_drift(series: dict) -> float:
 
 def _charge_conserved(name: str, drift: float, detail: str) -> Assertion:
     """The charge drifts by at most 1e-10, relative."""
-    return Assertion(name, drift <= 1e-10, 1e-10 - drift, detail)
+    return _holds(name, 1e-10 - drift, detail)
 
 
 @dataclass
@@ -245,7 +259,7 @@ def _drift_reports(runs: list[_Run]) -> tuple[dict, Assertion]:
         "energy_drift": [run.energy_drift for run in members],
         "reference_energy_drift": reference.energy_drift,
     }
-    worst = max(run.charge_drift for run in runs)
+    worst = np.max([run.charge_drift for run in runs])
     detail = f"largest relative drift {worst:.3e} over the reference and {len(members)} members"
     return reports, _charge_conserved("member-charge-conservation", worst, detail)
 
@@ -260,45 +274,31 @@ def _series_assertions(series: dict, eps: float, monitor: RunMonitor) -> list[As
     # side, so only the finite entries scale the slack
     slack = 1e-12 * float(np.max(env[np.isfinite(env)], initial=1.0))
     gap = float(np.min(env - lhs_h1))
-    out.append(
-        Assertion(
-            "h1-envelope-domination",
-            gap >= -slack,
-            gap,
-            "growth envelope vs H1-level quantity",
-        )
-    )
+    # explicit: the round-off slack lets the gap dip below 0
+    detail = "growth envelope vs H1-level quantity"
+    out.append(Assertion("h1-envelope-domination", gap >= -slack, gap, detail))
 
     ec = monitor.ec
     if ec.c6 is not None:
         gap6 = float(ec.c6 - np.max(small_envelope_lhs(series, eps)))
-        out.append(
-            Assertion(
-                "small-data-envelope",
-                gap6 >= -1e-12 * max(1.0, ec.c6),
-                gap6,
-                "time-independent bound vs energy-level quantity",
-            )
-        )
+        # explicit: the round-off slack lets the gap dip below 0
+        passed = bool(gap6 >= -1e-12 * np.maximum(1.0, ec.c6))
+        detail = "time-independent bound vs energy-level quantity"
+        out.append(Assertion("small-data-envelope", passed, gap6, detail))
 
     quotients = series["gn_quotient"]
     bound = ec.c0 * (1.0 + 1e-6)
     qgap = float(bound - np.max(quotients))
-    out.append(
-        Assertion(
-            "gn-quotient-bound",
-            qgap >= 0.0,
-            qgap,
-            f"max quotient {float(np.max(quotients)):.6f} vs C0 {ec.c0:.6f}",
-        )
-    )
+    detail = f"max quotient {float(np.max(quotients)):.6f} vs C0 {ec.c0:.6f}"
+    out.append(_holds("gn-quotient-bound", qgap, detail))
     return out
 
 
 def _decreasing(name: str, values: list[float], detail: str) -> Assertion:
-    """values strictly decreasing; the margin is the smallest step down."""
-    gaps = [a - b for a, b in zip(values, values[1:])]
-    return Assertion(name, all(g > 0 for g in gaps), min(gaps), detail)
+    """values strictly decreasing; the margin is the smallest step down.
+    Explicit, not _holds: a flat trend, margin 0, fails."""
+    margin = float(np.min([a - b for a, b in zip(values, values[1:])]))
+    return Assertion(name, margin > 0.0, margin, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,9 @@ def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
     samples = _sample_times(config)
     runs = _ladder(config, state0, [{"eps": eps} for eps in (0.0, *eps_values)], samples)
     reference, *members = (run.samples for run in runs)
-    sups = [max(difference_metric(m[t], reference[t]) for t in samples) for m in members]
+    sups = [
+        float(np.max([difference_metric(m[t], reference[t]) for t in samples])) for m in members
+    ]
     drift_reports, conserved = _drift_reports(runs)
     # log(0) is undefined, so an eps = 0 member stays out of the log-log fit
     fit = [(e, s) for e, s in zip(eps_values, sups) if e > 0]
@@ -485,10 +487,8 @@ def _symbol_assertions(grid) -> list[Assertion]:
     lam = grid.lam
     rng = np.random.default_rng(0)
     t_samples = (0.0, 0.3, 1.7, math.pi)
-    eps_samples = (0.0, 0.5, 1.0)
     n_max = 1024
     n_powers = tuple(2**j for j in range(n_max.bit_length()))
-    assertions: list[Assertion] = []
 
     def kernel(eps: float = 1.0, n: int | None = None) -> _Kernels:
         return _Kernels(grid, SystemParams(eps=eps, yosida_n=n), None)
@@ -496,140 +496,79 @@ def _symbol_assertions(grid) -> list[Assertion]:
     def norm(coef: np.ndarray, s: float = 0.0) -> float:
         return sobolev_norm(field_from_coef(grid, coef), s)
 
-    # per-mode symbol inequalities, exact comparisons
-    worst = {"contraction": math.inf, "sqrt-gain": math.inf, "sqrt-bound": math.inf, "full-bound": math.inf}
-    ok = {key: True for key in worst}
+    # per-mode symbol inequalities, exact comparisons: the least slack over
+    # the modes of each n
+    slacks = {"contraction": [], "sqrt-gain": [], "sqrt-bound": [], "full-bound": []}
     for n in range(1, n_max + 1):
         sym = kernel(n=n).jsym
         root = np.sqrt(lam) * sym
-        checks = {
-            "contraction": 1.0 - sym,
-            "sqrt-gain": math.sqrt(n) - root,
-            "sqrt-bound": np.sqrt(lam) - root,
-            "full-bound": lam - lam * sym,
-        }
-        for key, gap in checks.items():
-            worst[key] = min(worst[key], float(np.min(gap)))
-            ok[key] = ok[key] and bool(np.all(gap >= 0.0))
-    for key in worst:
-        assertions.append(
-            Assertion(
-                f"yosida-symbol-{key}",
-                ok[key],
-                worst[key],
-                f"min slack over modes and n in {{1..{n_max}}}",
-            )
-        )
+        gaps = (1.0 - sym, math.sqrt(n) - root, np.sqrt(lam) - root, lam - lam * sym)
+        for per_n, gap in zip(slacks.values(), gaps):
+            per_n.append(np.min(gap))
+    detail = f"min slack over modes and n in {{1..{n_max}}}"
+    assertions = [_holds(f"yosida-symbol-{key}", np.min(s), detail) for key, s in slacks.items()]
+
     # convergence of the regularization on a fixed smooth field
     probe = np.exp(-0.5 * lam / float(lam[0, 0]))
     probe_nrm = norm(probe)
     errs = [norm(probe - kernel(n=n).jsym * probe) for n in n_powers]
-    monotone_gap = min(a - b for a, b in zip(errs, errs[1:]))
-    assertions.append(
-        Assertion(
-            "yosida-convergence-monotone",
-            monotone_gap >= 0.0,
-            monotone_gap,
-            "||(1 - J_n) f|| nonincreasing along doubling n",
-        )
-    )
+    monotone = np.min([a - b for a, b in zip(errs, errs[1:])])
+    detail = "||(1 - J_n) f|| nonincreasing along doubling n"
+    assertions.append(_holds("yosida-convergence-monotone", monotone, detail))
     lam_max = float(np.max(lam))
-    band_gaps = [
-        (lam_max / n) * probe_nrm - err for n, err in zip(n_powers, errs)
-    ]
-    assertions.append(
-        Assertion(
-            "yosida-convergence-band-bound",
-            min(band_gaps) >= 0.0,
-            min(band_gaps),
-            "||(1 - J_n) f|| <= (lam_max / n) ||f||",
-        )
-    )
+    band = np.min([(lam_max / n) * probe_nrm - err for n, err in zip(n_powers, errs)])
+    detail = "||(1 - J_n) f|| <= (lam_max / n) ||f||"
+    assertions.append(_holds("yosida-convergence-band-bound", band, detail))
     # n = 2**k_small, printed as such: on a tiny domain it has hundreds of digits
     k_small = max(12, int(math.ceil(math.log2(float(lam[0, 0]) / 5e-4))))
     tail = norm(probe - kernel(n=2**k_small).jsym * probe)
-    assertions.append(
-        Assertion(
-            "yosida-convergence-small",
-            tail < 1e-3 * probe_nrm,
-            1e-3 * probe_nrm - tail,
-            f"residual at n = 2**{k_small}",
-        )
-    )
+    # explicit, not _holds: the residual must be strictly below its bound
+    small = 1e-3 * probe_nrm - tail
+    detail = f"residual at n = 2**{k_small}"
+    assertions.append(Assertion("yosida-convergence-small", small > 0.0, small, detail))
 
     # propagator unitarity across Sobolev scales
-    worst_unitary = math.inf
     ker = kernel()
+    unitary = []
     for t in t_samples:
         U = ker.free_flow(t)[0]
         for _ in range(5):
             f = _random_coef(grid, rng, "complex")
             for s in (-0.5, 0.0, 1.0):
                 before = norm(f, s)
-                after = norm(U * f, s)
-                worst_unitary = min(
-                    worst_unitary, 1e-12 - abs(after - before) / before
-                )
-    assertions.append(
-        Assertion(
-            "schrodinger-unitarity",
-            worst_unitary >= 0.0,
-            worst_unitary,
-            "Sobolev norms preserved to 1e-12 relative",
-        )
-    )
+                unitary.append(1e-12 - abs(norm(U * f, s) - before) / before)
+    detail = "Sobolev norms preserved to 1e-12 relative"
+    assertions.append(_holds("schrodinger-unitarity", np.min(unitary), detail))
 
     # group property U(t) U(-t) = 1
-    worst_group = math.inf
-    for t in t_samples:
-        sym = ker.free_flow(t)[0] * ker.free_flow(-t)[0]
-        worst_group = min(worst_group, 1e-14 - float(np.max(np.abs(sym - 1.0))))
-    assertions.append(
-        Assertion("propagator-group-identity", worst_group >= 0.0, worst_group)
-    )
+    group = [np.max(np.abs(ker.free_flow(t)[0] * ker.free_flow(-t)[0] - 1.0)) for t in t_samples]
+    assertions.append(_holds("propagator-group-identity", 1e-14 - np.max(group)))
 
     # wave kernel first integral cos^2 + omega^2 sinc^2 = 1, and the
     # determinant of the flow cos^2 + wsin * sinc = 1, which reaches the
     # third symbol wave_half multiplies by
-    worst_wave = math.inf
-    for eps in eps_samples:
-        ker = kernel(eps=eps)
+    kernels = [kernel(eps=eps) for eps in (0.0, 0.5, 1.0)]
+    wave = []
+    for ker in kernels:
         for t in t_samples:
             _, cos, sinc, wsin = ker.free_flow(t)
-            resid = max(
-                np.max(np.abs(cos**2 + ker.w**2 * sinc**2 - 1.0)),
-                np.max(np.abs(cos**2 + wsin * sinc - 1.0)),
-            )
-            worst_wave = min(worst_wave, 1e-14 - float(resid))
-    assertions.append(
-        Assertion("wave-kernel-first-integral", worst_wave >= 0.0, worst_wave)
-    )
+            wave.append(np.max(np.abs(cos**2 + ker.w**2 * sinc**2 - 1.0)))
+            wave.append(np.max(np.abs(cos**2 + wsin * sinc - 1.0)))
+    assertions.append(_holds("wave-kernel-first-integral", 1e-14 - np.max(wave)))
 
     # the oracle's forcing symbol -w2 is -omega^2 (relative: both scale with lam)
-    worst_src = math.inf
-    for eps in eps_samples:
-        ker = kernel(eps=eps)
-        src = -ker.w2
-        resid = np.abs((src + ker.w**2) / src)
-        worst_src = min(worst_src, 1e-14 - float(np.max(resid)))
-    assertions.append(Assertion("source-symbol-consistency", worst_src >= 0.0, worst_src))
+    source = [np.max(np.abs((ker.w**2 - ker.w2) / -ker.w2)) for ker in kernels]
+    assertions.append(_holds("source-symbol-consistency", 1e-14 - np.max(source)))
 
     # norm identity ||(1 - Lap)^{1/2} (-Lap)^{-1/2} f||^2 = ||f||^2 + ||(-Lap)^{-1/2} f||^2
-    worst_ident = math.inf
+    ident = []
     for _ in range(100):
         f = _random_coef(grid, rng, "real")
         lhs = h1_norm(field_from_coef(grid, f / np.sqrt(lam))) ** 2
         rhs = norm(f) ** 2 + norm(f, -1.0) ** 2
-        worst_ident = min(worst_ident, 1e-10 - abs(lhs - rhs) / rhs)
-    assertions.append(
-        Assertion(
-            "lifted-inverse-norm-identity",
-            worst_ident >= 0.0,
-            worst_ident,
-            "100 random fields, 1e-10 relative",
-        )
-    )
-
+        ident.append(1e-10 - abs(lhs - rhs) / rhs)
+    detail = "100 random fields, 1e-10 relative"
+    assertions.append(_holds("lifted-inverse-norm-identity", np.min(ident), detail))
     return assertions
 
 
@@ -642,7 +581,7 @@ def _transform_assertions(grid) -> list[Assertion]:
     `grid` and of a fixed rectangle, 2pi x pi with 12 x 8 modes, where an
     exchange of the axes shows."""
     rng = np.random.default_rng(0)
-    worst = {"inverse": 0.0, "parseval": 0.0}
+    errors = {"inverse": [], "parseval": []}
     for g in (grid, make_grid(2 * math.pi, math.pi, 12, 8)):
         for shape in (g.shape, _Kernels(g, SystemParams(), None).prod_shape):
             for kind in ("real", "complex"):
@@ -654,13 +593,13 @@ def _transform_assertions(grid) -> list[Assertion]:
                 inverse = float(np.sum(np.abs(values_to_coef(g, vals) - c) ** 2))
                 node_sum = float(np.sum(np.abs(vals) ** 2)) * g.Lx * g.Ly
                 node_sum /= (shape[0] + 1) * (shape[1] + 1)
-                worst["inverse"] = max(worst["inverse"], math.sqrt(inverse / sq))
-                worst["parseval"] = max(worst["parseval"], abs(node_sum - sq) / sq)
+                errors["inverse"].append(math.sqrt(inverse / sq))
+                errors["parseval"].append(abs(node_sum - sq) / sq)
     what = {"inverse": "analysis(synthesis(c)) = c", "parseval": "node-sum Parseval identity"}
     where = "1e-12 relative, on the nodes and product grid of the config grid and of 2pi x pi"
     return [
-        Assertion(f"transform-{key}", err <= 1e-12, 1e-12 - err, f"{what[key]}, {where}")
-        for key, err in worst.items()
+        _holds(f"transform-{key}", 1e-12 - np.max(errs), f"{what[key]}, {where}")
+        for key, errs in errors.items()
     ]
 
 
@@ -678,20 +617,18 @@ def _phase_flow_assertion(grid) -> Assertion:
     v = values_to_coef(grid, rng.choice((-1.0, 1.0), size=grid.shape))
     uu, vv = coef_to_values(grid, u), coef_to_values(grid, v)
     charge0 = float(np.sum(np.abs(u) ** 2))
-    flow_err = charge_err = 0.0
+    flow_errs, charge_errs = [], []
     for beta in (1e-3, 0.999 * _TAYLOR_PHASE, 1.001 * _TAYLOR_PHASE):
         dt = beta / float(np.max(np.abs(vv)))
         flowed = _Kernels(grid, SystemParams(dt=dt), dt).potential_flow(u, v)
         exact = values_to_coef(grid, np.exp(-1j * dt * vv) * uu)
-        flow_err = max(flow_err, math.sqrt(float(np.sum(np.abs(flowed - exact) ** 2)) / charge0))
-        charge_err = max(charge_err, abs(float(np.sum(np.abs(flowed) ** 2)) - charge0) / charge0)
-    return Assertion(
-        "nodal-phase-flow",
-        max(flow_err, charge_err) <= 1e-14,
-        1e-14 - max(flow_err, charge_err),
-        f"error {flow_err:.1e} against exp(-i dt v) u and charge change {charge_err:.1e}, "
-        "1e-14 relative, at beta = dt max|v| 1e-3, 0.999/8 and 1.001/8",
+        flow_errs.append(math.sqrt(float(np.sum(np.abs(flowed - exact) ** 2)) / charge0))
+        charge_errs.append(abs(float(np.sum(np.abs(flowed) ** 2)) - charge0) / charge0)
+    detail = (
+        f"error {np.max(flow_errs):.1e} against exp(-i dt v) u and charge change "
+        f"{np.max(charge_errs):.1e}, 1e-14 relative, at beta = dt max|v| 1e-3, 0.999/8 and 1.001/8"
     )
+    return _holds("nodal-phase-flow", 1e-14 - np.max(flow_errs + charge_errs), detail)
 
 
 def cmd_check(config: RunConfig, quiet: bool = False) -> int:
@@ -708,14 +645,8 @@ def cmd_check(config: RunConfig, quiet: bool = False) -> int:
     # fresh estimate on the grid it was derived on (read at call time)
     fresh_c0 = estimate_gn_constant(make_grid(2 * math.pi, 2 * math.pi, 128, 128))
     c0_slack = fresh_c0 * (1.0 + 1e-12) - functionals.REFERENCE_C0
-    assertions.append(
-        Assertion(
-            "stored-c0-certified",
-            c0_slack >= 0.0,
-            c0_slack,
-            f"REFERENCE_C0 <= fresh 128^2 estimate {fresh_c0:.16g}, 1e-12 relative slack",
-        )
-    )
+    detail = f"REFERENCE_C0 <= fresh 128^2 estimate {fresh_c0:.16g}, 1e-12 relative slack"
+    assertions.append(_holds("stored-c0-certified", c0_slack, detail))
 
     manifest = _manifest_base("check", config)
     return _finish(config.out_dir, manifest, assertions, [], quiet)
@@ -749,9 +680,7 @@ def cmd_estimate_c0(config: RunConfig, quiet: bool = False) -> int:
     _emit(quiet, f"C0 estimate: {value:.6f} (threshold sqrt(2)/C0 = {threshold:.6f})")
     manifest = _manifest_base("estimate-c0", config)
     manifest["reports"] = payload
-    assertions = [
-        Assertion("estimator-converged", converged, 0.0 if converged else -1.0)
-    ]
+    assertions = [_holds("estimator-converged", 0.0 if converged else -1.0)]
     return _finish(config.out_dir, manifest, assertions, ["c0.json"], quiet)
 
 
@@ -782,21 +711,16 @@ def _order_test(config: RunConfig) -> tuple[dict, list[Assertion]]:
     reports = {"dt": list(dts), "errors": errors, **_drift_reports(runs)[0]}
     parts = (reference.u, reference.v, reference.vt)
     zero = State(*(field_from_coef(f.grid, np.zeros_like(f.coef)) for f in parts), reference.t)
-    if max(errors) <= 1e-11 * difference_metric(reference, zero):
+    if np.max(errors) <= 1e-11 * difference_metric(reference, zero):
         if not np.any(state0.u.coef):
             return {**reports, "skipped": True}, []
         detail = "errors at round-off do not depend on dt although u != 0: observed order 0"
-        return reports, [Assertion("splitting-second-order", False, -1.9, detail)]
+        return reports, [_holds("splitting-second-order", -1.9, detail)]
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     mean_order = sum(orders) / len(orders)
     reports.update(orders=orders, mean_order=mean_order)
-    assertion = Assertion(
-        "splitting-second-order",
-        mean_order >= 1.9,
-        mean_order - 1.9,
-        f"mean observed order {mean_order:.3f}",
-    )
-    return reports, [assertion]
+    detail = f"mean observed order {mean_order:.3f}"
+    return reports, [_holds("splitting-second-order", mean_order - 1.9, detail)]
 
 
 def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:

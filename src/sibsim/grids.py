@@ -15,15 +15,16 @@ of spectral collocation): synthesis on an M-node grid is A_x @ c @ A_y.T
 with A[j-1, k-1] = e_k(x_j) the M x N block of the sine basis at the
 nodes, so zero-padding is implicit, and analysis computes only the N
 retained rows.  The matrices, and the right factors as contiguous
-transposes, are built once per (M, N, L) and the products run as real BLAS
-gemm on real arrays or on a (2, ., .) stack of real and imaginary planes;
-a complex array is split into planes on entry and merged on exit.  At the
-3/2-padded and 2x-refined sizes used here an FFT of length 2(M+1) has a
-large prime factor (2*97 at 96 nodes, 2*577 at 576), and the products beat
-an FFT-based DST-I of the zero-padded array at every such size measured, up
-to 2048 nodes; the FFT wins only on a power-of-two band above 400 modes,
-which nothing here transforms.  The price is O(M^2 N) time per M^2-node
-transform and 8 M N bytes per cached matrix, up to four per size and axis;
+transposes, are built once per (M, N, L) by _factors, and the products run
+as real BLAS gemm on real arrays or on a (2, ., .) stack of real and
+imaginary planes; a complex array is split into planes on entry and merged
+on exit.  At the 3/2-padded and 2x-refined sizes used here an FFT of
+length 2(M+1) has a large prime factor (2*97 at 96 nodes, 2*577 at 576),
+and the products beat an FFT-based DST-I of the zero-padded array at every
+such size measured, up to 2048 nodes; the FFT wins only on a power-of-two
+band above 400 modes, which nothing here transforms.  The price is
+O(M^2 N) time per M^2-node transform and 8 M N bytes per cached matrix,
+three per (M, N, L) (the analysis matrix's transpose is a view of it);
 past 2048 nodes neither was measured (a 4096^2 grid would cache about
 2 GB), so a larger workload needs a benchmark before an FFT path comes
 back.
@@ -149,32 +150,23 @@ def _sines(M: int, N: int) -> np.ndarray:
     return np.sin((np.pi / (M + 1)) * jk)
 
 
-@lru_cache(maxsize=64)
-def _synthesis_matrix(M: int, N: int, L: float) -> np.ndarray:
-    """M x N matrix A[j-1, k-1] = e_k(x_j) = sqrt(2/L) sin(pi j k / (M+1)):
-    the first N orthonormal sine modes on (0, L) at M interior nodes."""
-    A = sqrt(2.0 / L) * _sines(M, N)
-    A.setflags(write=False)
-    return A
-
-
-@lru_cache(maxsize=64)
-def _analysis_matrix(M: int, N: int, L: float) -> np.ndarray:
-    """N x M matrix A.T * L/(M+1): the first N rows of the inverse of the
-    M-node synthesis (the discrete sine basis is orthogonal under the node
-    sum)."""
-    B = (sqrt(2.0 * L) / (M + 1)) * _sines(M, N).T
-    B.setflags(write=False)
-    return B
-
-
 @lru_cache(maxsize=128)
-def _transposed(matrix, M: int, N: int, L: float) -> np.ndarray:
-    """matrix(M, N, L).T as a read-only C-contiguous array, the right
-    factor of a transform: gemm on a transposed view is slower."""
-    T = np.ascontiguousarray(matrix(M, N, L).T)
-    T.setflags(write=False)
-    return T
+def _factors(M: int, N: int, L: float) -> tuple[np.ndarray, ...]:
+    """The read-only transform factors of M nodes and N modes on (0, L):
+    (A, A.T, B, B.T), with A[j-1, k-1] = e_k(x_j) = sqrt(2/L) sin(pi j k /
+    (M+1)) the M x N synthesis (the first N orthonormal sine modes at M
+    interior nodes) and B = A.T * L/(M+1) the N x M analysis (the first N
+    rows of the inverse of the M-node synthesis: the discrete sine basis
+    is orthogonal under the node sum).  The transposes are C-contiguous,
+    as the right factor of a transform must be: gemm on a transposed view
+    is slower."""
+    sines = _sines(M, N)
+    A = sqrt(2.0 / L) * sines
+    B = (sqrt(2.0 * L) / (M + 1)) * sines.T
+    factors = (A, np.ascontiguousarray(A.T), B, np.ascontiguousarray(B.T))
+    for matrix in factors:
+        matrix.setflags(write=False)
+    return factors
 
 
 def to_planes(z: np.ndarray) -> np.ndarray:
@@ -220,8 +212,8 @@ def _synthesis(grid: Grid2D, coef: np.ndarray, shape: tuple[int, int] | None) ->
         shape = grid.shape
     if shape[0] < band[0] or shape[1] < band[1]:
         raise ValueError("synthesis grid must be at least as fine as the band")
-    ax = _synthesis_matrix(shape[0], band[0], grid.Lx)
-    ay_t = _transposed(_synthesis_matrix, shape[1], band[1], grid.Ly)
+    ax = _factors(shape[0], band[0], grid.Lx)[0]
+    ay_t = _factors(shape[1], band[1], grid.Ly)[1]
     return _dense(ax, coef, ay_t)
 
 
@@ -237,8 +229,8 @@ def values_to_coef(grid: Grid2D, values: np.ndarray) -> np.ndarray:
 def _analysis(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     """values_to_coef of a real array or a planes stack."""
     shape = values.shape[-2:]
-    bx = _analysis_matrix(shape[0], min(grid.Nx, shape[0]), grid.Lx)
-    by_t = _transposed(_analysis_matrix, shape[1], min(grid.Ny, shape[1]), grid.Ly)
+    bx = _factors(shape[0], min(grid.Nx, shape[0]), grid.Lx)[2]
+    by_t = _factors(shape[1], min(grid.Ny, shape[1]), grid.Ly)[3]
     return _dense(bx, values, by_t)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import inspect
+import itertools
 import json
 import os
 import platform
@@ -521,15 +522,20 @@ def table(name, change, n=None):
     return patch
 
 
+def results(holder, name, change):
+    """A patch that passes every result of holder.name through change."""
+
+    def patch(monkeypatch):
+        original = getattr(holder, name)
+        monkeypatch.setattr(holder, name, lambda *args: change(original(*args)))
+
+    return patch
+
+
 def free_flow(change):
     """A patch that passes every _Kernels.free_flow result, the tuple
     (phase, cos, sinc, wsin), through change."""
-
-    def patch(monkeypatch):
-        original = dynamics._Kernels.free_flow
-        monkeypatch.setattr(dynamics._Kernels, "free_flow", lambda ker, t: change(original(ker, t)))
-
-    return patch
+    return results(dynamics._Kernels, "free_flow", change)
 
 
 def flow_table(index, change):
@@ -667,6 +673,17 @@ def dt_ignored(monkeypatch, tmp_path):
     return experiments._order_test(RunConfig(nx=16, ny=16))[-1]
 
 
+def nan_member_charge(monkeypatch, tmp_path):
+    """_n_sweep on 8^2 to t = 0.02 with the second member's final charge
+    read as NaN: each run takes its charge at its start and at T, the
+    reference first, so that is the sixth charge taken."""
+    calls = itertools.count()
+    monkeypatch.setattr(
+        experiments, "charge", lambda st: np.nan if next(calls) == 5 else functionals.charge(st)
+    )
+    return experiments._n_sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-1]
+
+
 def growing_charge(sweep):
     """The assertions of sweep on 8^2 to t = 0.02 with a charge that grows
     like 1 + t."""
@@ -712,17 +729,18 @@ def transform_fault(patch):
 def scaled(name, factor):
     """A patch that scales every result of the grids transform `name`."""
 
-    def patch(monkeypatch):
-        transform = getattr(sibsim.grids, name)
-        monkeypatch.setattr(sibsim.grids, name, lambda *args: transform(*args) * factor)
-
-    return patch
+    return results(sibsim.grids, name, lambda values: values * factor)
 
 
 def non_isometric(monkeypatch):
     # synthesis doubled and analysis halved still invert each other
     scaled("_synthesis", 2.0)(monkeypatch)
     scaled("_analysis", 0.5)(monkeypatch)
+
+
+def nan_corner(holder, name):
+    """A patch that reads entry (0, 0) of every result of holder.name as NaN."""
+    return results(holder, name, set_entry((0, 0), np.nan))
 
 
 def lifted_norm_off(monkeypatch):
@@ -788,10 +806,39 @@ FAULTS = [
     ("estimator-converged", command_fault("estimate-c0", unconverged_estimator)),
 ]
 
+# a NaN in the quantity an assertion checks fails it, wherever the NaN sits
+# among the values its worst case is taken over
+NAN_FAULTS = [
+    ("member-charge-conservation", nan_member_charge),
+    *(
+        (name, symbol_fault(table("jsym", set_entry((0, 0), np.nan), n=1024)))
+        for name in (
+            "yosida-symbol-contraction",
+            "yosida-convergence-monotone",
+            "yosida-convergence-band-bound",
+        )
+    ),
+    ("schrodinger-unitarity", symbol_fault(flow_table(0, set_entry((3, 2), np.nan)))),
+    ("propagator-group-identity", symbol_fault(flow_table(0, set_entry((3, 2), np.nan)))),
+    ("wave-kernel-first-integral", symbol_fault(flow_table(1, set_entry((3, 2), np.nan)))),
+    ("source-symbol-consistency", symbol_fault(table("w2", set_entry((1, 1), np.nan)))),
+    (
+        "lifted-inverse-norm-identity",
+        symbol_fault(lambda mp: mp.setattr(experiments, "h1_norm", lambda f: np.nan)),
+    ),
+    ("transform-inverse", transform_fault(nan_corner(sibsim.grids, "_analysis"))),
+    ("transform-parseval", transform_fault(nan_corner(sibsim.grids, "_synthesis"))),
+    ("nodal-phase-flow", phase_flow_fault(nan_corner(dynamics._Kernels, "potential_flow"))),
+]
+FAULTS += NAN_FAULTS
+
 
 # a case whose name an earlier case already has gets an id of its own, so
 # that the earlier one keeps its bare name
-CASE_IDS = {dt_ignored: "splitting-second-order-fixed-dt"}
+CASE_IDS = {
+    dt_ignored: "splitting-second-order-fixed-dt",
+    **{fault: f"{name}-nan" for name, fault in NAN_FAULTS},
+}
 
 
 @pytest.mark.parametrize(
@@ -800,6 +847,8 @@ CASE_IDS = {dt_ignored: "splitting-second-order-fixed-dt"}
 def test_every_assertion_fails_on_its_fault(monkeypatch, tmp_path, name, fault):
     verdicts = {a.name: a for a in fault(monkeypatch, tmp_path)}
     assert verdicts[name].passed is False, verdicts[name].line()
+    # a failed verdict reports no room to spare
+    assert not verdicts[name].margin > 0, verdicts[name].line()
 
 
 # each ladder, and the report key that lists its members
