@@ -14,6 +14,8 @@ Two solvers:
 
 * `integrate`: second-order symmetric splitting (half wave, full
   Schrodinger, half wave; one step is `_Kernels.step`), the production path.
+  Where it keeps no state between two steps, the closing and opening half
+  waves, which share one source, run as one full-step wave flow.
   It returns the states its caller asks for, and diagnostics rows only
   from a monitor the caller passes in; this module evaluates no
   diagnostics of its own.
@@ -299,6 +301,23 @@ def _unit_phase(y: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
+def _wave_flow(v, vt, f, cos, sinc, wsin):
+    """The free wave flow of tables (cos, sinc, wsin) applied to v'' =
+    -omega^2 (v + f), f frozen: (v, vt) -> (cos z + sinc vt - f, -wsin z +
+    cos vt) with z = v + f, into new arrays."""
+    z = v + f
+    # in place, and bit for bit equal to the formula above
+    # (x - y is x + (-y) exactly, and addition commutes)
+    v1 = cos * z
+    tmp = sinc * vt
+    v1 += tmp
+    v1 -= f
+    z *= wsin
+    vt1 = np.multiply(cos, vt, out=tmp)
+    vt1 -= z
+    return v1, vt1
+
+
 class _Kernels:
     """Per-(grid, params, dt) precomputed symbols and product closures.
 
@@ -315,10 +334,14 @@ class _Kernels:
                    the wave forcing symbol of the Duhamel form
         phase_half, cos_half, sinc_half, wsin_half
                    free_flow(dt/2), the exact half-step flows
+        cos_full, sinc_full, wsin_full
+                   the wave tables of free_flow(dt), the exact full-step
+                   wave flow that stands for two half-step wave flows
+                   with one source
 
     free_flow(t) writes the free flows over any time t for the stepper's
     tables, the Picard oracle's panels and `sibsim check`.  dt = None
-    builds no half-step tables, for callers that take no step (the energy,
+    builds no step tables, for callers that take no step (the energy,
     data smoothing, the Picard oracle).
 
     The kernel also decides where each nonlinear term is sampled.  The
@@ -364,6 +387,7 @@ class _Kernels:
         if dt is not None:
             flows = self.free_flow(0.5 * dt)
             self.phase_half, self.cos_half, self.sinc_half, self.wsin_half = flows
+            self.cos_full, self.sinc_full, self.wsin_full = self.free_flow(dt)[1:]
 
     def free_flow(self, t):
         """The free flows over a time t: exp(-i t lam), the symbol of
@@ -414,18 +438,14 @@ class _Kernels:
 
     def wave_half(self, v, vt, f):
         """Exact flow over dt/2 of v'' = -omega^2 (v + f), f frozen."""
-        z = v + f
-        # in place, and bit for bit equal to
-        #   v1 = cos_half*z + sinc_half*vt - f,  vt1 = -wsin_half*z + cos_half*vt
-        # (x - y is x + (-y) exactly, and addition commutes)
-        v1 = self.cos_half * z
-        tmp = self.sinc_half * vt
-        v1 += tmp
-        v1 -= f
-        z *= self.wsin_half
-        vt1 = np.multiply(self.cos_half, vt, out=tmp)
-        vt1 -= z
-        return v1, vt1
+        return _wave_flow(v, vt, f, self.cos_half, self.sinc_half, self.wsin_half)
+
+    def wave_full(self, v, vt, f):
+        """Exact flow over dt of v'' = -omega^2 (v + f), f frozen: two
+        wave_half flows with one f, in one pass.  The equation is
+        autonomous while f is frozen, so its flows form a group, and the
+        two agree to round-off."""
+        return _wave_flow(v, vt, f, self.cos_full, self.sinc_full, self.wsin_full)
 
     def potential_flow(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Flow over dt of i u_t = P(v, u) with v frozen.
@@ -525,7 +545,11 @@ class _Kernels:
                 if _tail_negligible(tnorm, hb / (k + 1), tol):
                     break
                 k += 1
-                jterm = coef_to_values(grid, jsym * term, shape)
+                # the old term is not read again: J term in its place, and
+                # it is freed before the analysis
+                term *= jsym
+                jterm = coef_to_values(grid, term, shape)
+                del term
                 jterm *= jv
                 # term = (-i h/k) J prod: with c = (-h/k) J, the real plane
                 # is -c times prod's imaginary plane and the imaginary plane
@@ -536,7 +560,7 @@ class _Kernels:
                 tnorm = np.linalg.norm(term)
         return from_planes(out)
 
-    def step(self, u, v, vt, f):
+    def step(self, u, v, vt, f, opened=False, close=True):
         """One symmetric splitting step of length dt: half wave, full
         Schrodinger with v at the half step, half wave with the source
         refreshed from the updated u.
@@ -546,13 +570,29 @@ class _Kernels:
         one wave source, not two, as the "first same as last" stage of
         Dormand and Prince (J. Comput. Appl. Math. 6 (1980)).  wave_source
         does not depend on dt, so f carries over to a kernel of another
-        dt as well."""
-        v, vt = self.wave_half(v, vt, f)
+        dt as well.
+
+        The closing half wave of one step and the opening half wave of the
+        next flow with the same source, so together they are one full-step
+        wave flow, the leapfrog form of the splitting (Hairer, Lubich and
+        Wanner, Geometric Numerical Integration, 2nd ed. (2006), II.5).
+        With close=False the step ends with wave_full in place of its
+        closing half, and the (v, vt) it returns are opened: the next
+        step's half wave has already been applied to them, so they are half
+        a step ahead of u.  The next step, of the same kernel, is then
+        called with opened=True and skips its opening half wave (its f is
+        not read).  The defaults take one whole step.  Either way a step
+        forms one wave source and makes the same transforms: 5 band
+        transforms unregularized, 2k + 3 for k Yosida Taylor terms."""
+        if not opened:
+            v, vt = self.wave_half(v, vt, f)
         u = self.phase_half * u
         u = self.potential_flow(u, v)
-        u = self.phase_half * u
+        # in place, with the operands in the order of phase_half * u: numpy
+        # rounds a complex product differently with its factors swapped
+        np.multiply(self.phase_half, u, out=u)
         f = self.wave_source(u)
-        v, vt = self.wave_half(v, vt, f)
+        v, vt = (self.wave_half if close else self.wave_full)(v, vt, f)
         return u, v, vt, f
 
 
@@ -589,6 +629,18 @@ def integrate(
     t0, every monitor_stride steps, and at the end; without one, no row is
     evaluated and the record's series is empty.
 
+    A step closes, ending with its half wave flow, only where a state is
+    kept: at a monitor row, a checkpoint and the end, and before the
+    shortened last step, which runs on a kernel of its own length.
+    Between two other steps the closing half wave of the first and the
+    opening half wave of the second are one full-step wave flow
+    (`_Kernels.step` with close=False, then opened=True), so a run makes
+    one wave flow per step and one more per step that closes before
+    another.  A monitor row takes the wave source that the run holds for
+    the kept u and forms none of its own, so a nodal run of m steps and r
+    rows makes 5m + 2 band transforms, and the rows only the transforms
+    of their own norms (one lp_norm synthesis each).
+
     A run aborts with BlowupError when a step leaves u[0, 0] non-finite,
     when a state it keeps (a checkpoint or the final state) is not finite,
     or when a monitor row is not finite.  The error names the step and the
@@ -597,8 +649,9 @@ def integrate(
     had one, was seen finite (t0 before the first check).
 
     Args:
-        monitor: optional object whose row(state, params) returns one
-            diagnostics row as a dict of floats, such as a RunMonitor.
+        monitor: optional object whose row(state, params, source) returns
+            one diagnostics row as a dict of floats, such as a RunMonitor;
+            source is the wave source of the state's u.
         checkpoint_times: for each time, the state after the first completed
             step at or after it is kept.
     """
@@ -629,33 +682,43 @@ def integrate(
         parts = {"u": u, "v": v, "vt": vt}
         bad = next((name for name, arr in parts.items() if not np.isfinite(arr).all()), None)
         if bad is None and row:
-            rows.append(monitor.row(snap, params))
+            rows.append(monitor.row(snap, params, f))
             bad = next((name for name, val in rows[-1].items() if not np.isfinite(val)), None)
         if bad is not None:
             raise BlowupError(t_finite, step, bad)
         t_finite = t
         return snap
 
+    def last_kernel(t_start: float) -> _Kernels:
+        """The kernel of the last step, which starts at t_start and lands
+        on t0 + T: ker itself unless that step is shortened."""
+        step_dt = (t0 + T) - t_start
+        return ker if abs(step_dt - dt) <= 1e-12 * dt else _Kernels(state.grid, params, step_dt)
+
     if monitor is not None:
         keep(t0, 0, row=True)
     t = t0
     while pending and pending[0] <= t0 + 1e-12:
         checkpoints[pending.pop(0)] = keep(t0, 0)
+    step_ker = ker if n_steps > 1 else last_kernel(t0)
+    opened = False
     # each step's u, every kept state and every monitor row is checked for
     # finiteness below, so a divergence names itself; numpy's overflow and
     # invalid-value warnings on the way there would only add stderr lines
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            step_dt = dt
-            if i == n_steps - 1:
-                step_dt = (t0 + T) - t
-                if abs(step_dt - dt) > 1e-12 * dt:
-                    ker = _Kernels(state.grid, params, step_dt)
-            u, v, vt, f = ker.step(u, v, vt, f)
-            t = t0 + T if i == n_steps - 1 else t + dt
+            last = i == n_steps - 1
+            t_next = t0 + T if last else t + dt
+            next_ker = last_kernel(t_next) if i == n_steps - 2 else step_ker
+            row = monitor is not None and ((i + 1) % monitor_stride == 0 or last)
+            checkpoint = bool(pending) and pending[0] <= t_next + 1e-12
+            close = last or row or checkpoint or next_ker is not step_ker
+            u, v, vt, f = step_ker.step(u, v, vt, f, opened, close)
+            opened = not close
+            step_ker, t = next_ker, t_next
             if not np.isfinite(u[0, 0]):
                 raise BlowupError(t_finite, i + 1, "u")
-            if monitor is not None and ((i + 1) % monitor_stride == 0 or i == n_steps - 1):
+            if row:
                 keep(t, i + 1, row=True)
             while pending and pending[0] <= t + 1e-12:
                 checkpoints[pending.pop(0)] = keep(t, i + 1)

@@ -482,8 +482,8 @@ def _symbol_assertions(grid) -> list[Assertion]:
     """Exactness and inequality suite for the spectral symbols.  Every symbol
     checked is an attribute of a kernel (dynamics._Kernels) built on
     `grid`, or a free flow from its free_flow(t), which also makes the
-    stepper's half-step tables and the Picard oracle's flows, so the suite
-    certifies the arrays the integrator multiplies by."""
+    stepper's half- and full-step tables and the Picard oracle's flows, so
+    the suite certifies the arrays the integrator multiplies by."""
     lam = grid.lam
     rng = np.random.default_rng(0)
     t_samples = (0.0, 0.3, 1.7, math.pi)

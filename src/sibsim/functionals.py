@@ -137,18 +137,33 @@ def charge(state: State) -> float:
     return float(np.sum(np.abs(state.u.coef) ** 2))
 
 
-def energy(state: State, params: SystemParams) -> float:
+def energy(state: State, params: SystemParams, source: np.ndarray | None = None) -> float:
     """Conserved energy of the system that `params` steps (eps, and the
-    Yosida wrapping of the coupling term)."""
-    u, v, vt = state.u, state.v, state.vt
-    quad = sobolev_norm(u, 1.0) ** 2 + 0.5 * (
-        sobolev_norm(v, 0.0) ** 2
-        + sobolev_norm(vt, -1.0) ** 2
-        + params.eps * sobolev_norm(vt, 0.0) ** 2
+    Yosida wrapping of the coupling term).  source is the wave source
+    W(u) of the state's u when the caller holds it, as integrate does; it
+    is formed here otherwise."""
+    vt = state.vt
+    return _energy(
+        state,
+        params,
+        source,
+        sobolev_norm(state.u, 1.0),
+        sobolev_norm(state.v, 0.0),
+        sobolev_norm(vt, -1.0),
+        sobolev_norm(vt, 0.0),
     )
+
+
+def _energy(state, params, source, grad_u, l2_v, hm_half_vt, l2_vt) -> float:
+    """The energy from the norms ||grad u||, ||v||, ||(-Lap)^{-1/2} vt||
+    and ||vt|| of the state, which a monitor row forms once for its
+    columns too, and W(u) (None: formed here)."""
+    quad = grad_u**2 + 0.5 * (l2_v**2 + hm_half_vt**2 + params.eps * l2_vt**2)
+    if source is None:
+        source = _Kernels(state.grid, params, None).wave_source(state.u.coef)
     # the stepper's own wave source; any other quadrature or model here
     # would decouple the reported energy from the conserved one
-    coupling = np.sum(v.coef * _Kernels(state.grid, params, None).wave_source(u.coef))
+    coupling = np.sum(state.v.coef * source)
     return float(quad + coupling)
 
 
@@ -190,7 +205,12 @@ def gn_quotient(u: Field) -> float:
     nrm2 = sobolev_norm(u, 0.0)
     if nrm2 == 0.0:
         raise ValueError("Gagliardo-Nirenberg quotient of the zero field")
-    return lp_norm(u, 4) ** 2 / (nrm2 * sobolev_norm(u, 1.0))
+    return _gn_quotient(u, nrm2, sobolev_norm(u, 1.0))
+
+
+def _gn_quotient(u: Field, l2_u: float, grad_u: float) -> float:
+    """gn_quotient from the norms ||u||_2 > 0 and ||grad u||_2 of u."""
+    return lp_norm(u, 4) ** 2 / (l2_u * grad_u)
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +382,30 @@ class RunMonitor:
         dn = DataNorms.from_state(state)
         return cls(dn=dn, ec=envelope_constants(dn, default_gn_constant()), t0=state.t)
 
-    def row(self, state: State, params: SystemParams) -> dict[str, float]:
+    def row(
+        self, state: State, params: SystemParams, source: np.ndarray | None = None
+    ) -> dict[str, float]:
         """One diagnostics row.  Every column is derived from the state, so
-        integrate's finiteness check of the row aborts on the state only."""
+        integrate's finiteness check of the row aborts on the state only.
+        source is the wave source W(u) of the state's u, which integrate
+        hands over so that the row forms none of its own; without it the
+        row forms it.  Each norm is formed once and shared by the columns
+        and the energy."""
+        u, v, vt = state.u, state.v, state.vt
+        grad_u = sobolev_norm(u, 1.0)
+        l2_v = sobolev_norm(v, 0.0)
+        l2_vt = sobolev_norm(vt, 0.0)
+        hm_half_vt = sobolev_norm(vt, -1.0)
         # zero fields have no Gagliardo-Nirenberg quotient; logged as 0
-        if np.any(state.u.coef):
-            quotient = gn_quotient(state.u)
-        else:
-            quotient = 0.0
+        l2_u = sobolev_norm(u, 0.0)
+        quotient = _gn_quotient(u, l2_u, grad_u) if l2_u != 0.0 else 0.0
         return {
             "t": state.t,
             "charge": charge(state),
-            "energy_eps": energy(state, params),
-            "h1_u": h1_norm(state.u),
-            "l2_v": sobolev_norm(state.v, 0.0),
-            "l2_vt": sobolev_norm(state.vt, 0.0),
-            "hm_half_vt": sobolev_norm(state.vt, -1.0),
+            "energy_eps": _energy(state, params, source, grad_u, l2_v, hm_half_vt, l2_vt),
+            "h1_u": h1_norm(u),
+            "l2_v": l2_v,
+            "l2_vt": l2_vt,
+            "hm_half_vt": hm_half_vt,
             "gn_quotient": quotient,
         }

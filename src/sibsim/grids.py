@@ -264,10 +264,22 @@ def sobolev_norm(f: Field, s: float) -> float:
     Raises:
         ValueError: for unsupported exponents.
     """
-    if float(s) not in SOBOLEV_EXPONENTS:
+    s = float(s)
+    if s not in SOBOLEV_EXPONENTS:
         raise ValueError(f"unsupported Sobolev exponent {s}; allowed: {SOBOLEV_EXPONENTS}")
-    w = f.grid.lam ** float(s) if s != 0 else 1.0
+    grid = f.grid
+    w = _sobolev_weights(grid.Lx, grid.Ly, grid.Nx, grid.Ny, s) if s != 0 else 1.0
     return float(np.sqrt(np.sum(w * np.abs(f.coef) ** 2)))
+
+
+@lru_cache(maxsize=16)
+def _sobolev_weights(Lx: float, Ly: float, Nx: int, Ny: int, s: float) -> np.ndarray:
+    """lam^s of the grid make_grid builds from these values, read-only.
+    Keyed by the values and not by a Grid2D, which hashes by identity, so
+    that every grid of one shape shares one table."""
+    w = make_grid(Lx, Ly, Nx, Ny).lam ** s
+    w.setflags(write=False)
+    return w
 
 
 def h1_norm(f: Field) -> float:
@@ -288,13 +300,16 @@ def lp_norm(f: Field, p: float) -> float:
         raise ValueError(f"lp_norm requires p >= 2, got {p}")
     grid = f.grid
     shape = (2 * grid.Nx, 2 * grid.Ny)
-    # |f|^2 on the nodes: re^2 + im^2 of a complex field's planes, and its
-    # power p/2 is numpy's square for p = 4
+    # |f|^2 on the nodes, in place in the synthesis: re^2 + im^2 of a
+    # complex field's planes; its power p/2 is numpy's square for p = 4
     if f.kind == "complex":
-        sq = np.square(coef_to_values(grid, to_planes(f.coef), shape))
+        sq = coef_to_values(grid, to_planes(f.coef), shape)
+        np.square(sq, out=sq)
         sq = np.add(sq[0], sq[1], out=sq[0])
     else:
-        sq = np.square(coef_to_values(grid, f.coef, shape))
+        sq = coef_to_values(grid, f.coef, shape)
+        np.square(sq, out=sq)
+    sq **= p / 2
     hx = grid.Lx / (shape[0] + 1)
     hy = grid.Ly / (shape[1] + 1)
-    return float((np.sum(sq ** (p / 2)) * hx * hy) ** (1.0 / p))
+    return float((np.sum(sq) * hx * hy) ** (1.0 / p))

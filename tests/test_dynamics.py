@@ -165,6 +165,20 @@ def test_wave_substep_per_mode_invariant():
         assert np.max(np.abs(after - before) / before) < 1e-12
 
 
+def test_two_half_wave_flows_with_one_source_are_the_full_step_flow():
+    # the wave equation is autonomous while f is frozen, so its flows form
+    # a group: two half steps are one full step, to round-off
+    rng = np.random.default_rng(5)
+    g = make_grid(np.pi, 2.0, 12, 10)
+    for eps, dt in ((0.0, 1e-2), (0.5, 0.3), (1.0, 1e-3)):
+        ker = kernel(g, dt, eps=eps)
+        v, vt, f = (random_field(g, rng).coef for _ in range(3))
+        full = ker.wave_full(v, vt, f)
+        halves = ker.wave_half(*ker.wave_half(v, vt, f), f)
+        for a, b in zip(full, halves, strict=True):
+            assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
+
+
 # ---------------------------------------------------------------------------
 # Schrodinger substep and full step
 
@@ -336,6 +350,22 @@ def test_nodal_integrate_makes_5m_plus_2_band_transforms(monkeypatch):
         counts.clear()
         integrate(st, T, params)
         assert counts == {st.grid.shape: 5 * m + 2}
+
+
+def test_monitored_nodal_integrate_makes_5m_plus_2_band_transforms_and_r_refined(monkeypatch):
+    # every row takes the wave source the run holds for its u, so the rows
+    # add no band transform, only the one lp_norm synthesis at (2Nx, 2Ny)
+    # each; m = 25 steps, rows at t0, every 10 steps and the end
+    cfg = RunConfig()
+    params = build_params(cfg)
+    st = build_initial_state(cfg)
+    monitor = RunMonitor.from_state(st)
+    counts = count_transforms(monkeypatch)
+    rec = integrate(st, 25 * params.dt, params, monitor=monitor)
+    r = len(rec.series["t"])
+    assert r == 4
+    refined = (2 * st.grid.Nx, 2 * st.grid.Ny)
+    assert counts == {st.grid.shape: 5 * 25 + 2, refined: r}
 
 
 def test_default_yosida_step_makes_11_padded_transforms(monkeypatch):
@@ -619,40 +649,99 @@ def test_checkpoints_returned_at_requested_times():
         assert abs(snap.t - t_req) <= 1e-2 + 1e-12
 
 
-@pytest.mark.parametrize("yosida_n", [None, 8.0], ids=["nodal", "yosida"])
-def test_integrate_equals_a_loop_that_recomputes_the_wave_source(yosida_n):
-    # integrate hands each step the source the previous step closed with,
-    # across the kernel it rebuilds for the shortened last step too; a loop
-    # that forms wave_source(u) afresh at every step start must give the
-    # same final state, checkpoint and monitor rows bit for bit
+# the run of the loop tests below: ten steps of dt and one of 0.0037,
+# rows after steps 0, 4, 8 and 11 and a checkpoint after step 5
+LOOP_T, LOOP_STRIDE, LOOP_CHECKPOINT = 0.1037, 4, 0.05
+
+
+def loop_run(yosida_n):
+    """The loop tests' case: the state, the params, and integrate's record
+    of the monitored run."""
     st = standard_state(8)
     params = SystemParams(eps=1.0, dt=1e-2, yosida_n=yosida_n)
-    T = 0.1037  # ten steps of dt and one of 0.0037
-    monitor = RunMonitor.from_state(st)
-    rec = integrate(st, T, params, monitor_stride=4, monitor=monitor, checkpoint_times=(0.05,))
+    rec = integrate(
+        st,
+        LOOP_T,
+        params,
+        monitor_stride=LOOP_STRIDE,
+        monitor=RunMonitor.from_state(st),
+        checkpoint_times=(LOOP_CHECKPOINT,),
+    )
+    return st, params, rec
 
+
+def reference_loop(st, params, closes):
+    """The states of a loop of 11 steps written out in substeps, the last
+    one shortened to land on LOOP_T.  Step i (1-based) ends with a half
+    wave when i is in `closes`, which must hold 10 and 11 (the shortened
+    step runs on a kernel of its own), and with the full-step wave flow
+    that stands for its closing half and the next step's opening half
+    otherwise.  A step after a closing one opens with a half wave of
+    wave_source(u), formed afresh.  Returns {i: state after step i} for
+    i = 0 and every closing step."""
     start = prepare_initial_state(st, params)
     u, v, vt = start.u.coef.astype(np.complex128), start.v.coef, start.vt.coef
     ker, t = dynamics._Kernels(st.grid, params, params.dt), 0.0
-    states = [start]
-    for i in range(11):
-        if i == 10:
-            ker = dynamics._Kernels(st.grid, params, T - t)
-        u, v, vt, _ = ker.step(u, v, vt, ker.wave_source(u))
-        t = T if i == 10 else t + params.dt
-        states.append(dynamics._state_from_coef(st.grid, u, v, vt, t))
+    states = {0: start}
+    opened = False
+    for i in range(1, 12):
+        if i == 11:
+            ker = dynamics._Kernels(st.grid, params, LOOP_T - t)
+        if not opened:
+            v, vt = ker.wave_half(v, vt, ker.wave_source(u))
+        u = schrodinger_flow(ker, u, v)
+        f = ker.wave_source(u)
+        t = LOOP_T if i == 11 else t + params.dt
+        opened = i not in closes
+        v, vt = (ker.wave_full if opened else ker.wave_half)(v, vt, f)
+        if not opened:
+            states[i] = dynamics._state_from_coef(st.grid, u, v, vt, t)
+    return states
 
-    def same(a, b):
-        return a.t == b.t and all(
-            np.array_equal(x.coef, y.coef) for x, y in ((a.u, b.u), (a.v, b.v), (a.vt, b.vt))
-        )
 
-    assert same(rec.final_state, states[11])
-    assert list(rec.checkpoints) == [0.05] and same(rec.checkpoints[0.05], states[5])
+def same_state(a, b):
+    return a.t == b.t and all(
+        np.array_equal(x.coef, y.coef) for x, y in ((a.u, b.u), (a.v, b.v), (a.vt, b.vt))
+    )
+
+
+@pytest.mark.parametrize("yosida_n", [None, 8.0], ids=["nodal", "yosida"])
+def test_integrate_equals_a_loop_that_recomputes_the_wave_source(yosida_n):
+    # integrate hands each step the source the previous step closed with,
+    # across the kernel it rebuilds for the shortened last step too, and
+    # merges the wave flows of two steps wherever it keeps no state
+    # between them; a loop that opens with wave_source(u) formed afresh,
+    # merges the same steps and closes at every kept state (the rows after
+    # steps 4, 8 and 11, the checkpoint after step 5) and before the
+    # shortened step must give the same final state, checkpoint and
+    # monitor rows bit for bit
+    st, params, rec = loop_run(yosida_n)
+    states = reference_loop(st, params, closes={4, 5, 8, 10, 11})
+    assert same_state(rec.final_state, states[11])
+    assert list(rec.checkpoints) == [LOOP_CHECKPOINT]
+    assert same_state(rec.checkpoints[LOOP_CHECKPOINT], states[5])
+    monitor = RunMonitor.from_state(st)
     rows = [monitor.row(states[i], params) for i in (0, 4, 8, 11)]
     assert list(rec.series) == list(rows[0])
     for key, column in rec.series.items():
         assert np.array_equal(column, [row[key] for row in rows])
+
+
+@pytest.mark.parametrize("yosida_n", [None, 8.0], ids=["nodal", "yosida"])
+def test_integrate_agrees_with_a_loop_that_closes_every_step(yosida_n):
+    # the merged wave flows are the composed half flows up to round-off:
+    # a loop of whole steps, each opening and closing with a half wave,
+    # keeps the same states and rows to 1e-12 relative
+    st, params, rec = loop_run(yosida_n)
+    states = reference_loop(st, params, closes=set(range(1, 12)))
+    for got, want in ((rec.final_state, states[11]), (rec.checkpoints[LOOP_CHECKPOINT], states[5])):
+        assert got.t == want.t
+        for x, y in ((got.u, want.u), (got.v, want.v), (got.vt, want.vt)):
+            assert np.linalg.norm(x.coef - y.coef) <= 1e-12 * np.linalg.norm(y.coef)
+    monitor = RunMonitor.from_state(st)
+    rows = [monitor.row(states[i], params) for i in (0, 4, 8, 11)]
+    for key, column in rec.series.items():
+        assert np.allclose(column, [row[key] for row in rows], rtol=1e-12, atol=0.0), key
 
 
 def test_blowup_detected(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from conftest import count_transforms, random_field
 from sibsim import experiments, functionals
 from sibsim.config import RunConfig, build_params
-from sibsim.dynamics import State, SystemParams, integrate, make_state
+from sibsim.dynamics import State, SystemParams, _Kernels, integrate, make_state
 from sibsim.functionals import (
     SERIES_COLUMNS,
     _cube,
@@ -391,6 +391,19 @@ def test_monitor_row_matches_column_order():
     assert row["charge"] == pytest.approx(np.pi**2 / 4, rel=1e-12)
 
 
+@pytest.mark.parametrize("yosida_n", [None, 8.0], ids=["nodal", "yosida"])
+def test_monitor_row_with_the_carried_source_equals_a_row_from_scratch(yosida_n):
+    # integrate hands a row the wave source its last step formed for the
+    # kept u; the row it builds is the one that forms the source itself
+    st = sine_state(16)
+    params = SystemParams(eps=1.0, dt=1e-2, yosida_n=yosida_n)
+    kept = integrate(st, 0.05, params).final_state
+    source = _Kernels(kept.grid, params, params.dt).wave_source(kept.u.coef)
+    monitor = monitor_with_c0(st, 0.4)
+    assert monitor.row(kept, params, source) == monitor.row(kept, params)
+    assert energy(kept, params, source) == energy(kept, params)
+
+
 def test_monitor_row_zero_field_and_missing_c6():
     g = make_grid(np.pi, np.pi, 8, 8)
     zero = make_state(
@@ -401,6 +414,10 @@ def test_monitor_row_zero_field_and_missing_c6():
     monitor = monitor_with_c0(zero, 0.4)
     row = monitor.row(zero, SystemParams(eps=1.0))
     assert row["gn_quotient"] == 0.0
+    # a field whose L2 norm underflows to 0 has no quotient either
+    tiny = mode_state(u=1e-170)
+    assert sobolev_norm(tiny.u, 0.0) == 0.0
+    assert monitor.row(tiny, SystemParams(eps=1.0))["gn_quotient"] == 0.0
 
     big = mode_state(u=4.0)
     monitor_big = monitor_with_c0(big, 0.4135)

@@ -244,6 +244,23 @@ def test_sobolev_norms_on_single_mode():
     assert h1_norm(f) == pytest.approx(np.sqrt(3) * amp, rel=1e-12)
 
 
+def test_sobolev_norm_weights_are_cached_by_grid_values_bit_for_bit():
+    # the cached lam^s gives every norm the bits of the formula that forms
+    # it afresh, and two grids built from the same values share one table
+    rng = np.random.default_rng(4)
+    grids._sobolev_weights.cache_clear()
+    for shape in ((16, 16), (12, 10)):
+        first, second = (make_grid(np.pi, 2.0, *shape) for _ in range(2))
+        for s in grids.SOBOLEV_EXPONENTS:
+            for g in (first, second):
+                for kind in ("real", "complex"):
+                    f = random_field(g, rng, kind=kind)
+                    w = g.lam**s if s != 0 else 1.0
+                    assert sobolev_norm(f, s) == float(np.sqrt(np.sum(w * np.abs(f.coef) ** 2)))
+    # five exponents with a table (s = 0 needs none) per grid shape
+    assert grids._sobolev_weights.cache_info().currsize == 2 * 5
+
+
 def test_sobolev_rejects_unsupported_exponent(unit_square_grid):
     rng = np.random.default_rng(0)
     f = random_field(unit_square_grid, rng)
