@@ -14,8 +14,8 @@ Two solvers:
 
 * `integrate`: second-order symmetric splitting (half wave, full
   Schrodinger, half wave; one step is `_Kernels.step`), the production path.
-  Where it keeps no state between two steps, the closing and opening half
-  waves, which share one source, run as one full-step wave flow.
+  Between two steps of one kernel, the closing and opening half waves,
+  which share one source, run as one full-step wave flow.
   It returns the states its caller asks for, and diagnostics rows only
   from a monitor the caller passes in; this module evaluates no
   diagnostics of its own.
@@ -560,7 +560,7 @@ class _Kernels:
                 tnorm = np.linalg.norm(term)
         return from_planes(out)
 
-    def step(self, u, v, vt, f, opened=False, close=True):
+    def step(self, u, v, vt, f, opened=False, close=True, kept=False):
         """One symmetric splitting step of length dt: half wave, full
         Schrodinger with v at the half step, half wave with the source
         refreshed from the updated u.
@@ -581,9 +581,13 @@ class _Kernels:
         step's half wave has already been applied to them, so they are half
         a step ahead of u.  The next step, of the same kernel, is then
         called with opened=True and skips its opening half wave (its f is
-        not read).  The defaults take one whole step.  Either way a step
-        forms one wave source and makes the same transforms: 5 band
-        transforms unregularized, 2k + 3 for k Yosida Taylor terms."""
+        not read).  With kept=True the step also returns, as a fifth item,
+        the closed (v, vt) of the new u: the closing half wave applied to
+        the same mid-step (v, vt) as the flow the step goes on with, so a
+        state kept from it does not move the trajectory.  The defaults take
+        one whole step.  Either way a step forms one wave source and makes
+        the same transforms: 5 band transforms unregularized, 2k + 3 for k
+        Yosida Taylor terms."""
         if not opened:
             v, vt = self.wave_half(v, vt, f)
         u = self.phase_half * u
@@ -592,8 +596,10 @@ class _Kernels:
         # rounds a complex product differently with its factors swapped
         np.multiply(self.phase_half, u, out=u)
         f = self.wave_source(u)
-        v, vt = (self.wave_half if close else self.wave_full)(v, vt, f)
-        return u, v, vt, f
+        # the flows read (v, vt) and write new arrays
+        closed = self.wave_half(v, vt, f) if close or kept else None
+        v, vt = closed if close else self.wave_full(v, vt, f)
+        return (u, v, vt, f, closed) if kept else (u, v, vt, f)
 
 
 def prepare_initial_state(state: State, params: SystemParams) -> State:
@@ -629,17 +635,21 @@ def integrate(
     t0, every monitor_stride steps, and at the end; without one, no row is
     evaluated and the record's series is empty.
 
-    A step closes, ending with its half wave flow, only where a state is
-    kept: at a monitor row, a checkpoint and the end, and before the
-    shortened last step, which runs on a kernel of its own length.
-    Between two other steps the closing half wave of the first and the
-    opening half wave of the second are one full-step wave flow
-    (`_Kernels.step` with close=False, then opened=True), so a run makes
-    one wave flow per step and one more per step that closes before
-    another.  A monitor row takes the wave source that the run holds for
-    the kept u and forms none of its own, so a nodal run of m steps and r
-    rows makes 5m + 2 band transforms, and the rows only the transforms
-    of their own norms (one lp_norm synthesis each).
+    The run closes a step, ending it with its half wave flow, only at the
+    end and before the shortened last step, which runs on a kernel of its
+    own length.  Between two other steps the closing half wave of the
+    first and the opening half wave of the second are one full-step wave
+    flow (`_Kernels.step` with close=False, then opened=True).  A state
+    kept between two merged steps (a monitor row, a checkpoint) takes its
+    (v, vt) from one more half wave flow of the mid-step (v, vt)
+    (kept=True), and the run goes on from the full-step flow of the same
+    arrays: where a run keeps its states does not change its trajectory.
+    So a run makes one wave flow per step and one more per step that
+    closes or keeps a state.
+    A monitor row takes the wave source that the run holds for the kept u
+    and forms none of its own, so a nodal run of m steps and r rows makes
+    5m + 2 band transforms, and the rows only the transforms of their own
+    norms (one lp_norm synthesis each).
 
     A run aborts with BlowupError when a step leaves u[0, 0] non-finite,
     when a state it keeps (a checkpoint or the final state) is not finite,
@@ -651,7 +661,8 @@ def integrate(
     Args:
         monitor: optional object whose row(state, params, source) returns
             one diagnostics row as a dict of floats, such as a RunMonitor;
-            source is the wave source of the state's u.
+            source is the wave source of the state's u.  The state holds
+            the run's own arrays, which the row must not write.
         checkpoint_times: for each time, the state after the first completed
             step at or after it is kept.
     """
@@ -674,20 +685,22 @@ def integrate(
     pending = sorted(checkpoint_times)
     t_finite = t0
 
-    def keep(t: float, step: int, row: bool = False) -> State:
-        """A copy of the state at t after `step` steps, and its monitor row
-        if asked; both must be finite."""
+    def keep(t: float, step: int, closed, row: bool = False) -> State | None:
+        """The state (u, *closed) at t after `step` steps, which must be
+        finite: a copy of it, or with row=True its monitor row, which must
+        be finite too.  The row reads the run's own arrays: every flow
+        writes new arrays, so no later step changes them."""
         nonlocal t_finite
-        snap = _state_from_coef(state.grid, u.copy(), v.copy(), vt.copy(), t)
-        parts = {"u": u, "v": v, "vt": vt}
+        kv, kvt = closed
+        parts = {"u": u, "v": kv, "vt": kvt}
         bad = next((name for name, arr in parts.items() if not np.isfinite(arr).all()), None)
         if bad is None and row:
-            rows.append(monitor.row(snap, params, f))
+            rows.append(monitor.row(_state_from_coef(state.grid, u, kv, kvt, t), params, f))
             bad = next((name for name, val in rows[-1].items() if not np.isfinite(val)), None)
         if bad is not None:
             raise BlowupError(t_finite, step, bad)
         t_finite = t
-        return snap
+        return None if row else _state_from_coef(state.grid, u.copy(), kv.copy(), kvt.copy(), t)
 
     def last_kernel(t_start: float) -> _Kernels:
         """The kernel of the last step, which starts at t_start and lands
@@ -696,10 +709,10 @@ def integrate(
         return ker if abs(step_dt - dt) <= 1e-12 * dt else _Kernels(state.grid, params, step_dt)
 
     if monitor is not None:
-        keep(t0, 0, row=True)
+        keep(t0, 0, (v, vt), row=True)
     t = t0
     while pending and pending[0] <= t0 + 1e-12:
-        checkpoints[pending.pop(0)] = keep(t0, 0)
+        checkpoints[pending.pop(0)] = keep(t0, 0, (v, vt))
     step_ker = ker if n_steps > 1 else last_kernel(t0)
     opened = False
     # each step's u, every kept state and every monitor row is checked for
@@ -712,19 +725,24 @@ def integrate(
             next_ker = last_kernel(t_next) if i == n_steps - 2 else step_ker
             row = monitor is not None and ((i + 1) % monitor_stride == 0 or last)
             checkpoint = bool(pending) and pending[0] <= t_next + 1e-12
-            close = last or row or checkpoint or next_ker is not step_ker
-            u, v, vt, f = step_ker.step(u, v, vt, f, opened, close)
+            close = last or next_ker is not step_ker
+            if row or checkpoint:
+                u, v, vt, f, closed = step_ker.step(u, v, vt, f, opened, close, kept=True)
+            else:
+                u, v, vt, f = step_ker.step(u, v, vt, f, opened, close)
             opened = not close
             step_ker, t = next_ker, t_next
             if not np.isfinite(u[0, 0]):
                 raise BlowupError(t_finite, i + 1, "u")
             if row:
-                keep(t, i + 1, row=True)
+                keep(t, i + 1, closed, row=True)
             while pending and pending[0] <= t + 1e-12:
-                checkpoints[pending.pop(0)] = keep(t, i + 1)
+                checkpoints[pending.pop(0)] = keep(t, i + 1, closed)
+            # a kept (v, vt) is not held over the next steps
+            closed = None
 
     series = {key: np.array([r[key] for r in rows]) for key in (rows[0] if rows else ())}
-    return TrajectoryRecord(series, keep(t, n_steps), checkpoints)
+    return TrajectoryRecord(series, keep(t, n_steps, (v, vt)), checkpoints)
 
 
 # ---------------------------------------------------------------------------

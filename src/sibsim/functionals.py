@@ -137,16 +137,14 @@ def charge(state: State) -> float:
     return float(np.sum(np.abs(state.u.coef) ** 2))
 
 
-def energy(state: State, params: SystemParams, source: np.ndarray | None = None) -> float:
+def energy(state: State, params: SystemParams) -> float:
     """Conserved energy of the system that `params` steps (eps, and the
-    Yosida wrapping of the coupling term).  source is the wave source
-    W(u) of the state's u when the caller holds it, as integrate does; it
-    is formed here otherwise."""
+    Yosida wrapping of the coupling term)."""
     vt = state.vt
     return _energy(
         state,
         params,
-        source,
+        None,
         sobolev_norm(state.u, 1.0),
         sobolev_norm(state.v, 0.0),
         sobolev_norm(vt, -1.0),
@@ -157,7 +155,8 @@ def energy(state: State, params: SystemParams, source: np.ndarray | None = None)
 def _energy(state, params, source, grad_u, l2_v, hm_half_vt, l2_vt) -> float:
     """The energy from the norms ||grad u||, ||v||, ||(-Lap)^{-1/2} vt||
     and ||vt|| of the state, which a monitor row forms once for its
-    columns too, and W(u) (None: formed here)."""
+    columns too, and the wave source W(u) of its u (None: formed here),
+    which a row takes from integrate."""
     quad = grad_u**2 + 0.5 * (l2_v**2 + hm_half_vt**2 + params.eps * l2_vt**2)
     if source is None:
         source = _Kernels(state.grid, params, None).wave_source(state.u.coef)

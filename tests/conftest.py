@@ -23,23 +23,31 @@ def breaking_step(monkeypatch, at_call, names):
 
     The patch passes its arguments through and returns what the step
     returns: the state (u, v, vt), then the wave source of the new u, which
-    it forms again from the corrupted u when it corrupts u."""
+    it forms again from the corrupted u when it corrupts u, then the closed
+    (v, vt) of a kept state if the step was asked for one, corrupted as the
+    state's."""
     import sibsim.dynamics
 
     original = sibsim.dynamics._Kernels.step
     calls = []
 
-    def step(self, *args, **kwargs):
-        u, v, vt, *source = original(self, *args, **kwargs)
-        parts = {"u": u, "v": v, "vt": vt}
-        calls.append(1)
-        if len(calls) == at_call:
-            for name in names:
+    def corrupt(parts):
+        for name in names:
+            if name in parts:
                 parts[name] = parts[name].copy()
                 parts[name][-1, -1] = np.nan
+        return parts
+
+    def step(self, *args, **kwargs):
+        u, v, vt, source, *closed = original(self, *args, **kwargs)
+        calls.append(1)
+        if len(calls) == at_call:
+            parts = corrupt({"u": u, "v": v, "vt": vt})
+            u, v, vt = parts["u"], parts["v"], parts["vt"]
             if "u" in names:
-                source = [self.wave_source(parts["u"]) for _ in source]
-        return (parts["u"], parts["v"], parts["vt"], *source)
+                source = self.wave_source(u)
+            closed = [tuple(corrupt({"v": cv, "vt": cvt}).values()) for cv, cvt in closed]
+        return (u, v, vt, source, *closed)
 
     monkeypatch.setattr(sibsim.dynamics._Kernels, "step", step)
     return calls

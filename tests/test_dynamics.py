@@ -670,15 +670,16 @@ def loop_run(yosida_n):
     return st, params, rec
 
 
-def reference_loop(st, params, closes):
+def reference_loop(st, params, closes, kept=()):
     """The states of a loop of 11 steps written out in substeps, the last
     one shortened to land on LOOP_T.  Step i (1-based) ends with a half
     wave when i is in `closes`, which must hold 10 and 11 (the shortened
     step runs on a kernel of its own), and with the full-step wave flow
     that stands for its closing half and the next step's opening half
-    otherwise.  A step after a closing one opens with a half wave of
-    wave_source(u), formed afresh.  Returns {i: state after step i} for
-    i = 0 and every closing step."""
+    otherwise; the state after a step i in `kept` takes its (v, vt) from a
+    half wave of the same mid-step (v, vt).  A step after a closing one
+    opens with a half wave of wave_source(u), formed afresh.  Returns
+    {i: state after step i} for i = 0 and every step in closes or kept."""
     start = prepare_initial_state(st, params)
     u, v, vt = start.u.coef.astype(np.complex128), start.v.coef, start.vt.coef
     ker, t = dynamics._Kernels(st.grid, params, params.dt), 0.0
@@ -692,10 +693,10 @@ def reference_loop(st, params, closes):
         u = schrodinger_flow(ker, u, v)
         f = ker.wave_source(u)
         t = LOOP_T if i == 11 else t + params.dt
+        if i in closes or i in kept:
+            states[i] = dynamics._state_from_coef(st.grid, u, *ker.wave_half(v, vt, f), t)
         opened = i not in closes
         v, vt = (ker.wave_full if opened else ker.wave_half)(v, vt, f)
-        if not opened:
-            states[i] = dynamics._state_from_coef(st.grid, u, v, vt, t)
     return states
 
 
@@ -709,14 +710,14 @@ def same_state(a, b):
 def test_integrate_equals_a_loop_that_recomputes_the_wave_source(yosida_n):
     # integrate hands each step the source the previous step closed with,
     # across the kernel it rebuilds for the shortened last step too, and
-    # merges the wave flows of two steps wherever it keeps no state
-    # between them; a loop that opens with wave_source(u) formed afresh,
-    # merges the same steps and closes at every kept state (the rows after
-    # steps 4, 8 and 11, the checkpoint after step 5) and before the
-    # shortened step must give the same final state, checkpoint and
-    # monitor rows bit for bit
+    # merges the wave flows of two steps of one kernel; a loop that opens
+    # with wave_source(u) formed afresh, merges the same steps, closes
+    # before the shortened step and at the end, and takes the kept states
+    # (the rows after steps 4 and 8, the checkpoint after step 5) from a
+    # half wave of the mid-step (v, vt) must give the same final state,
+    # checkpoint and monitor rows bit for bit
     st, params, rec = loop_run(yosida_n)
-    states = reference_loop(st, params, closes={4, 5, 8, 10, 11})
+    states = reference_loop(st, params, closes={10, 11}, kept={4, 5, 8})
     assert same_state(rec.final_state, states[11])
     assert list(rec.checkpoints) == [LOOP_CHECKPOINT]
     assert same_state(rec.checkpoints[LOOP_CHECKPOINT], states[5])
@@ -725,6 +726,26 @@ def test_integrate_equals_a_loop_that_recomputes_the_wave_source(yosida_n):
     assert list(rec.series) == list(rows[0])
     for key, column in rec.series.items():
         assert np.array_equal(column, [row[key] for row in rows])
+
+
+@pytest.mark.parametrize("yosida_n", [None, 8.0], ids=["nodal", "yosida"])
+def test_kept_states_do_not_move_the_trajectory(yosida_n):
+    # a row or a checkpoint is a copy off the run, not a stop in it: runs
+    # that differ only in where they keep states end bit for bit alike,
+    # and a checkpoint is the final state of a run that ends there
+    st, params, rec = loop_run(yosida_n)
+    bare = integrate(st, LOOP_T, params)
+    strided = integrate(
+        st,
+        LOOP_T,
+        params,
+        monitor_stride=3,
+        monitor=RunMonitor.from_state(st),
+        checkpoint_times=(0.02, 0.07),
+    )
+    assert same_state(bare.final_state, rec.final_state)
+    assert same_state(strided.final_state, rec.final_state)
+    assert same_state(integrate(st, 0.05, params).final_state, rec.checkpoints[LOOP_CHECKPOINT])
 
 
 @pytest.mark.parametrize("yosida_n", [None, 8.0], ids=["nodal", "yosida"])
