@@ -13,9 +13,10 @@ frequencies are handled spectrally.
 Two solvers:
 
 * `integrate`: second-order symmetric splitting (half wave, full
-  Schrodinger, half wave; one step is `_Kernels.step`), the production path.
-  Between two steps of one kernel, the closing and opening half waves,
-  which share one source, run as one full-step wave flow.
+  Schrodinger, half wave), the production path.  `_Kernels.step` is the
+  Schrodinger part of a step, and `integrate` composes the wave flows
+  around it: between two steps of one kernel, the closing and opening
+  half waves, which share one source, run as one full-step wave flow.
   It returns the states its caller asks for, and diagnostics rows only
   from a monitor the caller passes in; this module evaluates no
   diagnostics of its own.
@@ -340,7 +341,9 @@ class _Kernels:
                    with one source
 
     free_flow(t) writes the free flows over any time t for the stepper's
-    tables, the Picard oracle's panels and `sibsim check`.  dt = None
+    tables, the Picard oracle's panels and `sibsim check`.  The stepper's
+    substeps are the exact wave flows wave_half and wave_full and step,
+    the Schrodinger part of a step; integrate composes them.  dt = None
     builds no step tables, for callers that take no step (the energy,
     data smoothing, the Picard oracle).
 
@@ -560,46 +563,19 @@ class _Kernels:
                 tnorm = np.linalg.norm(term)
         return from_planes(out)
 
-    def step(self, u, v, vt, f, opened=False, close=True, kept=False):
-        """One symmetric splitting step of length dt: half wave, full
-        Schrodinger with v at the half step, half wave with the source
-        refreshed from the updated u.
-
-        f must be wave_source(u).  The step returns the new (u, v, vt) and
-        the source of the new u, which is the next step's f: a step forms
-        one wave source, not two, as the "first same as last" stage of
-        Dormand and Prince (J. Comput. Appl. Math. 6 (1980)).  wave_source
-        does not depend on dt, so f carries over to a kernel of another
-        dt as well.
-
-        The closing half wave of one step and the opening half wave of the
-        next flow with the same source, so together they are one full-step
-        wave flow, the leapfrog form of the splitting (Hairer, Lubich and
-        Wanner, Geometric Numerical Integration, 2nd ed. (2006), II.5).
-        With close=False the step ends with wave_full in place of its
-        closing half, and the (v, vt) it returns are opened: the next
-        step's half wave has already been applied to them, so they are half
-        a step ahead of u.  The next step, of the same kernel, is then
-        called with opened=True and skips its opening half wave (its f is
-        not read).  With kept=True the step also returns, as a fifth item,
-        the closed (v, vt) of the new u: the closing half wave applied to
-        the same mid-step (v, vt) as the flow the step goes on with, so a
-        state kept from it does not move the trajectory.  The defaults take
-        one whole step.  Either way a step forms one wave source and makes
-        the same transforms: 5 band transforms unregularized, 2k + 3 for k
-        Yosida Taylor terms."""
-        if not opened:
-            v, vt = self.wave_half(v, vt, f)
+    def step(self, u, v):
+        """The Schrodinger part of a splitting step of length dt, with v
+        frozen at the half step: free half step, potential flow over dt,
+        free half step.  Returns the new u and its wave source, which the
+        wave flows around the step read.  Every transform of a step runs
+        here: 5 band transforms unregularized, 2k + 3 for k Yosida Taylor
+        terms."""
         u = self.phase_half * u
         u = self.potential_flow(u, v)
         # in place, with the operands in the order of phase_half * u: numpy
         # rounds a complex product differently with its factors swapped
         np.multiply(self.phase_half, u, out=u)
-        f = self.wave_source(u)
-        # the flows read (v, vt) and write new arrays
-        closed = self.wave_half(v, vt, f) if close or kept else None
-        v, vt = closed if close else self.wave_full(v, vt, f)
-        return (u, v, vt, f, closed) if kept else (u, v, vt, f)
+        return u, self.wave_source(u)
 
 
 def prepare_initial_state(state: State, params: SystemParams) -> State:
@@ -627,29 +603,40 @@ def integrate(
 ) -> TrajectoryRecord:
     """March the splitting from state0.t over a horizon T with dt=params.dt.
 
-    The final step is shortened to land exactly on state0.t + T.  The wave
-    source of the initial u is formed once, and each step hands the source
-    of its new u to the next one, the shortened step included: a nodal
-    step makes 5 band transforms, and a nodal run of m steps without a
-    monitor 5m + 2.  With a monitor, one diagnostics row is recorded at
-    t0, every monitor_stride steps, and at the end; without one, no row is
-    evaluated and the record's series is empty.
+    A step is one symmetric Strang splitting step: the exact wave flow over
+    dt/2 with the source W(u) frozen (`_Kernels.wave_half`), the
+    Schrodinger part with v frozen at the half step (`_Kernels.step`), and
+    a second half wave with the source refreshed from the new u.  The final
+    step is shortened to land exactly on state0.t + T, and runs on a
+    kernel of its own length.
 
-    The run closes a step, ending it with its half wave flow, only at the
-    end and before the shortened last step, which runs on a kernel of its
-    own length.  Between two other steps the closing half wave of the
-    first and the opening half wave of the second are one full-step wave
-    flow (`_Kernels.step` with close=False, then opened=True).  A state
-    kept between two merged steps (a monitor row, a checkpoint) takes its
-    (v, vt) from one more half wave flow of the mid-step (v, vt)
-    (kept=True), and the run goes on from the full-step flow of the same
-    arrays: where a run keeps its states does not change its trajectory.
-    So a run makes one wave flow per step and one more per step that
-    closes or keeps a state.
-    A monitor row takes the wave source that the run holds for the kept u
-    and forms none of its own, so a nodal run of m steps and r rows makes
-    5m + 2 band transforms, and the rows only the transforms of their own
-    norms (one lp_norm synthesis each).
+    This loop is the one place the steps are composed, in leapfrog form.
+    `_Kernels.step` returns the source of its new u, which is also the
+    source the next step opens with: a step forms one wave source, not
+    two, as the "first same as last" stage of Dormand and Prince (J.
+    Comput. Appl. Math. 6 (1980)); wave_source does not depend on dt, so
+    the source carries over to the shortened step as well.  The closing
+    half wave of one step and the opening half wave of the next then flow
+    with the same source, so together they are the exact wave flow over dt
+    (`_Kernels.wave_full`), the leapfrog form of the splitting (Hairer,
+    Lubich and Wanner, Geometric Numerical Integration, 2nd ed. (2006),
+    II.5).  So (v, vt) run half a step ahead of u: the run opens with a
+    half wave, takes one full-step wave flow between two steps of one
+    kernel, and closes with a half wave at the end and before the
+    shortened last step, which opens again with a half wave of its own
+    kernel.  A state kept between two merged steps (a monitor row, a
+    checkpoint) takes its (v, vt) from a half wave of the mid-step (v, vt),
+    and the run goes on from the full-step flow of the same arrays: where
+    a run keeps its states does not change its trajectory.
+
+    Every transform of a step runs in `_Kernels.step`: 5 band transforms
+    for a nodal step, so a nodal run of m steps makes 5m + 2 with the
+    source of the initial u.  With a monitor, one diagnostics row is
+    recorded at t0, every monitor_stride steps, and at the end; without
+    one, no row is evaluated and the record's series is empty.  A row
+    takes the wave source that the run holds for the kept u and forms
+    none of its own, so rows add only the transforms of their own norms
+    (one lp_norm synthesis each).
 
     A run aborts with BlowupError when a step leaves u[0, 0] non-finite,
     when a state it keeps (a checkpoint or the final state) is not finite,
@@ -714,23 +701,28 @@ def integrate(
     while pending and pending[0] <= t0 + 1e-12:
         checkpoints[pending.pop(0)] = keep(t0, 0, (v, vt))
     step_ker = ker if n_steps > 1 else last_kernel(t0)
-    opened = False
     # each step's u, every kept state and every monitor row is checked for
     # finiteness below, so a divergence names itself; numpy's overflow and
     # invalid-value warnings on the way there would only add stderr lines
     with np.errstate(over="ignore", invalid="ignore"):
+        v, vt = step_ker.wave_half(v, vt, f)
         for i in range(n_steps):
             last = i == n_steps - 1
             t_next = t0 + T if last else t + dt
             next_ker = last_kernel(t_next) if i == n_steps - 2 else step_ker
             row = monitor is not None and ((i + 1) % monitor_stride == 0 or last)
             checkpoint = bool(pending) and pending[0] <= t_next + 1e-12
+            u, f = step_ker.step(u, v)
+            # (v, vt) are half a step behind the new u; the flows write
+            # new arrays, so a closed (v, vt) stays as it is kept
             close = last or next_ker is not step_ker
-            if row or checkpoint:
-                u, v, vt, f, closed = step_ker.step(u, v, vt, f, opened, close, kept=True)
+            closed = step_ker.wave_half(v, vt, f) if close or row or checkpoint else None
+            if last:
+                v, vt = closed
+            elif next_ker is step_ker:
+                v, vt = step_ker.wave_full(v, vt, f)
             else:
-                u, v, vt, f = step_ker.step(u, v, vt, f, opened, close)
-            opened = not close
+                v, vt = next_ker.wave_half(*closed, f)
             step_ker, t = next_ker, t_next
             if not np.isfinite(u[0, 0]):
                 raise BlowupError(t_finite, i + 1, "u")
@@ -738,8 +730,6 @@ def integrate(
                 keep(t, i + 1, closed, row=True)
             while pending and pending[0] <= t + 1e-12:
                 checkpoints[pending.pop(0)] = keep(t, i + 1, closed)
-            # a kept (v, vt) is not held over the next steps
-            closed = None
 
     series = {key: np.array([r[key] for r in rows]) for key in (rows[0] if rows else ())}
     return TrajectoryRecord(series, keep(t, n_steps, (v, vt)), checkpoints)

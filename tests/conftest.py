@@ -18,17 +18,16 @@ def random_field(grid: Grid2D, rng: np.random.Generator, kind: str = "real", dec
 
 
 def breaking_step(monkeypatch, at_call, names):
-    """Patch the stepper so that its call number `at_call` returns a NaN
-    in the last mode of each component in `names`; the list of calls made.
+    """Patch the stepper so that its step number `at_call` leaves a NaN in
+    the last mode of each component in `names`; the list of steps taken.
 
-    The patch passes its arguments through and returns what the step
-    returns: the state (u, v, vt), then the wave source of the new u, which
-    it forms again from the corrupted u when it corrupts u, then the closed
-    (v, vt) of a kept state if the step was asked for one, corrupted as the
-    state's."""
+    u is corrupted as _Kernels.step returns it, with its wave source
+    formed again from the corrupted u; v and vt as every wave flow after
+    that step and before the next one returns them: the flow the run goes
+    on with, and the one of a state kept there."""
     import sibsim.dynamics
 
-    original = sibsim.dynamics._Kernels.step
+    kernels = sibsim.dynamics._Kernels
     calls = []
 
     def corrupt(parts):
@@ -38,18 +37,28 @@ def breaking_step(monkeypatch, at_call, names):
                 parts[name][-1, -1] = np.nan
         return parts
 
-    def step(self, *args, **kwargs):
-        u, v, vt, source, *closed = original(self, *args, **kwargs)
-        calls.append(1)
-        if len(calls) == at_call:
-            parts = corrupt({"u": u, "v": v, "vt": vt})
-            u, v, vt = parts["u"], parts["v"], parts["vt"]
-            if "u" in names:
-                source = self.wave_source(u)
-            closed = [tuple(corrupt({"v": cv, "vt": cvt}).values()) for cv, cvt in closed]
-        return (u, v, vt, source, *closed)
+    original_step = kernels.step
 
-    monkeypatch.setattr(sibsim.dynamics._Kernels, "step", step)
+    def step(self, u, v):
+        u, source = original_step(self, u, v)
+        calls.append(1)
+        if len(calls) == at_call and "u" in names:
+            u = corrupt({"u": u})["u"]
+            source = self.wave_source(u)
+        return u, source
+
+    def flow(original):
+        def corrupted(self, v, vt, f):
+            v, vt = original(self, v, vt, f)
+            if len(calls) == at_call:
+                v, vt = corrupt({"v": v, "vt": vt}).values()
+            return v, vt
+
+        return corrupted
+
+    monkeypatch.setattr(kernels, "step", step)
+    for name in ("wave_half", "wave_full"):
+        monkeypatch.setattr(kernels, name, flow(getattr(kernels, name)))
     return calls
 
 

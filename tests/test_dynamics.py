@@ -88,6 +88,16 @@ def schrodinger_flow(ker, u, v):
     return ker.phase_half * ker.potential_flow(ker.phase_half * u, v)
 
 
+def strang_step(ker, u, v, vt, f):
+    """One whole splitting step of ker from f = wave_source(u), as
+    integrate composes it: half wave, ker.step, half wave with the source
+    of the new u.  Returns the new (u, v, vt) and that source."""
+    v, vt = ker.wave_half(v, vt, f)
+    u, f = ker.step(u, v)
+    v, vt = ker.wave_half(v, vt, f)
+    return u, v, vt, f
+
+
 # ---------------------------------------------------------------------------
 # parameter and state validation
 
@@ -222,7 +232,7 @@ def test_charge_conserved_per_step():
         u, v, vt = st.u.coef, st.v.coef, st.vt.coef
         f = ker.wave_source(u)
         for _ in range(20):
-            u, v, vt, f = ker.step(u, v, vt, f)
+            u, v, vt, f = strang_step(ker, u, v, vt, f)
             assert abs(np.sum(np.abs(u) ** 2) - c0) / c0 < bound
 
 
@@ -322,7 +332,7 @@ def test_yosida_step_makes_2k_plus_3_transforms(monkeypatch, dealias):
     v1, _ = ker.wave_half(v, vt, f)
     _, terms = _taylor_reference(ker, ker.phase_half * u, v1)
     counts = count_transforms(monkeypatch)
-    ker.step(u, v, vt, f)
+    strang_step(ker, u, v, vt, f)
     assert counts == {ker.prod_shape: 2 * terms + 3}
 
 
@@ -335,7 +345,7 @@ def test_nodal_step_makes_5_band_transforms(monkeypatch):
     ker = dynamics._Kernels(st.grid, params, params.dt)
     f = ker.wave_source(st.u.coef)
     counts = count_transforms(monkeypatch)
-    ker.step(st.u.coef, st.v.coef, st.vt.coef, f)
+    strang_step(ker, st.u.coef, st.v.coef, st.vt.coef, f)
     assert counts == {st.grid.shape: 5}
 
 
@@ -377,7 +387,7 @@ def test_default_yosida_step_makes_11_padded_transforms(monkeypatch):
     ker = dynamics._Kernels(st.grid, params, params.dt)
     f = ker.wave_source(st.u.coef)
     counts = count_transforms(monkeypatch)
-    ker.step(st.u.coef, st.v.coef, st.vt.coef, f)
+    strang_step(ker, st.u.coef, st.v.coef, st.vt.coef, f)
     assert counts == {ker.prod_shape: 2 * 4 + 3}
 
 
@@ -522,7 +532,7 @@ def test_nodal_step_takes_libm_phase_only_above_one_eighth(monkeypatch, scale, c
     v = scale * st.v.coef
     f = ker.wave_source(st.u.coef)
     counted = count_libm_phase(monkeypatch)
-    ker.step(st.u.coef, v, st.vt.coef, f)
+    strang_step(ker, st.u.coef, v, st.vt.coef, f)
     assert counted == calls
 
 
@@ -546,9 +556,9 @@ def test_nodal_phase_matches_the_complex_exponential(beta):
 
 
 def test_strang_step_equals_manual_substep_composition():
-    # _Kernels.step is half wave with the source it is given, Schrodinger
-    # with v at the half step, half wave with the source refreshed from the
-    # new u; it returns that source too
+    # a whole step is half wave with the source it is given, _Kernels.step
+    # (Schrodinger with v at the half step, which returns the source of
+    # the new u too), half wave with that refreshed source
     st = standard_state(16)
     g = st.grid
     ker = kernel(g, 1e-2, eps=0.5)
@@ -557,7 +567,7 @@ def test_strang_step_equals_manual_substep_composition():
     u1 = schrodinger_flow(ker, u, v1)
     f1 = ker.wave_source(u1)
     v2, vt2 = ker.wave_half(v1, vt1, f1)
-    via = ker.step(u, v, vt, ker.wave_source(u))
+    via = strang_step(ker, u, v, vt, ker.wave_source(u))
     for manual, stepped in zip((u1, v2, vt2, f1), via, strict=True):
         assert np.array_equal(manual, stepped)
 
@@ -570,8 +580,8 @@ def test_substep_composition_is_reversible():
     g = st.grid
     eps, dt = 0.5, 1e-2
     ker = kernel(g, dt, eps=eps)
-    forward = ker.step(st.u.coef, st.v.coef, st.vt.coef, ker.wave_source(st.u.coef))
-    ub, vb0, vtb0, _ = kernel(g, -dt, eps=eps).step(*forward)
+    forward = strang_step(ker, st.u.coef, st.v.coef, st.vt.coef, ker.wave_source(st.u.coef))
+    ub, vb0, vtb0, _ = strang_step(kernel(g, -dt, eps=eps), *forward)
     assert np.max(np.abs(ub - st.u.coef)) < 1e-13
     assert np.max(np.abs(vb0 - st.v.coef)) < 1e-13
     assert np.max(np.abs(vtb0 - st.vt.coef)) < 1e-14
