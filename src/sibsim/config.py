@@ -236,7 +236,7 @@ class RunConfig:
 
     def _check_checkpoint_times(self) -> None:
         """Each time must be reached by the run (integrate keeps times up to
-        T + 1e-12) and must have a file name of its own."""
+        T and refuses later ones) and must have a file name of its own."""
         written: dict[str, float] = {}
         for t in sorted(self.checkpoint_times):
             if t < 0:

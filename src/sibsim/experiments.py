@@ -48,6 +48,7 @@ import numpy as np
 from . import __version__, functionals
 from .config import RunConfig, build_grid, build_initial_state, build_params
 from .dynamics import (
+    _STEP_TOL,
     _TAYLOR_PHASE,
     BlowupError,
     NumericalAbort,
@@ -190,13 +191,8 @@ def _start(config: RunConfig, params: SystemParams) -> tuple[State, RunMonitor]:
 def _sample_times(config: RunConfig) -> tuple[float, ...]:
     """The times a run samples: every monitor_stride-th step and T."""
     step = config.monitor_stride * config.dt
-    times = []
-    t = step
-    while t < config.T - 1e-12:
-        times.append(t)
-        t += step
-    times.append(config.T)
-    return tuple(times)
+    # k * step, not a running sum, which drifts past a step in long runs
+    return (*(k * step for k in range(1, math.ceil(config.T / step - _STEP_TOL))), config.T)
 
 
 def _envelope_h1(series: dict, monitor: RunMonitor) -> np.ndarray:

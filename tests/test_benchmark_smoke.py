@@ -1,9 +1,13 @@
 """The benchmark harness still runs against the current source: every
 workload, traced and untraced, once at the smoke size, each judged correct
-by the harness's own gate.  Its per-layer counts are not pinned here, but
-the traced run-default must see steps and monitor rows: the tracer reads
-them from _Kernels.step and RunMonitor.row, and a run that stopped going
-through either would read zero there instead of failing."""
+by the harness's own gate.  The traced run-default must see steps and
+monitor rows: the tracer reads them from _Kernels.step and RunMonitor.row,
+and a run that stopped going through either would read zero there instead
+of failing.  The tracer books a transform to a step only when
+_Kernels.step is its direct parent span, so the transforms per step are
+pinned too: 5 band transforms per nodal step in run-default, and 11 padded
+ones per Yosida step in sweep-n (4 Taylor terms at n = 8).  A transform
+that left the step would lower these counts instead of failing."""
 
 import json
 import subprocess
@@ -29,6 +33,8 @@ def test_benchmark_smoke_run_is_correct_on_every_workload():
     }
     for r in results:
         assert r["correct"] and r["complete"] and r["failed"] == 0, r
-    traced = next(r for r in results if r["workload"] == "run-default" and r["trace"] == 1)
-    assert traced["metrics"]["dynamics.steps"]["value"] > 0
-    assert traced["metrics"]["functionals.monitor_rows"]["value"] > 0
+    traced = {r["workload"]: r["metrics"] for r in results if r["trace"] == 1}
+    assert traced["run-default"]["dynamics.steps"]["value"] > 0
+    assert traced["run-default"]["functionals.monitor_rows"]["value"] > 0
+    assert traced["run-default"]["dynamics.dst_per_step"]["value"] == 5
+    assert traced["sweep-n"]["dynamics.pad_dst_per_step"]["value"] == 11

@@ -84,6 +84,15 @@ def test_run_standard_small(tmp_path):
     assert snap.t == pytest.approx(0.02)
 
 
+def test_run_keeps_a_late_checkpoint_at_its_step(tmp_path):
+    # 930 steps of 0.1 sum to more than 93 + 1e-12, and a step picked from
+    # that running sum wrote the state of step 931, t = 93.0999...
+    text = "[grid]\nnx = 4\nny = 4\n[run]\nt = 100\ndt = 0.1\ncheckpoint_times = 93\n"
+    assert run_quietly(tmp_path, text, "run")[0] == 0
+    snap = load_checkpoint(str(tmp_path / "o" / "state_t93.0000.bin"))
+    assert abs(snap.t - 93.0) <= 1e-9
+
+
 def test_run_zero_preset(tmp_path):
     cfg = write(tmp_path, "[data]\npreset = zero\n" + "[grid]\nnx = 8\nny = 8\n[run]\nt = 0.01\n")
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "run"]) == 0

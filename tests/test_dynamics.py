@@ -24,7 +24,7 @@ from sibsim.dynamics import (
     picard_duhamel,
     prepare_initial_state,
 )
-from sibsim.experiments import _order_test
+from sibsim.experiments import _order_test, _sample_times
 from sibsim.functionals import RunMonitor, charge, difference_metric
 from sibsim.grids import (
     analyze,
@@ -657,6 +657,58 @@ def test_checkpoints_returned_at_requested_times():
     assert np.array_equal(rec.checkpoints[0.0].u.coef, st.u.coef)
     for t_req, snap in rec.checkpoints.items():
         assert abs(snap.t - t_req) <= 1e-2 + 1e-12
+
+
+def test_sampled_checkpoints_are_kept_at_their_steps():
+    # a run's samples are k * (10 * 0.1), each kept after step 10 k; the
+    # running sums of 0.1 (in _sample_times and in integrate) drift past
+    # 1e-12, and picking the step from them kept 7 of the 100 one step late
+    cfg = RunConfig(nx=4, ny=4, T=100.0, dt=0.1)
+    samples = _sample_times(cfg)
+    assert len(samples) == 100 and samples[-1] == 100.0
+    rec = integrate(build_initial_state(cfg), cfg.T, build_params(cfg), checkpoint_times=samples)
+    assert list(rec.checkpoints) == list(samples)
+    for k, tau in enumerate(samples, 1):
+        assert abs(rec.checkpoints[tau].t - k) <= 1e-9
+
+
+def test_checkpoint_times_outside_the_run_are_refused():
+    # a time that is not finite or lies past t0 + T is named, where
+    # (2.0, nan, -1.0) used to return no checkpoint at all
+    st = standard_state(8)
+    params = SystemParams(dt=1e-3)
+    for times in ((2.0, float("nan"), -1.0), (float("nan"),), (0.0105,), (-float("inf"),)):
+        with pytest.raises(ValueError, match=r"checkpoint time .* not finite or lies past"):
+            integrate(st, 0.01, params, checkpoint_times=times)
+    # a time before t0 keeps the state at t0, and the end is reached
+    # within round-off of t0 + T
+    rec = integrate(st, 0.01, params, checkpoint_times=(-1.0, 0.01 + 1e-15))
+    assert rec.checkpoints[-1.0].t == 0.0
+    assert rec.checkpoints[0.01 + 1e-15].t == 0.01
+
+
+def test_step_count_ignores_the_rounding_of_T_over_dt(monkeypatch, decoupled):
+    # 16.01 / 5e-4 = 32020.000000000004, whose rounding a tolerance of
+    # 1e-12 steps did not absorb: the run took one more step, of -8e-12.
+    # Decoupled, for speed; what is checked is the steps taken and the
+    # length of every kernel built
+    lengths, steps = [], []
+    init = dynamics._Kernels.__init__
+
+    def recorded(self, grid, params, dt):
+        lengths.append(dt)
+        init(self, grid, params, dt)
+
+    def counted(self, u, v):
+        steps.append(1)
+        return u
+
+    monkeypatch.setattr(dynamics._Kernels, "__init__", recorded)
+    monkeypatch.setattr(dynamics._Kernels, "potential_flow", counted)
+    rec = integrate(standard_state(4), 16.01, SystemParams(dt=5e-4))
+    assert len(steps) == 32020
+    assert rec.final_state.t == 16.01
+    assert min(lengths) > 4.9999e-4
 
 
 # the run of the loop tests below: ten steps of dt and one of 0.0037,
