@@ -729,12 +729,10 @@ def integrate(
             # new arrays, so a closed (v, vt) stays as it is kept
             close = last or next_ker is not step_ker
             closed = step_ker.wave_half(v, vt, f) if close or row or i + 1 in at_step else None
-            if last:
-                v, vt = closed
-            elif next_ker is step_ker:
-                v, vt = step_ker.wave_full(v, vt, f)
+            if close:
+                v, vt = closed if last else next_ker.wave_half(*closed, f)
             else:
-                v, vt = next_ker.wave_half(*closed, f)
+                v, vt = step_ker.wave_full(v, vt, f)
             step_ker, t = next_ker, t_next
             if not np.isfinite(u[0, 0]):
                 raise BlowupError(t_finite, i + 1, "u")

@@ -4,10 +4,10 @@ by the harness's own gate.  The traced run-default must see steps and
 monitor rows: the tracer reads them from _Kernels.step and RunMonitor.row,
 and a run that stopped going through either would read zero there instead
 of failing.  The tracer books a transform to a step only when
-_Kernels.step is its direct parent span, so the transforms per step are
-pinned too: 5 band transforms per nodal step in run-default, and 11 padded
-ones per Yosida step in sweep-n (4 Taylor terms at n = 8).  A transform
-that left the step would lower these counts instead of failing."""
+_Kernels.step is its direct parent span, and a transform that left the
+step would lower the per-step counts without failing anything, so they
+are pinned too: 5 band transforms per nodal step in run-default, and 11
+padded ones per Yosida step in sweep-n (4 Taylor terms at n = 8)."""
 
 import json
 import subprocess

@@ -85,8 +85,9 @@ def test_run_standard_small(tmp_path):
 
 
 def test_run_keeps_a_late_checkpoint_at_its_step(tmp_path):
-    # 930 steps of 0.1 sum to more than 93 + 1e-12, and a step picked from
-    # that running sum wrote the state of step 931, t = 93.0999...
+    # 930 steps of 0.1 sum to 92.999999999999, short of 93 by more than
+    # 1e-12, and a step picked from that running sum wrote the state of
+    # step 931, t = 93.0999...
     text = "[grid]\nnx = 4\nny = 4\n[run]\nt = 100\ndt = 0.1\ncheckpoint_times = 93\n"
     assert run_quietly(tmp_path, text, "run")[0] == 0
     snap = load_checkpoint(str(tmp_path / "o" / "state_t93.0000.bin"))
