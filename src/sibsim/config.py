@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import State, SystemParams, make_state
+from .dynamics import State, SystemParams, _step_count, make_state
 from .grids import Field, Grid2D, analyze, field_from_coef, make_grid
 from .output import checkpoint_name
 
@@ -222,8 +222,7 @@ class RunConfig:
         build_params(self)  # SystemParams checks eps, yosida_n and dt
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
-        if not math.isfinite(self.T / self.dt):
-            raise ValueError(f"step count T/dt = {self.T}/{self.dt} is not finite")
+        _step_count(self.T, self.dt)  # refuses 2**53 steps or more
         if self.monitor_stride < 1:
             raise ValueError("monitor_stride must be >= 1")
         self._check_checkpoint_times()

@@ -36,7 +36,7 @@ which also decides where each nonlinear term is sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, factorial, inf
+from math import ceil, factorial, inf, ulp
 from typing import NamedTuple
 
 import numpy as np
@@ -254,11 +254,32 @@ _TAYLOR_TOL = 1e-17
 # grows with the step count (4e-12 at 3e4 steps) but stays far below this.
 _STEP_TOL = 1e-6
 
+# The fewest steps a run may not take: from 2**53 on, float64 integers are
+# at least 2 apart, so the step index i behind a time t0 + i dt is no
+# longer exact.
+_MAX_STEPS = 2.0**53
+
 # (-1)^j / (2j)! and (-1)^j / (2j + 1)!: the Taylor coefficients of cos y
 # and of sin(y) / y in y^2, through the degree 10 of exp(i y) that a beta
 # up to _TAYLOR_PHASE asks for
 _COS_TAYLOR = tuple((-1) ** j / factorial(2 * j) for j in range(6))
 _SIN_TAYLOR = tuple((-1) ** j / factorial(2 * j + 1) for j in range(5))
+
+
+def _step_count(T: float, dt: float) -> int:
+    """The number of steps of dt that reach T, at least 1, the last one
+    shortened; a T within _STEP_TOL of a step counts as reached there.
+
+    Raises:
+        ValueError: if T/dt is not below _MAX_STEPS.
+    """
+    steps = T / dt
+    if not steps < _MAX_STEPS:
+        raise ValueError(
+            f"step count T/dt = {T}/{dt} = {steps:.3e} is not below 2**53, "
+            "where a step index stops being exact"
+        )
+    return max(1, ceil(steps - _STEP_TOL))
 
 
 def _tail_negligible(tnorm: float, r: float, tol: float) -> bool:
@@ -613,7 +634,10 @@ def integrate(
     Schrodinger part with v frozen at the half step (`_Kernels.step`), and
     a second half wave with the source refreshed from the new u.  The final
     step is shortened to land exactly on state0.t + T, and runs on a
-    kernel of its own length.
+    kernel of its own length.  The time after step i is t0 + i dt, formed
+    from the step index, and t0 + T after the last; a horizon of 2**53
+    steps or more is refused with ValueError, as the index would no longer
+    be exact.
 
     This loop is the one place the steps are composed, in leapfrog form.
     `_Kernels.step` returns the source of its new u, which is also the
@@ -666,9 +690,9 @@ def integrate(
     if monitor_stride < 1:
         raise ValueError("monitor_stride must be >= 1")
 
+    n_steps = _step_count(T, dt)
     state = prepare_initial_state(state0, params)
     ker = _Kernels(state.grid, params, dt)
-    n_steps = max(1, ceil(T / dt - _STEP_TOL))
     t0 = state.t
     # the number of steps after which each checkpoint is kept, picked by
     # index, so that no drift of the accumulated t moves it
@@ -704,9 +728,13 @@ def integrate(
 
     def last_kernel(t_start: float) -> _Kernels:
         """The kernel of the last step, which starts at t_start and lands
-        on t0 + T: ker itself unless that step is shortened."""
+        on t0 + T: ker itself unless that step is shortened or lengthened
+        by more than the rounding of the times.  t_start, t0 + T and T
+        against a whole number of dt each carry up to about an ulp of
+        t0 + T, whatever the step count."""
         step_dt = (t0 + T) - t_start
-        return ker if abs(step_dt - dt) <= 1e-12 * dt else _Kernels(state.grid, params, step_dt)
+        same = abs(step_dt - dt) <= 4 * ulp(t0 + T)
+        return ker if same else _Kernels(state.grid, params, step_dt)
 
     if monitor is not None:
         keep(t0, 0, (v, vt), row=True)
@@ -721,7 +749,8 @@ def integrate(
         v, vt = step_ker.wave_half(v, vt, f)
         for i in range(n_steps):
             last = i == n_steps - 1
-            t_next = t0 + T if last else t + dt
+            # times by step index, so that no running sum drifts
+            t_next = t0 + T if last else t0 + (i + 1) * dt
             next_ker = last_kernel(t_next) if i == n_steps - 2 else step_ker
             row = monitor is not None and ((i + 1) % monitor_stride == 0 or last)
             u, f = step_ker.step(u, v)
@@ -751,8 +780,9 @@ def integrate(
 
 # Node values are (P, Nx, Ny) stacks.  The quadrature sums and the new
 # iterates of a sweep are formed this many grid rows (kx) at a time, over
-# all nodes, so the phase products exist only as one block's temporaries.
-_GRID_ROWS = 4
+# all nodes, so the phase products and the mirrored wave tables exist only
+# as one block's temporaries.
+_GRID_ROWS = 3
 
 # The twisted u-integrand carries phases exp(i lam s), and a panel's
 # Lagrange points resolve about this many radians of lam_max s per node.
@@ -806,7 +836,8 @@ class _Level(NamedTuple):
     (n, 1, 1) column, the per-axis factors of exp(i lam s) there, (n, Nx)
     and (n, Ny), the (P+1, n) weights that integrate its Lagrange basis up
     to each of the P fine nodes and over the panel, and cos(s w) and
-    sinc(s w) there, (n, Nx, Ny) each."""
+    sinc(s w) at its first ceil(n/2) nodes, (ceil(n/2), Nx, Ny) each;
+    _mirror forms them at the other nodes."""
 
     s: np.ndarray
     exp_x: np.ndarray
@@ -814,6 +845,37 @@ class _Level(NamedTuple):
     weights: np.ndarray
     cos: np.ndarray
     sinc: np.ndarray
+
+
+def _mirror(lv: _Level, flow, rows) -> tuple[np.ndarray, np.ndarray]:
+    """cos(s w) and sinc(s w) on grid rows `rows` at the last n - m of the
+    n nodes of level lv, whose tables hold the first m = ceil(n/2), into
+    new (n - m, rows, Ny) arrays.  Gauss-Legendre nodes on a panel (0, h)
+    lie symmetric about h/2, so node n-1-j sits at h - s_j, and the free
+    wave flows form a group: with flow = (cos(h w), sinc(h w), w sin(h w)),
+    the flow over the panel,
+
+        cos((h - s) w)  = cos(h w) cos(s w) + w sin(h w) sinc(s w)
+        sinc((h - s) w) = sinc(h w) cos(s w) - cos(h w) sinc(s w)."""
+    k = len(lv.s) - len(lv.cos)
+    c, sc = lv.cos[k - 1 :: -1, rows], lv.sinc[k - 1 :: -1, rows]
+    cos_h, sinc_h, wsin_h = (x[rows] for x in flow)
+    cos = cos_h * c
+    tmp = wsin_h * sc
+    cos += tmp
+    sinc = np.multiply(sinc_h, c, out=tmp)
+    sinc -= cos_h * sc
+    return cos, sinc
+
+
+def _nodewise(table, mirrored, x, rows, out):
+    """x times the cos or sinc of a level at each of its nodes, into out:
+    the first len(table) nodes read table's rows `rows` in place, the others
+    the matching _mirror output."""
+    m = len(table)
+    np.multiply(table[:, rows], x[:m], out=out[:m])
+    np.multiply(mirrored, x[m:], out=out[m:])
+    return out
 
 
 def _require_count(name: str, value, least: int) -> None:
@@ -883,12 +945,17 @@ def picard_duhamel(
     costs mP + P_c + 5 node evaluations of the two products, or mP + 5
     without the coarse level.
 
-    Six (P, Nx, Ny) node stacks are kept, 64 B per node-mode entry: the
-    iterates u (complex) and v, the raw right-hand sides P(v, u) (complex)
-    and g, and cos(s w) and sinc(s w) at the fine nodes.  The coarse
-    level's node values use the first P_c slices of the same stacks, and
-    its cos(s w) and sinc(s w) are formed once per panel into the slices
-    P_c to 2 P_c of the P(v, u) stack, which the coarse stage leaves idle.
+    The node stacks take 56 B per node-mode entry: four (P, Nx, Ny)
+    stacks of the iterates u (complex) and v and the raw right-hand sides
+    P(v, u) (complex) and g, and cos(s w) and sinc(s w) at the first
+    ceil(P/2) fine nodes.  The Gauss-Legendre nodes lie symmetric about
+    h/2, so `_mirror` forms the tables at the other nodes from these and
+    the wave flow over the panel, a block of grid rows at a time, and the
+    block products read the first half in place.  The coarse level's node
+    values use the first P_c slices of the same stacks, and its cos(s w)
+    and sinc(s w) at the first ceil(P_c/2) coarse nodes are formed once per
+    panel into the P(v, u) stack from slice P_c on, which the coarse stage
+    leaves idle, and mirrored the same way.
     The phases exp(i lam s) are products of per-axis factors, formed with
     the integrands that carry them a block of grid rows at a time, and a
     sweep forms its new iterates and their changes in place in that
@@ -980,25 +1047,30 @@ def picard_duhamel(
         return _Level(nodes[:, None, None], exp_x, exp_y, weights, cos, sinc)
 
     nodes, full_w = gauss(quad_nodes)
-    cos_s, sinc_s = ker.wave_rotation(nodes[:, None, None])
+    # cos(s w) and sinc(s w) at the first half of the nodes; _mirror forms
+    # the other half a block of grid rows at a time
+    cos_s, sinc_s = ker.wave_rotation(nodes[: (quad_nodes + 1) // 2, None, None])
     sinc_s /= w
     # rows 0..P-1 integrate up to each node, row P over the whole panel
     fine = level(nodes, np.vstack([_integration_weights(nodes, nodes), full_w]), cos_s, sinc_s)
     coarse = None
     if 2 * coarse_nodes <= quad_nodes:
         nodes_c = gauss(coarse_nodes)[0]
-        # the coarse cos(s w) and sinc(s w) borrow pvu's slices P_c..2 P_c,
-        # which the coarse stage leaves idle; the fine sweeps overwrite
+        half_c = (coarse_nodes + 1) // 2
+        # the coarse cos(s w) and sinc(s w) borrow pvu's slices from P_c
+        # on, which the coarse stage leaves idle; the fine sweeps overwrite
         # them, so each panel forms them again
         coarse = level(
             nodes_c,
             _integration_weights(nodes_c, np.append(nodes, h)),
-            *pvu[coarse_nodes : 2 * coarse_nodes].view(np.float64).reshape(
-                (2, coarse_nodes) + grid.shape
+            *pvu[coarse_nodes : coarse_nodes + half_c].view(np.float64).reshape(
+                (2, half_c) + grid.shape
             ),
         )
-    # the predictor's points h/2 and h, with the free flows over them
+    # the predictor's points h/2 and h, with the free flows over them; the
+    # wave flow over h also mirrors the node tables
     phase_h, cos_h, sinc_h, wsin_h = ker.free_flow(h)
+    flow_h = (cos_h, sinc_h, wsin_h)
     points = [(0.5 * h, *ker.free_flow(0.5 * h)[:3]), (h, phase_h, cos_h, sinc_h)]
 
     def fill_integrands(n) -> None:
@@ -1054,25 +1126,29 @@ def picard_duhamel(
             rows = slice(lo, lo + _GRID_ROWS)
             # exp(-i lam s), conjugated per axis
             phase = np.conj(lv.exp_x[:, rows, None]) * np.conj(lv.exp_y[:, None, :])
-            us[:n, rows], vs[:n, rows] = solution(
-                q, r, rows, lv.s, phase, lv.cos[:, rows], lv.sinc[:, rows]
-            )
+            cm, sm = _mirror(lv, flow_h, rows)
+            c = np.concatenate((lv.cos[:, rows], cm))
+            sc = np.concatenate((lv.sinc[:, rows], sm))
+            us[:n, rows], vs[:n, rows] = solution(q, r, rows, lv.s, phase, c, sc)
 
     def sweep_block(lv, rows):
         """The new iterates u and v at all P fine nodes on grid rows `rows`,
         from the integrands at the nodes of level lv (the first n slices of
         pvu and g); keeps the panel-end sums."""
         n = len(lv.s)
-        c, sc = lv.cos[:, rows], lv.sinc[:, rows]
         phase = lv.exp_x[:, rows, None] * lv.exp_y[:, None, :]
         gb = g[:n, rows]
         Iu = _weighted_sum(lv.weights, phase * pvu[:n, rows])
-        Ia = _weighted_sum(lv.weights, c * gb)
-        Ib = _weighted_sum(lv.weights, sc * gb)
+        c, sc = _mirror(lv, flow_h, rows)
+        prod = np.empty_like(gb)
+        Ia = _weighted_sum(lv.weights, _nodewise(lv.cos, c, gb, rows, prod))
+        Ib = _weighted_sum(lv.weights, _nodewise(lv.sinc, sc, gb, rows, prod))
+        del prod  # before the update's temporaries
         Iu_end[rows], Ia_end[rows], Ib_end[rows] = Iu[-1], Ia[-1], Ib[-1]
         if n < quad_nodes:
-            # the update needs the phases at the fine nodes
+            # the update needs the phases and the tables at the fine nodes
             phase = fine.exp_x[:, rows, None] * fine.exp_y[:, None, :]
+            c, sc = _mirror(fine, flow_h, rows)
         # un = conj(phase) (phi - i Iu), in Iu's rows
         un = Iu[:-1]
         np.conj(phase, out=phase)
@@ -1083,9 +1159,9 @@ def picard_duhamel(
         # nodes, in Ia's rows
         vn, Ib = Ia[:-1], Ib[:-1]
         np.subtract(ps0[rows], Ib, out=Ib)
-        Ib *= cos_s[:, rows]
+        _nodewise(fine.cos, c, Ib, rows, Ib)
         vn += ps1[rows]
-        vn *= sinc_s[:, rows]
+        _nodewise(fine.sinc, sc, vn, rows, vn)
         vn += Ib
         return un, vn
 
@@ -1095,7 +1171,7 @@ def picard_duhamel(
         else:
             # the predictor and one Jacobi sweep on the coarse level give
             # the first iterate at the fine nodes
-            ker.wave_rotation(coarse.s, coarse.cos, coarse.sinc)
+            ker.wave_rotation(coarse.s[:half_c], coarse.cos, coarse.sinc)
             np.divide(coarse.sinc, w, out=coarse.sinc)
             predict(coarse)
             fill_integrands(coarse_nodes)

@@ -87,11 +87,22 @@ def test_run_standard_small(tmp_path):
 def test_run_keeps_a_late_checkpoint_at_its_step(tmp_path):
     # 930 steps of 0.1 sum to 92.999999999999, short of 93 by more than
     # 1e-12, and a step picked from that running sum wrote the state of
-    # step 931, t = 93.0999...
+    # step 931, t = 93.0999...; picked by index, it was timed by the sum,
+    # 92.99999999999899.  Timed by its index, 930 * 0.1 is 93.0.
     text = "[grid]\nnx = 4\nny = 4\n[run]\nt = 100\ndt = 0.1\ncheckpoint_times = 93\n"
     assert run_quietly(tmp_path, text, "run")[0] == 0
     snap = load_checkpoint(str(tmp_path / "o" / "state_t93.0000.bin"))
-    assert abs(snap.t - 93.0) <= 1e-9
+    assert snap.t == 93.0
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-eps"])
+def test_step_count_past_2_to_the_53_exits_2_at_once(tmp_path, command):
+    # 0.01 / 1e-300 steps is finite, and a run of them ran without end while
+    # its memory grew; from 2**53 steps on the step index behind a time is
+    # no longer exact, so the config is refused before any step
+    proc = cli_process(tmp_path, "[grid]\nnx = 4\nny = 4\n[run]\nt = 0.01\ndt = 1e-300\n", command)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid configuration: step count T/dt = 0.01/1e-300")
 
 
 def test_run_zero_preset(tmp_path):

@@ -690,8 +690,11 @@ def test_checkpoint_times_outside_the_run_are_refused():
 def test_step_count_ignores_the_rounding_of_T_over_dt(monkeypatch, decoupled):
     # 16.01 / 5e-4 = 32020.000000000004, whose rounding a tolerance of
     # 1e-12 steps did not absorb: the run took one more step, of -8e-12.
-    # Decoupled, for speed; what is checked is the steps taken and the
-    # length of every kernel built
+    # Timed by a running sum, the last step then started 8e-12 dt early and
+    # built a kernel of its own; timed by its index, it is dt (1 + 4.8e-12),
+    # within an ulp of 16.01, and reuses the run's kernel.  Decoupled, for
+    # speed; what is checked is the steps taken and the length of every
+    # kernel built
     lengths, steps = [], []
     init = dynamics._Kernels.__init__
 
@@ -708,7 +711,16 @@ def test_step_count_ignores_the_rounding_of_T_over_dt(monkeypatch, decoupled):
     rec = integrate(standard_state(4), 16.01, SystemParams(dt=5e-4))
     assert len(steps) == 32020
     assert rec.final_state.t == 16.01
-    assert min(lengths) > 4.9999e-4
+    assert lengths == [5e-4]
+
+
+def test_step_counts_from_2_to_the_53_are_refused():
+    # from 2**53 steps on, the index i behind t0 + i dt is no longer exact
+    st = standard_state(4)
+    for T, dt in ((0.01, 1e-300), (2.0**53, 1.0), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match=r"step count T/dt = .* is not below 2\*\*53"):
+            integrate(st, T, SystemParams(dt=dt))
+    assert dynamics._step_count(2.0**53 - 1.0, 1.0) == 2**53 - 1
 
 
 # the run of the loop tests below: ten steps of dt and one of 0.0037,
@@ -734,7 +746,8 @@ def loop_run(yosida_n):
 
 def reference_loop(st, params, closes, kept=()):
     """The states of a loop of 11 steps written out in substeps, the last
-    one shortened to land on LOOP_T.  Step i (1-based) ends with a half
+    one shortened to land on LOOP_T, each timed by its index.  Step i
+    (1-based) ends with a half
     wave when i is in `closes`, which must hold 10 and 11 (the shortened
     step runs on a kernel of its own), and with the full-step wave flow
     that stands for its closing half and the next step's opening half
@@ -744,17 +757,17 @@ def reference_loop(st, params, closes, kept=()):
     {i: state after step i} for i = 0 and every step in closes or kept."""
     start = prepare_initial_state(st, params)
     u, v, vt = start.u.coef.astype(np.complex128), start.v.coef, start.vt.coef
-    ker, t = dynamics._Kernels(st.grid, params, params.dt), 0.0
+    ker = dynamics._Kernels(st.grid, params, params.dt)
     states = {0: start}
     opened = False
     for i in range(1, 12):
         if i == 11:
-            ker = dynamics._Kernels(st.grid, params, LOOP_T - t)
+            ker = dynamics._Kernels(st.grid, params, LOOP_T - 10 * params.dt)
         if not opened:
             v, vt = ker.wave_half(v, vt, ker.wave_source(u))
         u = schrodinger_flow(ker, u, v)
         f = ker.wave_source(u)
-        t = LOOP_T if i == 11 else t + params.dt
+        t = LOOP_T if i == 11 else i * params.dt
         if i in closes or i in kept:
             states[i] = dynamics._state_from_coef(st.grid, u, *ker.wave_half(v, vt, f), t)
         opened = i not in closes
@@ -1194,14 +1207,76 @@ def test_picard_default_preset_converges_in_two_fine_sweeps():
     assert difference_metric(pic, tight) < 1e-11
 
 
+@pytest.mark.parametrize(
+    "case, P, levels",
+    [("8^2", 12, {12}), ("8^2", 17, {17}), ("8^2", 32, {32, 16}), ("17x4", 34, {34, 17})],
+)
+def test_picard_node_tables_match_the_wave_rotation(monkeypatch, case, P, levels):
+    # The oracle keeps cos(s w) and sinc(s w) at the first ceil(n/2) nodes
+    # of each level and mirrors the rest a block of grid rows at a time.
+    # Every table a sweep or the predictor reads must equal wave_rotation
+    # at every node: even and odd P on one level, and with a coarse level
+    # of 16 nodes, and of 17 nodes on 17 x 4 modes over (0, pi/4) x (0, pi)
+    # (lam_max h = 106.7 asks for 17), where eps = 0 leaves omega up to 68.
+    # The mirrored halves measured within 1.5 eps of cos and 2.4 eps h of
+    # sinc; h bounds sinc(s w) = sin(s w)/w on a panel.
+    if case == "8^2":
+        st, T, params = standard_state(8), 0.02, SystemParams(eps=0.5, dt=1.0)
+    else:
+        g = make_grid(np.pi / 4, np.pi, 17, 4)
+        rng = np.random.default_rng(3)
+        st = make_state(
+            random_field(g, rng, "complex"), random_field(g, rng), random_field(g, rng)
+        )
+        T, params = 0.023, SystemParams(eps=0.0, dt=1.0)
+    ker = dynamics._Kernels(st.grid, params, None)
+    eps = np.finfo(float).eps
+    mirror = dynamics._mirror
+    rows_seen: dict[int, set] = {}
+
+    def checked(lv, flow, rows):
+        c, sc = mirror(lv, flow, rows)
+        cos, sin = ker.wave_rotation(lv.s)
+        h = float(lv.s[0, 0, 0] + lv.s[-1, 0, 0])
+        full_c = np.concatenate((lv.cos[:, rows], c))
+        full_sc = np.concatenate((lv.sinc[:, rows], sc))
+        assert np.max(np.abs(full_c - cos[:, rows])) <= 4 * eps
+        assert np.max(np.abs(full_sc - (sin / ker.w)[:, rows])) <= 4 * eps * h
+        rows_seen.setdefault(len(lv.s), set()).update(range(st.grid.Nx)[rows])
+        return c, sc
+
+    monkeypatch.setattr(dynamics, "_mirror", checked)
+    picard_duhamel(st, T, params, quad_nodes=P)
+    assert rows_seen == {n: set(range(st.grid.Nx)) for n in levels}
+
+
+def test_picard_peak_memory_on_the_oracle_input():
+    # The default 64^2 data with 128 nodes, the benchmark's oracle input:
+    # the stacks take 56 B per node-mode entry, and the traced peak of one
+    # call measured 62.5 B with blocks of 3 grid rows (63.9 B with 4).
+    # Whole cos(s w) and sinc(s w) tables measured 71.4 B; either one alone
+    # brought back adds 4 B.
+    cfg = RunConfig(T=0.025)
+    params = build_params(cfg)
+    state0 = build_initial_state(cfg)
+    picard_duhamel(state0, cfg.T, params, quad_nodes=128)  # fills the transform caches
+    tracemalloc.start()
+    try:
+        picard_duhamel(state0, cfg.T, params, quad_nodes=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (128 * cfg.nx * cfg.ny) < 64
+
+
 def test_picard_peak_memory_per_node_mode_entry():
-    # The six (P, Nx, Ny) node stacks take 64 B per node-mode entry: the
-    # complex iterates u and P(v, u), and the real iterates v, g, cos(s w)
-    # and sinc(s w).  On 24 x 20 modes with 64 nodes, which start on a
+    # The node stacks take 56 B per node-mode entry: the complex iterates u
+    # and P(v, u), the real iterates v and g, and cos(s w) and sinc(s w) at
+    # half the nodes.  On 24 x 20 modes with 64 nodes, which start on a
     # coarse level of 16 nodes, the traced peak of one call, block
-    # temporaries and products included, measured 85.4 B (86.0 B on a
-    # single level); storing the phases exp(i lam s) and the phase products
-    # as stacks too measured 121 B.
+    # temporaries and products included, measured 74.5 B (85.4 B with
+    # whole cos(s w) and sinc(s w) tables); storing the phases exp(i lam s)
+    # and the phase products as stacks too measured 121 B.
     g = make_grid(np.pi, np.pi, 24, 20)
     rng = np.random.default_rng(5)
     st = make_state(
@@ -1219,10 +1294,10 @@ def test_picard_peak_memory_per_node_mode_entry():
 
 
 def test_picard_exact_without_coupling(decoupled):
-    # Two panels of 0.02, on the standard state and on 9 x 6 modes over
+    # Two panels of 0.02, on the standard state and on 10 x 6 modes over
     # (0, pi) x (0, 2), where the per-axis phase factors differ in length
-    # and in eigenvalues and the 9 grid rows end in a partial block
-    g = make_grid(np.pi, 2.0, 9, 6)
+    # and in eigenvalues and the 10 grid rows end in a partial block
+    g = make_grid(np.pi, 2.0, 10, 6)
     assert g.Nx % dynamics._GRID_ROWS != 0
     rng = np.random.default_rng(11)
     non_square = make_state(
