@@ -328,21 +328,16 @@ def _unit_phase(y: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _wave_flow(v, vt, f, cos, sinc, wsin):
-    """The free wave flow of tables (cos, sinc, wsin) applied to v'' =
-    -omega^2 (v + f), f frozen: (v, vt) -> (cos z + sinc vt - f, -wsin z +
-    cos vt) with z = v + f, into new arrays."""
-    z = v + f
-    # in place, and bit for bit equal to the formula above
-    # (x - y is x + (-y) exactly, and addition commutes)
-    v1 = cos * z
-    tmp = sinc * vt
-    v1 += tmp
-    v1 -= f
-    z *= wsin
-    vt1 = np.multiply(cos, vt, out=tmp)
-    vt1 -= z
-    return v1, vt1
+def _rotate(phase, z, f):
+    """phase (z + f) - f, into one new array: the exact wave flow of the
+    amplitude z under a frozen source f (see _Kernels).  The real f is
+    added to and taken from the real part in place, which spares numpy's
+    cast of f to complex (measured 2.7 us of 19 at 64^2)."""
+    y = z.copy()
+    y.real += f
+    np.multiply(phase, y, out=y)
+    y.real -= f
+    return y
 
 
 class _Kernels:
@@ -357,21 +352,26 @@ class _Kernels:
         jsym       Yosida J_n = (1 - Laplacian/n)^(-1), symbol 1/(1 + lam/n),
                    None when params.yosida_n is unset; exactly 0 < J <= 1,
                    sqrt(lam) J <= sqrt(n) and sqrt(lam) J <= sqrt(lam)
-        w2, w      omega_eps^2 = lam/(1 + eps*lam) and omega_eps; -w2 is
-                   the wave forcing symbol of the Duhamel form
-        phase_half, cos_half, sinc_half, wsin_half
+        w2, w      omega_eps^2 = lam/(1 + eps*lam) and omega_eps, its root,
+                   the frequency of every wave phase
+        phase_half, wave_phase_half
                    free_flow(dt/2), the exact half-step flows
-        cos_full, sinc_full, wsin_full
-                   the wave tables of free_flow(dt), the exact full-step
-                   wave flow that stands for two half-step wave flows
-                   with one source
+        wave_phase_full
+                   exp(-i dt omega), the exact full-step wave flow that
+                   stands for two half-step wave flows with one source
 
+    The wave pair is carried as one complex amplitude z = v + i vt/omega:
+    each sine mode of v'' = -omega^2 (v + f) is a linear oscillator, so
+    with f frozen z + f rotates by exp(-i t omega), as u does by
+    exp(-i t lam) under the free Schrodinger flow (Hairer, Lubich and
+    Wanner, Geometric Numerical Integration, 2nd ed. (2006), XIII).
     free_flow(t) writes the free flows over any time t for the stepper's
-    tables, the Picard oracle's panels and `sibsim check`.  The stepper's
-    substeps are the exact wave flows wave_half and wave_full and step,
-    the Schrodinger part of a step; integrate composes them.  dt = None
-    builds no step tables, for callers that take no step (the energy,
-    data smoothing, the Picard oracle).
+    tables, the Picard oracle's panels and `sibsim check`, and wave_phase
+    the oracle's node tables.  The stepper's substeps are the exact wave
+    flows wave_half and wave_full and step, the Schrodinger part of a
+    step; integrate composes them.  dt = None builds no step tables, for
+    callers that take no step (the energy, data smoothing, the Picard
+    oracle).
 
     The kernel also decides where each nonlinear term is sampled.  The
     unregularized wave source and potential phase are sampled on the
@@ -414,27 +414,20 @@ class _Kernels:
         pad = (ceil(3 * grid.Nx / 2), ceil(3 * grid.Ny / 2))
         self.prod_shape = pad if params.dealias else grid.shape
         if dt is not None:
-            flows = self.free_flow(0.5 * dt)
-            self.phase_half, self.cos_half, self.sinc_half, self.wsin_half = flows
-            self.cos_full, self.sinc_full, self.wsin_full = self.free_flow(dt)[1:]
+            self.phase_half, self.wave_phase_half = self.free_flow(0.5 * dt)
+            self.wave_phase_full = self.wave_phase(dt)
 
     def free_flow(self, t):
         """The free flows over a time t: exp(-i t lam), the symbol of
-        exp(i t Laplacian), and cos, sin/omega and omega*sin of t omega,
-        which take (v, vt) to (cos v + sin/omega vt, -omega sin v + cos vt)
-        under v'' = -omega^2 v."""
-        cos, sin = self.wave_rotation(t)
-        return np.exp(-1j * t * self.grid.lam), cos, sin / self.w, self.w * sin
+        exp(i t Laplacian), and exp(-i t omega), which takes z = v + i
+        vt/omega to z(t) under v'' = -omega^2 v."""
+        return np.exp(-1j * t * self.grid.lam), self.wave_phase(t)
 
-    def wave_rotation(self, s, cos=None, sin=None):
-        """cos(s omega) and sin(s omega), into `cos` and `sin` when given:
-        the free wave flow over s is v(s) = cos(s omega) v + sin(s omega) /
-        omega vt.  s is a time, or an (n, 1, 1) column of times for n
-        tables at once."""
-        cos = np.multiply(self.w, s, out=cos)
-        sin = np.sin(cos, out=sin)
-        np.cos(cos, out=cos)
-        return cos, sin
+    def wave_phase(self, s, out=None):
+        """exp(-i s omega), formed in place, in `out` when given.  s is a
+        time, or an (n, 1, 1) column of times for n tables at once."""
+        out = np.multiply(self.w, -1j * s, out=out)
+        return np.exp(out, out=out)
 
     # -- quadratic terms ----------------------------------------------------
 
@@ -465,16 +458,17 @@ class _Kernels:
 
     # -- substeps -----------------------------------------------------------
 
-    def wave_half(self, v, vt, f):
-        """Exact flow over dt/2 of v'' = -omega^2 (v + f), f frozen."""
-        return _wave_flow(v, vt, f, self.cos_half, self.sinc_half, self.wsin_half)
+    def wave_half(self, z, f):
+        """Exact flow over dt/2 of v'' = -omega^2 (v + f), f frozen, on
+        z = v + i vt/omega, into a new array: z + f rotates."""
+        return _rotate(self.wave_phase_half, z, f)
 
-    def wave_full(self, v, vt, f):
+    def wave_full(self, z, f):
         """Exact flow over dt of v'' = -omega^2 (v + f), f frozen: two
         wave_half flows with one f, in one pass.  The equation is
         autonomous while f is frozen, so its flows form a group, and the
         two agree to round-off."""
-        return _wave_flow(v, vt, f, self.cos_full, self.sinc_full, self.wsin_full)
+        return _rotate(self.wave_phase_full, z, f)
 
     def potential_flow(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Flow over dt of i u_t = P(v, u) with v frozen.
@@ -649,14 +643,17 @@ def integrate(
     with the same source, so together they are the exact wave flow over dt
     (`_Kernels.wave_full`), the leapfrog form of the splitting (Hairer,
     Lubich and Wanner, Geometric Numerical Integration, 2nd ed. (2006),
-    II.5).  So (v, vt) run half a step ahead of u: the run opens with a
+    II.5).  The loop carries u and the wave amplitude z = v + i vt/omega
+    (see _Kernels), so every wave flow is one phase, and hands each step
+    v = Re z; a state is converted back, v = Re z and vt = omega Im z, only
+    where it is kept.  z runs half a step ahead of u: the run opens with a
     half wave, takes one full-step wave flow between two steps of one
     kernel, and closes with a half wave at the end and before the
     shortened last step, which opens again with a half wave of its own
     kernel.  A state kept between two merged steps (a monitor row, a
-    checkpoint) takes its (v, vt) from a half wave of the mid-step (v, vt),
-    and the run goes on from the full-step flow of the same arrays: where
-    a run keeps its states does not change its trajectory.
+    checkpoint) takes its z from a half wave of the mid-step z, and the
+    run goes on from the full-step flow of the same array: where a run
+    keeps its states does not change its trajectory.
 
     Every transform of a step runs in `_Kernels.step`: 5 band transforms
     for a nodal step, so a nodal run of m steps makes 5m + 2 with the
@@ -677,8 +674,8 @@ def integrate(
     Args:
         monitor: optional object whose row(state, params, source) returns
             one diagnostics row as a dict of floats, such as a RunMonitor;
-            source is the wave source of the state's u.  The state holds
-            the run's own arrays, which the row must not write.
+            source is the wave source of the state's u.  The state's u
+            is the run's own array, which the row must not write.
         checkpoint_times: for each time, the state after the first completed
             step at or after it, within a millionth of a step, is kept; the
             step is counted from (time - t0)/dt, and a time before t0
@@ -701,7 +698,9 @@ def integrate(
         if not -inf < tau <= t0 + T + _STEP_TOL * dt:
             raise ValueError(f"checkpoint time {tau} is not finite or lies past t0 + T = {t0 + T}")
         at_step.setdefault(min(n_steps, max(0, ceil((tau - t0) / dt - _STEP_TOL))), []).append(tau)
-    u, v, vt = state.u.coef.astype(np.complex128), state.v.coef, state.vt.coef
+    u = state.u.coef.astype(np.complex128)
+    w = ker.w
+    z = state.v.coef + 1j * (state.vt.coef / w)
     with np.errstate(over="ignore", invalid="ignore"):  # a bad f shows in step 1's u
         f = ker.wave_source(u)
 
@@ -710,12 +709,12 @@ def integrate(
     t_finite = t0
 
     def keep(t: float, step: int, closed, row: bool = False) -> State | None:
-        """The state (u, *closed) at t after `step` steps, which must be
-        finite: a copy of it, or with row=True its monitor row, which must
-        be finite too.  The row reads the run's own arrays: every flow
-        writes new arrays, so no later step changes them."""
+        """The state (u, Re closed, omega Im closed) at t after `step`
+        steps, which must be finite: a copy of it, or with row=True its
+        monitor row, which must be finite too.  The row reads the run's
+        own u: every flow writes new arrays, so no later step changes it."""
         nonlocal t_finite
-        kv, kvt = closed
+        kv, kvt = closed.real.copy(), w * closed.imag
         parts = {"u": u, "v": kv, "vt": kvt}
         bad = next((name for name, arr in parts.items() if not np.isfinite(arr).all()), None)
         if bad is None and row:
@@ -724,7 +723,7 @@ def integrate(
         if bad is not None:
             raise BlowupError(t_finite, step, bad)
         t_finite = t
-        return None if row else _state_from_coef(state.grid, u.copy(), kv.copy(), kvt.copy(), t)
+        return None if row else _state_from_coef(state.grid, u.copy(), kv, kvt, t)
 
     def last_kernel(t_start: float) -> _Kernels:
         """The kernel of the last step, which starts at t_start and lands
@@ -737,31 +736,31 @@ def integrate(
         return ker if same else _Kernels(state.grid, params, step_dt)
 
     if monitor is not None:
-        keep(t0, 0, (v, vt), row=True)
+        keep(t0, 0, z, row=True)
     t = t0
     for tau in at_step.get(0, ()):
-        checkpoints[tau] = keep(t0, 0, (v, vt))
+        checkpoints[tau] = keep(t0, 0, z)
     step_ker = ker if n_steps > 1 else last_kernel(t0)
     # each step's u, every kept state and every monitor row is checked for
     # finiteness below, so a divergence names itself; numpy's overflow and
     # invalid-value warnings on the way there would only add stderr lines
     with np.errstate(over="ignore", invalid="ignore"):
-        v, vt = step_ker.wave_half(v, vt, f)
+        z = step_ker.wave_half(z, f)
         for i in range(n_steps):
             last = i == n_steps - 1
             # times by step index, so that no running sum drifts
             t_next = t0 + T if last else t0 + (i + 1) * dt
             next_ker = last_kernel(t_next) if i == n_steps - 2 else step_ker
             row = monitor is not None and ((i + 1) % monitor_stride == 0 or last)
-            u, f = step_ker.step(u, v)
-            # (v, vt) are half a step behind the new u; the flows write
-            # new arrays, so a closed (v, vt) stays as it is kept
+            u, f = step_ker.step(u, z.real)
+            # z is half a step behind the new u; the flows write new
+            # arrays, so a closed z stays as it is kept
             close = last or next_ker is not step_ker
-            closed = step_ker.wave_half(v, vt, f) if close or row or i + 1 in at_step else None
+            closed = step_ker.wave_half(z, f) if close or row or i + 1 in at_step else None
             if close:
-                v, vt = closed if last else next_ker.wave_half(*closed, f)
+                z = closed if last else next_ker.wave_half(closed, f)
             else:
-                v, vt = step_ker.wave_full(v, vt, f)
+                z = step_ker.wave_full(z, f)
             step_ker, t = next_ker, t_next
             if not np.isfinite(u[0, 0]):
                 raise BlowupError(t_finite, i + 1, "u")
@@ -771,7 +770,7 @@ def integrate(
                 checkpoints[tau] = keep(t, i + 1, closed)
 
     series = {key: np.array([r[key] for r in rows]) for key in (rows[0] if rows else ())}
-    return TrajectoryRecord(series, keep(t, n_steps, (v, vt)), checkpoints)
+    return TrajectoryRecord(series, keep(t, n_steps, z), checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -835,46 +834,27 @@ class _Level(NamedTuple):
     """A collocation level of a Picard panel: its n node times s as an
     (n, 1, 1) column, the per-axis factors of exp(i lam s) there, (n, Nx)
     and (n, Ny), the (P+1, n) weights that integrate its Lagrange basis up
-    to each of the P fine nodes and over the panel, and cos(s w) and
-    sinc(s w) at its first ceil(n/2) nodes, (ceil(n/2), Nx, Ny) each;
-    _mirror forms them at the other nodes."""
+    to each of the P fine nodes and over the panel, and the wave phase
+    exp(-i s w) at its first ceil(n/2) nodes, (ceil(n/2), Nx, Ny); _mirror
+    forms it at the other nodes."""
 
     s: np.ndarray
     exp_x: np.ndarray
     exp_y: np.ndarray
     weights: np.ndarray
-    cos: np.ndarray
-    sinc: np.ndarray
+    wave: np.ndarray
 
 
-def _mirror(lv: _Level, flow, rows) -> tuple[np.ndarray, np.ndarray]:
-    """cos(s w) and sinc(s w) on grid rows `rows` at the last n - m of the
-    n nodes of level lv, whose tables hold the first m = ceil(n/2), into
-    new (n - m, rows, Ny) arrays.  Gauss-Legendre nodes on a panel (0, h)
-    lie symmetric about h/2, so node n-1-j sits at h - s_j, and the free
-    wave flows form a group: with flow = (cos(h w), sinc(h w), w sin(h w)),
-    the flow over the panel,
-
-        cos((h - s) w)  = cos(h w) cos(s w) + w sin(h w) sinc(s w)
-        sinc((h - s) w) = sinc(h w) cos(s w) - cos(h w) sinc(s w)."""
-    k = len(lv.s) - len(lv.cos)
-    c, sc = lv.cos[k - 1 :: -1, rows], lv.sinc[k - 1 :: -1, rows]
-    cos_h, sinc_h, wsin_h = (x[rows] for x in flow)
-    cos = cos_h * c
-    tmp = wsin_h * sc
-    cos += tmp
-    sinc = np.multiply(sinc_h, c, out=tmp)
-    sinc -= cos_h * sc
-    return cos, sinc
-
-
-def _nodewise(table, mirrored, x, rows, out):
-    """x times the cos or sinc of a level at each of its nodes, into out:
-    the first len(table) nodes read table's rows `rows` in place, the others
-    the matching _mirror output."""
-    m = len(table)
-    np.multiply(table[:, rows], x[:m], out=out[:m])
-    np.multiply(mirrored, x[m:], out=out[m:])
+def _mirror(lv: _Level, wave_h: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+    """The wave phase exp(-i s w) on grid rows `rows` at every node of
+    level lv, into out: its table at the first m nodes, and the rest from
+    it.  Gauss-Legendre nodes on a panel (0, h) lie symmetric about h/2, so
+    node n-1-j sits at h - s_j, where the phase is exp(-i h w) conj(table[j])
+    with wave_h = exp(-i h w), the wave phase over the panel."""
+    m = len(lv.wave)
+    mirrored = np.conj(lv.wave[len(lv.s) - m - 1 :: -1, rows], out=out[m:])
+    np.multiply(wave_h[rows], mirrored, out=mirrored)
+    out[:m] = lv.wave[:, rows]
     return out
 
 
@@ -899,34 +879,35 @@ def picard_duhamel(
     """Solve the system on [t0, t0+T] by Picard iteration on its
     variation-of-constants form, marching over Gauss-Legendre panels.
 
-    Writing the free flows as U(t) = exp(i t Laplacian) for u and
-    (cos t omega, sin(t omega)/omega) for the wave pair, all of them read
-    from `_Kernels.free_flow` of one kernel built with no step, each panel
-    solves
+    With the wave pair carried as one amplitude z = v + i vt/omega (see
+    _Kernels), the system is two equations of one form,
 
-        u(t)  = U(t) u0 - i integral_0^t U(t - s) P(v, u)(s) ds
-        v(t)  = cos(t w) v0 + sinc ... + integral_0^t sin((t-s)w)/w g(s) ds
-        vt(t) = analytic t-derivative of the line above
+        u' = -i lam u - i P(v, u),      z' = -i omega z - i omega W(u),
 
-    with g = -omega^2 W(u) the wave forcing, by iterating on trajectory
-    values held at the panel's quadrature nodes.  vt uses the
-    differentiated kernels directly rather than differencing v.
+    with v = Re z, and each panel solves their variation-of-constants form
+
+        y(t) = exp(-i t k) (y0 - i integral_0^t exp(i s k) F(s) ds)
+
+    for (y, k, F) = (u, lam, P(v, u)) and (z, omega, omega W(u)) by
+    iterating on trajectory values held at the panel's quadrature nodes.
+    Every free flow is read from `_Kernels.free_flow` and
+    `_Kernels.wave_phase` of one kernel built with no step.
 
     Each panel starts from a three-point exponential predictor, the
     exponential time differencing of Cox and Matthews (J. Comput. Phys.
     176 (2002)) and Hochbruck and Ostermann (Acta Numerica 19 (2010)):
     P(v, u) and W(u) are modelled as quadratics in s through s = 0, h/2
     and h, and the Duhamel form with those integrands is integrated
-    exactly, in closed form at the nodes.  The values at h/2 and h come
-    first from the exponential Euler solution (both integrands frozen at
-    the panel's left edge) and once more from the quadratic model, so the
-    predictor makes 5 evaluations of P(v, u) and W(u) and is fourth order
-    in h.  Jacobi sweeps then refill the integrands at all P nodes.  The
-    quadrature weights are a (P+1, P) matrix, as in a spectral deferred
-    correction integration matrix (Dutt, Greengard and Rokhlin, BIT 40
-    (2000)): row i integrates up to node i and row P over the whole panel,
-    so each sweep also gives the panel-end sums, and the panel advances
-    with those of the sweep that converged.
+    exactly, in one closed form for u and z at the nodes.  The values at
+    h/2 and h come first from the exponential Euler solution (both
+    integrands frozen at the panel's left edge) and once more from the
+    quadratic model, so the predictor makes 5 evaluations of P(v, u) and
+    W(u) and is fourth order in h.  Jacobi sweeps then refill the
+    integrands at all P nodes.  The quadrature weights are a (P+1, P)
+    matrix, as in a spectral deferred correction integration matrix (Dutt,
+    Greengard and Rokhlin, BIT 40 (2000)): row i integrates up to node i
+    and row P over the whole panel, so each sweep also gives the panel-end
+    sums, and the panel advances with those of the sweep that converged.
 
     Where the panel allows it, the sweeps start on two levels, as in
     multilevel spectral deferred correction (Speck et al., BIT Numer.
@@ -945,17 +926,21 @@ def picard_duhamel(
     costs mP + P_c + 5 node evaluations of the two products, or mP + 5
     without the coarse level.
 
+    The panels are counted as integrate counts its steps, so a horizon of
+    2**53 panels or more is refused with ValueError; panel k starts at
+    t0 + k h, and the last one ends at t0 + T.
+
     The node stacks take 56 B per node-mode entry: four (P, Nx, Ny)
-    stacks of the iterates u (complex) and v and the raw right-hand sides
-    P(v, u) (complex) and g, and cos(s w) and sinc(s w) at the first
-    ceil(P/2) fine nodes.  The Gauss-Legendre nodes lie symmetric about
-    h/2, so `_mirror` forms the tables at the other nodes from these and
-    the wave flow over the panel, a block of grid rows at a time, and the
-    block products read the first half in place.  The coarse level's node
-    values use the first P_c slices of the same stacks, and its cos(s w)
-    and sinc(s w) at the first ceil(P_c/2) coarse nodes are formed once per
-    panel into the P(v, u) stack from slice P_c on, which the coarse stage
-    leaves idle, and mirrored the same way.
+    stacks of the iterates u (complex) and v = Re z and the raw right-hand
+    sides P(v, u) (complex) and omega W(u), and the wave phase exp(-i s w)
+    at the first ceil(P/2) fine nodes (8 B per entry).  The sweeps read
+    only v = Re z at the nodes; z is held whole at the panel's edges.  The
+    Gauss-Legendre nodes lie symmetric about h/2, so `_mirror` forms the
+    phase at the other nodes from these and the wave phase over the panel,
+    a block of grid rows at a time.  The coarse level's node values use
+    the first P_c slices of the same stacks, and its wave phase at the
+    first ceil(P_c/2) coarse nodes is formed once per panel in the P(v, u)
+    stack from slice P_c on, which the coarse stage leaves idle.
     The phases exp(i lam s) are products of per-axis factors, formed with
     the integrands that carry them a block of grid rows at a time, and a
     sweep forms its new iterates and their changes in place in that
@@ -983,8 +968,8 @@ def picard_duhamel(
 
     Raises:
         ValueError: if quad_nodes or max_iter is not an integer,
-            quad_nodes < 2, max_iter < 1, or T or tol is not positive and
-            finite.
+            quad_nodes < 2, max_iter < 1, T or tol is not positive and
+            finite, or T asks for 2**53 panels or more.
         PicardDivergenceError: if a panel meets neither stopping test of
             `tol` within max_iter sweeps; it carries the last residual and
             the panel's measured contraction theta (None after one sweep).
@@ -1003,167 +988,146 @@ def picard_duhamel(
     # Panel length: lam_max * h within what quad_nodes Lagrange points
     # resolve; 0.025 caps the contraction size.
     lam_max = float(lam.max())
-    h_cap = min(0.025, _RADIANS_PER_NODE * quad_nodes / lam_max)
-    n_panels = max(1, ceil(T / h_cap - 1e-12))
+    n_panels = _step_count(T, min(0.025, _RADIANS_PER_NODE * quad_nodes / lam_max))
     h = T / n_panels
     # the coarse level: the node count the cap asks for on this panel; it
     # starts the sweeps when it is at most half of quad_nodes
     coarse_nodes = max(_MIN_NODES, ceil(lam_max * h / _RADIANS_PER_NODE))
     ker = _Kernels(grid, params, None)
     w = ker.w
-    w2 = ker.w2
 
     def gauss(n):
         """The n Gauss-Legendre nodes on (0, h) and their weights."""
         x, wx = np.polynomial.legendre.leggauss(n)
         return (x + 1.0) * 0.5 * h, wx * 0.5 * h
 
-    phi = state.u.coef.astype(np.complex128)
-    ps0 = state.v.coef.copy()
-    ps1 = state.vt.coef.copy()
-    t_now = state.t
+    u0 = state.u.coef.astype(np.complex128)
+    z0 = state.v.coef + 1j * (state.vt.coef / w)
+    t0 = state.t
     stack = (quad_nodes,) + grid.shape
     us = np.empty(stack, dtype=np.complex128)
+    # v = Re z, all that the integrands read
     vs = np.empty(stack)
-    # the raw right-hand sides at every node: P(v, u) and g = -w2 W(u)
+    # the raw right-hand sides at every node: P(v, u) and omega W(u)
     pvu = np.empty(stack, dtype=np.complex128)
     g = np.empty(stack)
-    neg_w2 = -w2
     # H1 weights of the interleaved real and imaginary parts of u
     h1_weight = np.repeat(1.0 + lam, 2, axis=1)
     # the panel-end quadrature sums, kept from each sweep's last row
-    Iu_end = np.empty_like(phi)
-    Ia_end = np.empty_like(ps0)
-    Ib_end = np.empty_like(ps0)
+    Iu_end = np.empty_like(u0)
+    Iz_end = np.empty_like(u0)
+    blocks = [slice(lo, lo + _GRID_ROWS) for lo in range(0, grid.Nx, _GRID_ROWS)]
 
     half00 = 0.5 * lam[0, 0]
 
-    def level(nodes, weights, cos, sinc):
+    def level(nodes, weights, wave):
         # exp(i lam s) = exp(i lx s) exp(i ly s), with lam split into its
         # per-axis parts lam[k, l] = lx[k] + ly[l]
         s = nodes[:, None]
         exp_x = np.exp(1j * (lam[:, 0] - half00) * s)
         exp_y = np.exp(1j * (lam[0, :] - half00) * s)
-        return _Level(nodes[:, None, None], exp_x, exp_y, weights, cos, sinc)
+        return _Level(nodes[:, None, None], exp_x, exp_y, weights, wave)
 
     nodes, full_w = gauss(quad_nodes)
-    # cos(s w) and sinc(s w) at the first half of the nodes; _mirror forms
-    # the other half a block of grid rows at a time
-    cos_s, sinc_s = ker.wave_rotation(nodes[: (quad_nodes + 1) // 2, None, None])
-    sinc_s /= w
-    # rows 0..P-1 integrate up to each node, row P over the whole panel
-    fine = level(nodes, np.vstack([_integration_weights(nodes, nodes), full_w]), cos_s, sinc_s)
+    # rows 0..P-1 integrate up to each node, row P over the whole panel;
+    # exp(-i s w) at the first half of the nodes, _mirror forms the rest
+    weights = np.vstack([_integration_weights(nodes, nodes), full_w])
+    fine = level(nodes, weights, ker.wave_phase(nodes[: (quad_nodes + 1) // 2, None, None]))
     coarse = None
     if 2 * coarse_nodes <= quad_nodes:
         nodes_c = gauss(coarse_nodes)[0]
-        half_c = (coarse_nodes + 1) // 2
-        # the coarse cos(s w) and sinc(s w) borrow pvu's slices from P_c
-        # on, which the coarse stage leaves idle; the fine sweeps overwrite
-        # them, so each panel forms them again
+        # the coarse exp(-i s w) borrows pvu's slices from P_c on, which
+        # the coarse stage leaves idle; the fine sweeps overwrite them, so
+        # each panel forms them again
         coarse = level(
             nodes_c,
             _integration_weights(nodes_c, np.append(nodes, h)),
-            *pvu[coarse_nodes : coarse_nodes + half_c].view(np.float64).reshape(
-                (2, half_c) + grid.shape
-            ),
+            pvu[coarse_nodes : coarse_nodes + (coarse_nodes + 1) // 2],
         )
     # the predictor's points h/2 and h, with the free flows over them; the
-    # wave flow over h also mirrors the node tables
-    phase_h, cos_h, sinc_h, wsin_h = ker.free_flow(h)
-    flow_h = (cos_h, sinc_h, wsin_h)
-    points = [(0.5 * h, *ker.free_flow(0.5 * h)[:3]), (h, phase_h, cos_h, sinc_h)]
+    # wave phase over h also mirrors the node tables
+    phase_h, wave_h = ker.free_flow(h)
+    points = [(0.5 * h, *ker.free_flow(0.5 * h)), (h, phase_h, wave_h)]
 
     def fill_integrands(n) -> None:
-        """P(v, u) and g from the iterates at the first n nodes."""
+        """P(v, u) and omega W(u) from the iterates at the first n nodes."""
         for i in range(n):
             pvu[i] = ker.coupled_product(vs[i], us[i])
-            np.multiply(ker.wave_source(us[i]), neg_w2, out=g[i])
+            np.multiply(ker.wave_source(us[i]), w, out=g[i])
 
     def quadratic(f0, f_half, f1):
         """(c0, c1, c2) of c0 + c1 s + c2 s^2 through f0, f_half and f1 at
         s = 0, h/2 and h."""
         return f0, (4.0 * f_half - 3.0 * f0 - f1) / h, 2.0 * (f1 - 2.0 * f_half + f0) / h**2
 
-    def duhamel(c, d):
-        """Coefficients of the Duhamel solution for the integrands
-        P(v, u) = c0 + c1 s + c2 s^2 and W(u) = d0 + d1 s + d2 s^2,
-        integrated exactly:
-            u(s) = exp(-i lam s) (phi + q0) - q0 - s q1 - s^2 q2
-            v(s) = cos(s w) (ps0 + Wt) + sinc(s w) (ps1 + d1) - Wt - s d1 - s^2 d2
-        with q2 = c2/lam, q1 = (c1 + 2i q2)/lam, q0 = (c0 + i q1)/lam and
-        Wt = d0 - 2 d2/w2; lam > 0 on the sine band."""
+    def duhamel(c, k):
+        """(q0, q1, q2) of the Duhamel solution of y' = -i k y - i F for
+        the integrand F = c0 + c1 s + c2 s^2, integrated exactly:
+            y(s) = exp(-i k s) (y0 + q0) - q0 - s q1 - s^2 q2
+        with q2 = c2/k, q1 = (c1 + 2i q2)/k and q0 = (c0 + i q1)/k; lam and
+        omega are positive on the sine band."""
         c0, c1, c2 = c
-        d0, d1, d2 = d
-        q2 = c2 / lam
-        q1 = (c1 + 2j * q2) / lam
-        q0 = (c0 + 1j * q1) / lam
-        return (q0, q1, q2), (d0 - 2.0 * d2 / w2, d1, d2)
+        q2 = c2 / k
+        q1 = (c1 + 2j * q2) / k
+        return (c0 + 1j * q1) / k, q1, q2
 
-    def solution(q, r, rows, t, phase, c, sc):
-        """u and v of duhamel()'s closed form on grid rows `rows` at times
-        t, from the free flows exp(-i lam t), cos(t w) and sinc(t w) there."""
+    def solution(q, y0, rows, t, phase):
+        """y of duhamel()'s closed form from y0 on grid rows `rows` at
+        times t, from its free flow exp(-i k t) there."""
         q0, q1, q2 = (x[rows] for x in q)
-        Wt, d1, d2 = (x[rows] for x in r)
-        u = phase * (phi[rows] + q0) - (q0 + t * (q1 + t * q2))
-        v = c * (ps0[rows] + Wt) + sc * (ps1[rows] + d1) - (Wt + t * (d1 + t * d2))
-        return u, v
+        return phase * (y0[rows] + q0) - (q0 + t * (q1 + t * q2))
+
+    def advance(phase, y0, I):
+        """phase (y0 - i I), in I's place: the Duhamel form at the nodes
+        or the panel end, from the sums I of exp(i s k) F."""
+        I *= -1j
+        I += y0
+        np.multiply(phase, I, out=I)
+        return I
 
     def predict(lv) -> None:
         """Fill us / vs at the nodes of level lv, the first n slices, with
         the three-point exponential predictor."""
         n = len(lv.s)
         # exponential Euler: both integrands frozen at their s = 0 values
-        p = [ker.coupled_product(ps0, phi)] * 3
-        W = [ker.wave_source(phi)] * 3
+        p = [ker.coupled_product(z0.real, u0)] * 3
+        W = [w * ker.wave_source(u0)] * 3
         for _ in range(2):
-            q, r = duhamel(quadratic(*p), quadratic(*W))
-            for k, (t, phase, c, sc) in enumerate(points, 1):
-                u, v = solution(q, r, slice(None), t, phase, c, sc)
-                p[k] = ker.coupled_product(v, u)
-                W[k] = ker.wave_source(u)
-        q, r = duhamel(quadratic(*p), quadratic(*W))
-        for lo in range(0, grid.Nx, _GRID_ROWS):
-            rows = slice(lo, lo + _GRID_ROWS)
+            qu, qz = duhamel(quadratic(*p), lam), duhamel(quadratic(*W), w)
+            for j, (t, phase, wave) in enumerate(points, 1):
+                u = solution(qu, u0, slice(None), t, phase)
+                p[j] = ker.coupled_product(solution(qz, z0, slice(None), t, wave).real, u)
+                W[j] = w * ker.wave_source(u)
+        qu, qz = duhamel(quadratic(*p), lam), duhamel(quadratic(*W), w)
+        for rows in blocks:
+            buf = np.empty_like(us[:n, rows])
             # exp(-i lam s), conjugated per axis
-            phase = np.conj(lv.exp_x[:, rows, None]) * np.conj(lv.exp_y[:, None, :])
-            cm, sm = _mirror(lv, flow_h, rows)
-            c = np.concatenate((lv.cos[:, rows], cm))
-            sc = np.concatenate((lv.sinc[:, rows], sm))
-            us[:n, rows], vs[:n, rows] = solution(q, r, rows, lv.s, phase, c, sc)
+            np.multiply(np.conj(lv.exp_x[:, rows, None]), np.conj(lv.exp_y[:, None, :]), out=buf)
+            us[:n, rows] = solution(qu, u0, rows, lv.s, buf)
+            vs[:n, rows] = solution(qz, z0, rows, lv.s, _mirror(lv, wave_h, rows, buf)).real
 
     def sweep_block(lv, rows):
-        """The new iterates u and v at all P fine nodes on grid rows `rows`,
-        from the integrands at the nodes of level lv (the first n slices of
-        pvu and g); keeps the panel-end sums."""
+        """The new iterates u and v = Re z at all P fine nodes on grid rows
+        `rows`, from the integrands at the nodes of level lv (the first n
+        slices of pvu and g); keeps the panel-end sums."""
         n = len(lv.s)
-        phase = lv.exp_x[:, rows, None] * lv.exp_y[:, None, :]
-        gb = g[:n, rows]
-        Iu = _weighted_sum(lv.weights, phase * pvu[:n, rows])
-        c, sc = _mirror(lv, flow_h, rows)
-        prod = np.empty_like(gb)
-        Ia = _weighted_sum(lv.weights, _nodewise(lv.cos, c, gb, rows, prod))
-        Ib = _weighted_sum(lv.weights, _nodewise(lv.sinc, sc, gb, rows, prod))
-        del prod  # before the update's temporaries
-        Iu_end[rows], Ia_end[rows], Ib_end[rows] = Iu[-1], Ia[-1], Ib[-1]
-        if n < quad_nodes:
-            # the update needs the phases and the tables at the fine nodes
-            phase = fine.exp_x[:, rows, None] * fine.exp_y[:, None, :]
-            c, sc = _mirror(fine, flow_h, rows)
-        # un = conj(phase) (phi - i Iu), in Iu's rows
-        un = Iu[:-1]
-        np.conj(phase, out=phase)
-        un *= -1j
-        un += phi[rows]
-        np.multiply(phase, un, out=un)
-        # vn = cos(s w) (ps0 - Ib) + sinc(s w) (ps1 + Ia) at the fine
-        # nodes, in Ia's rows
-        vn, Ib = Ia[:-1], Ib[:-1]
-        np.subtract(ps0[rows], Ib, out=Ib)
-        _nodewise(fine.cos, c, Ib, rows, Ib)
-        vn += ps1[rows]
-        _nodewise(fine.sinc, sc, vn, rows, vn)
-        vn += Ib
-        return un, vn
+        buf = np.empty_like(us[:, rows])
+        # the sums of exp(i s lam) P(v, u) and exp(i s w) omega W(u), with
+        # each integrand formed in buf
+        ib = buf[:n]
+        np.multiply(lv.exp_x[:, rows, None], lv.exp_y[:, None, :], out=ib)
+        ib *= pvu[:n, rows]
+        Iu = _weighted_sum(lv.weights, ib)
+        np.conj(_mirror(lv, wave_h, rows, ib), out=ib)
+        ib *= g[:n, rows]
+        Iz = _weighted_sum(lv.weights, ib)
+        Iu_end[rows], Iz_end[rows] = Iu[-1], Iz[-1]
+        # the new iterates at the fine nodes, in the rows of the sums, each
+        # from its phases formed again in buf
+        np.multiply(np.conj(fine.exp_x[:, rows, None]), np.conj(fine.exp_y[:, None, :]), out=buf)
+        un = advance(buf, u0[rows], Iu[:-1])
+        zn = advance(_mirror(fine, wave_h, rows, buf), z0[rows], Iz[:-1])
+        return un, zn.real
 
     for panel in range(n_panels):
         if coarse is None:
@@ -1171,12 +1135,10 @@ def picard_duhamel(
         else:
             # the predictor and one Jacobi sweep on the coarse level give
             # the first iterate at the fine nodes
-            ker.wave_rotation(coarse.s[:half_c], coarse.cos, coarse.sinc)
-            np.divide(coarse.sinc, w, out=coarse.sinc)
+            ker.wave_phase(coarse.s[: len(coarse.wave)], out=coarse.wave)
             predict(coarse)
             fill_integrands(coarse_nodes)
-            for lo in range(0, grid.Nx, _GRID_ROWS):
-                rows = slice(lo, lo + _GRID_ROWS)
+            for rows in blocks:
                 us[:, rows], vs[:, rows] = sweep_block(coarse, rows)
         panel_log: list[float] = []
         for _sweep in range(max_iter):
@@ -1186,8 +1148,7 @@ def picard_duhamel(
             # squared H1 of du and L2 of dv, per node
             du2 = np.zeros(quad_nodes)
             dv2 = np.zeros(quad_nodes)
-            for lo in range(0, grid.Nx, _GRID_ROWS):
-                rows = slice(lo, lo + _GRID_ROWS)
+            for rows in blocks:
                 un, vn = sweep_block(fine, rows)
                 # each change, squared in place of the old iterate, then
                 # the new iterate
@@ -1202,6 +1163,8 @@ def picard_duhamel(
                 vb *= vb
                 dv2 += vb.reshape(quad_nodes, -1).sum(axis=1)
                 vb[...] = vn
+                # free the block's sums before the next block forms its own
+                del un, vn
             residual = float(np.max(np.sqrt(du2) + np.sqrt(dv2)))
             panel_log.append(residual)
             if residual_log is not None:
@@ -1210,17 +1173,14 @@ def picard_duhamel(
                 break
         else:
             raise PicardDivergenceError(
-                residual, max_iter, panel, t_now, _contraction(panel_log)
+                residual, max_iter, panel, t0 + panel * h, _contraction(panel_log)
             )
 
         # advance the panel data to its right edge with the full-panel sums
         # of the converged sweep: like the last iterate, they come from the
         # integrands of the iterate one sweep earlier, so the panel end is
         # as close to the fixed point as the last iterate
-        phi = phase_h * (phi - 1j * Iu_end)
-        new_v = cos_h * ps0 + sinc_h * ps1 + sinc_h * Ia_end - cos_h * Ib_end
-        ps1 = -wsin_h * ps0 + cos_h * ps1 + cos_h * Ia_end + wsin_h * Ib_end
-        ps0 = new_v
-        t_now += h
+        u0 = advance(phase_h, u0, Iu_end.copy())
+        z0 = advance(wave_h, z0, Iz_end.copy())
 
-    return _state_from_coef(grid, phi, ps0, ps1, t_now)
+    return _state_from_coef(grid, u0, z0.real.copy(), w * z0.imag, t0 + T)

@@ -540,19 +540,19 @@ def _symbol_assertions(grid) -> list[Assertion]:
     group = [np.max(np.abs(ker.free_flow(t)[0] * ker.free_flow(-t)[0] - 1.0)) for t in t_samples]
     assertions.append(_holds("propagator-group-identity", 1e-14 - np.max(group)))
 
-    # wave kernel first integral cos^2 + omega^2 sinc^2 = 1, and the
-    # determinant of the flow cos^2 + wsin * sinc = 1, which reaches the
-    # third symbol wave_half multiplies by
+    # the free wave flow rotates z = v + i vt/omega by exp(-i t omega), so
+    # its first integral omega^2 |v|^2 + |vt|^2 is |exp(-i t omega)|^2 = 1
+    # on the phases the stepper and the oracle multiply by
     kernels = [kernel(eps=eps) for eps in (0.0, 0.5, 1.0)]
     wave = []
     for ker in kernels:
         for t in t_samples:
-            _, cos, sinc, wsin = ker.free_flow(t)
-            wave.append(np.max(np.abs(cos**2 + ker.w**2 * sinc**2 - 1.0)))
-            wave.append(np.max(np.abs(cos**2 + wsin * sinc - 1.0)))
+            phase = ker.free_flow(t)[1]
+            wave.append(np.max(np.abs(phase.real**2 + phase.imag**2 - 1.0)))
     assertions.append(_holds("wave-kernel-first-integral", 1e-14 - np.max(wave)))
 
-    # the oracle's forcing symbol -w2 is -omega^2 (relative: both scale with lam)
+    # omega, the frequency of every wave phase, is the root of w2 (relative:
+    # both scale with lam)
     source = [np.max(np.abs((ker.w**2 - ker.w2) / -ker.w2)) for ker in kernels]
     assertions.append(_holds("source-symbol-consistency", 1e-14 - np.max(source)))
 

@@ -22,20 +22,14 @@ def breaking_step(monkeypatch, at_call, names):
     the last mode of each component in `names`; the list of steps taken.
 
     u is corrupted as _Kernels.step returns it, with its wave source
-    formed again from the corrupted u; v and vt as every wave flow after
-    that step and before the next one returns them: the flow the run goes
-    on with, and the one of a state kept there."""
+    formed again from the corrupted u; v and vt, which the run carries as
+    z = v + i vt/omega, as Re z and Im z of every wave flow after that step
+    and before the next one: the flow the run goes on with, and the one of
+    a state kept there."""
     import sibsim.dynamics
 
     kernels = sibsim.dynamics._Kernels
     calls = []
-
-    def corrupt(parts):
-        for name in names:
-            if name in parts:
-                parts[name] = parts[name].copy()
-                parts[name][-1, -1] = np.nan
-        return parts
 
     original_step = kernels.step
 
@@ -43,16 +37,20 @@ def breaking_step(monkeypatch, at_call, names):
         u, source = original_step(self, u, v)
         calls.append(1)
         if len(calls) == at_call and "u" in names:
-            u = corrupt({"u": u})["u"]
+            u = u.copy()
+            u[-1, -1] = np.nan
             source = self.wave_source(u)
         return u, source
 
     def flow(original):
-        def corrupted(self, v, vt, f):
-            v, vt = original(self, v, vt, f)
+        def corrupted(self, z, f):
+            z = original(self, z, f)
             if len(calls) == at_call:
-                v, vt = corrupt({"v": v, "vt": vt}).values()
-            return v, vt
+                z = z.copy()
+                for name, part in (("v", z.real), ("vt", z.imag)):
+                    if name in names:
+                        part[-1, -1] = np.nan
+            return z
 
         return corrupted
 

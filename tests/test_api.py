@@ -163,3 +163,19 @@ def test_the_stepping_kernel_owns_every_symbol_and_product(monkeypatch):
         lines = inspect.getsource(metric).splitlines()
         assert lines[-1].strip() == f"return _distance(state_a, state_b, {s})"
         assert sum("return" in line for line in lines) == 1
+
+
+def test_every_free_flow_is_a_phase():
+    # the wave pair is carried as one amplitude z = v + i vt/omega, so the
+    # free flows are exactly two unimodular phases, exp(-i t lam) and
+    # exp(-i t omega), and no real wave table or rotation helper is left
+    grid = sibsim.make_grid(np.pi, 2.0, 6, 5)
+    ker = dynamics._Kernels(grid, dynamics.SystemParams(eps=0.5), 1e-2)
+    flows = ker.free_flow(0.37)
+    assert isinstance(flows, tuple) and len(flows) == 2
+    for phase in flows:
+        assert phase.dtype == np.complex128 and phase.shape == grid.shape
+        assert np.max(np.abs(np.abs(phase) - 1.0)) <= 4e-16
+    names = [name for name in dir(ker) if re.match(r"(cos|sinc|wsin)_", name)]
+    assert names == [] and not hasattr(ker, "wave_rotation")
+    assert not hasattr(dynamics, "_wave_flow") and not hasattr(dynamics, "_nodewise")

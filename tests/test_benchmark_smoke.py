@@ -7,7 +7,9 @@ of failing.  The tracer books a transform to a step only when
 _Kernels.step is its direct parent span, and a transform that left the
 step would lower the per-step counts without failing anything, so they
 are pinned too: 5 band transforms per nodal step in run-default, and 11
-padded ones per Yosida step in sweep-n (4 Taylor terms at n = 8)."""
+padded ones per Yosida step in sweep-n (4 Taylor terms at n = 8).  The
+smoke oracle's sweep count is pinned at 3, so that an oracle that
+converges more slowly fails here and not only in its timing."""
 
 import json
 import subprocess
@@ -38,3 +40,4 @@ def test_benchmark_smoke_run_is_correct_on_every_workload():
     assert traced["run-default"]["functionals.monitor_rows"]["value"] > 0
     assert traced["run-default"]["dynamics.dst_per_step"]["value"] == 5
     assert traced["sweep-n"]["dynamics.pad_dst_per_step"]["value"] == 11
+    assert traced["oracle"]["dynamics.picard_sweeps"]["value"] == 3

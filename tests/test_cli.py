@@ -554,8 +554,8 @@ def results(holder, name, change):
 
 
 def free_flow(change):
-    """A patch that passes every _Kernels.free_flow result, the tuple
-    (phase, cos, sinc, wsin), through change."""
+    """A patch that passes every _Kernels.free_flow result, the pair
+    (exp(-i t lam), exp(-i t omega)), through change."""
     return results(dynamics._Kernels, "free_flow", change)
 
 
@@ -606,13 +606,12 @@ def test_check_covers_every_n_it_names(tmp_path, monkeypatch):
     assert "n in {1..1024}" in contraction["detail"]
 
 
-def test_check_certifies_the_half_step_sine_symbol(tmp_path, monkeypatch):
-    # wave_half also multiplies by wsin_half, the omega sin(t omega) of
-    # free_flow; a 1e-12 relative error in one of its entries must fail the
-    # wave kernel's identities, and only them
+def test_check_certifies_the_half_step_wave_phase(tmp_path, monkeypatch):
+    # wave_half multiplies by wave_phase_half, the exp(-i t omega) of
+    # free_flow; a 1e-12 error in the modulus of one of its entries must
+    # fail the wave kernel's first integral, and only it
     def off_in_one_entry(flows):
-        _, _, sinc, wsin = flows
-        wsin[np.unravel_index(np.argmax(wsin * sinc), wsin.shape)] *= 1.0 + 1e-12
+        flows[1][-1, -1] *= 1.0 + 1e-12
         return flows
 
     free_flow(off_in_one_entry)(monkeypatch)

@@ -82,20 +82,30 @@ def kernel(grid, dt: float, **params) -> dynamics._Kernels:
     return dynamics._Kernels(grid, SystemParams(**params), dt)
 
 
+def amplitude(ker, v, vt):
+    """The wave amplitude z = v + i vt/omega that the stepper carries."""
+    return v + 1j * (vt / ker.w)
+
+
+def pair(ker, z):
+    """(v, vt) of a wave amplitude z: Re z and omega Im z."""
+    return z.real, ker.w * z.imag
+
+
 def schrodinger_flow(ker, u, v):
     """The Schrodinger part of ker.step, v frozen: free half step, potential
     flow over dt, free half step."""
     return ker.phase_half * ker.potential_flow(ker.phase_half * u, v)
 
 
-def strang_step(ker, u, v, vt, f):
+def strang_step(ker, u, z, f):
     """One whole splitting step of ker from f = wave_source(u), as
     integrate composes it: half wave, ker.step, half wave with the source
-    of the new u.  Returns the new (u, v, vt) and that source."""
-    v, vt = ker.wave_half(v, vt, f)
-    u, f = ker.step(u, v)
-    v, vt = ker.wave_half(v, vt, f)
-    return u, v, vt, f
+    of the new u.  Returns the new (u, z) and that source."""
+    z = ker.wave_half(z, f)
+    u, f = ker.step(u, z.real)
+    z = ker.wave_half(z, f)
+    return u, z, f
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +152,11 @@ def test_wave_substep_zero_dt_is_identity():
     st = standard_state(8)
     g = st.grid
     ker = kernel(g, 0.0, eps=1.0)
-    v1, vt1 = ker.wave_half(st.v.coef, st.vt.coef, ker.wave_source(st.u.coef))
-    # v passes through (v + f) - f, so identity holds to round-off only
-    assert np.max(np.abs(v1 - st.v.coef)) < 1e-15
-    assert np.array_equal(vt1, st.vt.coef)
+    z = amplitude(ker, st.v.coef, st.vt.coef)
+    z1 = ker.wave_half(z, ker.wave_source(st.u.coef))
+    # Re z passes through (v + f) - f, so identity holds to round-off only
+    assert np.max(np.abs(z1.real - st.v.coef)) < 1e-15
+    assert np.array_equal(z1.imag, z.imag)
 
 
 def test_wave_substep_single_mode_cosine():
@@ -153,7 +164,8 @@ def test_wave_substep_single_mode_cosine():
     st = mode_state(8, v_amp=1.0)
     t = 0.7
     ker = kernel(st.grid, 2 * t, eps=1.0)
-    v1, vt1 = ker.wave_half(st.v.coef, st.vt.coef, np.zeros(st.grid.shape))
+    z1 = ker.wave_half(amplitude(ker, st.v.coef, st.vt.coef), np.zeros(st.grid.shape))
+    v1, vt1 = pair(ker, z1)
     w = np.sqrt(2.0 / 3.0)
     assert v1[0, 0] == pytest.approx(np.cos(w * t), rel=1e-14)
     assert vt1[0, 0] == pytest.approx(-w * np.sin(w * t), rel=1e-14)
@@ -170,9 +182,34 @@ def test_wave_substep_per_mode_invariant():
         w2 = g.lam / (1.0 + eps * g.lam)
         v, vt, f = (rng.standard_normal(g.shape) for _ in range(3))
         before = w2 * (v + f) ** 2 + vt**2
-        v1, vt1 = kernel(g, 2 * 0.31, eps=eps).wave_half(v, vt, f)
+        ker = kernel(g, 2 * 0.31, eps=eps)
+        v1, vt1 = pair(ker, ker.wave_half(amplitude(ker, v, vt), f))
         after = w2 * (v1 + f) ** 2 + vt1**2
         assert np.max(np.abs(after - before) / before) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+def test_wave_rotations_are_the_free_wave_flow(eps):
+    # wave_half and wave_full rotate z + f by exp(-i t omega) for t = dt/2
+    # and dt: (v + f, vt) must follow the real-form free flow of the
+    # Picard tests' own free_flow, on 17 x 4 modes over (0, pi/4) x (0, pi)
+    # (eps = 0 leaves omega up to 68, so t omega reaches 20); measured
+    # within 2.9e-16 relative
+    g = make_grid(np.pi / 4, np.pi, 17, 4)
+    rng = np.random.default_rng(4)
+    st = make_state(
+        random_field(g, rng, "complex"), random_field(g, rng), random_field(g, rng)
+    )
+    f = random_field(g, rng).coef
+    dt = 0.3
+    ker = kernel(g, dt, eps=eps)
+    z = amplitude(ker, st.v.coef, st.vt.coef)
+    shifted = replace(st, v=field_from_coef(g, st.v.coef + f))
+    for flow, t in ((ker.wave_half, 0.5 * dt), (ker.wave_full, dt)):
+        v1, vt1 = pair(ker, flow(z, f))
+        _, v, vt = free_flow(shifted, eps, t)
+        assert np.max(np.abs(v1 + f - v)) <= 1e-14 * np.max(np.abs(v))
+        assert np.max(np.abs(vt1 - vt)) <= 1e-14 * np.max(np.abs(vt))
 
 
 def test_two_half_wave_flows_with_one_source_are_the_full_step_flow():
@@ -183,8 +220,9 @@ def test_two_half_wave_flows_with_one_source_are_the_full_step_flow():
     for eps, dt in ((0.0, 1e-2), (0.5, 0.3), (1.0, 1e-3)):
         ker = kernel(g, dt, eps=eps)
         v, vt, f = (random_field(g, rng).coef for _ in range(3))
-        full = ker.wave_full(v, vt, f)
-        halves = ker.wave_half(*ker.wave_half(v, vt, f), f)
+        z = amplitude(ker, v, vt)
+        full = pair(ker, ker.wave_full(z, f))
+        halves = pair(ker, ker.wave_half(ker.wave_half(z, f), f))
         for a, b in zip(full, halves, strict=True):
             assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
 
@@ -229,10 +267,10 @@ def test_charge_conserved_per_step():
     )
     for params, bound in cases:
         ker = dynamics._Kernels(st.grid, params, params.dt)
-        u, v, vt = st.u.coef, st.v.coef, st.vt.coef
+        u, z = st.u.coef, amplitude(ker, st.v.coef, st.vt.coef)
         f = ker.wave_source(u)
         for _ in range(20):
-            u, v, vt, f = strang_step(ker, u, v, vt, f)
+            u, z, f = strang_step(ker, u, z, f)
             assert abs(np.sum(np.abs(u) ** 2) - c0) / c0 < bound
 
 
@@ -327,12 +365,12 @@ def test_yosida_step_makes_2k_plus_3_transforms(monkeypatch, dealias):
     # the source of the new u in 2 transforms, J v once, 2 per Taylor term;
     # the source of the old u comes in with the step
     st, ker = yosida_case(dealias)
-    u, v, vt = st.u.coef, st.v.coef, st.vt.coef
+    u, z = st.u.coef, amplitude(ker, st.v.coef, st.vt.coef)
     f = ker.wave_source(u)
-    v1, _ = ker.wave_half(v, vt, f)
+    v1 = ker.wave_half(z, f).real
     _, terms = _taylor_reference(ker, ker.phase_half * u, v1)
     counts = count_transforms(monkeypatch)
-    strang_step(ker, u, v, vt, f)
+    strang_step(ker, u, z, f)
     assert counts == {ker.prod_shape: 2 * terms + 3}
 
 
@@ -345,7 +383,7 @@ def test_nodal_step_makes_5_band_transforms(monkeypatch):
     ker = dynamics._Kernels(st.grid, params, params.dt)
     f = ker.wave_source(st.u.coef)
     counts = count_transforms(monkeypatch)
-    strang_step(ker, st.u.coef, st.v.coef, st.vt.coef, f)
+    strang_step(ker, st.u.coef, amplitude(ker, st.v.coef, st.vt.coef), f)
     assert counts == {st.grid.shape: 5}
 
 
@@ -387,7 +425,7 @@ def test_default_yosida_step_makes_11_padded_transforms(monkeypatch):
     ker = dynamics._Kernels(st.grid, params, params.dt)
     f = ker.wave_source(st.u.coef)
     counts = count_transforms(monkeypatch)
-    strang_step(ker, st.u.coef, st.v.coef, st.vt.coef, f)
+    strang_step(ker, st.u.coef, amplitude(ker, st.v.coef, st.vt.coef), f)
     assert counts == {ker.prod_shape: 2 * 4 + 3}
 
 
@@ -484,26 +522,25 @@ def _written_out_nodal_flow(grid, u, v, dt):
 
 
 def test_nodal_step_kernels_equal_their_written_out_formulas():
-    # wave_half accumulates in place, and the nodal phase is summed by
-    # Horner's rule (beta below 1/8) or taken from libm (above) and applied
-    # in place on planes; both must equal the plain expressions bit for bit
-    # and leave their inputs alone
+    # wave_half and wave_full rotate z + f by their phases, and the nodal
+    # phase is summed by Horner's rule (beta below 1/8) or taken from libm
+    # (above) and applied in place on planes; each must equal the plain
+    # expression bit for bit and leave its inputs alone
     g = make_grid(np.pi, 2.0, 12, 10)
     rng = np.random.default_rng(9)
     u = random_field(g, rng, kind="complex").coef
     v, vt, f = (random_field(g, rng).coef for _ in range(3))
-    inputs = [a.copy() for a in (u, v, vt, f)]
     ker = dynamics._Kernels(g, SystemParams(eps=0.5, dt=3e-2), 3e-2)
-    v1, vt1 = ker.wave_half(v, vt, f)
-    z = v + f
-    assert np.array_equal(v1, ker.cos_half * z + ker.sinc_half * vt - f)
-    assert np.array_equal(vt1, -ker.wsin_half * z + ker.cos_half * vt)
+    z = amplitude(ker, v, vt)
+    inputs = [a.copy() for a in (u, v, z, f)]
+    assert np.array_equal(ker.wave_half(z, f), ker.wave_phase_half * (z + f) - f)
+    assert np.array_equal(ker.wave_full(z, f), ker.wave_phase_full * (z + f) - f)
     vmax = np.max(np.abs(coef_to_values(g, v)))
     for beta in (0.0, 1e-3, 0.05, 0.124, 0.126, 0.5):
         dt = beta / vmax
         ker = dynamics._Kernels(g, SystemParams(), dt)
         assert np.array_equal(ker.potential_flow(u, v), _written_out_nodal_flow(g, u, v, dt))
-    for before, after in zip(inputs, (u, v, vt, f)):
+    for before, after in zip(inputs, (u, v, z, f)):
         assert np.array_equal(before, after)
 
 
@@ -529,10 +566,10 @@ def test_nodal_step_takes_libm_phase_only_above_one_eighth(monkeypatch, scale, c
     params = build_params(cfg)
     st = build_initial_state(cfg)
     ker = dynamics._Kernels(st.grid, params, params.dt)
-    v = scale * st.v.coef
+    z = amplitude(ker, scale * st.v.coef, st.vt.coef)
     f = ker.wave_source(st.u.coef)
     counted = count_libm_phase(monkeypatch)
-    strang_step(ker, st.u.coef, v, st.vt.coef, f)
+    strang_step(ker, st.u.coef, z, f)
     assert counted == calls
 
 
@@ -562,13 +599,13 @@ def test_strang_step_equals_manual_substep_composition():
     st = standard_state(16)
     g = st.grid
     ker = kernel(g, 1e-2, eps=0.5)
-    u, v, vt = st.u.coef, st.v.coef, st.vt.coef
-    v1, vt1 = ker.wave_half(v, vt, ker.wave_source(u))
-    u1 = schrodinger_flow(ker, u, v1)
+    u, z = st.u.coef, amplitude(ker, st.v.coef, st.vt.coef)
+    z1 = ker.wave_half(z, ker.wave_source(u))
+    u1 = schrodinger_flow(ker, u, z1.real)
     f1 = ker.wave_source(u1)
-    v2, vt2 = ker.wave_half(v1, vt1, f1)
-    via = strang_step(ker, u, v, vt, ker.wave_source(u))
-    for manual, stepped in zip((u1, v2, vt2, f1), via, strict=True):
+    z2 = ker.wave_half(z1, f1)
+    via = strang_step(ker, u, z, ker.wave_source(u))
+    for manual, stepped in zip((u1, z2, f1), via, strict=True):
         assert np.array_equal(manual, stepped)
 
 
@@ -580,8 +617,10 @@ def test_substep_composition_is_reversible():
     g = st.grid
     eps, dt = 0.5, 1e-2
     ker = kernel(g, dt, eps=eps)
-    forward = strang_step(ker, st.u.coef, st.v.coef, st.vt.coef, ker.wave_source(st.u.coef))
-    ub, vb0, vtb0, _ = strang_step(kernel(g, -dt, eps=eps), *forward)
+    z = amplitude(ker, st.v.coef, st.vt.coef)
+    forward = strang_step(ker, st.u.coef, z, ker.wave_source(st.u.coef))
+    ub, zb, _ = strang_step(kernel(g, -dt, eps=eps), *forward)
+    vb0, vtb0 = pair(ker, zb)
     assert np.max(np.abs(ub - st.u.coef)) < 1e-13
     assert np.max(np.abs(vb0 - st.v.coef)) < 1e-13
     assert np.max(np.abs(vtb0 - st.vt.coef)) < 1e-14
@@ -747,31 +786,31 @@ def loop_run(yosida_n):
 def reference_loop(st, params, closes, kept=()):
     """The states of a loop of 11 steps written out in substeps, the last
     one shortened to land on LOOP_T, each timed by its index.  Step i
-    (1-based) ends with a half
-    wave when i is in `closes`, which must hold 10 and 11 (the shortened
-    step runs on a kernel of its own), and with the full-step wave flow
-    that stands for its closing half and the next step's opening half
-    otherwise; the state after a step i in `kept` takes its (v, vt) from a
-    half wave of the same mid-step (v, vt).  A step after a closing one
-    opens with a half wave of wave_source(u), formed afresh.  Returns
+    (1-based) ends with a half wave when i is in `closes`, which must hold
+    10 and 11 (the shortened step runs on a kernel of its own), and with
+    the full-step wave flow that stands for its closing half and the next
+    step's opening half otherwise; the state after a step i in `kept`
+    takes its (v, vt) from a half wave of the same mid-step wave amplitude
+    z.  A step after a closing one opens with a half wave of
+    wave_source(u), formed afresh.  Returns
     {i: state after step i} for i = 0 and every step in closes or kept."""
     start = prepare_initial_state(st, params)
-    u, v, vt = start.u.coef.astype(np.complex128), start.v.coef, start.vt.coef
     ker = dynamics._Kernels(st.grid, params, params.dt)
+    u, z = start.u.coef.astype(np.complex128), amplitude(ker, start.v.coef, start.vt.coef)
     states = {0: start}
     opened = False
     for i in range(1, 12):
         if i == 11:
             ker = dynamics._Kernels(st.grid, params, LOOP_T - 10 * params.dt)
         if not opened:
-            v, vt = ker.wave_half(v, vt, ker.wave_source(u))
-        u = schrodinger_flow(ker, u, v)
+            z = ker.wave_half(z, ker.wave_source(u))
+        u = schrodinger_flow(ker, u, z.real)
         f = ker.wave_source(u)
         t = LOOP_T if i == 11 else i * params.dt
         if i in closes or i in kept:
-            states[i] = dynamics._state_from_coef(st.grid, u, *ker.wave_half(v, vt, f), t)
+            states[i] = dynamics._state_from_coef(st.grid, u, *pair(ker, ker.wave_half(z, f)), t)
         opened = i not in closes
-        v, vt = (ker.wave_full if opened else ker.wave_half)(v, vt, f)
+        z = (ker.wave_full if opened else ker.wave_half)(z, f)
     return states
 
 
@@ -969,6 +1008,42 @@ def test_picard_divergence_error():
         picard_duhamel(st, 0.02, params, tol=1e-30, max_iter=1)
     assert err.value.contraction is None
     assert str(err.value).endswith("after 1 iterations, no contraction measured after one sweep")
+
+
+def test_picard_panels_end_on_the_horizon():
+    # panel k starts at t0 + k h and the last one ends at t0 + T, where a
+    # running sum of h returned t = 1.0000000000000004 for T = 1 and
+    # 0.7000000000000003 for T = 0.7 (u = e_11, v = vt = 0 on 8^2)
+    st = mode_state(8, u_amp=1.0)
+    for T in (1.0, 0.7):
+        assert picard_duhamel(st, T, SystemParams()).t == T
+    # the panels are counted as integrate counts its steps, so 2**53 panels
+    # or more are refused at once: T = 1e300 used to march 4e301 panels
+    with pytest.raises(ValueError, match=r"step count T/dt = .* is not below 2\*\*53"):
+        picard_duhamel(st, 1e300, SystemParams())
+
+
+class _Counted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("T, quad_nodes, panels", [(0.025, 128, 1), (0.1, 256, 4)])
+def test_picard_panel_counts_of_the_oracle_and_acceptance_inputs(monkeypatch, T, quad_nodes, panels):
+    # the benchmark's oracle input (default 64^2 data, T = 0.025, 128 nodes)
+    # takes 1 panel, and the acceptance suite's (T = 0.1, 256 nodes) 4; the
+    # count is read as picard_duhamel forms it, and the call stops there
+    counted = []
+
+    def count(T, h):
+        counted.append(step_count(T, h))
+        raise _Counted
+
+    step_count = dynamics._step_count
+    monkeypatch.setattr(dynamics, "_step_count", count)
+    cfg = RunConfig(T=T)
+    with pytest.raises(_Counted):
+        picard_duhamel(build_initial_state(cfg), T, build_params(cfg), quad_nodes=quad_nodes)
+    assert counted == [panels]
 
 
 @pytest.mark.parametrize(
@@ -1212,14 +1287,16 @@ def test_picard_default_preset_converges_in_two_fine_sweeps():
     [("8^2", 12, {12}), ("8^2", 17, {17}), ("8^2", 32, {32, 16}), ("17x4", 34, {34, 17})],
 )
 def test_picard_node_tables_match_the_wave_rotation(monkeypatch, case, P, levels):
-    # The oracle keeps cos(s w) and sinc(s w) at the first ceil(n/2) nodes
-    # of each level and mirrors the rest a block of grid rows at a time.
-    # Every table a sweep or the predictor reads must equal wave_rotation
-    # at every node: even and odd P on one level, and with a coarse level
-    # of 16 nodes, and of 17 nodes on 17 x 4 modes over (0, pi/4) x (0, pi)
-    # (lam_max h = 106.7 asks for 17), where eps = 0 leaves omega up to 68.
-    # The mirrored halves measured within 1.5 eps of cos and 2.4 eps h of
-    # sinc; h bounds sinc(s w) = sin(s w)/w on a panel.
+    # The oracle keeps the wave phase exp(-i s w) at the first ceil(n/2)
+    # nodes of each level and mirrors the rest a block of grid rows at a
+    # time.  Every phase a sweep or the predictor reads comes from _mirror
+    # and must equal free_flow's at every node: even and odd P on one level,
+    # and with a coarse level of 16 nodes, and of 17 nodes on 17 x 4 modes
+    # over (0, pi/4) x (0, pi) (lam_max h = 106.7 asks for 17), where
+    # eps = 0 leaves omega up to 68.  The first half is free_flow's own
+    # table; the mirrored half measured within 1.75 eps of cos(s w) and
+    # 1.9 eps h w of sin(s w), h w bounding s w on a panel (the bound 4 eps h
+    # on sinc(s w) = sin(s w)/w that the real tables were held to).
     if case == "8^2":
         st, T, params = standard_state(8), 0.02, SystemParams(eps=0.5, dt=1.0)
     else:
@@ -1234,16 +1311,17 @@ def test_picard_node_tables_match_the_wave_rotation(monkeypatch, case, P, levels
     mirror = dynamics._mirror
     rows_seen: dict[int, set] = {}
 
-    def checked(lv, flow, rows):
-        c, sc = mirror(lv, flow, rows)
-        cos, sin = ker.wave_rotation(lv.s)
+    def checked(lv, wave_h, rows, out):
+        phases = mirror(lv, wave_h, rows, out)
+        exact = ker.free_flow(lv.s)[1][:, rows]
+        m = len(lv.wave)
+        assert np.array_equal(phases[:m], exact[:m])
         h = float(lv.s[0, 0, 0] + lv.s[-1, 0, 0])
-        full_c = np.concatenate((lv.cos[:, rows], c))
-        full_sc = np.concatenate((lv.sinc[:, rows], sc))
-        assert np.max(np.abs(full_c - cos[:, rows])) <= 4 * eps
-        assert np.max(np.abs(full_sc - (sin / ker.w)[:, rows])) <= 4 * eps * h
+        err = phases - exact
+        assert np.max(np.abs(err.real)) <= 4 * eps
+        assert np.max(np.abs(err.imag) / (h * ker.w[rows])) <= 4 * eps
         rows_seen.setdefault(len(lv.s), set()).update(range(st.grid.Nx)[rows])
-        return c, sc
+        return phases
 
     monkeypatch.setattr(dynamics, "_mirror", checked)
     picard_duhamel(st, T, params, quad_nodes=P)
@@ -1253,9 +1331,9 @@ def test_picard_node_tables_match_the_wave_rotation(monkeypatch, case, P, levels
 def test_picard_peak_memory_on_the_oracle_input():
     # The default 64^2 data with 128 nodes, the benchmark's oracle input:
     # the stacks take 56 B per node-mode entry, and the traced peak of one
-    # call measured 62.5 B with blocks of 3 grid rows (63.9 B with 4).
-    # Whole cos(s w) and sinc(s w) tables measured 71.4 B; either one alone
-    # brought back adds 4 B.
+    # call measured 61.2 B with blocks of 3 grid rows (62.5 B with the real
+    # cos(s w) and sinc(s w) tables at half the nodes, 71.4 B with whole
+    # ones).
     cfg = RunConfig(T=0.025)
     params = build_params(cfg)
     state0 = build_initial_state(cfg)
@@ -1271,12 +1349,13 @@ def test_picard_peak_memory_on_the_oracle_input():
 
 def test_picard_peak_memory_per_node_mode_entry():
     # The node stacks take 56 B per node-mode entry: the complex iterates u
-    # and P(v, u), the real iterates v and g, and cos(s w) and sinc(s w) at
-    # half the nodes.  On 24 x 20 modes with 64 nodes, which start on a
-    # coarse level of 16 nodes, the traced peak of one call, block
-    # temporaries and products included, measured 74.5 B (85.4 B with
-    # whole cos(s w) and sinc(s w) tables); storing the phases exp(i lam s)
-    # and the phase products as stacks too measured 121 B.
+    # and P(v, u), the real iterates v = Re z and omega W(u), and the wave
+    # phase exp(-i s w) at half the nodes.  On 24 x 20 modes with 64 nodes,
+    # which start on a coarse level of 16 nodes, the traced peak of one
+    # call, block temporaries and products included, measured 73.0 B (74.5
+    # B with real cos(s w) and sinc(s w) tables at half the nodes, 85.4 B
+    # with whole ones); storing the phases exp(i lam s) and the phase
+    # products as stacks too measured 121 B.
     g = make_grid(np.pi, np.pi, 24, 20)
     rng = np.random.default_rng(5)
     st = make_state(

@@ -76,9 +76,8 @@ def test_schrodinger_group_property(symbol_suites):
 
 def test_wave_propagator_at_zero(grid):
     ker = kernel(grid, eps=1.0, dt=0.0)
-    assert np.all(ker.cos_half == 1.0)
-    assert np.all(ker.sinc_half == 0.0)
-    assert np.all(ker.wsin_half == 0.0)
+    assert np.all(ker.wave_phase_half == 1.0)
+    assert np.all(ker.wave_phase_full == 1.0)
     assert np.all(ker.phase_half == 1.0)
 
 
@@ -87,8 +86,10 @@ def test_wave_kernel_first_integral(grid, symbol_suites):
     for eps in (0.0, 0.5, 1.0):
         for t in (0.1, 0.9, 3.7):
             ker = kernel(grid, eps=eps, dt=2 * t)
-            # omega*sin is omega^2 times sin/omega
-            assert np.allclose(ker.wsin_half, ker.w2 * ker.sinc_half, rtol=1e-14, atol=0)
+            # the half-step phase is free_flow's, and the full step its square
+            assert np.array_equal(ker.wave_phase_half, ker.free_flow(t)[1])
+            full = ker.wave_phase_full
+            assert np.allclose(full, ker.wave_phase_half**2, rtol=1e-14, atol=0)
 
 
 def test_lifted_inverse_norm_identity(symbol_suites):
@@ -101,5 +102,5 @@ def test_stepless_kernel_shares_the_symbols_and_skips_the_step_tables(grid, n):
     stepless, stepping = kernel(grid, eps=0.5, n=n, dt=None), kernel(grid, eps=0.5, n=n)
     for name in ("w", "w2", "prod_shape") + (("jsym",) if n else ()):
         assert np.array_equal(getattr(stepless, name), getattr(stepping, name))
-    for name in ("cos_half", "sinc_half", "wsin_half", "phase_half"):
+    for name in ("phase_half", "wave_phase_half", "wave_phase_full"):
         assert not hasattr(stepless, name)
