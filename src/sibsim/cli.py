@@ -4,10 +4,9 @@ Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid
 configuration or violated hypothesis (ValueError), a config file or
 output directory the OS refuses (OSError), or a configuration too large
 for the host's memory (MemoryError), 3 numerical abort (non-finite
-values, a non-contracting fixed-point iteration, or a potential flow step
-too long for its potential: a nodal phase argument of 2**53 or more, or a
-Yosida step that would need more substeps than its budget; any
-dynamics.NumericalAbort).
+values, or a potential flow step too long for its potential: a nodal
+phase argument of 2**53 or more, or a Yosida step that would need more
+substeps than its budget; any dynamics.NumericalAbort).
 """
 
 from __future__ import annotations

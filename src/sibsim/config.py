@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import State, SystemParams, _step_count, make_state
+from .dynamics import State, SystemParams, _check_checkpoint_time, _step_count, make_state
 from .grids import Field, Grid2D, analyze, field_from_coef, make_grid
 from .output import checkpoint_name
 
@@ -234,17 +234,13 @@ class RunConfig:
             raise ValueError("dt_list entries must be positive and finite")
 
     def _check_checkpoint_times(self) -> None:
-        """Each time must be reached by the run (integrate keeps times up to
-        T and refuses later ones) and must have a file name of its own."""
+        """Each time must be nonnegative, reached by the run (by integrate's
+        own rule, from t = 0) and have a file name of its own."""
         written: dict[str, float] = {}
         for t in sorted(self.checkpoint_times):
             if t < 0:
                 raise ValueError(f"checkpoint time {t} must be nonnegative")
-            if not t <= self.T + 1e-12:
-                raise ValueError(
-                    f"checkpoint time {t} lies past the horizon T = {self.T}; "
-                    "the run never reaches it"
-                )
+            _check_checkpoint_time(t, 0.0, self.T, self.dt)
             name = checkpoint_name(t)
             if name in written:
                 raise ValueError(
@@ -344,10 +340,9 @@ def _build_component(grid: Grid2D, spec: tuple, what: str) -> Field:
     return field_from_coef(grid, coef)
 
 
-def build_initial_state(config: RunConfig, grid: Grid2D | None = None) -> State:
-    """Sample (phi, psi0, psi1) on the grid and assemble the t=0 state."""
-    if grid is None:
-        grid = build_grid(config)
+def build_initial_state(config: RunConfig) -> State:
+    """Sample (phi, psi0, psi1) on the config's grid and assemble the t=0 state."""
+    grid = build_grid(config)
     phi = _build_component(grid, config.phi_spec, "phi")
     coef = phi.coef.astype(np.complex128)
     if config.phi_imag_spec is not None:

@@ -26,8 +26,8 @@ Two solvers:
   differencing, Cox and Matthews, J. Comput. Phys. 176 (2002)), so a panel
   that converges in m sweeps makes mP + 5 node evaluations.  A panel stops
   once the distance of its last iterate from the fixed point, estimated
-  from the measured contraction, is below tol (Hairer and Wanner, Solving
-  ODEs II, IV.8).
+  from the measured contraction, is below _PICARD_TOL (Hairer and Wanner,
+  Solving ODEs II, IV.8).
 
 Both solvers take every symbol, free flow and product from `_Kernels`,
 which also decides where each nonlinear term is sampled.
@@ -266,9 +266,10 @@ _COS_TAYLOR = tuple((-1) ** j / factorial(2 * j) for j in range(6))
 _SIN_TAYLOR = tuple((-1) ** j / factorial(2 * j + 1) for j in range(5))
 
 
-def _step_count(T: float, dt: float) -> int:
+def _step_count(T: float, dt: float, name: str = "step", length: str = "dt") -> int:
     """The number of steps of dt that reach T, at least 1, the last one
     shortened; a T within _STEP_TOL of a step counts as reached there.
+    `name` and `length` name the step and its length in the error.
 
     Raises:
         ValueError: if T/dt is not below _MAX_STEPS.
@@ -276,10 +277,20 @@ def _step_count(T: float, dt: float) -> int:
     steps = T / dt
     if not steps < _MAX_STEPS:
         raise ValueError(
-            f"step count T/dt = {T}/{dt} = {steps:.3e} is not below 2**53, "
-            "where a step index stops being exact"
+            f"{name} count T/{length} = {T}/{dt} = {steps:.3e} is not below 2**53, "
+            f"where a {name} index stops being exact"
         )
     return max(1, ceil(steps - _STEP_TOL))
+
+
+def _check_checkpoint_time(tau: float, t0: float, T: float, dt: float) -> None:
+    """Refuse a checkpoint time that a run from t0 over T in steps of dt
+    never reaches: not finite, or past t0 + T by more than _STEP_TOL dt."""
+    if not -inf < tau <= t0 + T + _STEP_TOL * dt:
+        raise ValueError(
+            f"checkpoint time {tau} is not finite or lies past the horizon "
+            f"t0 + T = {t0 + T}; the run never reaches it"
+        )
 
 
 def _tail_negligible(tnorm: float, r: float, tol: float) -> bool:
@@ -695,8 +706,7 @@ def integrate(
     # index, so that no drift of the accumulated t moves it
     at_step: dict[int, list[float]] = {}
     for tau in sorted(checkpoint_times):
-        if not -inf < tau <= t0 + T + _STEP_TOL * dt:
-            raise ValueError(f"checkpoint time {tau} is not finite or lies past t0 + T = {t0 + T}")
+        _check_checkpoint_time(tau, t0, T, dt)
         at_step.setdefault(min(n_steps, max(0, ceil((tau - t0) / dt - _STEP_TOL))), []).append(tau)
     u = state.u.coef.astype(np.complex128)
     w = ker.w
@@ -711,10 +721,14 @@ def integrate(
     def keep(t: float, step: int, closed, row: bool = False) -> State | None:
         """The state (u, Re closed, omega Im closed) at t after `step`
         steps, which must be finite: a copy of it, or with row=True its
-        monitor row, which must be finite too.  The row reads the run's
-        own u: every flow writes new arrays, so no later step changes it."""
+        monitor row, which must be finite too.  At step 0 v and vt are the
+        prepared state's own, bit for bit.  The row reads the run's own u:
+        every flow writes new arrays, so no later step changes it."""
         nonlocal t_finite
-        kv, kvt = closed.real.copy(), w * closed.imag
+        if step == 0:
+            kv, kvt = state.v.coef.copy(), state.vt.coef.copy()
+        else:
+            kv, kvt = closed.real.copy(), w * closed.imag
         parts = {"u": u, "v": kv, "vt": kvt}
         bad = next((name for name, arr in parts.items() if not np.isfinite(arr).all()), None)
         if bad is None and row:
@@ -791,6 +805,11 @@ _RADIANS_PER_NODE = 6.5
 # level.
 _MIN_NODES = 16
 
+# picard_duhamel's bound on a panel's distance from its fixed point (see
+# _panel_converged), and the most fine sweeps a panel may take
+_PICARD_TOL = 1e-11
+_PICARD_MAX_SWEEPS = 80
+
 
 def _integration_weights(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """W[i, j] = integral over (0, targets[i]) of the j-th Lagrange
@@ -821,11 +840,10 @@ def _contraction(residuals: list[float]) -> float | None:
     return max((b / a for a, b in zip(residuals, residuals[1:]) if a > 0), default=None)
 
 
-def _panel_converged(residuals: list[float], tol: float) -> bool:
-    """Whether a panel whose sweeps left `residuals` meets the stopping
-    rule of picard_duhamel's `tol`."""
-    r = residuals[-1]
-    theta = _contraction(residuals)
+def _panel_converged(residuals: list[float]) -> bool:
+    """Whether a panel whose sweeps left `residuals` meets picard_duhamel's
+    stopping rule at _PICARD_TOL."""
+    r, theta, tol = residuals[-1], _contraction(residuals), _PICARD_TOL
     # r theta / (1 - theta) < tol, written without dividing
     return r < tol or (theta is not None and theta < 0.5 and r * theta < tol * (1.0 - theta))
 
@@ -858,22 +876,12 @@ def _mirror(lv: _Level, wave_h: np.ndarray, rows, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _require_count(name: str, value, least: int) -> None:
-    """Raise ValueError unless `value` is an integer, not a bool, >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 def picard_duhamel(
     state0: State,
     T: float,
     params: SystemParams,
     *,
     quad_nodes: int = _MIN_NODES,
-    tol: float = 1e-11,
-    max_iter: int = 80,
     residual_log: list[float] | None = None,
 ) -> State:
     """Solve the system on [t0, t0+T] by Picard iteration on its
@@ -926,6 +934,14 @@ def picard_duhamel(
     costs mP + P_c + 5 node evaluations of the two products, or mP + 5
     without the coarse level.
 
+    With r_k the residual of fine sweep k (the largest change it made at
+    a node, in H1 for u plus L2 for v) and theta the largest ratio
+    r_j / r_(j-1) the panel has shown, a panel stops when r_k, or with
+    theta < 1/2 the estimate r_k theta / (1 - theta) of the last iterate's
+    distance from the fixed point (Hairer and Wanner, Solving ODEs II,
+    IV.8), is below _PICARD_TOL = 1e-11; it may take _PICARD_MAX_SWEEPS =
+    80 fine sweeps.
+
     The panels are counted as integrate counts its steps, so a horizon of
     2**53 panels or more is refused with ValueError; panel k starts at
     t0 + k h, and the last one ends at t0 + T.
@@ -951,35 +967,22 @@ def picard_duhamel(
     Args:
         quad_nodes: P, the number of Gauss-Legendre collocation nodes per
             panel; the result is the P-node fixed point.
-        tol: bound on a panel's distance from its fixed point.  With r_k
-            the residual of fine sweep k (the largest change it made at a
-            node, in H1 for u plus L2 for v) and theta the largest ratio
-            r_j / r_(j-1) the panel has shown, a panel stops when r_k < tol,
-            or when theta < 1/2 and r_k theta / (1 - theta) < tol: for a
-            contraction theta the last iterate lies within that estimate
-            of the fixed point (the simplified-Newton test of Hairer and
-            Wanner, Solving ODEs II, IV.8).  Where theta >= 1/2 the
-            estimate exceeds r_k, and r_k < tol alone decides.
-        max_iter: the most fine sweeps a panel may take.
         residual_log: optional list; the residual of every fine sweep is
             appended to it (all panels concatenated).  A panel's first
             entry is the change of its first fine sweep from the coarse
             iterate, or from the predictor without the coarse level.
 
     Raises:
-        ValueError: if quad_nodes or max_iter is not an integer,
-            quad_nodes < 2, max_iter < 1, T or tol is not positive and
-            finite, or T asks for 2**53 panels or more.
-        PicardDivergenceError: if a panel meets neither stopping test of
-            `tol` within max_iter sweeps; it carries the last residual and
-            the panel's measured contraction theta (None after one sweep).
+        ValueError: if quad_nodes is not an integer >= 2, T is not
+            positive and finite, or T asks for 2**53 panels or more.
+        PicardDivergenceError: if a panel does not stop within
+            _PICARD_MAX_SWEEPS sweeps; it carries the last residual and
+            theta (None after one sweep).
     """
-    _require_count("quad_nodes", quad_nodes, 2)
+    if type(quad_nodes) is bool or not isinstance(quad_nodes, (int, np.integer)) or quad_nodes < 2:
+        raise ValueError(f"quad_nodes must be an integer >= 2, got {quad_nodes!r}")
     if not 0 < T < inf:
         raise ValueError(f"horizon T must be positive and finite, got {T}")
-    if not 0 < tol < inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    _require_count("max_iter", max_iter, 1)
 
     state = prepare_initial_state(state0, params)
     grid = state.grid
@@ -988,7 +991,7 @@ def picard_duhamel(
     # Panel length: lam_max * h within what quad_nodes Lagrange points
     # resolve; 0.025 caps the contraction size.
     lam_max = float(lam.max())
-    n_panels = _step_count(T, min(0.025, _RADIANS_PER_NODE * quad_nodes / lam_max))
+    n_panels = _step_count(T, min(0.025, _RADIANS_PER_NODE * quad_nodes / lam_max), "panel", "h")
     h = T / n_panels
     # the coarse level: the node count the cap asks for on this panel; it
     # starts the sweeps when it is at most half of quad_nodes
@@ -1141,7 +1144,7 @@ def picard_duhamel(
             for rows in blocks:
                 us[:, rows], vs[:, rows] = sweep_block(coarse, rows)
         panel_log: list[float] = []
-        for _sweep in range(max_iter):
+        for _sweep in range(_PICARD_MAX_SWEEPS):
             # Jacobi sweep: every integrand comes from the previous sweep,
             # so the blocks below may overwrite us / vs in place
             fill_integrands(quad_nodes)
@@ -1169,11 +1172,11 @@ def picard_duhamel(
             panel_log.append(residual)
             if residual_log is not None:
                 residual_log.append(residual)
-            if _panel_converged(panel_log, tol):
+            if _panel_converged(panel_log):
                 break
         else:
             raise PicardDivergenceError(
-                residual, max_iter, panel, t0 + panel * h, _contraction(panel_log)
+                residual, _PICARD_MAX_SWEEPS, panel, t0 + panel * h, _contraction(panel_log)
             )
 
         # advance the panel data to its right edge with the full-panel sums

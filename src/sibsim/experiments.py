@@ -220,27 +220,35 @@ def _charge_conserved(name: str, drift: float, detail: str) -> Assertion:
 
 @dataclass
 class _Run:
-    """One run of a ladder: its states at the sample times, its final state,
-    and its charge and energy _drift from its data as its params prepare them."""
+    """One run of a ladder: its final state, its charge and energy _drift
+    from its data as its params prepare them, and its largest
+    difference_metric from the first run's states at the sample times (0
+    for the first run, and for a ladder that samples nothing)."""
 
-    samples: dict
     final: State
     charge_drift: float
     energy_drift: float
+    sup_metric: float
 
 
 def _ladder(config: RunConfig, state0: State, overrides, samples=()) -> list[_Run]:
     """The one runner of sweep-eps, sweep-n and order-test: for each dict
     of build_params keywords in `overrides`, in order, one integrate of
-    state0 to config.T that keeps its states at `samples`."""
-    runs = []
+    state0 to config.T that keeps its states at `samples`.  Each run's
+    states are measured against the first run's as soon as it ends and
+    then dropped, so no more than two runs' states are alive at once."""
+    runs, reference = [], {}
     for keywords in overrides:
         params = build_params(config, **keywords)
         record = integrate(state0, config.T, params, checkpoint_times=samples)
         start, final = prepare_initial_state(state0, params), record.final_state
+        kept = record.checkpoints
         charges = [charge(start), charge(final)]
         energies = [energy(start, params), energy(final, params)]
-        runs.append(_Run(record.checkpoints, final, _drift(charges), _drift(energies)))
+        sups = [difference_metric(kept[t], reference[t]) for t in samples] if reference else [0.0]
+        runs.append(_Run(final, _drift(charges), _drift(energies), float(np.max(sups))))
+        reference = reference or kept
+        del record, kept  # so that the next run does not hold them
     return runs
 
 
@@ -357,12 +365,9 @@ def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
             "the eps sweep is only meaningful under it"
         )
 
-    samples = _sample_times(config)
-    runs = _ladder(config, state0, [{"eps": eps} for eps in (0.0, *eps_values)], samples)
-    reference, *members = (run.samples for run in runs)
-    sups = [
-        float(np.max([difference_metric(m[t], reference[t]) for t in samples])) for m in members
-    ]
+    overrides = [{"eps": eps} for eps in (0.0, *eps_values)]
+    runs = _ladder(config, state0, overrides, _sample_times(config))
+    sups = [run.sup_metric for run in runs[1:]]
     drift_reports, conserved = _drift_reports(runs)
     # log(0) is undefined, so an eps = 0 member stays out of the log-log fit
     fit = [(e, s) for e, s in zip(eps_values, sups) if e > 0]

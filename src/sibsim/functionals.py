@@ -215,6 +215,10 @@ def _gn_quotient(u: Field, l2_u: float, grad_u: float) -> float:
 # ---------------------------------------------------------------------------
 # sharp-constant estimator
 
+# estimate_gn_constant's least gain per iteration and most iterations
+_GN_TOL = 1e-11
+_GN_MAX_ITER = 400
+
 
 def _cube(grid: Grid2D, c: np.ndarray) -> np.ndarray:
     """Band coefficients of the interpolant of c^3 on the collocation nodes."""
@@ -222,7 +226,7 @@ def _cube(grid: Grid2D, c: np.ndarray) -> np.ndarray:
     return values_to_coef(grid, cv * cv * cv)
 
 
-def estimate_gn_constant(grid: Grid2D, max_iter: int = 400, tol: float = 1e-11) -> float:
+def estimate_gn_constant(grid: Grid2D) -> float:
     """Maximize the Gagliardo-Nirenberg quotient on the given grid.
 
     Spectral renormalization with monotone acceptance: from a centered bump,
@@ -232,11 +236,9 @@ def estimate_gn_constant(grid: Grid2D, max_iter: int = 400, tol: float = 1e-11) 
     and every iterate is an admissible trial function, so the returned value
     is a lower bound of the sharp constant regardless of convergence.
 
-    Emits a warning and returns the best quotient found if the improvement
-    tolerance is not reached within max_iter iterations.
+    Stops once an iteration gains less than _GN_TOL, or after _GN_MAX_ITER
+    iterations with a warning, returning the best quotient found.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     L = min(grid.Lx, grid.Ly)
     mu = (12.0 / L) ** 2 * 4.0
     lam = grid.lam
@@ -249,8 +251,7 @@ def estimate_gn_constant(grid: Grid2D, max_iter: int = 400, tol: float = 1e-11) 
         return gn_quotient(field_from_coef(grid, c))
 
     j = quotient(u)
-    converged = False
-    for _ in range(max_iter):
+    for _ in range(_GN_MAX_ITER):
         w = _cube(grid, u) / (lam + mu)
         w /= np.sqrt(np.sum(w**2))
         jn = quotient(w)
@@ -258,8 +259,6 @@ def estimate_gn_constant(grid: Grid2D, max_iter: int = 400, tol: float = 1e-11) 
             gain = jn - j
             u, j = w, max(j, jn)
         else:
-            gain = 0.0
-            accepted = False
             for theta in (0.5, 0.25, 0.125, 0.0625):
                 cand = u + theta * (w - u)
                 cand /= np.sqrt(np.sum(cand**2))
@@ -267,15 +266,12 @@ def estimate_gn_constant(grid: Grid2D, max_iter: int = 400, tol: float = 1e-11) 
                 if jc >= j - 1e-15:
                     gain = max(0.0, jc - j)
                     u, j = cand, max(j, jc)
-                    accepted = True
                     break
-            if not accepted:
-                converged = True  # stationary up to round-off
-                break
-        if gain < tol:
-            converged = True
+            else:
+                break  # no blend is accepted: stationary up to round-off
+        if gain < _GN_TOL:
             break
-    if not converged:
+    else:
         warnings.warn(
             "Gagliardo-Nirenberg estimator stopped before reaching tolerance; "
             "returning the best (still valid lower-bound) quotient",

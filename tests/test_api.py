@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sibsim
-from sibsim import dynamics, functionals, grids
+from sibsim import config, dynamics, functionals, grids
 
 MODULES = (
     "sibsim",
@@ -179,3 +179,17 @@ def test_every_free_flow_is_a_phase():
     names = [name for name in dir(ker) if re.match(r"(cos|sinc|wsin)_", name)]
     assert names == [] and not hasattr(ker, "wave_rotation")
     assert not hasattr(dynamics, "_wave_flow") and not hasattr(dynamics, "_nodewise")
+
+
+def test_solver_signatures_take_only_what_callers_pass():
+    # the Picard tolerance and sweep cap, the estimator's iteration cap and
+    # tolerance, and a grid for the initial data were set by no caller but
+    # the tests; they are module constants, which the tests monkeypatch
+    signatures = {
+        dynamics.picard_duhamel: "(state0: 'State', T: 'float', params: 'SystemParams', *, "
+        "quad_nodes: 'int' = 16, residual_log: 'list[float] | None' = None) -> 'State'",
+        functionals.estimate_gn_constant: "(grid: 'Grid2D') -> 'float'",
+        config.build_initial_state: "(config: 'RunConfig') -> 'State'",
+    }
+    for fn, signature in signatures.items():
+        assert str(inspect.signature(fn)) == signature, fn.__name__

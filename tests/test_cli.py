@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, artifacts, and determinism."""
 
 import csv
+import gc
 import inspect
 import itertools
 import json
@@ -9,6 +10,7 @@ import platform
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -786,9 +788,7 @@ def short_taylor_phase(monkeypatch):
 
 
 def unconverged_estimator(monkeypatch):
-    monkeypatch.setattr(
-        experiments, "estimate_gn_constant", lambda grid: functionals.estimate_gn_constant(grid, 1)
-    )
+    monkeypatch.setattr(functionals, "_GN_MAX_ITER", 1)
 
 
 FAULTS = [
@@ -891,6 +891,26 @@ def test_each_sweep_reports_every_runs_energy_drift(sweep):
     drifts = [reports["reference_energy_drift"], *reports["energy_drift"]]
     assert len(drifts) == len(members) + 1
     assert all(0.0 <= drift < 1e-3 for drift in drifts)
+
+
+def test_eps_sweep_holds_at_most_two_runs_samples(monkeypatch):
+    # each member is measured against the reference as soon as its run
+    # ends, and its sampled states go then: when a run starts, only the
+    # reference's are alive (all earlier runs' were, 4 by the last run)
+    runs, alive = [], []
+    integrate_run = experiments.integrate
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(any(ref() is not None for ref in refs) for refs in runs))
+        record = integrate_run(*args, **kwargs)
+        runs.append([weakref.ref(state) for state in record.checkpoints.values()])
+        return record
+
+    monkeypatch.setattr(experiments, "integrate", tracked)
+    experiments._eps_sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.05, monitor_stride=1))
+    assert [len(refs) for refs in runs] == [5] * 5
+    assert alive == [0, 1, 1, 1, 1]
 
 
 def test_infinite_envelope_leaves_the_finite_samples_checked(monkeypatch, tmp_path):

@@ -11,6 +11,7 @@ from sibsim.config import (
     load_config,
     parse_config_text,
 )
+from sibsim.dynamics import integrate
 
 
 def test_defaults_are_standard_preset():
@@ -140,11 +141,33 @@ def test_validation_errors():
 
 def test_checkpoint_time_past_the_horizon_is_an_error():
     # integrate never reaches 0.5, so its state would silently be missing
-    with pytest.raises(ValueError, match=r"checkpoint time 0\.5 lies past the horizon T = 0\.05"):
+    with pytest.raises(ValueError, match=r"checkpoint time 0\.5 .* horizon t0 \+ T = 0\.05"):
         parse_config_text("[run]\nt = 0.05\ncheckpoint_times = 0.02 0.5\n")
     # the last step lands on T up to round-off, as integrate allows
     cfg = parse_config_text("[run]\nt = 0.05\ncheckpoint_times = 0.05\n")
     assert cfg.checkpoint_times == (0.05,)
+
+
+@pytest.mark.parametrize("t, reached", [(0.0100000001, True), (0.0100001, False)])
+def test_config_and_integrate_share_one_checkpoint_horizon(t, reached):
+    # with T = 0.01 and dt = 1e-3 integrate keeps a time up to a millionth
+    # of a step past T at its last step, and refuses a later one; the
+    # config follows the same rule, where it used to refuse any time past
+    # T + 1e-12, 0.0100000001 included, which integrate keeps
+    text = f"[grid]\nnx = 4\nny = 4\n[run]\nt = 0.01\ncheckpoint_times = {t!r}\n"
+    cfg = RunConfig(nx=4, ny=4, T=0.01)
+    state0, params = build_initial_state(cfg), build_params(cfg)
+    if reached:
+        assert parse_config_text(text).checkpoint_times == (t,)
+        rec = integrate(state0, cfg.T, params, checkpoint_times=(t,))
+        assert rec.checkpoints[t].t == cfg.T
+        return
+    with pytest.raises(ValueError) as by_config:
+        parse_config_text(text)
+    with pytest.raises(ValueError) as by_integrate:
+        integrate(state0, cfg.T, params, checkpoint_times=(t,))
+    assert str(by_config.value) == str(by_integrate.value)
+    assert "lies past the horizon t0 + T = 0.01" in str(by_config.value)
 
 
 def test_checkpoint_times_sharing_a_file_name_are_an_error():

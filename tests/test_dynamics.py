@@ -726,6 +726,29 @@ def test_checkpoint_times_outside_the_run_are_refused():
     assert rec.checkpoints[0.01 + 1e-15].t == 0.01
 
 
+@pytest.mark.parametrize("yosida_n", [None, 16.0])
+def test_state_at_t0_is_the_prepared_input_bit_for_bit(yosida_n):
+    # a checkpoint and a monitor row at t0 read the prepared state's v and
+    # vt themselves, where vt went through the wave amplitude as
+    # omega (vt0 / omega), 7.7e-34 off for psi1 = sin(2x) sin(y)
+    cfg = RunConfig(nx=8, ny=8, T=0.01, psi1_spec=("expr", "sin(2*x)*sin(y)"), yosida_n=yosida_n)
+    state0, params = build_initial_state(cfg), build_params(cfg)
+    seen = []
+
+    class Recorder:
+        def row(self, state, params, source):
+            seen.append(state)
+            return {"t": state.t}
+
+    rec = integrate(state0, cfg.T, params, monitor=Recorder(), checkpoint_times=(0.0,))
+    start = prepare_initial_state(state0, params)
+    assert np.any(start.vt.coef)
+    for kept in (rec.checkpoints[0.0], seen[0]):
+        assert kept.t == 0.0
+        for part in ("u", "v", "vt"):
+            assert np.array_equal(getattr(kept, part).coef, getattr(start, part).coef), part
+
+
 def test_step_count_ignores_the_rounding_of_T_over_dt(monkeypatch, decoupled):
     # 16.01 / 5e-4 = 32020.000000000004, whose rounding a tolerance of
     # 1e-12 steps did not absorb: the run took one more step, of -8e-12.
@@ -938,36 +961,24 @@ def test_blowup_names_the_step_and_first_non_finite_component(
 
 def test_picard_validation():
     st = standard_state(8)
-    with pytest.raises(ValueError, match="quad_nodes must be >= 2, got 1"):
-        picard_duhamel(st, 0.1, SystemParams(), quad_nodes=1)
     # each bad argument is named, and none is reported as a numerical abort
-    # (tol = nan read as "residual 0.000e+00" after max_iter sweeps;
-    # max_iter = True as a PicardDivergenceError "after True iterations";
-    # quad_nodes = 16.0 as numpy's "deg must be an integer")
-    for name, bad in [
-        ("quad_nodes", 16.0), ("quad_nodes", True), ("max_iter", True), ("max_iter", 2.0)
-    ]:
-        with pytest.raises(ValueError, match=rf"{name} must be an integer, got {bad!r}"):
-            picard_duhamel(st, 0.02, SystemParams(), **{name: bad})
+    # (quad_nodes = 16.0 as numpy's "deg must be an integer")
+    for bad in (1, 16.0, True):
+        with pytest.raises(ValueError, match=rf"quad_nodes must be an integer >= 2, got {bad!r}"):
+            picard_duhamel(st, 0.02, SystemParams(), quad_nodes=bad)
     for T in (-0.1, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=rf"horizon T must be positive.*got {T}"):
             picard_duhamel(st, T, SystemParams())
-    for tol in (0.0, -1e-11, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=rf"tol must be positive.*got {tol}"):
-            picard_duhamel(st, 0.02, SystemParams(), tol=tol)
-    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
-        picard_duhamel(st, 0.02, SystemParams(), max_iter=0)
 
 
-def test_picard_residuals_contract():
+def test_picard_residuals_contract(monkeypatch):
     # at the default tol the panel stops after 2 sweeps, on its contraction
     # estimate; tol = 1e-14 shows the contraction over 4 (measured down to
     # 3.5e-14)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-14)
     st = standard_state(8)
     log = []
-    picard_duhamel(
-        st, 0.02, SystemParams(eps=1.0, dt=1.0), quad_nodes=12, tol=1e-14, residual_log=log
-    )
+    picard_duhamel(st, 0.02, SystemParams(eps=1.0, dt=1.0), quad_nodes=12, residual_log=log)
     assert len(log) >= 4
     for a, b in zip(log, log[1:]):
         assert b < a
@@ -988,11 +999,13 @@ def test_picard_predictor_is_fourth_order():
     assert 15 < first[1] / first[0] < 17
 
 
-def test_picard_divergence_error():
+def test_picard_divergence_error(monkeypatch):
     st = replace(standard_state(8), t=0.3)
     params = SystemParams(eps=1.0, dt=1.0)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-30)
+    monkeypatch.setattr(dynamics, "_PICARD_MAX_SWEEPS", 3)
     with pytest.raises(PicardDivergenceError) as err:
-        picard_duhamel(st, 0.02, params, tol=1e-30, max_iter=3)
+        picard_duhamel(st, 0.02, params)
     assert err.value.iterations == 3
     assert err.value.residual > 0
     # the first panel fails, and it starts at the state's time
@@ -1004,8 +1017,9 @@ def test_picard_divergence_error():
     assert 0 < theta < 0.5
     assert f"measured contraction {theta:.3e}" in str(err.value)
     # one sweep measures no rate
+    monkeypatch.setattr(dynamics, "_PICARD_MAX_SWEEPS", 1)
     with pytest.raises(PicardDivergenceError) as err:
-        picard_duhamel(st, 0.02, params, tol=1e-30, max_iter=1)
+        picard_duhamel(st, 0.02, params)
     assert err.value.contraction is None
     assert str(err.value).endswith("after 1 iterations, no contraction measured after one sweep")
 
@@ -1018,9 +1032,15 @@ def test_picard_panels_end_on_the_horizon():
     for T in (1.0, 0.7):
         assert picard_duhamel(st, T, SystemParams()).t == T
     # the panels are counted as integrate counts its steps, so 2**53 panels
-    # or more are refused at once: T = 1e300 used to march 4e301 panels
-    with pytest.raises(ValueError, match=r"step count T/dt = .* is not below 2\*\*53"):
+    # or more are refused at once: T = 1e300 used to march 4e301 panels.
+    # The error names panels and the panel length h, capped at 0.025 here
+    # (8^2 modes), not a step dt the caller never passed
+    with pytest.raises(ValueError) as err:
         picard_duhamel(st, 1e300, SystemParams())
+    assert str(err.value) == (
+        "panel count T/h = 1e+300/0.025 = 4.000e+301 is not below 2**53, "
+        "where a panel index stops being exact"
+    )
 
 
 class _Counted(Exception):
@@ -1034,8 +1054,8 @@ def test_picard_panel_counts_of_the_oracle_and_acceptance_inputs(monkeypatch, T,
     # count is read as picard_duhamel forms it, and the call stops there
     counted = []
 
-    def count(T, h):
-        counted.append(step_count(T, h))
+    def count(T, h, *names):
+        counted.append(step_count(T, h, *names))
         raise _Counted
 
     step_count = dynamics._step_count
@@ -1059,10 +1079,10 @@ def test_picard_panel_counts_of_the_oracle_and_acceptance_inputs(monkeypatch, T,
     ],
 )
 def test_picard_stops_on_the_measured_contraction(residuals, stops):
-    assert dynamics._panel_converged(residuals, 1e-11) is stops
+    assert dynamics._panel_converged(residuals) is stops
 
 
-def test_picard_contraction_estimate_bounds_the_fixed_point_distance():
+def test_picard_contraction_estimate_bounds_the_fixed_point_distance(monkeypatch):
     # The default tol stops the panel on the estimate r_k theta/(1 - theta)
     # while r_k itself is still above tol, and the end state is within tol
     # of a run at tol = 1e-14 (measured 6.9e-12)
@@ -1071,7 +1091,8 @@ def test_picard_contraction_estimate_bounds_the_fixed_point_distance():
     log = []
     pic = picard_duhamel(st, 0.02, params, quad_nodes=12, residual_log=log)
     assert log[-1] >= 1e-11
-    tight = picard_duhamel(st, 0.02, params, quad_nodes=12, tol=1e-14)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-14)
+    tight = picard_duhamel(st, 0.02, params, quad_nodes=12)
     assert difference_metric(pic, tight) < 1e-11
 
 
@@ -1144,11 +1165,11 @@ def free_flow(st, eps, s):
     return u, v, vt
 
 
-def plain_picard_panel(st, params, h, P, tol=1e-11):
+def plain_picard_panel(st, params, h, P):
     """One Picard panel (0, h) written out on a single level, without
     blocks or per-axis phases: the three-point exponential predictor at
     every node, then Jacobi sweeps whose quadrature sums run over whole node
-    stacks until the oracle's stopping rule holds, and the panel end from
+    stacks until the oracle's stopping rule holds (at dynamics._PICARD_TOL), and the panel end from
     the full-panel sums of the last sweep.  Returns the residual log and the
     end state's (u, v, vt)."""
     grid = st.grid
@@ -1187,7 +1208,7 @@ def plain_picard_panel(st, params, h, P, tol=1e-11):
         ws = ws[:1] + [ker.wave_source(ui) for ui in u]
     us, vs = duhamel(s, p, ws)
     log = []
-    while not log or not dynamics._panel_converged(log, tol):
+    while not log or not dynamics._panel_converged(log):
         pvu = phase * np.array([ker.coupled_product(v, u) for v, u in zip(vs, us)])
         g = -ker.w2 * np.array([ker.wave_source(u) for u in us])
         Iu, Ia, Ib = (np.einsum("ij,jkl->ikl", W, f) for f in (pvu, c * g, sc * g))
@@ -1205,7 +1226,7 @@ def plain_picard_panel(st, params, h, P, tol=1e-11):
     return log, (u, v, vt)
 
 
-def test_picard_residual_is_the_worst_node_of_every_row_block():
+def test_picard_residual_is_the_worst_node_of_every_row_block(monkeypatch):
     # A coupled panel whose sums run over grid-row blocks (10 rows leave the
     # last one partial) against the same iteration written without blocks:
     # the same residual, largest over all 17 nodes, in every sweep, and the
@@ -1213,9 +1234,10 @@ def test_picard_residual_is_the_worst_node_of_every_row_block():
     st = standard_state(10)
     assert st.grid.Nx % dynamics._GRID_ROWS != 0
     params = SystemParams(eps=0.5, dt=1.0)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-14)
     log = []
-    pic = picard_duhamel(st, 0.02, params, quad_nodes=17, tol=1e-14, residual_log=log)
-    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 17, tol=1e-14)
+    pic = picard_duhamel(st, 0.02, params, quad_nodes=17, residual_log=log)
+    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 17)
     assert len(log) == len(ref_log) >= 4
     # rel 1e-12 binds the first sweeps; the last residuals are differences
     # of iterates of size 1, so round-off leaves them an absolute floor
@@ -1241,31 +1263,33 @@ def test_picard_panel_makes_m_p_plus_five_node_evaluations(monkeypatch):
     pad = dynamics._Kernels(st.grid, params, None).prod_shape
     assert pad != st.grid.shape
     counts = count_transforms(monkeypatch)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-14)
     for P, P_c, sweeps in [(8, 0, 4), (32, 16, 3)]:
         counts.clear()
         log = []
-        picard_duhamel(st, 0.02, params, quad_nodes=P, tol=1e-14, residual_log=log)
+        picard_duhamel(st, 0.02, params, quad_nodes=P, residual_log=log)
         m = len(log)
         assert m >= sweeps
         n = m * P + P_c + 5
         assert counts == {pad: 3 * n, st.grid.shape: 2 * n}, P
 
 
-def test_picard_two_level_start_keeps_the_fine_fixed_point():
+def test_picard_two_level_start_keeps_the_fine_fixed_point(monkeypatch):
     # 32 nodes take a coarse sweep on 16 first; the fine sweeps then start
     # one sweep further on, and the panel converges to the same 32-node
     # fixed point as the single-level iteration (measured 9e-19 apart)
     st = standard_state(8)
     params = SystemParams(eps=1.0, dt=1.0)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-14)
     log = []
-    pic = picard_duhamel(st, 0.02, params, quad_nodes=32, tol=1e-14, residual_log=log)
-    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 32, tol=1e-14)
+    pic = picard_duhamel(st, 0.02, params, quad_nodes=32, residual_log=log)
+    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 32)
     assert len(log) == len(ref_log) - 1
     for got, ref in zip((pic.u, pic.v, pic.vt), ref_end):
         assert np.max(np.abs(got.coef - ref)) < 1e-13
 
 
-def test_picard_default_preset_converges_in_two_fine_sweeps():
+def test_picard_default_preset_converges_in_two_fine_sweeps(monkeypatch):
     # The default 64^2 data on one panel of 0.025 with 128 nodes, the
     # benchmark's oracle input: the coarse level of 32 nodes leaves the
     # fine sweeps contracting by about 1e-4 (residuals 2.8e-6, 3.4e-10),
@@ -1278,7 +1302,8 @@ def test_picard_default_preset_converges_in_two_fine_sweeps():
     log = []
     pic = picard_duhamel(state0, cfg.T, params, quad_nodes=128, residual_log=log)
     assert len(log) == 2
-    tight = picard_duhamel(state0, cfg.T, params, quad_nodes=128, tol=1e-15)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-15)
+    tight = picard_duhamel(state0, cfg.T, params, quad_nodes=128)
     assert difference_metric(pic, tight) < 1e-11
 
 
