@@ -20,10 +20,14 @@ Two solvers:
   It returns the states its caller asks for, and diagnostics rows only
   from a monitor the caller passes in; this module evaluates no
   diagnostics of its own.
-* `picard_duhamel`: Lawson's integrating-factor RK4 on the
-  variation-of-constants form of the system, used as a cross-validation
-  oracle.  Every step is also taken as two half steps, and a step whose
-  estimated error exceeds its share of 1e-6 is refused.
+* `picard_duhamel`: fixed-point iteration on the variation-of-constants
+  form of the system, used as a cross-validation oracle.  Each panel
+  starts from a three-point exponential predictor (exponential time
+  differencing, Cox and Matthews, J. Comput. Phys. 176 (2002)), so a panel
+  that converges in m sweeps makes mP + 5 node evaluations.  A panel stops
+  once the distance of its last iterate from the fixed point, estimated
+  from the measured contraction, is below _PICARD_TOL (Hairer and Wanner,
+  Solving ODEs II, IV.8).
 
 Both solvers take every symbol, free flow and product from `_Kernels`,
 which also decides where each nonlinear term is sampled.
@@ -32,7 +36,8 @@ which also decides where each nonlinear term is sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, factorial, inf, pi, ulp
+from math import ceil, factorial, inf, ulp
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +47,6 @@ from .grids import (
     coef_to_values,
     field_from_coef,
     from_planes,
-    h1_norm,
-    sobolev_norm,
     to_planes,
     values_to_coef,
 )
@@ -54,6 +57,7 @@ __all__ = [
     "TrajectoryRecord",
     "NumericalAbort",
     "BlowupError",
+    "PicardDivergenceError",
     "PotentialFlowError",
     "make_state",
     "prepare_initial_state",
@@ -82,6 +86,37 @@ class BlowupError(NumericalAbort):
         self.t_last = t_last
         self.step = step
         self.quantity = quantity
+
+
+class PicardDivergenceError(NumericalAbort):
+    """The Duhamel fixed-point iteration did not reach tolerance on a panel.
+
+    `contraction` is the panel's measured rate (the largest ratio of
+    consecutive sweep residuals), None when the panel made one sweep."""
+
+    def __init__(
+        self,
+        residual: float,
+        iterations: int,
+        panel: int,
+        t_start: float,
+        contraction: float | None,
+    ):
+        rate = (
+            "no contraction measured after one sweep"
+            if contraction is None
+            else f"measured contraction {contraction:.3e}"
+        )
+        super().__init__(
+            f"Picard iteration did not converge on panel {panel} "
+            f"(starting at t = {t_start}): residual {residual:.3e} "
+            f"after {iterations} iterations, {rate}"
+        )
+        self.residual = residual
+        self.iterations = iterations
+        self.panel = panel
+        self.t_start = t_start
+        self.contraction = contraction
 
 
 class PotentialFlowError(NumericalAbort):
@@ -320,7 +355,7 @@ class _Kernels:
     """Per-(grid, params, dt) precomputed symbols and product closures.
 
     The one place a symbol or a product of the system is written; the
-    stepper, the Lawson oracle, the energy and `sibsim check` all read
+    stepper, the Picard oracle, the energy and `sibsim check` all read
     them here.  Each symbol is a function of -Laplacian, diagonal on sine
     coefficients, and `sibsim check` asserts its identities and
     inequalities on these arrays:
@@ -333,21 +368,20 @@ class _Kernels:
         phase_half, wave_phase_half
                    free_flow(dt/2), the exact half-step flows
         wave_phase_full
-                   free_flow(dt)[1] = exp(-i dt omega), the exact
-                   full-step wave flow that stands for two half-step wave
-                   flows with one source
+                   exp(-i dt omega), the exact full-step wave flow that
+                   stands for two half-step wave flows with one source
 
     The wave pair is carried as one complex amplitude z = v + i vt/omega:
     each sine mode of v'' = -omega^2 (v + f) is a linear oscillator, so
     with f frozen z + f rotates by exp(-i t omega), as u does by
     exp(-i t lam) under the free Schrodinger flow (Hairer, Lubich and
     Wanner, Geometric Numerical Integration, 2nd ed. (2006), XIII).
-    free_flow(t) writes every free flow: the stepper's tables, the Lawson
-    oracle's flows over its step, half step and quarter step, and the
-    flows `sibsim check` certifies.  The stepper's substeps are the exact
-    wave flows wave_half and wave_full and step, the Schrodinger part of a
+    free_flow(t) writes the free flows over any time t for the stepper's
+    tables, the Picard oracle's panels and `sibsim check`, and wave_phase
+    the oracle's node tables.  The stepper's substeps are the exact wave
+    flows wave_half and wave_full and step, the Schrodinger part of a
     step; integrate composes them.  dt = None builds no step tables, for
-    callers that take no step (the energy, data smoothing, the Lawson
+    callers that take no step (the energy, data smoothing, the Picard
     oracle).
 
     The kernel also decides where each nonlinear term is sampled.  The
@@ -392,13 +426,19 @@ class _Kernels:
         self.prod_shape = pad if params.dealias else grid.shape
         if dt is not None:
             self.phase_half, self.wave_phase_half = self.free_flow(0.5 * dt)
-            self.wave_phase_full = self.free_flow(dt)[1]
+            self.wave_phase_full = self.wave_phase(dt)
 
     def free_flow(self, t):
         """The free flows over a time t: exp(-i t lam), the symbol of
         exp(i t Laplacian), and exp(-i t omega), which takes z = v + i
         vt/omega to z(t) under v'' = -omega^2 v."""
-        return np.exp(-1j * t * self.grid.lam), np.exp(-1j * t * self.w)
+        return np.exp(-1j * t * self.grid.lam), self.wave_phase(t)
+
+    def wave_phase(self, s, out=None):
+        """exp(-i s omega), formed in place, in `out` when given.  s is a
+        time, or an (n, 1, 1) column of times for n tables at once."""
+        out = np.multiply(self.w, -1j * s, out=out)
+        return np.exp(out, out=out)
 
     # -- quadratic terms ----------------------------------------------------
 
@@ -748,74 +788,200 @@ def integrate(
 
 
 # ---------------------------------------------------------------------------
-# Lawson oracle
+# Duhamel-Picard oracle
 
 
-# The most radians lam_max H of the fastest Schrodinger phase that one
-# oracle step of length H spans: one turn.
-_RADIANS_PER_STEP = 2 * pi
+# Node values are (P, Nx, Ny) stacks.  The quadrature sums and the new
+# iterates of a sweep are formed this many grid rows (kx) at a time, over
+# all nodes, so the phase products and the mirrored wave tables exist only
+# as one block's temporaries.
+_GRID_ROWS = 3
 
-# The oracle's bound on the sum of its steps' error estimates; a step of
-# length H may take H/T of it.
-_ORACLE_TOL = 1e-6
+# The twisted u-integrand carries phases exp(i lam s), and a panel's
+# Lagrange points resolve about this many radians of lam_max s per node.
+_RADIANS_PER_NODE = 6.5
+
+# picard_duhamel's default node count, and the fewest nodes of its coarse
+# level.
+_MIN_NODES = 16
+
+# picard_duhamel's bound on a panel's distance from its fixed point (see
+# _panel_converged), and the most fine sweeps a panel may take
+_PICARD_TOL = 1e-11
+_PICARD_MAX_SWEEPS = 80
 
 
+def _integration_weights(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """W[i, j] = integral over (0, targets[i]) of the j-th Lagrange
+    polynomial on `nodes`.  Built from Legendre-series interpolants for
+    stability: one solve with the unit vectors as right-hand sides gives the
+    series of every Lagrange polynomial on [0, b] at once, with b the last
+    node or target, whichever is larger."""
+    leg = np.polynomial.legendre
+    P = len(nodes)
+    half = 0.5 * max(nodes[-1], targets.max())
+    coef = np.linalg.solve(leg.legvander(nodes / half - 1.0, P - 1), np.eye(P))
+    anti = leg.legint(coef, lbnd=-1.0, scl=half)
+    return leg.legvander(targets / half - 1.0, P) @ anti
+
+
+def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_j weights[..., j] * stack[j] for a stack of P node values, as
+    one real matrix product: a complex stack enters as interleaved real and
+    imaginary parts, which the real weights never mix."""
+    flat = stack.reshape(len(stack), -1).view(np.float64)
+    out = (weights @ flat).view(stack.dtype)
+    return out.reshape(weights.shape[:-1] + stack.shape[1:])
+
+
+def _contraction(residuals: list[float]) -> float | None:
+    """The largest ratio r_j / r_(j-1) of consecutive sweep residuals of one
+    panel (over r_(j-1) > 0), or None before its second sweep."""
+    return max((b / a for a, b in zip(residuals, residuals[1:]) if a > 0), default=None)
+
+
+def _panel_converged(residuals: list[float]) -> bool:
+    """Whether a panel whose sweeps left `residuals` meets picard_duhamel's
+    stopping rule at _PICARD_TOL."""
+    r, theta, tol = residuals[-1], _contraction(residuals), _PICARD_TOL
+    # r theta / (1 - theta) < tol, written without dividing
+    return r < tol or (theta is not None and theta < 0.5 and r * theta < tol * (1.0 - theta))
+
+
+class _Level(NamedTuple):
+    """A collocation level of a Picard panel: its n node times s as an
+    (n, 1, 1) column, the per-axis factors of exp(i lam s) there, (n, Nx)
+    and (n, Ny), the (P+1, n) weights that integrate its Lagrange basis up
+    to each of the P fine nodes and over the panel, and the wave phase
+    exp(-i s w) at its first ceil(n/2) nodes, (ceil(n/2), Nx, Ny); _mirror
+    forms it at the other nodes."""
+
+    s: np.ndarray
+    exp_x: np.ndarray
+    exp_y: np.ndarray
+    weights: np.ndarray
+    wave: np.ndarray
+
+
+def _mirror(lv: _Level, wave_h: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+    """The wave phase exp(-i s w) on grid rows `rows` at every node of
+    level lv, into out: its table at the first m nodes, and the rest from
+    it.  Gauss-Legendre nodes on a panel (0, h) lie symmetric about h/2, so
+    node n-1-j sits at h - s_j, where the phase is exp(-i h w) conj(table[j])
+    with wave_h = exp(-i h w), the wave phase over the panel."""
+    m = len(lv.wave)
+    mirrored = np.conj(lv.wave[len(lv.s) - m - 1 :: -1, rows], out=out[m:])
+    np.multiply(wave_h[rows], mirrored, out=mirrored)
+    out[:m] = lv.wave[:, rows]
+    return out
+
+
+# a non-finite state makes a non-finite residual, which is refused, so
+# numpy's warnings on the way there would only add stderr
+@np.errstate(over="ignore", invalid="ignore")
 def picard_duhamel(
     state0: State,
     T: float,
     params: SystemParams,
     *,
-    quad_nodes: int = 16,
+    quad_nodes: int = _MIN_NODES,
     residual_log: list[float] | None = None,
 ) -> State:
-    """Solve the system on [t0, t0+T] by Lawson's RK4 with step doubling,
-    the oracle the stepper is cross-validated against (the name is the one
-    `benchmarks/` calls).
+    """Solve the system on [t0, t0+T] by Picard iteration on its
+    variation-of-constants form, marching over Gauss-Legendre panels.
 
     With the wave pair carried as one amplitude z = v + i vt/omega (see
-    _Kernels), the system is y' = L y + N(y) for y = (u, z), with
+    _Kernels), the system is two equations of one form,
 
-        L = (-i lam, -i omega),     N(y) = (-i P(v, u), -i omega W(u)),
+        u' = -i lam u - i P(v, u),      z' = -i omega z - i omega W(u),
 
-    and v = Re z.  Lawson's scheme (SIAM J. Numer. Anal. 4 (1967);
-    Hochbruck and Ostermann, Acta Numerica 19 (2010)) is classical RK4 on
-    the twisted state x = E(-s) y, with E(s) = exp(s L) the free flows:
-    x' = E(-s) N(E(s) x) carries no stiff linear part, and the free flow
-    is exact.  Here each step of length H twists about its middle,
-    x(s) = E(H/2 - s) y(t_k + s), so that its stages, H/4 apart, need the
-    flows over +-H/4 and +-H/2 alone.  A constant change of frame leaves an
-    RK step unchanged, so this is Lawson's step from y(t_k).
+    with v = Re z, and each panel solves their variation-of-constants form
 
-    The horizon is split into n = max(ceil(P/4), ceil(T lam_max / 2 pi))
-    steps of H = T/n: a step spans at most about one turn of the fastest
-    Schrodinger phase, and N is sampled at the 4n + 1 >= P + 1 multiples
-    of H/4.  Each step is taken once whole (coarse) and as two half steps
-    (fine), both from the same first stage, so a step makes 11 evaluations
-    of P(v, u) and W(u).  Their difference estimates the error of the fine
-    value, e = |fine - coarse| / 15 in H1 for u plus L2 for v, and the
-    step advances with the locally extrapolated value
-    fine + (fine - coarse) / 15 (Hairer, Norsett and Wanner, Solving ODEs
-    I, 2nd ed. (1993), II.4).  Both values of a step live in the step's
-    one frame, so without coupling they are the same array and e = 0.  A
-    step whose e is not at most _ORACLE_TOL H / T is refused, so the
-    estimates of a whole run sum to at most _ORACLE_TOL = 1e-6.
+        y(t) = exp(-i t k) (y0 - i integral_0^t exp(i s k) F(s) ds)
 
-    Every free flow comes from `_Kernels.free_flow` of one kernel built
-    with no step.  The steps are counted as integrate counts its own, so a
-    horizon of 2**53 steps or more is refused with ValueError; step k
-    starts at t0 + k H, and the last one ends at t0 + T.
+    for (y, k, F) = (u, lam, P(v, u)) and (z, omega, omega W(u)) by
+    iterating on trajectory values held at the panel's quadrature nodes.
+    Every free flow is read from `_Kernels.free_flow` and
+    `_Kernels.wave_phase` of one kernel built with no step.
+
+    Each panel starts from a three-point exponential predictor, the
+    exponential time differencing of Cox and Matthews (J. Comput. Phys.
+    176 (2002)) and Hochbruck and Ostermann (Acta Numerica 19 (2010)):
+    P(v, u) and W(u) are modelled as quadratics in s through s = 0, h/2
+    and h, and the Duhamel form with those integrands is integrated
+    exactly, in one closed form for u and z at the nodes.  The values at
+    h/2 and h come first from the exponential Euler solution (both
+    integrands frozen at the panel's left edge) and once more from the
+    quadratic model, so the predictor makes 5 evaluations of P(v, u) and
+    W(u) and is fourth order in h.  Jacobi sweeps then refill the
+    integrands at all P nodes.  The quadrature weights are a (P+1, P)
+    matrix, as in a spectral deferred correction integration matrix (Dutt,
+    Greengard and Rokhlin, BIT 40 (2000)): row i integrates up to node i
+    and row P over the whole panel, so each sweep also gives the panel-end
+    sums, and the panel advances with those of the sweep that converged.
+
+    Where the panel allows it, the sweeps start on two levels, as in
+    multilevel spectral deferred correction (Speck et al., BIT Numer.
+    Math. 55 (2015)).  With h the panel length, the coarse level has
+    P_c = max(16, ceil(lam_max h / 6.5)) Gauss-Legendre nodes, the count
+    the panel cap below asks for on this panel, and it is used when
+    2 P_c <= P.  The predictor is then evaluated at the P_c coarse nodes
+    only, and one coarse sweep integrates the integrands there through a
+    (P+1, P_c) matrix, the coarse Lagrange basis integrated up to every
+    fine node and over the panel, to give the iterate at all P nodes.  The
+    coarse sweep settles the slowly contracting low modes; the error it
+    leaves sits in high modes, which the Duhamel integrals damp by about
+    1/(lam h), so the fine sweeps contract by about 1e-4 instead of 1e-2.
+    The fine sweeps and their stopping rule are unchanged, and the result
+    is the P-node fixed point.  A panel that converges in m fine sweeps
+    costs mP + P_c + 5 node evaluations of the two products, or mP + 5
+    without the coarse level.
+
+    With r_k the residual of fine sweep k (the largest change it made at
+    a node, in H1 for u plus L2 for v) and theta the largest ratio
+    r_j / r_(j-1) the panel has shown, a panel stops when r_k, or with
+    theta < 1/2 the estimate r_k theta / (1 - theta) of the last iterate's
+    distance from the fixed point (Hairer and Wanner, Solving ODEs II,
+    IV.8), is below _PICARD_TOL = 1e-11; it may take _PICARD_MAX_SWEEPS =
+    80 fine sweeps.
+
+    The panels are counted as integrate counts its steps, so a horizon of
+    2**53 panels or more is refused with ValueError; panel k starts at
+    t0 + k h, and the last one ends at t0 + T.
+
+    The node stacks take 56 B per node-mode entry: four (P, Nx, Ny)
+    stacks of the iterates u (complex) and v = Re z and the raw right-hand
+    sides P(v, u) (complex) and omega W(u), and the wave phase exp(-i s w)
+    at the first ceil(P/2) fine nodes (8 B per entry).  The sweeps read
+    only v = Re z at the nodes; z is held whole at the panel's edges.  The
+    Gauss-Legendre nodes lie symmetric about h/2, so `_mirror` forms the
+    phase at the other nodes from these and the wave phase over the panel,
+    a block of grid rows at a time.  The coarse level's node values use
+    the first P_c slices of the same stacks, and its wave phase at the
+    first ceil(P_c/2) coarse nodes is formed once per panel in the P(v, u)
+    stack from slice P_c on, which the coarse stage leaves idle.
+    The phases exp(i lam s) are products of per-axis factors, formed with
+    the integrands that carry them a block of grid rows at a time, and a
+    sweep forms its new iterates and their changes in place in that
+    block's sums.  No node's change is ever held whole, so the residual
+    (its H1 + L2 size at every node) is summed block by block over all
+    nodes at once, not by the norms of `grids`, which take whole fields.
 
     Args:
-        quad_nodes: P, the accuracy floor: the right-hand side is sampled
-            at P + 1 or more uniform times.
-        residual_log: optional list; the estimate e of every step is
-            appended to it.
+        quad_nodes: P, the number of Gauss-Legendre collocation nodes per
+            panel; the result is the P-node fixed point.
+        residual_log: optional list; the residual of every fine sweep is
+            appended to it (all panels concatenated).  A panel's first
+            entry is the change of its first fine sweep from the coarse
+            iterate, or from the predictor without the coarse level.
 
     Raises:
         ValueError: if quad_nodes is not an integer >= 2, T is not
-            positive and finite, or T asks for 2**53 steps or more.
-        NumericalAbort: if the estimate e of a step is above its bound or
-            not finite; the error names the step, its start time and e.
+            positive and finite, or T asks for 2**53 panels or more.
+        PicardDivergenceError: if a panel does not stop within
+            _PICARD_MAX_SWEEPS sweeps, or at the first sweep whose residual
+            is not finite; it carries the last residual and theta (None
+            after one sweep).
     """
     if type(quad_nodes) is bool or not isinstance(quad_nodes, (int, np.integer)) or quad_nodes < 2:
         raise ValueError(f"quad_nodes must be an integer >= 2, got {quad_nodes!r}")
@@ -824,55 +990,205 @@ def picard_duhamel(
 
     state = prepare_initial_state(state0, params)
     grid = state.grid
-    H_max = min(4 * T / quad_nodes, _RADIANS_PER_STEP / float(grid.lam.max()))
-    n_steps = _step_count(T, H_max, "step", "H")
-    H = T / n_steps
-    tol = _ORACLE_TOL * H / T
+    lam = grid.lam
+
+    # Panel length: lam_max * h within what quad_nodes Lagrange points
+    # resolve; 0.025 caps the contraction size.
+    lam_max = float(lam.max())
+    n_panels = _step_count(T, min(0.025, _RADIANS_PER_NODE * quad_nodes / lam_max), "panel", "h")
+    h = T / n_panels
+    # the coarse level: the node count the cap asks for on this panel; it
+    # starts the sweeps when it is at most half of quad_nodes
+    coarse_nodes = max(_MIN_NODES, ceil(lam_max * h / _RADIANS_PER_NODE))
     ker = _Kernels(grid, params, None)
     w = ker.w
-    # E(j H/4) on (u, z), for the stage offsets j from a step's middle
-    flow = {j: np.stack(ker.free_flow(0.25 * j * H)) for j in (-2, -1, 1, 2)}
 
-    def N(y):
-        u, z = y
-        return -1j * np.stack((ker.coupled_product(z.real, u), w * ker.wave_source(u)))
+    def gauss(n):
+        """The n Gauss-Legendre nodes on (0, h) and their weights."""
+        x, wx = np.polynomial.legendre.leggauss(n)
+        return (x + 1.0) * 0.5 * h, wx * 0.5 * h
 
-    def G(j, x):
-        """x' at the twisted state x, j quarter steps from the middle."""
-        if j == 0:
-            return N(x)
-        return flow[-j] * N(flow[j] * x)
-
-    def rk4(x, K1, h, j_half, j_end):
-        """Classical RK4 over h from the twisted state x, whose x' is K1;
-        its stages at h/2 and h lie j_half and j_end quarter steps from the
-        middle."""
-        K2 = G(j_half, x + 0.5 * h * K1)
-        K3 = G(j_half, x + 0.5 * h * K2)
-        K4 = G(j_end, x + h * K3)
-        return x + h / 6 * (K1 + 2 * (K2 + K3) + K4)
-
+    u0 = state.u.coef.astype(np.complex128)
+    z0 = state.v.coef + 1j * (state.vt.coef / w)
     t0 = state.t
-    # a non-finite state makes a non-finite estimate, which is refused
-    # below, so numpy's warnings on the way there would only add stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = np.stack((state.u.coef.astype(np.complex128), state.v.coef + 1j * (state.vt.coef / w)))
-        for k in range(n_steps):
-            x = flow[2] * y
-            K1 = G(-2, x)
-            coarse = rk4(x, K1, H, 0, 2)
-            mid = rk4(x, K1, 0.5 * H, -1, 0)
-            fine = rk4(mid, G(0, mid), 0.5 * H, 1, 2)
-            # back from the step's frame to y at its end
-            d = flow[2] * ((fine - coarse) / 15)
-            e = h1_norm(field_from_coef(grid, d[0])) + sobolev_norm(field_from_coef(grid, d[1].real), 0)
+    stack = (quad_nodes,) + grid.shape
+    us = np.empty(stack, dtype=np.complex128)
+    # v = Re z, all that the integrands read
+    vs = np.empty(stack)
+    # the raw right-hand sides at every node: P(v, u) and omega W(u)
+    pvu = np.empty(stack, dtype=np.complex128)
+    g = np.empty(stack)
+    # H1 weights of the interleaved real and imaginary parts of u
+    h1_weight = np.repeat(1.0 + lam, 2, axis=1)
+    # the panel-end quadrature sums, kept from each sweep's last row
+    Iu_end = np.empty_like(u0)
+    Iz_end = np.empty_like(u0)
+    blocks = [slice(lo, lo + _GRID_ROWS) for lo in range(0, grid.Nx, _GRID_ROWS)]
+
+    half00 = 0.5 * lam[0, 0]
+
+    def level(nodes, weights, wave):
+        # exp(i lam s) = exp(i lx s) exp(i ly s), with lam split into its
+        # per-axis parts lam[k, l] = lx[k] + ly[l]
+        s = nodes[:, None]
+        exp_x = np.exp(1j * (lam[:, 0] - half00) * s)
+        exp_y = np.exp(1j * (lam[0, :] - half00) * s)
+        return _Level(nodes[:, None, None], exp_x, exp_y, weights, wave)
+
+    nodes, full_w = gauss(quad_nodes)
+    # rows 0..P-1 integrate up to each node, row P over the whole panel;
+    # exp(-i s w) at the first half of the nodes, _mirror forms the rest
+    weights = np.vstack([_integration_weights(nodes, nodes), full_w])
+    fine = level(nodes, weights, ker.wave_phase(nodes[: (quad_nodes + 1) // 2, None, None]))
+    coarse = None
+    if 2 * coarse_nodes <= quad_nodes:
+        nodes_c = gauss(coarse_nodes)[0]
+        # the coarse exp(-i s w) borrows pvu's slices from P_c on, which
+        # the coarse stage leaves idle; the fine sweeps overwrite them, so
+        # each panel forms them again
+        coarse = level(
+            nodes_c,
+            _integration_weights(nodes_c, np.append(nodes, h)),
+            pvu[coarse_nodes : coarse_nodes + (coarse_nodes + 1) // 2],
+        )
+    # the predictor's points h/2 and h, with the free flows over them; the
+    # wave phase over h also mirrors the node tables
+    phase_h, wave_h = ker.free_flow(h)
+    points = [(0.5 * h, *ker.free_flow(0.5 * h)), (h, phase_h, wave_h)]
+
+    def fill_integrands(n) -> None:
+        """P(v, u) and omega W(u) from the iterates at the first n nodes."""
+        for i in range(n):
+            pvu[i] = ker.coupled_product(vs[i], us[i])
+            np.multiply(ker.wave_source(us[i]), w, out=g[i])
+
+    def quadratic(f0, f_half, f1):
+        """(c0, c1, c2) of c0 + c1 s + c2 s^2 through f0, f_half and f1 at
+        s = 0, h/2 and h."""
+        return f0, (4.0 * f_half - 3.0 * f0 - f1) / h, 2.0 * (f1 - 2.0 * f_half + f0) / h**2
+
+    def duhamel(c, k):
+        """(q0, q1, q2) of the Duhamel solution of y' = -i k y - i F for
+        the integrand F = c0 + c1 s + c2 s^2, integrated exactly:
+            y(s) = exp(-i k s) (y0 + q0) - q0 - s q1 - s^2 q2
+        with q2 = c2/k, q1 = (c1 + 2i q2)/k and q0 = (c0 + i q1)/k; lam and
+        omega are positive on the sine band."""
+        c0, c1, c2 = c
+        q2 = c2 / k
+        q1 = (c1 + 2j * q2) / k
+        return (c0 + 1j * q1) / k, q1, q2
+
+    def solution(q, y0, rows, t, phase):
+        """y of duhamel()'s closed form from y0 on grid rows `rows` at
+        times t, from its free flow exp(-i k t) there."""
+        q0, q1, q2 = (x[rows] for x in q)
+        return phase * (y0[rows] + q0) - (q0 + t * (q1 + t * q2))
+
+    def advance(phase, y0, I):
+        """phase (y0 - i I), in I's place: the Duhamel form at the nodes
+        or the panel end, from the sums I of exp(i s k) F."""
+        I *= -1j
+        I += y0
+        np.multiply(phase, I, out=I)
+        return I
+
+    def predict(lv) -> None:
+        """Fill us / vs at the nodes of level lv, the first n slices, with
+        the three-point exponential predictor."""
+        n = len(lv.s)
+        # exponential Euler: both integrands frozen at their s = 0 values
+        p = [ker.coupled_product(z0.real, u0)] * 3
+        W = [w * ker.wave_source(u0)] * 3
+        for _ in range(2):
+            qu, qz = duhamel(quadratic(*p), lam), duhamel(quadratic(*W), w)
+            for j, (t, phase, wave) in enumerate(points, 1):
+                u = solution(qu, u0, slice(None), t, phase)
+                p[j] = ker.coupled_product(solution(qz, z0, slice(None), t, wave).real, u)
+                W[j] = w * ker.wave_source(u)
+        qu, qz = duhamel(quadratic(*p), lam), duhamel(quadratic(*W), w)
+        for rows in blocks:
+            buf = np.empty_like(us[:n, rows])
+            # exp(-i lam s), conjugated per axis
+            np.multiply(np.conj(lv.exp_x[:, rows, None]), np.conj(lv.exp_y[:, None, :]), out=buf)
+            us[:n, rows] = solution(qu, u0, rows, lv.s, buf)
+            vs[:n, rows] = solution(qz, z0, rows, lv.s, _mirror(lv, wave_h, rows, buf)).real
+
+    def sweep_block(lv, rows):
+        """The new iterates u and v = Re z at all P fine nodes on grid rows
+        `rows`, from the integrands at the nodes of level lv (the first n
+        slices of pvu and g); keeps the panel-end sums."""
+        n = len(lv.s)
+        buf = np.empty_like(us[:, rows])
+        # the sums of exp(i s lam) P(v, u) and exp(i s w) omega W(u), with
+        # each integrand formed in buf
+        ib = buf[:n]
+        np.multiply(lv.exp_x[:, rows, None], lv.exp_y[:, None, :], out=ib)
+        ib *= pvu[:n, rows]
+        Iu = _weighted_sum(lv.weights, ib)
+        np.conj(_mirror(lv, wave_h, rows, ib), out=ib)
+        ib *= g[:n, rows]
+        Iz = _weighted_sum(lv.weights, ib)
+        Iu_end[rows], Iz_end[rows] = Iu[-1], Iz[-1]
+        # the new iterates at the fine nodes, in the rows of the sums, each
+        # from its phases formed again in buf
+        np.multiply(np.conj(fine.exp_x[:, rows, None]), np.conj(fine.exp_y[:, None, :]), out=buf)
+        un = advance(buf, u0[rows], Iu[:-1])
+        zn = advance(_mirror(fine, wave_h, rows, buf), z0[rows], Iz[:-1])
+        return un, zn.real
+
+    for panel in range(n_panels):
+        if coarse is None:
+            predict(fine)
+        else:
+            # the predictor and one Jacobi sweep on the coarse level give
+            # the first iterate at the fine nodes
+            ker.wave_phase(coarse.s[: len(coarse.wave)], out=coarse.wave)
+            predict(coarse)
+            fill_integrands(coarse_nodes)
+            for rows in blocks:
+                us[:, rows], vs[:, rows] = sweep_block(coarse, rows)
+        panel_log: list[float] = []
+        while True:
+            # Jacobi sweep: every integrand comes from the previous sweep,
+            # so the blocks below may overwrite us / vs in place
+            fill_integrands(quad_nodes)
+            # squared H1 of du and L2 of dv, per node
+            du2 = np.zeros(quad_nodes)
+            dv2 = np.zeros(quad_nodes)
+            for rows in blocks:
+                un, vn = sweep_block(fine, rows)
+                # each change, squared in place of the old iterate, then
+                # the new iterate
+                ub = us[:, rows]
+                ub -= un
+                du = ub.view(np.float64)
+                du *= du
+                du2 += du.reshape(quad_nodes, -1) @ h1_weight[rows].ravel()
+                ub[...] = un
+                vb = vs[:, rows]
+                vb -= vn
+                vb *= vb
+                dv2 += vb.reshape(quad_nodes, -1).sum(axis=1)
+                vb[...] = vn
+                # free the block's sums before the next block forms its own
+                del un, vn
+            residual = float(np.max(np.sqrt(du2) + np.sqrt(dv2)))
+            panel_log.append(residual)
             if residual_log is not None:
-                residual_log.append(e)
-            if not e <= tol:
-                raise NumericalAbort(
-                    f"oracle step {k} (starting at t = {t0 + k * H}) has error estimate "
-                    f"{e:.3e}, not within its share {tol:.3e} of {_ORACLE_TOL:.0e}"
+                residual_log.append(residual)
+            if _panel_converged(panel_log):
+                break
+            # a non-finite iterate stays so: no further sweep can mend it
+            if not residual < inf or len(panel_log) == _PICARD_MAX_SWEEPS:
+                raise PicardDivergenceError(
+                    residual, len(panel_log), panel, t0 + panel * h, _contraction(panel_log)
                 )
-            y = flow[2] * fine + d
-    u, z = y
-    return _state_from_coef(grid, u, z.real.copy(), w * z.imag, t0 + T)
+
+        # advance the panel data to its right edge with the full-panel sums
+        # of the converged sweep: like the last iterate, they come from the
+        # integrands of the iterate one sweep earlier, so the panel end is
+        # as close to the fixed point as the last iterate
+        u0 = advance(phase_h, u0, Iu_end.copy())
+        z0 = advance(wave_h, z0, Iz_end.copy())
+
+    return _state_from_coef(grid, u0, z0.real.copy(), w * z0.imag, t0 + T)

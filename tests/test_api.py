@@ -122,8 +122,9 @@ def test_dynamics_imports_nothing_from_functionals():
 def test_the_stepping_kernel_owns_every_symbol_and_product(monkeypatch):
     # grids keeps the transforms and norms; only dynamics._Kernels forms a
     # product of fields or decides where one is sampled (the 3/2 rule of
-    # prod_shape), and the Lawson oracle reads every free flow from the one
-    # kernel it builds, forming no phase of its own
+    # prod_shape), and the Picard oracle reads its free flows from the one
+    # kernel it builds, forming only the per-axis factors of its phases
+    # exp(i lam s)
     assert [name for name in vars(grids) if "product" in name or "intensity" in name] == []
     assert not hasattr(dynamics._Kernels, "product")
     assert not hasattr(grids.Grid2D, "pad_shape")
@@ -138,7 +139,7 @@ def test_the_stepping_kernel_owns_every_symbol_and_product(monkeypatch):
         for line in oracle.splitlines()
         if re.search(r"np\.(cos|sin|exp)\b", line)
     ]
-    assert calls == []
+    assert calls == ["exp_x", "exp_y"]
     built = []
     original = dynamics._Kernels.__init__
 
@@ -176,7 +177,7 @@ def test_every_free_flow_is_a_phase():
         assert phase.dtype == np.complex128 and phase.shape == grid.shape
         assert np.max(np.abs(np.abs(phase) - 1.0)) <= 4e-16
     names = [name for name in dir(ker) if re.match(r"(cos|sinc|wsin)_", name)]
-    assert names == [] and not hasattr(ker, "wave_rotation") and not hasattr(ker, "wave_phase")
+    assert names == [] and not hasattr(ker, "wave_rotation")
     assert not hasattr(dynamics, "_wave_flow") and not hasattr(dynamics, "_nodewise")
 
 

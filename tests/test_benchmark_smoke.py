@@ -8,10 +8,8 @@ _Kernels.step is its direct parent span, and a transform that left the
 step would lower the per-step counts without failing anything, so they
 are pinned too: 5 band transforms per nodal step in run-default, and 11
 padded ones per Yosida step in sweep-n (4 Taylor terms at n = 8).  The
-tracer's dynamics.picard_sweeps is the length of the oracle's
-residual_log, one entry per oracle step, and is pinned at the smoke
-input's 2 steps (8 nodes ask for 8/4), so that an oracle that takes more
-steps fails here and not only in its timing."""
+smoke oracle's sweep count is pinned at 3, so that an oracle that
+converges more slowly fails here and not only in its timing."""
 
 import json
 import subprocess
@@ -42,4 +40,4 @@ def test_benchmark_smoke_run_is_correct_on_every_workload():
     assert traced["run-default"]["functionals.monitor_rows"]["value"] > 0
     assert traced["run-default"]["dynamics.dst_per_step"]["value"] == 5
     assert traced["sweep-n"]["dynamics.pad_dst_per_step"]["value"] == 11
-    assert traced["oracle"]["dynamics.picard_sweeps"]["value"] == 2
+    assert traced["oracle"]["dynamics.picard_sweeps"]["value"] == 3

@@ -1,7 +1,8 @@
 """Stepping kernels: exactness of the substeps, conservation, convergence
-order, reversibility, blow-up detection, and the Lawson oracle."""
+order, reversibility, blow-up detection, and the Picard-Duhamel oracle."""
 
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import reduce
@@ -15,7 +16,7 @@ from sibsim import dynamics
 from sibsim.config import RunConfig, build_initial_state, build_params
 from sibsim.dynamics import (
     BlowupError,
-    NumericalAbort,
+    PicardDivergenceError,
     PotentialFlowError,
     SystemParams,
     integrate,
@@ -31,6 +32,7 @@ from sibsim.grids import (
     field_from_coef,
     h1_norm,
     make_grid,
+    sobolev_norm,
     values_to_coef,
 )
 
@@ -192,7 +194,7 @@ def test_wave_substep_per_mode_invariant():
 def test_wave_rotations_are_the_free_wave_flow(eps):
     # wave_half and wave_full rotate z + f by exp(-i t omega) for t = dt/2
     # and dt: (v + f, vt) must follow the real-form free flow of the
-    # oracle tests' own free_flow, on 17 x 4 modes over (0, pi/4) x (0, pi)
+    # Picard tests' own free_flow, on 17 x 4 modes over (0, pi/4) x (0, pi)
     # (eps = 0 leaves omega up to 68, so t omega reaches 20); measured
     # within 2.9e-16 relative
     g = make_grid(np.pi / 4, np.pi, 17, 4)
@@ -956,12 +958,13 @@ def test_blowup_names_the_step_and_first_non_finite_component(
 
 
 # ---------------------------------------------------------------------------
-# Lawson oracle (picard_duhamel)
+# Picard-Duhamel oracle
 
 
 def test_picard_validation():
     st = standard_state(8)
     # each bad argument is named, and none is reported as a numerical abort
+    # (quad_nodes = 16.0 as numpy's "deg must be an integer")
     for bad in (1, 16.0, True):
         with pytest.raises(ValueError, match=rf"quad_nodes must be an integer >= 2, got {bad!r}"):
             picard_duhamel(st, 0.02, SystemParams(), quad_nodes=bad)
@@ -970,68 +973,82 @@ def test_picard_validation():
             picard_duhamel(st, T, SystemParams())
 
 
-def test_picard_panels_end_on_the_horizon():
-    # step k starts at t0 + k H and the last one ends at t0 + T, where a
-    # running sum of H would return t = 1.0000000000000004 for T = 1 (21
-    # steps) and 0.6999999999999997 for T = 0.7 (15 steps); u = e_11 / 2,
-    # v = vt = 0 on 8^2
-    st = mode_state(8, u_amp=0.5)
-    for T in (1.0, 0.7):
-        assert picard_duhamel(st, T, SystemParams()).t == T
-    # the steps are counted as integrate counts its own, so 2**53 steps or
-    # more are refused at once.  The error names the oracle's steps and
-    # their length H, here one turn of lam_max = 128, not a step dt the
-    # caller never passed
-    with pytest.raises(ValueError) as err:
-        picard_duhamel(st, 1e300, SystemParams())
-    assert str(err.value) == (
-        f"step count T/H = 1e+300/{2 * np.pi / 128} = {1e300 / (2 * np.pi / 128):.3e} "
-        "is not below 2**53, where a step index stops being exact"
-    )
+def test_picard_residuals_contract(monkeypatch):
+    # at the default tol the panel stops after 2 sweeps, on its contraction
+    # estimate; tol = 1e-14 shows the contraction over 4 (measured down to
+    # 3.5e-14)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-14)
+    st = standard_state(8)
+    log = []
+    picard_duhamel(st, 0.02, SystemParams(eps=1.0, dt=1.0), quad_nodes=12, residual_log=log)
+    assert len(log) >= 4
+    for a, b in zip(log, log[1:]):
+        assert b < a
 
 
-class _Counted(Exception):
-    pass
+def test_picard_predictor_is_fourth_order():
+    # A panel's first residual is the distance of the predictor from the
+    # first sweep, so it scales with the predictor's error: h^4 for the
+    # three-point exponential predictor (measured ratio 16.02 on halving
+    # h), where exponential Euler gives h^2 (4.00)
+    st = standard_state(8)
+    params = SystemParams(eps=1.0, dt=1.0)
+    first = []
+    for T in (0.01, 0.02):
+        log = []
+        picard_duhamel(st, T, params, quad_nodes=12, residual_log=log)
+        first.append(log[0])
+    assert 15 < first[1] / first[0] < 17
 
 
-@pytest.mark.parametrize("T, quad_nodes, steps", [(0.025, 128, 33), (0.1, 256, 131)])
-def test_picard_step_counts_of_the_oracle_and_acceptance_inputs(monkeypatch, T, quad_nodes, steps):
-    # the benchmark's oracle input (default 64^2 data, T = 0.025, 128 nodes)
-    # takes 33 steps and the acceptance suite's (T = 0.1, 256 nodes) 131:
-    # on both, one turn of lam_max = 8192 per step asks for more than
-    # quad_nodes / 4.  The count is read as picard_duhamel forms it, and
-    # the call stops there
-    counted = []
+def test_picard_divergence_error(monkeypatch):
+    st = replace(standard_state(8), t=0.3)
+    params = SystemParams(eps=1.0, dt=1.0)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-30)
+    monkeypatch.setattr(dynamics, "_PICARD_MAX_SWEEPS", 3)
+    with pytest.raises(PicardDivergenceError) as err:
+        picard_duhamel(st, 0.02, params)
+    assert err.value.iterations == 3
+    assert err.value.residual > 0
+    # the first panel fails, and it starts at the state's time
+    assert err.value.panel == 0
+    assert err.value.t_start == 0.3
+    assert "panel 0" in str(err.value) and "t = 0.3" in str(err.value)
+    # the panel's measured rate, the largest of its two residual ratios
+    theta = err.value.contraction
+    assert 0 < theta < 0.5
+    assert f"measured contraction {theta:.3e}" in str(err.value)
+    # one sweep measures no rate
+    monkeypatch.setattr(dynamics, "_PICARD_MAX_SWEEPS", 1)
+    with pytest.raises(PicardDivergenceError) as err:
+        picard_duhamel(st, 0.02, params)
+    assert err.value.contraction is None
+    assert str(err.value).endswith("after 1 iterations, no contraction measured after one sweep")
 
-    def count(T, h, *names):
-        counted.append(step_count(T, h, *names))
-        raise _Counted
-
-    step_count = dynamics._step_count
-    monkeypatch.setattr(dynamics, "_step_count", count)
-    cfg = RunConfig(T=T)
-    with pytest.raises(_Counted):
-        picard_duhamel(build_initial_state(cfg), T, build_params(cfg), quad_nodes=quad_nodes)
-    assert counted == [steps]
 
 
-def test_picard_matches_splitting_on_small_case():
-    # with the Yosida index set both solvers evaluate the identical
-    # projected nonlinearity, so the distance is pure time-discretization
-    # error (measured 4.6e-11); the unregularized cross-check at production
-    # resolution lives in the acceptance suite
-    st = standard_state(10)
-    params = SystemParams(eps=1.0, dt=2e-5, yosida_n=16.0)
-    fine = integrate(st, 0.05, params).final_state
-    for quad_nodes in (12, 17):
-        pic = picard_duhamel(
-            st, 0.05, SystemParams(eps=1.0, dt=1.0, yosida_n=16.0), quad_nodes=quad_nodes
-        )
-        assert difference_metric(pic, fine) < 1e-9
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_picard_refuses_non_finite_data_after_one_sweep(bad):
+    # a non-finite coefficient makes the first sweep's residual NaN, which
+    # no further sweep mends: the panel stops there instead of after
+    # _PICARD_MAX_SWEEPS, and numpy warns of nothing on the way
+    # (RuntimeWarnings fail this suite)
+    g = make_grid(np.pi, np.pi, 8, 8)
+    rng = np.random.default_rng(3)
+    u, v, vt = (random_field(g, rng, kind) for kind in ("complex", "real", "real"))
+    for params, component in ((SystemParams(), "u"), (SystemParams(yosida_n=4.0), "vt")):
+        fields = {"u": u, "v": v, "vt": vt}
+        coef = fields[component].coef.copy()
+        coef[2, 3] = bad
+        fields[component] = field_from_coef(g, coef)
+        with pytest.raises(PicardDivergenceError) as err:
+            picard_duhamel(make_state(**fields), 0.05, params)
+        assert err.value.iterations == 1 and np.isnan(err.value.residual)
+        assert "panel 0 (starting at t = 0.0): residual nan after 1 iterations" in str(err.value)
 
 
 def ivp_reference(st, T, params):
-    """The state at st.t + T of the semi-discrete system, integrated by
+    """u and v at st.t + T of the semi-discrete system, integrated by
     scipy's DOP853 at rtol = atol = 1e-13 from the data as the flow sees
     them: a solver that shares no time stepping with sibsim, only the
     kernel's products, so that both integrate the same ODE."""
@@ -1055,11 +1072,6 @@ def ivp_reference(st, T, params):
     return (y[:m] + 1j * y[m : 2 * m]).reshape(g.shape), y[2 * m : 3 * m].reshape(g.shape)
 
 
-def h1_l2_distance(grid, u, v) -> float:
-    """H1 of u plus L2 of v, the norm of the oracle's error estimate."""
-    return h1_norm(field_from_coef(grid, u)) + float(np.linalg.norm(v))
-
-
 @pytest.mark.parametrize(
     "params",
     [
@@ -1071,67 +1083,145 @@ def h1_l2_distance(grid, u, v) -> float:
 )
 def test_picard_meets_its_contract_against_solve_ivp(params):
     # complex phi and psi1 != 0 on 7 x 5 modes over (0, pi) x (0, 2): the
-    # oracle's distance to the reference stays within the sum of its own
-    # estimates, which stays within 1e-6 (measured 2.2e-10, 2.7e-10 and
-    # 9.4e-12 against sums of 1.4e-7, 1.6e-7 and 1.5e-10)
+    # oracle's distance to the reference, in H1 for u plus L2 for v, stays
+    # within 1e-10, where the stopping rule leaves each of the 4 panels
+    # within _PICARD_TOL = 1e-11 of its fixed point (measured 8.7e-12,
+    # 8.9e-12 and 9.4e-12)
     g = make_grid(np.pi, 2.0, 7, 5)
     rng = np.random.default_rng(21)
     st = make_state(random_field(g, rng, "complex"), random_field(g, rng), random_field(g, rng))
-    log = []
-    pic = picard_duhamel(st, 0.1, params, quad_nodes=64, residual_log=log)
+    pic = picard_duhamel(st, 0.1, params, quad_nodes=64)
     u, v = ivp_reference(st, 0.1, params)
-    assert h1_l2_distance(g, pic.u.coef - u, pic.v.coef - v) <= sum(log) <= 1e-6
+    du, dv = field_from_coef(g, pic.u.coef - u), field_from_coef(g, pic.v.coef - v)
+    assert h1_norm(du) + sobolev_norm(dv, 0.0) <= 1e-10
 
-
-def test_picard_error_estimate_bounds_the_distance_to_a_finer_run():
-    # 32 nodes ask for 8 steps on 8^2 random data over 0.05, 128 nodes for
-    # 32; the summed estimates of the coarser run bound its distance to
-    # the finer one (measured 3.6e-10 against 1.6e-7: the estimate is that
-    # of the unextrapolated fine value)
-    g = make_grid(np.pi, np.pi, 8, 8)
-    rng = np.random.default_rng(3)
-    st = make_state(random_field(g, rng, "complex"), random_field(g, rng), random_field(g, rng))
-    log = []
-    pic = picard_duhamel(st, 0.05, SystemParams(), quad_nodes=32, residual_log=log)
-    finer = picard_duhamel(st, 0.05, SystemParams(), quad_nodes=128)
-    assert len(log) == 8
-    assert 0 < h1_l2_distance(g, pic.u.coef - finer.u.coef, pic.v.coef - finer.v.coef) <= sum(log)
-
-
-def test_picard_refuses_a_step_too_long_for_its_estimate(monkeypatch):
-    # four turns of lam_max per step leave the default data 9 steps over
-    # 0.025, and the first one's estimate (measured 6.5e-7) is above its
-    # share 1e-6 / 9 of the bound: a plain NumericalAbort names the step,
-    # its start time and the estimate, which the log holds as well
-    monkeypatch.setattr(dynamics, "_RADIANS_PER_STEP", 4 * 2 * np.pi)
-    cfg = RunConfig(T=0.025)
-    st = replace(build_initial_state(cfg), t=0.5)
-    log = []
-    with pytest.raises(NumericalAbort) as err:
-        picard_duhamel(st, cfg.T, build_params(cfg), residual_log=log)
-    assert type(err.value) is NumericalAbort
-    assert len(log) == 1 and log[0] > 1e-6 / 9
+def test_picard_panels_end_on_the_horizon():
+    # panel k starts at t0 + k h and the last one ends at t0 + T, where a
+    # running sum of h returned t = 1.0000000000000004 for T = 1 and
+    # 0.7000000000000003 for T = 0.7 (u = e_11, v = vt = 0 on 8^2)
+    st = mode_state(8, u_amp=1.0)
+    for T in (1.0, 0.7):
+        assert picard_duhamel(st, T, SystemParams()).t == T
+    # the panels are counted as integrate counts its steps, so 2**53 panels
+    # or more are refused at once: T = 1e300 used to march 4e301 panels.
+    # The error names panels and the panel length h, capped at 0.025 here
+    # (8^2 modes), not a step dt the caller never passed
+    with pytest.raises(ValueError) as err:
+        picard_duhamel(st, 1e300, SystemParams())
     assert str(err.value) == (
-        f"oracle step 0 (starting at t = 0.5) has error estimate {log[0]:.3e}, "
-        f"not within its share {1e-6 / 9:.3e} of 1e-06"
+        "panel count T/h = 1e+300/0.025 = 4.000e+301 is not below 2**53, "
+        "where a panel index stops being exact"
     )
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_picard_refuses_non_finite_data(bad):
-    # a non-finite coefficient makes the first estimate NaN, which fails
-    # the rule: the oracle raises instead of returning NaN, and numpy warns
-    # of nothing on the way (RuntimeWarnings fail this suite)
-    g = make_grid(np.pi, np.pi, 8, 8)
-    rng = np.random.default_rng(3)
-    u, v, vt = (random_field(g, rng, kind) for kind in ("complex", "real", "real"))
-    for params, component in ((SystemParams(), "u"), (SystemParams(yosida_n=4.0), "vt")):
-        fields = {"u": u, "v": v, "vt": vt}
-        coef = fields[component].coef.copy()
-        coef[2, 3] = bad
-        fields[component] = field_from_coef(g, coef)
-        with pytest.raises(NumericalAbort, match=r"oracle step 0 .* error estimate nan"):
-            picard_duhamel(make_state(**fields), 0.05, params)
+class _Counted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("T, quad_nodes, panels", [(0.025, 128, 1), (0.1, 256, 4)])
+def test_picard_panel_counts_of_the_oracle_and_acceptance_inputs(monkeypatch, T, quad_nodes, panels):
+    # the benchmark's oracle input (default 64^2 data, T = 0.025, 128 nodes)
+    # takes 1 panel, and the acceptance suite's (T = 0.1, 256 nodes) 4; the
+    # count is read as picard_duhamel forms it, and the call stops there
+    counted = []
+
+    def count(T, h, *names):
+        counted.append(step_count(T, h, *names))
+        raise _Counted
+
+    step_count = dynamics._step_count
+    monkeypatch.setattr(dynamics, "_step_count", count)
+    cfg = RunConfig(T=T)
+    with pytest.raises(_Counted):
+        picard_duhamel(build_initial_state(cfg), T, build_params(cfg), quad_nodes=quad_nodes)
+    assert counted == [panels]
+
+
+@pytest.mark.parametrize(
+    "residuals, stops",
+    [
+        ([5e-12], True),
+        ([2e-11], False),
+        # theta = 0.01: the estimate 1e-10 * 0.01 / 0.99 = 1.0e-12
+        ([1e-6, 1e-8, 1e-10], True),
+        # the last ratio 3.3e-5 alone would stop; the first, 0.6, is the
+        # panel's rate, and at theta >= 1/2 only r_k < tol stops
+        ([1e-6, 6e-7, 2e-11], False),
+    ],
+)
+def test_picard_stops_on_the_measured_contraction(residuals, stops):
+    assert dynamics._panel_converged(residuals) is stops
+
+
+def test_picard_contraction_estimate_bounds_the_fixed_point_distance(monkeypatch):
+    # The default tol stops the panel on the estimate r_k theta/(1 - theta)
+    # while r_k itself is still above tol, and the end state is within tol
+    # of a run at tol = 1e-14 (measured 6.9e-12)
+    st = standard_state(8)
+    params = SystemParams(eps=1.0, dt=1.0)
+    log = []
+    pic = picard_duhamel(st, 0.02, params, quad_nodes=12, residual_log=log)
+    assert log[-1] >= 1e-11
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-14)
+    tight = picard_duhamel(st, 0.02, params, quad_nodes=12)
+    assert difference_metric(pic, tight) < 1e-11
+
+
+def test_picard_matches_splitting_on_small_case():
+    # with the Yosida index set both solvers evaluate the identical
+    # projected nonlinearity, so the distance is pure time-discretization
+    # error (measured 4.6e-11); the unregularized cross-check at production
+    # resolution lives in the acceptance suite
+    # 10 grid rows leave a last grid-row block that is not full
+    st = standard_state(10)
+    params = SystemParams(eps=1.0, dt=2e-5, yosida_n=16.0)
+    fine = integrate(st, 0.05, params).final_state
+    assert st.grid.Nx % dynamics._GRID_ROWS != 0
+    for quad_nodes in (12, 17):
+        pic = picard_duhamel(
+            st, 0.05, SystemParams(eps=1.0, dt=1.0, yosida_n=16.0), quad_nodes=quad_nodes
+        )
+        assert difference_metric(pic, fine) < 1e-9
+
+
+def gauss_nodes(P: int, h: float) -> np.ndarray:
+    """The P Gauss-Legendre nodes on (0, h)."""
+    return (np.polynomial.legendre.leggauss(P)[0] + 1.0) * 0.5 * h
+
+
+@pytest.mark.parametrize("P", [8, 16, 17, 32, 128])
+def test_integration_weights_integrate_monomials_exactly(P):
+    # W integrates every polynomial of degree < P on P nodes exactly from 0
+    # to each target; on a panel (0, h), t^k for k < P against
+    # h t^(k+1) / (k+1) in units of h.  The targets are the nodes
+    # themselves, and, as for the coarse level of a Picard panel, 128 fine
+    # nodes and the panel end h (measured worst 2.4e-15 relative).
+    h = 0.025
+    nodes = gauss_nodes(P, h)
+    for targets in (nodes, np.append(gauss_nodes(128, h), h)):
+        W = dynamics._integration_weights(nodes, targets)
+        assert W.shape == (len(targets), P)
+        x, y = nodes / h, targets / h
+        for k in range(P):
+            exact = h * y ** (k + 1) / (k + 1)
+            err = np.max(np.abs(W @ x**k - exact))
+            assert err <= 1e-12 * np.max(np.abs(exact)), (len(targets), k, err)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_weighted_node_sums_match_the_node_loop(dtype):
+    # the stacked quadrature sums against the per-node loop they replace;
+    # only the summation order differs
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((17, 6, 5)).astype(dtype)
+    if dtype is complex:
+        stack += 1j * rng.standard_normal(stack.shape)
+    W = rng.standard_normal((5, 17))
+    got = dynamics._weighted_sum(W, stack)
+    loop = np.array([sum(W[i, j] * stack[j] for j in range(17)) for i in range(5)])
+    assert got.dtype == stack.dtype and got.shape == (5, 6, 5)
+    assert np.max(np.abs(got - loop)) < 1e-13
+    assert np.allclose(dynamics._weighted_sum(W[0], stack), loop[0], rtol=0, atol=1e-13)
 
 
 def free_flow(st, eps, s):
@@ -1146,11 +1236,244 @@ def free_flow(st, eps, s):
     return u, v, vt
 
 
+def plain_picard_panel(st, params, h, P):
+    """One Picard panel (0, h) written out on a single level, without
+    blocks or per-axis phases: the three-point exponential predictor at
+    every node, then Jacobi sweeps whose quadrature sums run over whole node
+    stacks until the oracle's stopping rule holds (at dynamics._PICARD_TOL), and the panel end from
+    the full-panel sums of the last sweep.  Returns the residual log and the
+    end state's (u, v, vt)."""
+    grid = st.grid
+    lam = grid.lam
+    ker = dynamics._Kernels(grid, params, None)
+    w = ker.w
+    xg, wg = np.polynomial.legendre.leggauss(P)
+    nodes = (xg + 1.0) * 0.5 * h
+    W = dynamics._integration_weights(nodes, nodes)
+    s = nodes[:, None, None]
+    phase, c, sc = np.exp(1j * lam * s), np.cos(s * w), np.sin(s * w) / w
+    u0, v0, vt0 = st.u.coef.astype(complex), st.v.coef, st.vt.coef
+
+    def duhamel(t, p, ws):
+        """u and v at times t (a column of shape (k, 1, 1)) of the Duhamel
+        form whose integrands p and ws are the quadratics through the values
+        given at 0, h/2 and h, integrated exactly."""
+        c1, d1 = ((4 * f[1] - 3 * f[0] - f[2]) / h for f in (p, ws))
+        c2, d2 = (2 * (f[2] - 2 * f[1] + f[0]) / h**2 for f in (p, ws))
+        q2 = c2 / lam
+        q1 = c1 / lam + 2j * c2 / lam**2
+        q0 = p[0] / lam + 1j * c1 / lam**2 - 2 * c2 / lam**3
+        Wt = ws[0] - 2 * d2 / ker.w2
+        u = np.exp(-1j * lam * t) * (u0 + q0) - q0 - t * q1 - t**2 * q2
+        v = np.cos(t * w) * (v0 + Wt) + np.sin(t * w) / w * (vt0 + d1) - Wt - t * d1 - t**2 * d2
+        return u, v
+
+    # exponential Euler (integrands frozen at 0) at h/2 and h, then the
+    # quadratic model through its integrands there, twice
+    p = [ker.coupled_product(v0, u0)] * 3
+    ws = [ker.wave_source(u0)] * 3
+    ends = np.array([0.5 * h, h])[:, None, None]
+    for _ in range(2):
+        u, v = duhamel(ends, p, ws)
+        p = p[:1] + [ker.coupled_product(vi, ui) for vi, ui in zip(v, u)]
+        ws = ws[:1] + [ker.wave_source(ui) for ui in u]
+    us, vs = duhamel(s, p, ws)
+    log = []
+    while not log or not dynamics._panel_converged(log):
+        pvu = phase * np.array([ker.coupled_product(v, u) for v, u in zip(vs, us)])
+        g = -ker.w2 * np.array([ker.wave_source(u) for u in us])
+        Iu, Ia, Ib = (np.einsum("ij,jkl->ikl", W, f) for f in (pvu, c * g, sc * g))
+        un = np.conj(phase) * (u0 - 1j * Iu)
+        vn = c * v0 + sc * vt0 + sc * Ia - c * Ib
+        du = np.sqrt(np.sum((1.0 + lam) * np.abs(un - us) ** 2, axis=(1, 2)))
+        dv = np.sqrt(np.sum((vn - vs) ** 2, axis=(1, 2)))
+        log.append(float(np.max(du + dv)))
+        us, vs = un, vn
+    Iu, Ia, Ib = (np.einsum("j,jkl->kl", wg * 0.5 * h, f) for f in (pvu, c * g, sc * g))
+    ch, sh = np.cos(w * h), np.sin(w * h)
+    u = np.exp(-1j * lam * h) * (u0 - 1j * Iu)
+    v = ch * v0 + sh / w * vt0 + sh / w * Ia - ch * Ib
+    vt = -w * sh * v0 + ch * vt0 + ch * Ia + w * sh * Ib
+    return log, (u, v, vt)
+
+
+def test_picard_residual_is_the_worst_node_of_every_row_block(monkeypatch):
+    # A coupled panel whose sums run over grid-row blocks (10 rows leave the
+    # last one partial) against the same iteration written without blocks:
+    # the same residual, largest over all 17 nodes, in every sweep, and the
+    # same panel end; tol = 1e-14 asks for a fourth sweep
+    st = standard_state(10)
+    assert st.grid.Nx % dynamics._GRID_ROWS != 0
+    params = SystemParams(eps=0.5, dt=1.0)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-14)
+    log = []
+    pic = picard_duhamel(st, 0.02, params, quad_nodes=17, residual_log=log)
+    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 17)
+    assert len(log) == len(ref_log) >= 4
+    # rel 1e-12 binds the first sweeps; the last residuals are differences
+    # of iterates of size 1, so round-off leaves them an absolute floor
+    # (measured 7e-19)
+    assert log == pytest.approx(ref_log, rel=1e-12, abs=1e-15)
+    for got, ref in zip((pic.u, pic.v, pic.vt), ref_end):
+        assert np.max(np.abs(got.coef - ref)) < 1e-13
+
+
+def test_picard_panel_makes_m_p_plus_five_node_evaluations(monkeypatch):
+    # An unregularized, dealiased panel: the predictor evaluates the two
+    # products 5 times (at the panel's left edge, then twice at h/2 and at
+    # h), and each of the m sweeps at every node; the panel end takes no
+    # fill of its own.  A node evaluation is 3 transforms on the padded
+    # grid (two syntheses and one analysis of P(v, u)) and 2 on the band
+    # (one of each for W(u)).  With P = 8 nodes the default tol is met in
+    # 2 sweeps and 1e-14 asks for a fourth.  P = 32 takes the coarse level
+    # of P_c = 16 nodes (lam_max h = 2.56 asks for fewer than the floor of
+    # 16), which adds one sweep over those nodes, mP + P_c + 5 in all, and
+    # 1e-14 is met in 3 fine sweeps.
+    st = standard_state(8)
+    params = SystemParams(eps=1.0, dt=1.0)
+    pad = dynamics._Kernels(st.grid, params, None).prod_shape
+    assert pad != st.grid.shape
+    counts = count_transforms(monkeypatch)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-14)
+    for P, P_c, sweeps in [(8, 0, 4), (32, 16, 3)]:
+        counts.clear()
+        log = []
+        picard_duhamel(st, 0.02, params, quad_nodes=P, residual_log=log)
+        m = len(log)
+        assert m >= sweeps
+        n = m * P + P_c + 5
+        assert counts == {pad: 3 * n, st.grid.shape: 2 * n}, P
+
+
+def test_picard_two_level_start_keeps_the_fine_fixed_point(monkeypatch):
+    # 32 nodes take a coarse sweep on 16 first; the fine sweeps then start
+    # one sweep further on, and the panel converges to the same 32-node
+    # fixed point as the single-level iteration (measured 9e-19 apart)
+    st = standard_state(8)
+    params = SystemParams(eps=1.0, dt=1.0)
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-14)
+    log = []
+    pic = picard_duhamel(st, 0.02, params, quad_nodes=32, residual_log=log)
+    ref_log, ref_end = plain_picard_panel(st, params, 0.02, 32)
+    assert len(log) == len(ref_log) - 1
+    for got, ref in zip((pic.u, pic.v, pic.vt), ref_end):
+        assert np.max(np.abs(got.coef - ref)) < 1e-13
+
+
+def test_picard_default_preset_converges_in_two_fine_sweeps(monkeypatch):
+    # The default 64^2 data on one panel of 0.025 with 128 nodes, the
+    # benchmark's oracle input: the coarse level of 32 nodes leaves the
+    # fine sweeps contracting by about 1e-4 (residuals 2.8e-6, 3.4e-10),
+    # so the default tol is met after 2 fine sweeps where one level took 3,
+    # and the end state is within tol of a run at tol = 1e-15 (measured
+    # 7.2e-13)
+    cfg = RunConfig(T=0.025)
+    params = build_params(cfg)
+    state0 = build_initial_state(cfg)
+    log = []
+    pic = picard_duhamel(state0, cfg.T, params, quad_nodes=128, residual_log=log)
+    assert len(log) == 2
+    monkeypatch.setattr(dynamics, "_PICARD_TOL", 1e-15)
+    tight = picard_duhamel(state0, cfg.T, params, quad_nodes=128)
+    assert difference_metric(pic, tight) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "case, P, levels",
+    [("8^2", 12, {12}), ("8^2", 17, {17}), ("8^2", 32, {32, 16}), ("17x4", 34, {34, 17})],
+)
+def test_picard_node_tables_match_the_wave_rotation(monkeypatch, case, P, levels):
+    # The oracle keeps the wave phase exp(-i s w) at the first ceil(n/2)
+    # nodes of each level and mirrors the rest a block of grid rows at a
+    # time.  Every phase a sweep or the predictor reads comes from _mirror
+    # and must equal free_flow's at every node: even and odd P on one level,
+    # and with a coarse level of 16 nodes, and of 17 nodes on 17 x 4 modes
+    # over (0, pi/4) x (0, pi) (lam_max h = 106.7 asks for 17), where
+    # eps = 0 leaves omega up to 68.  The first half is free_flow's own
+    # table; the mirrored half measured within 1.75 eps of cos(s w) and
+    # 1.9 eps h w of sin(s w), h w bounding s w on a panel (the bound 4 eps h
+    # on sinc(s w) = sin(s w)/w that the real tables were held to).
+    if case == "8^2":
+        st, T, params = standard_state(8), 0.02, SystemParams(eps=0.5, dt=1.0)
+    else:
+        g = make_grid(np.pi / 4, np.pi, 17, 4)
+        rng = np.random.default_rng(3)
+        st = make_state(
+            random_field(g, rng, "complex"), random_field(g, rng), random_field(g, rng)
+        )
+        T, params = 0.023, SystemParams(eps=0.0, dt=1.0)
+    ker = dynamics._Kernels(st.grid, params, None)
+    eps = np.finfo(float).eps
+    mirror = dynamics._mirror
+    rows_seen: dict[int, set] = {}
+
+    def checked(lv, wave_h, rows, out):
+        phases = mirror(lv, wave_h, rows, out)
+        exact = ker.free_flow(lv.s)[1][:, rows]
+        m = len(lv.wave)
+        assert np.array_equal(phases[:m], exact[:m])
+        h = float(lv.s[0, 0, 0] + lv.s[-1, 0, 0])
+        err = phases - exact
+        assert np.max(np.abs(err.real)) <= 4 * eps
+        assert np.max(np.abs(err.imag) / (h * ker.w[rows])) <= 4 * eps
+        rows_seen.setdefault(len(lv.s), set()).update(range(st.grid.Nx)[rows])
+        return phases
+
+    monkeypatch.setattr(dynamics, "_mirror", checked)
+    picard_duhamel(st, T, params, quad_nodes=P)
+    assert rows_seen == {n: set(range(st.grid.Nx)) for n in levels}
+
+
+def test_picard_peak_memory_on_the_oracle_input():
+    # The default 64^2 data with 128 nodes, the benchmark's oracle input:
+    # the stacks take 56 B per node-mode entry, and the traced peak of one
+    # call measured 61.2 B with blocks of 3 grid rows (62.5 B with the real
+    # cos(s w) and sinc(s w) tables at half the nodes, 71.4 B with whole
+    # ones).
+    cfg = RunConfig(T=0.025)
+    params = build_params(cfg)
+    state0 = build_initial_state(cfg)
+    picard_duhamel(state0, cfg.T, params, quad_nodes=128)  # fills the transform caches
+    tracemalloc.start()
+    try:
+        picard_duhamel(state0, cfg.T, params, quad_nodes=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (128 * cfg.nx * cfg.ny) < 64
+
+
+def test_picard_peak_memory_per_node_mode_entry():
+    # The node stacks take 56 B per node-mode entry: the complex iterates u
+    # and P(v, u), the real iterates v = Re z and omega W(u), and the wave
+    # phase exp(-i s w) at half the nodes.  On 24 x 20 modes with 64 nodes,
+    # which start on a coarse level of 16 nodes, the traced peak of one
+    # call, block temporaries and products included, measured 73.0 B (74.5
+    # B with real cos(s w) and sinc(s w) tables at half the nodes, 85.4 B
+    # with whole ones); storing the phases exp(i lam s) and the phase
+    # products as stacks too measured 121 B.
+    g = make_grid(np.pi, np.pi, 24, 20)
+    rng = np.random.default_rng(5)
+    st = make_state(
+        random_field(g, rng, "complex"), random_field(g, rng), random_field(g, rng)
+    )
+    params = SystemParams(eps=1.0, dt=1.0)
+    picard_duhamel(st, 0.005, params, quad_nodes=64)  # fills the transform caches
+    tracemalloc.start()
+    try:
+        picard_duhamel(st, 0.005, params, quad_nodes=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (64 * g.Nx * g.Ny) < 100
+
+
 def test_picard_exact_without_coupling(decoupled):
-    # Two steps of 0.02, on the standard state and on 10 x 6 modes over
-    # (0, pi) x (0, 2), where the two axes differ in length and in
-    # eigenvalues
+    # Two panels of 0.02, on the standard state and on 10 x 6 modes over
+    # (0, pi) x (0, 2), where the per-axis phase factors differ in length
+    # and in eigenvalues and the 10 grid rows end in a partial block
     g = make_grid(np.pi, 2.0, 10, 6)
+    assert g.Nx % dynamics._GRID_ROWS != 0
     rng = np.random.default_rng(11)
     non_square = make_state(
         random_field(g, rng, "complex"), random_field(g, rng), random_field(g, rng)
@@ -1161,6 +1484,6 @@ def test_picard_exact_without_coupling(decoupled):
         pic = picard_duhamel(st, 0.04, params, quad_nodes=8, residual_log=log)
         for got, exact in zip((pic.u, pic.v, pic.vt), free_flow(st, 0.5, 0.04)):
             assert np.max(np.abs(got.coef - exact)) < 1e-13
-        # both values of a step are the same free flow of its start, array
-        # for array, so each step's estimate is exactly 0
+        # the predictor is the free flow itself, so each panel's one sweep
+        # changes nothing
         assert log == [0.0, 0.0]
