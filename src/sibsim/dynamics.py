@@ -36,7 +36,7 @@ which also decides where each nonlinear term is sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, factorial, inf, ulp
+from math import ceil, factorial, inf
 from typing import NamedTuple
 
 import numpy as np
@@ -154,7 +154,7 @@ class SystemParams:
     Attributes:
         eps: wave-regularization strength in [0, 1]; 1 recovers the
             improved-Boussinesq system, 0 the Zakharov system.
-        dt: time step used by integrate.
+        dt: largest step: `integrate` takes ceil(T/dt) equal steps.
         yosida_n: optional Yosida index n; when set, every nonlinearity is
             evaluated as J_n(J_n v * J_n u) (and J_n |J_n u|^2 in the wave
             source), mirroring the regularized system, and the initial
@@ -250,12 +250,13 @@ _TAYLOR_PHASE = 0.125
 _TAYLOR_TOL = 1e-17
 
 # Fraction of a step within which integrate counts a time as reached, in
-# the step count T/dt and in the step of each checkpoint: their rounding
-# grows with the step count (4e-12 at 3e4 steps) but stays far below this.
+# the step count T/dt and in the step (time - t0)/h of each checkpoint:
+# their rounding grows with the step count (4e-12 at 3e4 steps) but stays
+# far below this.
 _STEP_TOL = 1e-6
 
 # The fewest steps a run may not take: from 2**53 on, float64 integers are
-# at least 2 apart, so the step index i behind a time t0 + i dt is no
+# at least 2 apart, so the step index i behind a time t0 + i h is no
 # longer exact.
 _MAX_STEPS = 2.0**53
 
@@ -267,8 +268,9 @@ _SIN_TAYLOR = tuple((-1) ** j / factorial(2 * j + 1) for j in range(5))
 
 
 def _step_count(T: float, dt: float, name: str = "step", length: str = "dt") -> int:
-    """The number of steps of dt that reach T, at least 1, the last one
-    shortened; a T within _STEP_TOL of a step counts as reached there.
+    """The number of steps of at most dt that reach T in equal steps, at
+    least 1; a T within _STEP_TOL of a whole number of dt counts as
+    reached there.
     `name` and `length` name the step and its length in the error.
 
     Raises:
@@ -632,39 +634,39 @@ def integrate(
     monitor=None,
     checkpoint_times: tuple[float, ...] = (),
 ) -> TrajectoryRecord:
-    """March the splitting from state0.t over a horizon T with dt=params.dt.
+    """March the splitting from state0.t over a horizon T in n =
+    ceil(T/dt) equal steps of h = T/n (params.dt is the largest step), all
+    on one kernel of length h.
 
     A step is one symmetric Strang splitting step: the exact wave flow over
-    dt/2 with the source W(u) frozen (`_Kernels.wave_half`), the
+    h/2 with the source W(u) frozen (`_Kernels.wave_half`), the
     Schrodinger part with v frozen at the half step (`_Kernels.step`), and
-    a second half wave with the source refreshed from the new u.  The final
-    step is shortened to land exactly on state0.t + T, and runs on a
-    kernel of its own length.  The time after step i is t0 + i dt, formed
+    a second half wave with the source refreshed from the new u.  Equal
+    steps make the run one symmetric composition of one kernel's exact
+    flows (Hairer, Lubich and Wanner, Geometric Numerical Integration, 2nd
+    ed. (2006), II.5 and V.1).  The time after step i is t0 + i h, formed
     from the step index, and t0 + T after the last; a horizon of 2**53
     steps or more is refused with ValueError, as the index would no longer
-    be exact.
+    be exact.  On a horizon that is a whole number of dt, h is dt up to
+    the rounding of T/n (bit for bit on the default and benchmark runs).
 
     This loop is the one place the steps are composed, in leapfrog form.
     `_Kernels.step` returns the source of its new u, which is also the
     source the next step opens with: a step forms one wave source, not
     two, as the "first same as last" stage of Dormand and Prince (J.
-    Comput. Appl. Math. 6 (1980)); wave_source does not depend on dt, so
-    the source carries over to the shortened step as well.  The closing
-    half wave of one step and the opening half wave of the next then flow
-    with the same source, so together they are the exact wave flow over dt
-    (`_Kernels.wave_full`), the leapfrog form of the splitting (Hairer,
-    Lubich and Wanner, Geometric Numerical Integration, 2nd ed. (2006),
-    II.5).  The loop carries u and the wave amplitude z = v + i vt/omega
-    (see _Kernels), so every wave flow is one phase, and hands each step
-    v = Re z; a state is converted back, v = Re z and vt = omega Im z, only
-    where it is kept.  z runs half a step ahead of u: the run opens with a
-    half wave, takes one full-step wave flow between two steps of one
-    kernel, and closes with a half wave at the end and before the
-    shortened last step, which opens again with a half wave of its own
-    kernel.  A state kept between two merged steps (a monitor row, a
-    checkpoint) takes its z from a half wave of the mid-step z, and the
-    run goes on from the full-step flow of the same array: where a run
-    keeps its states does not change its trajectory.
+    Comput. Appl. Math. 6 (1980)).  The closing half wave of one step and
+    the opening half wave of the next then flow with the same source, so
+    together they are the exact wave flow over h (`_Kernels.wave_full`),
+    the leapfrog form of the splitting.  The loop carries u and the wave
+    amplitude z = v + i vt/omega (see _Kernels), so every wave flow is one
+    phase, and hands each step v = Re z; a state is converted back, v =
+    Re z and vt = omega Im z, only where it is kept.  z runs half a step
+    ahead of u: the run opens with a half wave, takes one full-step wave
+    flow between steps, and closes with a half wave at the end.  A state
+    kept between two steps (a monitor row, a checkpoint) takes its z from
+    a half wave of the mid-step z, and the run goes on from the full-step
+    flow of the same array: where a run keeps its states does not change
+    its trajectory.
 
     Every transform of a step runs in `_Kernels.step`: 5 band transforms
     for a nodal step, so a nodal run of m steps makes 5m + 2 with the
@@ -689,7 +691,7 @@ def integrate(
             is the run's own array, which the row must not write.
         checkpoint_times: for each time, the state after the first completed
             step at or after it, within a millionth of a step, is kept; the
-            step is counted from (time - t0)/dt, and a time before t0
+            step is counted from (time - t0)/h, and a time before t0
             keeps the state at t0.
     """
     dt = params.dt
@@ -699,15 +701,16 @@ def integrate(
         raise ValueError("monitor_stride must be >= 1")
 
     n_steps = _step_count(T, dt)
+    h = T / n_steps
     state = prepare_initial_state(state0, params)
-    ker = _Kernels(state.grid, params, dt)
+    ker = _Kernels(state.grid, params, h)
     t0 = state.t
     # the number of steps after which each checkpoint is kept, picked by
     # index, so that no drift of the accumulated t moves it
     at_step: dict[int, list[float]] = {}
     for tau in sorted(checkpoint_times):
         _check_checkpoint_time(tau, t0, T, dt)
-        at_step.setdefault(min(n_steps, max(0, ceil((tau - t0) / dt - _STEP_TOL))), []).append(tau)
+        at_step.setdefault(min(n_steps, max(0, ceil((tau - t0) / h - _STEP_TOL))), []).append(tau)
     u = state.u.coef.astype(np.complex128)
     w = ker.w
     z = state.v.coef + 1j * (state.vt.coef / w)
@@ -739,43 +742,25 @@ def integrate(
         t_finite = t
         return None if row else _state_from_coef(state.grid, u.copy(), kv, kvt, t)
 
-    def last_kernel(t_start: float) -> _Kernels:
-        """The kernel of the last step, which starts at t_start and lands
-        on t0 + T: ker itself unless that step is shortened or lengthened
-        by more than the rounding of the times.  t_start, t0 + T and T
-        against a whole number of dt each carry up to about an ulp of
-        t0 + T, whatever the step count."""
-        step_dt = (t0 + T) - t_start
-        same = abs(step_dt - dt) <= 4 * ulp(t0 + T)
-        return ker if same else _Kernels(state.grid, params, step_dt)
-
     if monitor is not None:
         keep(t0, 0, z, row=True)
-    t = t0
     for tau in at_step.get(0, ()):
         checkpoints[tau] = keep(t0, 0, z)
-    step_ker = ker if n_steps > 1 else last_kernel(t0)
     # each step's u, every kept state and every monitor row is checked for
     # finiteness below, so a divergence names itself; numpy's overflow and
     # invalid-value warnings on the way there would only add stderr lines
     with np.errstate(over="ignore", invalid="ignore"):
-        z = step_ker.wave_half(z, f)
+        z = ker.wave_half(z, f)
         for i in range(n_steps):
             last = i == n_steps - 1
             # times by step index, so that no running sum drifts
-            t_next = t0 + T if last else t0 + (i + 1) * dt
-            next_ker = last_kernel(t_next) if i == n_steps - 2 else step_ker
+            t = t0 + T if last else t0 + (i + 1) * h
             row = monitor is not None and ((i + 1) % monitor_stride == 0 or last)
-            u, f = step_ker.step(u, z.real)
+            u, f = ker.step(u, z.real)
             # z is half a step behind the new u; the flows write new
             # arrays, so a closed z stays as it is kept
-            close = last or next_ker is not step_ker
-            closed = step_ker.wave_half(z, f) if close or row or i + 1 in at_step else None
-            if close:
-                z = closed if last else next_ker.wave_half(closed, f)
-            else:
-                z = step_ker.wave_full(z, f)
-            step_ker, t = next_ker, t_next
+            closed = ker.wave_half(z, f) if last or row or i + 1 in at_step else None
+            z = closed if last else ker.wave_full(z, f)
             if not np.isfinite(u[0, 0]):
                 raise BlowupError(t_finite, i + 1, "u")
             if row:

@@ -55,6 +55,7 @@ from .dynamics import (
     State,
     SystemParams,
     _Kernels,
+    _step_count,
     integrate,
     prepare_initial_state,
 )
@@ -189,8 +190,9 @@ def _start(config: RunConfig, params: SystemParams) -> tuple[State, RunMonitor]:
 
 
 def _sample_times(config: RunConfig) -> tuple[float, ...]:
-    """The times a run samples: every monitor_stride-th step and T."""
-    step = config.monitor_stride * config.dt
+    """The times a run samples: every monitor_stride-th of its equal steps
+    of T / ceil(T/dt), and T."""
+    step = config.monitor_stride * (config.T / _step_count(config.T, config.dt))
     # k * step, not a running sum, which drifts past a step in long runs
     return (*(k * step for k in range(1, math.ceil(config.T / step - _STEP_TOL))), config.T)
 
@@ -693,7 +695,8 @@ def _order_test(config: RunConfig) -> tuple[dict, list[Assertion]]:
     """Run to T at every dt of dt_list and at dt_min / 8, the reference the
     errors are taken against; the reports (with each run's charge and
     energy drift, not asserted) and the splitting-second-order
-    assertion on the mean observed order.  Errors at round-off, at most
+    assertion on the mean observed order, each order measured against the
+    equal steps T / ceil(T/dt) the runs take.  Errors at round-off, at most
     1e-11 of the reference's own size in their metric, skip the
     measurement only when u = 0 (zero data, a free wave), where both
     couplings vanish and the splitting is the exact free flow; with u != 0
@@ -704,6 +707,11 @@ def _order_test(config: RunConfig) -> tuple[dict, list[Assertion]]:
     for a, b in zip(dts, dts[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ValueError("dt_list must halve from entry to entry")
+    if config.T < dts[0]:
+        # below it two runs can take the same steps, and no order shows
+        raise ValueError(
+            f"order test horizon T = {config.T} is shorter than its largest dt = {dts[0]}"
+        )
 
     state0 = build_initial_state(config)
     runs = _ladder(config, state0, [{"dt": dt} for dt in (dts[-1] / 8.0, *dts)])
@@ -717,7 +725,11 @@ def _order_test(config: RunConfig) -> tuple[dict, list[Assertion]]:
             return {**reports, "skipped": True}, []
         detail = "errors at round-off do not depend on dt although u != 0: observed order 0"
         return reports, [_holds("splitting-second-order", -1.9, detail)]
-    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    steps = [config.T / _step_count(config.T, dt) for dt in dts]
+    orders = [
+        math.log2(a / b) / math.log2(h_a / h_b)
+        for a, b, h_a, h_b in zip(errors, errors[1:], steps, steps[1:])
+    ]
     mean_order = sum(orders) / len(orders)
     reports.update(orders=orders, mean_order=mean_order)
     detail = f"mean observed order {mean_order:.3f}"

@@ -378,6 +378,28 @@ def test_order_test_rejects_bad_dt_list(tmp_path):
     )
 
 
+@pytest.mark.parametrize("t", ["0.004", "0.0001"])
+def test_order_test_refuses_a_horizon_below_its_largest_dt(tmp_path, capsys, t):
+    # below dt = 0.01, the runs at 0.01 and 0.005 take the same single step
+    # of T, so their errors show no order, and the order against the steps
+    # taken would be 0 / 0
+    cfg = write(tmp_path, f"[grid]\nnx = 4\nny = 4\n[run]\nt = {t}\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "order-test"]) == 2
+    err = capsys.readouterr().err
+    assert f"horizon T = {float(t)} is shorter than its largest dt = 0.01" in err
+
+
+def test_order_test_measures_orders_against_the_steps_taken(tmp_path):
+    # T = 0.012 is 2, 3 and 5 equal steps at dt = 0.01, 0.005 and 0.0025,
+    # which do not halve: against those steps the orders read 2.011 and
+    # 2.022, and log2 of the error ratios alone would read 1.176 and 1.490
+    code, manifest = run_quietly(tmp_path, GRID_8 + "[run]\nt = 0.012\n", "order-test")
+    assert code == 0
+    orders = manifest["reports"]["orders"]
+    assert len(orders) == 2
+    assert all(1.9 <= order <= 2.1 for order in orders), orders
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [

@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import reduce
 from math import ceil, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,7 +392,7 @@ def test_nodal_step_makes_5_band_transforms(monkeypatch):
 
 def test_nodal_integrate_makes_5m_plus_2_band_transforms(monkeypatch):
     # the initial source once, then 5 per step: each step hands the source
-    # of its new u to the next, the shortened last step included
+    # of its new u to the next; 7.5 dt is 8 equal steps of 7.5 dt / 8
     cfg = RunConfig()
     params = build_params(cfg)
     st = build_initial_state(cfg)
@@ -673,15 +674,33 @@ def test_integrate_validation():
         integrate(st, 1.0, SystemParams(), monitor_stride=0)
 
 
-def test_final_step_is_shortened():
+def recorded_kernels(monkeypatch):
+    """The step lengths of the _Kernels built from here on, in order."""
+    lengths = []
+    init = dynamics._Kernels.__init__
+
+    def recorded(self, grid, params, dt):
+        lengths.append(dt)
+        init(self, grid, params, dt)
+
+    monkeypatch.setattr(dynamics._Kernels, "__init__", recorded)
+    return lengths
+
+
+@pytest.mark.parametrize("T, n", [(0.55, 6), (0.5, 5), (0.05, 1), (0.1037, 2)])
+def test_integrate_takes_equal_steps_on_one_kernel(monkeypatch, T, n):
+    # T in ceil(T/dt) equal steps of T/n, all on one kernel, whether or not
+    # T is a whole number of dt = 0.1 or shorter than it: 0.55 is 6 steps
+    # of 0.55/6, not 5 of 0.1 and a sixth of 0.05 on a kernel of its own
     st = standard_state(8)
     monitor = RunMonitor.from_state(st)
-    rec = integrate(st, 0.55, SystemParams(eps=1.0, dt=0.1), monitor_stride=1, monitor=monitor)
+    lengths = recorded_kernels(monkeypatch)
+    rec = integrate(st, T, SystemParams(eps=1.0, dt=0.1), monitor_stride=1, monitor=monitor)
+    assert lengths == [T / n]
     times = rec.series["t"]
-    assert times[-1] == 0.55
-    assert rec.final_state.t == 0.55
-    assert len(times) == 7  # t0, five full steps, one short step
-    assert np.allclose(times[:-1], np.arange(6) * 0.1, atol=1e-12)
+    assert len(times) == n + 1
+    assert np.array_equal(times[:-1], np.arange(n) * (T / n))
+    assert times[-1] == rec.final_state.t == T
 
 
 def test_checkpoints_returned_at_requested_times():
@@ -754,23 +773,17 @@ def test_state_at_t0_is_the_prepared_input_bit_for_bit(yosida_n):
 def test_step_count_ignores_the_rounding_of_T_over_dt(monkeypatch, decoupled):
     # 16.01 / 5e-4 = 32020.000000000004, whose rounding a tolerance of
     # 1e-12 steps did not absorb: the run took one more step, of -8e-12.
-    # Timed by a running sum, the last step then started 8e-12 dt early and
-    # built a kernel of its own; timed by its index, it is dt (1 + 4.8e-12),
-    # within an ulp of 16.01, and reuses the run's kernel.  Decoupled, for
-    # speed; what is checked is the steps taken and the length of every
-    # kernel built
-    lengths, steps = [], []
-    init = dynamics._Kernels.__init__
-
-    def recorded(self, grid, params, dt):
-        lengths.append(dt)
-        init(self, grid, params, dt)
+    # Counted within a millionth of a step, the run takes 32020 steps of
+    # 16.01 / 32020, which is 5e-4 bit for bit.  Decoupled, for speed;
+    # what is checked is the steps taken and the length of every kernel
+    # built
+    steps = []
 
     def counted(self, u, v):
         steps.append(1)
         return u
 
-    monkeypatch.setattr(dynamics._Kernels, "__init__", recorded)
+    lengths = recorded_kernels(monkeypatch)
     monkeypatch.setattr(dynamics._Kernels, "potential_flow", counted)
     rec = integrate(standard_state(4), 16.01, SystemParams(dt=5e-4))
     assert len(steps) == 32020
@@ -787,9 +800,33 @@ def test_step_counts_from_2_to_the_53_are_refused():
     assert dynamics._step_count(2.0**53 - 1.0, 1.0) == 2**53 - 1
 
 
-# the run of the loop tests below: ten steps of dt and one of 0.0037,
-# rows after steps 0, 4, 8 and 11 and a checkpoint after step 5
+def test_default_and_benchmark_horizons_take_steps_of_dt_bit_for_bit(monkeypatch):
+    # equal steps of T / ceil(T/dt) are dt itself on the default run and
+    # sweeps, on the order-test ladder at its default T = 1 (reference
+    # included) and on every horizon of the benchmark, whose configs leave
+    # dt at its default: so none of their numbers moved with equal steps
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    cfg = RunConfig()
+    cases = [(cfg.T, cfg.dt)]
+    cases += [(cfg.T, dt) for dt in (*cfg.dt_list, cfg.dt_list[-1] / 8.0)]
+    cases += [
+        (dims[key], cfg.dt)
+        for dims in workloads.SIZES.values()
+        for key in dims
+        if key.endswith("_t")
+    ]
+    assert len(cases) == 11
+    for T, dt in cases:
+        assert T / dynamics._step_count(T, dt) == dt, (T, dt)
+
+
+# the run of the loop tests below: 11 equal steps of LOOP_T / 11, just
+# below dt = 1e-2, with rows after steps 0, 4, 8 and 11 and the checkpoint
+# at 0.05 kept after step 6 (0.05 is 5.3 steps)
 LOOP_T, LOOP_STRIDE, LOOP_CHECKPOINT = 0.1037, 4, 0.05
+LOOP_H = LOOP_T / 11
 
 
 def loop_run(yosida_n):
@@ -809,29 +846,26 @@ def loop_run(yosida_n):
 
 
 def reference_loop(st, params, closes, kept=()):
-    """The states of a loop of 11 steps written out in substeps, the last
-    one shortened to land on LOOP_T, each timed by its index.  Step i
-    (1-based) ends with a half wave when i is in `closes`, which must hold
-    10 and 11 (the shortened step runs on a kernel of its own), and with
-    the full-step wave flow that stands for its closing half and the next
-    step's opening half otherwise; the state after a step i in `kept`
-    takes its (v, vt) from a half wave of the same mid-step wave amplitude
-    z.  A step after a closing one opens with a half wave of
-    wave_source(u), formed afresh.  Returns
+    """The states of a loop of 11 steps of LOOP_H written out in substeps
+    on one kernel, each timed by its index and the last landing on
+    LOOP_T.  Step i (1-based) ends with a half wave when i is in `closes`,
+    which must hold 11, and with the full-step wave flow that stands for
+    its closing half and the next step's opening half otherwise; the
+    state after a step i in `kept` takes its (v, vt) from a half wave of
+    the same mid-step wave amplitude z.  A step after a closing one opens
+    with a half wave of wave_source(u), formed afresh.  Returns
     {i: state after step i} for i = 0 and every step in closes or kept."""
     start = prepare_initial_state(st, params)
-    ker = dynamics._Kernels(st.grid, params, params.dt)
+    ker = dynamics._Kernels(st.grid, params, LOOP_H)
     u, z = start.u.coef.astype(np.complex128), amplitude(ker, start.v.coef, start.vt.coef)
     states = {0: start}
     opened = False
     for i in range(1, 12):
-        if i == 11:
-            ker = dynamics._Kernels(st.grid, params, LOOP_T - 10 * params.dt)
         if not opened:
             z = ker.wave_half(z, ker.wave_source(u))
         u = schrodinger_flow(ker, u, z.real)
         f = ker.wave_source(u)
-        t = LOOP_T if i == 11 else i * params.dt
+        t = LOOP_T if i == 11 else i * LOOP_H
         if i in closes or i in kept:
             states[i] = dynamics._state_from_coef(st.grid, u, *pair(ker, ker.wave_half(z, f)), t)
         opened = i not in closes
@@ -847,19 +881,18 @@ def same_state(a, b):
 
 @pytest.mark.parametrize("yosida_n", [None, 8.0], ids=["nodal", "yosida"])
 def test_integrate_equals_a_loop_that_recomputes_the_wave_source(yosida_n):
-    # integrate hands each step the source the previous step closed with,
-    # across the kernel it rebuilds for the shortened last step too, and
-    # merges the wave flows of two steps of one kernel; a loop that opens
-    # with wave_source(u) formed afresh, merges the same steps, closes
-    # before the shortened step and at the end, and takes the kept states
-    # (the rows after steps 4 and 8, the checkpoint after step 5) from a
-    # half wave of the mid-step (v, vt) must give the same final state,
-    # checkpoint and monitor rows bit for bit
+    # integrate hands each step the source the previous step closed with
+    # and merges the wave flows of every two steps; a loop that opens with
+    # wave_source(u) formed afresh, merges the same steps, closes only
+    # after step 11, and takes the kept states (the rows after steps 4 and
+    # 8, the checkpoint after step 6) from a half wave of the mid-step
+    # (v, vt) must give the same final state, checkpoint and monitor rows
+    # bit for bit
     st, params, rec = loop_run(yosida_n)
-    states = reference_loop(st, params, closes={10, 11}, kept={4, 5, 8})
+    states = reference_loop(st, params, closes={11}, kept={4, 6, 8})
     assert same_state(rec.final_state, states[11])
     assert list(rec.checkpoints) == [LOOP_CHECKPOINT]
-    assert same_state(rec.checkpoints[LOOP_CHECKPOINT], states[5])
+    assert same_state(rec.checkpoints[LOOP_CHECKPOINT], states[6])
     monitor = RunMonitor.from_state(st)
     rows = [monitor.row(states[i], params) for i in (0, 4, 8, 11)]
     assert list(rec.series) == list(rows[0])
@@ -871,7 +904,8 @@ def test_integrate_equals_a_loop_that_recomputes_the_wave_source(yosida_n):
 def test_kept_states_do_not_move_the_trajectory(yosida_n):
     # a row or a checkpoint is a copy off the run, not a stop in it: runs
     # that differ only in where they keep states end bit for bit alike,
-    # and a checkpoint is the final state of a run that ends there
+    # and a checkpoint is the final state of a run that ends at its time,
+    # 6 LOOP_H, in 6 steps of 6 LOOP_H / 6 = LOOP_H
     st, params, rec = loop_run(yosida_n)
     bare = integrate(st, LOOP_T, params)
     strided = integrate(
@@ -884,7 +918,9 @@ def test_kept_states_do_not_move_the_trajectory(yosida_n):
     )
     assert same_state(bare.final_state, rec.final_state)
     assert same_state(strided.final_state, rec.final_state)
-    assert same_state(integrate(st, 0.05, params).final_state, rec.checkpoints[LOOP_CHECKPOINT])
+    kept = rec.checkpoints[LOOP_CHECKPOINT]
+    assert kept.t == 6 * LOOP_H and kept.t / 6 == LOOP_H
+    assert same_state(integrate(st, kept.t, params).final_state, kept)
 
 
 @pytest.mark.parametrize("yosida_n", [None, 8.0], ids=["nodal", "yosida"])
@@ -894,7 +930,7 @@ def test_integrate_agrees_with_a_loop_that_closes_every_step(yosida_n):
     # keeps the same states and rows to 1e-12 relative
     st, params, rec = loop_run(yosida_n)
     states = reference_loop(st, params, closes=set(range(1, 12)))
-    for got, want in ((rec.final_state, states[11]), (rec.checkpoints[LOOP_CHECKPOINT], states[5])):
+    for got, want in ((rec.final_state, states[11]), (rec.checkpoints[LOOP_CHECKPOINT], states[6])):
         assert got.t == want.t
         for x, y in ((got.u, want.u), (got.v, want.v), (got.vt, want.vt)):
             assert np.linalg.norm(x.coef - y.coef) <= 1e-12 * np.linalg.norm(y.coef)
