@@ -67,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser(
-        "check", help="certify the stepper's spectral symbols (identities, inequalities)"
+        "check",
+        help="certify the stepper's symbol tables against their formulas, the transforms "
+        "and the stored C0",
     )
 
     sub.add_parser(

@@ -23,11 +23,12 @@ Two solvers:
 * `picard_duhamel`: fixed-point iteration on the variation-of-constants
   form of the system, used as a cross-validation oracle.  Each panel
   starts from a three-point exponential predictor (exponential time
-  differencing, Cox and Matthews, J. Comput. Phys. 176 (2002)), so a panel
-  that converges in m sweeps makes mP + 5 node evaluations.  A panel stops
-  once the distance of its last iterate from the fixed point, estimated
-  from the measured contraction, is below _PICARD_TOL (Hairer and Wanner,
-  Solving ODEs II, IV.8).
+  differencing, Cox and Matthews, J. Comput. Phys. 176 (2002)), and where
+  it allows one, one sweep on a coarse level of P_c nodes, so a panel that
+  converges in m fine sweeps makes mP + P_c + 5 node evaluations (mP + 5
+  without the coarse level).  A panel stops once the distance of its last
+  iterate from the fixed point, estimated from the measured contraction,
+  is below _PICARD_TOL (Hairer and Wanner, Solving ODEs II, IV.8).
 
 Both solvers take every symbol, free flow and product from `_Kernels`,
 which also decides where each nonlinear term is sampled.
@@ -359,12 +360,12 @@ class _Kernels:
     The one place a symbol or a product of the system is written; the
     stepper, the Picard oracle, the energy and `sibsim check` all read
     them here.  Each symbol is a function of -Laplacian, diagonal on sine
-    coefficients, and `sibsim check` asserts its identities and
-    inequalities on these arrays:
+    coefficients, and `sibsim check` (symbol-derivation) compares each of
+    these arrays with its formula, evaluated there from the mode integers
+    and the configured sides, to a round-off bound:
 
         jsym       Yosida J_n = (1 - Laplacian/n)^(-1), symbol 1/(1 + lam/n),
-                   None when params.yosida_n is unset; exactly 0 < J <= 1,
-                   sqrt(lam) J <= sqrt(n) and sqrt(lam) J <= sqrt(lam)
+                   None when params.yosida_n is unset
         w2, w      omega_eps^2 = lam/(1 + eps*lam) and omega_eps, its root,
                    the frequency of every wave phase
         phase_half, wave_phase_half
@@ -379,10 +380,10 @@ class _Kernels:
     exp(-i t lam) under the free Schrodinger flow (Hairer, Lubich and
     Wanner, Geometric Numerical Integration, 2nd ed. (2006), XIII).
     free_flow(t) writes the free flows over any time t for the stepper's
-    tables, the Picard oracle's panels and `sibsim check`, and wave_phase
-    the oracle's node tables.  The stepper's substeps are the exact wave
-    flows wave_half and wave_full and step, the Schrodinger part of a
-    step; integrate composes them.  dt = None builds no step tables, for
+    tables and the Picard oracle's panels, and wave_phase the oracle's
+    node tables.  The stepper's substeps are the exact wave flows
+    wave_half and wave_full and step, the Schrodinger part of a step;
+    integrate composes them.  dt = None builds no step tables, for
     callers that take no step (the energy, data smoothing, the Picard
     oracle).
 

@@ -24,8 +24,9 @@ print around it, and the tests call the same function:
 * _order_test (order-test): splitting-second-order.
   The three are ladders of runs: _ladder is their one runner, and
   _drift_reports turns its drifts into reports and member-charge-conservation.
-* _symbol_assertions (check): the twelve spectral-symbol assertions;
-  _transform_assertions (check): transform-inverse and transform-parseval;
+* _symbol_derivation (check): symbol-derivation, every table the stepper
+  multiplies by against its formula; _grid_assertions (check):
+  transform-inverse, transform-parseval and lifted-inverse-norm-identity;
   _phase_flow_assertion (check): nodal-phase-flow; cmd_check adds
   stored-c0-certified, which needs the 128^2 estimate.
 * cmd_estimate_c0 itself: estimator-converged.
@@ -33,7 +34,7 @@ print around it, and the tests call the same function:
 Every verdict follows one rule, _holds: an assertion passes exactly when
 its margin is >= 0, and each worst case is one numpy reduction over a
 list, so a NaN anywhere in what is checked makes the margin NaN and the
-verdict FAIL (Assertion lists the four strict or slackened exceptions).
+verdict FAIL (Assertion lists the three strict or slackened exceptions).
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ __all__ = [
 class Assertion:
     """One checked inequality: margin > 0 means it held with room to spare
     (margin is in the units of the quantity being compared).  _holds builds
-    every assertion but four, and passes it exactly when margin >= 0, so a
-    NaN margin fails.  _decreasing and yosida-convergence-small are strict
-    (a margin of 0 fails them); h1-envelope-domination and
-    small-data-envelope accept a round-off slack below 0."""
+    every assertion but three, and passes it exactly when margin >= 0, so
+    a NaN margin fails.  _decreasing is strict (a margin of 0 fails it);
+    h1-envelope-domination and small-data-envelope accept a round-off
+    slack below 0."""
 
     name: str
     passed: bool
@@ -481,108 +482,91 @@ def _random_coef(grid, rng, kind="real") -> np.ndarray:
     return coef
 
 
-def _symbol_assertions(grid) -> list[Assertion]:
-    """Exactness and inequality suite for the spectral symbols.  Every symbol
-    checked is an attribute of a kernel (dynamics._Kernels) built on
-    `grid`, or a free flow from its free_flow(t), which also makes the
-    stepper's half- and full-step tables and the Picard oracle's flows, so
-    the suite certifies the arrays the integrator multiplies by."""
-    lam = grid.lam
-    rng = np.random.default_rng(0)
-    t_samples = (0.0, 0.3, 1.7, math.pi)
-    n_max = 1024
-    n_powers = tuple(2**j for j in range(n_max.bit_length()))
+def _symbol_derivation(config: RunConfig) -> Assertion:
+    """symbol-derivation: every table the stepper multiplies by, against the
+    README's formulas evaluated here from the mode integers and the
+    configured sides, not through _Kernels or grid.lam:
 
-    def kernel(eps: float = 1.0, n: int | None = None) -> _Kernels:
-        return _Kernels(grid, SystemParams(eps=eps, yosida_n=n), None)
+    * lam = (k pi / Lx)^2 + (l pi / Ly)^2: grid.lam of the configured grid
+      and of a 2pi x pi rectangle with 12 x 8 modes, where an exchange of
+      the axes shows;
+    * w2 = lam / (1 + eps lam) and w, its root, at eps = 0, 1/2, 1 and the
+      configured eps;
+    * jsym = n / (n + lam) at every n of n_list and n = 1, 2, 4, ..., 1024,
+      and at the configured yosida_n on the stepping kernel;
+    * phase_half = exp(-i (h/2) lam), wave_phase_half = exp(-i (h/2) w) and
+      wave_phase_full = exp(-i h w) of the stepping kernel, the one
+      integrate builds, at its step h = T / ceil(T/dt).
 
-    def norm(coef: np.ndarray, s: float = 0.0) -> float:
-        return sobolev_norm(field_from_coef(grid, coef), s)
+    The bound, with u = 2**-53: each side forms lam from positive terms in
+    6 roundings, within 6u relative of its exact value; w2 and jsym add 3
+    roundings to a quotient whose relative sensitivity to lam is at most 1
+    (9u), and w = sqrt(w2) is within 5.5u, so two evaluations of a symbol
+    differ by at most 18u relative.  A phase exp(-i t x) is formed from t x,
+    rounded once, so two angles differ by at most |t| x (18u + 2u), and cos
+    and sin, each within an ulp (at most u), add 2u per side: two phases
+    differ by at most 4u + 20u |t| x_max.  The mismatch of a symbol is its
+    largest relative difference, that of a phase its largest difference
+    over 1 + |t| x_max, a bound that grows with |t| lam_max; the margin is
+    32u less the worst mismatch."""
 
-    # per-mode symbol inequalities, exact comparisons: the least slack over
-    # the modes of each n
-    slacks = {"contraction": [], "sqrt-gain": [], "sqrt-bound": [], "full-bound": []}
-    for n in range(1, n_max + 1):
-        sym = kernel(n=n).jsym
-        root = np.sqrt(lam) * sym
-        gaps = (1.0 - sym, math.sqrt(n) - root, np.sqrt(lam) - root, lam - lam * sym)
-        for per_n, gap in zip(slacks.values(), gaps):
-            per_n.append(np.min(gap))
-    detail = f"min slack over modes and n in {{1..{n_max}}}"
-    assertions = [_holds(f"yosida-symbol-{key}", np.min(s), detail) for key, s in slacks.items()]
+    def derived_lam(lx: float, ly: float, nx: int, ny: int) -> np.ndarray:
+        kx, ky = np.pi * np.arange(1, nx + 1) / lx, np.pi * np.arange(1, ny + 1) / ly
+        return kx[:, None] ** 2 + ky[None, :] ** 2
 
-    # convergence of the regularization on a fixed smooth field
-    probe = np.exp(-0.5 * lam / float(lam[0, 0]))
-    probe_nrm = norm(probe)
-    errs = [norm(probe - kernel(n=n).jsym * probe) for n in n_powers]
-    monotone = np.min([a - b for a, b in zip(errs, errs[1:])])
-    detail = "||(1 - J_n) f|| nonincreasing along doubling n"
-    assertions.append(_holds("yosida-convergence-monotone", monotone, detail))
-    lam_max = float(np.max(lam))
-    band = np.min([(lam_max / n) * probe_nrm - err for n, err in zip(n_powers, errs)])
-    detail = "||(1 - J_n) f|| <= (lam_max / n) ||f||"
-    assertions.append(_holds("yosida-convergence-band-bound", band, detail))
-    # n = 2**k_small, printed as such: on a tiny domain it has hundreds of digits
-    k_small = max(12, int(math.ceil(math.log2(float(lam[0, 0]) / 5e-4))))
-    tail = norm(probe - kernel(n=2**k_small).jsym * probe)
-    # explicit, not _holds: the residual must be strictly below its bound
-    small = 1e-3 * probe_nrm - tail
-    detail = f"residual at n = 2**{k_small}"
-    assertions.append(Assertion("yosida-convergence-small", small > 0.0, small, detail))
+    def relative(table, derived) -> float:
+        return float(np.max(np.abs(table - derived) / derived))
 
-    # propagator unitarity across Sobolev scales
-    ker = kernel()
-    unitary = []
-    for t in t_samples:
-        U = ker.free_flow(t)[0]
-        for _ in range(5):
-            f = _random_coef(grid, rng, "complex")
-            for s in (-0.5, 0.0, 1.0):
-                before = norm(f, s)
-                unitary.append(1e-12 - abs(norm(U * f, s) - before) / before)
-    detail = "Sobolev norms preserved to 1e-12 relative"
-    assertions.append(_holds("schrodinger-unitarity", np.min(unitary), detail))
+    def phase(table, t: float, x) -> float:
+        derived = np.cos(t * x) - 1j * np.sin(t * x)
+        return float(np.max(np.abs(table - derived)) / (1.0 + abs(t) * np.max(x)))
 
-    # group property U(t) U(-t) = 1
-    group = [np.max(np.abs(ker.free_flow(t)[0] * ker.free_flow(-t)[0] - 1.0)) for t in t_samples]
-    assertions.append(_holds("propagator-group-identity", 1e-14 - np.max(group)))
+    grid, rect = build_grid(config), make_grid(2 * math.pi, math.pi, 12, 8)
+    lam = derived_lam(config.lx, config.ly, config.nx, config.ny)
+    mismatch = [
+        ("lam", relative(grid.lam, lam)),
+        ("lam on 2pi x pi", relative(rect.lam, derived_lam(2 * math.pi, math.pi, 12, 8))),
+    ]
+    h = config.T / _step_count(config.T, config.dt)
+    n_values = sorted({*(2**j for j in range(11)), *config.n_list})
+    kernels = [(SystemParams(eps=eps), None) for eps in (0.0, 0.5, 1.0)]
+    kernels += [(SystemParams(yosida_n=n), None) for n in n_values]
+    for params, dt in [*kernels, (build_params(config), h)]:
+        ker = _Kernels(grid, params, dt)
+        eps, n = params.eps, params.yosida_n
+        w2 = lam / (1.0 + eps * lam)
+        mismatch.append((f"w2 at eps {eps:g}", relative(ker.w2, w2)))
+        mismatch.append((f"w at eps {eps:g}", relative(ker.w, np.sqrt(w2))))
+        if n is not None:
+            mismatch.append((f"J_{n:g}", relative(ker.jsym, n / (n + lam))))
+    # ker, w2, eps and n are the stepping kernel's
+    mismatch.append(("phase_half", phase(ker.phase_half, 0.5 * h, lam)))
+    mismatch.append(("wave_phase_half", phase(ker.wave_phase_half, 0.5 * h, np.sqrt(w2))))
+    mismatch.append(("wave_phase_full", phase(ker.wave_phase_full, h, np.sqrt(w2))))
 
-    # the free wave flow rotates z = v + i vt/omega by exp(-i t omega), so
-    # its first integral omega^2 |v|^2 + |vt|^2 is |exp(-i t omega)|^2 = 1
-    # on the phases the stepper and the oracle multiply by
-    kernels = [kernel(eps=eps) for eps in (0.0, 0.5, 1.0)]
-    wave = []
-    for ker in kernels:
-        for t in t_samples:
-            phase = ker.free_flow(t)[1]
-            wave.append(np.max(np.abs(phase.real**2 + phase.imag**2 - 1.0)))
-    assertions.append(_holds("wave-kernel-first-integral", 1e-14 - np.max(wave)))
-
-    # omega, the frequency of every wave phase, is the root of w2 (relative:
-    # both scale with lam)
-    source = [np.max(np.abs((ker.w**2 - ker.w2) / -ker.w2)) for ker in kernels]
-    assertions.append(_holds("source-symbol-consistency", 1e-14 - np.max(source)))
-
-    # norm identity ||(1 - Lap)^{1/2} (-Lap)^{-1/2} f||^2 = ||f||^2 + ||(-Lap)^{-1/2} f||^2
-    ident = []
-    for _ in range(100):
-        f = _random_coef(grid, rng, "real")
-        lhs = h1_norm(field_from_coef(grid, f / np.sqrt(lam))) ** 2
-        rhs = norm(f) ** 2 + norm(f, -1.0) ** 2
-        ident.append(1e-10 - abs(lhs - rhs) / rhs)
-    detail = "100 random fields, 1e-10 relative"
-    assertions.append(_holds("lifted-inverse-norm-identity", np.min(ident), detail))
-    return assertions
+    bound = 32 * 2.0**-53
+    names, values = zip(*mismatch)
+    worst = int(np.argmax(values))  # the first NaN, if there is one
+    covered = ", ".join(f"{m:g}" for m in n_values) + ("" if n is None else f"; yosida_n {n:g}")
+    detail = (
+        f"worst mismatch {values[worst]:.1e} on {names[worst]}, bound 32u = {bound:.1e}; "
+        f"lam on {config.nx} x {config.ny} and 2pi x pi 12 x 8, w2 and w at eps 0, 0.5, 1, "
+        f"{eps:g}, J_n at n in {{{covered}}}, step tables at h = {h:.6g}"
+    )
+    return _holds("symbol-derivation", bound - values[worst], detail)
 
 
-def _transform_assertions(grid) -> list[Assertion]:
-    """Exactness of the transforms every product and norm goes through,
-    for random real and complex coefficients: analysis after synthesis is
-    the identity on the band, and the node sum keeps Parseval's identity
-    ||c||^2 = Lx Ly / ((Mx+1)(My+1)) sum |values|^2 over M nodes per axis.
-    Both are checked on the collocation nodes and on the product grid of
-    `grid` and of a fixed rectangle, 2pi x pi with 12 x 8 modes, where an
-    exchange of the axes shows."""
+def _grid_assertions(grid) -> list[Assertion]:
+    """Exactness of the transforms and norms every product and norm goes
+    through.  transform-inverse and transform-parseval, for random real
+    and complex coefficients: analysis after synthesis is the identity on
+    the band, and the node sum keeps Parseval's identity ||c||^2 = Lx Ly /
+    ((Mx+1)(My+1)) sum |values|^2 over M nodes per axis.  Both are checked
+    on the collocation nodes and on the product grid of `grid` and of a
+    fixed rectangle, 2pi x pi with 12 x 8 modes, where an exchange of the
+    axes shows.  lifted-inverse-norm-identity: the norms keep
+    ||(1 - Lap)^{1/2} (-Lap)^{-1/2} f||^2 = ||f||^2 + ||(-Lap)^{-1/2} f||^2
+    to 1e-10 relative, on 100 random real fields of `grid`."""
     rng = np.random.default_rng(0)
     errors = {"inverse": [], "parseval": []}
     for g in (grid, make_grid(2 * math.pi, math.pi, 12, 8)):
@@ -598,12 +582,20 @@ def _transform_assertions(grid) -> list[Assertion]:
                 node_sum /= (shape[0] + 1) * (shape[1] + 1)
                 errors["inverse"].append(math.sqrt(inverse / sq))
                 errors["parseval"].append(abs(node_sum - sq) / sq)
+    lifted = []
+    for _ in range(100):
+        f = field_from_coef(grid, _random_coef(grid, rng, "real"))
+        lhs = h1_norm(field_from_coef(grid, f.coef / np.sqrt(grid.lam))) ** 2
+        rhs = sobolev_norm(f, 0.0) ** 2 + sobolev_norm(f, -1.0) ** 2
+        lifted.append(abs(lhs - rhs) / rhs)
     what = {"inverse": "analysis(synthesis(c)) = c", "parseval": "node-sum Parseval identity"}
     where = "1e-12 relative, on the nodes and product grid of the config grid and of 2pi x pi"
-    return [
+    transforms = [
         _holds(f"transform-{key}", 1e-12 - np.max(errs), f"{what[key]}, {where}")
         for key, errs in errors.items()
     ]
+    detail = "100 random fields, 1e-10 relative"
+    return [*transforms, _holds("lifted-inverse-norm-identity", 1e-10 - np.max(lifted), detail)]
 
 
 def _phase_flow_assertion(grid) -> Assertion:
@@ -635,14 +627,13 @@ def _phase_flow_assertion(grid) -> Assertion:
 
 
 def cmd_check(config: RunConfig, quiet: bool = False) -> int:
-    """_symbol_assertions, _transform_assertions and _phase_flow_assertion
-    on the configured grid, plus the certification of the stored default
-    C0 (functionals.REFERENCE_C0), re-derived on its own 128^2 reference
-    grid whatever the configured one."""
+    """_symbol_derivation of the configured kernels, _grid_assertions and
+    _phase_flow_assertion on the configured grid, plus the certification
+    of the stored default C0 (functionals.REFERENCE_C0), re-derived on its
+    own 128^2 reference grid whatever the configured one."""
     os.makedirs(config.out_dir, exist_ok=True)
     grid = build_grid(config)
-    assertions = _symbol_assertions(grid) + _transform_assertions(grid)
-    assertions.append(_phase_flow_assertion(grid))
+    assertions = [_symbol_derivation(config), *_grid_assertions(grid), _phase_flow_assertion(grid)]
 
     # the stored default C0 is certified only while it does not exceed a
     # fresh estimate on the grid it was derived on (read at call time)

@@ -79,9 +79,9 @@ def decoupled(monkeypatch):
     monkeypatch.setattr(dynamics._Kernels, "potential_flow", lambda self, u, v: u)
 
 
-def kernel(grid, dt: float, **params) -> dynamics._Kernels:
-    """The stepping kernel for a step of dt; its wave_half is the exact wave
-    flow over dt/2."""
+def kernel(grid, dt: float | None, **params) -> dynamics._Kernels:
+    """The stepping kernel for a step of dt, None for no step; its
+    wave_half is the exact wave flow over dt/2."""
     return dynamics._Kernels(grid, SystemParams(**params), dt)
 
 
@@ -145,6 +145,37 @@ def test_prepare_initial_state():
     assert np.allclose(smoothed.u.coef, j * st.u.coef, rtol=0, atol=1e-16)
     assert np.allclose(smoothed.v.coef, j * st.v.coef, rtol=0, atol=1e-16)
     assert prepare_initial_state(st, SystemParams()) is st
+
+
+# ---------------------------------------------------------------------------
+# the kernel's symbols (`sibsim check` derives every table from its formula)
+
+
+def test_omega_symbol_values():
+    g = make_grid(np.pi, np.pi, 4, 4)
+    # lam(1,1) = 2: omega = sqrt(2), 1, sqrt(2/3) for eps = 0, 1/2, 1
+    assert kernel(g, None, eps=0.0).w[0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert kernel(g, None, eps=0.5).w[0, 0] == pytest.approx(1.0, rel=1e-15)
+    assert kernel(g, None, eps=1.0).w[0, 0] == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-15)
+    # eps = 1 symbol is bounded by 1/sqrt(eps) = 1
+    assert np.all(kernel(g, None, eps=1.0).w < 1.0)
+
+
+def test_wave_propagator_at_zero():
+    ker = kernel(make_grid(np.pi, np.pi, 24, 24), 0.0, eps=1.0)
+    assert np.all(ker.wave_phase_half == 1.0)
+    assert np.all(ker.wave_phase_full == 1.0)
+    assert np.all(ker.phase_half == 1.0)
+
+
+@pytest.mark.parametrize("n", [None, 8.0])
+def test_stepless_kernel_shares_the_symbols_and_skips_the_step_tables(n):
+    g = make_grid(np.pi, np.pi, 24, 24)
+    stepless, stepping = (kernel(g, dt, eps=0.5, yosida_n=n) for dt in (None, 0.0))
+    for name in ("w", "w2", "prod_shape") + (("jsym",) if n else ()):
+        assert np.array_equal(getattr(stepless, name), getattr(stepping, name))
+    for name in ("phase_half", "wave_phase_half", "wave_phase_full"):
+        assert not hasattr(stepless, name)
 
 
 # ---------------------------------------------------------------------------
