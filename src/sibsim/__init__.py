@@ -18,7 +18,7 @@ if not any(var in os.environ for var in _BLAS_THREAD_VARS):
 
 # glibc serves every block above M_MMAP_THRESHOLD (128 KiB at start) with its
 # own mmap, unmaps it on free, and trims the top of the heap, so the 128 to
-# 256 KiB temporaries of every monitor row (the 128^2 synthesis of `lp_norm`)
+# 256 KiB temporaries of every monitor row (the 128^2 synthesis of `l4_norm`)
 # and the 144 KiB 96^2 products of every Yosida Taylor term are faulted in
 # afresh on each call.  Freeing a large mmapped block raises both thresholds
 # on its own, which is why that cost depended on what the process had run

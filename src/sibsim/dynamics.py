@@ -675,8 +675,9 @@ def integrate(
     recorded at t0, every monitor_stride steps, and at the end; without
     one, no row is evaluated and the record's series is empty.  A row
     takes the wave source that the run holds for the kept u and forms
-    none of its own, so rows add only the transforms of their own norms
-    (one lp_norm synthesis each).
+    none of its own; it squares the coefficients of u and of vt once for
+    all its norms, so rows add one transform each, the l4_norm synthesis
+    at (2Nx, 2Ny).
 
     A run aborts with BlowupError when a step leaves u[0, 0] non-finite,
     when a state it keeps (a checkpoint or the final state) is not finite,

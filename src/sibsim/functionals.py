@@ -39,11 +39,12 @@ from .dynamics import State, SystemParams, _Kernels
 from .grids import (
     Field,
     Grid2D,
+    _sobolev_weights,
     analyze,
     coef_to_values,
     field_from_coef,
     h1_norm,
-    lp_norm,
+    l4_norm,
     sobolev_norm,
     values_to_coef,
 )
@@ -142,9 +143,9 @@ def energy(state: State, params: SystemParams) -> float:
     Yosida wrapping of the coupling term)."""
     vt = state.vt
     return _energy(
-        state,
+        state.v.coef,
         params,
-        None,
+        _Kernels(state.grid, params, None).wave_source(state.u.coef),
         sobolev_norm(state.u, 1.0),
         sobolev_norm(state.v, 0.0),
         sobolev_norm(vt, -1.0),
@@ -152,17 +153,15 @@ def energy(state: State, params: SystemParams) -> float:
     )
 
 
-def _energy(state, params, source, grad_u, l2_v, hm_half_vt, l2_vt) -> float:
-    """The energy from the norms ||grad u||, ||v||, ||(-Lap)^{-1/2} vt||
-    and ||vt|| of the state, which a monitor row forms once for its
-    columns too, and the wave source W(u) of its u (None: formed here),
-    which a row takes from integrate."""
+def _energy(v, params, source, grad_u, l2_v, hm_half_vt, l2_vt) -> float:
+    """The energy from the coefficients v, the norms ||grad u||, ||v||,
+    ||(-Lap)^{-1/2} vt|| and ||vt|| of the state, which a monitor row forms
+    once for its columns too, and the wave source W(u) of its u, which a
+    row takes from integrate."""
     quad = grad_u**2 + 0.5 * (l2_v**2 + hm_half_vt**2 + params.eps * l2_vt**2)
-    if source is None:
-        source = _Kernels(state.grid, params, None).wave_source(state.u.coef)
     # the stepper's own wave source; any other quadrature or model here
     # would decouple the reported energy from the conserved one
-    coupling = np.sum(state.v.coef * source)
+    coupling = np.sum(v * source)
     return float(quad + coupling)
 
 
@@ -209,7 +208,7 @@ def gn_quotient(u: Field) -> float:
 
 def _gn_quotient(u: Field, l2_u: float, grad_u: float) -> float:
     """gn_quotient from the norms ||u||_2 > 0 and ||grad u||_2 of u."""
-    return lp_norm(u, 4) ** 2 / (l2_u * grad_u)
+    return l4_norm(u) ** 2 / (l2_u * grad_u)
 
 
 # ---------------------------------------------------------------------------
@@ -377,28 +376,36 @@ class RunMonitor:
         dn = DataNorms.from_state(state)
         return cls(dn=dn, ec=envelope_constants(dn, default_gn_constant()), t0=state.t)
 
-    def row(
-        self, state: State, params: SystemParams, source: np.ndarray | None = None
-    ) -> dict[str, float]:
+    def row(self, state: State, params: SystemParams, source: np.ndarray) -> dict[str, float]:
         """One diagnostics row.  Every column is derived from the state, so
         integrate's finiteness check of the row aborts on the state only.
         source is the wave source W(u) of the state's u, which integrate
-        hands over so that the row forms none of its own; without it the
-        row forms it.  Each norm is formed once and shared by the columns
-        and the energy."""
-        u, v, vt = state.u, state.v, state.vt
-        grad_u = sobolev_norm(u, 1.0)
-        l2_v = sobolev_norm(v, 0.0)
-        l2_vt = sobolev_norm(vt, 0.0)
-        hm_half_vt = sobolev_norm(vt, -1.0)
+        hands over so that the row forms none of its own.  The
+        coefficients of u are squared once, as re^2 + im^2, and those of vt
+        once: charge, ||u||_2, ||grad u||_2 and ||u||_{H1} are sums over
+        u's squares, ||vt|| and ||(-Lap)^{-1/2} vt|| over vt's, and the
+        energy takes the norms the columns hold."""
+        grid = state.grid
+        u, v = state.u, state.v.coef
+        sq_u = np.square(u.coef.real)
+        sq_u += np.square(u.coef.imag)
+        sq_u = sq_u.ravel()
+        sq_vt = np.square(state.vt.coef).ravel()
+        inv_lam = _sobolev_weights(grid.Lx, grid.Ly, grid.Nx, grid.Ny, -1.0)
+        charge_u = float(np.sum(sq_u))
+        grad_u_sq = float(np.dot(grid.lam.ravel(), sq_u))
+        grad_u = math.sqrt(grad_u_sq)
+        l2_v = math.sqrt(float(np.dot(v.ravel(), v.ravel())))
+        l2_vt = math.sqrt(float(np.sum(sq_vt)))
+        hm_half_vt = math.sqrt(float(np.dot(inv_lam.ravel(), sq_vt)))
         # zero fields have no Gagliardo-Nirenberg quotient; logged as 0
-        l2_u = sobolev_norm(u, 0.0)
+        l2_u = math.sqrt(charge_u)
         quotient = _gn_quotient(u, l2_u, grad_u) if l2_u != 0.0 else 0.0
         return {
             "t": state.t,
-            "charge": charge(state),
-            "energy_eps": _energy(state, params, source, grad_u, l2_v, hm_half_vt, l2_vt),
-            "h1_u": h1_norm(u),
+            "charge": charge_u,
+            "energy_eps": _energy(v, params, source, grad_u, l2_v, hm_half_vt, l2_vt),
+            "h1_u": math.sqrt(charge_u + grad_u_sq),
             "l2_v": l2_v,
             "l2_vt": l2_vt,
             "hm_half_vt": hm_half_vt,

@@ -17,6 +17,14 @@ def random_field(grid: Grid2D, rng: np.random.Generator, kind: str = "real", dec
     return field_from_coef(grid, coef)
 
 
+def monitor_row(monitor, state, params):
+    """monitor.row of a state with the wave source of its u, formed as
+    integrate hands it over."""
+    from sibsim.dynamics import _Kernels
+
+    return monitor.row(state, params, _Kernels(state.grid, params, None).wave_source(state.u.coef))
+
+
 def breaking_step(monkeypatch, at_call, names):
     """Patch the stepper so that its step number `at_call` leaves a NaN in
     the last mode of each component in `names`; the list of steps taken.

@@ -268,6 +268,15 @@ def test_check_on_a_tiny_domain_reaches_its_verdicts(tmp_path, capsys):
     assert all(line.startswith("[PASS] ") for line in lines)
 
 
+def test_check_parseval_stays_finite_where_node_values_square_past_the_float_range(tmp_path):
+    # on 3.6e-153 sides the node values are about 1e153, and their squares
+    # overflow unless the node weight scales them first
+    code, manifest = run_quietly(tmp_path, GRID_8 + "lx = 3.6e-153\nly = 3.6e-153\n", "check")
+    parseval = next(a for a in manifest["assertions"] if a["name"] == "transform-parseval")
+    assert code == 0
+    assert parseval["passed"] and 0 < parseval["margin"] < 1e-12
+
+
 @pytest.mark.parametrize(
     "preset, expected",
     [({}, "1"), ({"OMP_NUM_THREADS": "3"}, None)],
@@ -700,9 +709,9 @@ def grid_lam(lam_of):
 def test_check_catches_an_axis_swap_in_the_synthesis(tmp_path, monkeypatch, capsys):
     # the y-axis synthesis built with Lx in place of Ly: the default square
     # grid cannot see it, the check's fixed rectangle does
-    synthesis = sibsim.grids._synthesis
+    pair = sibsim.grids._synthesis_pair
     monkeypatch.setattr(
-        sibsim.grids, "_synthesis", lambda g, c, shape: synthesis(replace(g, Ly=g.Lx), c, shape)
+        sibsim.grids, "_synthesis_pair", lambda lx, ly, nodes, band: pair(lx, lx, nodes, band)
     )
     assert main(["--out", str(tmp_path / "o"), "--quiet", "check"]) == 1
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
@@ -813,21 +822,40 @@ def grid_fault(patch):
     return case
 
 
+def transform_results(name, change):
+    """A patch that passes every result of the grids transform `name`
+    through change, in each sibsim module that holds the transform."""
+
+    def patch(monkeypatch):
+        original = getattr(sibsim.grids, name)
+        for module in (sibsim.grids, dynamics, functionals, experiments):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args: change(original(*args)))
+
+    return patch
+
+
 def scaled(name, factor):
     """A patch that scales every result of the grids transform `name`."""
 
-    return results(sibsim.grids, name, lambda values: values * factor)
+    return transform_results(name, lambda values: values * factor)
 
 
 def non_isometric(monkeypatch):
     # synthesis doubled and analysis halved still invert each other
-    scaled("_synthesis", 2.0)(monkeypatch)
-    scaled("_analysis", 0.5)(monkeypatch)
+    scaled("coef_to_values", 2.0)(monkeypatch)
+    scaled("values_to_coef", 0.5)(monkeypatch)
 
 
 def nan_corner(holder, name):
     """A patch that reads entry (0, 0) of every result of holder.name as NaN."""
     return results(holder, name, set_entry((0, 0), np.nan))
+
+
+def nan_transform(name):
+    """A patch that reads entry (0, 0) of every result of the grids
+    transform `name` as NaN."""
+    return transform_results(name, set_entry((0, 0), np.nan))
 
 
 def lifted_norm_off(monkeypatch):
@@ -911,7 +939,7 @@ FAULTS = [
     ("splitting-second-order", dt_ignored),
     *(("symbol-derivation", case) for case in SYMBOL_FAULTS.values()),
     ("lifted-inverse-norm-identity", grid_fault(lifted_norm_off)),
-    ("transform-inverse", grid_fault(scaled("_analysis", 1 + 1e-9))),
+    ("transform-inverse", grid_fault(scaled("values_to_coef", 1 + 1e-9))),
     ("transform-parseval", grid_fault(non_isometric)),
     ("nodal-phase-flow", phase_flow_fault(short_taylor_phase)),
     (
@@ -930,8 +958,8 @@ NAN_FAULTS = [
         "lifted-inverse-norm-identity",
         grid_fault(lambda mp: mp.setattr(experiments, "h1_norm", lambda f: np.nan)),
     ),
-    ("transform-inverse", grid_fault(nan_corner(sibsim.grids, "_analysis"))),
-    ("transform-parseval", grid_fault(nan_corner(sibsim.grids, "_synthesis"))),
+    ("transform-inverse", grid_fault(nan_transform("values_to_coef"))),
+    ("transform-parseval", grid_fault(nan_transform("coef_to_values"))),
     ("nodal-phase-flow", phase_flow_fault(nan_corner(dynamics._Kernels, "potential_flow"))),
 ]
 FAULTS += NAN_FAULTS

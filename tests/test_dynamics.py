@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import breaking_step, count_transforms, random_field
+from conftest import breaking_step, count_transforms, monitor_row, random_field
 from sibsim import dynamics
 from sibsim.config import RunConfig, build_initial_state, build_params
 from sibsim.dynamics import (
@@ -436,7 +436,7 @@ def test_nodal_integrate_makes_5m_plus_2_band_transforms(monkeypatch):
 
 def test_monitored_nodal_integrate_makes_5m_plus_2_band_transforms_and_r_refined(monkeypatch):
     # every row takes the wave source the run holds for its u, so the rows
-    # add no band transform, only the one lp_norm synthesis at (2Nx, 2Ny)
+    # add no band transform, only the one l4_norm synthesis at (2Nx, 2Ny)
     # each; m = 25 steps, rows at t0, every 10 steps and the end
     cfg = RunConfig()
     params = build_params(cfg)
@@ -925,7 +925,7 @@ def test_integrate_equals_a_loop_that_recomputes_the_wave_source(yosida_n):
     assert list(rec.checkpoints) == [LOOP_CHECKPOINT]
     assert same_state(rec.checkpoints[LOOP_CHECKPOINT], states[6])
     monitor = RunMonitor.from_state(st)
-    rows = [monitor.row(states[i], params) for i in (0, 4, 8, 11)]
+    rows = [monitor_row(monitor, states[i], params) for i in (0, 4, 8, 11)]
     assert list(rec.series) == list(rows[0])
     for key, column in rec.series.items():
         assert np.array_equal(column, [row[key] for row in rows])
@@ -966,7 +966,7 @@ def test_integrate_agrees_with_a_loop_that_closes_every_step(yosida_n):
         for x, y in ((got.u, want.u), (got.v, want.v), (got.vt, want.vt)):
             assert np.linalg.norm(x.coef - y.coef) <= 1e-12 * np.linalg.norm(y.coef)
     monitor = RunMonitor.from_state(st)
-    rows = [monitor.row(states[i], params) for i in (0, 4, 8, 11)]
+    rows = [monitor_row(monitor, states[i], params) for i in (0, 4, 8, 11)]
     for key, column in rec.series.items():
         assert np.allclose(column, [row[key] for row in rows], rtol=1e-12, atol=0.0), key
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import count_transforms, random_field
+from conftest import count_transforms, monitor_row, random_field
 from sibsim import experiments, functionals
 from sibsim.config import RunConfig, build_params
 from sibsim.dynamics import State, SystemParams, _Kernels, integrate, make_state
@@ -32,6 +32,8 @@ from sibsim.grids import (
     analyze,
     coef_to_values,
     field_from_coef,
+    h1_norm,
+    l4_norm,
     make_grid,
     sobolev_norm,
     values_to_coef,
@@ -349,14 +351,14 @@ def test_negative_order_norms_of_mode_state():
     st = mode_state(vt=-3.0)
     lam = 2.0
     assert DataNorms.from_state(st).neg_half_psi1 == pytest.approx(3.0 / np.sqrt(lam), rel=1e-14)
-    row = monitor_with_c0(st, 0.4).row(st, SystemParams(eps=1.0))
+    row = monitor_row(monitor_with_c0(st, 0.4), st, SystemParams(eps=1.0))
     assert row["hm_half_vt"] == pytest.approx(3.0 / np.sqrt(lam), rel=1e-14)
 
 
 def test_envelope_lhs_of_monitor_row_uses_inverse_gradient_norm():
     st = mode_state(u=2.0, v=3.0, vt=1.0)
     lam = 2.0
-    row = monitor_with_c0(st, 0.4).row(st, SystemParams(eps=1.0))
+    row = monitor_row(monitor_with_c0(st, 0.4), st, SystemParams(eps=1.0))
     assert h1_envelope_lhs(row) == pytest.approx(lam * 4.0 + 9.0 + 1.0 + 1.0 / lam, rel=1e-13)
     eps = 0.5
     expected_small = lam * 4.0 + 0.5 * (9.0 + 1.0 / lam + eps * 1.0)
@@ -374,7 +376,7 @@ def test_envelope_constants_validation():
 
 def test_monitor_row_matches_column_order():
     st = sine_state(16)
-    row = monitor_with_c0(st, 0.4).row(st, SystemParams(eps=1.0))
+    row = monitor_row(monitor_with_c0(st, 0.4), st, SystemParams(eps=1.0))
     # the columns derived from the state that an assertion reads, and
     # nothing else; series.csv adds envelope_h1, a function of t alone
     assert tuple(row) == (
@@ -386,16 +388,35 @@ def test_monitor_row_matches_column_order():
     assert row["charge"] == pytest.approx(np.pi**2 / 4, rel=1e-12)
 
 
-@pytest.mark.parametrize("yosida_n", [None, 8.0], ids=["nodal", "yosida"])
-def test_monitor_row_with_the_carried_source_equals_a_row_from_scratch(yosida_n):
-    # integrate hands a row the wave source its last step formed for the
-    # kept u; the row it builds is the one that forms the source itself
-    st = sine_state(16)
-    params = SystemParams(eps=1.0, dt=1e-2, yosida_n=yosida_n)
-    kept = integrate(st, 0.05, params).final_state
-    source = _Kernels(kept.grid, params, params.dt).wave_source(kept.u.coef)
-    monitor = monitor_with_c0(st, 0.4)
-    assert monitor.row(kept, params, source) == monitor.row(kept, params)
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_monitor_row_agrees_with_the_standalone_functionals(eps):
+    # the row squares each field's coefficients once and takes every column
+    # from those squares; the functionals form each norm on their own
+    g = make_grid(np.pi, 2.0, 16, 16)
+    rng = np.random.default_rng(31)
+    u = field_from_coef(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    v, vt = (field_from_coef(g, rng.standard_normal(g.shape)) for _ in range(2))
+    st = make_state(u, v, vt, 0.25)
+    params = SystemParams(eps=eps)
+    row = monitor_row(monitor_with_c0(st, 0.4), st, params)
+    expected = {
+        "t": 0.25,
+        "charge": charge(st),
+        "energy_eps": energy(st, params),
+        "h1_u": h1_norm(u),
+        "l2_v": sobolev_norm(v, 0.0),
+        "l2_vt": sobolev_norm(vt, 0.0),
+        "hm_half_vt": sobolev_norm(vt, -1.0),
+        "gn_quotient": gn_quotient(u),
+    }
+    assert list(row) == list(expected)
+    for key, want in expected.items():
+        assert row[key] == pytest.approx(want, rel=1e-14, abs=0.0), key
+    # the trapezoid sum of |u|^4 on the 2x-refined nodes, as a plain sum
+    shape = (2 * g.Nx, 2 * g.Ny)
+    sq = np.abs(coef_to_values(g, u.coef, shape)) ** 2
+    hx, hy = g.Lx / (shape[0] + 1), g.Ly / (shape[1] + 1)
+    assert l4_norm(u) == pytest.approx((np.sum(sq**2) * hx * hy) ** 0.25, rel=1e-14, abs=0.0)
 
 
 def test_monitor_row_zero_field_and_missing_c6():
@@ -406,16 +427,16 @@ def test_monitor_row_zero_field_and_missing_c6():
         field_from_coef(g, np.zeros(g.shape)),
     )
     monitor = monitor_with_c0(zero, 0.4)
-    row = monitor.row(zero, SystemParams(eps=1.0))
+    row = monitor_row(monitor, zero, SystemParams(eps=1.0))
     assert row["gn_quotient"] == 0.0
     # a field whose L2 norm underflows to 0 has no quotient either
     tiny = mode_state(u=1e-170)
     assert sobolev_norm(tiny.u, 0.0) == 0.0
-    assert monitor.row(tiny, SystemParams(eps=1.0))["gn_quotient"] == 0.0
+    assert monitor_row(monitor, tiny, SystemParams(eps=1.0))["gn_quotient"] == 0.0
 
     big = mode_state(u=4.0)
     monitor_big = monitor_with_c0(big, 0.4135)
     assert monitor_big.ec.c6 is None
     # without C6 the row stays finite: integrate's blow-up check reads every column
-    row_big = monitor_big.row(big, SystemParams(eps=1.0))
+    row_big = monitor_row(monitor_big, big, SystemParams(eps=1.0))
     assert all(math.isfinite(val) for val in row_big.values())

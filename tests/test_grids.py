@@ -18,7 +18,7 @@ from sibsim.grids import (
     field_from_coef,
     from_planes,
     h1_norm,
-    lp_norm,
+    l4_norm,
     make_grid,
     sobolev_norm,
     to_planes,
@@ -135,6 +135,43 @@ def test_dense_transforms_match_fft_path(band, nodes, kind):
     for got, want in zip(results, expected):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def sine_matrix(M, N, L):
+    """e_k(x_j) = sqrt(2/L) sin(pi j k / (M+1)) for M nodes and N modes,
+    formed here and not by the transforms' cache."""
+    j, k = np.arange(1, M + 1)[:, None], np.arange(1, N + 1)[None, :]
+    return np.sqrt(2.0 / L) * np.sin(np.pi * j * k / (M + 1))
+
+
+def test_transform_cache_is_keyed_by_sides_and_node_shape():
+    rng = np.random.default_rng(29)
+    band = (8, 6)
+    c = rng.standard_normal(band)
+    a, twin = make_grid(np.pi, 2.0, *band), make_grid(np.pi, 2.0, *band)
+    vals = coef_to_values(a, c, (12, 9))
+    # equal sides and shapes: one cache entry, the same bits
+    assert np.array_equal(coef_to_values(twin, c, (12, 9)), vals)
+    assert np.array_equal(values_to_coef(twin, vals), values_to_coef(a, vals))
+    # grids that differ only in Lx, or synthesis grids that differ only in
+    # one padded axis, each get their own factors: every result equals the
+    # sine sum formed here, in an order where a key that dropped Lx or the
+    # node shape would hand out the factors of the call before
+    wide = make_grid(1.5 * np.pi, 2.0, *band)
+    for g in (a, wide, a):
+        for nodes in ((12, 9), (13, 9), (12, 10), (12, 9)):
+            ax, ay = sine_matrix(nodes[0], band[0], g.Lx), sine_matrix(nodes[1], band[1], g.Ly)
+            got = coef_to_values(g, c, nodes)
+            assert got.shape == nodes
+            np.testing.assert_allclose(got, ax @ c @ ay.T, rtol=0, atol=1e-13)
+            scale = g.Lx * g.Ly / ((nodes[0] + 1) * (nodes[1] + 1))
+            back = values_to_coef(g, got)
+            np.testing.assert_allclose(back, scale * ax.T @ got @ ay, rtol=0, atol=1e-13)
+    assert not np.array_equal(coef_to_values(wide, c, (12, 9)), vals)
+    # a node shape coarser than the band is refused on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least as fine as the band"):
+            coef_to_values(a, c, (7, 6))
 
 
 def test_analyze_rejects_wrong_shape(unit_square_grid):
@@ -268,21 +305,22 @@ def test_sobolev_rejects_unsupported_exponent(unit_square_grid):
         sobolev_norm(f, 0.3)
 
 
-def test_lp_norm_exact_for_quartic():
+def test_l4_norm_exact_for_quartic():
     g = make_grid(np.pi, np.pi, 16, 16)
     X, Y = np.meshgrid(g.x, g.y, indexing="ij")
     u = analyze(g, np.sin(X) * np.sin(Y))
-    assert lp_norm(u, 4) == pytest.approx((3 * np.pi / 8) ** 0.5, rel=1e-12)
+    assert l4_norm(u) == pytest.approx((3 * np.pi / 8) ** 0.5, rel=1e-12)
 
 
-def test_lp_norm_matches_parseval_at_p2(unit_square_grid):
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_l4_norm_is_exact_on_band_limited_fields(unit_square_grid, kind):
+    # |f|^4 of N modes per axis has cosine modes up to 4N, which the rule
+    # on 2N + 1 intervals integrates exactly: a finer rule agrees with it
+    g = unit_square_grid
     rng = np.random.default_rng(9)
     for _ in range(3):
-        f = random_field(unit_square_grid, rng)
-        assert lp_norm(f, 2) == pytest.approx(sobolev_norm(f, 0.0), rel=1e-12)
-
-
-def test_lp_norm_rejects_small_p(unit_square_grid):
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        lp_norm(random_field(unit_square_grid, rng), 1.5)
+        f = random_field(g, rng, kind)
+        shape = (3 * g.Nx + 1, 3 * g.Ny + 2)
+        fourth = np.abs(coef_to_values(g, f.coef, shape)) ** 4
+        fine = (np.sum(fourth) * g.Lx / (shape[0] + 1) * g.Ly / (shape[1] + 1)) ** 0.25
+        assert l4_norm(f) == pytest.approx(fine, rel=1e-13)
