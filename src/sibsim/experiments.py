@@ -17,13 +17,12 @@ print around it, and the tests call the same function:
 * _series_assertions (run): charge-conservation, h1-envelope-domination,
   small-data-envelope and gn-quotient-bound, from a monitored series;
   _energy_drift is run's reported energy drift.
-* _eps_sweep (sweep-eps): eps-difference-decreasing and
-  member-charge-conservation.
-* _n_sweep (sweep-n): n-consecutive-differences-decreasing and
-  member-charge-conservation.
-* _order_test (order-test): splitting-second-order.
-  The three are ladders of runs: _ladder is their one runner, and
-  _drift_reports turns its drifts into reports and member-charge-conservation.
+* _eps_sweep (sweep-eps): eps-difference-decreasing; _n_sweep (sweep-n):
+  n-consecutive-differences-decreasing; _order_test (order-test):
+  splitting-second-order.  The three are ladders of runs against a
+  reference: _ladder runs and measures them and asserts
+  member-charge-conservation, each returns one _Ladder, and
+  _ladder_command prints and writes it.
 * _symbol_derivation (check): symbol-derivation, every table the stepper
   multiplies by against its formula; _grid_assertions (check):
   transform-inverse, transform-parseval and lifted-inverse-norm-identity;
@@ -43,6 +42,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,51 +224,78 @@ def _charge_conserved(name: str, drift: float, detail: str) -> Assertion:
 @dataclass
 class _Run:
     """One run of a ladder: its final state, its charge and energy _drift
-    from its data as its params prepare them, and its largest
-    difference_metric from the first run's states at the sample times (0
-    for the first run, and for a ladder that samples nothing)."""
+    from its data as its params prepare them, and its distance from the
+    ladder's first run, the reference (0 for the reference itself)."""
 
     final: State
     charge_drift: float
     energy_drift: float
-    sup_metric: float
+    distance: float
 
 
-def _ladder(config: RunConfig, state0: State, overrides, samples=()) -> list[_Run]:
+def _ladder(
+    config: RunConfig, state0: State, overrides, metric, samples=()
+) -> tuple[list[_Run], dict, Assertion]:
     """The one runner of sweep-eps, sweep-n and order-test: for each dict
     of build_params keywords in `overrides`, in order, one integrate of
-    state0 to config.T that keeps its states at `samples`.  Each run's
-    states are measured against the first run's as soon as it ends and
-    then dropped, so no more than two runs' states are alive at once."""
-    runs, reference = [], {}
+    state0 to config.T that keeps its states at `samples`.  A run's
+    distance is its largest `metric` from the reference's states at the
+    samples, or, without samples, between the final states; its states go
+    once it is measured, so no more than two runs' states are alive at
+    once.  The runs, the drift reports (each member's charge and energy
+    drift, and the reference's) and member-charge-conservation."""
+    runs, reference = [], None
     for keywords in overrides:
         params = build_params(config, **keywords)
         record = integrate(state0, config.T, params, checkpoint_times=samples)
         start, final = prepare_initial_state(state0, params), record.final_state
-        kept = record.checkpoints
+        kept = record.checkpoints if samples else {config.T: final}
         charges = [charge(start), charge(final)]
         energies = [energy(start, params), energy(final, params)]
-        sups = [difference_metric(kept[t], reference[t]) for t in samples] if reference else [0.0]
-        runs.append(_Run(final, _drift(charges), _drift(energies), float(np.max(sups))))
+        distances = [metric(kept[t], reference[t]) for t in kept] if reference else [0.0]
+        runs.append(_Run(final, _drift(charges), _drift(energies), float(np.max(distances))))
         reference = reference or kept
         del record, kept  # so that the next run does not hold them
-    return runs
-
-
-def _drift_reports(runs: list[_Run]) -> tuple[dict, Assertion]:
-    """The drift reports of a ladder whose first run is the reference the
-    others are compared against, and member-charge-conservation over all
-    of its runs."""
-    reference, *members = runs
+    first, *members = runs
     reports = {
         "charge_drift": [run.charge_drift for run in members],
-        "reference_charge_drift": reference.charge_drift,
+        "reference_charge_drift": first.charge_drift,
         "energy_drift": [run.energy_drift for run in members],
-        "reference_energy_drift": reference.energy_drift,
+        "reference_energy_drift": first.energy_drift,
     }
     worst = np.max([run.charge_drift for run in runs])
     detail = f"largest relative drift {worst:.3e} over the reference and {len(members)} members"
-    return reports, _charge_conserved("member-charge-conservation", worst, detail)
+    return runs, reports, _charge_conserved("member-charge-conservation", worst, detail)
+
+
+class _Ladder(NamedTuple):
+    """What a ladder measured: the lines its command prints before the
+    verdicts, its table as (file name, columns, rows) or None, the monitor
+    of its data or None, its reports and its assertions."""
+
+    lines: list[str]
+    table: tuple[str, tuple[str, ...], list[tuple]] | None
+    monitor: RunMonitor | None
+    reports: dict
+    assertions: list[Assertion]
+
+
+def _ladder_command(command: str, config: RunConfig, measure, quiet: bool) -> int:
+    """The one body of sweep-eps, sweep-n and order-test: the _Ladder that
+    measure(config) returns, printed, written as its table and a manifest,
+    and judged."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    ladder = measure(config)
+    for line in ladder.lines:
+        _emit(quiet, line)
+    artifacts = []
+    if ladder.table is not None:
+        name, columns, rows = ladder.table
+        write_table(os.path.join(config.out_dir, name), columns, rows)
+        artifacts.append(name)
+    manifest = _manifest_base(command, config, ladder.monitor)
+    manifest["reports"] = ladder.reports
+    return _finish(config.out_dir, manifest, ladder.assertions, artifacts, quiet)
 
 
 def _series_assertions(series: dict, eps: float, monitor: RunMonitor) -> list[Assertion]:
@@ -349,11 +376,11 @@ def cmd_run(config: RunConfig, quiet: bool = False) -> int:
 # eps sweep
 
 
-def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
+def _eps_sweep(config: RunConfig) -> _Ladder:
     """Run the eps = 0 reference and every eps of eps_list, sampled at
-    _sample_times; the monitor of the data, the reports (with each member's
-    charge and energy drift) and the eps-difference-decreasing and
-    member-charge-conservation assertions."""
+    _sample_times; each member's sup_metric is its largest difference_metric
+    from the reference over the samples.  The eps-difference-decreasing and
+    member-charge-conservation assertions, and eps_sweep.csv."""
     eps_values = tuple(sorted(set(config.eps_list), reverse=True))
     if len(eps_values) < 2:
         raise ValueError(
@@ -369,9 +396,10 @@ def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
         )
 
     overrides = [{"eps": eps} for eps in (0.0, *eps_values)]
-    runs = _ladder(config, state0, overrides, _sample_times(config))
-    sups = [run.sup_metric for run in runs[1:]]
-    drift_reports, conserved = _drift_reports(runs)
+    runs, drift_reports, conserved = _ladder(
+        config, state0, overrides, difference_metric, _sample_times(config)
+    )
+    sups = [run.distance for run in runs[1:]]
     # log(0) is undefined, so an eps = 0 member stays out of the log-log fit
     fit = [(e, s) for e, s in zip(eps_values, sups) if e > 0]
     if len(fit) >= 2:
@@ -379,15 +407,14 @@ def _eps_sweep(config: RunConfig) -> tuple[RunMonitor, dict, list[Assertion]]:
         slope = float(np.polyfit(np.log(fit_eps), np.log(np.maximum(fit_sups, 1e-300)), 1)[0])
     else:
         slope = math.nan
-    reports = {
-        "eps": list(eps_values),
-        "sup_metric": sups,
-        "fitted_slope": slope,
-        **drift_reports,
-    }
+    reports = {"eps": list(eps_values), "sup_metric": sups, "fitted_slope": slope, **drift_reports}
     detail = "sup metric strictly decreasing as eps decreases"
     trend = _decreasing("eps-difference-decreasing", sups, detail)
-    return monitor, reports, [trend, conserved]
+    lines = [f"eps={e:g}: sup difference {s:.6e}" for e, s in zip(eps_values, sups)]
+    lines.append(f"fitted slope of sup difference vs eps: {slope:.3f}")
+    rows = [(e, s, slope) for e, s in zip(eps_values, sups)]
+    table = ("eps_sweep.csv", ("eps", "sup_metric", "fitted_slope"), rows)
+    return _Ladder(lines, table, monitor, reports, [trend, conserved])
 
 
 def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
@@ -395,31 +422,18 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
     sampled times of the difference metric must decrease strictly as eps
     decreases.  Requires the small-data hypothesis (the limit system's
     global theory needs it)."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    monitor, reports, assertions = _eps_sweep(config)
-    slope = reports["fitted_slope"]
-    rows = [(e, s, slope) for e, s in zip(reports["eps"], reports["sup_metric"])]
-    for eps, sup, _ in rows:
-        _emit(quiet, f"eps={eps:g}: sup difference {sup:.6e}")
-    write_table(
-        os.path.join(config.out_dir, "eps_sweep.csv"), ("eps", "sup_metric", "fitted_slope"), rows
-    )
-    manifest = _manifest_base("sweep-eps", config, monitor)
-    manifest["reports"] = reports
-    _emit(quiet, f"fitted slope of sup difference vs eps: {slope:.3f}")
-    return _finish(config.out_dir, manifest, assertions, ["eps_sweep.csv"], quiet)
+    return _ladder_command("sweep-eps", config, _eps_sweep, quiet)
 
 
 # ---------------------------------------------------------------------------
 # yosida-n sweep
 
 
-def _n_sweep(config: RunConfig) -> tuple[RunMonitor, State, dict, list[Assertion]]:
-    """Run the unregularized reference and every n of n_list to T; the
-    monitor of the data, the reference's final state, the reports (with
-    each member's charge and energy drift) and the
-    n-consecutive-differences-decreasing and member-charge-conservation
-    assertions."""
+def _n_sweep(config: RunConfig) -> _Ladder:
+    """Run the unregularized reference and every n of n_list to T; each
+    member's dist_unregularized is its cauchy_metric from the reference at
+    T.  The n-consecutive-differences-decreasing and
+    member-charge-conservation assertions, and n_sweep.csv."""
     n_values = tuple(sorted(set(config.n_list)))
     if len(n_values) < 3:
         raise ValueError(
@@ -427,46 +441,34 @@ def _n_sweep(config: RunConfig) -> tuple[RunMonitor, State, dict, list[Assertion
         )
 
     state0, monitor = _start(config, build_params(config, yosida_n=None))
-    runs = _ladder(config, state0, [{"yosida_n": n} for n in (None, *n_values)])
-    reference, *finals = (run.final for run in runs)
-    drift_reports, conserved = _drift_reports(runs)
+    overrides = [{"yosida_n": n} for n in (None, *n_values)]
+    runs, drift_reports, conserved = _ladder(config, state0, overrides, cauchy_metric)
+    finals = [run.final for run in runs[1:]]
     diffs = [cauchy_metric(a, b) for a, b in zip(finals, finals[1:])]
+    dists = [run.distance for run in runs[1:]]
     reports = {
         "n": list(n_values),
         "diff_consecutive": diffs,
-        "dist_unregularized": [cauchy_metric(f, reference) for f in finals],
+        "dist_unregularized": dists,
         **drift_reports,
     }
     trend = _decreasing(
         "n-consecutive-differences-decreasing", diffs, "Cauchy trend along doubling n"
     )
-    return monitor, reference, reports, [trend, conserved]
+    lines, rows = [], []
+    for n, diff_prev, dist in zip(n_values, [None, *diffs], dists):
+        shown = "-" if diff_prev is None else f"{diff_prev:.6e}"
+        lines.append(f"n={n}: consecutive diff {shown}, distance to unregularized {dist:.6e}")
+        rows.append((n, "" if diff_prev is None else diff_prev, dist))
+    table = ("n_sweep.csv", ("n", "diff_consecutive", "dist_unregularized"), rows)
+    return _Ladder(lines, table, monitor, reports, [trend, conserved])
 
 
 def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
     """Run the regularized system for each n, plus the unregularized
     reference; consecutive solutions (at t = T, in H1 + L2 + L2) must
     approach each other as n doubles."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    monitor, _, reports, assertions = _n_sweep(config)
-    rows = []
-    diffs = [None, *reports["diff_consecutive"]]
-    for n, diff_prev, dist in zip(reports["n"], diffs, reports["dist_unregularized"]):
-        rows.append((n, "" if diff_prev is None else diff_prev, dist))
-        _emit(
-            quiet,
-            f"n={n}: consecutive diff "
-            + ("-" if diff_prev is None else f"{diff_prev:.6e}")
-            + f", distance to unregularized {dist:.6e}",
-        )
-    write_table(
-        os.path.join(config.out_dir, "n_sweep.csv"),
-        ("n", "diff_consecutive", "dist_unregularized"),
-        rows,
-    )
-    manifest = _manifest_base("sweep-n", config, monitor)
-    manifest["reports"] = reports
-    return _finish(config.out_dir, manifest, assertions, ["n_sweep.csv"], quiet)
+    return _ladder_command("sweep-n", config, _n_sweep, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +686,7 @@ def cmd_estimate_c0(config: RunConfig, quiet: bool = False) -> int:
 # order test
 
 
-def _order_test(config: RunConfig) -> tuple[dict, list[Assertion]]:
+def _order_test(config: RunConfig) -> _Ladder:
     """Run to T at every dt of dt_list and at dt_min / 8, the reference the
     errors are taken against; the reports (with each run's charge and
     energy drift, not asserted) and the splitting-second-order
@@ -693,7 +695,7 @@ def _order_test(config: RunConfig) -> tuple[dict, list[Assertion]]:
     1e-11 of the reference's own size in their metric, skip the
     measurement only when u = 0 (zero data, a free wave), where both
     couplings vanish and the splitting is the exact free flow; with u != 0
-    they fail it, as errors that do not depend on dt."""
+    they fail it, as errors that do not depend on dt.  No table."""
     dts = config.dt_list
     if len(dts) < 3:
         raise ValueError("order test needs at least 3 dt values")
@@ -707,44 +709,37 @@ def _order_test(config: RunConfig) -> tuple[dict, list[Assertion]]:
         )
 
     state0 = build_initial_state(config)
-    runs = _ladder(config, state0, [{"dt": dt} for dt in (dts[-1] / 8.0, *dts)])
-    reference, *finals = (run.final for run in runs)
-    errors = [difference_metric(final, reference) for final in finals]
-    reports = {"dt": list(dts), "errors": errors, **_drift_reports(runs)[0]}
+    overrides = [{"dt": dt} for dt in (dts[-1] / 8.0, *dts)]
+    runs, drift_reports, _ = _ladder(config, state0, overrides, difference_metric)
+    errors = [run.distance for run in runs[1:]]
+    reports = {"dt": list(dts), "errors": errors, **drift_reports}
+    lines = [f"dt={dt:g}: error {err:.6e}" for dt, err in zip(dts, errors)]
+    reference = runs[0].final
     parts = (reference.u, reference.v, reference.vt)
     zero = State(*(field_from_coef(f.grid, np.zeros_like(f.coef)) for f in parts), reference.t)
     if np.max(errors) <= 1e-11 * difference_metric(reference, zero):
         if not np.any(state0.u.coef):
-            return {**reports, "skipped": True}, []
+            lines.append(
+                "errors at round-off level with u = 0, which the splitting integrates "
+                "exactly (e.g. zero data); order measurement skipped"
+            )
+            return _Ladder(lines, None, None, {**reports, "skipped": True}, [])
+        margin = -1.9
         detail = "errors at round-off do not depend on dt although u != 0: observed order 0"
-        return reports, [_holds("splitting-second-order", -1.9, detail)]
-    steps = [config.T / _step_count(config.T, dt) for dt in dts]
-    orders = [
-        math.log2(a / b) / math.log2(h_a / h_b)
-        for a, b, h_a, h_b in zip(errors, errors[1:], steps, steps[1:])
-    ]
-    mean_order = sum(orders) / len(orders)
-    reports.update(orders=orders, mean_order=mean_order)
-    detail = f"mean observed order {mean_order:.3f}"
-    return reports, [_holds("splitting-second-order", mean_order - 1.9, detail)]
+    else:
+        steps = [config.T / _step_count(config.T, dt) for dt in dts]
+        orders = [
+            math.log2(a / b) / math.log2(h_a / h_b)
+            for a, b, h_a, h_b in zip(errors, errors[1:], steps, steps[1:])
+        ]
+        mean_order = sum(orders) / len(orders)
+        reports.update(orders=orders, mean_order=mean_order)
+        lines.append(f"observed orders: {['%.3f' % o for o in orders]}, mean {mean_order:.3f}")
+        margin, detail = mean_order - 1.9, f"mean observed order {mean_order:.3f}"
+    return _Ladder(lines, None, None, reports, [_holds("splitting-second-order", margin, detail)])
 
 
 def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:
     """Self-refinement order measurement for the splitting integrator
     (_order_test); a skipped measurement is printed as a notice."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    reports, assertions = _order_test(config)
-    for dt, err in zip(reports["dt"], reports["errors"]):
-        _emit(quiet, f"dt={dt:g}: error {err:.6e}")
-    if reports.get("skipped"):
-        _emit(
-            quiet,
-            "errors at round-off level with u = 0, which the splitting integrates "
-            "exactly (e.g. zero data); order measurement skipped",
-        )
-    elif "orders" in reports:
-        orders, mean_order = reports["orders"], reports["mean_order"]
-        _emit(quiet, f"observed orders: {['%.3f' % o for o in orders]}, mean {mean_order:.3f}")
-    manifest = _manifest_base("order-test", config)
-    manifest["reports"] = reports
-    return _finish(config.out_dir, manifest, assertions, [], quiet)
+    return _ladder_command("order-test", config, _order_test, quiet)

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 #: Sobolev exponents for which coefficient-space norms are defined here.
-SOBOLEV_EXPONENTS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+SOBOLEV_EXPONENTS = (-1.0, 0.0, 1.0)
 
 @dataclass(frozen=True, eq=False)
 class Grid2D:
@@ -271,7 +271,7 @@ def sobolev_norm(f: Field, s: float) -> float:
 
     Args:
         f: field.
-        s: one of -1, -1/2, 0, 1/2, 1, 2.
+        s: one of -1, 0, 1.
 
     Raises:
         ValueError: for unsupported exponents.

@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from sibsim import experiments
 from sibsim.config import RunConfig, build_initial_state, build_params
 from sibsim.dynamics import integrate, picard_duhamel
 from sibsim.experiments import (
@@ -139,7 +140,7 @@ def test_h1_envelope_dominates_for_small_eps_family(small_eps_family):
 
 
 def test_distance_to_limit_system_decreases_with_eps():
-    _, reports, assertions = _eps_sweep(RunConfig())
+    *_, reports, assertions = _eps_sweep(RunConfig())
     sups = ", ".join(f"{s:.4f}" for s in reports["sup_metric"])
     context = f"sups {sups} for eps {tuple(reports['eps'])}; slope {reports['fitted_slope']:.2f}"
     assert _passed(context, *assertions)
@@ -147,13 +148,24 @@ def test_distance_to_limit_system_decreases_with_eps():
 
 @pytest.fixture(scope="module")
 def half_time_n_sweep():
-    """_n_sweep at T = 0.5 over n = 8, 16, 32, 64.  Its unregularized run is
-    also the plain run of the heavy regularization test."""
-    return _n_sweep(RunConfig(T=0.5))
+    """_n_sweep at T = 0.5 over n = 8, 16, 32, 64, and the final state of
+    its unregularized run, which is also the plain run of the heavy
+    regularization test: the sweep's _ladder call is wrapped to keep it."""
+    ladder, ladders = experiments._ladder, []
+
+    def keeping(*args, **kwargs):
+        ladders.append(ladder(*args, **kwargs))
+        return ladders[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_ladder", keeping)
+        sweep = _n_sweep(RunConfig(T=0.5))
+    [(runs, _, _)] = ladders
+    return sweep, runs[0].final
 
 
 def test_regularized_runs_form_cauchy_sequence_in_n(half_time_n_sweep):
-    _, _, reports, assertions = half_time_n_sweep
+    *_, reports, assertions = half_time_n_sweep[0]
     diffs = ", ".join(f"{d:.3e}" for d in reports["diff_consecutive"])
     assert _passed(f"consecutive distances {diffs} for n = 8, 16, 32, 64 at t=0.5", *assertions)
 
@@ -266,7 +278,7 @@ def refinement():
 
 
 def test_refinement_reaches_second_order_on_average(refinement):
-    reports, assertions = refinement
+    *_, reports, assertions = refinement
     [mean_order] = assertions
     assert _passed(f"dt {tuple(reports['dt'])}", mean_order)
 
@@ -280,7 +292,7 @@ def test_refinement_reaches_second_order_on_average(refinement):
     "2.0 for finer steps",
 )
 def test_refinement_orders_sit_in_second_order_window(refinement):
-    orders = refinement[0]["orders"]
+    orders = refinement.reports["orders"]
     in_window = all(1.9 <= o <= 2.1 for o in orders)
     _verdict(
         in_window,

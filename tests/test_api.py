@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, and the exported lists
 change only on purpose."""
 
+import ast
 import importlib
 import inspect
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import sibsim
-from sibsim import config, dynamics, functionals, grids
+from sibsim import config, dynamics, experiments, functionals, grids
 
 MODULES = (
     "sibsim",
@@ -81,8 +82,6 @@ BENCHMARK_NAMES = (
 def test_traced_module_exports_are_unchanged():
     # benchmarks/spans.py wraps every callable in these two lists to time
     # the config and command layers, so a change here changes the benchmark
-    from sibsim import config, experiments
-
     for dotted in BENCHMARK_NAMES:
         module, *path = dotted.split(".")
         obj = importlib.import_module(f"sibsim.{module}")
@@ -107,6 +106,27 @@ def test_traced_module_exports_are_unchanged():
         "cmd_estimate_c0",
         "cmd_order_test",
     ]
+
+
+def _callers(module, name: str) -> list[str]:
+    """The top-level functions of module that call `name`, once per call."""
+    tree = ast.parse(inspect.getsource(module))
+    return [
+        function.name
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    ]
+
+
+def test_the_ladders_measure_and_write_through_one_runner():
+    # sweep-eps, sweep-n and order-test integrate only in _ladder, which
+    # also reports the drifts, and write their tables only in
+    # _ladder_command; cmd_run is the one other integration
+    assert sorted(_callers(experiments, "integrate")) == ["_ladder", "cmd_run"]
+    assert _callers(experiments, "write_table") == ["_ladder_command"]
+    assert not hasattr(experiments, "_drift_reports")
 
 
 def test_system_params_hold_only_the_model():

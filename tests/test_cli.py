@@ -1153,3 +1153,52 @@ def test_order_test_skips_an_exact_integrator(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["reports"]["skipped"] is True
     assert manifest["assertions"] == []
+
+
+def _ladder_output(command, reports):
+    """The table rows a ladder command writes (None for order-test, which
+    writes none), the line it prints per member and its summary lines, as
+    its manifest reports give them."""
+    if command == "sweep-eps":
+        slope = reports["fitted_slope"]
+        rows = [[e, s, slope] for e, s in zip(reports["eps"], reports["sup_metric"])]
+        members = [f"eps={e:g}: sup difference {s:.6e}" for e, s, _ in rows]
+        return rows, members, [f"fitted slope of sup difference vs eps: {slope:.3f}"]
+    if command == "sweep-n":
+        diffs = [None, *reports["diff_consecutive"]]
+        rows = [list(row) for row in zip(reports["n"], diffs, reports["dist_unregularized"])]
+        members = [
+            f"n={n}: consecutive diff {'-' if d is None else f'{d:.6e}'}, "
+            f"distance to unregularized {x:.6e}"
+            for n, d, x in rows
+        ]
+        return rows, members, []
+    members = [f"dt={dt:g}: error {e:.6e}" for dt, e in zip(reports["dt"], reports["errors"])]
+    orders = [f"{o:.3f}" for o in reports["orders"]]
+    return None, members, [f"observed orders: {orders}, mean {reports['mean_order']:.3f}"]
+
+
+@pytest.mark.parametrize(
+    "command, table",
+    [("sweep-eps", "eps_sweep.csv"), ("sweep-n", "n_sweep.csv"), ("order-test", None)],
+)
+def test_each_ladder_command_prints_its_members_then_summary_then_verdicts(
+    tmp_path, capsys, command, table
+):
+    # one line per member in the order of the table rows, the summary line
+    # (sweep-n has none), then one verdict line per manifest assertion in
+    # manifest order; each table row holds its member's reports entries
+    cfg = write(tmp_path, GRID_8 + "[run]\ndt = 1e-2\nt = 0.05\nmonitor_stride = 1\n")
+    out = tmp_path / "o"
+    main(["--config", cfg, "--out", str(out), command])
+    printed = capsys.readouterr().out.splitlines()
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows, members, summary = _ladder_output(command, manifest["reports"])
+    verdicts = [experiments.Assertion(**a).line() for a in manifest["assertions"]]
+    assert len(members) == len(manifest["reports"]["charge_drift"]) >= 3
+    assert verdicts
+    assert printed == members + summary + verdicts
+    if table is not None:
+        with open(out / table, newline="") as fh:
+            written = list(csv.reader(fh))[1:]
+        assert [[float(cell) if cell else None for cell in row] for row in written] == rows
