@@ -7,12 +7,13 @@ output directory, prints one line per assertion, and returns a process
 exit code: 0 all assertions pass, 1 an assertion failed.  The other two
 exit codes come from exceptions that the CLI maps in one place: 2 for
 invalid configuration (ValueError, or an OSError from the file system), 3
-for a numerical abort (dynamics.NumericalAbort; cmd_run first writes its
-manifest with status numerical-abort).
+for a numerical abort (dynamics.NumericalAbort, after which the manifest
+reads status numerical-abort).
 
-Each asserted property is computed once, by a private function that returns
-the reported numbers and the Assertions; the commands only run, write and
-print around it, and the tests call the same function:
+Every command is one _command call, which measures through a private
+measure(config, manifest) -> _Outcome, then prints, writes and judges.
+Each asserted property is computed once, by a private function that
+returns the reported numbers and the Assertions; the tests call it too:
 
 * _series_assertions (run): charge-conservation, h1-envelope-domination,
   small-data-envelope and gn-quotient-bound, from a monitored series;
@@ -20,15 +21,14 @@ print around it, and the tests call the same function:
 * _eps_sweep (sweep-eps): eps-difference-decreasing; _n_sweep (sweep-n):
   n-consecutive-differences-decreasing; _order_test (order-test):
   splitting-second-order.  The three are ladders of runs against a
-  reference: _ladder runs and measures them and asserts
-  member-charge-conservation, each returns one _Ladder, and
-  _ladder_command prints and writes it.
+  reference: _ladder runs and measures them, asserts
+  member-charge-conservation, and skips them at round-off with u = 0.
 * _symbol_derivation (check): symbol-derivation, every table the stepper
   multiplies by against its formula; _grid_assertions (check):
   transform-inverse, transform-parseval and lifted-inverse-norm-identity;
-  _phase_flow_assertion (check): nodal-phase-flow; cmd_check adds
+  _phase_flow_assertion (check): nodal-phase-flow; _check adds
   stored-c0-certified, which needs the 128^2 estimate.
-* cmd_estimate_c0 itself: estimator-converged.
+* _estimate_c0 itself: estimator-converged.
 
 Every verdict follows one rule, _holds: an assertion passes exactly when
 its margin is >= 0, and each worst case is one numpy reduction over a
@@ -147,47 +147,61 @@ def _resolved(config: RunConfig) -> dict:
     }
 
 
-def _manifest_base(command: str, config: RunConfig, monitor: RunMonitor | None = None) -> dict:
-    """The manifest fields every command writes, plus the data norms and
-    envelope constants of `monitor` when given."""
-    manifest = {
-        "command": command,
-        "config": config.raw,
-        "resolved": _resolved(config),
-        "versions": {
-            "sibsim": __version__,
-            "numpy": np.__version__,
-        },
-    }
-    if monitor is not None:
-        dn, ec = monitor.dn, monitor.ec
-        manifest["data_norms"] = {name: getattr(dn, name) for name in vars(dn)}
-        manifest["envelope_constants"] = {"c0": ec.c0, "c3": ec.c3, "c6": ec.c6}
-    return manifest
+class _Outcome(NamedTuple):
+    """What a command measured: the lines it prints before the verdicts,
+    its artifacts as a map from file name to a writer of that path, its
+    reports (None for none) and its assertions."""
+
+    lines: list[str]
+    files: dict
+    reports: dict | None
+    assertions: list[Assertion]
 
 
-def _finish(
-    directory: str,
-    manifest: dict,
-    assertions: list[Assertion],
-    artifact_names: list[str],
-    quiet: bool,
-) -> int:
-    for a in assertions:
+def _command(command: str, config: RunConfig, measure, quiet: bool) -> int:
+    """The one body of every command: measure(config, manifest), then its
+    _Outcome printed, written and judged in manifest.json.  A numerical
+    abort writes the manifest with status numerical-abort, where the run
+    failed and no files, and is raised on."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    path = os.path.join(config.out_dir, "manifest.json")
+    manifest = {"command": command, "config": config.raw, "resolved": _resolved(config)}
+    manifest["versions"] = {"sibsim": __version__, "numpy": np.__version__}
+    try:
+        outcome = measure(config, manifest)
+    except NumericalAbort as exc:
+        manifest["status"] = "numerical-abort"
+        if isinstance(exc, BlowupError):
+            manifest.update(last_finite_t=exc.t_last, failed_step=exc.step)
+            manifest["failed_quantity"] = exc.quantity
+        manifest["files"] = {}
+        write_manifest(path, manifest)
+        raise
+    for line in outcome.lines:
+        _emit(quiet, line)
+    for name, write in outcome.files.items():
+        write(os.path.join(config.out_dir, name))
+    if outcome.reports is not None:
+        manifest["reports"] = outcome.reports
+    for a in outcome.assertions:
         _emit(quiet, a.line())
-    manifest["assertions"] = [vars(a) for a in assertions]
-    ok = all(a.passed for a in assertions)
-    manifest.setdefault("status", "ok" if ok else "assertion-failure")
-    manifest["files"] = file_checksums(directory, artifact_names)
-    write_manifest(os.path.join(directory, "manifest.json"), manifest)
+    manifest["assertions"] = [vars(a) for a in outcome.assertions]
+    ok = all(a.passed for a in outcome.assertions)
+    manifest["status"] = "ok" if ok else "assertion-failure"
+    manifest["files"] = file_checksums(config.out_dir, list(outcome.files))
+    write_manifest(path, manifest)
     return 0 if ok else 1
 
 
-def _start(config: RunConfig, params: SystemParams) -> tuple[State, RunMonitor]:
+def _start(config: RunConfig, params: SystemParams, manifest: dict) -> tuple[State, RunMonitor]:
     """The initial data, and the monitor of the data as `params` prepares
-    them."""
+    them, whose data norms and envelope constants go into `manifest`."""
     state0 = build_initial_state(config)
-    return state0, RunMonitor.from_state(prepare_initial_state(state0, params))
+    monitor = RunMonitor.from_state(prepare_initial_state(state0, params))
+    dn, ec = monitor.dn, monitor.ec
+    manifest["data_norms"] = {name: getattr(dn, name) for name in vars(dn)}
+    manifest["envelope_constants"] = {"c0": ec.c0, "c3": ec.c3, "c6": ec.c6}
+    return state0, monitor
 
 
 def _sample_times(config: RunConfig) -> tuple[float, ...]:
@@ -235,15 +249,19 @@ class _Run:
 
 def _ladder(
     config: RunConfig, state0: State, overrides, metric, samples=()
-) -> tuple[list[_Run], dict, Assertion]:
+) -> tuple[list[_Run], dict, Assertion, bool]:
     """The one runner of sweep-eps, sweep-n and order-test: for each dict
     of build_params keywords in `overrides`, in order, one integrate of
     state0 to config.T that keeps its states at `samples`.  A run's
     distance is its largest `metric` from the reference's states at the
     samples, or, without samples, between the final states; its states go
     once it is measured, so no more than two runs' states are alive at
-    once.  The runs, the drift reports (each member's charge and energy
-    drift, and the reference's) and member-charge-conservation."""
+    once.  The runs, the reports (each member's charge and energy drift,
+    and the reference's), member-charge-conservation, and whether every
+    distance is at round-off, at most 1e-11 of the reference's own size in
+    `metric`.  With u = 0 (zero data, a free wave) both couplings vanish
+    and every run is a free flow, which the splitting integrates exactly,
+    so round-off distances measure nothing and the reports read skipped."""
     runs, reference = [], None
     for keywords in overrides:
         params = build_params(config, **keywords)
@@ -263,39 +281,19 @@ def _ladder(
         "energy_drift": [run.energy_drift for run in members],
         "reference_energy_drift": first.energy_drift,
     }
+    ref = first.final
+    parts = (ref.u, ref.v, ref.vt)
+    zero = State(*(field_from_coef(f.grid, np.zeros_like(f.coef)) for f in parts), ref.t)
+    flat = bool(np.max([run.distance for run in members]) <= 1e-11 * metric(ref, zero))
+    if flat and not np.any(state0.u.coef):
+        reports["skipped"] = True
     worst = np.max([run.charge_drift for run in runs])
     detail = f"largest relative drift {worst:.3e} over the reference and {len(members)} members"
-    return runs, reports, _charge_conserved("member-charge-conservation", worst, detail)
+    return runs, reports, _charge_conserved("member-charge-conservation", worst, detail), flat
 
 
-class _Ladder(NamedTuple):
-    """What a ladder measured: the lines its command prints before the
-    verdicts, its table as (file name, columns, rows) or None, the monitor
-    of its data or None, its reports and its assertions."""
-
-    lines: list[str]
-    table: tuple[str, tuple[str, ...], list[tuple]] | None
-    monitor: RunMonitor | None
-    reports: dict
-    assertions: list[Assertion]
-
-
-def _ladder_command(command: str, config: RunConfig, measure, quiet: bool) -> int:
-    """The one body of sweep-eps, sweep-n and order-test: the _Ladder that
-    measure(config) returns, printed, written as its table and a manifest,
-    and judged."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    ladder = measure(config)
-    for line in ladder.lines:
-        _emit(quiet, line)
-    artifacts = []
-    if ladder.table is not None:
-        name, columns, rows = ladder.table
-        write_table(os.path.join(config.out_dir, name), columns, rows)
-        artifacts.append(name)
-    manifest = _manifest_base(command, config, ladder.monitor)
-    manifest["reports"] = ladder.reports
-    return _finish(config.out_dir, manifest, ladder.assertions, artifacts, quiet)
+# the notice a sweep prints in place of its summary when _ladder skips it
+_SWEEP_SKIPPED = "distances at round-off with u = 0 (e.g. zero data); trend measurement skipped"
 
 
 def _series_assertions(series: dict, eps: float, monitor: RunMonitor) -> list[Assertion]:
@@ -339,55 +337,45 @@ def _decreasing(name: str, values: list[float], detail: str) -> Assertion:
 # run
 
 
+def _run(config: RunConfig, manifest: dict) -> _Outcome:
+    """One monitored integrate of the configured data: run's assertions,
+    its energy drift, series.csv and the checkpoints."""
+    params = build_params(config)
+    state0, monitor = _start(config, params, manifest)
+    record = integrate(
+        state0, config.T, params, config.monitor_stride, monitor, config.checkpoint_times
+    )
+    assertions = _series_assertions(record.series, params.eps, monitor)
+    reports = {"energy_drift_rel": _energy_drift(record.series)}
+    record.series["envelope_h1"] = _envelope_h1(record.series, monitor)
+    files = {"series.csv": lambda path: write_series(path, record)}
+    for t, snap in sorted(record.checkpoints.items()):
+        files[checkpoint_name(t)] = lambda path, snap=snap: save_checkpoint(path, snap)
+    return _Outcome([], files, reports, assertions)
+
+
 def cmd_run(config: RunConfig, quiet: bool = False) -> int:
     """Integrate one configuration; assert conservation and envelopes."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    params = build_params(config)
-    state0, monitor = _start(config, params)
-    manifest = _manifest_base("run", config, monitor)
-
-    try:
-        record = integrate(
-            state0, config.T, params, config.monitor_stride, monitor, config.checkpoint_times
-        )
-    except NumericalAbort as exc:
-        manifest["status"] = "numerical-abort"
-        if isinstance(exc, BlowupError):
-            manifest["last_finite_t"] = exc.t_last
-            manifest["failed_step"] = exc.step
-            manifest["failed_quantity"] = exc.quantity
-        manifest["files"] = {}
-        write_manifest(os.path.join(config.out_dir, "manifest.json"), manifest)
-        raise
-
-    assertions = _series_assertions(record.series, params.eps, monitor)
-    manifest["reports"] = {"energy_drift_rel": _energy_drift(record.series)}
-    record.series["envelope_h1"] = _envelope_h1(record.series, monitor)
-    artifacts = ["series.csv"]
-    write_series(os.path.join(config.out_dir, "series.csv"), record)
-    for t, snap in sorted(record.checkpoints.items()):
-        name = checkpoint_name(t)
-        save_checkpoint(os.path.join(config.out_dir, name), snap)
-        artifacts.append(name)
-    return _finish(config.out_dir, manifest, assertions, artifacts, quiet)
+    return _command("run", config, _run, quiet)
 
 
 # ---------------------------------------------------------------------------
 # eps sweep
 
 
-def _eps_sweep(config: RunConfig) -> _Ladder:
+def _eps_sweep(config: RunConfig, manifest: dict) -> _Outcome:
     """Run the eps = 0 reference and every eps of eps_list, sampled at
     _sample_times; each member's sup_metric is its largest difference_metric
     from the reference over the samples.  The eps-difference-decreasing and
-    member-charge-conservation assertions, and eps_sweep.csv."""
+    member-charge-conservation assertions, and eps_sweep.csv; a skipped
+    sweep asserts only member-charge-conservation and writes no table."""
     eps_values = tuple(sorted(set(config.eps_list), reverse=True))
     if len(eps_values) < 2:
         raise ValueError(
             f"eps sweep needs at least 2 distinct eps_list values, got {config.eps_list}"
         )
 
-    state0, monitor = _start(config, build_params(config, eps=0.0))
+    state0, monitor = _start(config, build_params(config, eps=0.0), manifest)
     if monitor.ec.c0 * monitor.dn.l2_phi >= math.sqrt(2.0):
         raise ValueError(
             "small-data hypothesis violated: C0*||phi||_2 = "
@@ -396,10 +384,14 @@ def _eps_sweep(config: RunConfig) -> _Ladder:
         )
 
     overrides = [{"eps": eps} for eps in (0.0, *eps_values)]
-    runs, drift_reports, conserved = _ladder(
+    runs, drift_reports, conserved, _ = _ladder(
         config, state0, overrides, difference_metric, _sample_times(config)
     )
     sups = [run.distance for run in runs[1:]]
+    reports = {"eps": list(eps_values), "sup_metric": sups}
+    lines = [f"eps={e:g}: sup difference {s:.6e}" for e, s in zip(eps_values, sups)]
+    if "skipped" in drift_reports:
+        return _Outcome([*lines, _SWEEP_SKIPPED], {}, {**reports, **drift_reports}, [conserved])
     # log(0) is undefined, so an eps = 0 member stays out of the log-log fit
     fit = [(e, s) for e, s in zip(eps_values, sups) if e > 0]
     if len(fit) >= 2:
@@ -407,14 +399,14 @@ def _eps_sweep(config: RunConfig) -> _Ladder:
         slope = float(np.polyfit(np.log(fit_eps), np.log(np.maximum(fit_sups, 1e-300)), 1)[0])
     else:
         slope = math.nan
-    reports = {"eps": list(eps_values), "sup_metric": sups, "fitted_slope": slope, **drift_reports}
+    reports.update(fitted_slope=slope, **drift_reports)
     detail = "sup metric strictly decreasing as eps decreases"
     trend = _decreasing("eps-difference-decreasing", sups, detail)
-    lines = [f"eps={e:g}: sup difference {s:.6e}" for e, s in zip(eps_values, sups)]
     lines.append(f"fitted slope of sup difference vs eps: {slope:.3f}")
     rows = [(e, s, slope) for e, s in zip(eps_values, sups)]
-    table = ("eps_sweep.csv", ("eps", "sup_metric", "fitted_slope"), rows)
-    return _Ladder(lines, table, monitor, reports, [trend, conserved])
+    columns = ("eps", "sup_metric", "fitted_slope")
+    files = {"eps_sweep.csv": lambda path: write_table(path, columns, rows)}
+    return _Outcome(lines, files, reports, [trend, conserved])
 
 
 def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
@@ -422,27 +414,28 @@ def cmd_sweep_eps(config: RunConfig, quiet: bool = False) -> int:
     sampled times of the difference metric must decrease strictly as eps
     decreases.  Requires the small-data hypothesis (the limit system's
     global theory needs it)."""
-    return _ladder_command("sweep-eps", config, _eps_sweep, quiet)
+    return _command("sweep-eps", config, _eps_sweep, quiet)
 
 
 # ---------------------------------------------------------------------------
 # yosida-n sweep
 
 
-def _n_sweep(config: RunConfig) -> _Ladder:
+def _n_sweep(config: RunConfig, manifest: dict) -> _Outcome:
     """Run the unregularized reference and every n of n_list to T; each
     member's dist_unregularized is its cauchy_metric from the reference at
     T.  The n-consecutive-differences-decreasing and
-    member-charge-conservation assertions, and n_sweep.csv."""
+    member-charge-conservation assertions, and n_sweep.csv; a skipped
+    sweep asserts only member-charge-conservation and writes no table."""
     n_values = tuple(sorted(set(config.n_list)))
     if len(n_values) < 3:
         raise ValueError(
             f"n sweep needs at least 3 distinct n_list values, got {config.n_list}"
         )
 
-    state0, monitor = _start(config, build_params(config, yosida_n=None))
+    state0, _ = _start(config, build_params(config, yosida_n=None), manifest)
     overrides = [{"yosida_n": n} for n in (None, *n_values)]
-    runs, drift_reports, conserved = _ladder(config, state0, overrides, cauchy_metric)
+    runs, drift_reports, conserved, _ = _ladder(config, state0, overrides, cauchy_metric)
     finals = [run.final for run in runs[1:]]
     diffs = [cauchy_metric(a, b) for a, b in zip(finals, finals[1:])]
     dists = [run.distance for run in runs[1:]]
@@ -452,23 +445,26 @@ def _n_sweep(config: RunConfig) -> _Ladder:
         "dist_unregularized": dists,
         **drift_reports,
     }
-    trend = _decreasing(
-        "n-consecutive-differences-decreasing", diffs, "Cauchy trend along doubling n"
-    )
     lines, rows = [], []
     for n, diff_prev, dist in zip(n_values, [None, *diffs], dists):
         shown = "-" if diff_prev is None else f"{diff_prev:.6e}"
         lines.append(f"n={n}: consecutive diff {shown}, distance to unregularized {dist:.6e}")
         rows.append((n, "" if diff_prev is None else diff_prev, dist))
-    table = ("n_sweep.csv", ("n", "diff_consecutive", "dist_unregularized"), rows)
-    return _Ladder(lines, table, monitor, reports, [trend, conserved])
+    if "skipped" in reports:
+        return _Outcome([*lines, _SWEEP_SKIPPED], {}, reports, [conserved])
+    trend = _decreasing(
+        "n-consecutive-differences-decreasing", diffs, "Cauchy trend along doubling n"
+    )
+    columns = ("n", "diff_consecutive", "dist_unregularized")
+    files = {"n_sweep.csv": lambda path: write_table(path, columns, rows)}
+    return _Outcome(lines, files, reports, [trend, conserved])
 
 
 def cmd_sweep_n(config: RunConfig, quiet: bool = False) -> int:
     """Run the regularized system for each n, plus the unregularized
     reference; consecutive solutions (at t = T, in H1 + L2 + L2) must
     approach each other as n doubles."""
-    return _ladder_command("sweep-n", config, _n_sweep, quiet)
+    return _command("sweep-n", config, _n_sweep, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +626,11 @@ def _phase_flow_assertion(grid) -> Assertion:
     return _holds("nodal-phase-flow", 1e-14 - np.max(flow_errs + charge_errs), detail)
 
 
-def cmd_check(config: RunConfig, quiet: bool = False) -> int:
+def _check(config: RunConfig, manifest: dict) -> _Outcome:
     """_symbol_derivation of the configured kernels, _grid_assertions and
     _phase_flow_assertion on the configured grid, plus the certification
     of the stored default C0 (functionals.REFERENCE_C0), re-derived on its
     own 128^2 reference grid whatever the configured one."""
-    os.makedirs(config.out_dir, exist_ok=True)
     grid = build_grid(config)
     assertions = [_symbol_derivation(config), *_grid_assertions(grid), _phase_flow_assertion(grid)]
 
@@ -645,19 +640,22 @@ def cmd_check(config: RunConfig, quiet: bool = False) -> int:
     c0_slack = fresh_c0 * (1.0 + 1e-12) - functionals.REFERENCE_C0
     detail = f"REFERENCE_C0 <= fresh 128^2 estimate {fresh_c0:.16g}, 1e-12 relative slack"
     assertions.append(_holds("stored-c0-certified", c0_slack, detail))
+    return _Outcome([], {}, None, assertions)
 
-    manifest = _manifest_base("check", config)
-    return _finish(config.out_dir, manifest, assertions, [], quiet)
+
+def cmd_check(config: RunConfig, quiet: bool = False) -> int:
+    """Certify the stepper's tables, transforms and stored default C0."""
+    return _command("check", config, _check, quiet)
 
 
 # ---------------------------------------------------------------------------
 # sharp-constant estimation
 
 
-def cmd_estimate_c0(config: RunConfig, quiet: bool = False) -> int:
-    """Estimate the sharp Gagliardo-Nirenberg constant on the configured
-    grid and write c0.json with the smallness threshold sqrt(2)/C0."""
-    os.makedirs(config.out_dir, exist_ok=True)
+def _estimate_c0(config: RunConfig, manifest: dict) -> _Outcome:
+    """The sharp Gagliardo-Nirenberg constant on the configured grid, with
+    the smallness threshold sqrt(2)/C0, as c0.json and the reports, and
+    estimator-converged."""
     grid = build_grid(config)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -674,28 +672,30 @@ def cmd_estimate_c0(config: RunConfig, quiet: bool = False) -> int:
         "converged": converged,
         "grid": {"Lx": config.lx, "Ly": config.ly, "Nx": config.nx, "Ny": config.ny},
     }
-    write_manifest(os.path.join(config.out_dir, "c0.json"), payload)
-    _emit(quiet, f"C0 estimate: {value:.6f} (threshold sqrt(2)/C0 = {threshold:.6f})")
-    manifest = _manifest_base("estimate-c0", config)
-    manifest["reports"] = payload
+    line = f"C0 estimate: {value:.6f} (threshold sqrt(2)/C0 = {threshold:.6f})"
+    files = {"c0.json": lambda path: write_manifest(path, payload)}
     assertions = [_holds("estimator-converged", 0.0 if converged else -1.0)]
-    return _finish(config.out_dir, manifest, assertions, ["c0.json"], quiet)
+    return _Outcome([line], files, payload, assertions)
+
+
+def cmd_estimate_c0(config: RunConfig, quiet: bool = False) -> int:
+    """Estimate the sharp Gagliardo-Nirenberg constant on the configured
+    grid and write c0.json with the smallness threshold sqrt(2)/C0."""
+    return _command("estimate-c0", config, _estimate_c0, quiet)
 
 
 # ---------------------------------------------------------------------------
 # order test
 
 
-def _order_test(config: RunConfig) -> _Ladder:
+def _order_test(config: RunConfig, manifest: dict) -> _Outcome:
     """Run to T at every dt of dt_list and at dt_min / 8, the reference the
     errors are taken against; the reports (with each run's charge and
     energy drift, not asserted) and the splitting-second-order
     assertion on the mean observed order, each order measured against the
-    equal steps T / ceil(T/dt) the runs take.  Errors at round-off, at most
-    1e-11 of the reference's own size in their metric, skip the
-    measurement only when u = 0 (zero data, a free wave), where both
-    couplings vanish and the splitting is the exact free flow; with u != 0
-    they fail it, as errors that do not depend on dt.  No table."""
+    equal steps T / ceil(T/dt) the runs take.  A ladder that _ladder skips
+    prints a notice and asserts nothing; errors at round-off with u != 0
+    fail, as errors that do not depend on dt.  No table."""
     dts = config.dt_list
     if len(dts) < 3:
         raise ValueError("order test needs at least 3 dt values")
@@ -710,20 +710,17 @@ def _order_test(config: RunConfig) -> _Ladder:
 
     state0 = build_initial_state(config)
     overrides = [{"dt": dt} for dt in (dts[-1] / 8.0, *dts)]
-    runs, drift_reports, _ = _ladder(config, state0, overrides, difference_metric)
+    runs, drift_reports, _, flat = _ladder(config, state0, overrides, difference_metric)
     errors = [run.distance for run in runs[1:]]
     reports = {"dt": list(dts), "errors": errors, **drift_reports}
     lines = [f"dt={dt:g}: error {err:.6e}" for dt, err in zip(dts, errors)]
-    reference = runs[0].final
-    parts = (reference.u, reference.v, reference.vt)
-    zero = State(*(field_from_coef(f.grid, np.zeros_like(f.coef)) for f in parts), reference.t)
-    if np.max(errors) <= 1e-11 * difference_metric(reference, zero):
-        if not np.any(state0.u.coef):
-            lines.append(
-                "errors at round-off level with u = 0, which the splitting integrates "
-                "exactly (e.g. zero data); order measurement skipped"
-            )
-            return _Ladder(lines, None, None, {**reports, "skipped": True}, [])
+    if "skipped" in reports:
+        lines.append(
+            "errors at round-off level with u = 0, which the splitting integrates "
+            "exactly (e.g. zero data); order measurement skipped"
+        )
+        return _Outcome(lines, {}, reports, [])
+    if flat:
         margin = -1.9
         detail = "errors at round-off do not depend on dt although u != 0: observed order 0"
     else:
@@ -736,10 +733,10 @@ def _order_test(config: RunConfig) -> _Ladder:
         reports.update(orders=orders, mean_order=mean_order)
         lines.append(f"observed orders: {['%.3f' % o for o in orders]}, mean {mean_order:.3f}")
         margin, detail = mean_order - 1.9, f"mean observed order {mean_order:.3f}"
-    return _Ladder(lines, None, None, reports, [_holds("splitting-second-order", margin, detail)])
+    return _Outcome(lines, {}, reports, [_holds("splitting-second-order", margin, detail)])
 
 
 def cmd_order_test(config: RunConfig, quiet: bool = False) -> int:
     """Self-refinement order measurement for the splitting integrator
     (_order_test); a skipped measurement is printed as a notice."""
-    return _ladder_command("order-test", config, _order_test, quiet)
+    return _command("order-test", config, _order_test, quiet)

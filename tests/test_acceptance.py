@@ -55,7 +55,7 @@ def _monitored_run(cfg: RunConfig):
     """integrate() with a diagnostics row every monitor_stride steps, as
     `sibsim run` does: the series and its assertions by name."""
     params = build_params(cfg)
-    state0, monitor = _start(cfg, params)
+    state0, monitor = _start(cfg, params, {})
     series = integrate(state0, cfg.T, params, cfg.monitor_stride, monitor).series
     return series, {a.name: a for a in _series_assertions(series, params.eps, monitor)}
 
@@ -140,7 +140,7 @@ def test_h1_envelope_dominates_for_small_eps_family(small_eps_family):
 
 
 def test_distance_to_limit_system_decreases_with_eps():
-    *_, reports, assertions = _eps_sweep(RunConfig())
+    *_, reports, assertions = _eps_sweep(RunConfig(), {})
     sups = ", ".join(f"{s:.4f}" for s in reports["sup_metric"])
     context = f"sups {sups} for eps {tuple(reports['eps'])}; slope {reports['fitted_slope']:.2f}"
     assert _passed(context, *assertions)
@@ -159,8 +159,8 @@ def half_time_n_sweep():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "_ladder", keeping)
-        sweep = _n_sweep(RunConfig(T=0.5))
-    [(runs, _, _)] = ladders
+        sweep = _n_sweep(RunConfig(T=0.5), {})
+    [(runs, *_)] = ladders
     return sweep, runs[0].final
 
 
@@ -274,7 +274,7 @@ def test_quotient_estimator_matches_radial_shooting():
 @pytest.fixture(scope="module")
 def refinement():
     """_order_test's reports and assertion for the default run and dts."""
-    return _order_test(RunConfig())
+    return _order_test(RunConfig(), {})
 
 
 def test_refinement_reaches_second_order_on_average(refinement):

@@ -122,11 +122,34 @@ def _callers(module, name: str) -> list[str]:
 
 def test_the_ladders_measure_and_write_through_one_runner():
     # sweep-eps, sweep-n and order-test integrate only in _ladder, which
-    # also reports the drifts, and write their tables only in
-    # _ladder_command; cmd_run is the one other integration
-    assert sorted(_callers(experiments, "integrate")) == ["_ladder", "cmd_run"]
-    assert _callers(experiments, "write_table") == ["_ladder_command"]
+    # also reports the drifts; _run, run's measurement, is the one other
+    # integration
+    assert sorted(_callers(experiments, "integrate")) == ["_ladder", "_run"]
+    assert sorted(_callers(experiments, "write_table")) == ["_eps_sweep", "_n_sweep"]
     assert not hasattr(experiments, "_drift_reports")
+
+
+def test_every_command_is_one_body():
+    # each command measures, and _command alone prints the verdicts, takes
+    # the checksums and writes manifest.json, also on a numerical abort
+    tree = ast.parse(inspect.getsource(experiments))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in (attr for attr in experiments.__all__ if attr.startswith("cmd_")):
+        *docstring, body = functions[name].body
+        assert len(docstring) == 1 and isinstance(body, ast.Return), name
+        assert isinstance(body.value, ast.Call) and body.value.func.id == "_command", name
+    assert _callers(experiments, "file_checksums") == ["_command"]
+    assert sorted(_callers(experiments, "write_manifest")) == [
+        "_command", "_command", "_estimate_c0"
+    ]
+    writes = [
+        function.name
+        for function in functions.values()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Constant) and node.value == "manifest.json"
+    ]
+    assert writes == ["_command"]
+    assert not hasattr(experiments, "_ladder_command") and not hasattr(experiments, "_finish")
 
 
 def test_system_params_hold_only_the_model():

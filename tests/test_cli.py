@@ -468,21 +468,51 @@ def test_state_comparisons_evaluate_no_monitor_row(tmp_path, monkeypatch):
 ROW_EVERY_STEP = GRID_8 + "{data}[run]\ndt = 1e-3\nt = 0.01\nmonitor_stride = 1\n"
 
 
-def test_blowup_exits_3(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command, step, quantity, last_finite_t",
+    [
+        ("run", 2, "vt", 1e-3),
+        ("sweep-eps", 2, "vt", 1e-3),
+        # unsampled runs check u[0, 0] after each step, which the NaN
+        # reaches at step 4
+        ("sweep-n", 4, "u", 0.0),
+        ("order-test", 4, "u", 0.0),
+    ],
+    ids=["run", "sweep-eps", "sweep-n", "order-test"],
+)
+def test_blowup_exits_3(tmp_path, capsys, monkeypatch, command, step, quantity, last_finite_t):
     # the second step leaves vt non-finite in one mode; the CLI prints the
-    # abort on one stderr line for every command, and run also records it
-    # in its manifest
+    # abort on one stderr line, and every command records it in its manifest
     breaking_step(monkeypatch, 2, ("vt",))
     cfg = write(tmp_path, ROW_EVERY_STEP.format(data=""))
-    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "run"]) == 3
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "numerical abort: non-finite vt at step 2" in err
+    assert f"numerical abort: non-finite {quantity} at step {step}" in err
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["command"] == command
     assert manifest["status"] == "numerical-abort"
-    assert manifest["last_finite_t"] == pytest.approx(1e-3)
-    assert manifest["failed_step"] == 2
-    assert manifest["failed_quantity"] == "vt"
+    assert manifest["last_finite_t"] == pytest.approx(last_finite_t)
+    assert manifest["failed_step"] == step
+    assert manifest["failed_quantity"] == quantity
+    assert manifest["files"] == {}
+
+
+def test_an_abort_replaces_an_earlier_manifest(tmp_path, capsys):
+    # a passing sweep-n, then one on amplitude 1e6 data into the same
+    # directory: its Yosida step is far too long, and the manifest must
+    # record that abort, not keep the first run's status and checksums
+    out = tmp_path / "o"
+    argv = ["--out", str(out), "--quiet", "sweep-n", "--n-list", "4", "8", "16"]
+    run = "[run]\ndt = 1e-2\nt = 0.1\n"
+    assert main(["--config", write(tmp_path, GRID_8 + run)] + argv) == 0
+    big = write(tmp_path, GRID_8 + "[data]\nphi = 1e6*sin(x)*sin(y)\n" + run, "big.ini")
+    assert main(["--config", big] + argv) == 3
+    assert capsys.readouterr().err.startswith("numerical abort: potential flow step too long")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "numerical-abort"
+    assert manifest["config"]["data"] == {"phi": "1e6*sin(x)*sin(y)"}
+    assert manifest["files"] == {} and "reports" not in manifest
 
 
 def test_overflowing_envelope_is_no_blowup(tmp_path):
@@ -731,7 +761,7 @@ def series_fault(corrupt):
     def case(monkeypatch, tmp_path):
         cfg = RunConfig(nx=8, ny=8, T=0.02, monitor_stride=1)
         params = build_params(cfg)
-        state0, monitor = experiments._start(cfg, params)
+        state0, monitor = experiments._start(cfg, params, {})
         series = integrate(state0, cfg.T, params, cfg.monitor_stride, monitor).series
         corrupt(series)
         return experiments._series_assertions(series, cfg.eps, monitor)
@@ -752,7 +782,7 @@ def sweep_fault(sweep, metric):
 
     def case(monkeypatch, tmp_path):
         monkeypatch.setattr(experiments, metric, lambda a, b: 1.0)
-        return sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-1]
+        return sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02), {})[-1]
 
     return case
 
@@ -766,7 +796,7 @@ def dt_ignored(monkeypatch, tmp_path):
         return integrate(state0, T, replace(params, dt=1e-3), *args, **kwargs)
 
     monkeypatch.setattr(experiments, "integrate", fixed_dt)
-    return experiments._order_test(RunConfig(nx=16, ny=16))[-1]
+    return experiments._order_test(RunConfig(nx=16, ny=16), {})[-1]
 
 
 def nan_member_charge(monkeypatch, tmp_path):
@@ -777,7 +807,7 @@ def nan_member_charge(monkeypatch, tmp_path):
     monkeypatch.setattr(
         experiments, "charge", lambda st: np.nan if next(calls) == 5 else functionals.charge(st)
     )
-    return experiments._n_sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-1]
+    return experiments._n_sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02), {})[-1]
 
 
 def growing_charge(sweep):
@@ -786,7 +816,7 @@ def growing_charge(sweep):
 
     def case(monkeypatch, tmp_path):
         monkeypatch.setattr(experiments, "charge", lambda st: functionals.charge(st) * (1 + st.t))
-        return sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-1]
+        return sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02), {})[-1]
 
     return case
 
@@ -992,7 +1022,7 @@ LADDERS = {experiments._eps_sweep: "eps", experiments._n_sweep: "n", experiments
 
 @pytest.mark.parametrize("sweep", list(LADDERS), ids=list(LADDERS.values()))
 def test_each_sweep_reports_every_runs_charge_drift(sweep):
-    reports = sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-2]
+    reports = sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02), {})[-2]
     members = reports[LADDERS[sweep]]
     assert len(reports["charge_drift"]) == len(members)
     assert max(reports["reference_charge_drift"], *reports["charge_drift"]) <= 1e-10
@@ -1001,7 +1031,7 @@ def test_each_sweep_reports_every_runs_charge_drift(sweep):
 @pytest.mark.parametrize("sweep", list(LADDERS), ids=list(LADDERS.values()))
 def test_each_sweep_reports_every_runs_energy_drift(sweep):
     # reported only: nothing asserts a bound on it
-    reports = sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02))[-2]
+    reports = sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.02), {})[-2]
     members = reports[LADDERS[sweep]]
     drifts = [reports["reference_energy_drift"], *reports["energy_drift"]]
     assert len(drifts) == len(members) + 1
@@ -1023,7 +1053,7 @@ def test_eps_sweep_holds_at_most_two_runs_samples(monkeypatch):
         return record
 
     monkeypatch.setattr(experiments, "integrate", tracked)
-    experiments._eps_sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.05, monitor_stride=1))
+    experiments._eps_sweep(RunConfig(nx=8, ny=8, dt=1e-2, T=0.05, monitor_stride=1), {})
     assert [len(refs) for refs in runs] == [5] * 5
     assert alive == [0, 1, 1, 1, 1]
 
@@ -1153,6 +1183,23 @@ def test_order_test_skips_an_exact_integrator(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["reports"]["skipped"] is True
     assert manifest["assertions"] == []
+
+
+@pytest.mark.parametrize("command", ["sweep-eps", "sweep-n"])
+def test_sweeps_skip_zero_data(tmp_path, capsys, command):
+    # zero data stay zero, so every distance is 0 and no trend can show:
+    # the sweep prints a notice in place of its summary, writes no table
+    # and asserts only that each run keeps its charge
+    cfg = write(tmp_path, GRID_8 + "[data]\npreset = zero\n[run]\nt = 0.02\n")
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), command]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-2].endswith("trend measurement skipped")
+    assert printed[-1].startswith("[PASS] member-charge-conservation")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["reports"]["skipped"] is True
+    assert [a["name"] for a in manifest["assertions"]] == ["member-charge-conservation"]
+    assert manifest["status"] == "ok" and manifest["files"] == {}
 
 
 def _ladder_output(command, reports):

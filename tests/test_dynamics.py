@@ -663,7 +663,8 @@ def test_substep_composition_is_reversible():
 def test_self_convergence_is_second_order():
     # order-test's errors against dt_min / 8 = 1/2048, on 16^2 to T = 1:
     # every halving divides them by 3.5 to 4.6
-    reports = _order_test(RunConfig(nx=16, ny=16, dt_list=(1 / 64, 1 / 128, 1 / 256))).reports
+    config = RunConfig(nx=16, ny=16, dt_list=(1 / 64, 1 / 128, 1 / 256))
+    reports = _order_test(config, {}).reports
     assert all(np.log2(3.5) < order < np.log2(4.6) for order in reports["orders"])
 
 

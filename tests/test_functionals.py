@@ -136,7 +136,7 @@ def test_yosida_run_reports_the_energy_it_conserves():
     def drift(dt):
         cfg = RunConfig(nx=16, ny=16, yosida_n=8, dt=dt, T=0.5)
         params = build_params(cfg)
-        state0, monitor = experiments._start(cfg, params)
+        state0, monitor = experiments._start(cfg, params, {})
         series = integrate(state0, cfg.T, params, cfg.monitor_stride, monitor).series
         return experiments._energy_drift(series)
 
