@@ -152,6 +152,25 @@ def test_every_command_is_one_body():
     assert not hasattr(experiments, "_ladder_command") and not hasattr(experiments, "_finish")
 
 
+def test_the_check_derives_what_it_certifies():
+    # symbol-derivation forms the transform factors and the norm weights
+    # itself: it names none of the tables grids builds them from, not even
+    # as a string, and the identity assertions it absorbed are gone
+    tree = ast.parse(inspect.getsource(experiments._symbol_derivation))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.update(re.findall(r"\w+", node.value))
+    tables = {"_factors", "_sines", "_synthesis_pair", "_analysis_pair", "_sobolev_weights"}
+    assert named & tables == set()
+    assert "coef_to_values" in named and "sobolev_norm" in named and "h1_norm" in named
+    assert not hasattr(experiments, "_grid_assertions")
+
+
 def test_system_params_hold_only_the_model():
     assert [f.name for f in fields(sibsim.SystemParams)] == ["eps", "dt", "yosida_n", "dealias"]
 

@@ -9,6 +9,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -257,24 +258,21 @@ def test_estimate_c0_from_a_bump_that_misses_every_node_fails(tmp_path):
     assert c0["c0"] is None and c0["converged"] is False
 
 
-def test_check_on_a_tiny_domain_reaches_its_verdicts(tmp_path, capsys):
-    # lam is about 1e301 here: fields whose decay is taken against lam
-    # itself would be zero, and their relative errors would divide by zero;
-    # J_1 is about 1e-302, and the bound of a phase grows with h lam_max
-    cfg = write(tmp_path, GRID_8 + "lx = 1e-150\nly = 1e-150\n")
-    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "check"]) == 0
+@pytest.mark.parametrize("side", ["1e-150", "3.6e-153"])
+def test_check_on_a_tiny_domain_reaches_its_verdicts(tmp_path, capsys, side):
+    # lam is about 1e301 on 1e-150 sides: fields whose decay is taken
+    # against lam itself would be zero, and their relative errors would
+    # divide by zero; J_1 is about 1e-302, and the bound of a phase grows
+    # with h lam_max.  On 3.6e-153 sides lam_max is 9.7e307 and the node
+    # values of a unit coefficient about 1e153: a norm or a product of node
+    # values that is not scaled first overflows
+    cfg = write(tmp_path, GRID_8 + f"lx = {side}\nly = {side}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "check"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 3
     assert all(line.startswith("[PASS] ") for line in lines)
-
-
-def test_check_parseval_stays_finite_where_node_values_square_past_the_float_range(tmp_path):
-    # on 3.6e-153 sides the node values are about 1e153, and their squares
-    # overflow unless the node weight scales them first
-    code, manifest = run_quietly(tmp_path, GRID_8 + "lx = 3.6e-153\nly = 3.6e-153\n", "check")
-    parseval = next(a for a in manifest["assertions"] if a["name"] == "transform-parseval")
-    assert code == 0
-    assert parseval["passed"] and 0 < parseval["margin"] < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -501,7 +499,8 @@ def test_blowup_exits_3(tmp_path, capsys, monkeypatch, command, step, quantity, 
 def test_an_abort_replaces_an_earlier_manifest(tmp_path, capsys):
     # a passing sweep-n, then one on amplitude 1e6 data into the same
     # directory: its Yosida step is far too long, and the manifest must
-    # record that abort, not keep the first run's status and checksums
+    # record that abort, not keep the first run's status and checksums,
+    # nor its table beside it
     out = tmp_path / "o"
     argv = ["--out", str(out), "--quiet", "sweep-n", "--n-list", "4", "8", "16"]
     run = "[run]\ndt = 1e-2\nt = 0.1\n"
@@ -513,6 +512,27 @@ def test_an_abort_replaces_an_earlier_manifest(tmp_path, capsys):
     assert manifest["status"] == "numerical-abort"
     assert manifest["config"]["data"] == {"phi": "1e6*sin(x)*sin(y)"}
     assert manifest["files"] == {} and "reports" not in manifest
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+def test_a_command_removes_only_the_plain_names_an_earlier_manifest_lists(tmp_path):
+    # the earlier manifest is read from disk: a name that leaves the
+    # directory stays where it is, and a manifest that does not parse
+    # removes nothing
+    out = tmp_path / "o"
+    out.mkdir()
+    for name in ("stale.csv", "kept.csv"):
+        (out / name).write_text("x")
+    outside = tmp_path / "outside.txt"
+    outside.write_text("x")
+    files = {"stale.csv": "0", "../outside.txt": "0", str(outside): "0", "..": "0", ".": "0"}
+    (out / "manifest.json").write_text(json.dumps({"files": files}))
+    code, manifest = run_quietly(tmp_path, GRID_8, "estimate-c0")
+    assert code == 0 and sorted(os.listdir(out)) == ["c0.json", "kept.csv", "manifest.json"]
+    assert outside.exists()
+    (out / "manifest.json").write_text('{"files": {"c0.json": "0"')
+    assert run_quietly(tmp_path, GRID_8, "check")[0] == 0
+    assert sorted(os.listdir(out)) == ["c0.json", "kept.csv", "manifest.json"]
 
 
 def test_overflowing_envelope_is_no_blowup(tmp_path):
@@ -694,7 +714,7 @@ def test_check_certifies_the_stored_c0(tmp_path, monkeypatch):
     code, manifest = run_quietly(tmp_path, GRID_8, "check")
     failed = [a["name"] for a in manifest["assertions"] if not a["passed"]]
     assert code == 1 and failed == ["stored-c0-certified"]
-    assert len(manifest["assertions"]) == 6
+    assert len(manifest["assertions"]) == 3
 
 
 def test_check_passes_on_the_config_inputs_it_derives_from(tmp_path):
@@ -746,7 +766,7 @@ def test_check_catches_an_axis_swap_in_the_synthesis(tmp_path, monkeypatch, caps
     assert main(["--out", str(tmp_path / "o"), "--quiet", "check"]) == 1
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     failed = [a["name"] for a in manifest["assertions"] if not a["passed"]]
-    assert failed == ["transform-inverse", "transform-parseval"]
+    assert failed == ["symbol-derivation"]
 
 
 # ---------------------------------------------------------------------------
@@ -842,16 +862,6 @@ def command_fault(command, patch):
     return case
 
 
-def grid_fault(patch):
-    """_grid_assertions on 8^2 after patch(monkeypatch)."""
-
-    def case(monkeypatch, tmp_path):
-        patch(monkeypatch)
-        return experiments._grid_assertions(sibsim.make_grid(np.pi, np.pi, 8, 8))
-
-    return case
-
-
 def transform_results(name, change):
     """A patch that passes every result of the grids transform `name`
     through change, in each sibsim module that holds the transform."""
@@ -892,6 +902,33 @@ def lifted_norm_off(monkeypatch):
     monkeypatch.setattr(experiments, "h1_norm", lambda f: sibsim.grids.h1_norm(f) * (1 + 1e-9))
 
 
+def negative_norm_off(monkeypatch):
+    def off(f, s):
+        return sibsim.grids.sobolev_norm(f, s) * (1 + 1e-9 if s == -1 else 1)
+
+    monkeypatch.setattr(experiments, "sobolev_norm", off)
+
+
+def faulty_basis(change):
+    """A patch that builds every transform factor, uncached, with the mode
+    axis of the synthesis A and the analysis B passed through change: the
+    transforms still invert each other and keep Parseval's identity."""
+
+    def patch(monkeypatch):
+        factors = sibsim.grids._factors.__wrapped__
+
+        def faulty(M, N, L):
+            A, _, B, _ = factors(M, N, L)
+            A, B = change(A), change(B.T).T
+            return A, np.ascontiguousarray(A.T), B, np.ascontiguousarray(B.T)
+
+        monkeypatch.setattr(sibsim.grids, "_factors", faulty)
+        for pair in ("_synthesis_pair", "_analysis_pair"):
+            monkeypatch.setattr(sibsim.grids, pair, getattr(sibsim.grids, pair).__wrapped__)
+
+    return patch
+
+
 def phase_flow_fault(patch):
     """_phase_flow_assertion on 8^2 after patch(monkeypatch)."""
 
@@ -914,8 +951,9 @@ def unconverged_estimator(monkeypatch):
     monkeypatch.setattr(functionals, "_GN_MAX_ITER", 1)
 
 
-# cases that fault the kernel's tables, each named by the property of its
-# symbol that the fault breaks; every one must fail symbol-derivation
+# cases that fault the kernel's tables, the transforms or the norms, each
+# named by the property that the fault breaks; every one must fail
+# symbol-derivation
 SYMBOL_FAULTS = {
     "yosida-symbol-contraction": symbol_fault(table("jsym", set_entry((0, 0), 1.5))),
     # the top mode unregularized: sqrt(lam_max) = sqrt(128) exceeds sqrt(n) for n < 128
@@ -942,10 +980,18 @@ SYMBOL_FAULTS = {
     "yosida-half-n": command_fault("check", table("jsym", lambda j: j / (2 - j))),
     # kx and ky 0.5% high
     "lam-high": command_fault("check", grid_lam(lambda make, *args: make(*args).lam * 1.005**2)),
+    # the transforms and norms
+    "transform-inverse": symbol_fault(scaled("values_to_coef", 1 + 1e-9)),
+    "transform-parseval": symbol_fault(non_isometric),
+    "lifted-inverse-norm-identity": symbol_fault(lifted_norm_off),
+    "sobolev-norm-s-minus-1": symbol_fault(negative_norm_off),
+    # mode k signed (-1)^(k-1), and the modes in reverse order
+    "basis-signed": symbol_fault(faulty_basis(lambda a: a * (-1.0) ** np.arange(a.shape[1]))),
+    "basis-reversed": symbol_fault(faulty_basis(lambda a: a[:, ::-1])),
 }
 
 # a NaN fails symbol-derivation wherever it sits: in the first J_n, the
-# last, every one, the phases and w2
+# last, every one, the phases, w2, either transform and a norm
 SYMBOL_NAN_FAULTS = {
     "yosida-symbol-contraction": symbol_fault(table("jsym", set_entry((0, 0), np.nan), n=1024)),
     "yosida-convergence-monotone": symbol_fault(table("jsym", set_entry((0, 0), np.nan), n=1)),
@@ -954,6 +1000,11 @@ SYMBOL_NAN_FAULTS = {
     "propagator-group-identity": symbol_fault(table("wave_phase_full", set_entry((3, 2), np.nan))),
     "wave-kernel-first-integral": symbol_fault(flow_table(1, set_entry((3, 2), np.nan))),
     "source-symbol-consistency": symbol_fault(table("w2", set_entry((1, 1), np.nan))),
+    "transform-inverse": symbol_fault(nan_transform("values_to_coef")),
+    "transform-parseval": symbol_fault(nan_transform("coef_to_values")),
+    "lifted-inverse-norm-identity": symbol_fault(
+        lambda mp: mp.setattr(experiments, "h1_norm", lambda f: np.nan)
+    ),
 }
 
 FAULTS = [
@@ -968,9 +1019,6 @@ FAULTS = [
     ("splitting-second-order", sweep_fault(experiments._order_test, "difference_metric")),
     ("splitting-second-order", dt_ignored),
     *(("symbol-derivation", case) for case in SYMBOL_FAULTS.values()),
-    ("lifted-inverse-norm-identity", grid_fault(lifted_norm_off)),
-    ("transform-inverse", grid_fault(scaled("values_to_coef", 1 + 1e-9))),
-    ("transform-parseval", grid_fault(non_isometric)),
     ("nodal-phase-flow", phase_flow_fault(short_taylor_phase)),
     (
         "stored-c0-certified",
@@ -984,12 +1032,6 @@ FAULTS = [
 NAN_FAULTS = [
     ("member-charge-conservation", nan_member_charge),
     *(("symbol-derivation", case) for case in SYMBOL_NAN_FAULTS.values()),
-    (
-        "lifted-inverse-norm-identity",
-        grid_fault(lambda mp: mp.setattr(experiments, "h1_norm", lambda f: np.nan)),
-    ),
-    ("transform-inverse", grid_fault(nan_transform("values_to_coef"))),
-    ("transform-parseval", grid_fault(nan_transform("coef_to_values"))),
     ("nodal-phase-flow", phase_flow_fault(nan_corner(dynamics._Kernels, "potential_flow"))),
 ]
 FAULTS += NAN_FAULTS
@@ -1189,9 +1231,13 @@ def test_order_test_skips_an_exact_integrator(tmp_path, capsys):
 def test_sweeps_skip_zero_data(tmp_path, capsys, command):
     # zero data stay zero, so every distance is 0 and no trend can show:
     # the sweep prints a notice in place of its summary, writes no table
-    # and asserts only that each run keeps its charge
-    cfg = write(tmp_path, GRID_8 + "[data]\npreset = zero\n[run]\nt = 0.02\n")
+    # and asserts only that each run keeps its charge.  The table of a
+    # default sweep into the same directory goes
     out = tmp_path / "o"
+    run = "[run]\nt = 0.02\n"
+    assert main(["--config", write(tmp_path, GRID_8 + run), "--out", str(out), command]) == 0
+    capsys.readouterr()
+    cfg = write(tmp_path, GRID_8 + "[data]\npreset = zero\n" + run, "zero.ini")
     assert main(["--config", cfg, "--out", str(out), command]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[-2].endswith("trend measurement skipped")
@@ -1200,6 +1246,7 @@ def test_sweeps_skip_zero_data(tmp_path, capsys, command):
     assert manifest["reports"]["skipped"] is True
     assert [a["name"] for a in manifest["assertions"]] == ["member-charge-conservation"]
     assert manifest["status"] == "ok" and manifest["files"] == {}
+    assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
 def _ladder_output(command, reports):
