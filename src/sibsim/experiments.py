@@ -37,7 +37,6 @@ verdict FAIL (Assertion lists the three strict or slackened exceptions).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import warnings
@@ -83,6 +82,7 @@ from .grids import (
 from .output import (
     checkpoint_name,
     file_checksums,
+    remove_listed,
     save_checkpoint,
     write_manifest,
     write_series,
@@ -127,6 +127,11 @@ def _holds(name: str, margin: float, detail: str = "") -> Assertion:
     return Assertion(name, bool(margin >= 0.0), float(margin), detail)
 
 
+def _emit(quiet: bool, text: str) -> None:
+    if not quiet:
+        print(text)
+
+
 def _resolved(config: RunConfig) -> dict:
     return {
         "Lx": config.lx,
@@ -158,19 +163,10 @@ def _command(command: str, config: RunConfig, measure, quiet: bool) -> int:
     """The one body of every command: measure(config, manifest), then its
     _Outcome printed, written and judged in manifest.json.  A numerical
     abort writes the manifest with status numerical-abort, where the run
-    failed and no files, and is raised on.  First an earlier manifest.json
-    goes, with the files it lists: read from disk, it may name anything."""
+    failed and no files, and is raised on.  Either manifest replaces an
+    earlier one, whose files go first; any other exception leaves both."""
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "manifest.json")
-    try:
-        with open(path) as fh:
-            stale = [*json.load(fh)["files"].keys(), os.path.basename(path)]
-    except (OSError, ValueError, LookupError, TypeError, AttributeError):
-        stale = []  # no manifest, or one that does not parse: nothing goes
-    for name in stale:  # plain names in out_dir only; "." and ".." are no files
-        target = os.path.join(config.out_dir, name)
-        if os.path.basename(name) == name and os.path.isfile(target):
-            os.remove(target)
     manifest = {"command": command, "config": config.raw, "resolved": _resolved(config)}
     manifest["versions"] = {"sibsim": __version__, "numpy": np.__version__}
     try:
@@ -181,16 +177,18 @@ def _command(command: str, config: RunConfig, measure, quiet: bool) -> int:
             manifest.update(last_finite_t=exc.t_last, failed_step=exc.step)
             manifest["failed_quantity"] = exc.quantity
         manifest["files"] = {}
+        remove_listed(path)
         write_manifest(path, manifest)
         raise
-    for line in [] if quiet else outcome.lines:
-        print(line)
+    remove_listed(path)
+    for line in outcome.lines:
+        _emit(quiet, line)
     for name, write in outcome.files.items():
         write(os.path.join(config.out_dir, name))
     if outcome.reports is not None:
         manifest["reports"] = outcome.reports
-    for a in [] if quiet else outcome.assertions:
-        print(a.line())
+    for a in outcome.assertions:
+        _emit(quiet, a.line())
     manifest["assertions"] = [vars(a) for a in outcome.assertions]
     ok = all(a.passed for a in outcome.assertions)
     manifest["status"] = "ok" if ok else "assertion-failure"
@@ -297,16 +295,15 @@ def _ladder(
 _SWEEP_SKIPPED = "distances at round-off with u = 0 (e.g. zero data); trend measurement skipped"
 
 
-def _series_assertions(
-    series: dict, eps: float, monitor: RunMonitor, with_column: bool = False
-) -> list[Assertion]:
+def _series_assertions(series: dict, eps: float, monitor: RunMonitor) -> list[Assertion]:
+    """run's assertions on a monitored series, to which it adds the H1
+    envelope at each sampled time as envelope_h1, series.csv's last column."""
     drift = _drift(series["charge"])
     out = [_charge_conserved("charge-conservation", drift, f"relative drift {drift:.3e}")]
 
     lhs_h1 = h1_envelope_lhs(series)
     env = np.array([envelope_h1(t - monitor.t0, monitor.ec, monitor.dn) for t in series["t"]])
-    if with_column:  # run writes the envelope as series.csv's last column
-        series["envelope_h1"] = env
+    series["envelope_h1"] = env
     # an overflowing envelope is inf and dominates every finite left-hand
     # side, so only the finite entries scale the slack
     slack = 1e-12 * float(np.max(env[np.isfinite(env)], initial=1.0))
@@ -350,7 +347,7 @@ def _run(config: RunConfig, manifest: dict) -> _Outcome:
     record = integrate(
         state0, config.T, params, config.monitor_stride, monitor, config.checkpoint_times
     )
-    assertions = _series_assertions(record.series, params.eps, monitor, with_column=True)
+    assertions = _series_assertions(record.series, params.eps, monitor)
     reports = {"energy_drift_rel": _energy_drift(record.series)}
     files = {"series.csv": lambda path: write_series(path, record)}
     for t, snap in sorted(record.checkpoints.items()):
@@ -543,10 +540,8 @@ def _symbol_derivation(config: RunConfig) -> Assertion:
         factor = (gain + 50 * sx * sy * np.sum(size)) / 16
         return float(np.max(np.abs(computed - ax @ c @ ay.T) / factor))
 
-    mismatch, rng = [], np.random.default_rng(0)
-    # the configured grid last, so that g and lam are its own below
-    sides = [((2 * math.pi, math.pi, 12, 8), " on 2pi x pi")]
-    for (lx, ly, nx, ny), on in [*sides, ((config.lx, config.ly, config.nx, config.ny), "")]:
+    def on_grid(lx: float, ly: float, nx: int, ny: int, on: str) -> tuple:
+        """lam, the transforms and the norms on one grid; its grid and lam."""
         g = make_grid(lx, ly, nx, ny)
         kx, ky = np.pi * np.arange(1, nx + 1) / lx, np.pi * np.arange(1, ny + 1) / ly
         lam = kx[:, None] ** 2 + ky[None, :] ** 2
@@ -566,6 +561,11 @@ def _symbol_derivation(config: RunConfig) -> Assertion:
             derived = float(np.sqrt(np.sum(w * f.coef**2)))
             off = abs((h1_norm(f) if s == "H1" else sobolev_norm(f, s)) - derived) / derived
             mismatch.append((f"norm s = {s}{on}", off * 32 / (nx * ny + 10)))
+        return g, lam
+
+    mismatch, rng = [], np.random.default_rng(0)
+    on_grid(2 * math.pi, math.pi, 12, 8, " on 2pi x pi")
+    g, lam = on_grid(config.lx, config.ly, config.nx, config.ny, "")
     h = config.T / _step_count(config.T, config.dt)
     n_values = sorted({*(2**j for j in range(11)), *config.n_list})
     kernels = [(SystemParams(eps=eps), None) for eps in (0.0, 0.5, 1.0)]

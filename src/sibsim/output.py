@@ -27,6 +27,7 @@ __all__ = [
     "write_table",
     "write_manifest",
     "file_checksums",
+    "remove_listed",
     "checkpoint_name",
     "save_checkpoint",
     "load_checkpoint",
@@ -92,6 +93,21 @@ def file_checksums(directory: str, names) -> dict:
             blob = fh.read()
         table[name] = {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
     return table
+
+
+def remove_listed(path: str) -> None:
+    """Remove the files the manifest at `path` lists.  Read from disk, it
+    may name anything: only plain names of files beside it go, and a
+    manifest that does not parse removes nothing."""
+    try:
+        with open(path) as fh:
+            names = json.load(fh)["files"].keys()
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        return
+    for name in names:  # "." and ".." are plain names but no files
+        target = os.path.join(os.path.dirname(path), name)
+        if os.path.basename(name) == name and os.path.isfile(target):
+            os.remove(target)
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,21 @@ def test_an_abort_replaces_an_earlier_manifest(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
+def test_a_refused_command_leaves_an_earlier_output(tmp_path, capsys):
+    # a passing sweep-n, then one whose measure raises a ValueError (too
+    # few n values) into the same directory: with no new manifest to
+    # write, the earlier manifest and its table stay
+    out = tmp_path / "o"
+    cfg = write(tmp_path, GRID_8 + "[run]\ndt = 1e-2\nt = 0.1\n")
+    argv = ["--config", cfg, "--out", str(out), "--quiet", "sweep-n", "--n-list", "4", "8"]
+    assert main(argv + ["16"]) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert main(argv) == 2
+    assert "n sweep needs at least 3 distinct n_list values" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+    assert sorted(before) == ["manifest.json", "n_sweep.csv"]
+
+
 def test_a_command_removes_only_the_plain_names_an_earlier_manifest_lists(tmp_path):
     # the earlier manifest is read from disk: a name that leaves the
     # directory stays where it is, and a manifest that does not parse
